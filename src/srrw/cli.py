@@ -37,7 +37,7 @@ from .envelopes import (
 )
 from .errors import ConfigError, InsufficientDataError, SrrwError
 from .graphs import mixing_profile
-from .policy import RegimePolicy, mean_termination_rate
+from .policy import AgeLaw, RegimePolicy, mean_termination_rate
 from .population import BlockPlan, PopulationTrace, block_drift, run_population
 from .return_time import sample_return_times
 
@@ -83,10 +83,9 @@ def _run_dir(out: str, resolved: ResolvedConfig) -> str:
 
 def _thread_cap() -> int:
     raw = os.environ.get("SRRW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError("SRRW_THREADS", f"expected an integer >= 1, got {raw[:40]!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,7 @@ def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
             return MatchingAgeInterval(a, a), "uniform_identity"
         if not traces:
             raise InsufficientDataError("non-uniform policy needs traces to measure the fork rate")
-        p_hat = measured_fork_rate(resolved, traces)
+        p_hat = measured_rate(resolved, traces, "forks")
         return solve_matching_age(model, spec.fork_cap, min(p_hat, spec.fork_cap)), "measured"
 
     if isinstance(policy, RegimePolicy):
@@ -160,34 +159,20 @@ def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
     return {"single": (iv, mode)}
 
 
-def measured_fork_rate(resolved: ResolvedConfig, traces: list[PopulationTrace],
-                       burn_in: int | None = None) -> float:
+def measured_rate(resolved: ResolvedConfig, traces: list[PopulationTrace], column: str,
+                  burn_in: int | None = None) -> float:
+    """Events per token-step after the burn-in, from trace column ``forks`` or ``terms``."""
     if burn_in is None:
         burn_in = _burn_in(resolved)
-    forks = steps = 0
+    events = steps = 0
     for tr in traces:
         if tr.horizon <= burn_in:
             continue
-        forks += int(tr.forks[burn_in + 1:].sum())
+        events += int(getattr(tr, column)[burn_in + 1:].sum())
         steps += tr.token_steps(burn_in + 1, tr.horizon)
     if steps == 0:
         raise InsufficientDataError("no token-steps beyond the mixing burn-in")
-    return forks / steps
-
-
-def measured_termination_rate(resolved: ResolvedConfig, traces: list[PopulationTrace],
-                              burn_in: int | None = None) -> float:
-    if burn_in is None:
-        burn_in = _burn_in(resolved)
-    terms = steps = 0
-    for tr in traces:
-        if tr.horizon <= burn_in:
-            continue
-        terms += int(tr.terms[burn_in + 1:].sum())
-        steps += tr.token_steps(burn_in + 1, tr.horizon)
-    if steps == 0:
-        raise InsufficientDataError("no token-steps beyond the mixing burn-in")
-    return terms / steps
+    return events / steps
 
 
 def block_plan_for(resolved: ResolvedConfig, intervals: dict) -> BlockPlan:
@@ -305,12 +290,13 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     intervals = effective_age_interval(resolved, model, traces)
     plan = block_plan_for(resolved, intervals)
     burn_in = plan.t_mix_part
-    k_term_measured = measured_termination_rate(resolved, traces, burn_in=burn_in)
+    k_term_measured = measured_rate(resolved, traces, "terms", burn_in=burn_in)
     k_term_plugin = None
     law_traces = [tr for tr in traces if tr.age_law is not None]
     if law_traces:
-        law = law_traces[0].age_law
-        for tr in law_traces[1:]:
+        first = law_traces[0].age_law
+        law = AgeLaw(first.counts.shape[0], first.age_cap)
+        for tr in law_traces:
             law.counts += tr.age_law.counts
         spec = resolved.policy.high if isinstance(resolved.policy, RegimePolicy) else resolved.policy
         try:
@@ -335,7 +321,7 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     feasibility["a_eff_mode"] = {k: v[1] for k, v in intervals.items()}
     feasibility["k_term_measured"] = k_term_measured
     feasibility["k_term_plugin"] = k_term_plugin
-    feasibility["p_fork_measured"] = measured_fork_rate(resolved, traces, burn_in=burn_in)
+    feasibility["p_fork_measured"] = measured_rate(resolved, traces, "forks", burn_in=burn_in)
     feasibility["envelope_source"] = model.source
 
     corridor_payload = None

@@ -88,7 +88,11 @@ class Graph:
                     )
         comps = _components(n, self.edges)
         if len(comps) != 1:
-            raise GraphStructureError(f"graph is disconnected; components: {comps}")
+            # name only the first few components, cut short, so the message stays bounded
+            shown = str(comps[:3])
+            shown = shown if len(shown) <= 200 else shown[:200] + " ..."
+            raise GraphStructureError(f"graph is disconnected into {len(comps)} components; "
+                                      f"the first: {shown}")
 
     @staticmethod
     def build(edges, weights=None, node_count=None) -> "Graph":
@@ -262,11 +266,51 @@ def stationary_distribution(g: Graph) -> StationaryDistribution:
     return StationaryDistribution(totals / totals.sum())
 
 
+class NeighbourTable:
+    """Padded per-row neighbour lists of a row-stochastic matrix, for sampling.
+
+    ``nbr[u, k]`` is the k-th nonzero column of row u in column order and
+    ``cw[u, k]`` its value in the matrix's dense cumulative rows, so a draw
+    counts over the same floats as a dense inverse-CDF. Each row's last real
+    entry is pinned to 1.0 and the padding holds 2.0, which no uniform in
+    [0, 1) exceeds. Width is the largest row support (max degree + 1 for the
+    lazy kernel), so a draw costs O(width) per token instead of O(n).
+    ``support[u]`` counts row u's real entries.
+    """
+
+    def __init__(self, weights: np.ndarray, cum: np.ndarray):
+        n = weights.shape[0]
+        mask = weights > 0.0
+        support = mask.sum(axis=1)
+        width = int(support.max())
+        rows, cols = np.nonzero(mask)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(support) - support, support)
+        nbr = np.zeros((n, width), dtype=np.int64)
+        cw = np.full((n, width), 2.0)
+        nbr[rows, slot] = cols
+        cw[rows, slot] = cum[rows, cols]
+        cw[np.arange(n), support - 1] = 1.0
+        nbr.setflags(write=False)
+        cw.setflags(write=False)
+        support.setflags(write=False)
+        self.nbr = nbr
+        self.cw = cw
+        self.support = support
+        self.width = width
+
+    def sample(self, pos: np.ndarray, rng) -> np.ndarray:
+        """One step from every position in ``pos``, one uniform per token."""
+        r = rng.random(pos.size)
+        k = np.add.reduce(self.cw.take(pos, axis=0) < r[:, None], axis=1)
+        return self.nbr.take(pos * self.width + k)
+
+
 class TransitionKernel:
     """Lazy walk kernel: ``laziness * I + (1 - laziness) * base``.
 
     The base matrix has zero diagonal; the lazy kernel's diagonal equals
     the laziness exactly and the stationary law is shared with the base.
+    Walk steps are drawn from the neighbour tables, built on first use.
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -284,7 +328,8 @@ class TransitionKernel:
         self.pi = stationary_distribution(graph)
         self._cum = None
         self._base_cum = None
-        self._degrees = None
+        self._table = None
+        self._base_table = None
 
     @property
     def node_count(self) -> int:
@@ -308,20 +353,17 @@ class TransitionKernel:
             self._base_cum = cum
         return self._base_cum
 
-    def degrees(self) -> np.ndarray:
-        if self._degrees is None:
-            deg = self.graph.degrees()
-            deg.setflags(write=False)
-            self._degrees = deg
-        return self._degrees
+    def neighbour_table(self) -> NeighbourTable:
+        """Sampling table of the lazy kernel; its rows include the diagonal."""
+        if self._table is None:
+            self._table = NeighbourTable(self.matrix, self.cumulative_rows())
+        return self._table
 
-    def power(self, t: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.matrix, t)
-
-    def max_tv_at(self, t: int) -> float:
-        """Worst-start total variation distance to stationarity after t steps."""
-        m = self.power(t)
-        return float(0.5 * np.abs(m - self.pi.probs[None, :]).sum(axis=1).max())
+    def base_neighbour_table(self) -> NeighbourTable:
+        """Sampling table of the non-lazy base walk (fork dispatch)."""
+        if self._base_table is None:
+            self._base_table = NeighbourTable(self.base, self.base_cumulative_rows())
+        return self._base_table
 
 
 def lazy_kernel(g: Graph, laziness: float = 0.5) -> TransitionKernel:

@@ -8,6 +8,13 @@ go to two distinct neighbors drawn from the non-lazy walk (both along the
 single edge at degree-1 nodes) and are not exposed to traps until their
 first arrival on the next step. Passing tokens move via the lazy kernel.
 
+Every walk step, pass or fork dispatch, is one uniform looked up in the
+kernel's padded neighbour table, so a token-step costs O(max degree + 1)
+whatever the node count; there is no separate path for large graphs, and
+dense n x n arrays remain only in the kernel matrices and exact analysis. The
+draws equal a dense inverse-CDF over the kernel's cumulative rows wherever
+that lands on a real neighbour, so the random stream is the dense one's.
+
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
 exactly at every step.
@@ -21,7 +28,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import DENSE_NODE_CAP, StationaryDistribution, TransitionKernel
+from .graphs import NeighbourTable, StationaryDistribution, TransitionKernel
 from .policy import AgeLaw, PolicySpec, RegimePolicy
 from .return_time import AgeClock
 
@@ -151,19 +158,6 @@ class PopulationTrace:
         )
 
 
-def _sample_rows(cum: np.ndarray, pos: np.ndarray, rng) -> np.ndarray:
-    r = rng.random(pos.size)
-    return (cum[pos] < r[:, None]).sum(axis=1)
-
-
-def _sample_rows_grouped(matrix: np.ndarray, pos: np.ndarray, rng) -> np.ndarray:
-    out = np.empty_like(pos)
-    for u in np.unique(pos):
-        idx = np.nonzero(pos == u)[0]
-        out[idx] = rng.choice(matrix.shape[1], size=idx.size, p=matrix[u])
-    return out
-
-
 def _initial_positions(kernel: TransitionKernel, z0: int, placement, rng) -> np.ndarray:
     n = kernel.node_count
     if isinstance(placement, str):
@@ -180,21 +174,21 @@ def _initial_positions(kernel: TransitionKernel, z0: int, placement, rng) -> np.
     return pos
 
 
-def _fork_targets(base_cum: np.ndarray, degrees: np.ndarray, parents: np.ndarray,
+def _fork_targets(base: NeighbourTable, parents: np.ndarray,
                   rng) -> tuple[np.ndarray, np.ndarray]:
     """Two distinct neighbor draws per forking parent (same edge at degree 1)."""
-    a = _sample_rows(base_cum, parents, rng)
-    b = _sample_rows(base_cum, parents, rng)
-    redraw = (a == b) & (degrees[parents] > 1)
+    a = base.sample(parents, rng)
+    b = base.sample(parents, rng)
+    redraw = (a == b) & (base.support[parents] > 1)
     tries = 0
     while np.any(redraw):
         tries += 1
         if tries > _PAIR_REDRAW_CAP:
             raise ParameterError("fork dispatch rejection sampling did not terminate")
         sub = parents[redraw]
-        a[redraw] = _sample_rows(base_cum, sub, rng)
-        b[redraw] = _sample_rows(base_cum, sub, rng)
-        redraw = (a == b) & (degrees[parents] > 1)
+        a[redraw] = base.sample(sub, rng)
+        b[redraw] = base.sample(sub, rng)
+        redraw = (a == b) & (base.support[parents] > 1)
     return a, b
 
 
@@ -291,26 +285,11 @@ def step(state: PopulationState, kernel: TransitionKernel, traps: TrapProfile,
     new_visit = last_visit.copy()
     new_visit[np.unique(pos)] = t
 
-    dense = kernel.node_count <= DENSE_NODE_CAP
-    passers = act_pos[keep_mask]
-    if dense:
-        moved = _sample_rows(kernel.cumulative_rows(), passers, rng)
-    else:
-        moved = _sample_rows_grouped(kernel.matrix, passers, rng)
+    moved = kernel.neighbour_table().sample(act_pos[keep_mask], rng)
 
     fork_nodes = act_pos[fork_mask]
     if fork_nodes.size:
-        degrees = kernel.degrees()
-        if dense:
-            target_a, target_b = _fork_targets(kernel.base_cumulative_rows(), degrees,
-                                               fork_nodes, rng)
-        else:
-            target_a = _sample_rows_grouped(kernel.base, fork_nodes, rng)
-            target_b = _sample_rows_grouped(kernel.base, fork_nodes, rng)
-            clash = (target_a == target_b) & (degrees[fork_nodes] > 1)
-            while np.any(clash):
-                target_b[clash] = _sample_rows_grouped(kernel.base, fork_nodes[clash], rng)
-                clash = (target_a == target_b) & (degrees[fork_nodes] > 1)
+        target_a, target_b = _fork_targets(kernel.base_neighbour_table(), fork_nodes, rng)
         if order == "policy_first":
             target_a = target_a[parent_moves[fork_mask]]
         new_pos = np.concatenate([moved, target_a, target_b])
@@ -585,13 +564,9 @@ def occupancy_check(kernel: TransitionKernel, z: int, t_sample: int, replicas: i
     rng = np.random.default_rng(seed)
     total = z * replicas
     pos = np.full(total, start_node, dtype=np.int64)
-    dense = kernel.node_count <= DENSE_NODE_CAP
-    cum = kernel.cumulative_rows() if dense else None
+    table = kernel.neighbour_table()
     for _ in range(t_sample):
-        if dense:
-            pos = _sample_rows(cum, pos, rng)
-        else:
-            pos = _sample_rows_grouped(kernel.matrix, pos, rng)
+        pos = table.sample(pos, rng)
     counts = np.bincount(pos, minlength=kernel.node_count).astype(float)
     expected = total * kernel.pi.probs
 

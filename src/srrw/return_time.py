@@ -42,12 +42,6 @@ class ReturnTimeSample:
         return float(self.samples.std(ddof=1) / np.sqrt(self.count))
 
 
-def _step_batch(cum: np.ndarray, pos: np.ndarray, rng) -> np.ndarray:
-    """Advance every walker one step using row-wise inverse-CDF sampling."""
-    r = rng.random(pos.size)
-    return (cum[pos] < r[:, None]).sum(axis=1)
-
-
 def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_seed: int,
                         max_steps: int = DEFAULT_STEP_CAP, mode: str = "restart") -> ReturnTimeSample:
     """Sample first-return times to ``u`` for the given lazy kernel.
@@ -61,7 +55,7 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
     if mode not in ("restart", "trajectory"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(rng_seed)
-    cum = kernel.cumulative_rows()
+    table = kernel.neighbour_table()
     if mode == "trajectory":
         out = np.empty(n_samples, dtype=np.int64)
         pos, last, t = u, 0, 0
@@ -70,8 +64,8 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
                 t += 1
                 if t - last > max_steps:
                     raise StepCapError(f"no return to {u} within {max_steps} steps")
-                r = rng.random()
-                pos = int((cum[pos] < r).sum())
+                # NeighbourTable.sample for one walker, without its per-call array overhead
+                pos = int(table.nbr[pos, (table.cw[pos] < rng.random()).sum()])
                 if pos == u:
                     out[i] = t - last
                     last = t
@@ -90,7 +84,7 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
             step += 1
             if step > max_steps:
                 raise StepCapError(f"no return to {u} within {max_steps} steps")
-            nxt = _step_batch(cum, pos[active], rng)
+            nxt = table.sample(pos[active], rng)
             pos[active] = nxt
             hit = nxt == u
             times[active[hit]] = step
@@ -158,10 +152,6 @@ class AgeClock:
     def __post_init__(self):
         if self.last_visit is None:
             self.last_visit = np.zeros(self.node_count, dtype=np.int64)
-
-    def age_of(self, u: int, t: int | None = None) -> int:
-        t = self.now if t is None else t
-        return int(t - self.last_visit[u])
 
 
 def update_age(clock: AgeClock, u: int, t: int) -> int:

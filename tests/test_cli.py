@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from srrw.cli import main
+from srrw.cli import _thread_cap, build_envelope_model, check_payloads, main, run_replicas
+from srrw.config import load_config, resolve_config
+from srrw.errors import ConfigError
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -144,6 +146,22 @@ class TestSimulate:
             assert open(os.path.join(ra, f), "rb").read() == open(os.path.join(rb, f), "rb").read()
 
 
+class TestThreadCap:
+    def test_unset_means_serial(self, monkeypatch):
+        monkeypatch.delenv("SRRW_THREADS", raising=False)
+        assert _thread_cap() == 1
+        monkeypatch.setenv("SRRW_THREADS", "3")
+        assert _thread_cap() == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5", "", "0", "-2"])
+    def test_malformed_rejected(self, raw, monkeypatch, tmp_path):
+        monkeypatch.setenv("SRRW_THREADS", raw)
+        with pytest.raises(ConfigError, match="SRRW_THREADS"):
+            _thread_cap()
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+
+
 class TestCheck:
     def check_config(self, tmp_path, **kw):
         return write_config(
@@ -182,6 +200,20 @@ class TestCheck:
                      "--traces", sim_run]) == 0
         run = only_run_dir(out2)
         assert os.path.exists(os.path.join(run, "feasibility.json"))
+
+    def test_check_payloads_leaves_traces_untouched(self, tmp_path):
+        cfg = write_config(tmp_path, policy={"A_l": 5, "q_fork": 0.3, "A_s": 2, "q_term": 0.1},
+                           simulation={"Z_0": 30, "horizon": 300, "replicas": 2, "seed": 5,
+                                       "collect_age_law": True})
+        resolved = resolve_config(load_config(str(cfg)))
+        traces = run_replicas(resolved)
+        model = build_envelope_model(resolved)
+        counts_before = traces[0].age_law.counts.copy()
+        first = check_payloads(resolved, traces, model=model)
+        second = check_payloads(resolved, traces, model=model)
+        assert first["feasibility"]["k_term_plugin"] is not None
+        assert first["feasibility"] == second["feasibility"]
+        assert np.array_equal(traces[0].age_law.counts, counts_before)
 
     def test_single_policy_check(self, tmp_path):
         cfg = write_config(tmp_path, simulation={"Z_0": 30, "horizon": 300,

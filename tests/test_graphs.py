@@ -67,6 +67,13 @@ class TestStationaryDistribution:
         with pytest.raises(GraphStructureError, match=r"\[0, 1\].*\[2, 3\]"):
             Graph.build([(0, 1), (2, 3)], node_count=4)
 
+    def test_disconnected_message_is_bounded(self):
+        with pytest.raises(GraphStructureError) as exc:
+            Graph.build([(0, 1)], node_count=3000)
+        msg = str(exc.value)
+        assert "2999 components" in msg and "[0, 1]" in msg
+        assert len(msg) < 1024
+
     def test_zero_weight_edge_rejected(self):
         with pytest.raises(InvalidWeightsError):
             Graph.build([(0, 1), (1, 2)], [1.0, 0.0])

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from srrw.errors import InsufficientDataError, ParameterError
-from srrw.graphs import complete_graph, lazy_kernel, mixing_profile, path_graph, star_graph
+from srrw.graphs import (
+    Graph,
+    complete_graph,
+    erdos_renyi_graph,
+    lazy_kernel,
+    mixing_profile,
+    path_graph,
+    star_graph,
+)
 from srrw.policy import PolicySpec, RegimePolicy
 from srrw.return_time import AgeClock
 from srrw.population import (
@@ -23,6 +31,37 @@ K4 = lazy_kernel(complete_graph(4), 0.5)
 
 def passive(n):
     return PolicySpec.uniform(n, a_long=2.0**40, q_fork=0.0)
+
+
+class DenseOracle:
+    """The dense inverse-CDF sampler the neighbour tables replaced: O(n) per token."""
+
+    def __init__(self, cum):
+        self.cum = cum
+
+    def sample(self, pos, rng):
+        r = rng.random(pos.size)
+        return (self.cum[pos] < r[:, None]).sum(axis=1)
+
+
+class FixedUniform:
+    """Stands in for a generator whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size):
+        return np.full(size, self.value)
+
+
+ORACLE_GRAPHS = {
+    "K4": lambda: complete_graph(4),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
+    "star9": lambda: star_graph(9),
+    "path6": lambda: path_graph(6),
+    "weighted": lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                                    [1.0, 2.5, 0.3, 7.0, 0.01]),
+}
 
 
 class TestTrapProfile:
@@ -190,6 +229,59 @@ class TestEngine:
         assert np.array_equal(back.z, trace.z)
         assert back.config_hash == "abc123"
         assert back.seed == 17
+
+
+class TestNeighbourSampler:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("which", ["lazy", "base"])
+    def test_matches_dense_inverse_cdf(self, name, which):
+        k = lazy_kernel(ORACLE_GRAPHS[name](), 0.5)
+        if which == "lazy":
+            table, oracle = k.neighbour_table(), DenseOracle(k.cumulative_rows())
+        else:
+            table, oracle = k.base_neighbour_table(), DenseOracle(k.base_cumulative_rows())
+        pos = np.random.default_rng(0).integers(0, k.node_count, size=2000)
+        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(50):
+            nxt = table.sample(pos, rng_a)
+            assert np.array_equal(nxt, oracle.sample(pos, rng_b))
+            pos = nxt
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_regime_traces_match_dense_oracle(self, order, monkeypatch):
+        low = PolicySpec.uniform(30, a_long=1.0, q_fork=0.15)
+        high = PolicySpec.uniform(30, a_long=2.0**40, a_short=2.0**40 - 1, q_fork=0.0,
+                                  q_term=0.10)
+        policy = RegimePolicy(low, high, z_low=20, z_high=200)
+        traps = TrapProfile.uniform(30, 0.05)
+        runs = []
+        for use_oracle in (False, True):
+            k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+            if use_oracle:
+                base = DenseOracle(k.base_cumulative_rows())
+                base.support = k.graph.degrees()
+                monkeypatch.setattr(k, "neighbour_table",
+                                    lambda: DenseOracle(k.cumulative_rows()))
+                monkeypatch.setattr(k, "base_neighbour_table", lambda: base)
+            runs.append(run_population(k, policy, traps, z0=60, horizon=1500, rng_seed=21,
+                                       order=order, collect_age_law=True))
+        real, oracle = runs
+        assert real.forks.sum() > 0 and real.terms.sum() > 0
+        for field in ("z", "forks", "trap_dels", "terms"):
+            assert np.array_equal(getattr(real, field), getattr(oracle, field))
+        assert np.array_equal(real.age_law.counts, oracle.age_law.counts)
+
+    @pytest.mark.parametrize("row,r,end", [(9, 1.0 - 2.0**-53, -1), (5, 0.0, 0)])
+    def test_edge_uniforms_land_on_neighbours(self, row, r, end):
+        # the dense sampler maps these uniforms to zero-weight columns; the
+        # tables give the last (first) neighbour of the row instead
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        pos = np.array([row])
+        dense = DenseOracle(k.cumulative_rows()).sample(pos, FixedUniform(r))
+        assert k.matrix[row, dense[0]] == 0.0
+        for table, weights in ((k.neighbour_table(), k.matrix), (k.base_neighbour_table(), k.base)):
+            support = np.nonzero(weights[row])[0]
+            assert table.sample(pos, FixedUniform(r))[0] == support[end]
 
 
 class TestBlockDrift:

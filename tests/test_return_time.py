@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srrw.errors import InsufficientDataError, StepCapError, TimeMonotonicityError
-from srrw.graphs import complete_graph, lazy_kernel, path_graph
+from srrw.graphs import complete_graph, erdos_renyi_graph, lazy_kernel, path_graph
 from srrw.return_time import (
     AgeClock,
     ReturnTimeSample,
@@ -14,6 +14,17 @@ from srrw.return_time import (
 )
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
+
+
+class DenseOracle:
+    """The dense inverse-CDF sampler the neighbour tables replaced: O(n) per token."""
+
+    def __init__(self, cum):
+        self.cum = cum
+
+    def sample(self, pos, rng):
+        r = rng.random(pos.size)
+        return (self.cum[pos] < r[:, None]).sum(axis=1)
 
 
 class TestSampling:
@@ -41,6 +52,29 @@ class TestSampling:
     def test_trajectory_mode_kac(self):
         s = sample_return_times(K2, 1, 20_000, rng_seed=11, mode="trajectory")
         assert abs(s.mean() - 2.0) <= 3 * s.std_error()
+
+    def test_restart_samples_match_dense_oracle(self, monkeypatch):
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        real = [sample_return_times(k, u, 3000, rng_seed=u) for u in (0, 9, 17)]
+        monkeypatch.setattr(k, "neighbour_table", lambda: DenseOracle(k.cumulative_rows()))
+        for s in real:
+            oracle = sample_return_times(k, s.node, 3000, rng_seed=s.node)
+            assert np.array_equal(s.samples, oracle.samples)
+
+    def test_trajectory_samples_match_dense_oracle(self):
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        cum = k.cumulative_rows()
+        for u in (0, 9, 17):
+            rng = np.random.default_rng(u)
+            gaps, pos, last, t = [], u, 0, 0
+            while len(gaps) < 300:
+                t += 1
+                pos = int((cum[pos] < rng.random()).sum())
+                if pos == u:
+                    gaps.append(t - last)
+                    last = t
+            s = sample_return_times(k, u, 300, rng_seed=u, mode="trajectory")
+            assert s.samples.tolist() == gaps
 
     def test_step_cap(self):
         with pytest.raises(StepCapError):
