@@ -103,10 +103,9 @@ def build_envelope_model(resolved: ResolvedConfig) -> EnvelopeModel:
 
 
 def _replica_worker(args) -> PopulationTrace:
-    raw, seed = args
+    raw, seed, burn_in = args
     resolved = resolve_config(raw)
     sim = resolved.simulation
-    burn_in = _burn_in(resolved) if sim["collect_age_law"] else 0
     return run_population(
         resolved.kernel, resolved.policy, resolved.traps,
         z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed, z_cap=sim["Z_cap"],
@@ -125,10 +124,12 @@ def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
     sim = resolved.simulation
     seeds = replica_seeds(sim["seed"], sim["replicas"])
     workers = min(_thread_cap(), sim["replicas"])
+    burn_in = _burn_in(resolved) if sim["collect_age_law"] else 0
+    jobs = [(resolved.raw, s, burn_in) for s in seeds]
     if workers <= 1:
-        return [_replica_worker((resolved.raw, s)) for s in seeds]
+        return [_replica_worker(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replica_worker, [(resolved.raw, s) for s in seeds]))
+        return list(pool.map(_replica_worker, jobs))
 
 
 def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
@@ -277,6 +278,9 @@ def _load_traces(trace_dir: str, resolved: ResolvedConfig) -> list[PopulationTra
     traces = []
     for name in names:
         tr = PopulationTrace.from_csv(os.path.join(trace_dir, name))
+        if tr.config_hash != resolved.hash:
+            raise ConfigError("traces", f"{name} was written for config {tr.config_hash}, "
+                                        f"not {resolved.hash}")
         tr.lambda_del = resolved.traps.absorption_pressure(resolved.kernel.pi)
         traces.append(tr)
     return traces
@@ -297,7 +301,7 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
         first = law_traces[0].age_law
         law = AgeLaw(first.counts.shape[0], first.age_cap)
         for tr in law_traces:
-            law.counts += tr.age_law.counts
+            law.merge(tr.age_law)
         spec = resolved.policy.high if isinstance(resolved.policy, RegimePolicy) else resolved.policy
         try:
             k_term_plugin = mean_termination_rate(spec, resolved.kernel.pi, law)

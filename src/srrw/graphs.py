@@ -275,7 +275,8 @@ class NeighbourTable:
     entry is pinned to 1.0 and the padding holds 2.0, which no uniform in
     [0, 1) exceeds. Width is the largest row support (max degree + 1 for the
     lazy kernel), so a draw costs O(width) per token instead of O(n).
-    ``support[u]`` counts row u's real entries.
+    ``support[u]`` counts row u's real entries and ``prob[u, k]`` is the
+    matrix entry of slot k (0.0 in the padding).
     """
 
     def __init__(self, weights: np.ndarray, cum: np.ndarray):
@@ -287,14 +288,16 @@ class NeighbourTable:
         slot = np.arange(rows.size) - np.repeat(np.cumsum(support) - support, support)
         nbr = np.zeros((n, width), dtype=np.int64)
         cw = np.full((n, width), 2.0)
+        prob = np.zeros((n, width))
         nbr[rows, slot] = cols
         cw[rows, slot] = cum[rows, cols]
         cw[np.arange(n), support - 1] = 1.0
-        nbr.setflags(write=False)
-        cw.setflags(write=False)
-        support.setflags(write=False)
+        prob[rows, slot] = weights[rows, cols]
+        for arr in (nbr, cw, prob, support):
+            arr.setflags(write=False)
         self.nbr = nbr
         self.cw = cw
+        self.prob = prob
         self.support = support
         self.width = width
 

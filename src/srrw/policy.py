@@ -125,16 +125,30 @@ class AgeLaw:
     """Per-node histogram of ages observed at visit instants.
 
     ``counts[u, a]`` counts visits to node u at age a; ages at or above the
-    cap land in the overflow bucket ``counts[u, -1]``.
+    cap land in the overflow bucket ``counts[u, -1]``. ``max_over_cap[u]`` is
+    the largest of those overflow ages (0 when there are none), so with the
+    histogram the largest age seen at every node is known exactly.
     """
 
     def __init__(self, node_count: int, age_cap: int):
         self.age_cap = int(age_cap)
         self.counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
+        self.max_over_cap = np.zeros(node_count, dtype=np.int64)
 
-    def record(self, nodes: np.ndarray, ages: np.ndarray) -> None:
-        clipped = np.minimum(ages, self.age_cap + 1)
-        np.add.at(self.counts, (nodes, clipped), 1)
+    def record(self, nodes: np.ndarray, ages: np.ndarray, weights=None) -> None:
+        """Add ``weights[i]`` visits (one each when omitted) at age ``ages[i]`` to ``nodes[i]``."""
+        if weights is None:
+            weights = np.ones_like(nodes)
+        np.add.at(self.counts, (nodes, np.minimum(ages, self.age_cap + 1)), weights)
+        over = ages > self.age_cap
+        if over.any():
+            over &= weights > 0
+            np.maximum.at(self.max_over_cap, nodes[over], ages[over])
+
+    def merge(self, other: "AgeLaw") -> None:
+        """Add another law's visits over the same nodes and cap into this one."""
+        self.counts += other.counts
+        np.maximum(self.max_over_cap, other.max_over_cap, out=self.max_over_cap)
 
     def visit_total(self, u: int) -> int:
         return int(self.counts[u].sum())
@@ -144,9 +158,12 @@ class AgeLaw:
         if total == 0:
             raise InsufficientDataError(f"no visits recorded at node {u}")
         if a >= self.age_cap:
-            raise InsufficientDataError(
-                f"threshold {a} at or beyond the histogram cap {self.age_cap} at node {u}"
-            )
+            # beyond the histogram only "no age exceeds a" can be answered
+            if self.max_over_cap[u] > a:
+                raise InsufficientDataError(
+                    f"threshold {a} at or beyond the histogram cap {self.age_cap} at node {u}"
+                )
+            return 1.0
         hi = int(np.floor(a))
         return float(self.counts[u, :hi + 1].sum() / total)
 

@@ -8,12 +8,20 @@ go to two distinct neighbors drawn from the non-lazy walk (both along the
 single edge at degree-1 nodes) and are not exposed to traps until their
 first arrival on the next step. Passing tokens move via the lazy kernel.
 
-Every walk step, pass or fork dispatch, is one uniform looked up in the
-kernel's padded neighbour table, so a token-step costs O(max degree + 1)
-whatever the node count; there is no separate path for large graphs, and
-dense n x n arrays remain only in the kernel matrices and exact analysis. The
-draws equal a dense inverse-CDF over the kernel's cumulative rows wherever
-that lands on a real neighbour, so the random stream is the dense one's.
+Because every token at a node sees the same age and acts independently, the
+engine keeps only the number of tokens per node and draws a whole step as
+per-node multinomials, equal in law to drawing every token on its own:
+
+- each occupied node splits its tokens into trapped, acted (fork or
+  terminate, by the age region), acted-then-trapped (``policy_first`` fork
+  parents) and moved to each lazy neighbour;
+- the fork pairs of a node draw their first target ``a`` with probability
+  ``p_a (1 - p_a) / (1 - sum p^2)``, then the second ``b != a`` with
+  probability ``p_b / (1 - p_a)``: the law of two independent draws
+  conditioned to differ. A trapped parent's copy takes the same marginal.
+
+A step costs O(occupied nodes x row width) whatever the population size;
+the row width is the largest degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -28,12 +36,20 @@ import numpy as np
 from scipy import stats
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import NeighbourTable, StationaryDistribution, TransitionKernel
+from .graphs import StationaryDistribution, TransitionKernel
 from .policy import AgeLaw, PolicySpec, RegimePolicy
 from .return_time import AgeClock
 
 DEFAULT_POPULATION_CAP = 10**6
-_PAIR_REDRAW_CAP = 100_000
+
+# age regions of a visit, and the event columns leading every node row
+_FORK, _TERM, _PASS = 0, 1, 2
+_TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
+_EVENTS = 3
+# a step's tallies: node counts, then trapped, acted-then-trapped and acted
+# by region; an acted token forks in the fork region and terminates in the
+# term region (the pass region never acts)
+_TALLIES = _ACTED + 3
 
 
 @dataclass
@@ -131,6 +147,9 @@ class PopulationTrace:
         lines.append(f"# seed={self.seed}")
         if version:
             lines.append(f"# version={version}")
+        lines.append(f"# capped={int(self.capped)}")
+        lines.append(f"# extinct={int(self.extinct)}")
+        lines.append(f"# horizon_requested={self.horizon_requested}")
         lines.append("t,Z,forks,trap_dels,terms")
         for t in range(len(self.z)):
             lines.append(f"{t},{self.z[t]},{self.forks[t]},{self.trap_dels[t]},{self.terms[t]}")
@@ -139,57 +158,138 @@ class PopulationTrace:
 
     @staticmethod
     def from_csv(path) -> "PopulationTrace":
-        seed, config_hash = 0, None
+        """Read a trace written by ``to_csv``; files without the flag lines
+        get ``capped=False``, extinction from the last count and the recorded
+        length as the requested horizon. The age law is not stored."""
+        meta = {}
         rows = []
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
-                if line.startswith("# seed="):
-                    seed = int(line.split("=", 1)[1])
-                elif line.startswith("# config_hash="):
-                    config_hash = line.split("=", 1)[1]
+                if line.startswith("# ") and "=" in line:
+                    key, value = line[2:].split("=", 1)
+                    meta[key] = value
                 elif line and not line.startswith("#") and not line.startswith("t,"):
                     rows.append([int(x) for x in line.split(",")])
         arr = np.asarray(rows, dtype=np.int64)
         return PopulationTrace(
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
-            seed=seed, lambda_del=float("nan"), config_hash=config_hash,
-            extinct=bool(arr[-1, 1] == 0), horizon_requested=len(rows) - 1,
+            seed=int(meta.get("seed", 0)), lambda_del=float("nan"),
+            config_hash=meta.get("config_hash"),
+            extinct=bool(int(meta["extinct"])) if "extinct" in meta else bool(arr[-1, 1] == 0),
+            capped=bool(int(meta.get("capped", 0))),
+            horizon_requested=int(meta.get("horizon_requested", len(rows) - 1)),
         )
 
 
-def _initial_positions(kernel: TransitionKernel, z0: int, placement, rng) -> np.ndarray:
+def _initial_counts(kernel: TransitionKernel, z0: int, placement, rng) -> np.ndarray:
     n = kernel.node_count
     if isinstance(placement, str):
         if placement == "pi":
-            return rng.choice(n, size=z0, p=kernel.pi.probs)
+            return rng.multinomial(z0, kernel.pi.probs)
         if placement == "uniform":
-            return rng.integers(0, n, size=z0)
+            return rng.multinomial(z0, np.full(n, 1.0 / n))
         raise ParameterError(f"unknown placement {placement!r}")
     if np.isscalar(placement):
-        return np.full(z0, int(placement), dtype=np.int64)
-    pos = np.asarray(placement, dtype=np.int64)
-    if pos.shape != (z0,):
-        raise ParameterError("explicit placement must list one node per initial token")
-    return pos
+        pos = np.full(z0, int(placement), dtype=np.int64)
+    else:
+        pos = np.asarray(placement, dtype=np.int64)
+        if pos.shape != (z0,):
+            raise ParameterError("explicit placement must list one node per initial token")
+    if pos.min() < 0 or pos.max() >= n:
+        raise ParameterError(f"placement names a node outside 0..{n - 1}")
+    return np.bincount(pos, minlength=n)
 
 
-def _fork_targets(base: NeighbourTable, parents: np.ndarray,
-                  rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two distinct neighbor draws per forking parent (same edge at degree 1)."""
-    a = base.sample(parents, rng)
-    b = base.sample(parents, rng)
-    redraw = (a == b) & (base.support[parents] > 1)
-    tries = 0
-    while np.any(redraw):
-        tries += 1
-        if tries > _PAIR_REDRAW_CAP:
-            raise ParameterError("fork dispatch rejection sampling did not terminate")
-        sub = parents[redraw]
-        a[redraw] = base.sample(sub, rng)
-        b[redraw] = base.sample(sub, rng)
-        redraw = (a == b) & (base.support[parents] > 1)
-    return a, b
+class StepRows:
+    """Probability rows of the count engine for one kernel, trap profile and order.
+
+    Columns run in reversed slot order, so each row's last column is slot 0,
+    a real neighbour: numpy's multinomial gives any rounding remainder to the
+    last column. Node rows are built per policy spec on first use and reused
+    for the whole run.
+    """
+
+    def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str):
+        if order not in ("trap_first", "policy_first"):
+            raise ParameterError(f"unknown event order {order!r}")
+        lazy = kernel.neighbour_table()
+        base = kernel.base_neighbour_table()
+        n, width = base.nbr.shape
+        self.order = order
+        self.zeta = traps.zeta
+        self.node_count = n
+        self.motion = lazy.prob[:, ::-1]
+        # where each node-row column's tokens are tallied: event columns past
+        # the node counts, move columns at their destination node
+        self.codes = np.hstack([np.broadcast_to(n + np.arange(_EVENTS), (n, _EVENTS)),
+                                lazy.nbr[:, ::-1]])
+        self.base = base.prob[:, ::-1].copy()
+        self.base_dest = base.nbr[:, ::-1].copy()
+        single = base.support == 1
+        first = self.base * (1.0 - self.base)
+        with np.errstate(invalid="ignore"):
+            first /= first.sum(axis=1, keepdims=True)
+        first[single] = self.base[single]
+        self.first = first
+        # column of slot 0 at nodes where the second target must avoid it
+        self.slot0_col = np.where(single, -1, width - 1)
+        self.keep_first = single.astype(float)
+        self._nodes = {}
+
+    def node_rows(self, spec: PolicySpec) -> np.ndarray:
+        """(region, node, column) probabilities: trapped, acted then trapped, acted, moves."""
+        key = id(spec)
+        if key not in self._nodes:
+            zeta = self.zeta[None, :]
+            q = np.stack([spec.q_fork, spec.q_term, np.zeros(self.node_count)])
+            rows = np.empty((3, self.node_count, _EVENTS + self.motion.shape[1]))
+            if self.order == "trap_first":
+                rows[:, :, _TRAPPED] = zeta
+                rows[:, :, _ACTED_TRAPPED] = 0.0
+                rows[:, :, _ACTED] = (1.0 - zeta) * q
+            else:
+                # terminating tokens leave before the trap roll; passers and
+                # fork parents are rolled after acting
+                rows[:, :, _TRAPPED] = (1.0 - q) * zeta
+                rows[:, :, _ACTED_TRAPPED] = q * zeta
+                rows[_TERM, :, _ACTED_TRAPPED] = 0.0
+                rows[:, :, _ACTED] = q * (1.0 - zeta)
+                rows[_TERM, :, _ACTED] = spec.q_term
+            rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
+            self._nodes[key] = (spec, rows)
+        return self._nodes[key][1]
+
+
+def _dispatch_forks(rows: StepRows, nodes: np.ndarray, pairs: np.ndarray,
+                    lone: np.ndarray, rng) -> list[np.ndarray]:
+    """Landing nodes and token counts of fork parents and copies after one step.
+
+    ``pairs[i]`` parent-and-copy pairs and ``lone[i]`` copies of trapped
+    parents leave ``nodes[i]``. Each pair lands on two distinct neighbours
+    (the single edge twice at degree 1); a lone copy lands on a pair's first
+    target, which has the same law as its second. Returns destination and
+    count arrays of equal shape, first targets then second targets.
+    """
+    m = nodes.size
+    if lone.any():
+        nodes = np.concatenate([nodes, nodes])
+        pairs = np.concatenate([pairs, lone])
+    first = rng.multinomial(pairs, rows.first[nodes])
+    i, a = np.nonzero(first[:m])
+    u = nodes[i]
+    # second target: the first's column is cleared (kept at degree 1); when
+    # the first is slot 0, slot 1 trades places with it so that the last
+    # column stays a real neighbour other than the first
+    cond = rows.base[u]
+    cond[np.arange(u.size), a] = rows.keep_first[u]
+    dest = rows.base_dest[u]
+    trade = np.flatnonzero(a == rows.slot0_col[u])
+    cond[trade, -2:] = cond[trade, :-3:-1]
+    dest[trade, -2:] = dest[trade, :-3:-1]
+    cond /= cond.sum(axis=1, keepdims=True)
+    second = rng.multinomial(first[i, a], cond)
+    return [rows.base_dest[nodes], first, dest, second]
 
 
 @dataclass
@@ -205,99 +305,72 @@ class StepCounts:
 
 @dataclass
 class PopulationState:
-    """One engine tick: the time, token positions, and the shared node clock."""
+    """One engine tick: the time, the token count per node, and the shared node clock."""
 
     time: int
-    positions: np.ndarray
+    counts: np.ndarray
     clock: AgeClock
 
     @property
     def alive(self) -> int:
-        return int(self.positions.size)
+        return int(self.counts.sum())
 
     @staticmethod
     def initial(kernel: TransitionKernel, z0: int, placement, rng) -> "PopulationState":
-        pos = _initial_positions(kernel, z0, placement, rng)
-        return PopulationState(0, pos, AgeClock(kernel.node_count))
+        counts = _initial_counts(kernel, z0, placement, rng)
+        return PopulationState(0, counts, AgeClock(kernel.node_count))
 
 
 def step(state: PopulationState, kernel: TransitionKernel, traps: TrapProfile,
          spec: PolicySpec, rng, order: str = "trap_first",
-         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None,
+         rows: StepRows | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
     pre-update age, a single clock update per visited node, then dispatch:
     passers move via the lazy kernel, fork parent and copy go to two distinct
     neighbors of the non-lazy walk. With ``order="policy_first"`` the trap
-    roll instead follows the action and spares copies made this step. The
-    input state is not modified.
+    roll instead follows the action and spares copies made this step. Drawn
+    per occupied node from the token counts; ``rows`` caches the probability
+    rows across steps of one run. The input state is not modified.
     """
+    if rows is None:
+        rows = StepRows(kernel, traps, order)
+    elif rows.order != order:
+        raise ParameterError(f"step rows were built for {rows.order!r}, not {order!r}")
     t = state.time + 1
-    pos = state.positions
-    z_prev = pos.size
-    last_visit = state.clock.last_visit
-    ages = t - last_visit[pos]
-
-    if order == "trap_first":
-        if traps.has_traps:
-            deleted = rng.random(z_prev) < traps.zeta[pos]
-        else:
-            deleted = np.zeros(z_prev, dtype=bool)
-        n_del = int(deleted.sum())
-        act_pos = pos[~deleted]
-        act_ages = ages[~deleted]
-    elif order == "policy_first":
-        n_del = 0
-        act_pos = pos
-        act_ages = ages
-    else:
-        raise ParameterError(f"unknown event order {order!r}")
-
-    roll = rng.random(act_pos.size)
-    fork_region = act_ages >= spec.a_long[act_pos]
-    term_region = (~fork_region) & (act_ages <= spec.a_short[act_pos])
-    fork_mask = fork_region & (roll < spec.q_fork[act_pos])
-    term_mask = term_region & (roll < spec.q_term[act_pos])
-    n_fork = int(fork_mask.sum())
-    n_term = int(term_mask.sum())
+    n = kernel.node_count
+    occ = np.flatnonzero(state.counts)
+    tokens = state.counts[occ]
+    ages = t - state.clock.last_visit[occ]
+    in_fork = ages >= spec.a_long[occ]
+    region = np.where(in_fork, _FORK, _PASS - (ages <= spec.a_short[occ]))  # _TERM = _PASS - 1
+    draws = rng.multinomial(tokens, rows.node_rows(spec)[region, occ])
+    acted, acted_trapped = draws[:, _ACTED], draws[:, _ACTED_TRAPPED]
 
     if age_law is not None:
-        age_law.record(act_pos, act_ages)
+        # trap_first: trapped tokens never reach the policy stage
+        age_law.record(occ, ages, tokens - draws[:, _TRAPPED] if order == "trap_first" else tokens)
 
-    keep_mask = ~fork_mask & ~term_mask
-    if order == "policy_first":
-        # the visiting token (passer or fork parent) is trap-rolled after
-        # acting; copies created this step are exposed only from the next
-        if traps.has_traps:
-            exposed = keep_mask | fork_mask
-            trap_roll = rng.random(act_pos.size) < traps.zeta[act_pos]
-            died = exposed & trap_roll
-            n_del = int(died.sum())
-            keep_mask = keep_mask & ~died
-            parent_moves = fork_mask & ~died
-        else:
-            parent_moves = fork_mask
-    else:
-        parent_moves = fork_mask
+    codes = rows.codes[occ]
+    codes[:, _ACTED] += region
+    landing = [codes, draws]
+    f = np.flatnonzero(acted * in_fork + acted_trapped)
+    if f.size:
+        landing += _dispatch_forks(rows, occ[f], acted[f], acted_trapped[f], rng)
+    tally = np.bincount(np.concatenate([x.ravel() for x in landing[0::2]]),
+                        weights=np.concatenate([x.ravel() for x in landing[1::2]]),
+                        minlength=n + _TALLIES).astype(np.int64)
+    acted_trapped_total = int(tally[n + _ACTED_TRAPPED])
+    n_fork = int(tally[n + _ACTED + _FORK]) + acted_trapped_total
+    n_term = int(tally[n + _ACTED + _TERM])
+    n_del = int(tally[n + _TRAPPED]) + acted_trapped_total
 
     # node clocks update once per visited node per step
-    new_visit = last_visit.copy()
-    new_visit[np.unique(pos)] = t
-
-    moved = kernel.neighbour_table().sample(act_pos[keep_mask], rng)
-
-    fork_nodes = act_pos[fork_mask]
-    if fork_nodes.size:
-        target_a, target_b = _fork_targets(kernel.base_neighbour_table(), fork_nodes, rng)
-        if order == "policy_first":
-            target_a = target_a[parent_moves[fork_mask]]
-        new_pos = np.concatenate([moved, target_a, target_b])
-    else:
-        new_pos = moved
-
-    new_state = PopulationState(t, new_pos, AgeClock(kernel.node_count, now=t,
-                                                     last_visit=new_visit))
+    new_visit = state.clock.last_visit.copy()
+    new_visit[occ] = t
+    new_state = PopulationState(t, tally[:n], AgeClock(n, now=t, last_visit=new_visit))
     return new_state, StepCounts(n_fork, n_del, n_term)
 
 
@@ -325,6 +398,7 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
 
     rng = np.random.default_rng(rng_seed)
     state = PopulationState.initial(kernel, z0, placement, rng)
+    rows = StepRows(kernel, traps, order)
     law = AgeLaw(n, age_law_cap) if collect_age_law else None
     eligible_visits = 0
 
@@ -336,30 +410,31 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
     extinct = False
     capped = False
 
+    z = z0
     for t in range(1, horizon + 1):
         if regime_policy is not None:
-            regime = regime_policy.next_regime(regime, state.alive)
+            regime = regime_policy.next_regime(regime, z)
             spec = regime_policy.spec_for(regime)
         else:
             spec = policy
         collect_now = law is not None and t > age_law_burn_in
-        z_prev = state.alive
         state, counts = step(state, kernel, traps, spec, rng, order=order,
-                             age_law=law if collect_now else None)
+                             age_law=law if collect_now else None, rows=rows)
         if collect_now:
             # trapped tokens never reach the policy stage in trap_first order,
             # so they are not action-eligible visits
-            eligible_visits += z_prev - (counts.trap_deletions if order == "trap_first" else 0)
+            eligible_visits += z - (counts.trap_deletions if order == "trap_first" else 0)
+        z = state.alive
 
-        z_hist.append(state.alive)
+        z_hist.append(z)
         fork_hist.append(counts.forks)
         del_hist.append(counts.trap_deletions)
         term_hist.append(counts.terminations)
 
-        if state.alive == 0:
+        if z == 0:
             extinct = True
             break
-        if state.alive >= z_cap:
+        if z >= z_cap:
             capped = True
             break
 

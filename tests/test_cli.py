@@ -1,9 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+import srrw
+import srrw.cli
 from srrw.cli import _thread_cap, build_envelope_model, check_payloads, main, run_replicas
 from srrw.config import load_config, resolve_config
 from srrw.errors import ConfigError
@@ -146,6 +149,26 @@ class TestSimulate:
             assert open(os.path.join(ra, f), "rb").read() == open(os.path.join(rb, f), "rb").read()
 
 
+    def test_burn_in_computed_once_per_run(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, simulation={"Z_0": 10, "horizon": 50, "replicas": 3,
+                                                 "seed": 1, "collect_age_law": True})
+        resolved = resolve_config(load_config(str(cfg)))
+        calls = []
+        real = srrw.cli.mixing_profile
+        monkeypatch.setattr(srrw.cli, "mixing_profile",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        traces = run_replicas(resolved)
+        assert len(traces) == 3 and len(calls) == 1
+
+
+class TestVersion:
+    def test_pyproject_matches_package(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        text = open(os.path.join(root, "pyproject.toml")).read()
+        found = re.search(r'^version\s*=\s*"([^"]+)"', text, flags=re.MULTILINE)
+        assert found and found.group(1) == srrw.__version__
+
+
 class TestThreadCap:
     def test_unset_means_serial(self, monkeypatch):
         monkeypatch.delenv("SRRW_THREADS", raising=False)
@@ -214,6 +237,65 @@ class TestCheck:
         assert first["feasibility"]["k_term_plugin"] is not None
         assert first["feasibility"] == second["feasibility"]
         assert np.array_equal(traces[0].age_law.counts, counts_before)
+
+    def test_corridor_termination_plugin(self, tmp_path):
+        # the high regime's short trigger 2^40 - 1 lies beyond the age-law
+        # cap, but above every observed age, so the plug-in is q_term itself
+        cfg = write_config(
+            tmp_path,
+            graph={"generator": {"kind": "erdos_renyi", "n": 30, "p": 0.15, "seed": 1}},
+            traps={"nodes": "all", "zeta": 0.05},
+            policy={"regime": {
+                "Z_low": 20, "Z_high": 200,
+                "low": {"A_l": 1, "q_fork": 0.15},
+                "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.10},
+            }},
+            simulation={"Z_0": 60, "horizon": 2000, "replicas": 1, "seed": 3,
+                        "collect_age_law": True},
+            corridor={"Z_low": 20, "Z_high": 200},
+        )
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 0
+        feas = json.load(open(os.path.join(only_run_dir(out), "feasibility.json")))["feasibility"]
+        assert feas["k_term_plugin"] == pytest.approx(0.10)
+
+    def test_check_on_traces_of_capped_run_matches_check(self, tmp_path):
+        # the high regime keeps forking, so both replicas run into the cap
+        cfg = write_config(
+            tmp_path,
+            traps={"nodes": "all", "zeta": 0.05},
+            policy={"regime": {
+                "Z_low": 10, "Z_high": 60,
+                "low": {"A_l": 1, "q_fork": 0.3},
+                "high": {"A_l": 1, "q_fork": 0.3},
+            }},
+            simulation={"Z_0": 30, "horizon": 2000, "replicas": 2, "seed": 3, "Z_cap": 400},
+            corridor={"Z_low": 10, "Z_high": 60},
+        )
+        sim_out, check_out, reuse_out = tmp_path / "sim", tmp_path / "check", tmp_path / "reuse"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+        sim_run = only_run_dir(sim_out)
+        summary = json.load(open(os.path.join(sim_run, "summary.json")))
+        assert summary["cap_fraction"] == 1.0
+        assert main(["check", "--config", str(cfg), "--out", str(check_out)]) == 0
+        assert main(["check", "--config", str(cfg), "--out", str(reuse_out),
+                     "--traces", sim_run]) == 0
+        fresh, reused = only_run_dir(check_out), only_run_dir(reuse_out)
+        corridor = json.load(open(os.path.join(fresh, "corridor.json")))["corridor"]
+        assert corridor["per_replica"]
+        for name in ("feasibility.json", "corridor.json", "excursions.csv"):
+            assert open(os.path.join(reused, name), "rb").read() == \
+                open(os.path.join(fresh, name), "rb").read()
+
+    def test_traces_of_another_config_rejected(self, tmp_path, capsys):
+        cfg = self.check_config(tmp_path)
+        out = tmp_path / "out"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        sim_run = only_run_dir(out)
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "o2"),
+                     "--seed", "4", "--traces", sim_run])
+        assert code == 1
+        assert "replica_000.csv" in capsys.readouterr().err
 
     def test_single_policy_check(self, tmp_path):
         cfg = write_config(tmp_path, simulation={"Z_0": 30, "horizon": 300,

@@ -149,3 +149,32 @@ class TestMeanTerminationRate:
         s = PolicySpec(2, 5.0, 1.0, 0.0, 0.5)
         with pytest.raises(InsufficientDataError, match="node 1"):
             mean_termination_rate(s, pi, law)
+
+
+class TestAgeLaw:
+    def test_weighted_record_equals_repeated_visits(self):
+        weighted, repeated = AgeLaw(3, age_cap=4), AgeLaw(3, age_cap=4)
+        weighted.record(np.array([0, 2, 1]), np.array([1, 9, 3]), np.array([3, 2, 0]))
+        repeated.record(np.array([0, 0, 0, 2, 2]), np.array([1, 1, 1, 9, 9]))
+        assert np.array_equal(weighted.counts, repeated.counts)
+        # ages past the cap keep their maximum; a node given zero visits records none
+        assert list(weighted.max_over_cap) == list(repeated.max_over_cap) == [0, 0, 9]
+        weighted.record(np.array([1]), np.array([30]), np.array([0]))
+        assert weighted.max_over_cap[1] == 0
+
+    def test_threshold_beyond_cap_answered_from_largest_age(self):
+        law = AgeLaw(2, age_cap=8)
+        law.record(np.array([0, 0, 1]), np.array([3, 5, 20]))
+        assert law.prob_age_at_most(0, 2.0**40 - 1) == 1.0
+        assert law.prob_age_at_most(0, 5) == 1.0
+        assert law.prob_age_at_most(0, 4) == 0.5
+        assert law.prob_age_at_most(1, 20) == 1.0
+        with pytest.raises(InsufficientDataError, match="cap"):
+            law.prob_age_at_most(1, 12)
+
+    def test_merge_adds_counts_and_keeps_largest_age(self):
+        a, b = AgeLaw(2, age_cap=4), AgeLaw(2, age_cap=4)
+        a.record(np.array([0]), np.array([7]))
+        b.record(np.array([0, 1]), np.array([2, 3]))
+        a.merge(b)
+        assert a.counts.sum() == 3 and list(a.max_over_cap) == [7, 0]

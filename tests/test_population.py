@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from srrw.errors import InsufficientDataError, ParameterError
 from srrw.graphs import (
@@ -17,6 +18,7 @@ from srrw.population import (
     BlockPlan,
     PopulationState,
     PopulationTrace,
+    StepRows,
     TrapProfile,
     block_drift,
     gw_baseline,
@@ -25,6 +27,7 @@ from srrw.population import (
     run_population,
     step,
 )
+from token_engine import run_tokens
 
 K4 = lazy_kernel(complete_graph(4), 0.5)
 
@@ -108,16 +111,16 @@ class TestStep:
     def test_input_state_not_modified(self):
         rng = np.random.default_rng(3)
         state = PopulationState.initial(K4, 5, "pi", rng)
-        pos_before = state.positions.copy()
+        counts_before = state.counts.copy()
         visits_before = state.clock.last_visit.copy()
         step(state, K4, TrapProfile.none(4), passive(4), rng)
-        assert np.array_equal(state.positions, pos_before)
+        assert np.array_equal(state.counts, counts_before)
         assert np.array_equal(state.clock.last_visit, visits_before)
         assert state.time == 0
 
     def test_clock_updates_visited_nodes_only(self):
         rng = np.random.default_rng(4)
-        state = PopulationState(0, np.array([2, 2]), AgeClock(4))
+        state = PopulationState(0, np.array([0, 0, 2, 0]), AgeClock(4))
         nxt, _ = step(state, K4, TrapProfile.none(4), passive(4), rng)
         assert nxt.clock.last_visit[2] == 1
         assert all(nxt.clock.last_visit[u] == 0 for u in (0, 1, 3))
@@ -230,6 +233,25 @@ class TestEngine:
         assert back.config_hash == "abc123"
         assert back.seed == 17
 
+    @pytest.mark.parametrize("zeta,q,cap", [(0.0, 1.0, 64), (1.0, 0.0, 100)])
+    def test_csv_roundtrip_keeps_flags(self, tmp_path, zeta, q, cap):
+        spec = PolicySpec.uniform(4, a_long=0.0, q_fork=q)
+        trace = run_population(K4, spec, TrapProfile.uniform(4, zeta), z0=4, horizon=50,
+                               rng_seed=18, z_cap=cap)
+        assert trace.capped or trace.extinct
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        back = PopulationTrace.from_csv(path)
+        assert (back.capped, back.extinct) == (trace.capped, trace.extinct)
+        assert back.horizon_requested == 50 > back.horizon
+
+    def test_csv_without_flag_lines(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("# seed=3\nt,Z,forks,trap_dels,terms\n0,2,0,0,0\n1,0,0,2,0\n")
+        back = PopulationTrace.from_csv(path)
+        assert back.extinct and not back.capped
+        assert back.horizon_requested == 1 and back.config_hash is None
+
 
 class TestNeighbourSampler:
     @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
@@ -247,30 +269,6 @@ class TestNeighbourSampler:
             assert np.array_equal(nxt, oracle.sample(pos, rng_b))
             pos = nxt
 
-    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
-    def test_regime_traces_match_dense_oracle(self, order, monkeypatch):
-        low = PolicySpec.uniform(30, a_long=1.0, q_fork=0.15)
-        high = PolicySpec.uniform(30, a_long=2.0**40, a_short=2.0**40 - 1, q_fork=0.0,
-                                  q_term=0.10)
-        policy = RegimePolicy(low, high, z_low=20, z_high=200)
-        traps = TrapProfile.uniform(30, 0.05)
-        runs = []
-        for use_oracle in (False, True):
-            k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
-            if use_oracle:
-                base = DenseOracle(k.base_cumulative_rows())
-                base.support = k.graph.degrees()
-                monkeypatch.setattr(k, "neighbour_table",
-                                    lambda: DenseOracle(k.cumulative_rows()))
-                monkeypatch.setattr(k, "base_neighbour_table", lambda: base)
-            runs.append(run_population(k, policy, traps, z0=60, horizon=1500, rng_seed=21,
-                                       order=order, collect_age_law=True))
-        real, oracle = runs
-        assert real.forks.sum() > 0 and real.terms.sum() > 0
-        for field in ("z", "forks", "trap_dels", "terms"):
-            assert np.array_equal(getattr(real, field), getattr(oracle, field))
-        assert np.array_equal(real.age_law.counts, oracle.age_law.counts)
-
     @pytest.mark.parametrize("row,r,end", [(9, 1.0 - 2.0**-53, -1), (5, 0.0, 0)])
     def test_edge_uniforms_land_on_neighbours(self, row, r, end):
         # the dense sampler maps these uniforms to zero-weight columns; the
@@ -282,6 +280,178 @@ class TestNeighbourSampler:
         for table, weights in ((k.neighbour_table(), k.matrix), (k.base_neighbour_table(), k.base)):
             support = np.nonzero(weights[row])[0]
             assert table.sample(pos, FixedUniform(r))[0] == support[end]
+
+
+def one_step_counts(kernel, traps, spec, node, tokens, reps, seed, order="trap_first"):
+    """Node counts, forks, deletions and terminations after one step from
+    ``tokens`` tokens at ``node``, for ``reps`` independent steps."""
+    rng = np.random.default_rng(seed)
+    rows = StepRows(kernel, traps, order)
+    counts = np.zeros(kernel.node_count, dtype=np.int64)
+    counts[node] = tokens
+    start = PopulationState(0, counts, AgeClock(kernel.node_count))
+    out = []
+    for _ in range(reps):
+        nxt, c = step(start, kernel, traps, spec, rng, order=order, rows=rows)
+        assert nxt.alive == tokens + c.net
+        out.append((nxt.counts, c.forks, c.trap_deletions, c.terminations))
+    return out
+
+
+def chi2_p(observed, expected):
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    assert observed.sum() == pytest.approx(expected.sum())
+    keep = expected > 0
+    assert observed[~keep].sum() == 0
+    return stats.chisquare(observed[keep], expected[keep]).pvalue
+
+
+FORK_ALWAYS = {"a_long": 0.0, "q_fork": 1.0}
+
+
+class TestOneStepLaw:
+    """One engine step against exact probabilities."""
+
+    @pytest.mark.parametrize("name,node", [("weighted", 2), ("star9", 0), ("er30", 9)])
+    def test_fork_pairs_follow_distinct_pair_law(self, name, node):
+        k = lazy_kernel(ORACLE_GRAPHS[name](), 0.5)
+        n = k.node_count
+        spec = PolicySpec.uniform(n, **FORK_ALWAYS)
+        reps = 4000
+        pairs = np.zeros((n, n))
+        for counts, forks, _, _ in one_step_counts(k, TrapProfile.none(n), spec, node, 1,
+                                                   reps, seed=200):
+            assert forks == 1 and counts.sum() == 2 and counts.max() == 1
+            a, b = np.flatnonzero(counts)
+            pairs[a, b] += 1
+        p = k.base[node]
+        law = np.triu(2.0 * np.outer(p, p) / (1.0 - np.sum(p * p)), k=1)
+        assert chi2_p(pairs.ravel(), reps * law.ravel()) > 1e-3
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_degree_one_fork_sends_both_along_the_edge(self, order):
+        k = lazy_kernel(path_graph(6), 0.5)
+        spec = PolicySpec.uniform(6, **FORK_ALWAYS)
+        for counts, forks, _, _ in one_step_counts(k, TrapProfile.none(6), spec, 5, 3, 200,
+                                                   seed=201, order=order):
+            assert forks == 3 and list(counts) == [0, 0, 0, 0, 6, 0]
+
+    def test_trapped_parent_copy_follows_marginal(self):
+        # policy_first with a certain trap at the forking node: the parent
+        # dies and its copy lands on one target of the distinct pair
+        k = lazy_kernel(ORACLE_GRAPHS["weighted"](), 0.5)
+        spec = PolicySpec.uniform(5, **FORK_ALWAYS)
+        traps = TrapProfile.from_map(5, {2: 1.0})
+        reps = 4000
+        landed = np.zeros(5)
+        for counts, forks, dels, _ in one_step_counts(k, traps, spec, 2, 1, reps, seed=202,
+                                                      order="policy_first"):
+            assert (forks, dels, counts.sum()) == (1, 1, 1)
+            landed += counts
+        p = k.base[2]
+        assert chi2_p(landed, reps * p * (1.0 - p) / (1.0 - np.sum(p * p))) > 1e-3
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_trap_act_move_split(self, order):
+        # terminations remove the acting tokens, so the step's outcome is the
+        # node's multinomial split itself: trapped, acted, moved to each neighbour
+        k = lazy_kernel(ORACLE_GRAPHS["er30"](), 0.5)
+        node, zeta, q = 9, 0.2, 0.3
+        traps = TrapProfile.from_map(30, {node: zeta, 3: 0.9})
+        spec = PolicySpec.uniform(30, a_long=2.0**40, a_short=2.0**40 - 1, q_fork=0.0,
+                                  q_term=np.where(np.arange(30) == node, q, 0.7))
+        tokens = 200_000
+        [(counts, forks, dels, terms)] = one_step_counts(k, traps, spec, node, tokens, 1,
+                                                         seed=203, order=order)
+        assert forks == 0
+        if order == "trap_first":
+            law = [zeta, (1 - zeta) * q, *((1 - zeta) * (1 - q) * k.matrix[node])]
+        else:
+            law = [(1 - q) * zeta, q, *((1 - q) * (1 - zeta) * k.matrix[node])]
+        assert chi2_p([dels, terms, *counts], tokens * np.asarray(law)) > 1e-3
+
+
+def permutation_chi2_p(hists_a, hists_b, perms=1000, seed=0):
+    """Chi-square distance between pooled histograms, calibrated by permuting
+    replica labels, so dependence between visits inside a run does not matter."""
+    h = np.concatenate([hists_a, hists_b]).astype(float)
+    h = h[:, h.sum(axis=0) > 0]
+    total = h.sum(axis=0)
+
+    def stat(pooled_a):
+        share = pooled_a.sum() / total.sum()
+        expect_a, expect_b = share * total, (1.0 - share) * total
+        return (((pooled_a - expect_a) ** 2 / expect_a).sum()
+                + ((total - pooled_a - expect_b) ** 2 / expect_b).sum())
+
+    observed = stat(h[:len(hists_a)].sum(axis=0))
+    rng = np.random.default_rng(seed)
+    labels = np.array([rng.permutation(len(h)) < len(hists_a) for _ in range(perms)])
+    null = [stat(row) for row in labels.astype(float) @ h]
+    return (1 + sum(x >= observed for x in null)) / (1 + perms)
+
+
+def age_hist(trace, bins=6):
+    """A run's age-law counts per node with ages from ``bins`` up pooled."""
+    counts = trace.age_law.counts
+    return np.concatenate([counts[:, :bins], counts[:, bins:].sum(axis=1, keepdims=True)],
+                          axis=1).ravel()
+
+
+TWO_SAMPLE_SETUPS = {
+    # (graph, initial tokens, trap profile)
+    "K4": (lambda: complete_graph(4), 4, lambda n: TrapProfile.uniform(n, 0.05)),
+    "er30": (lambda: erdos_renyi_graph(30, 0.15, seed=1), 20,
+             lambda n: TrapProfile.uniform(n, 0.05)),
+    "star9": (lambda: star_graph(9), 8, lambda n: TrapProfile.from_map(n, {0: 0.1, 3: 0.3})),
+    "weighted": (ORACLE_GRAPHS["weighted"], 6,
+                 lambda n: TrapProfile(np.array([0.05, 0.0, 0.2, 0.1, 0.4]))),
+}
+
+
+def two_sample_policy(kind, n, z0):
+    if kind == "spec":
+        return PolicySpec.uniform(n, a_long=2.0, q_fork=0.3, a_short=1.0, q_term=0.2)
+    low = PolicySpec.uniform(n, a_long=1.0, q_fork=0.25)
+    high = PolicySpec.uniform(n, a_long=2.0**40, a_short=2.0**40 - 1, q_fork=0.0, q_term=0.2)
+    return RegimePolicy(low, high, z_low=max(1, z0 // 2), z_high=2 * z0)
+
+
+class TestAgainstTokenEngine:
+    """The count engine against the token-level reference engine, in law."""
+
+    REPLICAS = 300
+    HORIZON = 25
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("kind", ["spec", "regime"])
+    @pytest.mark.parametrize("name", sorted(TWO_SAMPLE_SETUPS))
+    def test_two_sample(self, name, kind, order):
+        make_graph, z0, make_traps = TWO_SAMPLE_SETUPS[name]
+        k = lazy_kernel(make_graph(), 0.5)
+        n = k.node_count
+        traps, policy = make_traps(n), two_sample_policy(kind, n, z0)
+        runs = {}
+        for engine, run in (("count", run_population), ("token", run_tokens)):
+            runs[engine] = [run(k, policy, traps, z0=z0, horizon=self.HORIZON,
+                                rng_seed=300_000 + r, order=order, collect_age_law=True)
+                            for r in range(self.REPLICAS)]
+        assert all(tr.conservation_violations() == 0 for tr in runs["count"])
+
+        def final_z(tr):
+            return int(tr.z[-1]) if tr.horizon == self.HORIZON else 0
+
+        p_values = {"Z_T": stats.ks_2samp([final_z(tr) for tr in runs["count"]],
+                                          [final_z(tr) for tr in runs["token"]]).pvalue}
+        for column in ("forks", "terms", "trap_dels"):
+            totals = [[int(getattr(tr, column).sum()) for tr in runs[e]] for e in runs]
+            if totals[0] == totals[1]:
+                continue
+            p_values[column] = stats.ks_2samp(*totals).pvalue
+        p_values["age_law"] = permutation_chi2_p([age_hist(tr) for tr in runs["count"]],
+                                                 [age_hist(tr) for tr in runs["token"]])
+        assert sum(int(tr.forks.sum()) for tr in runs["count"]) > 0
+        assert min(p_values.values()) > 1e-3, p_values
 
 
 class TestBlockDrift:
