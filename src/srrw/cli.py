@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_corridor_feasibility, check_feasibility, corridor_stats, lyapunov_drift
-from .config import ResolvedConfig, config_hash, load_config, replica_seeds, resolve_config
+from .config import ResolvedConfig, load_config, replica_seeds, resolve_config, resolve_on_kernel
 from .envelopes import (
     EnvelopeModel,
     MatchingAgeInterval,
@@ -102,9 +102,7 @@ def build_envelope_model(resolved: ResolvedConfig) -> EnvelopeModel:
     return fit_constants(samples, resolved.kernel.pi, delta_fit=env["delta_fit"])
 
 
-def _replica_worker(args) -> PopulationTrace:
-    raw, seed, burn_in = args
-    resolved = resolve_config(raw)
+def _run_replica(resolved: ResolvedConfig, burn_in: int, seed: int) -> PopulationTrace:
     sim = resolved.simulation
     return run_population(
         resolved.kernel, resolved.policy, resolved.traps,
@@ -115,21 +113,29 @@ def _replica_worker(args) -> PopulationTrace:
     )
 
 
-def _burn_in(resolved: ResolvedConfig) -> int:
-    prof = mixing_profile(resolved.kernel, target=resolved.block_plan["eps_mix"])
-    return prof.t_mix_of(resolved.block_plan["eps_mix"])
+_pool_args = None  # (resolved, burn_in) of the run, set once in each pool process
+
+
+def _init_pool(resolved: ResolvedConfig, burn_in: int) -> None:
+    global _pool_args
+    _pool_args = (resolved, burn_in)
+
+
+def _pool_run(seed: int) -> PopulationTrace:
+    return _run_replica(*_pool_args, seed)
 
 
 def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
+    """One trace per replica seed on the resolved objects; a pool gets them once per worker."""
     sim = resolved.simulation
     seeds = replica_seeds(sim["seed"], sim["replicas"])
     workers = min(_thread_cap(), sim["replicas"])
-    burn_in = _burn_in(resolved) if sim["collect_age_law"] else 0
-    jobs = [(resolved.raw, s, burn_in) for s in seeds]
+    burn_in = resolved.t_mix if sim["collect_age_law"] else 0
     if workers <= 1:
-        return [_replica_worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replica_worker, jobs))
+        return [_run_replica(resolved, burn_in, s) for s in seeds]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
+                             initargs=(resolved, burn_in)) as pool:
+        return list(pool.map(_pool_run, seeds))
 
 
 def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
@@ -160,11 +166,9 @@ def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
     return {"single": (iv, mode)}
 
 
-def measured_rate(resolved: ResolvedConfig, traces: list[PopulationTrace], column: str,
-                  burn_in: int | None = None) -> float:
-    """Events per token-step after the burn-in, from trace column ``forks`` or ``terms``."""
-    if burn_in is None:
-        burn_in = _burn_in(resolved)
+def measured_rate(resolved: ResolvedConfig, traces: list[PopulationTrace], column: str) -> float:
+    """Events per token-step after the t_mix burn-in, from trace column ``forks`` or ``terms``."""
+    burn_in = resolved.t_mix
     events = steps = 0
     for tr in traces:
         if tr.horizon <= burn_in:
@@ -180,12 +184,7 @@ def block_plan_for(resolved: ResolvedConfig, intervals: dict) -> BlockPlan:
     key = "low" if "low" in intervals else "single"
     iv = intervals[key][0]
     a_eff = 0.5 * (iv.lo + iv.hi) if iv.finite else 0.0
-    prof = mixing_profile(resolved.kernel, target=resolved.block_plan["eps_mix"])
-    return BlockPlan(
-        t_mix_part=prof.t_mix_of(resolved.block_plan["eps_mix"]),
-        kappa=resolved.block_plan["kappa"],
-        a_eff=a_eff,
-    )
+    return BlockPlan(t_mix_part=resolved.t_mix, kappa=resolved.block_plan["kappa"], a_eff=a_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +292,7 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
         model = build_envelope_model(resolved)
     intervals = effective_age_interval(resolved, model, traces)
     plan = block_plan_for(resolved, intervals)
-    burn_in = plan.t_mix_part
-    k_term_measured = measured_rate(resolved, traces, "terms", burn_in=burn_in)
+    k_term_measured = measured_rate(resolved, traces, "terms")
     k_term_plugin = None
     law_traces = [tr for tr in traces if tr.age_law is not None]
     if law_traces:
@@ -325,7 +323,7 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     feasibility["a_eff_mode"] = {k: v[1] for k, v in intervals.items()}
     feasibility["k_term_measured"] = k_term_measured
     feasibility["k_term_plugin"] = k_term_plugin
-    feasibility["p_fork_measured"] = measured_rate(resolved, traces, "forks", burn_in=burn_in)
+    feasibility["p_fork_measured"] = measured_rate(resolved, traces, "forks")
     feasibility["envelope_source"] = model.source
 
     corridor_payload = None
@@ -425,13 +423,12 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
         "k_term_measured", "p_fork_measured", "mean_drift_per_token", "c1_proxy",
     ])
     rows = []
-    # the envelope model depends only on the kernel and envelope params,
-    # which no sweep axis touches, so build it once
+    # no sweep axis touches the graph, the kernel or the envelope parameters,
+    # so every grid point shares the base run's kernel and envelope model
     shared_model = build_envelope_model(resolved)
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(zip((k for k, _ in axes), combo))
-        mod_raw = _apply_sweep_point(resolved.raw, point)
-        mod = resolve_config(mod_raw)
+        mod = resolve_on_kernel(_apply_sweep_point(resolved.raw, point), resolved.kernel)
         traces = run_replicas(mod)
         payloads = check_payloads(mod, traces, model=shared_model)
         feas = payloads["feasibility"]

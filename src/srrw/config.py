@@ -45,6 +45,14 @@ def _require(cond: bool, fieldpath: str, message: str):
         raise ConfigError(fieldpath, message)
 
 
+def _convert(kind, val, label: str):
+    """``kind(val)``, or a ConfigError naming ``label`` when ``val`` is not a number."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(label, f"expected a number, got {val!r}") from exc
+
+
 def _get_number(obj, key, label=None, default=None, lo=None, hi=None, integer=False,
                 lo_strict=False, hi_strict=False):
     label = label or key
@@ -87,6 +95,11 @@ class ResolvedConfig:
     @property
     def block_plan(self) -> dict:
         return self.raw["block_plan"]
+
+    @property
+    def t_mix(self) -> int:
+        """t_mix(eps_mix): the blocks' mixing part and the burn-in before rates are measured."""
+        return self.kernel.t_mix(self.block_plan["eps_mix"])
 
     @property
     def corridor(self) -> dict | None:
@@ -139,8 +152,9 @@ def _resolve_traps(cfg: dict, n: int) -> tuple[TrapProfile, dict]:
     _require(zeta is not None, "traps.zeta", "required field missing")
     if isinstance(zeta, dict):
         for u, v in zeta.items():
-            _require(0 <= int(u) < n, f"traps.zeta.{u}", f"node out of range for n={n}")
-            _require(0.0 <= float(v) <= 1.0, f"traps.zeta.{u}", "must lie in [0, 1]")
+            label = f"traps.zeta.{u}"
+            _require(0 <= _convert(int, u, label) < n, label, f"node out of range for n={n}")
+            _require(0.0 <= _convert(float, v, label) <= 1.0, label, "must lie in [0, 1]")
         profile = TrapProfile.from_map(n, zeta)
         resolved = {"nodes": sorted(int(u) for u in zeta), "zeta": {str(u): float(v) for u, v in zeta.items()}}
         return profile, resolved
@@ -150,7 +164,8 @@ def _resolve_traps(cfg: dict, n: int) -> tuple[TrapProfile, dict]:
         return TrapProfile.uniform(n, value), {"nodes": "all", "zeta": value}
     _require(isinstance(nodes, list), "traps.nodes", 'expected "all" or a list of node ids')
     for u in nodes:
-        _require(0 <= int(u) < n, "traps.nodes", f"node {u} out of range for n={n}")
+        _require(0 <= _convert(int, u, "traps.nodes") < n, "traps.nodes",
+                 f"node {u} out of range for n={n}")
     profile = TrapProfile.from_map(n, {int(u): value for u in nodes})
     return profile, {"nodes": sorted(int(u) for u in nodes), "zeta": value}
 
@@ -164,7 +179,7 @@ def _spec_from_block(block: dict, n: int, fieldpath: str) -> tuple[PolicySpec, d
         _require(val is not None, f"{fieldpath}.{name}", "required field missing")
         if isinstance(val, list):
             _require(len(val) == n, f"{fieldpath}.{name}", f"per-node array must have length {n}")
-            vals = [float(x) for x in val]
+            vals = [_convert(float, x, f"{fieldpath}.{name}") for x in val]
         else:
             _require(isinstance(val, (int, float)) and not isinstance(val, bool),
                      f"{fieldpath}.{name}", f"expected number or array, got {val!r}")
@@ -211,10 +226,18 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
              f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
 
     graph = _resolve_graph(cfg)
-    n = graph.node_count
     laziness = _get_number(cfg, "laziness", default=0.5, lo=0.0, hi=1.0,
                            lo_strict=True, hi_strict=True)
-    kernel = lazy_kernel(graph, laziness)
+    return resolve_on_kernel(cfg, lazy_kernel(graph, laziness))
+
+
+def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
+    """Resolve ``cfg`` on an already built kernel; its graph and laziness must be the kernel's.
+
+    A sweep resolves its grid points on the base run's kernel this way.
+    """
+    graph = kernel.graph
+    n = graph.node_count
     traps, traps_raw = _resolve_traps(cfg, n)
     policy, policy_raw = _resolve_policy(cfg, n)
 
@@ -277,7 +300,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
             if key in sweep:
                 vals = sweep[key]
                 _require(isinstance(vals, list) and vals, f"sweep.{key}", "expected a non-empty list")
-                sweep_raw[key] = [float(v) for v in vals]
+                sweep_raw[key] = [_convert(float, v, f"sweep.{key}") for v in vals]
         _require(bool(sweep_raw), "sweep", "no recognized sweep axes (q, A_l, zeta_scale, kappa)")
 
     graph_raw = cfg["graph"] if "generator" in cfg["graph"] or "path" in cfg["graph"] else {
@@ -289,7 +312,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     raw = {
         "schema_version": SCHEMA_VERSION,
         "graph": graph_raw,
-        "laziness": laziness,
+        "laziness": kernel.laziness,
         "traps": traps_raw,
         "policy": policy_raw,
         "simulation": sim_raw,

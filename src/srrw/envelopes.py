@@ -245,10 +245,6 @@ class MatchingAgeInterval:
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def worst_case_pair(self) -> tuple[float, float]:
-        """(age minimizing the plus envelope, age maximizing the minus envelope)."""
-        return self.hi, self.lo
-
 
 def _invert_envelope(model: EnvelopeModel, sign: str, q: float, target: float) -> float:
     """Solve q * envelope(age) = target by bisection; envelopes are strictly decreasing."""

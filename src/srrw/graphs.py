@@ -129,9 +129,6 @@ class Graph:
             tot[v] += w
         return tot
 
-    def min_degree(self) -> int:
-        return int(self.degrees().min())
-
     def base_transition_matrix(self) -> np.ndarray:
         """Row-stochastic one-step walk matrix with zero diagonal."""
         n = self.node_count
@@ -313,7 +310,8 @@ class TransitionKernel:
 
     The base matrix has zero diagonal; the lazy kernel's diagonal equals
     the laziness exactly and the stationary law is shared with the base.
-    Walk steps are drawn from the neighbour tables, built on first use.
+    Walk steps are drawn from the neighbour tables, and mixing times read
+    from the mixing profiles; both are built on first use.
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -333,6 +331,7 @@ class TransitionKernel:
         self._base_cum = None
         self._table = None
         self._base_table = None
+        self._profiles = {}
 
     @property
     def node_count(self) -> int:
@@ -367,6 +366,12 @@ class TransitionKernel:
         if self._base_table is None:
             self._base_table = NeighbourTable(self.base, self.base_cumulative_rows())
         return self._base_table
+
+    def t_mix(self, eps: float) -> int:
+        """Mixing time t_mix(eps), read from the profile computed down to ``eps``."""
+        if eps not in self._profiles:
+            self._profiles[eps] = mixing_profile(self, target=eps)
+        return self._profiles[eps].t_mix_of(eps)
 
 
 def lazy_kernel(g: Graph, laziness: float = 0.5) -> TransitionKernel:

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import InsufficientDataError, ParameterError
 from .graphs import StationaryDistribution, TransitionKernel
@@ -77,10 +76,6 @@ class TrapProfile:
         for u, v in zeta_by_node.items():
             z[int(u)] = float(v)
         return TrapProfile(z)
-
-    @property
-    def has_traps(self) -> bool:
-        return bool(np.any(self.zeta > 0.0))
 
     def absorption_pressure(self, pi: StationaryDistribution) -> float:
         """Stationary-weighted deletion rate; the idealized per-visit loss."""
@@ -479,10 +474,6 @@ class DriftReport:
     lambda_del: float
 
     @property
-    def block_count(self) -> int:
-        return len(self.z_start)
-
-    @property
     def c1_proxy(self) -> float:
         """Mean per-token absolute residual: the flat coupling-error estimate."""
         return float(np.mean(np.abs(self.residual_abs) / self.z_start))
@@ -636,6 +627,8 @@ def occupancy_check(kernel: TransitionKernel, z: int, t_sample: int, replicas: i
     with no traps or policy, and are pooled across replicas. Cells whose
     expected count falls below 5 are pooled into one bucket, noted in the report.
     """
+    from scipy import stats  # imported here: scipy costs about a second to load
+
     rng = np.random.default_rng(seed)
     total = z * replicas
     pos = np.full(total, start_node, dtype=np.int64)

@@ -1,9 +1,8 @@
 """Single-token walk simulation: first-return-time sampling and age bookkeeping.
 
 Return times are sampled by restarting the walk at the target node for each
-sample (i.i.d. samples, simple confidence intervals); a long-trajectory mode
-exists behind a flag. The empirical mean obeys Kac's identity mean = 1/pi(u),
-which the tests use as an independent oracle.
+sample (i.i.d. samples, simple confidence intervals). The empirical mean obeys
+Kac's identity mean = 1/pi(u), which the tests use as an independent oracle.
 """
 from __future__ import annotations
 
@@ -43,35 +42,15 @@ class ReturnTimeSample:
 
 
 def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_seed: int,
-                        max_steps: int = DEFAULT_STEP_CAP, mode: str = "restart") -> ReturnTimeSample:
+                        max_steps: int = DEFAULT_STEP_CAP) -> ReturnTimeSample:
     """Sample first-return times to ``u`` for the given lazy kernel.
 
-    ``mode="restart"`` (default) restarts the walk at ``u`` for each sample;
-    ``mode="trajectory"`` carves consecutive return gaps out of one long walk.
-    Deterministic given the seed.
+    The walk restarts at ``u`` for each sample. Deterministic given the seed.
     """
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
-    if mode not in ("restart", "trajectory"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(rng_seed)
     table = kernel.neighbour_table()
-    if mode == "trajectory":
-        out = np.empty(n_samples, dtype=np.int64)
-        pos, last, t = u, 0, 0
-        for i in range(n_samples):
-            while True:
-                t += 1
-                if t - last > max_steps:
-                    raise StepCapError(f"no return to {u} within {max_steps} steps")
-                # NeighbourTable.sample for one walker, without its per-call array overhead
-                pos = int(table.nbr[pos, (table.cw[pos] < rng.random()).sum()])
-                if pos == u:
-                    out[i] = t - last
-                    last = t
-                    break
-        return ReturnTimeSample(u, out, seed=rng_seed)
-
     out = np.empty(n_samples, dtype=np.int64)
     filled = 0
     while filled < n_samples:

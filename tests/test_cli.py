@@ -1,12 +1,17 @@
+import collections
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import srrw
 import srrw.cli
+import srrw.config
+import srrw.graphs
 from srrw.cli import _thread_cap, build_envelope_model, check_payloads, main, run_replicas
 from srrw.config import load_config, resolve_config
 from srrw.errors import ConfigError
@@ -154,11 +159,80 @@ class TestSimulate:
                                                  "seed": 1, "collect_age_law": True})
         resolved = resolve_config(load_config(str(cfg)))
         calls = []
-        real = srrw.cli.mixing_profile
-        monkeypatch.setattr(srrw.cli, "mixing_profile",
+        real = srrw.graphs.mixing_profile
+        monkeypatch.setattr(srrw.graphs, "mixing_profile",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         traces = run_replicas(resolved)
         assert len(traces) == 3 and len(calls) == 1
+
+
+class TestDerivedOnce:
+    """One config resolve, one kernel and one mixing profile per CLI run."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.delenv("SRRW_THREADS", raising=False)
+        counts = collections.Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        # each name a call site can reach the function through
+        for owner, name in ((srrw.config, "resolve_config"), (srrw.cli, "resolve_config"),
+                            (srrw.config, "lazy_kernel"),
+                            (srrw.graphs, "mixing_profile"), (srrw.cli, "mixing_profile")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        return counts
+
+    def corridor_config(self, tmp_path):
+        return write_config(
+            tmp_path,
+            traps={"nodes": "all", "zeta": 0.05},
+            policy={"regime": {
+                "Z_low": 10, "Z_high": 60,
+                "low": {"A_l": 1, "q_fork": 0.2},
+                "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.15},
+            }},
+            simulation={"Z_0": 30, "horizon": 600, "replicas": 3, "seed": 3,
+                        "collect_age_law": True},
+            corridor={"Z_low": 10, "Z_high": 60},
+        )
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_corridor_run(self, command, calls, tmp_path):
+        cfg = self.corridor_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+
+    def test_non_uniform_policy_check(self, calls, tmp_path):
+        # a non-uniform policy measures the fork rate after the burn-in
+        cfg = write_config(tmp_path, policy={"A_l": [5, 5, 6, 6], "q_fork": 0.3},
+                           simulation={"Z_0": 30, "horizon": 300, "replicas": 3, "seed": 5})
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run = only_run_dir(tmp_path / "out")
+        feas = json.load(open(os.path.join(run, "feasibility.json")))["feasibility"]
+        assert feas["a_eff_mode"]["single"] == "measured"
+        assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+
+    def test_sweep(self, calls, tmp_path):
+        cfg = write_config(tmp_path, traps={"nodes": "all", "zeta": 0.05},
+                           policy={"A_l": 2, "q_fork": 0.2},
+                           simulation={"Z_0": 20, "horizon": 200, "replicas": 3, "seed": 11},
+                           sweep={"q": [0.1, 0.2], "zeta_scale": [0.5, 2.0], "kappa": [4, 6]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, srrw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(srrw.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestVersion:

@@ -103,6 +103,20 @@ class TestValidationErrors:
             resolve_config(cfg)
         assert err.value.field.startswith(field)
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda c: c.update(traps={"zeta": {"a": 0.1}}), "traps.zeta.a"),
+        (lambda c: c.update(traps={"zeta": {"0": "x"}}), "traps.zeta.0"),
+        (lambda c: c.update(traps={"zeta": 0.1, "nodes": [0, "b"]}), "traps.nodes"),
+        (lambda c: c["policy"].update(A_l=[1, 2, "x", 4]), "policy.A_l"),
+        (lambda c: c.update(sweep={"q": ["x"]}), "sweep.q"),
+    ])
+    def test_malformed_values_name_their_field(self, mutate, field):
+        cfg = base_config()
+        mutate(cfg)
+        with pytest.raises(ConfigError) as err:
+            resolve_config(cfg)
+        assert err.value.field == field
+
     def test_disconnected_generator_names_components(self):
         cfg = base_config(graph={"generator": {"kind": "erdos_renyi", "n": 20,
                                                "p": 0.02, "seed": 1}})

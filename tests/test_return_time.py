@@ -49,10 +49,6 @@ class TestSampling:
         b = sample_return_times(K2, 0, 5000, rng_seed=3)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_trajectory_mode_kac(self):
-        s = sample_return_times(K2, 1, 20_000, rng_seed=11, mode="trajectory")
-        assert abs(s.mean() - 2.0) <= 3 * s.std_error()
-
     def test_restart_samples_match_dense_oracle(self, monkeypatch):
         k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
         real = [sample_return_times(k, u, 3000, rng_seed=u) for u in (0, 9, 17)]
@@ -60,21 +56,6 @@ class TestSampling:
         for s in real:
             oracle = sample_return_times(k, s.node, 3000, rng_seed=s.node)
             assert np.array_equal(s.samples, oracle.samples)
-
-    def test_trajectory_samples_match_dense_oracle(self):
-        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
-        cum = k.cumulative_rows()
-        for u in (0, 9, 17):
-            rng = np.random.default_rng(u)
-            gaps, pos, last, t = [], u, 0, 0
-            while len(gaps) < 300:
-                t += 1
-                pos = int((cum[pos] < rng.random()).sum())
-                if pos == u:
-                    gaps.append(t - last)
-                    last = t
-            s = sample_return_times(k, u, 300, rng_seed=u, mode="trajectory")
-            assert s.samples.tolist() == gaps
 
     def test_step_cap(self):
         with pytest.raises(StepCapError):
