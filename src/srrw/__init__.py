@@ -29,12 +29,13 @@ from .graphs import (
     mixing_profile,
     stationary_distribution,
 )
-from .policy import AgeLaw, PolicySpec, RegimePolicy, VisitAction, decide, mean_termination_rate
+from .policy import AgeLaw, PolicySpec, RegimePolicy, mean_termination_rate
 from .population import (
     BlockPlan,
     PopulationState,
     PopulationTrace,
     StepCounts,
+    StepRows,
     TrapProfile,
     block_drift,
     gw_baseline,
@@ -42,10 +43,9 @@ from .population import (
     run_population,
     step,
 )
-from .return_time import AgeClock, ReturnTimeSample, empirical_tail, sample_return_times, update_age
+from .return_time import ReturnTimeSample, empirical_tail, sample_return_times
 
 __all__ = [
-    "AgeClock",
     "AgeLaw",
     "BlockPlan",
     "CorridorStats",
@@ -61,16 +61,15 @@ __all__ = [
     "ReturnTimeSample",
     "StationaryDistribution",
     "StepCounts",
+    "StepRows",
     "TransitionKernel",
     "TrapProfile",
-    "VisitAction",
     "__version__",
     "block_drift",
     "check_corridor_feasibility",
     "check_feasibility",
     "corridor_distance",
     "corridor_stats",
-    "decide",
     "doeblin_constants",
     "empirical_tail",
     "fit_constants",
@@ -87,5 +86,4 @@ __all__ = [
     "solve_matching_age",
     "stationary_distribution",
     "step",
-    "update_age",
 ]

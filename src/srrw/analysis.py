@@ -14,7 +14,7 @@ the per-region drift of the corridor-distance function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,7 +173,6 @@ class CorridorStats:
     censored_tail: bool
     ended_outside_terminal: bool  # extinct or capped while outside
     entered_corridor: bool
-    lyapunov_per_block: np.ndarray
 
     @property
     def excursion_count(self) -> int:
@@ -248,7 +247,6 @@ def corridor_stats(trace: PopulationTrace, z_low: int, z_high: int, plan: BlockP
         censored_tail = not (trace.extinct or trace.capped)
 
     raw_inside = (trace.z >= z_low) & (trace.z <= z_high)
-    lyap = np.array([corridor_distance(z, z_low, z_high) for z in skeleton])
     return CorridorStats(
         z_low=z_low,
         z_high=z_high,
@@ -258,7 +256,6 @@ def corridor_stats(trace: PopulationTrace, z_low: int, z_high: int, plan: BlockP
         censored_tail=censored_tail,
         ended_outside_terminal=bool(terminal_outside and (trace.extinct or trace.capped)),
         entered_corridor=bool(np.any(inside)),
-        lyapunov_per_block=lyap,
     )
 
 

@@ -32,7 +32,6 @@ from .envelopes import (
     doeblin_constants,
     envelope_curve_rows,
     fit_constants,
-    laplace,
     solve_matching_age,
 )
 from .errors import ConfigError, InsufficientDataError, SrrwError
@@ -439,13 +438,17 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
             c1 = rep.c1_proxy
         except SrrwError:
             pass
-        iv = feas["a_eff_interval"]
+        # a corridor's viability (and the block plan's interval) is the low
+        # regime's, its safety the high regime's
+        low, high = ((feas["low_regime"], feas["high_regime"]) if feas["kind"] == "corridor"
+                     else (feas, feas))
+        iv = low["a_eff_interval"]
         rows.append(",".join(
             [_fmt(point[k]) for k, _ in axes] + [
-                _fmt(feas["lambda_del"]), _fmt(iv[0]), _fmt(iv[1]),
-                _fmt(feas["viability_lhs"]), _fmt(feas["safety_lhs"]),
-                str(int(feas["viability_holds"])), str(int(feas["safety_holds"])),
-                _fmt(feas["margin_in"]), _fmt(feas["margin_out"]),
+                _fmt(low["lambda_del"]), _fmt(iv[0]), _fmt(iv[1]),
+                _fmt(low["viability_lhs"]), _fmt(high["safety_lhs"]),
+                str(int(low["viability_holds"])), str(int(high["safety_holds"])),
+                _fmt(low["margin_in"]), _fmt(high["margin_out"]),
                 _fmt(feas["k_term_measured"]), _fmt(feas["p_fork_measured"]),
                 _fmt(drift_mean), _fmt(c1),
             ]))

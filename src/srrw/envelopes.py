@@ -86,20 +86,20 @@ class EnvelopeModel:
         }
 
 
-def doeblin_constants(kernel: TransitionKernel, t0_cap: int | None = None,
+def doeblin_constants(kernel: TransitionKernel,
                       profile: MixingProfile | None = None) -> EnvelopeModel:
     """Theoretical tail constants from minorization plus the exact TV curve.
 
-    Finds the smallest t0 with min over (x, y) of P^t0(x, y)/pi(y) strictly
-    positive and takes that minimum as the floor eps0, giving the node-uniform
-    upper-bound constant eps0/(2*t0). For the lower bound, each node u gets the
-    smallest t_u >= t_mix(1/8) with worst-start TV at most pi(u)/2, and the
-    constant 2*theta_u/t_u with theta_u = t_u + sum of the TV curve over
-    1..t_u scaled by 1/pi(u).
+    Finds the smallest t0 (at most 50 n) with min over (x, y) of
+    P^t0(x, y)/pi(y) strictly positive and takes that minimum as the floor
+    eps0, giving the node-uniform upper-bound constant eps0/(2*t0). For the
+    lower bound, each node u gets the smallest t_u >= t_mix(1/8) with
+    worst-start TV at most pi(u)/2, and the constant 2*theta_u/t_u with
+    theta_u = t_u + sum of the TV curve over 1..t_u scaled by 1/pi(u).
     """
     n = kernel.node_count
     pi = kernel.pi.probs
-    cap = t0_cap if t0_cap is not None else 50 * n
+    cap = 50 * n
     m = kernel.matrix.copy()
     t0 = 1
     while True:
@@ -227,11 +227,11 @@ def _constants(model: EnvelopeModel, sign: str) -> np.ndarray:
     raise ParameterError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
-def decay_age(model: EnvelopeModel, sign: str, log_target: float = 20.0) -> float:
-    """Age at which the envelope is provably below exp(-log_target)."""
+def decay_age(model: EnvelopeModel, sign: str) -> float:
+    """Age at which the envelope is provably below exp(-20)."""
     c = _constants(model, sign)
     rate = float((c * model.pi.probs).min())
-    return log_target / rate
+    return 20.0 / rate
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class StepCapError(SrrwError):
     """A single-walk simulation exceeded its step cap."""
 
 
-class TimeMonotonicityError(SrrwError):
-    """A clock was updated with a time earlier than its current time."""
-
-
 class InfeasibleInputError(SrrwError):
     """Inputs are mutually inconsistent (e.g. target fork rate above the cap)."""
 

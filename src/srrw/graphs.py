@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -430,12 +430,12 @@ class MixingProfile:
         return int(math.ceil(math.log(1.0 / (eps * self.pi_min)) / self.spectral_gap))
 
 
-def mixing_profile(kernel: TransitionKernel, max_t: int = 20000, target: float = 1e-10,
-                   dense_cap: int = DENSE_NODE_CAP) -> MixingProfile:
+def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
+                   target: float = 1e-10) -> MixingProfile:
     """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``."""
     n = kernel.node_count
-    if n > dense_cap:
-        raise ParameterError(f"dense mixing profile capped at {dense_cap} nodes, got {n}")
+    if n > DENSE_NODE_CAP:
+        raise ParameterError(f"dense mixing profile capped at {DENSE_NODE_CAP} nodes, got {n}")
     pi = kernel.pi.probs
     times = [0]
     tv = [float(1.0 - pi.min())]

@@ -5,23 +5,22 @@ between the short and long trigger always pass; at or above the long trigger
 the node forks with its fork probability; at or below the short trigger it
 terminates with its termination probability. When the triggers coincide and
 the age sits exactly on them, the fork branch wins (boundary_priority=fork,
-recorded in configs).
+recorded in configs). ``PolicySpec.region`` is the one implementation of this
+rule; the engine and the termination plug-in both use it.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .graphs import StationaryDistribution
 
-
-class VisitAction(enum.Enum):
-    FORK = "fork"
-    TERMINATE = "terminate"
-    PASS = "pass"
+# age regions of a visit; a visit in the pass region never acts
+FORK, TERM, PASS = 0, 1, 2
+# ages above this land in the age law's overflow bucket
+AGE_LAW_CAP = 256
 
 
 def _as_node_array(value, n: int, name: str, lo: float, hi: float) -> np.ndarray:
@@ -66,16 +65,16 @@ class PolicySpec:
     def uniform(node_count: int, a_long, q_fork, a_short=0.0, q_term=0.0) -> "PolicySpec":
         return PolicySpec(node_count, a_long, a_short, q_fork, q_term)
 
+    def region(self, nodes, ages) -> np.ndarray:
+        """Age region (FORK, TERM or PASS) of visits at ``nodes`` with pre-visit ``ages``.
 
-def decide(spec: PolicySpec, u: int, age, rng) -> VisitAction:
-    """One action for one visit; draws at most one uniform."""
-    if age < 0:
-        raise ParameterError(f"age must be nonnegative, got {age}")
-    if age >= spec.a_long[u]:
-        return VisitAction.FORK if rng.random() < spec.q_fork[u] else VisitAction.PASS
-    if age <= spec.a_short[u]:
-        return VisitAction.TERMINATE if rng.random() < spec.q_term[u] else VisitAction.PASS
-    return VisitAction.PASS
+        FORK at or above the long trigger, which wins a tie; otherwise TERM at
+        or below the short trigger; otherwise PASS. Arguments broadcast.
+        """
+        ages = np.asarray(ages)
+        if ages.size and ages.min() < 0:  # min() is cheaper than any() on small arrays
+            raise ParameterError(f"ages must be nonnegative, got {ages.min()}")
+        return np.where(ages >= self.a_long[nodes], FORK, PASS - (ages <= self.a_short[nodes]))
 
 
 @dataclass
@@ -124,13 +123,13 @@ class RegimePolicy:
 class AgeLaw:
     """Per-node histogram of ages observed at visit instants.
 
-    ``counts[u, a]`` counts visits to node u at age a; ages at or above the
-    cap land in the overflow bucket ``counts[u, -1]``. ``max_over_cap[u]`` is
+    ``counts[u, a]`` counts visits to node u at age a; ages above the cap
+    land in the overflow bucket ``counts[u, -1]``. ``max_over_cap[u]`` is
     the largest of those overflow ages (0 when there are none), so with the
     histogram the largest age seen at every node is known exactly.
     """
 
-    def __init__(self, node_count: int, age_cap: int):
+    def __init__(self, node_count: int, age_cap: int = AGE_LAW_CAP):
         self.age_cap = int(age_cap)
         self.counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
         self.max_over_cap = np.zeros(node_count, dtype=np.int64)
@@ -150,33 +149,29 @@ class AgeLaw:
         self.counts += other.counts
         np.maximum(self.max_over_cap, other.max_over_cap, out=self.max_over_cap)
 
-    def visit_total(self, u: int) -> int:
-        return int(self.counts[u].sum())
-
-    def prob_age_at_most(self, u: int, a: float) -> float:
-        total = self.visit_total(u)
-        if total == 0:
-            raise InsufficientDataError(f"no visits recorded at node {u}")
-        if a >= self.age_cap:
-            # beyond the histogram only "no age exceeds a" can be answered
-            if self.max_over_cap[u] > a:
-                raise InsufficientDataError(
-                    f"threshold {a} at or beyond the histogram cap {self.age_cap} at node {u}"
-                )
-            return 1.0
-        hi = int(np.floor(a))
-        return float(self.counts[u, :hi + 1].sum() / total)
-
 
 def mean_termination_rate(spec: PolicySpec, pi: StationaryDistribution, age_law: AgeLaw) -> float:
     """Stationary-weighted per-visit termination probability under the age law.
 
-    Nodes with zero termination probability contribute nothing and need no
-    age data; any other node missing data raises.
+    A visit terminates with its node's termination probability when
+    ``spec.region`` puts its age in the TERM region. Nodes with zero
+    termination probability contribute nothing and need no age data; any
+    other node missing data raises, as does one whose overflow bucket (ages
+    above the cap, up to the largest one seen) straddles the region's edge.
     """
+    nodes = np.arange(spec.node_count)
+    cap = age_law.age_cap
+    in_term = spec.region(nodes[:, None], np.arange(cap + 2)) == TERM
+    top_in_term = spec.region(nodes, np.maximum(age_law.max_over_cap, cap + 1)) == TERM
     total = 0.0
-    for u in range(spec.node_count):
-        if spec.q_term[u] == 0.0:
-            continue
-        total += pi[u] * spec.q_term[u] * age_law.prob_age_at_most(u, spec.a_short[u])
+    for u in np.flatnonzero(spec.q_term):
+        counts = age_law.counts[u]
+        visits = counts.sum()
+        if visits == 0:
+            raise InsufficientDataError(f"no visits recorded at node {u}")
+        if counts[-1] and in_term[u, -1] != top_in_term[u]:
+            raise InsufficientDataError(
+                f"short trigger {spec.a_short[u]} inside the overflow bucket of the histogram "
+                f"cap {cap} at node {u}")
+        total += pi[u] * spec.q_term[u] * float(counts[in_term[u]].sum() / visits)
     return total

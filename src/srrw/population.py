@@ -2,15 +2,18 @@
 
 Per step, every live token arrives at its node, may be deleted by a trap,
 then (if surviving) takes one policy action from the node's pre-update age:
-fork, terminate, or pass. The node clock updates once per visited node per
-step, so simultaneous arrivals at a node all see the same age. Fork copies
+fork, terminate, or pass, by the age region ``PolicySpec.region`` assigns.
+The node clock (``PopulationState.last_visit``) updates once per visited node
+per step, so simultaneous arrivals at a node all see the same age. Fork copies
 go to two distinct neighbors drawn from the non-lazy walk (both along the
 single edge at degree-1 nodes) and are not exposed to traps until their
 first arrival on the next step. Passing tokens move via the lazy kernel.
 
 Because every token at a node sees the same age and acts independently, the
 engine keeps only the number of tokens per node and draws a whole step as
-per-node multinomials, equal in law to drawing every token on its own:
+per-node multinomials, equal in law to drawing every token on its own; the
+rows of those multinomials come from ``StepRows``, the one holder of a run's
+kernel, trap profile and event order:
 
 - each occupied node splits its tokens into trapped, acted (fork or
   terminate, by the age region), acted-then-trapped (``policy_first`` fork
@@ -30,24 +33,22 @@ exactly at every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .graphs import StationaryDistribution, TransitionKernel
-from .policy import AgeLaw, PolicySpec, RegimePolicy
-from .return_time import AgeClock
+from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
 
-# age regions of a visit, and the event columns leading every node row
-_FORK, _TERM, _PASS = 0, 1, 2
+# the event columns leading every node row
 _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
 _EVENTS = 3
 # a step's tallies: node counts, then trapped, acted-then-trapped and acted
-# by region; an acted token forks in the fork region and terminates in the
-# term region (the pass region never acts)
+# by age region (policy.FORK, TERM, PASS); an acted token forks in the fork
+# region and terminates in the term region (the pass region never acts)
 _TALLIES = _ACTED + 3
 
 
@@ -120,7 +121,6 @@ class PopulationTrace:
     horizon_requested: int = 0
     config_hash: str | None = None
     age_law: AgeLaw | None = None
-    eligible_visits: int = 0
 
     @property
     def horizon(self) -> int:
@@ -199,15 +199,18 @@ def _initial_counts(kernel: TransitionKernel, z0: int, placement, rng) -> np.nda
 class StepRows:
     """Probability rows of the count engine for one kernel, trap profile and order.
 
-    Columns run in reversed slot order, so each row's last column is slot 0,
-    a real neighbour: numpy's multinomial gives any rounding remainder to the
-    last column. Node rows are built per policy spec on first use and reused
-    for the whole run.
+    The one holder of a run's kernel, traps and event order. Columns run in
+    reversed slot order, so each row's last column is slot 0, a real
+    neighbour: numpy's multinomial gives any rounding remainder to the last
+    column. Node rows are built per policy spec on first use and reused for
+    the whole run.
     """
 
-    def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str):
+    def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
         if order not in ("trap_first", "policy_first"):
             raise ParameterError(f"unknown event order {order!r}")
+        if len(traps.zeta) != kernel.node_count:
+            raise ParameterError("trap profile does not match the graph")
         lazy = kernel.neighbour_table()
         base = kernel.base_neighbour_table()
         n, width = base.nbr.shape
@@ -248,9 +251,9 @@ class StepRows:
                 # fork parents are rolled after acting
                 rows[:, :, _TRAPPED] = (1.0 - q) * zeta
                 rows[:, :, _ACTED_TRAPPED] = q * zeta
-                rows[_TERM, :, _ACTED_TRAPPED] = 0.0
+                rows[TERM, :, _ACTED_TRAPPED] = 0.0
                 rows[:, :, _ACTED] = q * (1.0 - zeta)
-                rows[_TERM, :, _ACTED] = spec.q_term
+                rows[TERM, :, _ACTED] = spec.q_term
             rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
             self._nodes[key] = (spec, rows)
         return self._nodes[key][1]
@@ -300,11 +303,16 @@ class StepCounts:
 
 @dataclass
 class PopulationState:
-    """One engine tick: the time, the token count per node, and the shared node clock."""
+    """One engine tick: the time, the token count per node, and the node clock.
+
+    ``last_visit[u]`` is the last time any token visited node u. Last-visit
+    times start at 0, so a never-visited node has age equal to the current
+    time; this convention makes early policy triggers possible.
+    """
 
     time: int
     counts: np.ndarray
-    clock: AgeClock
+    last_visit: np.ndarray
 
     @property
     def alive(self) -> int:
@@ -313,67 +321,60 @@ class PopulationState:
     @staticmethod
     def initial(kernel: TransitionKernel, z0: int, placement, rng) -> "PopulationState":
         counts = _initial_counts(kernel, z0, placement, rng)
-        return PopulationState(0, counts, AgeClock(kernel.node_count))
+        return PopulationState(0, counts, np.zeros(kernel.node_count, dtype=np.int64))
 
 
-def step(state: PopulationState, kernel: TransitionKernel, traps: TrapProfile,
-         spec: PolicySpec, rng, order: str = "trap_first",
-         age_law: AgeLaw | None = None,
-         rows: StepRows | None = None) -> tuple[PopulationState, StepCounts]:
+def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
+         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
     pre-update age, a single clock update per visited node, then dispatch:
     passers move via the lazy kernel, fork parent and copy go to two distinct
-    neighbors of the non-lazy walk. With ``order="policy_first"`` the trap
-    roll instead follows the action and spares copies made this step. Drawn
-    per occupied node from the token counts; ``rows`` caches the probability
-    rows across steps of one run. The input state is not modified.
+    neighbors of the non-lazy walk. With ``order="policy_first"`` rows the
+    trap roll instead follows the action and spares copies made this step.
+    Drawn per occupied node from the token counts with the kernel, traps and
+    order of ``rows``. The input state is not modified.
     """
-    if rows is None:
-        rows = StepRows(kernel, traps, order)
-    elif rows.order != order:
-        raise ParameterError(f"step rows were built for {rows.order!r}, not {order!r}")
     t = state.time + 1
-    n = kernel.node_count
+    n = rows.node_count
     occ = np.flatnonzero(state.counts)
     tokens = state.counts[occ]
-    ages = t - state.clock.last_visit[occ]
-    in_fork = ages >= spec.a_long[occ]
-    region = np.where(in_fork, _FORK, _PASS - (ages <= spec.a_short[occ]))  # _TERM = _PASS - 1
+    ages = t - state.last_visit[occ]
+    region = spec.region(occ, ages)
     draws = rng.multinomial(tokens, rows.node_rows(spec)[region, occ])
     acted, acted_trapped = draws[:, _ACTED], draws[:, _ACTED_TRAPPED]
 
     if age_law is not None:
         # trap_first: trapped tokens never reach the policy stage
-        age_law.record(occ, ages, tokens - draws[:, _TRAPPED] if order == "trap_first" else tokens)
+        trap_first = rows.order == "trap_first"
+        age_law.record(occ, ages, tokens - draws[:, _TRAPPED] if trap_first else tokens)
 
     codes = rows.codes[occ]
     codes[:, _ACTED] += region
     landing = [codes, draws]
-    f = np.flatnonzero(acted * in_fork + acted_trapped)
+    f = np.flatnonzero(acted * (region == FORK) + acted_trapped)
     if f.size:
         landing += _dispatch_forks(rows, occ[f], acted[f], acted_trapped[f], rng)
     tally = np.bincount(np.concatenate([x.ravel() for x in landing[0::2]]),
                         weights=np.concatenate([x.ravel() for x in landing[1::2]]),
                         minlength=n + _TALLIES).astype(np.int64)
     acted_trapped_total = int(tally[n + _ACTED_TRAPPED])
-    n_fork = int(tally[n + _ACTED + _FORK]) + acted_trapped_total
-    n_term = int(tally[n + _ACTED + _TERM])
+    n_fork = int(tally[n + _ACTED + FORK]) + acted_trapped_total
+    n_term = int(tally[n + _ACTED + TERM])
     n_del = int(tally[n + _TRAPPED]) + acted_trapped_total
 
     # node clocks update once per visited node per step
-    new_visit = state.clock.last_visit.copy()
-    new_visit[occ] = t
-    new_state = PopulationState(t, tally[:n], AgeClock(n, now=t, last_visit=new_visit))
-    return new_state, StepCounts(n_fork, n_del, n_term)
+    last_visit = state.last_visit.copy()
+    last_visit[occ] = t
+    return PopulationState(t, tally[:n], last_visit), StepCounts(n_fork, n_del, n_term)
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,
                    horizon: int, rng_seed: int, z_cap: int = DEFAULT_POPULATION_CAP,
                    placement="pi", order: str = "trap_first",
                    collect_age_law: bool = False, age_law_burn_in: int = 0,
-                   age_law_cap: int = 256, config_hash: str | None = None) -> PopulationTrace:
+                   config_hash: str | None = None) -> PopulationTrace:
     """Simulate the full multi-token dynamics and return the trace.
 
     ``policy`` is a PolicySpec or a RegimePolicy; ``order`` chooses whether the
@@ -382,20 +383,14 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
     """
     if horizon < 1 or z0 < 1:
         raise ParameterError("need horizon >= 1 and at least one initial token")
-    if order not in ("trap_first", "policy_first"):
-        raise ParameterError(f"unknown event order {order!r}")
-    n = kernel.node_count
-    if len(traps.zeta) != n:
-        raise ParameterError("trap profile does not match the graph")
+    rows = StepRows(kernel, traps, order)
     regime_policy = policy if isinstance(policy, RegimePolicy) else None
     if regime_policy is None and not isinstance(policy, PolicySpec):
         raise ParameterError("policy must be a PolicySpec or RegimePolicy")
 
     rng = np.random.default_rng(rng_seed)
     state = PopulationState.initial(kernel, z0, placement, rng)
-    rows = StepRows(kernel, traps, order)
-    law = AgeLaw(n, age_law_cap) if collect_age_law else None
-    eligible_visits = 0
+    law = AgeLaw(kernel.node_count) if collect_age_law else None
 
     z_hist = [z0]
     fork_hist = [0]
@@ -412,13 +407,8 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
             spec = regime_policy.spec_for(regime)
         else:
             spec = policy
-        collect_now = law is not None and t > age_law_burn_in
-        state, counts = step(state, kernel, traps, spec, rng, order=order,
-                             age_law=law if collect_now else None, rows=rows)
-        if collect_now:
-            # trapped tokens never reach the policy stage in trap_first order,
-            # so they are not action-eligible visits
-            eligible_visits += z - (counts.trap_deletions if order == "trap_first" else 0)
+        state, counts = step(state, rows, spec, rng,
+                             age_law=law if t > age_law_burn_in else None)
         z = state.alive
 
         z_hist.append(z)
@@ -446,7 +436,6 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
         horizon_requested=horizon,
         config_hash=config_hash,
         age_law=law,
-        eligible_visits=eligible_visits,
     )
 
 
@@ -466,11 +455,7 @@ class DriftReport:
     z_start: np.ndarray
     drift_per_token: np.ndarray
     predicted_per_token: np.ndarray
-    residual_per_token: np.ndarray
     residual_abs: np.ndarray
-    bernstein_scale: np.ndarray
-    p_fork_hat: np.ndarray
-    k_term_hat: np.ndarray
     lambda_del: float
 
     @property
@@ -510,8 +495,7 @@ def block_drift(trace: PopulationTrace, plan: BlockPlan, min_blocks: int = 10) -
         k_hat = s_term / ts
         pred_rate = p_hat - trace.lambda_del - k_hat
         drift = z_next - z_k
-        rows.append((z_k, drift / z_k, b * pred_rate, drift - z_k * b * pred_rate,
-                     math.sqrt(z_k * b * math.log(max(z_k, 2))), p_hat, k_hat))
+        rows.append((z_k, drift / z_k, b * pred_rate, drift - z_k * b * pred_rate))
     if len(rows) < min_blocks:
         raise InsufficientDataError(f"only {len(rows)} usable blocks, need {min_blocks}")
     cols = list(zip(*rows))
@@ -521,11 +505,7 @@ def block_drift(trace: PopulationTrace, plan: BlockPlan, min_blocks: int = 10) -
         z_start=z_start,
         drift_per_token=np.asarray(cols[1]),
         predicted_per_token=np.asarray(cols[2]),
-        residual_per_token=np.asarray(cols[1]) - np.asarray(cols[2]),
         residual_abs=np.asarray(cols[3]),
-        bernstein_scale=np.asarray(cols[4]),
-        p_fork_hat=np.asarray(cols[5]),
-        k_term_hat=np.asarray(cols[6]),
         lambda_del=trace.lambda_del,
     )
 
@@ -620,10 +600,10 @@ class OccupancyReport:
 
 
 def occupancy_check(kernel: TransitionKernel, z: int, t_sample: int, replicas: int,
-                    seed: int, start_node: int = 0) -> OccupancyReport:
+                    seed: int) -> OccupancyReport:
     """Chi-square goodness of fit of token positions against the stationary law.
 
-    All tokens start at ``start_node`` (worst case), evolve ``t_sample`` steps
+    All tokens start at node 0 (worst case), evolve ``t_sample`` steps
     with no traps or policy, and are pooled across replicas. Cells whose
     expected count falls below 5 are pooled into one bucket, noted in the report.
     """
@@ -631,7 +611,7 @@ def occupancy_check(kernel: TransitionKernel, z: int, t_sample: int, replicas: i
 
     rng = np.random.default_rng(seed)
     total = z * replicas
-    pos = np.full(total, start_node, dtype=np.int64)
+    pos = np.zeros(total, dtype=np.int64)
     table = kernel.neighbour_table()
     for _ in range(t_sample):
         pos = table.sample(pos, rng)

@@ -1,16 +1,18 @@
-"""Single-token walk simulation: first-return-time sampling and age bookkeeping.
+"""Single-token walk simulation: first-return-time sampling and tail estimates.
 
 Return times are sampled by restarting the walk at the target node for each
 sample (i.i.d. samples, simple confidence intervals). The empirical mean obeys
 Kac's identity mean = 1/pi(u), which the tests use as an independent oracle.
+A node's age in the engine is the time since its last visit; the node clock
+that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, StepCapError, TimeMonotonicityError
+from .errors import InsufficientDataError, StepCapError
 from .graphs import TransitionKernel
 
 DEFAULT_STEP_CAP = 10**9
@@ -114,30 +116,3 @@ def tails_to_csv(samples: list[ReturnTimeSample], path, z: float = 1.96) -> None
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-@dataclass
-class AgeClock:
-    """Tracks, per node, the last time any token visited it.
-
-    Last-visit times start at 0, so a never-visited node has age equal to the
-    current time. This convention makes early policy triggers possible and is
-    recorded in experiment configs.
-    """
-
-    node_count: int
-    now: int = 0
-    last_visit: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.last_visit is None:
-            self.last_visit = np.zeros(self.node_count, dtype=np.int64)
-
-
-def update_age(clock: AgeClock, u: int, t: int) -> int:
-    """Return the pre-visit age of ``u`` at time ``t``, then mark the visit."""
-    if t < clock.now:
-        raise TimeMonotonicityError(f"time went backwards: {t} < {clock.now}")
-    age = int(t - clock.last_visit[u])
-    clock.last_visit[u] = t
-    clock.now = t
-    return age

@@ -434,6 +434,47 @@ class TestSweep:
         assert flips <= 1
         assert all(a >= b for a, b in zip(verdicts, verdicts[1:]))
 
+    def corridor(self, tmp_path, name, **kw):
+        return write_config(
+            tmp_path, name,
+            traps={"nodes": "all", "zeta": 0.05},
+            policy={"regime": {
+                "Z_low": 10, "Z_high": 60,
+                "low": {"A_l": 1, "q_fork": 0.2},
+                "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.15},
+            }},
+            simulation={"Z_0": 30, "horizon": 1000, "replicas": 1, "seed": 3},
+            corridor={"Z_low": 10, "Z_high": 60},
+            **kw,
+        )
+
+    def test_corridor_grid(self, tmp_path):
+        cfg = self.corridor(tmp_path, "cfg.json", sweep={"zeta_scale": [0.5, 1.0], "kappa": [4, 8]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(self.read_rows(only_run_dir(out))) == 4
+
+    def test_corridor_single_point_matches_check(self, tmp_path):
+        # viability columns come from the low regime, safety ones from the high regime
+        out, out2 = tmp_path / "out", tmp_path / "out2"
+        cfg_sweep = self.corridor(tmp_path, "cfg.json", sweep={"zeta_scale": [1.0]})
+        assert main(["sweep", "--config", str(cfg_sweep), "--out", str(out)]) == 0
+        row = self.read_rows(only_run_dir(out))[0]
+        assert main(["check", "--config", str(self.corridor(tmp_path, "check.json")),
+                     "--out", str(out2)]) == 0
+        feas = json.load(open(os.path.join(only_run_dir(out2), "feasibility.json")))["feasibility"]
+        low, high = feas["low_regime"], feas["high_regime"]
+        expected = {
+            "lambda_del": low["lambda_del"],
+            "a_eff_lo": low["a_eff_interval"][0], "a_eff_hi": low["a_eff_interval"][1],
+            "viability_lhs": low["viability_lhs"], "viability": int(low["viability_holds"]),
+            "margin_in": low["margin_in"],
+            "safety_lhs": high["safety_lhs"], "safety": int(high["safety_holds"]),
+            "margin_out": high["margin_out"],
+            "k_term_measured": feas["k_term_measured"], "p_fork_measured": feas["p_fork_measured"],
+        }
+        assert {k: float(row[k]) for k in expected} == expected
+
     def test_sweep_without_block_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

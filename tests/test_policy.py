@@ -4,15 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw.errors import InsufficientDataError, ParameterError
-from srrw.graphs import StationaryDistribution
+from srrw.graphs import StationaryDistribution, complete_graph, lazy_kernel
 from srrw.policy import (
+    FORK,
+    PASS,
+    TERM,
     AgeLaw,
     PolicySpec,
     RegimePolicy,
-    VisitAction,
-    decide,
     mean_termination_rate,
 )
+from srrw.population import PopulationState, StepRows, TrapProfile, step
 
 
 def spec(n=1, a_long=5.0, a_short=0.0, q_fork=1.0, q_term=1.0):
@@ -20,50 +22,55 @@ def spec(n=1, a_long=5.0, a_short=0.0, q_fork=1.0, q_term=1.0):
 
 
 class TestDecide:
+    """The visit decision: the age region ``PolicySpec.region`` puts a visit in."""
+
     def test_pass_between_triggers(self):
-        rng = np.random.default_rng(0)
-        assert decide(spec(), 0, 3, rng) is VisitAction.PASS
+        assert spec().region(0, 3) == PASS
 
     def test_fork_at_long_trigger(self):
-        rng = np.random.default_rng(0)
-        assert decide(spec(q_fork=1.0), 0, 5, rng) is VisitAction.FORK
+        assert spec(q_fork=1.0).region(0, 5) == FORK
 
     def test_terminate_at_short_trigger(self):
-        rng = np.random.default_rng(0)
-        assert decide(spec(a_short=0.0, q_term=1.0), 0, 0, rng) is VisitAction.TERMINATE
+        assert spec(a_short=0.0, q_term=1.0).region(0, 0) == TERM
 
     def test_fork_fraction_matches_probability(self):
-        rng = np.random.default_rng(42)
-        s = spec(q_fork=0.3)
+        # every visit at age 7 is in the fork region; one engine step forks
+        # each of them with probability q_fork
+        s = spec(n=4, q_fork=0.3)
         n = 100_000
-        forks = sum(decide(s, 0, 7, rng) is VisitAction.FORK for _ in range(n))
+        state = PopulationState(6, np.array([n, 0, 0, 0]), np.zeros(4, dtype=np.int64))
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        _, counts = step(state, StepRows(k4, TrapProfile.none(4)), s, np.random.default_rng(42))
         se = np.sqrt(0.3 * 0.7 / n)
-        assert abs(forks / n - 0.3) <= 3 * se
+        assert abs(counts.forks / n - 0.3) <= 3 * se
 
     def test_boundary_tie_prefers_fork(self):
-        # a_short == a_long == age: the fork branch wins; a failed fork roll
+        # a_short == a_long == age: the fork region wins, so a failed fork roll
         # passes rather than falling through to the terminate branch
         tie = spec(a_long=4.0, a_short=4.0, q_fork=1.0, q_term=1.0)
-        assert decide(tie, 0, 4, np.random.default_rng(0)) is VisitAction.FORK
+        assert tie.region(0, 4) == FORK
         tie_nofork = spec(a_long=4.0, a_short=4.0, q_fork=0.0, q_term=1.0)
-        assert decide(tie_nofork, 0, 4, np.random.default_rng(0)) is VisitAction.PASS
+        assert tie_nofork.region(0, 4) == FORK
 
     def test_negative_age_rejected(self):
         with pytest.raises(ParameterError):
-            decide(spec(), 0, -1, np.random.default_rng(0))
+            spec().region(0, -1)
 
     def test_determinism_given_seed(self):
-        s = spec(q_fork=0.5)
-        a = [decide(s, 0, 9, np.random.default_rng(7)) for _ in range(20)]
-        b = [decide(s, 0, 9, np.random.default_rng(7)) for _ in range(20)]
+        # the region rule draws nothing; a step's decisions depend on the seed only
+        s = spec(n=4, q_fork=0.5)
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        state = PopulationState(8, np.array([20, 0, 0, 0]), np.zeros(4, dtype=np.int64))
+        rows = StepRows(k4, TrapProfile.none(4))
+        a = [step(state, rows, s, np.random.default_rng(7))[1] for _ in range(20)]
+        b = [step(state, rows, s, np.random.default_rng(7))[1] for _ in range(20)]
         assert a == b
 
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=40, deadline=None)
     def test_exactly_one_action(self, age):
         s = spec(a_long=10.0, a_short=3.0, q_fork=0.5, q_term=0.5)
-        action = decide(s, 0, age, np.random.default_rng(age))
-        assert isinstance(action, VisitAction)
+        assert s.region(0, age) == (FORK if age >= 10 else TERM if age <= 3 else PASS)
 
     def test_raising_long_trigger_never_raises_fork_rate(self):
         # expected fork rate over a fixed age distribution is monotone in a_long
@@ -73,7 +80,7 @@ class TestDecide:
         rates = []
         for a_long in (0.0, 5.0, 10.0, 20.0):
             s = spec(a_long=a_long, q_fork=0.4, a_short=0.0, q_term=0.0)
-            rates.append(float((weights * 0.4 * (ages >= s.a_long[0])).sum()))
+            rates.append(float((weights * 0.4 * (s.region(0, ages) == FORK)).sum()))
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
@@ -120,6 +127,20 @@ class TestRegimePolicy:
 
 
 class TestMeanTerminationRate:
+    def test_tied_triggers_follow_the_engine(self):
+        # A_s == A_l == 3: an age-3 visit is in the fork region (the fork wins
+        # the tie) and passes with q_fork 0, so neither the engine nor the
+        # plug-in terminates it
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        s = PolicySpec.uniform(4, a_long=3.0, q_fork=0.0, a_short=3.0, q_term=1.0)
+        state = PopulationState(2, np.full(4, 100), np.zeros(4, dtype=np.int64))
+        law = AgeLaw(4)
+        _, counts = step(state, StepRows(k4, TrapProfile.none(4)), s, np.random.default_rng(0),
+                         age_law=law)
+        assert law.counts[:, 3].sum() == law.counts.sum() == 400
+        assert counts.terminations == 0
+        assert mean_termination_rate(s, k4.pi, law) == 0.0
+
     def test_plugin_arithmetic(self):
         # indicator probability 0.1 under the stationary law, q_term 0.2 -> 0.02
         pi = StationaryDistribution(np.array([0.5, 0.5]))
@@ -151,6 +172,13 @@ class TestMeanTerminationRate:
             mean_termination_rate(s, pi, law)
 
 
+def share_at_most(law, u, a):
+    """Share of node u's recorded visits with age at most ``a``, read off the
+    termination plug-in of a two-node policy that terminates every such visit."""
+    s = PolicySpec(2, a_long=2.0**41, a_short=a, q_fork=0.0, q_term=np.eye(2)[u])
+    return mean_termination_rate(s, StationaryDistribution(np.array([0.5, 0.5])), law) / 0.5
+
+
 class TestAgeLaw:
     def test_weighted_record_equals_repeated_visits(self):
         weighted, repeated = AgeLaw(3, age_cap=4), AgeLaw(3, age_cap=4)
@@ -165,12 +193,12 @@ class TestAgeLaw:
     def test_threshold_beyond_cap_answered_from_largest_age(self):
         law = AgeLaw(2, age_cap=8)
         law.record(np.array([0, 0, 1]), np.array([3, 5, 20]))
-        assert law.prob_age_at_most(0, 2.0**40 - 1) == 1.0
-        assert law.prob_age_at_most(0, 5) == 1.0
-        assert law.prob_age_at_most(0, 4) == 0.5
-        assert law.prob_age_at_most(1, 20) == 1.0
+        assert share_at_most(law, 0, 2.0**40 - 1) == 1.0
+        assert share_at_most(law, 0, 5) == 1.0
+        assert share_at_most(law, 0, 4) == 0.5
+        assert share_at_most(law, 1, 20) == 1.0
         with pytest.raises(InsufficientDataError, match="cap"):
-            law.prob_age_at_most(1, 12)
+            share_at_most(law, 1, 12)
 
     def test_merge_adds_counts_and_keeps_largest_age(self):
         a, b = AgeLaw(2, age_cap=4), AgeLaw(2, age_cap=4)

@@ -12,8 +12,7 @@ from srrw.graphs import (
     path_graph,
     star_graph,
 )
-from srrw.policy import PolicySpec, RegimePolicy
-from srrw.return_time import AgeClock
+from srrw.policy import AgeLaw, PolicySpec, RegimePolicy
 from srrw.population import (
     BlockPlan,
     PopulationState,
@@ -81,11 +80,18 @@ class TestTrapProfile:
             TrapProfile(np.array([0.5, 1.5]))
 
 
+def at_time(time, counts, last_visit=None):
+    """A population state at ``time`` (never-visited clocks when ``last_visit`` is omitted)."""
+    n = len(counts)
+    last_visit = np.zeros(n, dtype=np.int64) if last_visit is None else np.asarray(last_visit)
+    return PopulationState(time, np.asarray(counts), last_visit)
+
+
 class TestStep:
     def test_single_token_certain_trap(self):
         rng = np.random.default_rng(0)
         state = PopulationState.initial(K4, 1, "pi", rng)
-        nxt, counts = step(state, K4, TrapProfile.uniform(4, 1.0), passive(4), rng)
+        nxt, counts = step(state, StepRows(K4, TrapProfile.uniform(4, 1.0)), passive(4), rng)
         assert nxt.alive == 0 and counts.trap_deletions == 1
         assert nxt.time == 1
 
@@ -93,18 +99,18 @@ class TestStep:
         rng = np.random.default_rng(1)
         spec = PolicySpec.uniform(4, a_long=0.0, q_fork=1.0)
         state = PopulationState.initial(K4, 3, "pi", rng)
-        nxt, counts = step(state, K4, TrapProfile.none(4), spec, rng)
+        nxt, counts = step(state, StepRows(K4, TrapProfile.none(4)), spec, rng)
         assert nxt.alive == 6 and counts.forks == 3
 
     def test_conservation_per_step(self):
         rng = np.random.default_rng(2)
         spec = PolicySpec.uniform(4, a_long=2.0, q_fork=0.4, a_short=1.0, q_term=0.2)
-        traps = TrapProfile.uniform(4, 0.1)
+        rows = StepRows(K4, TrapProfile.uniform(4, 0.1))
         state = PopulationState.initial(K4, 40, "pi", rng)
         for _ in range(200):
             if state.alive == 0:
                 break
-            nxt, counts = step(state, K4, traps, spec, rng)
+            nxt, counts = step(state, rows, spec, rng)
             assert nxt.alive == state.alive + counts.net
             state = nxt
 
@@ -112,18 +118,33 @@ class TestStep:
         rng = np.random.default_rng(3)
         state = PopulationState.initial(K4, 5, "pi", rng)
         counts_before = state.counts.copy()
-        visits_before = state.clock.last_visit.copy()
-        step(state, K4, TrapProfile.none(4), passive(4), rng)
+        visits_before = state.last_visit.copy()
+        step(state, StepRows(K4, TrapProfile.none(4)), passive(4), rng)
         assert np.array_equal(state.counts, counts_before)
-        assert np.array_equal(state.clock.last_visit, visits_before)
+        assert np.array_equal(state.last_visit, visits_before)
         assert state.time == 0
 
     def test_clock_updates_visited_nodes_only(self):
         rng = np.random.default_rng(4)
-        state = PopulationState(0, np.array([0, 0, 2, 0]), AgeClock(4))
-        nxt, _ = step(state, K4, TrapProfile.none(4), passive(4), rng)
-        assert nxt.clock.last_visit[2] == 1
-        assert all(nxt.clock.last_visit[u] == 0 for u in (0, 1, 3))
+        state = at_time(0, [0, 0, 2, 0])
+        nxt, _ = step(state, StepRows(K4, TrapProfile.none(4)), passive(4), rng)
+        assert nxt.last_visit[2] == 1
+        assert all(nxt.last_visit[u] == 0 for u in (0, 1, 3))
+
+    @staticmethod
+    def visit_age(state):
+        """The age the one occupied node of ``state`` is visited at in the next step."""
+        law = AgeLaw(4)
+        step(state, StepRows(K4, TrapProfile.none(4)), passive(4), np.random.default_rng(5),
+             age_law=law)
+        assert law.counts.sum() == state.alive
+        return int(np.flatnonzero(law.counts[state.counts > 0][0])[0])
+
+    def test_never_visited_age_is_elapsed_time(self):
+        assert self.visit_age(at_time(6, [0, 1, 0, 0])) == 7
+
+    def test_revisit_age(self):
+        assert self.visit_age(at_time(9, [0, 0, 1, 0], [0, 0, 3, 0])) == 7
 
 
 class TestEngine:
@@ -220,7 +241,7 @@ class TestEngine:
         trace = run_population(K4, spec, TrapProfile.none(4), z0=5, horizon=200,
                                rng_seed=16, collect_age_law=True, age_law_burn_in=50)
         assert trace.age_law is not None
-        assert trace.age_law.counts.sum() == trace.eligible_visits == 5 * 150
+        assert trace.age_law.counts.sum() == 5 * 150
 
     def test_csv_roundtrip(self, tmp_path):
         spec = PolicySpec.uniform(4, a_long=2.0, q_fork=0.2)
@@ -289,10 +310,10 @@ def one_step_counts(kernel, traps, spec, node, tokens, reps, seed, order="trap_f
     rows = StepRows(kernel, traps, order)
     counts = np.zeros(kernel.node_count, dtype=np.int64)
     counts[node] = tokens
-    start = PopulationState(0, counts, AgeClock(kernel.node_count))
+    start = at_time(0, counts)
     out = []
     for _ in range(reps):
-        nxt, c = step(start, kernel, traps, spec, rng, order=order, rows=rows)
+        nxt, c = step(start, rows, spec, rng)
         assert nxt.alive == tokens + c.net
         out.append((nxt.counts, c.forks, c.trap_deletions, c.terminations))
     return out

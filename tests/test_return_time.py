@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from srrw.errors import InsufficientDataError, StepCapError, TimeMonotonicityError
+from srrw.errors import InsufficientDataError, StepCapError
 from srrw.graphs import complete_graph, erdos_renyi_graph, lazy_kernel, path_graph
 from srrw.return_time import (
-    AgeClock,
     ReturnTimeSample,
     empirical_tail,
     sample_return_times,
     tail_curve,
     tails_to_csv,
-    update_age,
 )
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
@@ -99,24 +97,3 @@ class TestTails:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1" and float(first[2]) == 1.0
 
-
-class TestAgeClock:
-    def test_never_visited_age_is_elapsed_time(self):
-        clock = AgeClock(3)
-        assert update_age(clock, 1, 7) == 7
-
-    def test_revisit_age(self):
-        clock = AgeClock(3)
-        update_age(clock, 2, 3)
-        assert update_age(clock, 2, 10) == 7
-
-    def test_same_step_revisit_is_zero(self):
-        clock = AgeClock(3)
-        update_age(clock, 0, 4)
-        assert update_age(clock, 0, 4) == 0
-
-    def test_time_regression_rejected(self):
-        clock = AgeClock(3)
-        update_age(clock, 0, 5)
-        with pytest.raises(TimeMonotonicityError):
-            update_age(clock, 1, 4)

@@ -64,13 +64,13 @@ def token_step(pos, last_visit, t, kernel, zeta, spec, rng, order, law):
 
 
 def run_tokens(kernel, policy, traps, z0, horizon, rng_seed, order="trap_first",
-               z_cap=10**6, collect_age_law=False, age_law_cap=256):
+               z_cap=10**6, collect_age_law=False):
     """Token-level counterpart of ``run_population`` (initial placement from pi)."""
     rng = np.random.default_rng(rng_seed)
     n = kernel.node_count
     pos = rng.choice(n, size=z0, p=kernel.pi.probs)
     last_visit = np.zeros(n, dtype=np.int64)
-    law = AgeLaw(n, age_law_cap) if collect_age_law else None
+    law = AgeLaw(n) if collect_age_law else None
     regime_policy = policy if isinstance(policy, RegimePolicy) else None
     regime = regime_policy.initial_regime(z0) if regime_policy else None
     hist = [(z0, 0, 0, 0)]
