@@ -305,13 +305,69 @@ class NeighbourTable:
         return self.nbr.take(pos * self.width + k)
 
 
+class ForkTable:
+    """Multinomial rows sending a fork's two tokens to distinct neighbours of a walk.
+
+    Built from the walk's ``NeighbourTable``. Columns run in reversed slot
+    order, so each row's last column is slot 0, a real neighbour: numpy's
+    multinomial gives any rounding remainder to the last column.
+
+    - ``first[u]``: the first target a of a pair leaving u, with probability
+      ``p_a (1 - p_a) / (1 - sum p^2)`` (the single edge at degree 1).
+    - ``second[e]``: the second target b of the pair whose first target is
+      the directed edge e = u -> a, with probability ``p_b / (1 - p_a)`` over
+      b != a (the single edge again at degree 1). When a is slot 0, slot 1
+      trades places with it so that the last column stays a real neighbour.
+      Edges are numbered node by node in slot order, so the edge of u's
+      column c is ``edge_end[u] - c``. 2|E| rows of the table width:
+      ``16 |E| x width`` bytes.
+    - ``dest``: the node of every column; row u for the rows of ``first``,
+      row ``edge_dest[e]`` for those of ``second`` (past row n, a traded row
+      when the first target is slot 0).
+
+    Together the two stages draw the law of two independent neighbour draws
+    conditioned to differ.
+    """
+
+    def __init__(self, table: NeighbourTable):
+        n, width = table.nbr.shape
+        prob = table.prob[:, ::-1]
+        single = table.support == 1
+        first = prob * (1.0 - prob)
+        with np.errstate(invalid="ignore"):
+            first /= first.sum(axis=1, keepdims=True)
+        first[single] = prob[single]
+        edge_node, slot = np.nonzero(np.arange(width) < table.support[:, None])
+        col = width - 1 - slot
+        # the first target's column is cleared (kept at degree 1); a slot-0
+        # first target trades places with slot 1
+        second = prob[edge_node]
+        second[np.arange(edge_node.size), col] = single[edge_node].astype(float)
+        traded = (col == width - 1) & ~single[edge_node]
+        second[traded, -2:] = second[traded, :-3:-1]
+        second /= second.sum(axis=1, keepdims=True)
+        nbr = table.nbr[:, ::-1]
+        dest = np.vstack([nbr, nbr[~single]])
+        dest[n:, -2:] = dest[n:, :-3:-1]
+        # rows n, n + 1, ... of ``dest`` are the traded rows of the nodes of degree above 1
+        traded_row = n + np.cumsum(~single) - 1
+        self.first = first
+        self.second = second
+        self.dest = dest
+        self.edge_end = np.cumsum(table.support) - table.support + width - 1
+        self.edge_dest = np.where(traded, traded_row[edge_node], edge_node)
+        for arr in (first, second, dest, self.edge_end, self.edge_dest):
+            arr.setflags(write=False)
+
+
 class TransitionKernel:
     """Lazy walk kernel: ``laziness * I + (1 - laziness) * base``.
 
     The base matrix has zero diagonal; the lazy kernel's diagonal equals
     the laziness exactly and the stationary law is shared with the base.
-    Walk steps are drawn from the neighbour tables, and mixing times read
-    from the mixing profiles; both are built on first use.
+    Walk steps are drawn from the neighbour tables, fork targets from the
+    fork table, and mixing times read from the mixing profiles; all are built
+    on first use.
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -331,6 +387,7 @@ class TransitionKernel:
         self._base_cum = None
         self._table = None
         self._base_table = None
+        self._fork_table = None
         self._profiles = {}
 
     @property
@@ -366,6 +423,12 @@ class TransitionKernel:
         if self._base_table is None:
             self._base_table = NeighbourTable(self.base, self.base_cumulative_rows())
         return self._base_table
+
+    def fork_table(self) -> ForkTable:
+        """Fork-dispatch rows of the non-lazy base walk."""
+        if self._fork_table is None:
+            self._fork_table = ForkTable(self.base_neighbour_table())
+        return self._fork_table
 
     def t_mix(self, eps: float) -> int:
         """Mixing time t_mix(eps), read from the profile computed down to ``eps``."""

@@ -74,7 +74,10 @@ class PolicySpec:
         ages = np.asarray(ages)
         if ages.size and ages.min() < 0:  # min() is cheaper than any() on small arrays
             raise ParameterError(f"ages must be nonnegative, got {ages.min()}")
-        return np.where(ages >= self.a_long[nodes], FORK, PASS - (ages <= self.a_short[nodes]))
+        below_long = ages < self.a_long.take(nodes)
+        # FORK = 0, TERM = 1, PASS = 2: one for being below the long trigger,
+        # one more for being above the short one as well
+        return np.add(below_long, below_long > (ages <= self.a_short.take(nodes)), dtype=np.intp)
 
 
 @dataclass
@@ -139,10 +142,36 @@ class AgeLaw:
         if weights is None:
             weights = np.ones_like(nodes)
         np.add.at(self.counts, (nodes, np.minimum(ages, self.age_cap + 1)), weights)
-        over = ages > self.age_cap
-        if over.any():
-            over &= weights > 0
+        if ages.size and ages.max() > self.age_cap:
+            over = (ages > self.age_cap) & (weights > 0)
             np.maximum.at(self.max_over_cap, nodes[over], ages[over])
+
+    def header_lines(self) -> list[str]:
+        """The law as ``key=value`` lines: the cap, the overflow maxima and one
+        line per visited node listing ``age:count`` for its nonzero buckets
+        (the overflow bucket as age cap + 1)."""
+        lines = [f"age_law_cap={self.age_cap}",
+                 "age_law_max_over_cap=" + " ".join(map(str, self.max_over_cap.tolist()))]
+        for u in np.flatnonzero(self.counts.any(axis=1)):
+            ages = np.flatnonzero(self.counts[u])
+            cells = " ".join(f"{a}:{c}" for a, c in zip(ages.tolist(), self.counts[u, ages].tolist()))
+            lines.append(f"age_law_node_{u}={cells}")
+        return lines
+
+    @staticmethod
+    def from_header(meta: dict) -> "AgeLaw | None":
+        """The law written by ``header_lines``, read from its key-value pairs;
+        None when they hold no law."""
+        if "age_law_cap" not in meta:
+            return None
+        over = np.array(meta["age_law_max_over_cap"].split(), dtype=np.int64)
+        law = AgeLaw(over.size, int(meta["age_law_cap"]))
+        law.max_over_cap[:] = over
+        for key, value in meta.items():
+            if key.startswith("age_law_node_"):
+                cells = np.array([c.split(":") for c in value.split()], dtype=np.int64)
+                law.counts[int(key[len("age_law_node_"):]), cells[:, 0]] = cells[:, 1]
+        return law
 
     def merge(self, other: "AgeLaw") -> None:
         """Add another law's visits over the same nodes and cap into this one."""

@@ -23,8 +23,14 @@ kernel, trap profile and event order:
   probability ``p_b / (1 - p_a)``: the law of two independent draws
   conditioned to differ. A trapped parent's copy takes the same marginal.
 
-A step costs O(occupied nodes x row width) whatever the population size;
-the row width is the largest degree + 1, so hub graphs pay O(n) per row.
+A step makes at most three ``Generator.multinomial`` calls: one over the
+occupied nodes' rows, and for forks one over their first targets and one
+over their second targets. Second-target rows depend only on the kernel, so
+its ``fork_table`` holds one per directed edge u -> a, built on first use:
+8 x 2|E| x width bytes (10.7 kB on ER(30, 0.15), 1.8 MB on ER(1000, 0.01),
+64 MB on star(2000)). A step costs O(occupied nodes x row width) whatever
+the population size; the row width is the largest degree + 1, so hub graphs
+pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import StationaryDistribution, TransitionKernel
+from .graphs import ForkTable, StationaryDistribution, TransitionKernel
 from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
@@ -46,10 +52,6 @@ DEFAULT_POPULATION_CAP = 10**6
 # the event columns leading every node row
 _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
 _EVENTS = 3
-# a step's tallies: node counts, then trapped, acted-then-trapped and acted
-# by age region (policy.FORK, TERM, PASS); an acted token forks in the fork
-# region and terminates in the term region (the pass region never acts)
-_TALLIES = _ACTED + 3
 
 
 @dataclass
@@ -145,6 +147,8 @@ class PopulationTrace:
         lines.append(f"# capped={int(self.capped)}")
         lines.append(f"# extinct={int(self.extinct)}")
         lines.append(f"# horizon_requested={self.horizon_requested}")
+        if self.age_law is not None:
+            lines += [f"# {line}" for line in self.age_law.header_lines()]
         lines.append("t,Z,forks,trap_dels,terms")
         for t in range(len(self.z)):
             lines.append(f"{t},{self.z[t]},{self.forks[t]},{self.trap_dels[t]},{self.terms[t]}")
@@ -155,7 +159,8 @@ class PopulationTrace:
     def from_csv(path) -> "PopulationTrace":
         """Read a trace written by ``to_csv``; files without the flag lines
         get ``capped=False``, extinction from the last count and the recorded
-        length as the requested horizon. The age law is not stored."""
+        length as the requested horizon, and files without age-law lines no
+        age law."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -174,6 +179,7 @@ class PopulationTrace:
             extinct=bool(int(meta["extinct"])) if "extinct" in meta else bool(arr[-1, 1] == 0),
             capped=bool(int(meta.get("capped", 0))),
             horizon_requested=int(meta.get("horizon_requested", len(rows) - 1)),
+            age_law=AgeLaw.from_header(meta),
         )
 
 
@@ -199,11 +205,11 @@ def _initial_counts(kernel: TransitionKernel, z0: int, placement, rng) -> np.nda
 class StepRows:
     """Probability rows of the count engine for one kernel, trap profile and order.
 
-    The one holder of a run's kernel, traps and event order. Columns run in
-    reversed slot order, so each row's last column is slot 0, a real
+    The one holder of a run's kernel, traps and event order. Node-row columns
+    run in reversed slot order, so each row's last column is slot 0, a real
     neighbour: numpy's multinomial gives any rounding remainder to the last
     column. Node rows are built per policy spec on first use and reused for
-    the whole run.
+    the whole run; fork rows are the kernel's ``fork_table``.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -212,31 +218,19 @@ class StepRows:
         if len(traps.zeta) != kernel.node_count:
             raise ParameterError("trap profile does not match the graph")
         lazy = kernel.neighbour_table()
-        base = kernel.base_neighbour_table()
-        n, width = base.nbr.shape
         self.order = order
         self.zeta = traps.zeta
-        self.node_count = n
+        self.node_count = kernel.node_count
         self.motion = lazy.prob[:, ::-1]
-        # where each node-row column's tokens are tallied: event columns past
-        # the node counts, move columns at their destination node
-        self.codes = np.hstack([np.broadcast_to(n + np.arange(_EVENTS), (n, _EVENTS)),
-                                lazy.nbr[:, ::-1]])
-        self.base = base.prob[:, ::-1].copy()
-        self.base_dest = base.nbr[:, ::-1].copy()
-        single = base.support == 1
-        first = self.base * (1.0 - self.base)
-        with np.errstate(invalid="ignore"):
-            first /= first.sum(axis=1, keepdims=True)
-        first[single] = self.base[single]
-        self.first = first
-        # column of slot 0 at nodes where the second target must avoid it
-        self.slot0_col = np.where(single, -1, width - 1)
-        self.keep_first = single.astype(float)
+        # the node each node-row column's tokens land on; tokens that leave
+        # (trapped or acted) land in the extra node n
+        self.landing = np.hstack([np.full((self.node_count, _EVENTS), self.node_count),
+                                  lazy.nbr[:, ::-1]])
+        self.forks = kernel.fork_table()
         self._nodes = {}
 
     def node_rows(self, spec: PolicySpec) -> np.ndarray:
-        """(region, node, column) probabilities: trapped, acted then trapped, acted, moves."""
+        """Row ``region * n + node``: trapped, acted then trapped, acted, moves."""
         key = id(spec)
         if key not in self._nodes:
             zeta = self.zeta[None, :]
@@ -255,39 +249,33 @@ class StepRows:
                 rows[:, :, _ACTED] = q * (1.0 - zeta)
                 rows[TERM, :, _ACTED] = spec.q_term
             rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
-            self._nodes[key] = (spec, rows)
+            self._nodes[key] = (spec, rows.reshape(3 * self.node_count, -1))
         return self._nodes[key][1]
 
 
-def _dispatch_forks(rows: StepRows, nodes: np.ndarray, pairs: np.ndarray,
-                    lone: np.ndarray, rng) -> list[np.ndarray]:
+def _dispatch_forks(table: ForkTable, nodes: np.ndarray, pairs: np.ndarray,
+                    lone: np.ndarray | None, rng) -> tuple[np.ndarray, ...]:
     """Landing nodes and token counts of fork parents and copies after one step.
 
     ``pairs[i]`` parent-and-copy pairs and ``lone[i]`` copies of trapped
-    parents leave ``nodes[i]``. Each pair lands on two distinct neighbours
-    (the single edge twice at degree 1); a lone copy lands on a pair's first
-    target, which has the same law as its second. Returns destination and
-    count arrays of equal shape, first targets then second targets.
+    parents (``None`` when there are none) leave ``nodes[i]``. Each pair
+    lands on two distinct neighbours (the single edge twice at degree 1); a
+    lone copy lands on a pair's first target, which has the same law as its
+    second. Returns flat destination and count arrays: first targets, then
+    second targets.
     """
     m = nodes.size
-    if lone.any():
-        nodes = np.concatenate([nodes, nodes])
-        pairs = np.concatenate([pairs, lone])
-    first = rng.multinomial(pairs, rows.first[nodes])
-    i, a = np.nonzero(first[:m])
-    u = nodes[i]
-    # second target: the first's column is cleared (kept at degree 1); when
-    # the first is slot 0, slot 1 trades places with it so that the last
-    # column stays a real neighbour other than the first
-    cond = rows.base[u]
-    cond[np.arange(u.size), a] = rows.keep_first[u]
-    dest = rows.base_dest[u]
-    trade = np.flatnonzero(a == rows.slot0_col[u])
-    cond[trade, -2:] = cond[trade, :-3:-1]
-    dest[trade, -2:] = dest[trade, :-3:-1]
-    cond /= cond.sum(axis=1, keepdims=True)
-    second = rng.multinomial(first[i, a], cond)
-    return [rows.base_dest[nodes], first, dest, second]
+    if lone is not None:
+        nodes = np.concatenate((nodes, nodes))
+        pairs = np.concatenate((pairs, lone))
+    first = rng.multinomial(pairs, table.first.take(nodes, axis=0))
+    # every first target of a pair, as a flat index into ``first``
+    hit = first[:m].ravel().nonzero()[0]
+    i, a = np.divmod(hit, first.shape[1])
+    edge = table.edge_end.take(nodes.take(i)) - a
+    second = rng.multinomial(first.take(hit), table.second.take(edge, axis=0))
+    return (table.dest.take(nodes, axis=0).ravel(), first.ravel(),
+            table.dest.take(table.edge_dest.take(edge), axis=0).ravel(), second.ravel())
 
 
 @dataclass
@@ -316,7 +304,7 @@ class PopulationState:
 
     @property
     def alive(self) -> int:
-        return int(self.counts.sum())
+        return int(np.add.reduce(self.counts))
 
     @staticmethod
     def initial(kernel: TransitionKernel, z0: int, placement, rng) -> "PopulationState":
@@ -338,36 +326,41 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     """
     t = state.time + 1
     n = rows.node_count
-    occ = np.flatnonzero(state.counts)
-    tokens = state.counts[occ]
-    ages = t - state.last_visit[occ]
+    occ = state.counts.nonzero()[0]
+    tokens = state.counts.take(occ)
+    ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages)
-    draws = rng.multinomial(tokens, rows.node_rows(spec)[region, occ])
-    acted, acted_trapped = draws[:, _ACTED], draws[:, _ACTED_TRAPPED]
+    draws = rng.multinomial(tokens, rows.node_rows(spec).take(region * n + occ, axis=0))
 
     if age_law is not None:
         # trap_first: trapped tokens never reach the policy stage
         trap_first = rows.order == "trap_first"
         age_law.record(occ, ages, tokens - draws[:, _TRAPPED] if trap_first else tokens)
 
-    codes = rows.codes[occ]
-    codes[:, _ACTED] += region
-    landing = [codes, draws]
-    f = np.flatnonzero(acted * (region == FORK) + acted_trapped)
+    # acted tokens fork in the fork region and terminate in the term region
+    # (the pass region never acts); acted-then-trapped tokens are fork
+    # parents whose copy still leaves
+    trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
+    pairs = draws[:, _ACTED] * (region == FORK)
+    dest = [rows.landing.take(occ, axis=0).ravel()]
+    moved = [draws.ravel()]
+    n_pairs = 0
+    f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
     if f.size:
-        landing += _dispatch_forks(rows, occ[f], acted[f], acted_trapped[f], rng)
-    tally = np.bincount(np.concatenate([x.ravel() for x in landing[0::2]]),
-                        weights=np.concatenate([x.ravel() for x in landing[1::2]]),
-                        minlength=n + _TALLIES).astype(np.int64)
-    acted_trapped_total = int(tally[n + _ACTED_TRAPPED])
-    n_fork = int(tally[n + _ACTED + FORK]) + acted_trapped_total
-    n_term = int(tally[n + _ACTED + TERM])
-    n_del = int(tally[n + _TRAPPED]) + acted_trapped_total
+        pairs = pairs.take(f)
+        n_pairs = int(np.add.reduce(pairs))
+        lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
+        forked = _dispatch_forks(rows.forks, occ.take(f), pairs, lone, rng)
+        dest += forked[0::2]
+        moved += forked[1::2]
+    counts = np.bincount(np.concatenate(dest), weights=np.concatenate(moved),
+                         minlength=n + 1)[:n].astype(np.int64)
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()
     last_visit[occ] = t
-    return PopulationState(t, tally[:n], last_visit), StepCounts(n_fork, n_del, n_term)
+    return (PopulationState(t, counts, last_visit),
+            StepCounts(n_pairs + acted_trapped, trapped + acted_trapped, acted - n_pairs))
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,

@@ -48,30 +48,27 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
     """Sample first-return times to ``u`` for the given lazy kernel.
 
     The walk restarts at ``u`` for each sample. Deterministic given the seed.
+    Samples are drawn in batches of walkers stepped together; only the walkers
+    that have not returned yet are kept, with their sample indices.
     """
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
     table = kernel.neighbour_table()
     out = np.empty(n_samples, dtype=np.int64)
-    filled = 0
-    while filled < n_samples:
-        m = min(_BATCH, n_samples - filled)
-        pos = np.full(m, u, dtype=np.int64)
-        times = np.zeros(m, dtype=np.int64)
-        active = np.arange(m)
+    for filled in range(0, n_samples, _BATCH):
+        active = np.arange(filled, min(filled + _BATCH, n_samples))
+        pos = np.full(active.size, u, dtype=np.int64)
         step = 0
         while active.size:
             step += 1
             if step > max_steps:
                 raise StepCapError(f"no return to {u} within {max_steps} steps")
-            nxt = table.sample(pos[active], rng)
-            pos[active] = nxt
-            hit = nxt == u
-            times[active[hit]] = step
-            active = active[~hit]
-        out[filled:filled + m] = times
-        filled += m
+            pos = table.sample(pos, rng)
+            away = pos != u
+            out[active[~away]] = step
+            active = active[away]
+            pos = pos[away]
     return ReturnTimeSample(u, out, seed=rng_seed)
 
 

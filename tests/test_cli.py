@@ -334,32 +334,40 @@ class TestCheck:
         assert feas["k_term_plugin"] == pytest.approx(0.10)
 
     def test_check_on_traces_of_capped_run_matches_check(self, tmp_path):
-        # the high regime keeps forking, so both replicas run into the cap
-        cfg = write_config(
-            tmp_path,
-            traps={"nodes": "all", "zeta": 0.05},
-            policy={"regime": {
-                "Z_low": 10, "Z_high": 60,
-                "low": {"A_l": 1, "q_fork": 0.3},
-                "high": {"A_l": 1, "q_fork": 0.3},
-            }},
-            simulation={"Z_0": 30, "horizon": 2000, "replicas": 2, "seed": 3, "Z_cap": 400},
-            corridor={"Z_low": 10, "Z_high": 60},
-        )
-        sim_out, check_out, reuse_out = tmp_path / "sim", tmp_path / "check", tmp_path / "reuse"
-        assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
-        sim_run = only_run_dir(sim_out)
-        summary = json.load(open(os.path.join(sim_run, "summary.json")))
-        assert summary["cap_fraction"] == 1.0
-        assert main(["check", "--config", str(cfg), "--out", str(check_out)]) == 0
-        assert main(["check", "--config", str(cfg), "--out", str(reuse_out),
-                     "--traces", sim_run]) == 0
-        fresh, reused = only_run_dir(check_out), only_run_dir(reuse_out)
-        corridor = json.load(open(os.path.join(fresh, "corridor.json")))["corridor"]
-        assert corridor["per_replica"]
-        for name in ("feasibility.json", "corridor.json", "excursions.csv"):
-            assert open(os.path.join(reused, name), "rb").read() == \
-                open(os.path.join(fresh, name), "rb").read()
+        # the high regime keeps forking, so both replicas run into the cap; with
+        # the age law collected the traces carry it, so the termination plug-in
+        # read back from them matches too
+        for collect in (False, True):
+            cfg = write_config(
+                tmp_path,
+                name=f"cfg_{collect}.json",
+                traps={"nodes": "all", "zeta": 0.05},
+                policy={"regime": {
+                    "Z_low": 10, "Z_high": 60,
+                    "low": {"A_l": 1, "q_fork": 0.3},
+                    "high": {"A_l": 1, "q_fork": 0.3},
+                }},
+                simulation={"Z_0": 30, "horizon": 2000, "replicas": 2, "seed": 3, "Z_cap": 400,
+                            "collect_age_law": collect},
+                corridor={"Z_low": 10, "Z_high": 60},
+            )
+            sim_out, check_out, reuse_out = (tmp_path / f"{kind}_{collect}"
+                                             for kind in ("sim", "check", "reuse"))
+            assert main(["simulate", "--config", str(cfg), "--out", str(sim_out)]) == 0
+            sim_run = only_run_dir(sim_out)
+            summary = json.load(open(os.path.join(sim_run, "summary.json")))
+            assert summary["cap_fraction"] == 1.0
+            assert main(["check", "--config", str(cfg), "--out", str(check_out)]) == 0
+            assert main(["check", "--config", str(cfg), "--out", str(reuse_out),
+                         "--traces", sim_run]) == 0
+            fresh, reused = only_run_dir(check_out), only_run_dir(reuse_out)
+            corridor = json.load(open(os.path.join(fresh, "corridor.json")))["corridor"]
+            assert corridor["per_replica"]
+            plugin = json.load(open(os.path.join(fresh, "feasibility.json")))["feasibility"]
+            assert (plugin["k_term_plugin"] is not None) == collect
+            for name in ("feasibility.json", "corridor.json", "excursions.csv"):
+                assert open(os.path.join(reused, name), "rb").read() == \
+                    open(os.path.join(fresh, name), "rb").read()
 
     def test_traces_of_another_config_rejected(self, tmp_path, capsys):
         cfg = self.check_config(tmp_path)

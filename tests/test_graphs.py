@@ -212,3 +212,73 @@ class TestGenerators:
     def test_er_bad_p(self):
         with pytest.raises(ParameterError):
             erdos_renyi_graph(10, 0.0, seed=1)
+
+
+FORK_GRAPHS = {
+    "K4": lambda: complete_graph(4),
+    "K2": lambda: complete_graph(2),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
+    "star9": lambda: star_graph(9),
+    "path6": lambda: path_graph(6),
+    "weighted": lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                                    [1.0, 2.5, 0.3, 7.0, 0.01]),
+}
+
+
+class TestForkTable:
+    """Second-target rows, one per directed edge u -> a of the base walk."""
+
+    def edges(self, k):
+        """(u, column of a, a, edge row) for every directed edge."""
+        table = k.fork_table()
+        dest = table.dest
+        width = dest.shape[1]
+        for u in range(k.node_count):
+            for c in range(width - k.base_neighbour_table().support[u], width):
+                yield u, c, int(dest[u, c]), int(table.edge_end[u] - c)
+
+    @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
+    def test_shape_is_directed_edges_by_width(self, name):
+        g = FORK_GRAPHS[name]()
+        k = lazy_kernel(g, 0.5)
+        table = k.fork_table()
+        assert table.second.shape == (2 * g.edge_count, k.base_neighbour_table().width)
+        assert sorted(e for *_, e in self.edges(k)) == list(range(2 * g.edge_count))
+        assert k.fork_table() is table
+
+    @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
+    def test_rows(self, name):
+        k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
+        table = k.fork_table()
+        degree = k.base_neighbour_table().support
+        for u, c, a, e in self.edges(k):
+            row, dest = table.second[e], table.dest[table.edge_dest[e]]
+            assert k.base[u, a] > 0
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            # the last column carries mass and is a real neighbour
+            assert row[-1] > 0 and k.base[u, dest[-1]] > 0
+            if degree[u] == 1:
+                assert row[-1] == 1.0 and dest[-1] == a
+                continue
+            assert row[dest == a].sum() == 0.0 and dest[-1] != a
+            for b in np.flatnonzero(k.base[u]):
+                assert row[(dest == b) & (row > 0)].sum() == pytest.approx(
+                    0.0 if b == a else k.base[u, b] / (1.0 - k.base[u, a]), rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
+    def test_two_stages_give_distinct_pair_law(self, name):
+        k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
+        table = k.fork_table()
+        for u in range(k.node_count):
+            p = k.base[u]
+            pair = np.zeros((k.node_count, k.node_count))
+            for c in np.flatnonzero(table.first[u]):
+                e = table.edge_end[u] - c
+                np.add.at(pair[table.dest[u, c]], table.dest[table.edge_dest[e]],
+                          table.first[u, c] * table.second[e])
+            if np.count_nonzero(p) == 1:
+                expected = np.outer(p, p)
+            else:
+                expected = np.outer(p, p) / (1.0 - np.sum(p**2))
+                np.fill_diagonal(expected, 0.0)
+            assert np.abs(pair - expected).max() <= 1e-12

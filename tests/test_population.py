@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import srrw.population
 from srrw.errors import InsufficientDataError, ParameterError
 from srrw.graphs import (
     Graph,
@@ -26,6 +27,7 @@ from srrw.population import (
     run_population,
     step,
 )
+import step_v020
 from token_engine import run_tokens
 
 K4 = lazy_kernel(complete_graph(4), 0.5)
@@ -473,6 +475,70 @@ class TestAgainstTokenEngine:
                                                  [age_hist(tr) for tr in runs["token"]])
         assert sum(int(tr.forks.sum()) for tr in runs["count"]) > 0
         assert min(p_values.values()) > 1e-3, p_values
+
+
+def identity_policy(kind, n):
+    if kind == "spec":
+        # even nodes fork at every visit; odd nodes terminate at age 1 and fork from age 3
+        even = np.arange(n) % 2 == 0
+        return PolicySpec(n, a_long=np.where(even, 1.0, 3.0), a_short=np.where(even, 0.0, 1.0),
+                          q_fork=0.25, q_term=0.3)
+    if kind == "sparse":
+        # two tokens that fork only after long absences: ages beyond the age-law cap
+        return PolicySpec.uniform(n, a_long=200.0, q_fork=0.5)
+    return RegimePolicy(PolicySpec.uniform(n, a_long=1.0, q_fork=0.3),
+                        PolicySpec.uniform(n, a_long=2.0**40, a_short=2.0**40 - 1,
+                                           q_fork=0.0, q_term=0.2), z_low=10, z_high=80)
+
+
+class TestAgainstFrozenStep:
+    """Whole runs against the 0.2.0 step in ``step_v020``: the same draws in the
+    same order, so equal traces and age laws, not merely equal in law."""
+
+    def pair(self, monkeypatch, kernel, **args):
+        """(current, frozen) runs of ``run_population`` with the same arguments."""
+        current = run_population(kernel, **args)
+        with monkeypatch.context() as m:
+            m.setattr(srrw.population, "step", step_v020.step)
+            m.setattr(srrw.population, "StepRows", step_v020.StepRows)
+            frozen = run_population(kernel, **args)
+        for column in ("z", "forks", "trap_dels", "terms"):
+            assert np.array_equal(getattr(current, column), getattr(frozen, column)), column
+        assert (current.capped, current.extinct) == (frozen.capped, frozen.extinct)
+        if current.age_law is not None:
+            assert np.array_equal(current.age_law.counts, frozen.age_law.counts)
+            assert np.array_equal(current.age_law.max_over_cap, frozen.age_law.max_over_cap)
+        return current
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("kind", ["spec", "regime"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_runs_match(self, monkeypatch, name, kind, order):
+        k = lazy_kernel(ORACLE_GRAPHS[name](), 0.5)
+        n = k.node_count
+        forks = 0
+        for seed in (0, 1):
+            trace = self.pair(monkeypatch, k, policy=identity_policy(kind, n),
+                              traps=TrapProfile.uniform(n, 0.05), z0=30, horizon=300,
+                              rng_seed=seed, z_cap=3000, order=order, collect_age_law=True,
+                              age_law_burn_in=5)
+            forks += int(trace.forks.sum())
+        assert forks > 0
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_runs_match_beyond_age_law_cap(self, monkeypatch, order):
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        trace = self.pair(monkeypatch, k, policy=identity_policy("sparse", 30),
+                          traps=TrapProfile.none(30), z0=2, horizon=1500, rng_seed=0,
+                          order=order, collect_age_law=True)
+        assert trace.age_law.max_over_cap.max() > trace.age_law.age_cap
+
+    def test_explosion_to_cap_matches(self, monkeypatch):
+        # acceptance 08's parameters: K4 forking from age 1 until the cap
+        trace = self.pair(monkeypatch, K4, policy=PolicySpec.uniform(4, a_long=1.0, q_fork=0.15),
+                          traps=TrapProfile.uniform(4, 0.02), z0=20, horizon=10_000,
+                          rng_seed=8, z_cap=100_000)
+        assert trace.capped
 
 
 class TestBlockDrift:
