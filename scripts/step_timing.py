@@ -1,10 +1,10 @@
 """Time one engine step on recorded states: median microseconds per step.
 
-Each case runs the engine once, records up to ``--states`` input states of
+Each case runs the engine once, records up to ``STATES`` input states of
 ``population.step`` spread evenly over the run, then times ``step`` on them
-in process. Calls are interleaved: every round steps each recorded state of
-every case and event order once, so the machine's fast and slow phases fall
-on all of them alike. With ``--baseline SRC`` the srrw package under SRC
+``ROUNDS`` times in process. Calls are interleaved: every round steps each
+recorded state of every case and event order once, so the machine's fast and
+slow phases fall on all of them alike. With ``--baseline SRC`` the srrw package under SRC
 (for example ``src`` of a checkout of an earlier commit) is loaded as a
 second module and its ``step`` is timed on the same states, alternating with
 this one call by call.
@@ -13,7 +13,7 @@ The cases are the explosion of acceptance criterion 08 on K4 (Z from 20 to
 the 100k cap), the corridor experiment's ER(30, 0.15) regime config with the
 age law collected, and ER(1000, 0.01) at Z of about 10k.
 
-    PYTHONPATH=src python scripts/step_timing.py [--states 300] [--rounds 5] [--baseline SRC]
+    PYTHONPATH=src python scripts/step_timing.py [--baseline SRC]
 """
 from __future__ import annotations
 
@@ -53,6 +53,8 @@ CASES = {
     },
 }
 ORDERS = ("trap_first", "policy_first")
+STATES = 300  # recorded states per case and order
+ROUNDS = 5  # timed calls per recorded state
 
 
 def load_package(src: str):
@@ -116,8 +118,6 @@ class Side:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--states", type=int, default=300, help="recorded states per case and order")
-    parser.add_argument("--rounds", type=int, default=5, help="timed calls per recorded state")
     parser.add_argument("--baseline", help="src directory of another srrw to time alongside")
     args = parser.parse_args(argv)
     baseline = load_package(args.baseline) if args.baseline else None
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     jobs = []
     for name, config in CASES.items():
         for order in ORDERS:
-            states = record_states(config, order, args.states)
+            states = record_states(config, order, STATES)
             sides = [Side(srrw, config, order)]
             if baseline is not None:
                 sides.append(Side(baseline, config, order))
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
             for spec_index in {i for _, i in states}:
                 side.time_step(states[0][0], spec_index)
             side.times.clear()
-    for _ in range(args.rounds):
+    for _ in range(ROUNDS):
         for _, _, states, sides in jobs:
             for state, spec_index in states:
                 for side in sides:

@@ -34,9 +34,9 @@ from .envelopes import (
     fit_constants,
     solve_matching_age,
 )
-from .errors import ConfigError, InsufficientDataError, SrrwError
+from .errors import ConfigError, InsufficientDataError, ParameterError, SrrwError
 from .graphs import mixing_profile
-from .policy import AgeLaw, RegimePolicy, mean_termination_rate
+from .policy import AGE_LAW_CAP, AgeLaw, RegimePolicy, mean_termination_rate
 from .population import BlockPlan, PopulationTrace, block_drift, run_population
 from .return_time import sample_return_times
 
@@ -274,11 +274,19 @@ def _load_traces(trace_dir: str, resolved: ResolvedConfig) -> list[PopulationTra
     if not names:
         raise InsufficientDataError(f"no replica_*.csv traces under {trace_dir}")
     traces = []
+    n = resolved.kernel.node_count
     for name in names:
-        tr = PopulationTrace.from_csv(os.path.join(trace_dir, name))
+        try:
+            tr = PopulationTrace.from_csv(os.path.join(trace_dir, name))
+        except ParameterError as exc:
+            raise ConfigError("traces", f"{name}: {exc}") from None
         if tr.config_hash != resolved.hash:
             raise ConfigError("traces", f"{name} was written for config {tr.config_hash}, "
                                         f"not {resolved.hash}")
+        law = tr.age_law
+        if law is not None and (law.counts.shape[0], law.age_cap) != (n, AGE_LAW_CAP):
+            raise ConfigError("traces", f"{name} holds an age law over {law.counts.shape[0]} nodes "
+                                        f"with cap {law.age_cap}, not {n} with cap {AGE_LAW_CAP}")
         tr.lambda_del = resolved.traps.absorption_pressure(resolved.kernel.pi)
         traces.append(tr)
     return traces

@@ -74,10 +74,7 @@ class PolicySpec:
         ages = np.asarray(ages)
         if ages.size and ages.min() < 0:  # min() is cheaper than any() on small arrays
             raise ParameterError(f"ages must be nonnegative, got {ages.min()}")
-        below_long = ages < self.a_long.take(nodes)
-        # FORK = 0, TERM = 1, PASS = 2: one for being below the long trigger,
-        # one more for being above the short one as well
-        return np.add(below_long, below_long > (ages <= self.a_short.take(nodes)), dtype=np.intp)
+        return np.where(ages >= self.a_long[nodes], FORK, PASS - (ages <= self.a_short[nodes]))
 
 
 @dataclass
@@ -161,16 +158,34 @@ class AgeLaw:
     @staticmethod
     def from_header(meta: dict) -> "AgeLaw | None":
         """The law written by ``header_lines``, read from its key-value pairs;
-        None when they hold no law."""
+        None when they hold no law. Raises ParameterError on lines that no
+        law writes: a non-integer, a node outside the ``max_over_cap`` list,
+        an age outside 0..cap + 1, a negative count or overflow maximum, or
+        an overflow maximum at or below the cap."""
         if "age_law_cap" not in meta:
             return None
-        over = np.array(meta["age_law_max_over_cap"].split(), dtype=np.int64)
-        law = AgeLaw(over.size, int(meta["age_law_cap"]))
+        prefix = "age_law_node_"
+        try:
+            cap = int(meta["age_law_cap"])
+            over = np.array(meta.get("age_law_max_over_cap", "").split(), dtype=np.int64)
+            nodes = {int(key[len(prefix):]): np.array([c.split(":") for c in value.split()], dtype=np.int64)
+                     for key, value in meta.items() if key.startswith(prefix)}
+        except ValueError as exc:
+            raise ParameterError(f"age law lines must hold integers: {exc}") from None
+        if cap < 0 or ((over != 0) & (over <= cap)).any():
+            raise ParameterError(f"age law cap {cap} with overflow maxima {over.tolist()}")
+        law = AgeLaw(over.size, cap)
         law.max_over_cap[:] = over
-        for key, value in meta.items():
-            if key.startswith("age_law_node_"):
-                cells = np.array([c.split(":") for c in value.split()], dtype=np.int64)
-                law.counts[int(key[len("age_law_node_"):]), cells[:, 0]] = cells[:, 1]
+        for u, cells in nodes.items():
+            if not 0 <= u < over.size:
+                raise ParameterError(f"age law node {u} outside 0..{over.size - 1}")
+            if cells.ndim != 2 or cells.shape[1] != 2:
+                raise ParameterError(f"age law node {u}: cells must read age:count")
+            ages, counts = cells.T
+            if ages.min() < 0 or ages.max() > cap + 1 or counts.min() < 0:
+                raise ParameterError(f"age law node {u}: ages must lie in 0..{cap + 1} "
+                                     f"and counts be nonnegative")
+            law.counts[u, ages] = counts
         return law
 
     def merge(self, other: "AgeLaw") -> None:

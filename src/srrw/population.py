@@ -304,7 +304,7 @@ class PopulationState:
 
     @property
     def alive(self) -> int:
-        return int(np.add.reduce(self.counts))
+        return int(self.counts.sum())
 
     @staticmethod
     def initial(kernel: TransitionKernel, z0: int, placement, rng) -> "PopulationState":

@@ -379,6 +379,31 @@ class TestCheck:
         assert code == 1
         assert "replica_000.csv" in capsys.readouterr().err
 
+    def test_traces_with_malformed_age_law_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
+                                                 "seed": 7, "collect_age_law": True})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        text = open(path).read()
+        node_line = next(line for line in text.splitlines() if line.startswith("# age_law_node_"))
+        node_key = node_line.split("=")[0]
+        over_line = next(line for line in text.splitlines()
+                         if line.startswith("# age_law_max_over_cap="))
+        edits = [(node_line, "# age_law_node_-1=1:1"),  # node before the first
+                 (node_line, "# age_law_node_4=1:1"),  # node past the last of K4
+                 (node_line, f"{node_key}=258:1"),  # age past the overflow bucket
+                 (node_line, f"{node_key}=1:-1"),  # negative count
+                 (node_line, f"{node_key}=x:1"),  # not an integer
+                 (over_line, "# age_law_max_over_cap=0 0 0 0 0")]  # five nodes, not four
+        for i, (old, new) in enumerate(edits):
+            with open(path, "w") as fh:
+                fh.write(text.replace(old, new))
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / f"check_{i}"),
+                         "--traces", sim_run])
+            assert code == 1, new
+            assert "config error: traces: replica_000.csv" in capsys.readouterr().err, new
+
     def test_single_policy_check(self, tmp_path):
         cfg = write_config(tmp_path, simulation={"Z_0": 30, "horizon": 300,
                                                  "replicas": 2, "seed": 5})
