@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (
     CorridorStats,

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_corridor_feasibility, check_feasibility, corridor_stats, lyapunov_drift
-from .config import ResolvedConfig, load_config, replica_seeds, resolve_config, resolve_on_kernel
+from .config import (SWEEP_AXES, ResolvedConfig, load_config, replica_seeds, resolve_config,
+                     resolve_on_kernel)
 from .envelopes import (
     EnvelopeModel,
     MatchingAgeInterval,
@@ -388,9 +389,6 @@ def cmd_check(resolved: ResolvedConfig, outdir: str, trace_dir: str | None = Non
         })
         _write_csv(os.path.join(outdir, "excursions.csv"),
                    "replica,excursion,return_time_blocks", payloads["excursion_rows"], meta)
-
-
-SWEEP_AXES = ("q", "A_l", "zeta_scale", "kappa")
 
 
 def _apply_sweep_point(raw: dict, point: dict) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envelopes import FIT_MIN_SAMPLES
 from .errors import ConfigError, SrrwError
 from .graphs import (
     GENERATORS,
@@ -26,7 +27,7 @@ from .policy import PolicySpec, RegimePolicy
 from .population import DEFAULT_POPULATION_CAP, TrapProfile
 
 SCHEMA_VERSION = 1
-FIT_SAMPLE_FLOOR = 1000
+SWEEP_AXES = ("q", "A_l", "zeta_scale", "kappa")
 
 AGE_CONVENTION = "zero_start"   # clocks start at 0: a never-visited node has age t
 BOUNDARY_PRIORITY = "fork"      # tie at a_short == a_long == age resolves to the fork branch
@@ -268,7 +269,7 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
     _require(isinstance(env, dict), "envelope", "expected an object")
     env_raw = {
         "mode": env.get("mode", "fit"),
-        "n_samples": _get_number(env, "n_samples", "envelope.n_samples", default=20000, lo=FIT_SAMPLE_FLOOR, integer=True),
+        "n_samples": _get_number(env, "n_samples", "envelope.n_samples", default=20000, lo=FIT_MIN_SAMPLES, integer=True),
         "delta_fit": _get_number(env, "delta_fit", "envelope.delta_fit", default=0.1, lo=0.0, hi=1.0),
         "seed": _get_number(env, "seed", "envelope.seed", default=int(sim_raw["seed"]) + 1_000_003, integer=True),
     }
@@ -296,12 +297,12 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
     if sweep is not None:
         _require(isinstance(sweep, dict), "sweep", "expected an object")
         sweep_raw = {}
-        for key in ("q", "A_l", "zeta_scale", "kappa"):
+        for key in SWEEP_AXES:
             if key in sweep:
                 vals = sweep[key]
                 _require(isinstance(vals, list) and vals, f"sweep.{key}", "expected a non-empty list")
                 sweep_raw[key] = [_convert(float, v, f"sweep.{key}") for v in vals]
-        _require(bool(sweep_raw), "sweep", "no recognized sweep axes (q, A_l, zeta_scale, kappa)")
+        _require(bool(sweep_raw), "sweep", f"no recognized sweep axes ({', '.join(SWEEP_AXES)})")
 
     graph_raw = cfg["graph"] if "generator" in cfg["graph"] or "path" in cfg["graph"] else {
         "nodes": graph.node_count,

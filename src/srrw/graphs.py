@@ -264,45 +264,44 @@ def stationary_distribution(g: Graph) -> StationaryDistribution:
 
 
 class NeighbourTable:
-    """Padded per-row neighbour lists of a row-stochastic matrix, for sampling.
+    """Padded per-row neighbour lists of a row-stochastic matrix, for moving walkers.
 
     ``nbr[u, k]`` is the k-th nonzero column of row u in column order and
-    ``cw[u, k]`` its value in the matrix's dense cumulative rows, so a draw
-    counts over the same floats as a dense inverse-CDF. Each row's last real
-    entry is pinned to 1.0 and the padding holds 2.0, which no uniform in
-    [0, 1) exceeds. Width is the largest row support (max degree + 1 for the
-    lazy kernel), so a draw costs O(width) per token instead of O(n).
-    ``support[u]`` counts row u's real entries and ``prob[u, k]`` is the
-    matrix entry of slot k (0.0 in the padding).
+    ``prob[u, k]`` its matrix entry (0.0 in the padding); ``support[u]``
+    counts row u's real entries. Width is the largest row support (max
+    degree + 1 for the lazy kernel), so moving the tokens of a node costs
+    O(width) instead of O(n).
     """
 
-    def __init__(self, weights: np.ndarray, cum: np.ndarray):
+    def __init__(self, weights: np.ndarray):
         n = weights.shape[0]
         mask = weights > 0.0
         support = mask.sum(axis=1)
-        width = int(support.max())
         rows, cols = np.nonzero(mask)
         slot = np.arange(rows.size) - np.repeat(np.cumsum(support) - support, support)
-        nbr = np.zeros((n, width), dtype=np.int64)
-        cw = np.full((n, width), 2.0)
-        prob = np.zeros((n, width))
+        nbr = np.zeros((n, int(support.max())), dtype=np.int64)
+        prob = np.zeros(nbr.shape)
         nbr[rows, slot] = cols
-        cw[rows, slot] = cum[rows, cols]
-        cw[np.arange(n), support - 1] = 1.0
         prob[rows, slot] = weights[rows, cols]
-        for arr in (nbr, cw, prob, support):
+        for arr in (nbr, prob, support):
             arr.setflags(write=False)
         self.nbr = nbr
-        self.cw = cw
         self.prob = prob
         self.support = support
-        self.width = width
 
-    def sample(self, pos: np.ndarray, rng) -> np.ndarray:
-        """One step from every position in ``pos``, one uniform per token."""
-        r = rng.random(pos.size)
-        k = np.add.reduce(self.cw.take(pos, axis=0) < r[:, None], axis=1)
-        return self.nbr.take(pos * self.width + k)
+    def move(self, counts: np.ndarray, rng) -> np.ndarray:
+        """Token counts per node after one step of the walk from ``counts``.
+
+        Walkers that never interact are independent, so the tokens at a node
+        spread over its row by one multinomial. Columns run in reversed slot
+        order, so numpy's rounding remainder lands on slot 0, a real
+        neighbour.
+        """
+        occ = counts.nonzero()[0]
+        draws = rng.multinomial(counts.take(occ), self.prob.take(occ, axis=0)[:, ::-1])
+        dest = self.nbr.take(occ, axis=0)[:, ::-1]
+        return np.bincount(dest.ravel(), weights=draws.ravel(),
+                           minlength=counts.size).astype(np.int64)
 
 
 class ForkTable:
@@ -395,7 +394,8 @@ class TransitionKernel:
         return self.graph.node_count
 
     def cumulative_rows(self) -> np.ndarray:
-        """Row-wise cumulative sums of the lazy kernel, last column pinned to 1."""
+        """Row-wise cumulative sums of the lazy kernel, last column pinned to 1;
+        walkers move by ``NeighbourTable.move``, so only perfbench and tests read them."""
         if self._cum is None:
             cum = np.cumsum(self.matrix, axis=1)
             cum[:, -1] = 1.0
@@ -413,15 +413,15 @@ class TransitionKernel:
         return self._base_cum
 
     def neighbour_table(self) -> NeighbourTable:
-        """Sampling table of the lazy kernel; its rows include the diagonal."""
+        """Neighbour table of the lazy kernel; its rows include the diagonal."""
         if self._table is None:
-            self._table = NeighbourTable(self.matrix, self.cumulative_rows())
+            self._table = NeighbourTable(self.matrix)
         return self._table
 
     def base_neighbour_table(self) -> NeighbourTable:
-        """Sampling table of the non-lazy base walk (fork dispatch)."""
+        """Neighbour table of the non-lazy base walk (fork dispatch)."""
         if self._base_table is None:
-            self._base_table = NeighbourTable(self.base, self.base_cumulative_rows())
+            self._base_table = NeighbourTable(self.base)
         return self._base_table
 
     def fork_table(self) -> ForkTable:

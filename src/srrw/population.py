@@ -160,7 +160,8 @@ class PopulationTrace:
         """Read a trace written by ``to_csv``; files without the flag lines
         get ``capped=False``, extinction from the last count and the recorded
         length as the requested horizon, and files without age-law lines no
-        age law."""
+        age law. Raises ParameterError on no data rows, a row without five
+        columns, or a non-integer cell or flag value."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -170,15 +171,21 @@ class PopulationTrace:
                     key, value = line[2:].split("=", 1)
                     meta[key] = value
                 elif line and not line.startswith("#") and not line.startswith("t,"):
-                    rows.append([int(x) for x in line.split(",")])
-        arr = np.asarray(rows, dtype=np.int64)
+                    rows.append(line.split(","))
+        if not rows or any(len(row) != 5 for row in rows):
+            raise ParameterError("trace needs at least one data row, each of five columns")
+        try:
+            arr = np.asarray(rows, dtype=np.int64)
+            seed = int(meta.get("seed", 0))
+            capped = bool(int(meta.get("capped", 0)))
+            extinct = bool(int(meta["extinct"])) if "extinct" in meta else bool(arr[-1, 1] == 0)
+            horizon_requested = int(meta.get("horizon_requested", len(rows) - 1))
+        except ValueError as exc:
+            raise ParameterError(f"trace values must be integers: {exc}") from None
         return PopulationTrace(
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
-            seed=int(meta.get("seed", 0)), lambda_del=float("nan"),
-            config_hash=meta.get("config_hash"),
-            extinct=bool(int(meta["extinct"])) if "extinct" in meta else bool(arr[-1, 1] == 0),
-            capped=bool(int(meta.get("capped", 0))),
-            horizon_requested=int(meta.get("horizon_requested", len(rows) - 1)),
+            seed=seed, lambda_del=float("nan"), config_hash=meta.get("config_hash"),
+            extinct=extinct, capped=capped, horizon_requested=horizon_requested,
             age_law=AgeLaw.from_header(meta),
         )
 
@@ -597,18 +604,20 @@ def occupancy_check(kernel: TransitionKernel, z: int, t_sample: int, replicas: i
     """Chi-square goodness of fit of token positions against the stationary law.
 
     All tokens start at node 0 (worst case), evolve ``t_sample`` steps
-    with no traps or policy, and are pooled across replicas. Cells whose
-    expected count falls below 5 are pooled into one bucket, noted in the report.
+    with no traps or policy, and are pooled across replicas; they move as
+    counts per node (``NeighbourTable.move``). Cells whose expected count
+    falls below 5 are pooled into one bucket, noted in the report.
     """
     from scipy import stats  # imported here: scipy costs about a second to load
 
     rng = np.random.default_rng(seed)
     total = z * replicas
-    pos = np.zeros(total, dtype=np.int64)
+    counts = np.zeros(kernel.node_count, dtype=np.int64)
+    counts[0] = total
     table = kernel.neighbour_table()
     for _ in range(t_sample):
-        pos = table.sample(pos, rng)
-    counts = np.bincount(pos, minlength=kernel.node_count).astype(float)
+        counts = table.move(counts, rng)
+    counts = counts.astype(float)
     expected = total * kernel.pi.probs
 
     merged = bool(np.any(expected < 5.0))

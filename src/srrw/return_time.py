@@ -1,8 +1,10 @@
-"""Single-token walk simulation: first-return-time sampling and tail estimates.
+"""First-return-time sampling of the lazy walk, and tail estimates.
 
-Return times are sampled by restarting the walk at the target node for each
-sample (i.i.d. samples, simple confidence intervals). The empirical mean obeys
-Kac's identity mean = 1/pi(u), which the tests use as an independent oracle.
+Return times are i.i.d. samples of walks started at the target node (simple
+confidence intervals). The walkers never interact, so they move together as
+token counts per node, at O(occupied nodes x width) per step whatever the
+sample count, and come out sorted. The empirical mean obeys Kac's identity
+mean = 1/pi(u), which the tests use as an independent oracle.
 A node's age in the engine is the time since its last visit; the node clock
 that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
@@ -16,7 +18,6 @@ from .errors import InsufficientDataError, StepCapError
 from .graphs import TransitionKernel
 
 DEFAULT_STEP_CAP = 10**9
-_BATCH = 1 << 18
 
 
 @dataclass
@@ -47,29 +48,25 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
                         max_steps: int = DEFAULT_STEP_CAP) -> ReturnTimeSample:
     """Sample first-return times to ``u`` for the given lazy kernel.
 
-    The walk restarts at ``u`` for each sample. Deterministic given the seed.
-    Samples are drawn in batches of walkers stepped together; only the walkers
-    that have not returned yet are kept, with their sample indices.
+    All ``n_samples`` walkers start at ``u`` and move as counts per node; the
+    count that lands on ``u`` at a step is that step's number of returns and
+    is then removed. Deterministic given the seed; samples come out in
+    ascending order.
     """
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
     rng = np.random.default_rng(rng_seed)
     table = kernel.neighbour_table()
-    out = np.empty(n_samples, dtype=np.int64)
-    for filled in range(0, n_samples, _BATCH):
-        active = np.arange(filled, min(filled + _BATCH, n_samples))
-        pos = np.full(active.size, u, dtype=np.int64)
-        step = 0
-        while active.size:
-            step += 1
-            if step > max_steps:
-                raise StepCapError(f"no return to {u} within {max_steps} steps")
-            pos = table.sample(pos, rng)
-            away = pos != u
-            out[active[~away]] = step
-            active = active[away]
-            pos = pos[away]
-    return ReturnTimeSample(u, out, seed=rng_seed)
+    counts = np.zeros(kernel.node_count, dtype=np.int64)
+    counts[u] = n_samples
+    returns = []
+    while counts.any():
+        if len(returns) == max_steps:
+            raise StepCapError(f"no return to {u} within {max_steps} steps")
+        counts = table.move(counts, rng)
+        returns.append(counts[u])
+        counts[u] = 0
+    return ReturnTimeSample(u, np.repeat(np.arange(1, len(returns) + 1), returns), seed=rng_seed)
 
 
 def empirical_tail(sample: ReturnTimeSample, ages) -> list[tuple[int, float]]:
@@ -95,21 +92,3 @@ def tail_curve(sample: ReturnTimeSample) -> tuple[np.ndarray, np.ndarray]:
     sorted_samples = np.sort(sample.samples)
     tails = (sample.count - np.searchsorted(sorted_samples, ages, side="left")) / sample.count
     return ages, tails
-
-
-def tails_to_csv(samples: list[ReturnTimeSample], path, z: float = 1.96) -> None:
-    """Write tail estimates as CSV columns (node, A, tail, ci_low, ci_high).
-
-    The interval is the normal-approximation binomial CI, clipped to [0, 1].
-    """
-    lines = ["node,A,tail,ci_low,ci_high"]
-    for s in samples:
-        ages, tails = tail_curve(s)
-        se = np.sqrt(tails * (1.0 - tails) / s.count)
-        lo = np.clip(tails - z * se, 0.0, 1.0)
-        hi = np.clip(tails + z * se, 0.0, 1.0)
-        for a, t, l, h in zip(ages, tails, lo, hi):
-            lines.append(f"{s.node},{a},{float(t)!r},{float(l)!r},{float(h)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-

@@ -404,6 +404,29 @@ class TestCheck:
             assert code == 1, new
             assert "config error: traces: replica_000.csv" in capsys.readouterr().err, new
 
+    def test_traces_with_malformed_rows_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
+                                                 "seed": 7})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        text = open(path).read()
+        lines = text.splitlines()
+        row = next(line for line in lines if line.startswith("5,"))
+        edits = [text.replace(row, "5,abc,0,0,0"),  # a non-integer cell
+                 text.replace(row, row.rsplit(",", 1)[0]),  # four columns
+                 "".join(line + "\n" for line in lines if not line[0].isdigit())]  # no data rows
+        for key in ("seed", "capped", "extinct", "horizon_requested"):
+            line = next(line for line in lines if line.startswith(f"# {key}="))
+            edits.append(text.replace(line, f"# {key}=x"))  # a non-integer header value
+        for i, edited in enumerate(edits):
+            with open(path, "w") as fh:
+                fh.write(edited)
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / f"check_{i}"),
+                         "--traces", sim_run])
+            assert code == 1, edited[-200:]
+            assert "config error: traces: replica_000.csv" in capsys.readouterr().err, i
+
     def test_single_policy_check(self, tmp_path):
         cfg = write_config(tmp_path, simulation={"Z_0": 30, "horizon": 300,
                                                  "replicas": 2, "seed": 5})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from srrw.errors import (
     GraphStructureError,
@@ -225,6 +226,38 @@ FORK_GRAPHS = {
 }
 
 
+class TestMove:
+    """``NeighbourTable.move``: token counts per node after one walk step."""
+
+    @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
+    @pytest.mark.parametrize("which", ["lazy", "base"])
+    def test_conserves_counts_on_the_support(self, name, which):
+        k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
+        table, weights = ((k.neighbour_table(), k.matrix) if which == "lazy"
+                          else (k.base_neighbour_table(), k.base))
+        n = k.node_count
+        rng = np.random.default_rng(0)
+        starts = [np.eye(n, dtype=np.int64)[u] * 1000 for u in range(n)]
+        starts.append(rng.integers(0, 50, size=n))
+        for counts in starts:
+            before = counts.copy()
+            out = table.move(counts, rng)
+            assert out.dtype == np.int64 and out.sum() == counts.sum()
+            assert np.array_equal(counts, before)
+            assert not out[counts @ weights == 0.0].any()
+
+    @pytest.mark.parametrize("name,node", [("K4", 1), ("star9", 0), ("weighted", 3)])
+    def test_one_step_matches_kernel_row(self, name, node):
+        k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
+        tokens = 200_000
+        counts = np.zeros(k.node_count, dtype=np.int64)
+        counts[node] = tokens
+        out = k.neighbour_table().move(counts, np.random.default_rng(11))
+        support = k.matrix[node] > 0.0
+        _, p = stats.chisquare(out[support], tokens * k.matrix[node, support])
+        assert p > 1e-3
+
+
 class TestForkTable:
     """Second-target rows, one per directed edge u -> a of the base walk."""
 
@@ -242,7 +275,7 @@ class TestForkTable:
         g = FORK_GRAPHS[name]()
         k = lazy_kernel(g, 0.5)
         table = k.fork_table()
-        assert table.second.shape == (2 * g.edge_count, k.base_neighbour_table().width)
+        assert table.second.shape == (2 * g.edge_count, k.base_neighbour_table().nbr.shape[1])
         assert sorted(e for *_, e in self.edges(k)) == list(range(2 * g.edge_count))
         assert k.fork_table() is table
 

@@ -37,27 +37,6 @@ def passive(n):
     return PolicySpec.uniform(n, a_long=2.0**40, q_fork=0.0)
 
 
-class DenseOracle:
-    """The dense inverse-CDF sampler the neighbour tables replaced: O(n) per token."""
-
-    def __init__(self, cum):
-        self.cum = cum
-
-    def sample(self, pos, rng):
-        r = rng.random(pos.size)
-        return (self.cum[pos] < r[:, None]).sum(axis=1)
-
-
-class FixedUniform:
-    """Stands in for a generator whose every uniform is ``value``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, size):
-        return np.full(size, self.value)
-
-
 ORACLE_GRAPHS = {
     "K4": lambda: complete_graph(4),
     "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
@@ -274,35 +253,6 @@ class TestEngine:
         back = PopulationTrace.from_csv(path)
         assert back.extinct and not back.capped
         assert back.horizon_requested == 1 and back.config_hash is None
-
-
-class TestNeighbourSampler:
-    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-    @pytest.mark.parametrize("which", ["lazy", "base"])
-    def test_matches_dense_inverse_cdf(self, name, which):
-        k = lazy_kernel(ORACLE_GRAPHS[name](), 0.5)
-        if which == "lazy":
-            table, oracle = k.neighbour_table(), DenseOracle(k.cumulative_rows())
-        else:
-            table, oracle = k.base_neighbour_table(), DenseOracle(k.base_cumulative_rows())
-        pos = np.random.default_rng(0).integers(0, k.node_count, size=2000)
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
-        for _ in range(50):
-            nxt = table.sample(pos, rng_a)
-            assert np.array_equal(nxt, oracle.sample(pos, rng_b))
-            pos = nxt
-
-    @pytest.mark.parametrize("row,r,end", [(9, 1.0 - 2.0**-53, -1), (5, 0.0, 0)])
-    def test_edge_uniforms_land_on_neighbours(self, row, r, end):
-        # the dense sampler maps these uniforms to zero-weight columns; the
-        # tables give the last (first) neighbour of the row instead
-        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
-        pos = np.array([row])
-        dense = DenseOracle(k.cumulative_rows()).sample(pos, FixedUniform(r))
-        assert k.matrix[row, dense[0]] == 0.0
-        for table, weights in ((k.neighbour_table(), k.matrix), (k.base_neighbour_table(), k.base)):
-            support = np.nonzero(weights[row])[0]
-            assert table.sample(pos, FixedUniform(r))[0] == support[end]
 
 
 def one_step_counts(kernel, traps, spec, node, tokens, reps, seed, order="trap_first"):

@@ -1,28 +1,69 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from srrw.errors import InsufficientDataError, StepCapError
-from srrw.graphs import complete_graph, erdos_renyi_graph, lazy_kernel, path_graph
+from srrw.graphs import (
+    Graph,
+    complete_graph,
+    erdos_renyi_graph,
+    lazy_kernel,
+    path_graph,
+    star_graph,
+)
 from srrw.return_time import (
     ReturnTimeSample,
     empirical_tail,
     sample_return_times,
     tail_curve,
-    tails_to_csv,
 )
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
 
 
-class DenseOracle:
-    """The dense inverse-CDF sampler the neighbour tables replaced: O(n) per token."""
+def first_return_law(kernel, u, tol=1e-15):
+    """Pr_u(T_u = t) for t = 1, 2, ... by taboo iteration: h holds the law of
+    the walk at time t on paths that have not come back to u, and f_(t+1) is
+    the part of it that steps to u. Stops once h carries under ``tol``."""
+    p = kernel.matrix
+    f = [p[u, u]]
+    h = p[u].copy()
+    h[u] = 0.0
+    while h.sum() > tol:
+        f.append(h @ p[:, u])
+        h = h @ p
+        h[u] = 0.0
+    return np.asarray(f)
 
-    def __init__(self, cum):
-        self.cum = cum
 
-    def sample(self, pos, rng):
-        r = rng.random(pos.size)
-        return (self.cum[pos] < r[:, None]).sum(axis=1)
+def grouped(observed, expected, floor=5.0):
+    """Consecutive bins pooled until each group expects ``floor``; the
+    remainder joins the last group."""
+    groups, acc_o, acc_e = [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        acc_o, acc_e = acc_o + o, acc_e + e
+        if acc_e >= floor:
+            groups.append([acc_o, acc_e])
+            acc_o = acc_e = 0.0
+    groups[-1][0] += acc_o
+    groups[-1][1] += acc_e
+    return np.asarray(groups).T
+
+
+EXACT_LAW_CASES = {
+    "K2-0": (lambda: complete_graph(2), 0),
+    "path3-0": (lambda: path_graph(3), 0),
+    "path3-1": (lambda: path_graph(3), 1),
+    "star9-centre": (lambda: star_graph(9), 0),
+    "star9-leaf": (lambda: star_graph(9), 4),
+    "er30-0": (lambda: erdos_renyi_graph(30, 0.15, seed=1), 0),
+    "er30-9": (lambda: erdos_renyi_graph(30, 0.15, seed=1), 9),
+    "er30-17": (lambda: erdos_renyi_graph(30, 0.15, seed=1), 17),
+    "weighted-0": (lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                                       [1.0, 2.5, 0.3, 7.0, 0.01]), 0),
+    "weighted-4": (lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                                       [1.0, 2.5, 0.3, 7.0, 0.01]), 4),
+}
 
 
 class TestSampling:
@@ -47,13 +88,20 @@ class TestSampling:
         b = sample_return_times(K2, 0, 5000, rng_seed=3)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_restart_samples_match_dense_oracle(self, monkeypatch):
-        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
-        real = [sample_return_times(k, u, 3000, rng_seed=u) for u in (0, 9, 17)]
-        monkeypatch.setattr(k, "neighbour_table", lambda: DenseOracle(k.cumulative_rows()))
-        for s in real:
-            oracle = sample_return_times(k, s.node, 3000, rng_seed=s.node)
-            assert np.array_equal(s.samples, oracle.samples)
+    @pytest.mark.parametrize("case", sorted(EXACT_LAW_CASES))
+    def test_matches_exact_first_return_law(self, case):
+        graph, u = EXACT_LAW_CASES[case]
+        k = lazy_kernel(graph(), 0.5)
+        f = first_return_law(k, u)
+        t = np.arange(1, f.size + 1)
+        assert f.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (t * f).sum() == pytest.approx(1.0 / k.pi[u], abs=1e-9)
+        s = sample_return_times(k, u, 20_000, rng_seed=300)
+        assert np.all(np.diff(s.samples) >= 0)
+        observed = np.bincount(s.samples - 1, minlength=f.size)
+        expected = s.count * np.append(f, np.zeros(observed.size - f.size))
+        _, p = stats.chisquare(*grouped(observed, expected))
+        assert p > 1e-3
 
     def test_step_cap(self):
         with pytest.raises(StepCapError):
@@ -87,13 +135,3 @@ class TestTails:
         ages, tails = tail_curve(s)
         assert list(ages) == [1, 2, 3, 4, 5]
         assert list(tails) == [1.0, 0.5, 0.25, 0.25, 0.25]
-
-    def test_csv_export(self, tmp_path):
-        s = sample_return_times(K2, 0, 2000, rng_seed=9)
-        out = tmp_path / "tails.csv"
-        tails_to_csv([s], out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "node,A,tail,ci_low,ci_high"
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "1" and float(first[2]) == 1.0
-

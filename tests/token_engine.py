@@ -2,9 +2,10 @@
 
 The reference the count engine in ``srrw.population`` is tested against in
 law. A step rolls traps and policy actions per token, draws passer motion
-per token from the lazy neighbour table, and dispatches each fork by drawing
-two neighbours independently and redrawing both until they differ (the
-single edge twice at degree 1). Event order, the pre-update-age rule and the
+per token by a dense inverse-CDF over the lazy kernel's cumulative rows, and
+dispatches each fork by drawing two neighbours of the base walk the same way,
+independently, and redrawing both until they differ (the single edge twice
+at degree 1). Event order, the pre-update-age rule and the
 node-clock update follow the count engine's documentation.
 """
 import numpy as np
@@ -15,18 +16,27 @@ from srrw.population import PopulationTrace
 REDRAW_CAP = 100_000
 
 
-def fork_targets(base, parents, rng):
+def draw(cum, pos, rng):
+    """One step per token: the first column whose cumulative weight reaches
+    a uniform. O(n) per token."""
+    r = rng.random(pos.size)
+    return (cum[pos] < r[:, None]).sum(axis=1)
+
+
+def fork_targets(kernel, parents, rng):
     """Two distinct neighbour draws per forking parent (same edge at degree 1)."""
-    a = base.sample(parents, rng)
-    b = base.sample(parents, rng)
-    redraw = (a == b) & (base.support[parents] > 1)
+    cum = kernel.base_cumulative_rows()
+    several = kernel.base_neighbour_table().support[parents] > 1
+    a = draw(cum, parents, rng)
+    b = draw(cum, parents, rng)
+    redraw = (a == b) & several
     for _ in range(REDRAW_CAP):
         if not redraw.any():
             return a, b
         sub = parents[redraw]
-        a[redraw] = base.sample(sub, rng)
-        b[redraw] = base.sample(sub, rng)
-        redraw = (a == b) & (base.support[parents] > 1)
+        a[redraw] = draw(cum, sub, rng)
+        b[redraw] = draw(cum, sub, rng)
+        redraw = (a == b) & several
     raise RuntimeError("fork redraw did not terminate")
 
 
@@ -56,8 +66,8 @@ def token_step(pos, last_visit, t, kernel, zeta, spec, rng, order, law):
         keep = keep & ~died
         parent_moves = fork & ~died
     last_visit[np.unique(pos)] = t
-    moved = kernel.neighbour_table().sample(act_pos[keep], rng)
-    target_a, target_b = fork_targets(kernel.base_neighbour_table(), act_pos[fork], rng)
+    moved = draw(kernel.cumulative_rows(), act_pos[keep], rng)
+    target_a, target_b = fork_targets(kernel, act_pos[fork], rng)
     target_a = target_a[parent_moves[fork]]
     return (np.concatenate([moved, target_a, target_b]), int(fork.sum()), n_del,
             int(term.sum()))
