@@ -19,6 +19,7 @@ from .graphs import (
     GENERATORS,
     Graph,
     TransitionKernel,
+    graph_from_edge_entries,
     lazy_kernel,
     parse_edge_list,
     parse_graph_json,
@@ -130,9 +131,7 @@ def _resolve_graph(cfg: dict) -> Graph:
                 return GENERATORS[kind](n, p, seed)
             return GENERATORS[kind](n)
         if "edges" in g:
-            return parse_graph_json({"nodes": g.get("nodes", None) or
-                                     1 + max(max(e[0], e[1]) for e in g["edges"]),
-                                     "edges": g["edges"]})
+            return graph_from_edge_entries(g["edges"], g.get("nodes") or None)
         path = g["path"]
         fmt = g.get("format", "json" if str(path).endswith(".json") else "edgelist")
         with open(path) as fh:

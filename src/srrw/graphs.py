@@ -3,12 +3,26 @@
 Supports undirected, optionally edge-weighted, finite connected graphs.
 Kernels are lazy reversible walks; stationary laws come from the closed-form
 degree/weight formula, with power iteration available as a cross-check.
+
+Everything about a graph is built from its edges as int arrays, in
+O(n + |E|) time and memory: validation (range, canonical order, duplicates,
+weights, connectivity), degrees and weight totals, and the kernel's rows in
+CSR form (``indptr``, neighbour columns, probabilities) from which the
+neighbour and fork tables are padded. Only a weighted graph's row totals are
+summed over dense rows, in the order ``p.sum(axis=1)`` adds them, which
+keeps every kernel entry bitwise equal to the dense construction (O(n^2)
+time, O(n) memory). The dense n x n kernel arrays (``TransitionKernel.matrix``,
+``.base`` and the cumulative rows) are built on first read, for the exact
+analysis (mixing profiles, spectral gap, Doeblin constants); past
+``DENSE_NODE_CAP`` nodes reading them raises ``ParameterError`` instead of
+allocating 8 n^2 bytes each.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,39 +34,46 @@ from .errors import (
 )
 
 DENSE_NODE_CAP = 2000
+# cells of the row buffer a weighted graph's row totals are summed in
+_ROW_SUM_CELLS = 1 << 20
 
 
-def _canonical_edges(edges):
-    canon = []
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if u == v:
-            raise GraphStructureError(f"self-loop at node {u}; laziness is added at the kernel level")
-        canon.append((min(u, v), max(u, v)))
-    return canon
+def _as_pairs(edges) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array; raises unless they are integer pairs."""
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # entries of unequal length
+        arr = np.asarray(None)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise GraphStructureError("edges must be (u, v) pairs of integers")
+    return arr.astype(np.int64)
 
 
-def _components(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
+def _component_roots(n: int, ends: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component.
+
+    Hooking and pointer jumping on the edge arrays: every round hooks each
+    root onto the smallest root across its edges, then jumps pointers until
+    every node points at its root. A node's pointer never exceeds the node,
+    so the roots are the components' smallest nodes; a round that leaves an
+    edge between two roots lowers a pointer, so the rounds end.
+    """
+    root = np.arange(n)
+    u, v = ends[:, 0], ends[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return root
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
 
 @dataclass(frozen=True)
@@ -66,44 +87,75 @@ class Graph:
     node_count: int
     edges: tuple
     weights: tuple | None = None
+    # the edges as an (m, 2) int array and their weights (1.0 when unweighted)
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.node_count
         if n < 2:
             raise GraphStructureError("graph needs at least 2 nodes (single-node graphs are degenerate)")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < n):
-                raise GraphStructureError(f"edge ({u},{v}) out of range or not canonical for n={n}")
-            if (u, v) in seen:
-                raise GraphStructureError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        ends = _as_pairs(self.edges)
+        m = len(ends)
+        u, v = ends[:, 0], ends[:, 1]
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
+        first_bad = bad[0] if bad.size else m
+        # a stable sort puts every repeat of an edge after its first occurrence
+        order = np.lexsort((v, u))
+        repeats = order[1:][(np.diff(u[order]) == 0) & (np.diff(v[order]) == 0)]
+        first_repeat = repeats.min() if repeats.size else m
+        if first_bad < first_repeat:
+            a, b = self.edges[first_bad]
+            raise GraphStructureError(f"edge ({a},{b}) out of range or not canonical for n={n}")
+        if first_repeat < m:
+            a, b = self.edges[first_repeat]
+            raise GraphStructureError(f"duplicate edge ({a},{b})")
+        weight = np.ones(m)
         if self.weights is not None:
-            if len(self.weights) != len(self.edges):
+            if len(self.weights) != m:
                 raise InvalidWeightsError("weights length does not match edge count")
-            for (u, v), w in zip(self.edges, self.weights):
-                if not (math.isfinite(w) and w > 0.0):
-                    raise InvalidWeightsError(
-                        f"edge ({u},{v}) has weight {w}; zero or non-finite weights are rejected"
-                    )
-        comps = _components(n, self.edges)
-        if len(comps) != 1:
-            # name only the first few components, cut short, so the message stays bounded
-            shown = str(comps[:3])
+            weight = np.asarray(self.weights, dtype=float)
+            bad = np.flatnonzero(~(np.isfinite(weight) & (weight > 0.0)))
+            if bad.size:
+                a, b = self.edges[bad[0]]
+                raise InvalidWeightsError(
+                    f"edge ({a},{b}) has weight {self.weights[bad[0]]}; "
+                    "zero or non-finite weights are rejected"
+                )
+        root = _component_roots(n, ends)
+        roots = np.flatnonzero(root == np.arange(n))
+        if roots.size != 1:
+            # name only the first few components, cut short, so the message stays bounded;
+            # 201 members of a component already print past the 200-character cut
+            shown = str([np.flatnonzero(root == r)[:201].tolist() for r in roots[:3]])
             shown = shown if len(shown) <= 200 else shown[:200] + " ..."
-            raise GraphStructureError(f"graph is disconnected into {len(comps)} components; "
+            raise GraphStructureError(f"graph is disconnected into {roots.size} components; "
                                       f"the first: {shown}")
+        for arr in (ends, weight):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_weight", weight)
 
     @staticmethod
     def build(edges, weights=None, node_count=None) -> "Graph":
-        """Canonicalize raw (u, v[, w]) data and validate."""
-        canon = _canonical_edges(edges)
-        order = sorted(range(len(canon)), key=lambda i: canon[i])
-        canon_sorted = tuple(canon[i] for i in order)
-        w_sorted = tuple(float(weights[i]) for i in order) if weights is not None else None
+        """Canonicalize raw (u, v) integer pairs, with optional parallel weights, and validate."""
+        ends = _as_pairs(edges)
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if loops.size:
+            raise GraphStructureError(f"self-loop at node {ends[loops[0], 0]}; "
+                                      "laziness is added at the kernel level")
+        ends.sort(axis=1)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        ends = ends[order]
+        w_sorted = None
+        if weights is not None:
+            if len(weights) != len(ends):
+                raise InvalidWeightsError("weights length does not match edge count")
+            w_sorted = tuple(np.asarray(weights, dtype=float)[order].tolist())
         if node_count is None:
-            node_count = 1 + max(max(e) for e in canon_sorted) if canon_sorted else 0
-        return Graph(int(node_count), canon_sorted, w_sorted)
+            node_count = 1 + int(ends.max()) if len(ends) else 0
+        edges = tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+        return Graph(int(node_count), edges, w_sorted)
 
     @property
     def is_weighted(self) -> bool:
@@ -114,34 +166,27 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self._ends.ravel(), minlength=self.node_count)
 
     def weight_totals(self) -> np.ndarray:
-        """Per-node total incident weight (degree when unweighted)."""
-        tot = np.zeros(self.node_count, dtype=float)
-        ws = self.weights if self.weights is not None else [1.0] * len(self.edges)
-        for (u, v), w in zip(self.edges, ws):
-            tot[u] += w
-            tot[v] += w
-        return tot
+        """Per-node total incident weight (degree when unweighted), added in edge order."""
+        return np.bincount(self._ends.ravel(), weights=np.repeat(self._weight, 2),
+                           minlength=self.node_count)
 
-    def base_transition_matrix(self) -> np.ndarray:
-        """Row-stochastic one-step walk matrix with zero diagonal."""
-        n = self.node_count
-        p = np.zeros((n, n), dtype=float)
-        ws = self.weights if self.weights is not None else [1.0] * len(self.edges)
-        for (u, v), w in zip(self.edges, ws):
-            p[u, v] += w
-            p[v, u] += w
-        totals = p.sum(axis=1)
-        if np.any(totals <= 0.0):
-            bad = np.nonzero(totals <= 0.0)[0].tolist()
-            raise InvalidWeightsError(f"zero total weight at nodes {bad}")
-        return p / totals[:, None]
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR rows ``(indptr, nbr, weight)``: node u's neighbours ``nbr[indptr[u]:indptr[u + 1]]``
+        in ascending order, with their edge weights."""
+        return _csr(self.node_count, self._ends.ravel(order="F"),
+                    self._ends[:, ::-1].ravel(order="F"), np.tile(self._weight, 2))
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """CSR rows ``(indptr, cols, vals)`` of the n-row matrix with entries
+    ``(rows[i], cols[i]) = vals[i]`` (no two at one cell), columns ascending in each row."""
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], vals[order]
 
 
 # ---------------------------------------------------------------------------
@@ -182,43 +227,79 @@ def parse_graph_json(obj) -> Graph:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise GraphStructureError("graph JSON must be an object with 'nodes' and 'edges'")
-    edges, weights, any_weight = [], [], False
-    for e in obj["edges"]:
-        if len(e) not in (2, 3):
-            raise GraphStructureError(f"edge entry {e!r} must be [u, v] or [u, v, w]")
-        edges.append((e[0], e[1]))
-        weights.append(float(e[2]) if len(e) == 3 else None)
-        any_weight = any_weight or len(e) == 3
-    if any_weight:
-        return Graph.build(edges, [1.0 if w is None else w for w in weights], node_count=obj["nodes"])
-    return Graph.build(edges, node_count=obj["nodes"])
+    return graph_from_edge_entries(obj["edges"], obj["nodes"])
+
+
+def _is_edge_entry(e) -> bool:
+    """``[u, v]`` or ``[u, v, w]`` with integer u and v (an integral float such as 2.0 counts)
+    and a number w."""
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    return (isinstance(e, (list, tuple)) and len(e) in (2, 3)
+            and all(number(x) and (isinstance(x, int) or x.is_integer()) for x in e[:2])
+            and (len(e) == 2 or number(e[2])))
+
+
+def graph_from_edge_entries(entries, node_count=None) -> Graph:
+    """Graph from JSON edge entries ``[u, v]`` or ``[u, v, w]``.
+
+    Without ``node_count`` the nodes are 0 .. the largest endpoint. If any
+    entry carries a weight the graph is weighted and weightless entries
+    default to 1.0. The first malformed entry is named in the error.
+    """
+    if not isinstance(entries, list):
+        raise GraphStructureError(f"'edges' must be a list of [u, v] or [u, v, w] entries, "
+                                  f"got {reprlib.repr(entries)}")
+    for i, e in enumerate(entries):
+        if not _is_edge_entry(e):
+            raise GraphStructureError(f"edges[{i}] = {reprlib.repr(e)}: expected [u, v] or "
+                                      "[u, v, w] with integer nodes u, v and a numeric weight w")
+    edges = [(int(e[0]), int(e[1])) for e in entries]
+    if any(len(e) == 3 for e in entries):
+        weights = [float(e[2]) if len(e) == 3 else 1.0 for e in entries]
+        return Graph.build(edges, weights, node_count=node_count)
+    return Graph.build(edges, node_count=node_count)
+
+
+def _build_from_columns(u, v, n: int) -> Graph:
+    return Graph.build(np.column_stack((u, v)), node_count=n)
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.build([(i, i + 1) for i in range(n - 1)], node_count=n)
+    u = np.arange(n - 1)
+    return _build_from_columns(u, u + 1, n)
 
 
 def cycle_graph(n: int) -> Graph:
-    return Graph.build([(i, (i + 1) % n) for i in range(n)], node_count=n)
+    u = np.arange(n)
+    return _build_from_columns(u, (u + 1) % n, n)
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.build([(i, j) for i in range(n) for j in range(i + 1, n)], node_count=n)
+    return _build_from_columns(*np.triu_indices(n, 1), n)
 
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
-    return Graph.build([(0, i) for i in range(1, n)], node_count=n)
+    leaves = np.arange(1, n)
+    return _build_from_columns(np.zeros_like(leaves), leaves, n)
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
-    """One G(n, p) draw; raises if the draw is disconnected (no silent resampling)."""
+    """One G(n, p) draw; raises if the draw is disconnected (no silent resampling).
+
+    The n x n coin matrix is drawn one row at a time, the same stream as
+    ``rng.random((n, n))`` in O(n) memory; edge (u, v), u < v, is present
+    when coin[u, v] < p.
+    """
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    coin = rng.random((n, n))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if coin[u, v] < p]
-    return Graph.build(edges, node_count=n)
+    # above[u]: the neighbours v > u of u, from row u of the coin matrix
+    above = [u + 1 + np.flatnonzero(rng.random(n)[u + 1:] < p) for u in range(n)]
+    u = np.repeat(np.arange(n), [len(v) for v in above])
+    return _build_from_columns(u, np.concatenate(above) if above else u, n)
 
 
 GENERATORS = {
@@ -266,23 +347,22 @@ def stationary_distribution(g: Graph) -> StationaryDistribution:
 class NeighbourTable:
     """Padded per-row neighbour lists of a row-stochastic matrix, for moving walkers.
 
-    ``nbr[u, k]`` is the k-th nonzero column of row u in column order and
-    ``prob[u, k]`` its matrix entry (0.0 in the padding); ``support[u]``
-    counts row u's real entries. Width is the largest row support (max
-    degree + 1 for the lazy kernel), so moving the tokens of a node costs
-    O(width) instead of O(n).
+    Built from the matrix's CSR rows: ``nbr[u, k]`` is the k-th nonzero
+    column of row u in column order and ``prob[u, k]`` its matrix entry (0.0
+    in the padding); ``support[u]`` counts row u's real entries. Width is the
+    largest row support (max degree + 1 for the lazy kernel), so moving the
+    tokens of a node costs O(width) instead of O(n).
     """
 
-    def __init__(self, weights: np.ndarray):
-        n = weights.shape[0]
-        mask = weights > 0.0
-        support = mask.sum(axis=1)
-        rows, cols = np.nonzero(mask)
-        slot = np.arange(rows.size) - np.repeat(np.cumsum(support) - support, support)
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+        n = indptr.size - 1
+        support = np.diff(indptr)
+        rows = np.repeat(np.arange(n), support)
+        slot = np.arange(cols.size) - indptr[rows]
         nbr = np.zeros((n, int(support.max())), dtype=np.int64)
         prob = np.zeros(nbr.shape)
         nbr[rows, slot] = cols
-        prob[rows, slot] = weights[rows, cols]
+        prob[rows, slot] = vals
         for arr in (nbr, prob, support):
             arr.setflags(write=False)
         self.nbr = nbr
@@ -359,14 +439,49 @@ class ForkTable:
             arr.setflags(write=False)
 
 
+def _dense_row_sums(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Row sums of the n x n matrix with these CSR rows, added as ``p.sum(axis=1)`` adds them.
+
+    numpy sums each contiguous row pairwise over all n columns, zeros
+    included, so the rows are scattered into a dense buffer of a few rows
+    at a time and reduced there: bitwise the dense sums in O(n^2) time, with
+    a buffer of about ``_ROW_SUM_CELLS`` cells (n cells past that many nodes).
+    """
+    n = indptr.size - 1
+    chunk = max(1, _ROW_SUM_CELLS // n)
+    buf = np.zeros((min(chunk, n), n))
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    out = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        cells = slice(indptr[lo], indptr[hi])
+        buf[row[cells] - lo, cols[cells]] = vals[cells]
+        out[lo:hi] = buf[:hi - lo].sum(axis=1)
+        buf[row[cells] - lo, cols[cells]] = 0.0
+    return out
+
+
+def _dense(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The read-only n x n matrix with these CSR rows; ParameterError past ``DENSE_NODE_CAP``."""
+    n = indptr.size - 1
+    if n > DENSE_NODE_CAP:
+        raise ParameterError(f"dense n x n kernel arrays are capped at {DENSE_NODE_CAP} nodes, "
+                             f"got {n}")
+    out = np.zeros((n, n))
+    out[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
+    out.setflags(write=False)
+    return out
+
+
 class TransitionKernel:
     """Lazy walk kernel: ``laziness * I + (1 - laziness) * base``.
 
-    The base matrix has zero diagonal; the lazy kernel's diagonal equals
-    the laziness exactly and the stationary law is shared with the base.
-    Walk steps are drawn from the neighbour tables, fork targets from the
-    fork table, and mixing times read from the mixing profiles; all are built
-    on first use.
+    The base walk has zero diagonal; the lazy kernel's diagonal equals the
+    laziness exactly and the stationary law is shared with the base. Both
+    are held as CSR rows built from the graph's edges. Walk steps are drawn
+    from the neighbour tables, fork targets from the fork table, and mixing
+    times read from the mixing profiles; these and the dense ``matrix``,
+    ``base`` and cumulative rows are built on first use.
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -374,20 +489,43 @@ class TransitionKernel:
             raise ParameterError(f"laziness must be in (0, 1), got {laziness}")
         self.graph = graph
         self.laziness = float(laziness)
-        base = graph.base_transition_matrix()
-        matrix = (1.0 - self.laziness) * base
-        np.fill_diagonal(matrix, self.laziness)
-        base.setflags(write=False)
-        matrix.setflags(write=False)
-        self.base = base
-        self.matrix = matrix
+        indptr, nbr, weight = graph.adjacency()
+        degree = np.diff(indptr)
+        # unweighted row totals are integer degrees, exact in any order
+        totals = (_dense_row_sums(indptr, nbr, weight) if graph.is_weighted
+                  else degree.astype(float))
+        prob = weight / np.repeat(totals, degree)
+        self._base_rows = (indptr, nbr, prob)
+        # the lazy rows: the base rows times 1 - laziness, and the laziness on the diagonal
+        n = graph.node_count
+        nodes = np.arange(n)
+        self._lazy_rows = _csr(n, np.concatenate((np.repeat(nodes, degree), nodes)),
+                               np.concatenate((nbr, nodes)),
+                               np.concatenate(((1.0 - self.laziness) * prob,
+                                               np.full(n, self.laziness))))
         self.pi = stationary_distribution(graph)
+        self._matrix = None
+        self._base = None
         self._cum = None
         self._base_cum = None
         self._table = None
         self._base_table = None
         self._fork_table = None
         self._profiles = {}
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense lazy kernel, n x n."""
+        if self._matrix is None:
+            self._matrix = _dense(*self._lazy_rows)
+        return self._matrix
+
+    @property
+    def base(self) -> np.ndarray:
+        """The dense non-lazy base walk, n x n, zero diagonal."""
+        if self._base is None:
+            self._base = _dense(*self._base_rows)
+        return self._base
 
     @property
     def node_count(self) -> int:
@@ -415,13 +553,13 @@ class TransitionKernel:
     def neighbour_table(self) -> NeighbourTable:
         """Neighbour table of the lazy kernel; its rows include the diagonal."""
         if self._table is None:
-            self._table = NeighbourTable(self.matrix)
+            self._table = NeighbourTable(*self._lazy_rows)
         return self._table
 
     def base_neighbour_table(self) -> NeighbourTable:
         """Neighbour table of the non-lazy base walk (fork dispatch)."""
         if self._base_table is None:
-            self._base_table = NeighbourTable(self.base)
+            self._base_table = NeighbourTable(*self._base_rows)
         return self._base_table
 
     def fork_table(self) -> ForkTable:
@@ -499,13 +637,17 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     n = kernel.node_count
     if n > DENSE_NODE_CAP:
         raise ParameterError(f"dense mixing profile capped at {DENSE_NODE_CAP} nodes, got {n}")
+    # the eigensolve runs before the powers, so no power is held through its n x n copies
+    gap = spectral_gap(kernel)
     pi = kernel.pi.probs
     times = [0]
     tv = [float(1.0 - pi.min())]
-    m = np.eye(n)
+    matrix = kernel.matrix
+    m = matrix  # the first power is the kernel itself, bitwise eye(n) @ matrix
     unreached = True
     for t in range(1, max_t + 1):
-        m = m @ kernel.matrix
+        if t > 1:
+            m = m @ matrix
         d = float(0.5 * np.abs(m - pi[None, :]).sum(axis=1).max())
         times.append(t)
         tv.append(d)
@@ -515,7 +657,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     tv_arr = np.minimum.accumulate(np.asarray(tv))
     if np.max(np.asarray(tv) - tv_arr) > 1e-12:
         raise ParameterError("TV curve increased beyond numerical tolerance")
-    return MixingProfile(spectral_gap(kernel), np.asarray(times), tv_arr, kernel.pi.pi_min, unreached)
+    return MixingProfile(gap, np.asarray(times), tv_arr, kernel.pi.pi_min, unreached)
 
 
 def power_iterate(kernel: TransitionKernel, alpha: np.ndarray, t: int) -> np.ndarray:

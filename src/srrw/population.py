@@ -132,10 +132,12 @@ class PopulationTrace:
         """Tokens processed over steps t_from..t_to (inclusive); step t handles z[t-1] tokens."""
         return int(self.z[t_from - 1:t_to].sum())
 
+    def _unbalanced_steps(self) -> np.ndarray:
+        """Steps t >= 1 whose counts break Z_t = Z_(t-1) + forks - trap_dels - terms."""
+        return 1 + np.flatnonzero(np.diff(self.z) != (self.forks - self.trap_dels - self.terms)[1:])
+
     def conservation_violations(self) -> int:
-        lhs = np.diff(self.z)
-        rhs = (self.forks - self.trap_dels - self.terms)[1:]
-        return int(np.sum(lhs != rhs))
+        return int(self._unbalanced_steps().size)
 
     def to_csv(self, path, version: str = "") -> None:
         lines = []
@@ -161,7 +163,9 @@ class PopulationTrace:
         get ``capped=False``, extinction from the last count and the recorded
         length as the requested horizon, and files without age-law lines no
         age law. Raises ParameterError on no data rows, a row without five
-        columns, or a non-integer cell or flag value."""
+        columns, a non-integer cell or flag value, a ``t`` column other than
+        0, 1, ..., T, a negative count, or a step whose counts break
+        Z_t = Z_(t-1) + forks - trap_dels - terms."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -182,12 +186,24 @@ class PopulationTrace:
             horizon_requested = int(meta.get("horizon_requested", len(rows) - 1))
         except ValueError as exc:
             raise ParameterError(f"trace values must be integers: {exc}") from None
-        return PopulationTrace(
+        off = np.flatnonzero(arr[:, 0] != np.arange(len(arr)))
+        if off.size:
+            raise ParameterError(f"trace steps must run 0, 1, ..., {len(arr) - 1}; "
+                                 f"data row {off[0]} has t={arr[off[0], 0]}")
+        negative = np.flatnonzero((arr[:, 1:] < 0).any(axis=1))
+        if negative.size:
+            raise ParameterError(f"step {negative[0]} has a negative count")
+        trace = PopulationTrace(
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
             seed=seed, lambda_del=float("nan"), config_hash=meta.get("config_hash"),
             extinct=extinct, capped=capped, horizon_requested=horizon_requested,
             age_law=AgeLaw.from_header(meta),
         )
+        unbalanced = trace._unbalanced_steps()
+        if unbalanced.size:
+            raise ParameterError(f"step {unbalanced[0]} breaks "
+                                 "Z_t = Z_(t-1) + forks - trap_dels - terms")
+        return trace
 
 
 def _initial_counts(kernel: TransitionKernel, z0: int, placement, rng) -> np.ndarray:

@@ -66,6 +66,16 @@ class TestStationary:
         assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edges,named", [
+        ([[0, 1.5], [1, 2]], "edges[0] = [0, 1.5]"),  # 0.3.0 truncated it to edge (0, 1)
+        ([[0, 1], 5], "edges[1] = 5"),
+        ([[0, "a"], [1, 2]], "edges[0] = [0, 'a']"),
+    ])
+    def test_malformed_edge_entry_is_a_config_error(self, tmp_path, capsys, edges, named):
+        cfg = write_config(tmp_path, graph={"edges": edges})
+        assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: graph: {named}: expected ")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -226,13 +236,21 @@ class TestDerivedOnce:
         assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, srrw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing scipy.sparse alone costs about 0.2 s and 20 MB of RSS; graphs, kernels
+    # and a whole check or simulate run need none of scipy
+    cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 120, "replicas": 1, "seed": 7})
+    code = ("import sys, srrw.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "for cmd in ('check', 'simulate'):\n"
+            f"    assert srrw.cli.main([cmd, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "    print(loaded())\n")
     src = os.path.dirname(os.path.dirname(srrw.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "[]"
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3
 
 
 class TestVersion:
@@ -426,6 +444,29 @@ class TestCheck:
                          "--traces", sim_run])
             assert code == 1, edited[-200:]
             assert "config error: traces: replica_000.csv" in capsys.readouterr().err, i
+
+    @pytest.mark.parametrize("step,row,message", [
+        (5, "5,-7,0,0,0", "step 5 has a negative count"),
+        (9, "9,9,0,0,0", "step 9 breaks Z_t = Z_(t-1) + forks - trap_dels - terms"),
+        (7, "8,{z},{forks},{dels},{terms}", "data row 7 has t=8"),
+    ])
+    def test_traces_with_impossible_counts_rejected(self, tmp_path, capsys, step, row, message):
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
+                                                 "seed": 7})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        lines = open(path).read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{step},"))
+        _, z, forks, dels, terms = lines[at].split(",")
+        lines[at] = row.format(z=z, forks=forks, dels=dels, terms=terms)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                     "--traces", sim_run])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: traces: replica_000.csv: ") and message in err
 
     def test_single_policy_check(self, tmp_path):
         cfg = write_config(tmp_path, simulation={"Z_0": 30, "horizon": 300,

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 
+import graph_v030 as v030
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from srrw.errors import (
     ParameterError,
 )
 from srrw.graphs import (
+    DENSE_NODE_CAP,
+    ForkTable,
     Graph,
     complete_graph,
     cycle_graph,
@@ -27,6 +31,8 @@ from srrw.graphs import (
     stationary_by_iteration,
     stationary_distribution,
 )
+from srrw.policy import PolicySpec
+from srrw.population import TrapProfile, run_population
 
 
 @st.composite
@@ -315,3 +321,186 @@ class TestForkTable:
                 expected = np.outer(p, p) / (1.0 - np.sum(p**2))
                 np.fill_diagonal(expected, 0.0)
             assert np.abs(pair - expected).max() <= 1e-12
+
+
+def _weighted_er(n, p, seed):
+    edges = v030.erdos_renyi_edges(n, p, seed)
+    weights = np.random.default_rng(seed).uniform(0.01, 10.0, size=len(edges)).tolist()
+    return edges, weights
+
+
+JSON_GRAPH = {"nodes": 6, "edges": [[4, 5, 0.25], [0, 1], [2, 1, 3.0], [0, 3], [3, 4], [2, 5, 1.75]]}
+EDGE_LIST = "# a weighted 5-cycle with a chord\n4 0 2.5\n0 1\n1 2 0.125\n\n2 3 7\n3 4\n1 3 0.5\n"
+
+# name -> (graph from srrw, (edges, weights, node_count) for the frozen 0.3.0 build)
+FROZEN_CASES = {
+    "K2": (lambda: complete_graph(2), lambda: ([(0, 1)], None, 2)),
+    "K4": (lambda: complete_graph(4),
+           lambda: ([(i, j) for i in range(4) for j in range(i + 1, 4)], None, 4)),
+    "path6": (lambda: path_graph(6), lambda: ([(i, i + 1) for i in range(5)], None, 6)),
+    "cycle7": (lambda: cycle_graph(7), lambda: ([(i, (i + 1) % 7) for i in range(7)], None, 7)),
+    "star9": (lambda: star_graph(9), lambda: ([(0, i) for i in range(1, 9)], None, 9)),
+    "er30": (lambda: erdos_renyi_graph(30, 0.15, seed=1),
+             lambda: (v030.erdos_renyi_edges(30, 0.15, 1), None, 30)),
+    "er1000": (lambda: erdos_renyi_graph(1000, 0.01, seed=0),
+               lambda: (v030.erdos_renyi_edges(1000, 0.01, 0), None, 1000)),
+    "weighted5": (FORK_GRAPHS["weighted"],
+                  lambda: ([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], [1.0, 2.5, 0.3, 7.0, 0.01], None)),
+    "weighted_er200": (lambda: Graph.build(*_weighted_er(200, 0.1, 3)),
+                       lambda: (*_weighted_er(200, 0.1, 3), None)),
+    "json": (lambda: parse_graph_json(json.dumps(JSON_GRAPH)),
+             lambda: ([e[:2] for e in JSON_GRAPH["edges"]],
+                      [e[2] if len(e) == 3 else 1.0 for e in JSON_GRAPH["edges"]], 6)),
+    "edge_list": (lambda: parse_edge_list(EDGE_LIST),
+                  lambda: ([(4, 0), (0, 1), (1, 2), (2, 3), (3, 4), (1, 3)],
+                           [2.5, 1.0, 0.125, 7.0, 1.0, 0.5], None)),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_frozen(g, node_count, edges, weights, laziness):
+    """Every quantity of ``g``'s kernel equals the frozen dense construction, bit for bit."""
+    assert g.node_count == node_count and g.edges == edges and g.weights == weights
+    assert all(type(x) is int for e in g.edges for x in e)
+    k = lazy_kernel(g, laziness)
+    pi = v030.stationary(node_count, edges, weights)
+    base = v030.base_matrix(node_count, edges, weights)
+    matrix = v030.lazy_matrix(base, laziness)
+    assert same_bits(g.degrees(), v030.degrees(node_count, edges))
+    assert same_bits(g.weight_totals(), v030.weight_totals(node_count, edges, weights))
+    assert same_bits(k.pi.probs, pi)
+    assert same_bits(k.base, base) and same_bits(k.matrix, matrix)
+    for cum, dense in ((k.cumulative_rows(), matrix), (k.base_cumulative_rows(), base)):
+        ref = np.cumsum(dense, axis=1)
+        ref[:, -1] = 1.0
+        assert same_bits(cum, ref)
+    for table, dense in ((k.neighbour_table(), matrix), (k.base_neighbour_table(), base)):
+        ref = v030.NeighbourTable(dense)
+        for name in ("nbr", "prob", "support"):
+            assert same_bits(getattr(table, name), getattr(ref, name)), name
+    forks, ref = k.fork_table(), ForkTable(v030.NeighbourTable(base))
+    for name in ("first", "second", "dest", "edge_end", "edge_dest"):
+        assert same_bits(getattr(forks, name), getattr(ref, name)), name
+
+
+class TestAgainstFrozenConstruction:
+    """The edge-built graphs and kernels equal 0.3.0's dense construction bitwise."""
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+    def test_graph_and_kernel(self, name):
+        make, raw = FROZEN_CASES[name]
+        g = make()
+        frozen = v030.build(*raw())
+        for laziness in (0.5, 0.3):
+            assert_matches_frozen(g, *frozen, laziness)
+
+    @given(connected_graphs(), st.floats(min_value=0.05, max_value=0.95))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, g, laziness):
+        frozen = v030.build(g.edges, g.weights, g.node_count)
+        assert_matches_frozen(g, *frozen, laziness)
+
+    # (edges, weights, node_count) that 0.3.0 rejected
+    INVALID = [
+        ([(0, 1), (2, 3)], None, 4),
+        ([(0, 1)], None, 3000),
+        ([(i, i + 1) for i in range(300)] + [(302, 303)], None, 304),
+        ([(0, 1), (1, 2)], [1.0, 0.0], None),
+        ([(0, 1), (1, 2)], [1.0, float("nan")], None),
+        ([(0, 1), (1, 2)], [float("inf"), -1.0], None),
+        ([(0, 0), (0, 1)], None, None),
+        ([(1, 0), (2, 2)], None, None),
+        ([(0, 1), (0, 1), (1, 2)], None, None),
+        ([(1, 0), (0, 1)], None, None),
+        ([(0, 1), (1, 5)], None, 3),
+        ([(0, 1), (1, -1)], None, 3),
+        ([(0, 1)], None, 1),
+        ([(0, 1), (0, 1), (5, 6)], None, 3),
+        ([(0, 7), (0, 7), (0, 1)], None, 3),
+    ]
+
+    @pytest.mark.parametrize("edges,weights,node_count", INVALID)
+    def test_build_rejects_like_frozen(self, edges, weights, node_count):
+        with pytest.raises(GraphStructureError) as frozen:
+            v030.build(edges, weights, node_count)
+        with pytest.raises(GraphStructureError) as now:
+            Graph.build(edges, weights, node_count)
+        assert type(now.value) is type(frozen.value) and str(now.value) == str(frozen.value)
+
+    @pytest.mark.parametrize("n,edges,weights", [
+        (3, ((1, 0), (1, 2)), None),
+        (4, ((0, 1), (2, 3), (1, 2), (0, 1)), None),
+        (4, ((0, 1), (2, 3), (1, 2), (0, 9), (2, 3)), None),
+        (3, ((0, 1), (1, 2)), (1.0,)),
+        (3, ((1, 2), (0, 1)), (2.0, 0.0)),
+    ])
+    def test_direct_construction_rejects_like_frozen(self, n, edges, weights):
+        with pytest.raises(GraphStructureError) as frozen:
+            v030.validate(n, edges, weights)
+        with pytest.raises(GraphStructureError) as now:
+            Graph(n, edges, weights)
+        assert type(now.value) is type(frozen.value) and str(now.value) == str(frozen.value)
+
+    @pytest.mark.parametrize("edges", [[(0, 1.5), (1, 2)], [(0, 1), (1, 2, 3)], [(0, 10**20)]])
+    def test_build_rejects_non_integer_pairs(self, edges):
+        with pytest.raises(GraphStructureError, match=r"\(u, v\) pairs of integers"):
+            Graph.build(edges)
+
+    def test_build_rejects_mismatched_weights(self):
+        for weights in ([1.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(InvalidWeightsError, match="weights length"):
+                Graph.build([(0, 1), (1, 2)], weights)
+
+    @pytest.mark.parametrize("make,target", [
+        (lambda: complete_graph(4), 1e-10),
+        (lambda: cycle_graph(20), 1e-10),
+        (lambda: erdos_renyi_graph(30, 0.15, seed=1), 1e-10),
+        (lambda: erdos_renyi_graph(1000, 0.01, seed=0), 0.125),
+    ])
+    def test_mixing_profile(self, make, target):
+        k = lazy_kernel(make(), 0.5)
+        prof, ref = mixing_profile(k, target=target), v030.mixing_profile(k, target=target)
+        assert same_bits(prof.times, ref.times) and same_bits(prof.tv, ref.tv)
+        assert prof.unreached == ref.unreached and prof.spectral_gap == ref.spectral_gap
+        for eps in (0.5, 0.25, 0.125, 1e-2, 1e-4, 1e-8, 1e-10):
+            if eps >= target:
+                assert prof.t_mix_of(eps) == ref.t_mix_of(eps)
+
+
+class TestScale:
+    """Graphs past the dense cap are built and walked in memory linear in n."""
+
+    N = 100_000
+
+    def test_cycle_runs_without_dense_arrays(self):
+        n = self.N
+        tracemalloc.start()
+        try:
+            k = lazy_kernel(cycle_graph(n), 0.5)
+            trace = run_population(k, PolicySpec.uniform(n, a_long=1, q_fork=0.05),
+                                   TrapProfile.uniform(n, 0.02), z0=500, horizon=5, rng_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.horizon == 5 and trace.conservation_violations() == 0
+        # a single dense n x n float64 array would be 8 n^2 = 80 GB
+        assert peak < 2_000 * n, peak
+
+    def test_dense_arrays_raise_before_allocating(self):
+        k = lazy_kernel(cycle_graph(self.N), 0.5)
+        assert k.node_count > DENSE_NODE_CAP
+        reads = [lambda: k.matrix, lambda: k.base, k.cumulative_rows, k.base_cumulative_rows,
+                 lambda: mixing_profile(k)]
+        for read in reads:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParameterError, match="capped at 2000 nodes"):
+                    read()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, peak
