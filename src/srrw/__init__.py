@@ -16,7 +16,6 @@ from .envelopes import (
     MatchingAgeInterval,
     doeblin_constants,
     fit_constants,
-    fork_intensity,
     laplace,
     solve_matching_age,
 )
@@ -43,7 +42,7 @@ from .population import (
     run_population,
     step,
 )
-from .return_time import ReturnTimeSample, empirical_tail, sample_return_times
+from .return_time import ReturnTimeSample, sample_return_times
 
 __all__ = [
     "AgeLaw",
@@ -71,9 +70,7 @@ __all__ = [
     "corridor_distance",
     "corridor_stats",
     "doeblin_constants",
-    "empirical_tail",
     "fit_constants",
-    "fork_intensity",
     "gw_baseline",
     "laplace",
     "lazy_kernel",

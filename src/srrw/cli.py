@@ -284,6 +284,10 @@ def _load_traces(trace_dir: str, resolved: ResolvedConfig) -> list[PopulationTra
         if tr.config_hash != resolved.hash:
             raise ConfigError("traces", f"{name} was written for config {tr.config_hash}, "
                                         f"not {resolved.hash}")
+        z_cap = resolved.simulation["Z_cap"]
+        if tr.capped != (tr.z[-1] >= z_cap):
+            raise ConfigError("traces", f"{name}: capped={int(tr.capped)} disagrees with the "
+                                        f"final Z={tr.z[-1]} and Z_cap={z_cap}")
         law = tr.age_law
         if law is not None and (law.counts.shape[0], law.age_cap) != (n, AGE_LAW_CAP):
             raise ConfigError("traces", f"{name} holds an age law over {law.counts.shape[0]} nodes "

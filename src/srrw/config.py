@@ -49,6 +49,7 @@ def _require(cond: bool, fieldpath: str, message: str):
 
 def _convert(kind, val, label: str):
     """``kind(val)``, or a ConfigError naming ``label`` when ``val`` is not a number."""
+    _require(not isinstance(val, bool), label, f"expected a number, got {val!r}")
     try:
         return kind(val)
     except (TypeError, ValueError) as exc:
@@ -251,14 +252,18 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
         "Z_cap": _get_number(sim, "Z_cap", "simulation.Z_cap", default=DEFAULT_POPULATION_CAP, lo=1, integer=True),
         "placement": sim.get("placement", "pi"),
         "order": sim.get("order", "trap_first"),
-        "collect_age_law": bool(sim.get("collect_age_law", False)),
+        "collect_age_law": sim.get("collect_age_law", False),
         "age_convention": sim.get("age_convention", AGE_CONVENTION),
         "boundary_priority": sim.get("boundary_priority", BOUNDARY_PRIORITY),
     }
     _require(sim_raw["order"] in ("trap_first", "policy_first"), "simulation.order",
              'expected "trap_first" or "policy_first"')
-    _require(sim_raw["placement"] in ("pi", "uniform") or isinstance(sim_raw["placement"], int),
-             "simulation.placement", 'expected "pi", "uniform", or a node id')
+    placement = sim_raw["placement"]
+    _require(placement in ("pi", "uniform") or (type(placement) is int and 0 <= placement < n),
+             "simulation.placement", f'expected "pi", "uniform", or a node id in 0..{n - 1}, '
+             f"got {placement!r}")
+    _require(isinstance(sim_raw["collect_age_law"], bool), "simulation.collect_age_law",
+             f"expected true or false, got {sim_raw['collect_age_law']!r}")
     _require(sim_raw["age_convention"] == AGE_CONVENTION, "simulation.age_convention",
              f"only {AGE_CONVENTION!r} is supported")
     _require(sim_raw["boundary_priority"] == BOUNDARY_PRIORITY, "simulation.boundary_priority",
@@ -303,12 +308,12 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
                 sweep_raw[key] = [_convert(float, v, f"sweep.{key}") for v in vals]
         _require(bool(sweep_raw), "sweep", f"no recognized sweep axes ({', '.join(SWEEP_AXES)})")
 
-    graph_raw = cfg["graph"] if "generator" in cfg["graph"] or "path" in cfg["graph"] else {
-        "nodes": graph.node_count,
-        "edges": [[u, v] if graph.weights is None else [u, v, w]
-                  for (u, v), w in zip(graph.edges,
-                                       graph.weights or [None] * len(graph.edges))],
-    }
+    graph_raw = cfg["graph"]
+    if "edges" in graph_raw:
+        edges = graph.edges.tolist()
+        if graph.weights is not None:
+            edges = [[u, v, w] for (u, v), w in zip(edges, graph.weights.tolist())]
+        graph_raw = {"nodes": graph.node_count, "edges": edges}
     raw = {
         "schema_version": SCHEMA_VERSION,
         "graph": graph_raw,

@@ -126,7 +126,7 @@ def doeblin_constants(kernel: TransitionKernel,
             raise InsufficientDataError(
                 f"TV curve does not reach pi({u})/2 = {pi[u] / 2.0}; extend the profile"
             )
-        t_u = int(profile.times[idx[0]])
+        t_u = int(idx[0])
         theta_u = t_u + float(tv[1:t_u + 1].sum()) / pi[u]
         c_plus[u] = 2.0 * theta_u / t_u
         t_u_arr[u] = t_u
@@ -284,42 +284,6 @@ def solve_matching_age(model: EnvelopeModel, q: float, p_fork: float) -> Matchin
     a_lo = _invert_envelope(model, "plus", q, p_fork)
     a_hi = _invert_envelope(model, "minus", q, p_fork)
     return MatchingAgeInterval(a_lo, a_hi)
-
-
-def fork_intensity(pi, tails_by_node: dict, q: float, age: int) -> float:
-    """Idealized per-visit fork rate q * sum(pi(u) * Pr{return time of u >= age}).
-
-    ``pi`` may be a stationary distribution or a kernel carrying one;
-    ``tails_by_node`` maps node -> callable or dict giving the tail at the age.
-    """
-    if isinstance(pi, TransitionKernel):
-        pi = pi.pi
-    total = 0.0
-    for u in range(len(pi)):
-        if u not in tails_by_node:
-            raise InsufficientDataError(f"no tail estimate for node {u}")
-        t = tails_by_node[u]
-        tail = t(age) if callable(t) else t[age]
-        total += pi[u] * tail
-    return q * total
-
-
-def tails_from_samples(samples: list[ReturnTimeSample]) -> dict:
-    """Node -> tail lookup built from sampled return times (tail 0 past the max)."""
-    out = {}
-    for s in samples:
-        ages, tails = tail_curve(s)
-        lookup = dict(zip(ages.tolist(), tails.tolist()))
-
-        def make(lk):
-            def f(a):
-                if a < 1:
-                    raise ParameterError("ages start at 1")
-                return lk.get(int(a), 0.0 if a > max(lk) else 1.0)
-            return f
-
-        out[s.node] = make(lookup)
-    return out
 
 
 def envelope_curve_rows(model: EnvelopeModel, ages) -> list[tuple[float, float, float]]:

@@ -4,25 +4,26 @@ Supports undirected, optionally edge-weighted, finite connected graphs.
 Kernels are lazy reversible walks; stationary laws come from the closed-form
 degree/weight formula, with power iteration available as a cross-check.
 
-Everything about a graph is built from its edges as int arrays, in
-O(n + |E|) time and memory: validation (range, canonical order, duplicates,
-weights, connectivity), degrees and weight totals, and the kernel's rows in
-CSR form (``indptr``, neighbour columns, probabilities) from which the
-neighbour and fork tables are padded. Only a weighted graph's row totals are
-summed over dense rows, in the order ``p.sum(axis=1)`` adds them, which
-keeps every kernel entry bitwise equal to the dense construction (O(n^2)
-time, O(n) memory). The dense n x n kernel arrays (``TransitionKernel.matrix``,
-``.base`` and the cumulative rows) are built on first read, for the exact
-analysis (mixing profiles, spectral gap, Doeblin constants); past
-``DENSE_NODE_CAP`` nodes reading them raises ``ParameterError`` instead of
-allocating 8 n^2 bytes each.
+A graph holds its edges once, as a read-only (m, 2) int array with an
+optional parallel weight array, and everything about it is built from them
+in O(n + |E|) time and memory: validation (range, canonical order,
+duplicates, weights, connectivity), degrees and weight totals, and the
+kernel's rows in CSR form (``indptr``, neighbour columns, probabilities)
+from which the neighbour and fork tables are padded. Only a weighted graph's
+row totals are summed over dense rows, in the order ``p.sum(axis=1)`` adds
+them, which keeps every kernel entry bitwise equal to the dense construction
+(O(n^2) time, O(n) memory). The dense n x n kernel arrays
+(``TransitionKernel.matrix``, ``.base`` and the cumulative rows) are built on
+first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
+constants); past ``DENSE_NODE_CAP`` nodes reading them raises
+``ParameterError`` instead of allocating 8 n^2 bytes each.
 """
 from __future__ import annotations
 
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,20 +77,19 @@ def _component_roots(n: int, ends: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Finite connected undirected graph, optionally edge-weighted.
 
-    ``edges`` holds canonical (u < v) pairs; ``weights`` is parallel to
-    ``edges`` when present. Instances are immutable after construction.
+    ``edges`` is a read-only (m, 2) int64 array of canonical (u < v) pairs;
+    ``weights`` is a read-only float array parallel to it, or ``None``. The
+    constructor validates and copies what it is given; instances are
+    immutable after construction and compare by identity.
     """
 
     node_count: int
-    edges: tuple
-    weights: tuple | None = None
-    # the edges as an (m, 2) int array and their weights (1.0 when unweighted)
-    _ends: np.ndarray = field(init=False, repr=False, compare=False)
-    _weight: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.node_count
@@ -110,11 +110,11 @@ class Graph:
         if first_repeat < m:
             a, b = self.edges[first_repeat]
             raise GraphStructureError(f"duplicate edge ({a},{b})")
-        weight = np.ones(m)
+        weight = None
         if self.weights is not None:
             if len(self.weights) != m:
                 raise InvalidWeightsError("weights length does not match edge count")
-            weight = np.asarray(self.weights, dtype=float)
+            weight = np.array(self.weights, dtype=float)
             bad = np.flatnonzero(~(np.isfinite(weight) & (weight > 0.0)))
             if bad.size:
                 a, b = self.edges[bad[0]]
@@ -122,6 +122,7 @@ class Graph:
                     f"edge ({a},{b}) has weight {self.weights[bad[0]]}; "
                     "zero or non-finite weights are rejected"
                 )
+            weight.setflags(write=False)
         root = _component_roots(n, ends)
         roots = np.flatnonzero(root == np.arange(n))
         if roots.size != 1:
@@ -131,10 +132,9 @@ class Graph:
             shown = shown if len(shown) <= 200 else shown[:200] + " ..."
             raise GraphStructureError(f"graph is disconnected into {roots.size} components; "
                                       f"the first: {shown}")
-        for arr in (ends, weight):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_weight", weight)
+        ends.setflags(write=False)
+        object.__setattr__(self, "edges", ends)
+        object.__setattr__(self, "weights", weight)
 
     @staticmethod
     def build(edges, weights=None, node_count=None) -> "Graph":
@@ -146,16 +146,13 @@ class Graph:
                                       "laziness is added at the kernel level")
         ends.sort(axis=1)
         order = np.lexsort((ends[:, 1], ends[:, 0]))
-        ends = ends[order]
-        w_sorted = None
         if weights is not None:
             if len(weights) != len(ends):
                 raise InvalidWeightsError("weights length does not match edge count")
-            w_sorted = tuple(np.asarray(weights, dtype=float)[order].tolist())
+            weights = np.asarray(weights, dtype=float)[order]
         if node_count is None:
             node_count = 1 + int(ends.max()) if len(ends) else 0
-        edges = tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
-        return Graph(int(node_count), edges, w_sorted)
+        return Graph(int(node_count), ends[order], weights)
 
     @property
     def is_weighted(self) -> bool:
@@ -165,19 +162,23 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def _edge_weights(self) -> np.ndarray:
+        """The weight of every edge, 1.0 each when unweighted."""
+        return np.ones(self.edge_count) if self.weights is None else self.weights
+
     def degrees(self) -> np.ndarray:
-        return np.bincount(self._ends.ravel(), minlength=self.node_count)
+        return np.bincount(self.edges.ravel(), minlength=self.node_count)
 
     def weight_totals(self) -> np.ndarray:
         """Per-node total incident weight (degree when unweighted), added in edge order."""
-        return np.bincount(self._ends.ravel(), weights=np.repeat(self._weight, 2),
+        return np.bincount(self.edges.ravel(), weights=np.repeat(self._edge_weights(), 2),
                            minlength=self.node_count)
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR rows ``(indptr, nbr, weight)``: node u's neighbours ``nbr[indptr[u]:indptr[u + 1]]``
         in ascending order, with their edge weights."""
-        return _csr(self.node_count, self._ends.ravel(order="F"),
-                    self._ends[:, ::-1].ravel(order="F"), np.tile(self._weight, 2))
+        return _csr(self.node_count, self.edges.ravel(order="F"),
+                    self.edges[:, ::-1].ravel(order="F"), np.tile(self._edge_weights(), 2))
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -585,9 +586,9 @@ def spectral_gap(kernel: TransitionKernel) -> float:
     Computed on the symmetrized lazy kernel, valid because the chain is
     reversible with respect to its stationary law.
     """
-    pi = kernel.pi.probs
-    d = np.sqrt(pi)
-    sym = d[:, None] * kernel.matrix / d[None, :]
+    matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
+    d = np.sqrt(kernel.pi.probs)
+    sym = d[:, None] * matrix / d[None, :]
     ev = np.linalg.eigvalsh(sym)
     slem = max(abs(ev[0]), abs(ev[-2])) if len(ev) > 1 else 0.0
     return float(1.0 - slem)
@@ -596,14 +597,13 @@ def spectral_gap(kernel: TransitionKernel) -> float:
 class MixingProfile:
     """Exact worst-start TV decay curve plus the spectral gap.
 
-    ``times``/``tv`` include t = 0. ``unreached`` flags a curve that was cut
-    off at ``max_t`` before hitting the construction target.
+    ``tv[t]`` is the worst-start TV distance at time t, from t = 0.
+    ``unreached`` flags a curve that was cut off at ``max_t`` before hitting
+    the construction target.
     """
 
-    def __init__(self, spectral_gap: float, times: np.ndarray, tv: np.ndarray,
-                 pi_min: float, unreached: bool):
+    def __init__(self, spectral_gap: float, tv: np.ndarray, pi_min: float, unreached: bool):
         self.spectral_gap = float(spectral_gap)
-        self.times = np.asarray(times, dtype=np.int64)
         self.tv = np.asarray(tv, dtype=float)
         self.pi_min = float(pi_min)
         self.unreached = bool(unreached)
@@ -616,15 +616,9 @@ class MixingProfile:
         hit = np.nonzero(self.tv <= eps)[0]
         if hit.size == 0:
             raise InsufficientDataError(
-                f"TV curve never reaches {eps} within t <= {self.times[-1]} (unreached={self.unreached})"
+                f"TV curve never reaches {eps} within t <= {len(self.tv) - 1} (unreached={self.unreached})"
             )
-        return int(self.times[hit[0]])
-
-    def tv_at(self, t: int) -> float:
-        idx = np.searchsorted(self.times, t)
-        if idx >= len(self.times) or self.times[idx] != t:
-            raise InsufficientDataError(f"TV curve does not cover t={t}")
-        return float(self.tv[idx])
+        return int(hit[0])
 
     def spectral_bound(self, eps: float) -> int:
         """Classical upper bound ceil(log(1/(eps*pi_min)) / gap) on the mixing time."""
@@ -634,13 +628,9 @@ class MixingProfile:
 def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
                    target: float = 1e-10) -> MixingProfile:
     """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``."""
-    n = kernel.node_count
-    if n > DENSE_NODE_CAP:
-        raise ParameterError(f"dense mixing profile capped at {DENSE_NODE_CAP} nodes, got {n}")
     # the eigensolve runs before the powers, so no power is held through its n x n copies
     gap = spectral_gap(kernel)
     pi = kernel.pi.probs
-    times = [0]
     tv = [float(1.0 - pi.min())]
     matrix = kernel.matrix
     m = matrix  # the first power is the kernel itself, bitwise eye(n) @ matrix
@@ -649,7 +639,6 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
         if t > 1:
             m = m @ matrix
         d = float(0.5 * np.abs(m - pi[None, :]).sum(axis=1).max())
-        times.append(t)
         tv.append(d)
         if d <= target:
             unreached = False
@@ -657,15 +646,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     tv_arr = np.minimum.accumulate(np.asarray(tv))
     if np.max(np.asarray(tv) - tv_arr) > 1e-12:
         raise ParameterError("TV curve increased beyond numerical tolerance")
-    return MixingProfile(gap, np.asarray(times), tv_arr, kernel.pi.pi_min, unreached)
-
-
-def power_iterate(kernel: TransitionKernel, alpha: np.ndarray, t: int) -> np.ndarray:
-    """Evolve a start distribution t steps under the lazy kernel."""
-    v = np.asarray(alpha, dtype=float).copy()
-    for _ in range(t):
-        v = v @ kernel.matrix
-    return v
+    return MixingProfile(gap, tv_arr, kernel.pi.pi_min, unreached)
 
 
 def stationary_by_iteration(kernel: TransitionKernel, tol: float = 1e-13,

@@ -164,8 +164,11 @@ class PopulationTrace:
         length as the requested horizon, and files without age-law lines no
         age law. Raises ParameterError on no data rows, a row without five
         columns, a non-integer cell or flag value, a ``t`` column other than
-        0, 1, ..., T, a negative count, or a step whose counts break
-        Z_t = Z_(t-1) + forks - trap_dels - terms."""
+        0, 1, ..., T, a negative count, a step whose counts break
+        Z_t = Z_(t-1) + forks - trap_dels - terms, or flags that disagree
+        with the counts: a flag other than 0 or 1, ``extinct`` unless the
+        final Z is 0, both flags set, T past ``horizon_requested``, or T short
+        of it with neither flag set."""
         meta = {}
         rows = []
         with open(path) as fh:
@@ -181,11 +184,21 @@ class PopulationTrace:
         try:
             arr = np.asarray(rows, dtype=np.int64)
             seed = int(meta.get("seed", 0))
-            capped = bool(int(meta.get("capped", 0)))
-            extinct = bool(int(meta["extinct"])) if "extinct" in meta else bool(arr[-1, 1] == 0)
+            capped = int(meta.get("capped", 0))
+            extinct = int(meta["extinct"]) if "extinct" in meta else int(arr[-1, 1] == 0)
             horizon_requested = int(meta.get("horizon_requested", len(rows) - 1))
         except ValueError as exc:
             raise ParameterError(f"trace values must be integers: {exc}") from None
+        steps, final_z = len(arr) - 1, arr[-1, 1]
+        if {capped, extinct} - {0, 1}:
+            raise ParameterError(f"flags must be 0 or 1, got capped={capped} extinct={extinct}")
+        if extinct != (final_z == 0):
+            raise ParameterError(f"extinct={extinct} disagrees with the final Z={final_z}")
+        if capped and extinct:
+            raise ParameterError("a trace cannot be both capped and extinct")
+        if steps > horizon_requested or (steps < horizon_requested and not (capped or extinct)):
+            raise ParameterError(f"{steps} steps recorded against horizon_requested="
+                                 f"{horizon_requested} with capped={capped} extinct={extinct}")
         off = np.flatnonzero(arr[:, 0] != np.arange(len(arr)))
         if off.size:
             raise ParameterError(f"trace steps must run 0, 1, ..., {len(arr) - 1}; "
@@ -196,7 +209,7 @@ class PopulationTrace:
         trace = PopulationTrace(
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
             seed=seed, lambda_del=float("nan"), config_hash=meta.get("config_hash"),
-            extinct=extinct, capped=capped, horizon_requested=horizon_requested,
+            extinct=bool(extinct), capped=bool(capped), horizon_requested=horizon_requested,
             age_law=AgeLaw.from_header(meta),
         )
         unbalanced = trace._unbalanced_steps()
@@ -538,13 +551,11 @@ class GwReport:
 
 
 def gw_baseline(mean_offspring: float, generations: int, replicas: int, seed: int,
-                offspring: str = "poisson", binomial_trials: int = 10,
                 initial: int = 1, z_cap: int = DEFAULT_POPULATION_CAP) -> GwReport:
-    """Galton-Watson comparison chain with a given mean offspring count.
+    """Galton-Watson comparison chain with Poisson offspring of a given mean.
 
-    Poisson offspring by default (population-level draws aggregate exactly);
-    a binomial option with a fixed trial count is available. Replicas halted
-    at ``z_cap`` count as survivors.
+    Population-level Poisson draws aggregate exactly. Replicas halted at
+    ``z_cap`` count as survivors.
     """
     if replicas < 1:
         raise ParameterError("need at least one replica")
@@ -557,32 +568,17 @@ def gw_baseline(mean_offspring: float, generations: int, replicas: int, seed: in
         live = (z > 0) & (z <= z_cap)
         if not np.any(live):
             break
-        if offspring == "poisson":
-            z[live] = rng.poisson(mean_offspring * z[live])
-        elif offspring == "binomial":
-            p = mean_offspring / binomial_trials
-            if not (0.0 <= p <= 1.0):
-                raise ParameterError("binomial offspring needs mean <= trial count")
-            z[live] = rng.binomial(binomial_trials * z[live], p)
-        else:
-            raise ParameterError(f"unknown offspring law {offspring!r}")
+        z[live] = rng.poisson(mean_offspring * z[live])
         z_max = np.maximum(z_max, z)
     extinct = float(np.mean(z == 0))
     return GwReport(extinct, 1.0 - extinct, z.copy(), z_max)
 
 
-def gw_extinction_probability(mean_offspring: float, offspring: str = "poisson",
-                              binomial_trials: int = 10, iters: int = 500) -> float:
-    """Fixed point of the offspring generating function, iterated from 0."""
+def gw_extinction_probability(mean_offspring: float, iters: int = 500) -> float:
+    """Fixed point of the Poisson offspring generating function, iterated from 0."""
     s = 0.0
     for _ in range(iters):
-        if offspring == "poisson":
-            s = math.exp(mean_offspring * (s - 1.0))
-        elif offspring == "binomial":
-            p = mean_offspring / binomial_trials
-            s = (1.0 - p + p * s) ** binomial_trials
-        else:
-            raise ParameterError(f"unknown offspring law {offspring!r}")
+        s = math.exp(mean_offspring * (s - 1.0))
     return s
 
 

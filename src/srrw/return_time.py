@@ -1,10 +1,13 @@
-"""First-return-time sampling of the lazy walk, and tail estimates.
+"""First-return-time sampling of the lazy walk, and the empirical tail.
 
 Return times are i.i.d. samples of walks started at the target node (simple
 confidence intervals). The walkers never interact, so they move together as
 token counts per node, at O(occupied nodes x width) per step whatever the
 sample count, and come out sorted. The empirical mean obeys Kac's identity
 mean = 1/pi(u), which the tests use as an independent oracle.
+``tail_curve`` is the one estimate of the tail Pr_u(T_u >= A) made from a
+sample, at every age up to the largest sampled return time; the envelope fit
+reads it.
 A node's age in the engine is the time since its last visit; the node clock
 that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
@@ -26,7 +29,6 @@ class ReturnTimeSample:
 
     node: int
     samples: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.int64)
@@ -66,27 +68,12 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
         counts = table.move(counts, rng)
         returns.append(counts[u])
         counts[u] = 0
-    return ReturnTimeSample(u, np.repeat(np.arange(1, len(returns) + 1), returns), seed=rng_seed)
-
-
-def empirical_tail(sample: ReturnTimeSample, ages) -> list[tuple[int, float]]:
-    """Empirical tail probabilities Pr{return time >= A} for each requested age."""
-    ages = list(ages)
-    if sample.count == 0:
-        raise InsufficientDataError(f"no samples for node {sample.node}")
-    if any(a < 1 for a in ages) or any(b < a for a, b in zip(ages, ages[1:])):
-        raise ValueError("ages must be sorted ascending and at least 1")
-    sorted_samples = np.sort(sample.samples)
-    n = sample.count
-    out = []
-    for a in ages:
-        ge = n - int(np.searchsorted(sorted_samples, a, side="left"))
-        out.append((int(a), ge / n))
-    return out
+    return ReturnTimeSample(u, np.repeat(np.arange(1, len(returns) + 1), returns))
 
 
 def tail_curve(sample: ReturnTimeSample) -> tuple[np.ndarray, np.ndarray]:
-    """Tail at every observed age 1..max(sample); tail(1) = 1 by construction."""
+    """Empirical tail Pr{return time >= A} at every age A = 1..max(sample);
+    tail(1) = 1 by construction, and the tail is 0 past the largest sample."""
     max_a = int(sample.samples.max())
     ages = np.arange(1, max_a + 1)
     sorted_samples = np.sort(sample.samples)

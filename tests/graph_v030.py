@@ -154,17 +154,15 @@ def mixing_profile(kernel, max_t=20000, target=1e-10):
     """0.3.0's ``mixing_profile``, whose first product is ``eye(n) @ kernel.matrix``."""
     n = kernel.node_count
     pi = kernel.pi.probs
-    times = [0]
     tv = [float(1.0 - pi.min())]
     m = np.eye(n)
     unreached = True
     for t in range(1, max_t + 1):
         m = m @ kernel.matrix
         d = float(0.5 * np.abs(m - pi[None, :]).sum(axis=1).max())
-        times.append(t)
         tv.append(d)
         if d <= target:
             unreached = False
             break
     tv_arr = np.minimum.accumulate(np.asarray(tv))
-    return MixingProfile(spectral_gap(kernel), np.asarray(times), tv_arr, kernel.pi.pi_min, unreached)
+    return MixingProfile(spectral_gap(kernel), tv_arr, kernel.pi.pi_min, unreached)

@@ -143,6 +143,14 @@ class TestSimulate:
         summary = json.load(open(os.path.join(only_run_dir(out), "summary.json")))
         assert summary["cap_fraction"] == 1.0
 
+    def test_placement_outside_the_graph_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 120, "replicas": 2,
+                                                 "seed": 7, "placement": 9})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: simulation.placement: ")
+        assert not out.exists()
+
     def test_seed_and_replica_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -444,6 +452,25 @@ class TestCheck:
                          "--traces", sim_run])
             assert code == 1, edited[-200:]
             assert "config error: traces: replica_000.csv" in capsys.readouterr().err, i
+
+    def test_traces_with_flags_against_counts_rejected(self, tmp_path, capsys):
+        # the replica runs its 50 steps and ends with a few tokens, far below Z_cap
+        cfg = write_config(tmp_path, policy={"A_l": 1, "q_fork": 0.1},
+                           simulation={"Z_0": 5, "horizon": 50, "replicas": 1, "seed": 7})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        text = open(path).read()
+        edits = [("# extinct=0", "# extinct=1"), ("# capped=0", "# capped=1"),
+                 ("# capped=0", "# capped=7"), ("# horizon_requested=50", "# horizon_requested=500")]
+        for i, (old, new) in enumerate(edits):
+            assert text.count(old) == 1
+            with open(path, "w") as fh:
+                fh.write(text.replace(old, new))
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / f"check_{i}"),
+                         "--traces", sim_run])
+            assert code == 1, new
+            assert "config error: traces: replica_000.csv" in capsys.readouterr().err, new
 
     @pytest.mark.parametrize("step,row,message", [
         (5, "5,-7,0,0,0", "step 5 has a negative count"),

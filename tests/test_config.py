@@ -109,6 +109,20 @@ class TestValidationErrors:
         (lambda c: c.update(traps={"zeta": 0.1, "nodes": [0, "b"]}), "traps.nodes"),
         (lambda c: c["policy"].update(A_l=[1, 2, "x", 4]), "policy.A_l"),
         (lambda c: c.update(sweep={"q": ["x"]}), "sweep.q"),
+        # booleans are not numbers or node ids, a string is not a flag, and K4 has no node 4
+        pytest.param(lambda c: c.update(traps={"zeta": 0.1, "nodes": [True]}), "traps.nodes",
+                     id="bool-node"),
+        pytest.param(lambda c: c.update(traps={"zeta": {"0": True}}), "traps.zeta.0",
+                     id="bool-zeta"),
+        pytest.param(lambda c: c["policy"].update(A_l=[True, 1, 1, 1]), "policy.A_l",
+                     id="bool-per-node-A_l"),
+        pytest.param(lambda c: c.update(sweep={"q": [True]}), "sweep.q", id="bool-sweep-q"),
+        pytest.param(lambda c: c["simulation"].update(placement=True), "simulation.placement",
+                     id="bool-placement"),
+        pytest.param(lambda c: c["simulation"].update(placement=4), "simulation.placement",
+                     id="placement-outside-graph"),
+        pytest.param(lambda c: c["simulation"].update(collect_age_law="no"),
+                     "simulation.collect_age_law", id="string-collect_age_law"),
     ])
     def test_malformed_values_name_their_field(self, mutate, field):
         cfg = base_config()
@@ -156,7 +170,7 @@ class TestHashing:
                                                "p": 0.3, "seed": 0}})
         a = resolve_config(cfg)
         b = resolve_config(cfg)
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.edges, b.graph.edges)
 
     def test_canonical_hash_ignores_key_order(self):
         r = resolve_config(base_config())

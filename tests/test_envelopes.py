@@ -11,10 +11,8 @@ from srrw.envelopes import (
     doeblin_constants,
     envelope_curve_rows,
     fit_constants,
-    fork_intensity,
     laplace,
     solve_matching_age,
-    tails_from_samples,
 )
 from srrw.errors import (
     FitError,
@@ -23,7 +21,7 @@ from srrw.errors import (
     ParameterError,
 )
 from srrw.graphs import StationaryDistribution, complete_graph, lazy_kernel
-from srrw.return_time import ReturnTimeSample, sample_return_times
+from srrw.return_time import ReturnTimeSample, sample_return_times, tail_curve
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
 K4 = lazy_kernel(complete_graph(4), 0.5)
@@ -239,32 +237,32 @@ class TestMatchingAge:
         assert iv2.lo <= a + 1e-7 and iv1.hi >= a - 1e-7
 
 
+def stationary_fork_rate(pi, samples, q, age):
+    """Idealized per-visit fork rate q * sum(pi(u) * Pr{return time of u >= age}),
+    each node's tail read from ``tail_curve`` of its sample (0 past the largest)."""
+    total = 0.0
+    for s in samples:
+        _, tails = tail_curve(s)
+        total += pi[s.node] * (tails[age - 1] if age <= tails.size else 0.0)
+    return q * total
+
+
 class TestForkIntensity:
     def test_age_one_equals_cap(self):
         samples = [sample_return_times(K2, u, 5000, rng_seed=61 + u) for u in range(2)]
-        tails = tails_from_samples(samples)
-        assert fork_intensity(K2.pi, tails, 0.3, 1) == pytest.approx(0.3)
-
-    def test_zero_cap(self):
-        samples = [sample_return_times(K2, u, 5000, rng_seed=71 + u) for u in range(2)]
-        assert fork_intensity(K2, tails_from_samples(samples), 0.0, 2) == 0.0
+        assert stationary_fork_rate(K2.pi, samples, 0.3, 1) == pytest.approx(0.3)
 
     def test_k2_exact_value_at_age_two(self):
-        # exact tail at age 2 is 0.5 for both nodes
-        tails = {0: {2: 0.5}, 1: {2: 0.5}}
-        assert fork_intensity(K2.pi, tails, 1.0, 2) == pytest.approx(0.5)
-
-    def test_missing_node_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            fork_intensity(K2.pi, {0: {1: 1.0}}, 0.5, 1)
+        # the dyadic samples' tail at age 2 is exactly 0.5 for both nodes
+        samples = [dyadic_k2_samples(node=u) for u in range(2)]
+        assert stationary_fork_rate(K2.pi, samples, 1.0, 2) == 0.5
 
     def test_sandwich_against_fitted_envelopes(self):
         samples = [sample_return_times(K4, u, 50_000, rng_seed=81 + u) for u in range(4)]
         fit = fit_constants(samples, K4.pi)
-        tails = tails_from_samples(samples)
         q = 0.6
         for a in range(2, 12):
-            rate = fork_intensity(K4.pi, tails, q, a)
+            rate = stationary_fork_rate(K4.pi, samples, q, a)
             lo = q * laplace(fit, "plus", a)
             hi = q * laplace(fit, "minus", a)
             assert lo * (1 - 1e-9) <= rate <= hi * (1 + 1e-9)

@@ -13,7 +13,6 @@ from srrw.graphs import (
 )
 from srrw.return_time import (
     ReturnTimeSample,
-    empirical_tail,
     sample_return_times,
     tail_curve,
 )
@@ -71,11 +70,11 @@ class TestSampling:
         # exact law: T ~ Geometric(1/2), so E[T] = 2 and Pr{T >= A} = 2^(1-A)
         s = sample_return_times(K2, 0, 100_000, rng_seed=7)
         assert abs(s.mean() - 2.0) <= 3 * s.std_error()
-        tails = dict(empirical_tail(s, [1, 2, 3]))
-        assert tails[1] == 1.0
+        _, tails = tail_curve(s)  # tails[a - 1] is the tail at age a
+        assert tails[0] == 1.0
         for a, p in ((2, 0.5), (3, 0.25)):
             ci = 2.576 * np.sqrt(p * (1 - p) / s.count)
-            assert abs(tails[a] - p) <= ci
+            assert abs(tails[a - 1] - p) <= ci
 
     def test_kac_identity_path3(self):
         k = lazy_kernel(path_graph(3), 0.5)
@@ -115,20 +114,10 @@ class TestSampling:
 class TestTails:
     def test_monotone_and_bounded(self):
         s = sample_return_times(K2, 0, 10_000, rng_seed=5)
-        tails = [p for _, p in empirical_tail(s, list(range(1, 20)))]
+        _, tails = tail_curve(s)
         assert tails[0] == 1.0
         assert all(0.0 <= p <= 1.0 for p in tails)
         assert all(a >= b for a, b in zip(tails, tails[1:]))
-
-    def test_empty_sample_rejected(self):
-        s = ReturnTimeSample(0, np.array([], dtype=np.int64))
-        with pytest.raises(InsufficientDataError):
-            empirical_tail(s, [1, 2])
-
-    def test_unsorted_ages_rejected(self):
-        s = ReturnTimeSample(0, np.array([1, 2, 3]))
-        with pytest.raises(ValueError):
-            empirical_tail(s, [3, 1])
 
     def test_tail_curve_matches_pointwise(self):
         s = ReturnTimeSample(0, np.array([1, 1, 2, 5]))

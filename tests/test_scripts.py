@@ -1,0 +1,51 @@
+"""Smoke tests of the scripts in ``scripts/`` and of the package's exported names.
+
+The scripts are the library's only callers outside the tests, so a change
+that removes a name one of them uses fails here. Each script's ``run`` is
+called at a small size and must return 0.
+"""
+import importlib.util
+import os
+import tempfile
+
+import pytest
+
+import srrw
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"script_{name}",
+                                                  os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_envelope_report(capsys):
+    assert load("envelope_report").run("complete", 4, 0.5, 2000, 7) == 0
+    assert "looseness ordering holds: True" in capsys.readouterr().out
+
+
+@pytest.fixture
+def scratch_tempdir(tmp_path, monkeypatch):
+    """The scripts write their config to a kept temporary file; keep it under ``tmp_path``."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
+
+
+def test_feasibility_frontier(scratch_tempdir):
+    assert load("feasibility_frontier").run(str(scratch_tempdir / "out")) == 0
+
+
+def test_corridor_experiment(scratch_tempdir):
+    assert load("corridor_experiment").run(str(scratch_tempdir / "out"), 2000, 1) == 0
+
+
+def test_step_timing_imports():
+    assert callable(load("step_timing").main)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in srrw.__all__ if not hasattr(srrw, name)] == []
