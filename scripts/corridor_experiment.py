@@ -7,7 +7,7 @@ the full check artifacts (feasibility + corridor JSON, traces) via the CLI.
 """
 import argparse
 import json
-import tempfile
+import os
 
 from srrw.cli import main as cli_main
 
@@ -29,9 +29,10 @@ CONFIG = {
 def run(out_dir: str, horizon: int, replicas: int) -> int:
     cfg = dict(CONFIG)
     cfg["simulation"] = dict(CONFIG["simulation"], horizon=horizon, replicas=replicas)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "corridor_config.json")
+    with open(path, "w") as fh:
         json.dump(cfg, fh)
-        path = fh.name
     return cli_main(["check", "--config", path, "--out", out_dir])
 
 

@@ -7,7 +7,7 @@ switch along the grid is the empirical feasibility frontier.
 """
 import argparse
 import json
-import tempfile
+import os
 
 from srrw.cli import main as cli_main
 
@@ -23,9 +23,10 @@ CONFIG = {
 
 
 def run(out_dir: str) -> int:
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "frontier_config.json")
+    with open(path, "w") as fh:
         json.dump(CONFIG, fh)
-        path = fh.name
     return cli_main(["sweep", "--config", path, "--out", out_dir])
 
 

@@ -55,12 +55,6 @@ class FeasibilityReport:
         }
 
 
-def _envelope_at(model: EnvelopeModel, sign: str, age: float) -> float:
-    if math.isinf(age):
-        return 0.0
-    return laplace(model, sign, age)
-
-
 def check_feasibility(model: EnvelopeModel, q: float, interval: MatchingAgeInterval,
                       traps: TrapProfile, k_term: float) -> FeasibilityReport:
     """Evaluate the viability and safety conditions at worst-case interval endpoints.
@@ -77,10 +71,10 @@ def check_feasibility(model: EnvelopeModel, q: float, interval: MatchingAgeInter
         raise InfeasibleInputError(f"empty effective-age interval [{interval.lo}, {interval.hi}]")
     lam = traps.absorption_pressure(model.pi)
 
-    plus_lo = q * _envelope_at(model, "plus", interval.lo)
-    plus_hi = q * _envelope_at(model, "plus", interval.hi)
-    minus_lo = q * _envelope_at(model, "minus", interval.lo)
-    minus_hi = q * _envelope_at(model, "minus", interval.hi)
+    plus_lo = q * laplace(model, "plus", interval.lo)
+    plus_hi = q * laplace(model, "plus", interval.hi)
+    minus_lo = q * laplace(model, "minus", interval.lo)
+    minus_hi = q * laplace(model, "minus", interval.hi)
 
     viability_lhs = plus_hi
     safety_lhs = minus_lo - lam - k_term
@@ -150,9 +144,12 @@ def check_corridor_feasibility(model: EnvelopeModel, traps: TrapProfile,
 # ---------------------------------------------------------------------------
 # corridor geometry and recurrence statistics
 
-def corridor_distance(z, z_low: float, z_high: float) -> float:
-    """Piecewise-linear distance to the corridor: zero inside, slope one outside."""
-    return float(max(z_low - z, 0.0) + max(z - z_high, 0.0))
+def corridor_distance(z, z_low: float, z_high: float):
+    """Piecewise-linear distance to the corridor: zero inside, slope one outside.
+
+    Elementwise over an array of counts; a scalar count gives a float.
+    """
+    return np.maximum(z_low - z, 0.0) + np.maximum(z - z_high, 0.0)
 
 
 @dataclass
@@ -226,10 +223,10 @@ def corridor_stats(trace: PopulationTrace, z_low: int, z_high: int, plan: BlockP
     if not z_low < z_high:
         raise ParameterError("need z_low < z_high")
     b = plan.block_length
-    n_blocks = trace.horizon // b
+    skeleton = trace.blocks(b)[0]
+    n_blocks = len(skeleton) - 1
     if n_blocks < min_blocks:
         raise InsufficientDataError(f"trace covers {n_blocks} blocks, need {min_blocks}")
-    skeleton = trace.z[::b][:n_blocks + 1]
     inside = (skeleton >= z_low) & (skeleton <= z_high)
 
     return_times = []
@@ -304,11 +301,8 @@ def lyapunov_drift(trace: PopulationTrace, z_low: int, z_high: int, plan: BlockP
     """
     if not z_low < z_high:
         raise ParameterError("need z_low < z_high")
-    b = plan.block_length
-    n_blocks = trace.horizon // b
-    skeleton = trace.z[::b][:n_blocks + 1]
-    v = np.array([corridor_distance(z, z_low, z_high) for z in skeleton])
-    dv = np.diff(v)
+    skeleton = trace.blocks(plan.block_length)[0]
+    dv = np.diff(corridor_distance(skeleton, z_low, z_high))
     z_k = skeleton[:-1]
     alive = z_k > 0
 

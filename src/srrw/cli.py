@@ -223,7 +223,7 @@ def cmd_envelopes(resolved: ResolvedConfig, outdir: str) -> None:
     _write_csv(os.path.join(outdir, "envelope_curves.csv"), "A,L_plus,L_minus", rows, meta)
 
 
-def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None) -> dict:
+def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: float) -> dict:
     out = {
         "seed": tr.seed,
         "extinct": tr.extinct,
@@ -234,7 +234,7 @@ def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None) -> dict:
     }
     if plan is not None:
         try:
-            rep = block_drift(tr, plan, min_blocks=1)
+            rep = block_drift(tr, plan, lambda_del, min_blocks=1)
             out["block_table"] = [
                 {"k": k, "z_start": int(z), "drift_per_token": d, "predicted_per_token": p}
                 for k, (z, d, p) in enumerate(zip(rep.z_start, rep.drift_per_token,
@@ -259,9 +259,10 @@ def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
         plan = None
     for i, tr in enumerate(traces):
         tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
+    lam = resolved.traps.absorption_pressure(resolved.kernel.pi)
     _write_json(os.path.join(outdir, "summary.json"), {
         "meta": meta,
-        "replicas": [_trace_summary(tr, plan) for tr in traces],
+        "replicas": [_trace_summary(tr, plan, lam) for tr in traces],
         "extinction_fraction": float(np.mean([tr.extinct for tr in traces])),
         "cap_fraction": float(np.mean([tr.capped for tr in traces])),
         "block_length": None if plan is None else plan.block_length,
@@ -292,7 +293,6 @@ def _load_traces(trace_dir: str, resolved: ResolvedConfig) -> list[PopulationTra
         if law is not None and (law.counts.shape[0], law.age_cap) != (n, AGE_LAW_CAP):
             raise ConfigError("traces", f"{name} holds an age law over {law.counts.shape[0]} nodes "
                                         f"with cap {law.age_cap}, not {n} with cap {AGE_LAW_CAP}")
-        tr.lambda_del = resolved.traps.absorption_pressure(resolved.kernel.pi)
         traces.append(tr)
     return traces
 
@@ -351,24 +351,18 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
             stats_list.append(st)
             for j, rt in enumerate(st.return_times):
                 excursion_rows.append(f"{i},{j},{int(rt)}")
-        drift_reports = []
-        for tr in traces:
-            try:
-                drift_reports.append(lyapunov_drift(tr, z_low, z_high, plan).to_json_dict())
-            except SrrwError:
-                drift_reports.append(None)
         corridor_payload = {
             "per_replica": [st.to_json_dict() for st in stats_list],
             "mean_inside_fraction": (float(np.mean([st.inside_fraction for st in stats_list]))
                                      if stats_list else None),
-            "lyapunov_drift": drift_reports,
+            "lyapunov_drift": [lyapunov_drift(tr, z_low, z_high, plan).to_json_dict()
+                               for tr in traces],
         }
     return {
         "feasibility": feasibility,
         "corridor": corridor_payload,
         "excursion_rows": excursion_rows,
         "plan": plan,
-        "model": model,
     }
 
 
@@ -376,13 +370,13 @@ def cmd_check(resolved: ResolvedConfig, outdir: str, trace_dir: str | None = Non
     traces = _load_traces(trace_dir, resolved) if trace_dir else run_replicas(resolved)
     meta = _meta(resolved)
     payloads = check_payloads(resolved, traces)
-    for i, tr in enumerate(traces):
-        if trace_dir is None:
+    if trace_dir is None:
+        for i, tr in enumerate(traces):
             tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
     _write_json(os.path.join(outdir, "feasibility.json"), {
         "meta": meta,
         "block_length": payloads["plan"].block_length,
-        **{"feasibility": payloads["feasibility"]},
+        "feasibility": payloads["feasibility"],
         "config": resolved.raw,
     })
     if payloads["corridor"] is not None:
@@ -443,7 +437,8 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
         feas = payloads["feasibility"]
         drift_mean = c1 = float("nan")
         try:
-            rep = block_drift(traces[0], payloads["plan"], min_blocks=1)
+            rep = block_drift(traces[0], payloads["plan"],
+                              mod.traps.absorption_pressure(mod.kernel.pi), min_blocks=1)
             drift_mean = float(np.mean(rep.drift_per_token))
             c1 = rep.c1_proxy
         except SrrwError:

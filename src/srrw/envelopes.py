@@ -184,12 +184,11 @@ def fit_constants(samples: list[ReturnTimeSample], pi: StationaryDistribution,
             raise FitError(f"node {u}: degenerate tails, non-positive fitted rate")
         lo = slope * (1.0 - delta_fit)
         hi = slope * (1.0 + delta_fit)
-        # widen until the sandwich holds at every observed age >= 2
+        # widen until the sandwich holds at every observed age >= 2 (slope > 0: there is one)
         chk = ages >= 2
-        if np.any(chk):
-            ratios = -np.log(tails[chk]) / (ages[chk] * pi[u])
-            lo = min(lo, float(ratios.min()))
-            hi = max(hi, float(ratios.max()))
+        ratios = -np.log(tails[chk]) / (ages[chk] * pi[u])
+        lo = min(lo, float(ratios.min()))
+        hi = max(hi, float(ratios.max()))
         if lo <= 0.0:
             raise FitError(f"node {u}: tail still 1.0 at age >= 2, cannot certify an upper envelope")
         c_minus[u] = lo

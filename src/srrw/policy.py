@@ -99,10 +99,6 @@ class RegimePolicy:
             raise ParameterError("regime specs must cover the same node set")
 
     @property
-    def node_count(self) -> int:
-        return self.low.node_count
-
-    @property
     def fork_cap(self) -> float:
         return max(self.low.fork_cap, self.high.fork_cap)
 

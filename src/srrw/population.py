@@ -106,7 +106,8 @@ class BlockPlan:
 
 @dataclass
 class PopulationTrace:
-    """Per-step population counts and event tallies, plus run provenance.
+    """Per-step population counts and event tallies, plus run provenance:
+    exactly what ``to_csv`` writes and ``from_csv`` reads back.
 
     Arrays share indexing: entry t describes the state after step t resolved;
     entry 0 is the initial state with zero event counts.
@@ -117,7 +118,6 @@ class PopulationTrace:
     trap_dels: np.ndarray
     terms: np.ndarray
     seed: int
-    lambda_del: float
     extinct: bool = False
     capped: bool = False
     horizon_requested: int = 0
@@ -131,6 +131,21 @@ class PopulationTrace:
     def token_steps(self, t_from: int, t_to: int) -> int:
         """Tokens processed over steps t_from..t_to (inclusive); step t handles z[t-1] tokens."""
         return int(self.z[t_from - 1:t_to].sum())
+
+    def blocks(self, b: int) -> tuple[np.ndarray, ...]:
+        """Cut the trace into its k = ``horizon // b`` whole blocks: Z at steps
+        0, b, ..., kb, then each block's forks, terminations and token-steps
+        (block j covers steps jb + 1 .. (j + 1)b, so its token-steps include Z at jb)."""
+        if b < 1:
+            raise ParameterError("block length must be positive")
+        k = self.horizon // b
+        end = k * b
+
+        def per_block(col):
+            return col[1:end + 1].reshape(k, b).sum(axis=1)
+
+        return (self.z[:end + 1:b], per_block(self.forks), per_block(self.terms),
+                self.z[:end].reshape(k, b).sum(axis=1))
 
     def _unbalanced_steps(self) -> np.ndarray:
         """Steps t >= 1 whose counts break Z_t = Z_(t-1) + forks - trap_dels - terms."""
@@ -208,7 +223,7 @@ class PopulationTrace:
             raise ParameterError(f"step {negative[0]} has a negative count")
         trace = PopulationTrace(
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
-            seed=seed, lambda_del=float("nan"), config_hash=meta.get("config_hash"),
+            seed=seed, config_hash=meta.get("config_hash"),
             extinct=bool(extinct), capped=bool(capped), horizon_requested=horizon_requested,
             age_law=AgeLaw.from_header(meta),
         )
@@ -452,14 +467,12 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
             capped = True
             break
 
-    pi = kernel.pi
     return PopulationTrace(
         z=np.asarray(z_hist, dtype=np.int64),
         forks=np.asarray(fork_hist, dtype=np.int64),
         trap_dels=np.asarray(del_hist, dtype=np.int64),
         terms=np.asarray(term_hist, dtype=np.int64),
         seed=rng_seed,
-        lambda_del=traps.absorption_pressure(pi),
         extinct=extinct,
         capped=capped,
         horizon_requested=horizon,
@@ -501,41 +514,29 @@ class DriftReport:
         return int(matched.sum()), int(strong.sum())
 
 
-def block_drift(trace: PopulationTrace, plan: BlockPlan, min_blocks: int = 10) -> DriftReport:
-    """Aggregate the trace into blocks and compare drift with the rate model."""
+def block_drift(trace: PopulationTrace, plan: BlockPlan, lambda_del: float,
+                min_blocks: int = 10) -> DriftReport:
+    """Compare each block's drift with the rate model p_hat - lambda_del - k_hat.
+
+    Uses the blocks of ``trace.blocks`` that start with Z > 0; ``lambda_del``
+    is the absorption pressure of the traps the trace ran under
+    (``TrapProfile.absorption_pressure``).
+    """
     b = plan.block_length
-    if b < 1:
-        raise ParameterError("block length must be positive")
-    if not math.isfinite(trace.lambda_del):
-        raise InsufficientDataError("trace carries no absorption pressure; re-run with traps metadata")
-    n_blocks = trace.horizon // b
-    rows = []
-    for k in range(n_blocks):
-        z_k = int(trace.z[k * b])
-        if z_k == 0:
-            continue
-        z_next = int(trace.z[(k + 1) * b])
-        s_fork = int(trace.forks[k * b + 1:(k + 1) * b + 1].sum())
-        s_term = int(trace.terms[k * b + 1:(k + 1) * b + 1].sum())
-        ts = trace.token_steps(k * b + 1, (k + 1) * b)
-        if ts == 0:
-            continue
-        p_hat = s_fork / ts
-        k_hat = s_term / ts
-        pred_rate = p_hat - trace.lambda_del - k_hat
-        drift = z_next - z_k
-        rows.append((z_k, drift / z_k, b * pred_rate, drift - z_k * b * pred_rate))
-    if len(rows) < min_blocks:
-        raise InsufficientDataError(f"only {len(rows)} usable blocks, need {min_blocks}")
-    cols = list(zip(*rows))
-    z_start = np.asarray(cols[0], dtype=float)
+    z, forks, terms, token_steps = trace.blocks(b)
+    live = z[:-1] > 0
+    usable = int(np.count_nonzero(live))
+    if usable < min_blocks:
+        raise InsufficientDataError(f"only {usable} usable blocks, need {min_blocks}")
+    z_k, drift, ts = z[:-1][live], np.diff(z)[live], token_steps[live]
+    pred_rate = forks[live] / ts - lambda_del - terms[live] / ts
     return DriftReport(
         block_length=b,
-        z_start=z_start,
-        drift_per_token=np.asarray(cols[1]),
-        predicted_per_token=np.asarray(cols[2]),
-        residual_abs=np.asarray(cols[3]),
-        lambda_del=trace.lambda_del,
+        z_start=z_k.astype(float),
+        drift_per_token=drift / z_k,
+        predicted_per_token=b * pred_rate,
+        residual_abs=drift - z_k * b * pred_rate,
+        lambda_del=lambda_del,
     )
 
 

@@ -318,7 +318,8 @@ def test_criterion_10_block_drift_agreement(corridor_runs):
     plan = corridor_runs["plan"]
     matched = considered = eligible_blocks = 0
     for tr in corridor_runs["traces"]:
-        rep = block_drift(tr, plan)
+        rep = block_drift(tr, plan, corridor_runs["traps"].absorption_pressure(
+            corridor_runs["kernel"].pi))
         eligible_blocks += int((rep.z_start >= 20).sum())
         m, c = rep.sign_agreement(min_z=20, factor=2.0)
         matched += m

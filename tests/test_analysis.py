@@ -27,11 +27,11 @@ def interval(lo, hi=None):
     return MatchingAgeInterval(lo, lo if hi is None else hi)
 
 
-def synthetic_trace(z_values, extinct=False, capped=False, lambda_del=0.0):
+def synthetic_trace(z_values, extinct=False, capped=False):
     z = np.asarray(z_values, dtype=np.int64)
     zeros = np.zeros_like(z)
     return PopulationTrace(z=z, forks=zeros, trap_dels=zeros, terms=zeros, seed=0,
-                           lambda_del=lambda_del, extinct=extinct, capped=capped,
+                           extinct=extinct, capped=capped,
                            horizon_requested=len(z) - 1)
 
 

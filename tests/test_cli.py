@@ -599,6 +599,24 @@ class TestSweep:
         }
         assert {k: float(row[k]) for k in expected} == expected
 
+    def test_a_l_by_trap_map_scale(self, tmp_path):
+        # K4 has pi = 1/4 at every node; a scale of 20 caps both trap nodes at 1
+        cfg = write_config(
+            tmp_path,
+            traps={"zeta": {"1": 0.1, "3": 0.2}},
+            policy={"A_l": 2, "q_fork": 0.2},
+            simulation={"Z_0": 400, "horizon": 200, "replicas": 1, "seed": 11},
+            sweep={"A_l": [2, 5], "zeta_scale": [0.5, 20]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = self.read_rows(only_run_dir(out))
+        grid = [(float(r["A_l"]), float(r["zeta_scale"])) for r in rows]
+        assert grid == [(2, 0.5), (2, 20), (5, 0.5), (5, 20)]
+        for (a_l, scale), r in zip(grid, rows):
+            assert float(r["a_eff_lo"]) == float(r["a_eff_hi"]) == a_l
+            assert float(r["lambda_del"]) == (0.5 if scale == 20 else pytest.approx(0.0375))
+
     def test_sweep_without_block_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -75,6 +75,11 @@ class TestResolution:
         r = resolve_config(cfg)
         assert r.graph.node_count == 3
 
+    def test_trap_node_list(self):
+        r = resolve_config(base_config(traps={"zeta": 0.1, "nodes": [2, 0]}))
+        assert r.traps.zeta.tolist() == [0.1, 0.0, 0.1, 0.0]
+        assert r.raw["traps"] == {"nodes": [0, 2], "zeta": 0.1}
+
     def test_trap_map(self):
         cfg = base_config(traps={"zeta": {"2": 1.0}})
         r = resolve_config(cfg)

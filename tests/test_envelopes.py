@@ -172,6 +172,15 @@ class TestLaplace:
             laplace(doeblin_constants(K2), "plus", -1.0)
 
     @given(envelope_models())
+    @settings(max_examples=20, deadline=None)
+    def test_infinite_age_is_exactly_zero(self, m):
+        # a regime that never forks (a corridor's high regime) has an
+        # infinite effective age; every c * pi is positive
+        for model in (m, doeblin_constants(K4)):
+            for sign in ("plus", "minus"):
+                assert laplace(model, sign, math.inf) == 0.0
+
+    @given(envelope_models())
     @settings(max_examples=40, deadline=None)
     def test_strictly_decreasing_on_grid(self, m):
         grid = np.linspace(0.0, decay_age(m, "minus"), 100)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -45,6 +48,17 @@ ORACLE_GRAPHS = {
     "weighted": lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
                                     [1.0, 2.5, 0.3, 7.0, 0.01]),
 }
+
+
+class TestPlacement:
+    def test_uniform_ignores_pi(self):
+        # pi puts half the tokens on star(9)'s hub; uniform placement puts z0/9 everywhere
+        k = lazy_kernel(star_graph(9), 0.5)
+        z0 = 9000
+        counts = PopulationState.initial(k, z0, "uniform", np.random.default_rng(21)).counts
+        se = math.sqrt(z0 * (1 / 9) * (8 / 9))
+        assert counts.sum() == z0
+        assert np.all(np.abs(counts - z0 / 9) < 5 * se)
 
 
 class TestTrapProfile:
@@ -267,6 +281,32 @@ class TestEngine:
         path.write_text(text.replace(old, new))
         with pytest.raises(ParameterError):
             PopulationTrace.from_csv(path)
+
+    @pytest.mark.parametrize("run", ["capped", "extinct", "age_law"])
+    def test_csv_round_trip_keeps_every_field(self, tmp_path, run):
+        kw = {
+            "capped": dict(policy=PolicySpec.uniform(4, a_long=0.0, q_fork=1.0),
+                           traps=TrapProfile.none(4), z_cap=64),
+            "extinct": dict(policy=passive(4), traps=TrapProfile.uniform(4, 0.3)),
+            "age_law": dict(policy=PolicySpec.uniform(4, a_long=2.0, q_fork=0.2),
+                            traps=TrapProfile.uniform(4, 0.1), collect_age_law=True,
+                            age_law_burn_in=10),
+        }[run]
+        trace = run_population(K4, z0=8, horizon=200, rng_seed=19, config_hash="abc123", **kw)
+        assert getattr(trace, run) if run != "age_law" else trace.age_law is not None
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path, version="0.3.0")
+        back = PopulationTrace.from_csv(path)
+        for field in dataclasses.fields(PopulationTrace):
+            a, b = getattr(trace, field.name), getattr(back, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            elif isinstance(a, AgeLaw):
+                assert a.age_cap == b.age_cap
+                assert np.array_equal(a.counts, b.counts)
+                assert np.array_equal(a.max_over_cap, b.max_over_cap)
+            else:
+                assert a == b, field.name
 
     def test_csv_without_flag_lines(self, tmp_path):
         path = tmp_path / "old.csv"
@@ -516,7 +556,7 @@ class TestBlockDrift:
     def test_zero_mechanism_drift_is_zero(self):
         trace = run_population(K4, passive(4), TrapProfile.none(4), z0=10, horizon=400, rng_seed=20)
         plan = BlockPlan(t_mix_part=4, kappa=4.0, a_eff=1.0)
-        rep = block_drift(trace, plan)
+        rep = block_drift(trace, plan, TrapProfile.none(4).absorption_pressure(K4.pi))
         assert np.all(rep.drift_per_token == 0.0)
         assert np.all(rep.predicted_per_token == 0.0)
 
@@ -525,7 +565,8 @@ class TestBlockDrift:
         matched = considered = 0
         for seed in range(20):
             trace = run_population(K4, passive(4), traps, z0=1000, horizon=240, rng_seed=30 + seed)
-            rep = block_drift(trace, BlockPlan(t_mix_part=4, kappa=4.0, a_eff=2.0))
+            rep = block_drift(trace, BlockPlan(t_mix_part=4, kappa=4.0, a_eff=2.0),
+                              traps.absorption_pressure(K4.pi))
             m, c = rep.sign_agreement(min_z=20)
             matched += m
             considered += c
@@ -547,7 +588,7 @@ class TestBlockDrift:
                 trace = run_population(K4, spec, traps, z0=2000, horizon=48 * t_mix,
                                        rng_seed=50 + seed)
                 plan = BlockPlan(t_mix_part=t_mix, kappa=4.0, a_eff=(mult - 1) * t_mix / 4.0)
-                rep = block_drift(trace, plan, min_blocks=2)
+                rep = block_drift(trace, plan, traps.absorption_pressure(K4.pi), min_blocks=2)
                 resid.extend(np.abs(rep.residual_abs).tolist())
             means.append(np.mean(resid))
         assert means[2] < means[0] * 4.0
@@ -555,7 +596,8 @@ class TestBlockDrift:
     def test_too_few_blocks(self):
         trace = run_population(K4, passive(4), TrapProfile.none(4), z0=5, horizon=30, rng_seed=60)
         with pytest.raises(InsufficientDataError):
-            block_drift(trace, BlockPlan(t_mix_part=10, kappa=4.0, a_eff=1.0))
+            block_drift(trace, BlockPlan(t_mix_part=10, kappa=4.0, a_eff=1.0),
+                        TrapProfile.none(4).absorption_pressure(K4.pi))
 
     def test_kappa_floor(self):
         with pytest.raises(ParameterError):

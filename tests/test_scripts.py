@@ -30,17 +30,20 @@ def test_envelope_report(capsys):
 
 @pytest.fixture
 def scratch_tempdir(tmp_path, monkeypatch):
-    """The scripts write their config to a kept temporary file; keep it under ``tmp_path``."""
+    """Point the temporary directory at ``tmp_path``, so a test sees any
+    temporary file a script leaves behind there."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     return tmp_path
 
 
 def test_feasibility_frontier(scratch_tempdir):
     assert load("feasibility_frontier").run(str(scratch_tempdir / "out")) == 0
+    assert os.listdir(scratch_tempdir) == ["out"]
 
 
 def test_corridor_experiment(scratch_tempdir):
     assert load("corridor_experiment").run(str(scratch_tempdir / "out"), 2000, 1) == 0
+    assert os.listdir(scratch_tempdir) == ["out"]
 
 
 def test_step_timing_imports():

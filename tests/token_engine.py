@@ -96,6 +96,5 @@ def run_tokens(kernel, policy, traps, z0, horizon, rng_seed, order="trap_first",
             break
     z, forks, dels, terms = (np.asarray(col, dtype=np.int64) for col in zip(*hist))
     return PopulationTrace(z=z, forks=forks, trap_dels=dels, terms=terms, seed=rng_seed,
-                           lambda_del=traps.absorption_pressure(kernel.pi),
                            extinct=bool(z[-1] == 0), capped=bool(z[-1] >= z_cap),
                            horizon_requested=horizon, age_law=law)
