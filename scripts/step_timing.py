@@ -1,17 +1,23 @@
-"""Time one engine step on recorded states: median microseconds per step.
+"""Time one engine step, and one return-time walk step, on recorded states:
+median microseconds per step.
 
-Each case runs the engine once, records up to ``STATES`` input states of
-``population.step`` spread evenly over the run, then times ``step`` on them
-``ROUNDS`` times in process. Calls are interleaved: every round steps each
-recorded state of every case and event order once, so the machine's fast and
-slow phases fall on all of them alike. With ``--baseline SRC`` the srrw package under SRC
-(for example ``src`` of a checkout of an earlier commit) is loaded as a
-second module and its ``step`` is timed on the same states, alternating with
-this one call by call.
+Each engine case runs the engine once, records up to ``STATES`` input states
+of ``population.step`` spread evenly over the run, then times ``step`` on them
+``ROUNDS`` times in process. The return-time case does the same for
+``NeighbourTable.move`` over one ``sample_return_times`` call. Calls are
+interleaved: every round steps each recorded state of every case once, so
+the machine's fast and slow phases fall on all of them alike. With
+``--baseline SRC`` the srrw package under SRC (for example ``src`` of a
+checkout of an earlier commit) is loaded as a second module and its ``step``
+and ``move`` are timed on the same states, alternating with this one call by
+call; the two take turns calling first, since a state's first call runs
+slower (about 10% on the corridor cases when both sides are this package).
 
-The cases are the explosion of acceptance criterion 08 on K4 (Z from 20 to
-the 100k cap), the corridor experiment's ER(30, 0.15) regime config with the
-age law collected, and ER(1000, 0.01) at Z of about 10k.
+The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
+20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
+with the age law collected, and ER(1000, 0.01) at Z of about 10k, each in
+both event orders. The return-time case moves the walkers of the corridor
+graph's envelope fit: 20k walkers started at node 0, until all have returned.
 
     PYTHONPATH=src python scripts/step_timing.py [--baseline SRC]
 """
@@ -26,6 +32,7 @@ import time
 import numpy as np
 
 import srrw.population
+import srrw.return_time
 from srrw.config import resolve_config
 
 CASES = {
@@ -53,6 +60,8 @@ CASES = {
     },
 }
 ORDERS = ("trap_first", "policy_first")
+# the return-time case: the graph of a case, the start node and the walker count
+RETURN_TIME = ("corridor_er30", 0, 20_000)
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
 
@@ -94,6 +103,26 @@ def record_states(config: dict, order: str, limit: int) -> list[tuple]:
     return [seen[i] for i in picks]
 
 
+def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
+    """(counts,) of up to ``limit`` walk steps spread over one return-time sample."""
+    kernel = resolve_config({"laziness": 0.5, **config}).kernel
+    table = kernel.neighbour_table()
+    seen = []
+    real = table.move
+
+    def recording(counts, rng):
+        seen.append((counts.copy(),))
+        return real(counts, rng)
+
+    table.move = recording
+    try:
+        srrw.return_time.sample_return_times(kernel, u, walkers, rng_seed=1)
+    finally:
+        del table.move
+    picks = np.unique(np.linspace(0, len(seen) - 1, min(limit, len(seen))).astype(int))
+    return [seen[i] for i in picks]
+
+
 class Side:
     """One package's step with its own rows, specs, age law and generator."""
 
@@ -109,10 +138,36 @@ class Side:
         self.rng = np.random.default_rng(0)
         self.times = []
 
+    def warm_up(self, states: list[tuple]) -> None:
+        """Build the node rows of every spec the states use."""
+        for spec_index in {i for _, i in states}:
+            self.time_step(states[0][0], spec_index)
+        self.times.clear()
+
     def time_step(self, state, spec_index: int) -> None:
         step, clock = self.population.step, time.perf_counter
         start = clock()
         step(state, self.rows, self.specs[spec_index], self.rng, self.law)
+        self.times.append(clock() - start)
+
+
+class MoveSide:
+    """One package's walk step with its own neighbour table and generator."""
+
+    def __init__(self, package, config: dict):
+        config_module = importlib.import_module(f"{package.__name__}.config")
+        resolved = config_module.resolve_config({"laziness": 0.5, **config})
+        self.table = resolved.kernel.neighbour_table()
+        self.rng = np.random.default_rng(0)
+        self.times = []
+
+    def warm_up(self, states: list[tuple]) -> None:
+        pass  # the table is built in __init__
+
+    def time_step(self, counts) -> None:
+        move, clock = self.table.move, time.perf_counter
+        start = clock()
+        move(counts, self.rng)
         self.times.append(clock() - start)
 
 
@@ -130,17 +185,22 @@ def main(argv=None) -> int:
             if baseline is not None:
                 sides.append(Side(baseline, config, order))
             jobs.append((name, order, states, sides))
+    name, u, walkers = RETURN_TIME
+    config = CASES[name]
+    sides = [MoveSide(srrw, config)]
+    if baseline is not None:
+        sides.append(MoveSide(baseline, config))
+    jobs.append(("return_time", "-", record_moves(config, u, walkers, STATES), sides))
     # build each side's tables and node rows before timing
     for _, _, states, sides in jobs:
         for side in sides:
-            for spec_index in {i for _, i in states}:
-                side.time_step(states[0][0], spec_index)
-            side.times.clear()
+            side.warm_up(states)
     for _ in range(ROUNDS):
         for _, _, states, sides in jobs:
-            for state, spec_index in states:
-                for side in sides:
-                    side.time_step(state, spec_index)
+            for k, args in enumerate(states):
+                # the first call on a state runs slower, so the sides take turns going first
+                for side in sides[::-1] if k % 2 else sides:
+                    side.time_step(*args)
 
     header = f"{'case':<14} {'order':<13} {'states':>6} {'us/step p50':>12}"
     if baseline is not None:

@@ -100,16 +100,21 @@ def doeblin_constants(kernel: TransitionKernel,
     n = kernel.node_count
     pi = kernel.pi.probs
     cap = 50 * n
-    m = kernel.matrix.copy()
+    matrix = kernel.matrix
+    # the powers take turns in two buffers, the ratios fill a third
+    powers = (np.empty((n, n)), np.empty((n, n)))
+    ratio = np.empty((n, n))
+    m = matrix
     t0 = 1
     while True:
-        eps0 = float((m / pi[None, :]).min())
+        eps0 = float(np.divide(m, pi[None, :], out=ratio).min())
         if eps0 > 0.0:
             break
         t0 += 1
         if t0 > cap:
             raise MinorizationError(f"no positive transition floor within {cap} steps")
-        m = m @ kernel.matrix
+        m = np.matmul(m, matrix, out=powers[t0 % 2])
+    del m, powers, ratio  # freed before the mixing profile allocates its own three
     c_minus = np.full(n, eps0 / (2.0 * t0))
 
     if profile is None:

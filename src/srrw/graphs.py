@@ -16,10 +16,13 @@ them, which keeps every kernel entry bitwise equal to the dense construction
 (``TransitionKernel.matrix``, ``.base`` and the cumulative rows) are built on
 first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
 constants); past ``DENSE_NODE_CAP`` nodes reading them raises
-``ParameterError`` instead of allocating 8 n^2 bytes each.
+``ParameterError`` instead of allocating 8 n^2 bytes each. A mixing profile
+costs one n^3 product per TV step, in three n x n buffers it reuses; its
+spectral gap, an n x n eigensolve, is computed when it is first read.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import reprlib
@@ -352,22 +355,26 @@ class NeighbourTable:
     column of row u in column order and ``prob[u, k]`` its matrix entry (0.0
     in the padding); ``support[u]`` counts row u's real entries. Width is the
     largest row support (max degree + 1 for the lazy kernel), so moving the
-    tokens of a node costs O(width) instead of O(n).
+    tokens of a node costs O(width) instead of O(n). Every sampler reads the
+    rows in reversed slot order, so they are stored that way and ``nbr`` and
+    ``prob`` are reversed views: ``prob[:, ::-1]`` is contiguous, and taking
+    its rows copies nothing else.
     """
 
     def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         n = indptr.size - 1
         support = np.diff(indptr)
+        width = int(support.max())
         rows = np.repeat(np.arange(n), support)
         slot = np.arange(cols.size) - indptr[rows]
-        nbr = np.zeros((n, int(support.max())), dtype=np.int64)
+        nbr = np.zeros((n, width), dtype=np.int64)
         prob = np.zeros(nbr.shape)
-        nbr[rows, slot] = cols
-        prob[rows, slot] = vals
+        nbr[rows, width - 1 - slot] = cols
+        prob[rows, width - 1 - slot] = vals
         for arr in (nbr, prob, support):
             arr.setflags(write=False)
-        self.nbr = nbr
-        self.prob = prob
+        self.nbr = nbr[:, ::-1]
+        self.prob = prob[:, ::-1]
         self.support = support
 
     def move(self, counts: np.ndarray, rng) -> np.ndarray:
@@ -379,8 +386,8 @@ class NeighbourTable:
         neighbour.
         """
         occ = counts.nonzero()[0]
-        draws = rng.multinomial(counts.take(occ), self.prob.take(occ, axis=0)[:, ::-1])
-        dest = self.nbr.take(occ, axis=0)[:, ::-1]
+        draws = rng.multinomial(counts.take(occ), self.prob[:, ::-1].take(occ, axis=0))
+        dest = self.nbr[:, ::-1].take(occ, axis=0)
         return np.bincount(dest.ravel(), weights=draws.ravel(),
                            minlength=counts.size).astype(np.int64)
 
@@ -512,7 +519,7 @@ class TransitionKernel:
         self._table = None
         self._base_table = None
         self._fork_table = None
-        self._profiles = {}
+        self._profile = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -570,10 +577,14 @@ class TransitionKernel:
         return self._fork_table
 
     def t_mix(self, eps: float) -> int:
-        """Mixing time t_mix(eps), read from the profile computed down to ``eps``."""
-        if eps not in self._profiles:
-            self._profiles[eps] = mixing_profile(self, target=eps)
-        return self._profiles[eps].t_mix_of(eps)
+        """Mixing time t_mix(eps), read from the kept mixing profile when its curve
+        reaches ``eps`` or ran to ``max_t`` (a curve's prefix is the same bits
+        whatever its target); otherwise from a new profile computed down to
+        ``eps``, which is kept instead."""
+        kept = self._profile
+        if kept is None or (kept.tv[-1] > eps and not kept.unreached):
+            self._profile = mixing_profile(self, target=eps)
+        return self._profile.t_mix_of(eps)
 
 
 def lazy_kernel(g: Graph, laziness: float = 0.5) -> TransitionKernel:
@@ -588,28 +599,36 @@ def spectral_gap(kernel: TransitionKernel) -> float:
     """
     matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
     d = np.sqrt(kernel.pi.probs)
-    sym = d[:, None] * matrix / d[None, :]
+    sym = d[:, None] * matrix
+    sym /= d[None, :]
     ev = np.linalg.eigvalsh(sym)
     slem = max(abs(ev[0]), abs(ev[-2])) if len(ev) > 1 else 0.0
     return float(1.0 - slem)
 
 
 class MixingProfile:
-    """Exact worst-start TV decay curve plus the spectral gap.
+    """Exact worst-start TV decay curve of a kernel, and its spectral gap.
 
     ``tv[t]`` is the worst-start TV distance at time t, from t = 0.
     ``unreached`` flags a curve that was cut off at ``max_t`` before hitting
-    the construction target.
+    the construction target. ``spectral_gap`` is the kernel's, computed by an
+    n x n eigensolve on its first read and kept; only the spectral bound
+    reads it.
     """
 
-    def __init__(self, spectral_gap: float, tv: np.ndarray, pi_min: float, unreached: bool):
-        self.spectral_gap = float(spectral_gap)
+    def __init__(self, kernel: TransitionKernel, tv: np.ndarray, unreached: bool):
+        self.kernel = kernel
         self.tv = np.asarray(tv, dtype=float)
-        self.pi_min = float(pi_min)
+        self.pi_min = kernel.pi.pi_min
         self.unreached = bool(unreached)
         diffs = np.diff(self.tv)
         if np.any(diffs > 1e-12):
             raise ParameterError("TV curve must be non-increasing")
+
+    @functools.cached_property
+    def spectral_gap(self) -> float:
+        # the module-level function: a method body does not see class attributes
+        return spectral_gap(self.kernel)
 
     def t_mix_of(self, eps: float) -> int:
         """Least t with worst-start TV distance at most eps."""
@@ -627,18 +646,25 @@ class MixingProfile:
 
 def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
                    target: float = 1e-10) -> MixingProfile:
-    """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``."""
-    # the eigensolve runs before the powers, so no power is held through its n x n copies
-    gap = spectral_gap(kernel)
+    """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``.
+
+    The powers take turns in two n x n buffers and ``|P^t - pi|`` is formed
+    in a third, so each step of the curve costs one n^3 product and allocates
+    no n x n array.
+    """
+    matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
+    n = kernel.node_count
+    powers = (np.empty((n, n)), np.empty((n, n)))
+    dev = np.empty((n, n))
     pi = kernel.pi.probs
     tv = [float(1.0 - pi.min())]
-    matrix = kernel.matrix
     m = matrix  # the first power is the kernel itself, bitwise eye(n) @ matrix
     unreached = True
     for t in range(1, max_t + 1):
         if t > 1:
-            m = m @ matrix
-        d = float(0.5 * np.abs(m - pi[None, :]).sum(axis=1).max())
+            m = np.matmul(m, matrix, out=powers[t % 2])
+        np.abs(np.subtract(m, pi[None, :], out=dev), out=dev)
+        d = float(0.5 * dev.sum(axis=1).max())
         tv.append(d)
         if d <= target:
             unreached = False
@@ -646,7 +672,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     tv_arr = np.minimum.accumulate(np.asarray(tv))
     if np.max(np.asarray(tv) - tv_arr) > 1e-12:
         raise ParameterError("TV curve increased beyond numerical tolerance")
-    return MixingProfile(gap, tv_arr, kernel.pi.pi_min, unreached)
+    return MixingProfile(kernel, tv_arr, unreached)
 
 
 def stationary_by_iteration(kernel: TransitionKernel, tol: float = 1e-13,

@@ -130,6 +130,8 @@ class PopulationTrace:
 
     def token_steps(self, t_from: int, t_to: int) -> int:
         """Tokens processed over steps t_from..t_to (inclusive); step t handles z[t-1] tokens."""
+        if not 1 <= t_from <= t_to <= self.horizon:
+            raise ParameterError(f"steps {t_from}..{t_to} are not within 1..{self.horizon}")
         return int(self.z[t_from - 1:t_to].sum())
 
     def blocks(self, b: int) -> tuple[np.ndarray, ...]:

@@ -62,12 +62,15 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
     counts = np.zeros(kernel.node_count, dtype=np.int64)
     counts[u] = n_samples
     returns = []
-    while counts.any():
+    out = n_samples  # walkers still away from u
+    while out:
         if len(returns) == max_steps:
             raise StepCapError(f"no return to {u} within {max_steps} steps")
         counts = table.move(counts, rng)
-        returns.append(counts[u])
+        back = int(counts[u])
+        returns.append(back)
         counts[u] = 0
+        out -= back
     return ReturnTimeSample(u, np.repeat(np.arange(1, len(returns) + 1), returns))
 
 

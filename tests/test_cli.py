@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 import re
 import subprocess
@@ -184,6 +185,21 @@ class TestSimulate:
         assert len(traces) == 3 and len(calls) == 1
 
 
+def corridor_config(tmp_path):
+    return write_config(
+        tmp_path,
+        traps={"nodes": "all", "zeta": 0.05},
+        policy={"regime": {
+            "Z_low": 10, "Z_high": 60,
+            "low": {"A_l": 1, "q_fork": 0.2},
+            "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.15},
+        }},
+        simulation={"Z_0": 30, "horizon": 600, "replicas": 3, "seed": 3,
+                    "collect_age_law": True},
+        corridor={"Z_low": 10, "Z_high": 60},
+    )
+
+
 class TestDerivedOnce:
     """One config resolve, one kernel and one mixing profile per CLI run."""
 
@@ -205,23 +221,9 @@ class TestDerivedOnce:
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         return counts
 
-    def corridor_config(self, tmp_path):
-        return write_config(
-            tmp_path,
-            traps={"nodes": "all", "zeta": 0.05},
-            policy={"regime": {
-                "Z_low": 10, "Z_high": 60,
-                "low": {"A_l": 1, "q_fork": 0.2},
-                "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.15},
-            }},
-            simulation={"Z_0": 30, "horizon": 600, "replicas": 3, "seed": 3,
-                        "collect_age_law": True},
-            corridor={"Z_low": 10, "Z_high": 60},
-        )
-
     @pytest.mark.parametrize("command", ["check", "simulate"])
     def test_corridor_run(self, command, calls, tmp_path):
-        cfg = self.corridor_config(tmp_path)
+        cfg = corridor_config(tmp_path)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
 
@@ -242,6 +244,40 @@ class TestDerivedOnce:
                            sweep={"q": [0.1, 0.2], "zeta_scale": [0.5, 2.0], "kappa": [4, 6]})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+
+
+class TestSpectralGapOnRead:
+    """The spectral gap's eigensolve runs only in the command that writes the gap."""
+
+    @pytest.fixture
+    def gap_calls(self, monkeypatch):
+        calls = []
+        real = srrw.graphs.spectral_gap
+        monkeypatch.setattr(srrw.graphs, "spectral_gap", lambda k: calls.append(k) or real(k))
+        return calls
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_corridor_run_skips_it(self, command, gap_calls, tmp_path):
+        cfg = corridor_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert gap_calls == []
+
+    def test_doeblin_envelopes_skip_it(self, gap_calls, tmp_path):
+        cfg = write_config(tmp_path, envelope={"mode": "doeblin"})
+        assert main(["envelopes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert gap_calls == []
+
+    def test_stationary_computes_it_once(self, gap_calls, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["stationary", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(gap_calls) == 1
+        payload = json.load(open(os.path.join(only_run_dir(tmp_path / "out"), "stationary.json")))
+        kernel = resolve_config(load_config(str(cfg))).kernel
+        gap = srrw.graphs.spectral_gap(kernel)
+        assert payload["spectral_gap"] == gap
+        assert payload["spectral_bound"] == {
+            str(eps): math.ceil(math.log(1.0 / (eps * kernel.pi.pi_min)) / gap)
+            for eps in srrw.cli.TMIX_LADDER}
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

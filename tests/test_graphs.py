@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import srrw.graphs as graphs_module
 from srrw.errors import (
     GraphStructureError,
     InsufficientDataError,
@@ -26,6 +27,7 @@ from srrw.graphs import (
     parse_edge_list,
     parse_graph_json,
     path_graph,
+    spectral_gap,
     star_graph,
     stationary_by_iteration,
     stationary_distribution,
@@ -148,6 +150,32 @@ class TestMixingProfile:
             prof = mixing_profile(lazy_kernel(g, 0.5), target=1e-6)
             for eps in (0.25, 0.125, 1e-2, 1e-4):
                 assert prof.t_mix_of(eps) <= prof.spectral_bound(eps)
+
+    def test_t_mix_reads_a_kept_profile_that_reaches_eps(self, monkeypatch):
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        fresh = {eps: mixing_profile(k, target=eps).t_mix_of(eps) for eps in (1e-2, 1e-4, 1e-6)}
+        calls = []
+        real = graphs_module.mixing_profile
+        monkeypatch.setattr(graphs_module, "mixing_profile",
+                            lambda *a, **kw: calls.append(kw["target"]) or real(*a, **kw))
+        assert k.t_mix(1e-4) == fresh[1e-4]
+        assert k.t_mix(1e-2) == fresh[1e-2]
+        assert k.t_mix(1e-6) == fresh[1e-6]
+        assert k.t_mix(1e-4) == fresh[1e-4]
+        assert calls == [1e-4, 1e-6]
+
+    def test_t_mix_keeps_a_curve_cut_off_at_max_t(self, monkeypatch):
+        # rounding keeps path(5)'s worst-start TV near 2e-16, so 1e-300 is never reached
+        k = lazy_kernel(path_graph(5), 0.5)
+        calls = []
+        real = graphs_module.mixing_profile
+        monkeypatch.setattr(graphs_module, "mixing_profile",
+                            lambda *a, **kw: calls.append(kw["target"]) or real(*a, **kw))
+        for eps in (1e-300, 1e-301):
+            with pytest.raises(InsufficientDataError):
+                k.t_mix(eps)
+        assert k.t_mix(0.125) == mixing_profile(k, target=0.125).t_mix_of(0.125)
+        assert calls == [1e-300]
 
     def test_curve_non_increasing_and_flagged(self):
         prof = mixing_profile(lazy_kernel(path_graph(6), 0.5), max_t=3, target=1e-12)
@@ -469,6 +497,16 @@ class TestAgainstFrozenConstruction:
         for eps in (0.5, 0.25, 0.125, 1e-2, 1e-4, 1e-8, 1e-10):
             if eps >= target:
                 assert prof.t_mix_of(eps) == ref.t_mix_of(eps)
+
+    @pytest.mark.parametrize("make", [
+        lambda: complete_graph(2),
+        lambda: cycle_graph(20),
+        lambda: erdos_renyi_graph(30, 0.15, seed=1),
+        lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], [1.0, 2.5, 0.3, 7.0, 0.01]),
+    ])
+    def test_spectral_gap(self, make):
+        k = lazy_kernel(make(), 0.5)
+        assert spectral_gap(k) == v030.spectral_gap(k)
 
 
 class TestScale:

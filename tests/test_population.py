@@ -552,6 +552,31 @@ class TestAgainstFrozenStep:
         assert trace.capped
 
 
+class TestTokenSteps:
+    # step t handles z[t - 1] tokens: 3, 4 and 2 tokens over steps 1..3
+    TRACE = PopulationTrace(z=np.array([3, 4, 2, 5]), forks=np.array([0, 1, 0, 3]),
+                            trap_dels=np.array([0, 0, 2, 0]), terms=np.zeros(4, dtype=np.int64),
+                            seed=0, horizon_requested=3)
+
+    def test_sums_the_tokens_of_the_steps(self):
+        assert self.TRACE.token_steps(1, 3) == 9
+        assert self.TRACE.token_steps(2, 2) == 4
+
+    @pytest.mark.parametrize("t_from,t_to", [(0, 2), (0, 0), (-1, 3)])
+    def test_rejects_steps_before_the_first(self, t_from, t_to):
+        with pytest.raises(ParameterError, match=r"not within 1\.\.3"):
+            self.TRACE.token_steps(t_from, t_to)
+
+    @pytest.mark.parametrize("t_from,t_to", [(1, 4), (4, 4), (2, 10)])
+    def test_rejects_steps_past_the_horizon(self, t_from, t_to):
+        with pytest.raises(ParameterError, match=r"not within 1\.\.3"):
+            self.TRACE.token_steps(t_from, t_to)
+
+    def test_rejects_an_empty_range(self):
+        with pytest.raises(ParameterError):
+            self.TRACE.token_steps(3, 2)
+
+
 class TestBlockDrift:
     def test_zero_mechanism_drift_is_zero(self):
         trace = run_population(K4, passive(4), TrapProfile.none(4), z0=10, horizon=400, rng_seed=20)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import return_time_v030
 from scipy import stats
 
 from srrw.errors import InsufficientDataError, StepCapError
 from srrw.graphs import (
     Graph,
     complete_graph,
+    cycle_graph,
     erdos_renyi_graph,
     lazy_kernel,
     path_graph,
@@ -124,3 +126,34 @@ class TestTails:
         ages, tails = tail_curve(s)
         assert list(ages) == [1, 2, 3, 4, 5]
         assert list(tails) == [1.0, 0.5, 0.25, 0.25, 0.25]
+
+
+FROZEN_CASES = {
+    "K2": lambda: complete_graph(2),
+    "cycle20": lambda: cycle_graph(20),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
+    "star9": lambda: star_graph(9),
+    "weighted6": lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+                                     [1.0, 2.5, 0.3, 7.0, 0.01, 4.0, 0.5]),
+}
+
+
+class TestAgainstFrozenSampler:
+    """The sampler makes 0.3.0's draws in 0.3.0's order: bitwise-equal samples."""
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+    def test_same_samples(self, case):
+        k = lazy_kernel(FROZEN_CASES[case](), 0.5)
+        for u in sorted({0, 1, k.node_count - 1}):
+            for seed in (0, 17, 2**40 + 3):
+                s = sample_return_times(k, u, 3000, rng_seed=seed)
+                ref = return_time_v030.sample_return_times(k, u, 3000, rng_seed=seed)
+                assert s.samples.dtype == ref.dtype and np.array_equal(s.samples, ref)
+
+    def test_same_step_cap(self):
+        k = lazy_kernel(cycle_graph(20), 0.5)
+        with pytest.raises(StepCapError) as now:
+            sample_return_times(k, 3, 100, rng_seed=1, max_steps=15)
+        with pytest.raises(StepCapError) as frozen:
+            return_time_v030.sample_return_times(k, 3, 100, rng_seed=1, max_steps=15)
+        assert str(now.value) == str(frozen.value)
