@@ -138,32 +138,41 @@ def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
         return list(pool.map(_pool_run, seeds))
 
 
-def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel,
-                           traces: list[PopulationTrace] | None):
-    """Effective-age interval(s) for the configured policy.
-
-    Uniform specs use the exact identity (effective age equals the common
-    trigger); non-uniform specs invert the envelopes at the fork rate measured
-    from the supplied traces.
-    """
-    policy = resolved.policy
-
-    def for_spec(spec):
+def _age_modes(policy) -> dict:
+    """(spec, how its effective age is found) by interval key: ``uniform_identity``
+    (the common trigger), ``no_forking`` (a spec that never forks, or any
+    non-forking high regime) or ``measured`` (the envelopes inverted at the
+    measured fork rate)."""
+    def mode(spec):
         if spec.is_uniform:
-            a = float(spec.a_long[0])
-            return MatchingAgeInterval(a, a), "uniform_identity"
-        if not traces:
-            raise InsufficientDataError("non-uniform policy needs traces to measure the fork rate")
-        p_hat = measured_rate(resolved, traces, "forks")
-        return solve_matching_age(model, spec.fork_cap, min(p_hat, spec.fork_cap)), "measured"
+            return "uniform_identity"
+        return "measured" if spec.fork_cap > 0 else "no_forking"
 
     if isinstance(policy, RegimePolicy):
-        low, low_mode = for_spec(policy.low)
-        high, high_mode = for_spec(policy.high) if policy.high.fork_cap > 0 else (
-            MatchingAgeInterval(math.inf, math.inf), "no_forking")
-        return {"low": (low, low_mode), "high": (high, high_mode)}
-    iv, mode = for_spec(policy)
-    return {"single": (iv, mode)}
+        high = policy.high
+        return {"low": (policy.low, mode(policy.low)),
+                "high": (high, mode(high) if high.fork_cap > 0 else "no_forking")}
+    return {"single": (policy, mode(policy))}
+
+
+def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel | None,
+                           p_fork: float | None) -> dict:
+    """Effective-age interval and its mode, by interval key, for the configured policy.
+
+    Uniform specs use the exact identity (effective age equals the common
+    trigger); specs that never fork have no finite effective age; other
+    non-uniform specs invert ``model`` at the measured fork rate ``p_fork``.
+    """
+    out = {}
+    for key, (spec, mode) in _age_modes(resolved.policy).items():
+        if mode == "uniform_identity":
+            a = float(spec.a_long[0])
+            out[key] = MatchingAgeInterval(a, a), mode
+        elif mode == "no_forking":
+            out[key] = MatchingAgeInterval(math.inf, math.inf), mode
+        else:
+            out[key] = solve_matching_age(model, spec.fork_cap, min(p_fork, spec.fork_cap)), mode
+    return out
 
 
 def measured_rate(resolved: ResolvedConfig, traces: list[PopulationTrace], column: str) -> float:
@@ -248,13 +257,12 @@ def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: floa
 def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
     traces = run_replicas(resolved)
     meta = _meta(resolved)
-    model = None
-    intervals = None
-    plan = None
     try:
-        model = build_envelope_model(resolved)
-        intervals = effective_age_interval(resolved, model, traces)
-        plan = block_plan_for(resolved, intervals)
+        # the envelope model and the fork rate are read only to invert a measured spec
+        measured = any(mode == "measured" for _, mode in _age_modes(resolved.policy).values())
+        model = build_envelope_model(resolved) if measured else None
+        p_fork = measured_rate(resolved, traces, "forks") if measured else None
+        plan = block_plan_for(resolved, effective_age_interval(resolved, model, p_fork))
     except SrrwError:
         plan = None
     for i, tr in enumerate(traces):
@@ -302,7 +310,8 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     """Feasibility plus corridor statistics; the shared core of check and sweep."""
     if model is None:
         model = build_envelope_model(resolved)
-    intervals = effective_age_interval(resolved, model, traces)
+    p_fork = measured_rate(resolved, traces, "forks")
+    intervals = effective_age_interval(resolved, model, p_fork)
     plan = block_plan_for(resolved, intervals)
     k_term_measured = measured_rate(resolved, traces, "terms")
     k_term_plugin = None
@@ -335,7 +344,7 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     feasibility["a_eff_mode"] = {k: v[1] for k, v in intervals.items()}
     feasibility["k_term_measured"] = k_term_measured
     feasibility["k_term_plugin"] = k_term_plugin
-    feasibility["p_fork_measured"] = measured_rate(resolved, traces, "forks")
+    feasibility["p_fork_measured"] = p_fork
     feasibility["envelope_source"] = model.source
 
     corridor_payload = None

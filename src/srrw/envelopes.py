@@ -29,7 +29,7 @@ from .errors import (
     MinorizationError,
     ParameterError,
 )
-from .graphs import MixingProfile, StationaryDistribution, TransitionKernel, mixing_profile
+from .graphs import StationaryDistribution, TransitionKernel
 from .return_time import ReturnTimeSample, tail_curve
 
 FIT_MIN_SAMPLES = 1000
@@ -86,8 +86,7 @@ class EnvelopeModel:
         }
 
 
-def doeblin_constants(kernel: TransitionKernel,
-                      profile: MixingProfile | None = None) -> EnvelopeModel:
+def doeblin_constants(kernel: TransitionKernel) -> EnvelopeModel:
     """Theoretical tail constants from minorization plus the exact TV curve.
 
     Finds the smallest t0 (at most 50 n) with min over (x, y) of
@@ -95,7 +94,8 @@ def doeblin_constants(kernel: TransitionKernel,
     eps0, giving the node-uniform upper-bound constant eps0/(2*t0). For the
     lower bound, each node u gets the smallest t_u >= t_mix(1/8) with
     worst-start TV at most pi(u)/2, and the constant 2*theta_u/t_u with
-    theta_u = t_u + sum of the TV curve over 1..t_u scaled by 1/pi(u).
+    theta_u = t_u + sum of the TV curve over 1..t_u scaled by 1/pi(u). The TV
+    curve is the kernel's kept profile, ``kernel.profile(min(1/8, pi_min/2))``.
     """
     n = kernel.node_count
     pi = kernel.pi.probs
@@ -117,8 +117,7 @@ def doeblin_constants(kernel: TransitionKernel,
     del m, powers, ratio  # freed before the mixing profile allocates its own three
     c_minus = np.full(n, eps0 / (2.0 * t0))
 
-    if profile is None:
-        profile = mixing_profile(kernel, target=min(0.125, kernel.pi.pi_min / 2.0))
+    profile = kernel.profile(min(0.125, kernel.pi.pi_min / 2.0))
     t_mix = profile.t_mix_of(0.125)
     tv = profile.tv  # tv[t] is the worst-start TV distance at time t
     c_plus = np.empty(n)

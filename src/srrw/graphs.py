@@ -9,10 +9,9 @@ optional parallel weight array, and everything about it is built from them
 in O(n + |E|) time and memory: validation (range, canonical order,
 duplicates, weights, connectivity), degrees and weight totals, and the
 kernel's rows in CSR form (``indptr``, neighbour columns, probabilities)
-from which the neighbour and fork tables are padded. Only a weighted graph's
-row totals are summed over dense rows, in the order ``p.sum(axis=1)`` adds
-them, which keeps every kernel entry bitwise equal to the dense construction
-(O(n^2) time, O(n) memory). The dense n x n kernel arrays
+from which the neighbour and fork tables are padded. A row's probabilities
+are its edge weights divided by ``Graph.weight_totals()``, the totals the
+stationary law is built from. The dense n x n kernel arrays
 (``TransitionKernel.matrix``, ``.base`` and the cumulative rows) are built on
 first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
 constants); past ``DENSE_NODE_CAP`` nodes reading them raises
@@ -38,8 +37,6 @@ from .errors import (
 )
 
 DENSE_NODE_CAP = 2000
-# cells of the row buffer a weighted graph's row totals are summed in
-_ROW_SUM_CELLS = 1 << 20
 
 
 def _as_pairs(edges) -> np.ndarray:
@@ -156,10 +153,6 @@ class Graph:
         if node_count is None:
             node_count = 1 + int(ends.max()) if len(ends) else 0
         return Graph(int(node_count), ends[order], weights)
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.weights is not None
 
     @property
     def edge_count(self) -> int:
@@ -447,28 +440,6 @@ class ForkTable:
             arr.setflags(write=False)
 
 
-def _dense_row_sums(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Row sums of the n x n matrix with these CSR rows, added as ``p.sum(axis=1)`` adds them.
-
-    numpy sums each contiguous row pairwise over all n columns, zeros
-    included, so the rows are scattered into a dense buffer of a few rows
-    at a time and reduced there: bitwise the dense sums in O(n^2) time, with
-    a buffer of about ``_ROW_SUM_CELLS`` cells (n cells past that many nodes).
-    """
-    n = indptr.size - 1
-    chunk = max(1, _ROW_SUM_CELLS // n)
-    buf = np.zeros((min(chunk, n), n))
-    row = np.repeat(np.arange(n), np.diff(indptr))
-    out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        cells = slice(indptr[lo], indptr[hi])
-        buf[row[cells] - lo, cols[cells]] = vals[cells]
-        out[lo:hi] = buf[:hi - lo].sum(axis=1)
-        buf[row[cells] - lo, cols[cells]] = 0.0
-    return out
-
-
 def _dense(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The read-only n x n matrix with these CSR rows; ParameterError past ``DENSE_NODE_CAP``."""
     n = indptr.size - 1
@@ -486,10 +457,12 @@ class TransitionKernel:
 
     The base walk has zero diagonal; the lazy kernel's diagonal equals the
     laziness exactly and the stationary law is shared with the base. Both
-    are held as CSR rows built from the graph's edges. Walk steps are drawn
-    from the neighbour tables, fork targets from the fork table, and mixing
-    times read from the mixing profiles; these and the dense ``matrix``,
-    ``base`` and cumulative rows are built on first use.
+    are held as CSR rows built from the graph's edges, a base row being its
+    edge weights over the node's ``Graph.weight_totals()`` entry (the totals
+    the stationary law is built from). Walk steps are drawn from the
+    neighbour tables, fork targets from the fork table, and mixing times and
+    Doeblin constants read from the one kept mixing profile; these and the
+    dense ``matrix``, ``base`` and cumulative rows are built on first use.
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -499,10 +472,7 @@ class TransitionKernel:
         self.laziness = float(laziness)
         indptr, nbr, weight = graph.adjacency()
         degree = np.diff(indptr)
-        # unweighted row totals are integer degrees, exact in any order
-        totals = (_dense_row_sums(indptr, nbr, weight) if graph.is_weighted
-                  else degree.astype(float))
-        prob = weight / np.repeat(totals, degree)
+        prob = weight / np.repeat(graph.weight_totals(), degree)
         self._base_rows = (indptr, nbr, prob)
         # the lazy rows: the base rows times 1 - laziness, and the laziness on the diagonal
         n = graph.node_count
@@ -576,15 +546,18 @@ class TransitionKernel:
             self._fork_table = ForkTable(self.base_neighbour_table())
         return self._fork_table
 
-    def t_mix(self, eps: float) -> int:
-        """Mixing time t_mix(eps), read from the kept mixing profile when its curve
-        reaches ``eps`` or ran to ``max_t`` (a curve's prefix is the same bits
-        whatever its target); otherwise from a new profile computed down to
-        ``eps``, which is kept instead."""
+    def profile(self, eps: float) -> MixingProfile:
+        """The kept mixing profile when its curve reaches ``eps`` or ran to ``max_t``
+        (a curve's prefix is the same bits whatever its target); otherwise a new
+        profile computed down to ``eps``, which is kept instead."""
         kept = self._profile
         if kept is None or (kept.tv[-1] > eps and not kept.unreached):
             self._profile = mixing_profile(self, target=eps)
-        return self._profile.t_mix_of(eps)
+        return self._profile
+
+    def t_mix(self, eps: float) -> int:
+        """Mixing time t_mix(eps), read from ``profile(eps)``."""
+        return self.profile(eps).t_mix_of(eps)
 
 
 def lazy_kernel(g: Graph, laziness: float = 0.5) -> TransitionKernel:

@@ -45,6 +45,13 @@ def only_run_dir(out, before=()):
     return os.path.join(out, dirs[0])
 
 
+def sweep_rows(run):
+    lines = [l.strip() for l in open(os.path.join(run, "sweep.csv"))
+             if l.strip() and not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
 class TestStationary:
     def test_path3_pi_file(self, tmp_path):
         cfg = write_config(tmp_path, graph={"generator": {"kind": "path", "n": 3}},
@@ -173,6 +180,18 @@ class TestSimulate:
             assert open(os.path.join(ra, f), "rb").read() == open(os.path.join(rb, f), "rb").read()
 
 
+    @pytest.mark.parametrize("a_l,builds", [(5, 0), ([5, 5, 6, 6], 1)])
+    def test_envelope_model_built_only_to_invert_a_measured_spec(self, a_l, builds, tmp_path,
+                                                                 monkeypatch):
+        calls = []
+        real = srrw.cli.build_envelope_model
+        monkeypatch.setattr(srrw.cli, "build_envelope_model",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        cfg = write_config(tmp_path, policy={"A_l": a_l, "q_fork": 0.3})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = json.load(open(os.path.join(only_run_dir(tmp_path / "out"), "summary.json")))
+        assert len(calls) == builds and summary["block_length"] is not None
+
     def test_burn_in_computed_once_per_run(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, simulation={"Z_0": 10, "horizon": 50, "replicas": 3,
                                                  "seed": 1, "collect_age_law": True})
@@ -236,6 +255,17 @@ class TestDerivedOnce:
         feas = json.load(open(os.path.join(run, "feasibility.json")))["feasibility"]
         assert feas["a_eff_mode"]["single"] == "measured"
         assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+
+    def test_doeblin_check(self, calls, tmp_path, monkeypatch):
+        # the Doeblin constants and the burn-in read one kept mixing profile; every
+        # profile is built by ``MixingProfile``, whatever name its caller reached
+        curves = []
+        real = srrw.graphs.MixingProfile
+        monkeypatch.setattr(srrw.graphs, "MixingProfile", lambda *a: curves.append(1) or real(*a))
+        cfg = write_config(tmp_path, envelope={"mode": "doeblin"})
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
+        assert len(curves) == 1
 
     def test_sweep(self, calls, tmp_path):
         cfg = write_config(tmp_path, traps={"nodes": "all", "zeta": 0.05},
@@ -542,6 +572,37 @@ class TestCheck:
         assert feas["a_eff_interval"] == [5.0, 5.0]
 
 
+class TestNoForking:
+    """A non-uniform spec with q_fork 0 at every node has no finite effective age."""
+
+    POLICIES = {
+        "flat": {"A_l": [3, 4, 5, 6], "q_fork": 0},
+        "low_regime": {"regime": {"Z_low": 10, "Z_high": 60,
+                                  "low": {"A_l": [3, 4, 5, 6], "q_fork": 0},
+                                  "high": {"A_l": 2, "q_fork": 0.2}}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_check(self, name, tmp_path):
+        cfg = write_config(tmp_path, policy=self.POLICIES[name])
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        feas = json.load(open(os.path.join(only_run_dir(tmp_path / "out"),
+                                           "feasibility.json")))["feasibility"]
+        key = "single" if name == "flat" else "low"
+        assert feas["a_eff_mode"][key] == "no_forking"
+        iv = (feas if name == "flat" else feas["low_regime"])["a_eff_interval"]
+        assert iv == [math.inf, math.inf]
+
+    def test_sweep_over_q_through_zero(self, tmp_path):
+        cfg = write_config(tmp_path, policy={"A_l": [3, 4, 5, 6], "q_fork": 0.2},
+                           sweep={"q": [0.0, 0.2]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = sweep_rows(only_run_dir(out))
+        assert [(r["q"], r["a_eff_lo"], r["a_eff_hi"]) for r in rows][0] == ("0.0", "inf", "inf")
+        assert len(rows) == 2
+
+
 class TestSweep:
     def base(self, tmp_path, sweep):
         return write_config(
@@ -552,17 +613,11 @@ class TestSweep:
             sweep=sweep,
         )
 
-    def read_rows(self, run):
-        lines = [l.strip() for l in open(os.path.join(run, "sweep.csv"))
-                 if l.strip() and not l.startswith("#")]
-        header = lines[0].split(",")
-        return [dict(zip(header, l.split(","))) for l in lines[1:]]
-
     def test_grid_size(self, tmp_path):
         cfg = self.base(tmp_path, {"q": [0.1, 0.2], "zeta_scale": [0.5, 1.0, 2.0]})
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = self.read_rows(only_run_dir(out))
+        rows = sweep_rows(only_run_dir(out))
         assert len(rows) == 6
 
     def test_single_point_matches_check(self, tmp_path):
@@ -575,7 +630,7 @@ class TestSweep:
         )
         out = tmp_path / "out"
         main(["sweep", "--config", str(cfg_sweep), "--out", str(out)])
-        row = self.read_rows(only_run_dir(out))[0]
+        row = sweep_rows(only_run_dir(out))[0]
         out2 = tmp_path / "out2"
         main(["check", "--config", str(cfg_check), "--out", str(out2)])
         feas = json.load(open(os.path.join(only_run_dir(out2), "feasibility.json")))["feasibility"]
@@ -587,7 +642,7 @@ class TestSweep:
         cfg = self.base(tmp_path, {"zeta_scale": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]})
         out = tmp_path / "out"
         main(["sweep", "--config", str(cfg), "--out", str(out)])
-        rows = self.read_rows(only_run_dir(out))
+        rows = sweep_rows(only_run_dir(out))
         verdicts = [int(r["viability"]) for r in rows]
         # pass verdicts may flip to fail at most once along increasing pressure
         flips = sum(1 for a, b in zip(verdicts, verdicts[1:]) if a != b)
@@ -612,14 +667,14 @@ class TestSweep:
         cfg = self.corridor(tmp_path, "cfg.json", sweep={"zeta_scale": [0.5, 1.0], "kappa": [4, 8]})
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(self.read_rows(only_run_dir(out))) == 4
+        assert len(sweep_rows(only_run_dir(out))) == 4
 
     def test_corridor_single_point_matches_check(self, tmp_path):
         # viability columns come from the low regime, safety ones from the high regime
         out, out2 = tmp_path / "out", tmp_path / "out2"
         cfg_sweep = self.corridor(tmp_path, "cfg.json", sweep={"zeta_scale": [1.0]})
         assert main(["sweep", "--config", str(cfg_sweep), "--out", str(out)]) == 0
-        row = self.read_rows(only_run_dir(out))[0]
+        row = sweep_rows(only_run_dir(out))[0]
         assert main(["check", "--config", str(self.corridor(tmp_path, "check.json")),
                      "--out", str(out2)]) == 0
         feas = json.load(open(os.path.join(only_run_dir(out2), "feasibility.json")))["feasibility"]
@@ -646,7 +701,7 @@ class TestSweep:
         )
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = self.read_rows(only_run_dir(out))
+        rows = sweep_rows(only_run_dir(out))
         grid = [(float(r["A_l"]), float(r["zeta_scale"])) for r in rows]
         assert grid == [(2, 0.5), (2, 20), (5, 0.5), (5, 20)]
         for (a_l, scale), r in zip(grid, rows):

@@ -65,7 +65,7 @@ class TestResolution:
                           traps=None, policy={"A_l": 1, "q_fork": 0.1})
         cfg.pop("traps")
         r = resolve_config(cfg)
-        assert r.graph.is_weighted
+        assert r.graph.weights is not None
         assert r.graph.node_count == 3
 
     def test_graph_file(self, tmp_path):

@@ -20,7 +20,8 @@ from srrw.errors import (
     InsufficientDataError,
     ParameterError,
 )
-from srrw.graphs import StationaryDistribution, complete_graph, lazy_kernel
+import srrw.graphs as graphs_module
+from srrw.graphs import StationaryDistribution, complete_graph, erdos_renyi_graph, lazy_kernel
 from srrw.return_time import ReturnTimeSample, sample_return_times, tail_curve
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
@@ -88,6 +89,20 @@ class TestDoeblin:
     def test_upper_envelope_matches_formula(self):
         m = doeblin_constants(K2)
         assert math.isclose(m.tail_bounds(0, 4)[1], math.exp(-0.25 * 4), rel_tol=1e-12)
+
+    def test_reads_the_kernels_kept_profile(self, monkeypatch):
+        # the constants are the same bits whichever target the kept curve was run to
+        g = erdos_renyi_graph(30, 0.15, seed=1)
+        fresh = doeblin_constants(lazy_kernel(g, 0.5))
+        k = lazy_kernel(g, 0.5)
+        k.t_mix(1e-6)
+        calls = []
+        monkeypatch.setattr(graphs_module, "mixing_profile", lambda *a, **kw: calls.append(1))
+        kept = doeblin_constants(k)
+        assert calls == []
+        assert kept.c_minus.tobytes() == fresh.c_minus.tobytes()
+        assert kept.c_plus.tobytes() == fresh.c_plus.tobytes()
+        assert kept.meta == fresh.meta
 
 
 class TestFit:

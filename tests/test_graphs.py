@@ -389,14 +389,31 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def dense_base(node_count, edges, weights):
+    """The dense base walk with each row divided by its edge-order weight total."""
+    totals = v030.weight_totals(node_count, edges, weights)
+    base = np.zeros((node_count, node_count))
+    for (u, v), w in zip(edges, [1.0] * len(edges) if weights is None else weights):
+        base[u, v] = w / totals[u]
+        base[v, u] = w / totals[v]
+    return base
+
+
 def assert_matches_frozen(g, node_count, edges, weights, laziness):
-    """Every quantity of ``g``'s kernel equals the frozen dense construction, bit for bit."""
+    """Every quantity of ``g``'s kernel equals the dense construction with rows divided by
+    the edge-order weight totals, bit for bit. Unweighted kernels equal 0.3.0's, whose
+    dense row sums are the same integer degrees; weighted ones lie within 8 ulps of it."""
     assert g.node_count == node_count and same_bits(g.edges, np.asarray(edges, dtype=np.int64))
     assert (g.weights is None) == (weights is None)
     assert weights is None or same_bits(g.weights, np.asarray(weights))
     k = lazy_kernel(g, laziness)
     pi = v030.stationary(node_count, edges, weights)
-    base = v030.base_matrix(node_count, edges, weights)
+    base = dense_base(node_count, edges, weights)
+    frozen = v030.base_matrix(node_count, edges, weights)
+    if weights is None:
+        assert same_bits(base, frozen)
+    else:
+        np.testing.assert_array_max_ulp(base, frozen, maxulp=8)
     matrix = v030.lazy_matrix(base, laziness)
     assert same_bits(g.degrees(), v030.degrees(node_count, edges))
     assert same_bits(g.weight_totals(), v030.weight_totals(node_count, edges, weights))
@@ -416,7 +433,7 @@ def assert_matches_frozen(g, node_count, edges, weights, laziness):
 
 
 class TestAgainstFrozenConstruction:
-    """The edge-built graphs and kernels equal 0.3.0's dense construction bitwise."""
+    """The edge-built graphs equal 0.3.0's, and their kernels its dense construction."""
 
     @pytest.mark.parametrize("name", sorted(FROZEN_CASES))
     def test_graph_and_kernel(self, name):
@@ -514,11 +531,12 @@ class TestScale:
 
     N = 100_000
 
-    def test_cycle_runs_without_dense_arrays(self):
+    def runs_without_dense_arrays(self, make_graph):
+        # the graph is built inside the traced window, so its validation counts too
         n = self.N
         tracemalloc.start()
         try:
-            k = lazy_kernel(cycle_graph(n), 0.5)
+            k = lazy_kernel(make_graph(), 0.5)
             trace = run_population(k, PolicySpec.uniform(n, a_long=1, q_fork=0.05),
                                    TrapProfile.uniform(n, 0.02), z0=500, horizon=5, rng_seed=3)
             _, peak = tracemalloc.get_traced_memory()
@@ -527,6 +545,16 @@ class TestScale:
         assert trace.horizon == 5 and trace.conservation_violations() == 0
         # a single dense n x n float64 array would be 8 n^2 = 80 GB
         assert peak < 2_000 * n, peak
+
+    def test_cycle_runs_without_dense_arrays(self):
+        self.runs_without_dense_arrays(lambda: cycle_graph(self.N))
+
+    def test_weighted_cycle_runs_without_dense_arrays(self):
+        # weighted row totals are summed over the edges, not over dense rows
+        def make_graph():
+            edges = cycle_graph(self.N).edges
+            return Graph(self.N, edges, np.random.default_rng(5).uniform(0.5, 2.0, self.N))
+        self.runs_without_dense_arrays(make_graph)
 
     def test_graph_holds_its_edges_once(self):
         tracemalloc.start()
