@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .analysis import (
     CorridorStats,

@@ -44,9 +44,18 @@ from .return_time import sample_return_times
 TMIX_LADDER = (0.25, 0.125, 1e-2, 1e-3, 1e-4)
 
 
+def _finite_or_null(x):
+    """``x`` with each non-finite float (+inf in srrw's payloads) replaced by JSON null."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -89,52 +89,33 @@ class EnvelopeModel:
 def doeblin_constants(kernel: TransitionKernel) -> EnvelopeModel:
     """Theoretical tail constants from minorization plus the exact TV curve.
 
-    Finds the smallest t0 (at most 50 n) with min over (x, y) of
-    P^t0(x, y)/pi(y) strictly positive and takes that minimum as the floor
-    eps0, giving the node-uniform upper-bound constant eps0/(2*t0). For the
+    Both facts are read from the kernel's kept profile,
+    ``kernel.profile(min(1/8, pi_min/2))``. Its floor is the smallest t0 with
+    min over (x, y) of P^t0(x, y)/pi(y) strictly positive, and that minimum
+    eps0; it gives the node-uniform upper-bound constant eps0/(2*t0). For the
     lower bound, each node u gets the smallest t_u >= t_mix(1/8) with
     worst-start TV at most pi(u)/2, and the constant 2*theta_u/t_u with
-    theta_u = t_u + sum of the TV curve over 1..t_u scaled by 1/pi(u). The TV
-    curve is the kernel's kept profile, ``kernel.profile(min(1/8, pi_min/2))``.
+    theta_u = t_u + sum of the TV curve over 1..t_u scaled by 1/pi(u).
     """
-    n = kernel.node_count
     pi = kernel.pi.probs
-    cap = 50 * n
-    matrix = kernel.matrix
-    # the powers take turns in two buffers, the ratios fill a third
-    powers = (np.empty((n, n)), np.empty((n, n)))
-    ratio = np.empty((n, n))
-    m = matrix
-    t0 = 1
-    while True:
-        eps0 = float(np.divide(m, pi[None, :], out=ratio).min())
-        if eps0 > 0.0:
-            break
-        t0 += 1
-        if t0 > cap:
-            raise MinorizationError(f"no positive transition floor within {cap} steps")
-        m = np.matmul(m, matrix, out=powers[t0 % 2])
-    del m, powers, ratio  # freed before the mixing profile allocates its own three
-    c_minus = np.full(n, eps0 / (2.0 * t0))
-
     profile = kernel.profile(min(0.125, kernel.pi.pi_min / 2.0))
+    if profile.floor is None:
+        raise MinorizationError(
+            f"no positive transition floor within {len(profile.tv) - 1} steps")
+    t0, eps0 = profile.floor
+    c_minus = np.full(len(pi), eps0 / (2.0 * t0))
+
     t_mix = profile.t_mix_of(0.125)
-    tv = profile.tv  # tv[t] is the worst-start TV distance at time t
-    c_plus = np.empty(n)
-    t_u_arr = np.empty(n, dtype=np.int64)
-    theta_arr = np.empty(n)
-    for u in range(n):
-        idx = np.nonzero(tv <= pi[u] / 2.0)[0]
-        idx = idx[idx >= t_mix]
-        if idx.size == 0:
-            raise InsufficientDataError(
-                f"TV curve does not reach pi({u})/2 = {pi[u] / 2.0}; extend the profile"
-            )
-        t_u = int(idx[0])
-        theta_u = t_u + float(tv[1:t_u + 1].sum()) / pi[u]
-        c_plus[u] = 2.0 * theta_u / t_u
-        t_u_arr[u] = t_u
-        theta_arr[u] = theta_u
+    tv = profile.tv  # tv[t] is the worst-start TV distance at time t, non-increasing
+    t_u_arr = np.maximum(t_mix, np.searchsorted(-tv, -pi / 2.0))
+    off = np.nonzero(t_u_arr >= len(tv))[0]
+    if off.size:
+        u = off[0]
+        raise InsufficientDataError(f"TV curve does not reach pi({u})/2 = {pi[u] / 2.0}; "
+                                    "extend the profile")
+    sums = np.array([tv[1:t_u + 1].sum() for t_u in t_u_arr])
+    theta_arr = t_u_arr + sums / pi
+    c_plus = 2.0 * theta_arr / t_u_arr
 
     meta = {
         "t0": t0,
@@ -178,8 +159,6 @@ def fit_constants(samples: list[ReturnTimeSample], pi: StationaryDistribution,
         if s.count < FIT_MIN_SAMPLES:
             raise InsufficientDataError(f"node {u}: {s.count} samples < {FIT_MIN_SAMPLES}")
         ages, tails = tail_curve(s)
-        if np.any(np.diff(tails) > 0):
-            raise FitError(f"node {u}: non-monotone tail curve")
         keep = (tails >= 10.0 / s.count) & (ages >= 2)
         x = ages[keep] * pi[u]
         y = -np.log(tails[keep])

@@ -22,11 +22,11 @@ class InsufficientDataError(SrrwError):
 
 
 class FitError(SrrwError):
-    """Envelope fitting failed on degenerate or non-monotone tail data."""
+    """Envelope fitting failed on degenerate tail data."""
 
 
 class MinorizationError(SrrwError):
-    """No strictly positive multi-step transition floor found within the search cap."""
+    """No strictly positive multi-step transition floor on the mixing profile's curve."""
 
 
 class StepCapError(SrrwError):

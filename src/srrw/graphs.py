@@ -192,10 +192,10 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain-text edge-list format: one ``u v [w]`` per line, 0-indexed.
 
-    Blank lines and lines starting with ``#`` are skipped. If any line carries
-    a weight the graph is weighted and weightless lines default to 1.0.
+    Blank lines and lines starting with ``#`` are skipped. Each line becomes
+    the edge entry ``[u, v]`` or ``[u, v, w]`` of ``graph_from_edge_entries``.
     """
-    edges, weights, any_weight = [], [], False
+    entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -204,18 +204,12 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) not in (2, 3):
             raise GraphStructureError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else None
+            entries.append([int(parts[0]), int(parts[1])] + [float(w) for w in parts[2:]])
         except ValueError as exc:
             raise GraphStructureError(f"line {lineno}: {exc}") from exc
-        edges.append((u, v))
-        weights.append(w)
-        any_weight = any_weight or w is not None
-    if not edges:
+    if not entries:
         raise GraphStructureError("edge list is empty")
-    if any_weight:
-        return Graph.build(edges, [1.0 if w is None else w for w in weights])
-    return Graph.build(edges)
+    return graph_from_edge_entries(entries)
 
 
 def parse_graph_json(obj) -> Graph:
@@ -580,20 +574,26 @@ def spectral_gap(kernel: TransitionKernel) -> float:
 
 
 class MixingProfile:
-    """Exact worst-start TV decay curve of a kernel, and its spectral gap.
+    """Exact worst-start TV decay curve of a kernel, its minorization floor and
+    its spectral gap.
 
     ``tv[t]`` is the worst-start TV distance at time t, from t = 0.
     ``unreached`` flags a curve that was cut off at ``max_t`` before hitting
-    the construction target. ``spectral_gap`` is the kernel's, computed by an
-    n x n eigensolve on its first read and kept; only the spectral bound
+    the construction target. ``floor`` is ``(t0, eps0)`` for the least t0 on
+    the curve with P^t0 positive everywhere, eps0 = min P^t0(x, y)/pi(y), or
+    ``None``; a curve that reaches pi_min/2 has one, as a zero P^t(x, y) keeps
+    the TV at t at least pi(y). ``spectral_gap`` is the kernel's, computed by
+    an n x n eigensolve on its first read and kept; only the spectral bound
     reads it.
     """
 
-    def __init__(self, kernel: TransitionKernel, tv: np.ndarray, unreached: bool):
+    def __init__(self, kernel: TransitionKernel, tv: np.ndarray, unreached: bool,
+                 floor: tuple[int, float] | None = None):
         self.kernel = kernel
         self.tv = np.asarray(tv, dtype=float)
         self.pi_min = kernel.pi.pi_min
         self.unreached = bool(unreached)
+        self.floor = floor
         diffs = np.diff(self.tv)
         if np.any(diffs > 1e-12):
             raise ParameterError("TV curve must be non-increasing")
@@ -619,11 +619,12 @@ class MixingProfile:
 
 def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
                    target: float = 1e-10) -> MixingProfile:
-    """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``.
+    """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``,
+    and the minorization floor at the first positive power.
 
-    The powers take turns in two n x n buffers and ``|P^t - pi|`` is formed
-    in a third, so each step of the curve costs one n^3 product and allocates
-    no n x n array.
+    The powers take turns in two n x n buffers and ``P^t/pi`` and
+    ``|P^t - pi|`` are formed in a third, so each step of the curve costs one
+    n^3 product and allocates no n x n array.
     """
     matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
     n = kernel.node_count
@@ -633,9 +634,12 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     tv = [float(1.0 - pi.min())]
     m = matrix  # the first power is the kernel itself, bitwise eye(n) @ matrix
     unreached = True
+    floor = None
     for t in range(1, max_t + 1):
         if t > 1:
             m = np.matmul(m, matrix, out=powers[t % 2])
+        if floor is None and m.min() > 0.0:
+            floor = (t, float(np.divide(m, pi[None, :], out=dev).min()))
         np.abs(np.subtract(m, pi[None, :], out=dev), out=dev)
         d = float(0.5 * dev.sum(axis=1).max())
         tv.append(d)
@@ -645,7 +649,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     tv_arr = np.minimum.accumulate(np.asarray(tv))
     if np.max(np.asarray(tv) - tv_arr) > 1e-12:
         raise ParameterError("TV curve increased beyond numerical tolerance")
-    return MixingProfile(kernel, tv_arr, unreached)
+    return MixingProfile(kernel, tv_arr, unreached, floor)
 
 
 def stationary_by_iteration(kernel: TransitionKernel, tol: float = 1e-13,

@@ -204,7 +204,7 @@ class TestSimulate:
         assert len(traces) == 3 and len(calls) == 1
 
 
-def corridor_config(tmp_path):
+def corridor_config(tmp_path, **kw):
     return write_config(
         tmp_path,
         traps={"nodes": "all", "zeta": 0.05},
@@ -216,6 +216,7 @@ def corridor_config(tmp_path):
         simulation={"Z_0": 30, "horizon": 600, "replicas": 3, "seed": 3,
                     "collect_age_law": True},
         corridor={"Z_low": 10, "Z_high": 60},
+        **kw,
     )
 
 
@@ -591,7 +592,7 @@ class TestNoForking:
         key = "single" if name == "flat" else "low"
         assert feas["a_eff_mode"][key] == "no_forking"
         iv = (feas if name == "flat" else feas["low_regime"])["a_eff_interval"]
-        assert iv == [math.inf, math.inf]
+        assert iv == [None, None]  # JSON null stands for +inf
 
     def test_sweep_over_q_through_zero(self, tmp_path):
         cfg = write_config(tmp_path, policy={"A_l": [3, 4, 5, 6], "q_fork": 0.2},
@@ -601,6 +602,35 @@ class TestNoForking:
         rows = sweep_rows(only_run_dir(out))
         assert [(r["q"], r["a_eff_lo"], r["a_eff_hi"]) for r in rows][0] == ("0.0", "inf", "inf")
         assert len(rows) == 2
+
+
+class TestStrictJson:
+    """JSON artifacts are strict JSON: +inf is written as null, never as ``Infinity``."""
+
+    CONFIGS = {
+        # the high regime never forks, so its effective-age interval is [inf, inf]
+        "corridor": lambda tmp_path: corridor_config(tmp_path, sweep={"zeta_scale": [1.0]}),
+        "no_forking": lambda tmp_path: write_config(
+            tmp_path, policy=TestNoForking.POLICIES["flat"], sweep={"q": [0.0, 0.2]}),
+    }
+
+    @staticmethod
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    @pytest.mark.parametrize("command", ["stationary", "envelopes", "simulate", "check", "sweep"])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_artifacts_parse_strictly(self, name, command, tmp_path):
+        cfg = self.CONFIGS[name](tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        run = only_run_dir(tmp_path / "out")
+        payloads = {f: json.loads(open(os.path.join(run, f)).read(), parse_constant=self.reject)
+                    for f in os.listdir(run) if f.endswith(".json")}
+        assert payloads
+        if command == "check":
+            feas = payloads["feasibility.json"]["feasibility"]
+            no_forking = feas["high_regime"] if name == "corridor" else feas
+            assert no_forking["a_eff_interval"] == [None, None]
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,10 +19,20 @@ from srrw.errors import (
     FitError,
     InfeasibleInputError,
     InsufficientDataError,
+    MinorizationError,
     ParameterError,
 )
 import srrw.graphs as graphs_module
-from srrw.graphs import StationaryDistribution, complete_graph, erdos_renyi_graph, lazy_kernel
+from srrw.graphs import (
+    Graph,
+    StationaryDistribution,
+    complete_graph,
+    cycle_graph,
+    erdos_renyi_graph,
+    lazy_kernel,
+    path_graph,
+    star_graph,
+)
 from srrw.return_time import ReturnTimeSample, sample_return_times, tail_curve
 
 K2 = lazy_kernel(complete_graph(2), 0.5)
@@ -65,7 +76,72 @@ def envelope_models(draw):
     return EnvelopeModel(c_minus, c_plus, "empirical_fit", StationaryDistribution(probs))
 
 
+def doeblin_reference(k):
+    """The Doeblin constants by plain loops: powers until the floor is positive,
+    a TV curve down to min(1/8, pi_min/2), and one pass over the nodes."""
+    p, pi = k.matrix, k.pi.probs
+    m, t0 = p, 1
+    while not (m / pi).min() > 0.0:
+        m, t0 = m @ p, t0 + 1
+    eps0 = float((m / pi).min())
+    target = min(0.125, k.pi.pi_min / 2.0)
+    m, tv = p, [float(1.0 - pi.min())]
+    while tv[-1] > target:
+        if len(tv) > 1:
+            m = m @ p
+        tv.append(float(0.5 * np.abs(m - pi).sum(axis=1).max()))
+    tv = np.minimum.accumulate(tv)
+    t_mix = int(np.nonzero(tv <= 0.125)[0][0])
+    c_plus, t_us, thetas = [], [], []
+    for u in range(len(pi)):
+        idx = np.nonzero(tv <= pi[u] / 2.0)[0]
+        t_u = int(idx[idx >= t_mix][0])
+        theta_u = t_u + float(tv[1:t_u + 1].sum()) / pi[u]
+        c_plus.append(2.0 * theta_u / t_u)
+        t_us.append(t_u)
+        thetas.append(theta_u)
+    meta = {"t0": t0, "eps0": eps0, "t_u": t_us, "theta_u": thetas, "t_mix_eighth": t_mix,
+            "valid_age_upper": 2 * t0, "valid_age_lower": [2 * t for t in t_us]}
+    return np.full(len(pi), eps0 / (2.0 * t0)), np.array(c_plus), meta
+
+
+DOEBLIN_GRAPHS = {
+    "K2": lambda: complete_graph(2),
+    "K4": lambda: complete_graph(4),
+    "cycle20": lambda: cycle_graph(20),
+    "path30": lambda: path_graph(30),
+    "star9": lambda: star_graph(9),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
+    "weighted": lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)],
+                                    [1.0, 2.5, 0.3, 7.0, 0.01]),
+}
+
+
 class TestDoeblin:
+    @pytest.mark.parametrize("laziness", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("name", sorted(DOEBLIN_GRAPHS))
+    def test_bitwise_equal_to_plain_loops(self, name, laziness):
+        k = lazy_kernel(DOEBLIN_GRAPHS[name](), laziness)
+        c_minus, c_plus, meta = doeblin_reference(k)
+        m = doeblin_constants(k)
+        assert m.c_minus.tobytes() == c_minus.tobytes()
+        assert m.c_plus.tobytes() == c_plus.tobytes()
+        assert m.meta == meta
+
+    def test_no_floor_on_a_curve_cut_before_a_positive_power(self, monkeypatch):
+        # path(30) has a zero entry in P^t until t = 29
+        monkeypatch.setattr(graphs_module, "mixing_profile",
+                            functools.partial(graphs_module.mixing_profile, max_t=20))
+        with pytest.raises(MinorizationError, match="within 20 steps"):
+            doeblin_constants(lazy_kernel(path_graph(30), 0.5))
+
+    def test_names_the_first_node_off_the_curve(self, monkeypatch):
+        # star(9) reaches TV 1/8 at t = 3 but a leaf's pi/2 = 1/32 only at t = 5
+        monkeypatch.setattr(graphs_module, "mixing_profile",
+                            functools.partial(graphs_module.mixing_profile, max_t=4))
+        with pytest.raises(InsufficientDataError, match=r"pi\(1\)/2 = 0.03125"):
+            doeblin_constants(lazy_kernel(star_graph(9), 0.5))
+
     def test_k2_constants(self):
         m = doeblin_constants(K2)
         assert m.meta["t0"] == 1

@@ -177,9 +177,27 @@ class TestMixingProfile:
         assert k.t_mix(0.125) == mixing_profile(k, target=0.125).t_mix_of(0.125)
         assert calls == [1e-300]
 
+    @pytest.mark.parametrize("make", [
+        lambda: complete_graph(2),
+        lambda: complete_graph(4),
+        lambda: cycle_graph(20),
+        lambda: path_graph(30),
+        lambda: star_graph(9),
+        lambda: erdos_renyi_graph(30, 0.15, seed=1),
+        lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], [1.0, 2.5, 0.3, 7.0, 0.01]),
+    ])
+    @pytest.mark.parametrize("laziness", [0.2, 0.9])
+    def test_floor_at_the_first_positive_power(self, make, laziness):
+        k = lazy_kernel(make(), laziness)
+        t0, eps0 = mixing_profile(k, target=k.pi.pi_min / 2.0).floor
+        positive = [np.linalg.matrix_power(k.matrix, t).min() > 0.0 for t in range(1, t0 + 1)]
+        assert positive == [False] * (t0 - 1) + [True]
+        assert eps0 > 0.0
+
     def test_curve_non_increasing_and_flagged(self):
         prof = mixing_profile(lazy_kernel(path_graph(6), 0.5), max_t=3, target=1e-12)
         assert prof.unreached
+        assert prof.floor is None  # P^t has a zero entry until t = 5
         assert np.all(np.diff(prof.tv) <= 1e-12)
         with pytest.raises(InsufficientDataError):
             prof.t_mix_of(1e-9)
