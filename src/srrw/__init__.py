@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 from .analysis import (
     CorridorStats,

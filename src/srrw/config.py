@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,11 @@ def _require(cond: bool, fieldpath: str, message: str):
 
 def _convert(kind, val, label: str):
     """``kind(val)``, or a ConfigError naming ``label`` when ``val`` is not a number."""
-    _require(not isinstance(val, bool), label, f"expected a number, got {val!r}")
+    _require(not isinstance(val, bool), label, f"expected a number, got {reprlib.repr(val)}")
     try:
         return kind(val)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(label, f"expected a number, got {val!r}") from exc
+        raise ConfigError(label, f"expected a number, got {reprlib.repr(val)}") from exc
 
 
 def _get_number(obj, key, label=None, default=None, lo=None, hi=None, integer=False,
@@ -62,16 +63,16 @@ def _get_number(obj, key, label=None, default=None, lo=None, hi=None, integer=Fa
     val = obj.get(key, default)
     _require(val is not None, label, "required field missing")
     _require(isinstance(val, (int, float)) and not isinstance(val, bool), label,
-             f"expected a number, got {val!r}")
+             f"expected a number, got {reprlib.repr(val)}")
     if integer:
-        _require(float(val).is_integer(), label, f"expected an integer, got {val!r}")
+        _require(float(val).is_integer(), label, f"expected an integer, got {reprlib.repr(val)}")
         val = int(val)
     if lo is not None:
         _require(val > lo if lo_strict else val >= lo, label,
-                 f"must be {'>' if lo_strict else '>='} {lo}, got {val}")
+                 f"must be {'>' if lo_strict else '>='} {lo}, got {reprlib.repr(val)}")
     if hi is not None:
         _require(val < hi if hi_strict else val <= hi, label,
-                 f"must be {'<' if hi_strict else '<='} {hi}, got {val}")
+                 f"must be {'<' if hi_strict else '<='} {hi}, got {reprlib.repr(val)}")
     return val
 
 
@@ -124,7 +125,7 @@ def _resolve_graph(cfg: dict) -> Graph:
             spec = g["generator"]
             kind = spec.get("kind")
             _require(kind in GENERATORS, "graph.generator.kind",
-                     f"unknown generator {kind!r}; choose from {sorted(GENERATORS)}")
+                     f"unknown generator {reprlib.repr(kind)}; choose from {sorted(GENERATORS)}")
             n = _get_number(spec, "n", "graph.generator.n", lo=2, integer=True)
             if kind == "erdos_renyi":
                 p = _get_number(spec, "p", "graph.generator.p", lo=0.0, hi=1.0, lo_strict=True)
@@ -183,7 +184,7 @@ def _spec_from_block(block: dict, n: int, fieldpath: str) -> tuple[PolicySpec, d
             vals = [_convert(float, x, f"{fieldpath}.{name}") for x in val]
         else:
             _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                     f"{fieldpath}.{name}", f"expected number or array, got {val!r}")
+                     f"{fieldpath}.{name}", f"expected number or array, got {reprlib.repr(val)}")
             vals = float(val)
         arr = np.asarray(vals if isinstance(vals, list) else [vals])
         _require(bool(np.all(arr >= lo)) and bool(np.all(arr <= hi)),
@@ -224,7 +225,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
     _require(isinstance(cfg, dict), "config", "top-level JSON must be an object")
     version = cfg.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version",
-             f"unsupported version {version!r}, expected {SCHEMA_VERSION}")
+             f"unsupported version {reprlib.repr(version)}, expected {SCHEMA_VERSION}")
 
     graph = _resolve_graph(cfg)
     laziness = _get_number(cfg, "laziness", default=0.5, lo=0.0, hi=1.0,
@@ -261,9 +262,9 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
     placement = sim_raw["placement"]
     _require(placement in ("pi", "uniform") or (type(placement) is int and 0 <= placement < n),
              "simulation.placement", f'expected "pi", "uniform", or a node id in 0..{n - 1}, '
-             f"got {placement!r}")
+             f"got {reprlib.repr(placement)}")
     _require(isinstance(sim_raw["collect_age_law"], bool), "simulation.collect_age_law",
-             f"expected true or false, got {sim_raw['collect_age_law']!r}")
+             f"expected true or false, got {reprlib.repr(sim_raw['collect_age_law'])}")
     _require(sim_raw["age_convention"] == AGE_CONVENTION, "simulation.age_convention",
              f"only {AGE_CONVENTION!r} is supported")
     _require(sim_raw["boundary_priority"] == BOUNDARY_PRIORITY, "simulation.boundary_priority",

@@ -16,8 +16,12 @@ stationary law is built from. The dense n x n kernel arrays
 first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
 constants); past ``DENSE_NODE_CAP`` nodes reading them raises
 ``ParameterError`` instead of allocating 8 n^2 bytes each. A mixing profile
-costs one n^3 product per TV step, in three n x n buffers it reuses; its
-spectral gap, an n x n eigensolve, is computed when it is first read.
+holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
+multiplies the upper block triangle of the power, about half an n^3 product,
+filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
+is computed when it is first read. The padded neighbour and fork tables, and
+the edges of ``complete_graph``, raise ``ParameterError`` past
+``TABLE_BYTE_CAP`` bytes before they are allocated.
 """
 from __future__ import annotations
 
@@ -37,6 +41,16 @@ from .errors import (
 )
 
 DENSE_NODE_CAP = 2000
+TABLE_BYTE_CAP = 256 << 20  # bytes one padded row table, or a generated edge array, may take
+ROW_BLOCK = 128  # rows of the mixing profile's power advanced per product
+
+
+def _check_bytes(nbytes: int, what: str):
+    """ParameterError, before anything is allocated, when ``what`` would take more than
+    ``TABLE_BYTE_CAP`` bytes."""
+    if nbytes > TABLE_BYTE_CAP:
+        raise ParameterError(f"{what} would take {nbytes} bytes, past the cap of "
+                             f"{TABLE_BYTE_CAP} bytes")
 
 
 def _as_pairs(edges) -> np.ndarray:
@@ -202,7 +216,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise GraphStructureError(f"line {lineno}: expected 'u v [w]', got {raw!r}")
+            raise GraphStructureError(f"line {lineno}: expected 'u v [w]', got {reprlib.repr(raw)}")
         try:
             entries.append([int(parts[0]), int(parts[1])] + [float(w) for w in parts[2:]])
         except ValueError as exc:
@@ -268,7 +282,13 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return _build_from_columns(*np.triu_indices(n, 1), n)
+    """K(n): the edges (u, v), u < v, row by row, built in O(|E|) memory."""
+    _check_bytes(16 * (n * (n - 1) // 2), f"the edge array of the complete graph on {n} nodes")
+    counts = np.arange(n - 1, -1, -1)  # node u has the n - 1 - u neighbours above it
+    u = np.repeat(np.arange(n), counts)
+    # v is u + 1 plus the edge's place in u's row
+    v = np.arange(u.size) - np.repeat(np.cumsum(counts) - counts - np.arange(n) - 1, counts)
+    return _build_from_columns(u, v, n)
 
 
 def star_graph(n: int) -> Graph:
@@ -345,13 +365,16 @@ class NeighbourTable:
     tokens of a node costs O(width) instead of O(n). Every sampler reads the
     rows in reversed slot order, so they are stored that way and ``nbr`` and
     ``prob`` are reversed views: ``prob[:, ::-1]`` is contiguous, and taking
-    its rows copies nothing else.
+    its rows copies nothing else. The two arrays take 16 n x width bytes;
+    past ``TABLE_BYTE_CAP`` the constructor raises ``ParameterError`` before
+    allocating them.
     """
 
     def __init__(self, indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         n = indptr.size - 1
         support = np.diff(indptr)
         width = int(support.max())
+        _check_bytes(16 * n * width, f"a neighbour table of {n} rows by {width}")
         rows = np.repeat(np.arange(n), support)
         slot = np.arange(cols.size) - indptr[rows]
         nbr = np.zeros((n, width), dtype=np.int64)
@@ -400,13 +423,18 @@ class ForkTable:
       when the first target is slot 0).
 
     Together the two stages draw the law of two independent neighbour draws
-    conditioned to differ.
+    conditioned to differ. The three arrays take 8 x width x (2 n + 2|E| +
+    nodes of degree above 1) bytes, about 8 n^3 on K(n); past
+    ``TABLE_BYTE_CAP`` the constructor raises ``ParameterError`` before
+    allocating them.
     """
 
     def __init__(self, table: NeighbourTable):
         n, width = table.nbr.shape
-        prob = table.prob[:, ::-1]
         single = table.support == 1
+        rows = 2 * n + int(table.support.sum()) + int(np.count_nonzero(~single))
+        _check_bytes(8 * width * rows, f"a fork table of {rows} rows by {width}")
+        prob = table.prob[:, ::-1]
         first = prob * (1.0 - prob)
         with np.errstate(invalid="ignore"):
             first /= first.sum(axis=1, keepdims=True)
@@ -577,7 +605,10 @@ class MixingProfile:
     """Exact worst-start TV decay curve of a kernel, its minorization floor and
     its spectral gap.
 
-    ``tv[t]`` is the worst-start TV distance at time t, from t = 0.
+    ``tv[t]`` is the worst-start TV distance at time t, from t = 0; past
+    ``ROW_BLOCK`` nodes the powers' columns left of each row block come by
+    detailed balance, so the curve and ``eps0`` may differ from those of a
+    plain ``m @ P`` loop by ulps (same bits up to ``ROW_BLOCK`` nodes).
     ``unreached`` flags a curve that was cut off at ``max_t`` before hitting
     the construction target. ``floor`` is ``(t0, eps0)`` for the least t0 on
     the curve with P^t0 positive everywhere, eps0 = min P^t0(x, y)/pi(y), or
@@ -622,26 +653,48 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``,
     and the minorization floor at the first positive power.
 
-    The powers take turns in two n x n buffers and ``P^t/pi`` and
-    ``|P^t - pi|`` are formed in a third, so each step of the curve costs one
-    n^3 product and allocates no n x n array.
+    One n x n array holds the power, advanced a block of ``ROW_BLOCK`` rows at
+    a time through a (``ROW_BLOCK`` x n) scratch: row block I of P^(t+1) is
+    row block I of P^t times P, so the update runs in place. Only the columns
+    from the block's first row a on are multiplied; the walk is reversible,
+    pi_x P^t(x, y) = pi_y P^t(y, x), so columns left of a are filled from the
+    rows already done. That makes each step about half an n^3 product, and
+    the TV and the floor are read block by block from the same scratch. For
+    n <= ``ROW_BLOCK`` there is one block, and every power is one full product.
     """
     matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
     n = kernel.node_count
-    powers = (np.empty((n, n)), np.empty((n, n)))
-    dev = np.empty((n, n))
     pi = kernel.pi.probs
+    power = np.array(matrix)  # the first power is the kernel itself, bitwise eye(n) @ matrix
+    rows = np.empty((min(ROW_BLOCK, n), n))
+    # per block: first row a, its power and scratch rows, and the kernel's and the
+    # scratch's columns from a on
+    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], matrix[:, a:], rows[:n - a, a:])
+              for a in range(0, n, ROW_BLOCK)]
     tv = [float(1.0 - pi.min())]
-    m = matrix  # the first power is the kernel itself, bitwise eye(n) @ matrix
     unreached = True
     floor = None
     for t in range(1, max_t + 1):
-        if t > 1:
-            m = np.matmul(m, matrix, out=powers[t % 2])
-        if floor is None and m.min() > 0.0:
-            floor = (t, float(np.divide(m, pi[None, :], out=dev).min()))
-        np.abs(np.subtract(m, pi[None, :], out=dev), out=dev)
-        d = float(0.5 * dev.sum(axis=1).max())
+        d, positive, ratio = 0.0, floor is None, math.inf
+        for a, new, block, right, upper in blocks:
+            if t > 1:
+                np.matmul(new, right, out=upper)
+                if a:  # columns left of the block by detailed balance from the rows above
+                    b = a + len(block)
+                    np.multiply(power[:a, a:b].T, pi[:a], out=block[:, :a])
+                    np.divide(block[:, :a], pi[a:b, None], out=block[:, :a])
+                new[...] = block
+            if positive:
+                positive = new.min() > 0.0
+                if positive:
+                    ratio = min(ratio, np.divide(new, pi, out=block).min())
+            np.abs(np.subtract(new, pi, out=block), out=block)
+            worst = block.sum(axis=1).max()
+            if worst > d:
+                d = worst
+        if positive:
+            floor = (t, float(ratio))
+        d = float(0.5 * d)
         tv.append(d)
         if d <= target:
             unreached = False

@@ -96,6 +96,38 @@ class TestStationary:
             assert open(os.path.join(second, f), "rb").read() == body
 
 
+HUGE = "x" * 200_000
+
+
+class TestBoundedErrors:
+    """A huge bad value prints cut short, however large it is."""
+
+    @pytest.mark.parametrize("field,override", [
+        ("graph.generator.n", lambda c: c["graph"]["generator"].update(n=HUGE)),
+        ("graph.generator.kind", lambda c: c["graph"]["generator"].update(kind=HUGE)),
+        ("traps.zeta", lambda c: c["traps"].update(zeta=HUGE)),
+        ("laziness", lambda c: c.update(laziness=HUGE)),
+        ("schema_version", lambda c: c.update(schema_version=HUGE)),
+        ("simulation.placement", lambda c: c["simulation"].update(placement=HUGE)),
+        ("simulation.collect_age_law", lambda c: c["simulation"].update(collect_age_law=HUGE)),
+        ("policy.A_l", lambda c: c["policy"].update(A_l={HUGE: 1})),
+        ("policy.q_fork", lambda c: c["policy"].update(q_fork=[HUGE] * 4)),
+        ("sweep.q", lambda c: c.update(sweep={"q": [HUGE]})),
+        ("graph", lambda c: c.update(graph={"path": c["edge_list"]})),
+    ])
+    def test_config_error_stays_short(self, tmp_path, capsys, field, override):
+        edge_list = tmp_path / "graph.txt"
+        edge_list.write_text(f"0 1\n1 2 1.0 {HUGE}\n")
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["edge_list"] = str(edge_list)
+        override(cfg)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["stationary", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and len(err.encode()) < 300, err[:400]
+
+
 class TestEnvelopes:
     def test_fit_curves(self, tmp_path):
         cfg = write_config(tmp_path)

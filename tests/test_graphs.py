@@ -17,6 +17,8 @@ from srrw.errors import (
 )
 from srrw.graphs import (
     DENSE_NODE_CAP,
+    ROW_BLOCK,
+    TABLE_BYTE_CAP,
     ForkTable,
     Graph,
     complete_graph,
@@ -185,6 +187,11 @@ class TestMixingProfile:
         lambda: star_graph(9),
         lambda: erdos_renyi_graph(30, 0.15, seed=1),
         lambda: Graph.build([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], [1.0, 2.5, 0.3, 7.0, 0.01]),
+        # past one row block: a star on 0..129 with two arms of 10 nodes at its centre, so
+        # the rows of the first block are positive from t = 11 and the arm ends from t = 20
+        lambda: Graph.build([(0, v) for v in range(1, 131)] + [(0, 140)]
+                            + [(v, v + 1) for v in range(130, 139)]
+                            + [(v, v + 1) for v in range(140, 149)]),
     ])
     @pytest.mark.parametrize("laziness", [0.2, 0.9])
     def test_floor_at_the_first_positive_power(self, make, laziness):
@@ -201,6 +208,18 @@ class TestMixingProfile:
         assert np.all(np.diff(prof.tv) <= 1e-12)
         with pytest.raises(InsufficientDataError):
             prof.t_mix_of(1e-9)
+
+    def test_holds_one_power_and_a_row_block(self):
+        k = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+        k.matrix  # the kernel's own array is not the profile's
+        tracemalloc.start()
+        try:
+            mixing_profile(k, target=0.125)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 8 MB power and a 1 MB scratch of ROW_BLOCK rows
+        assert peak < 10_000_000, peak
 
     @given(connected_graphs())
     @settings(max_examples=15, deadline=None)
@@ -407,6 +426,35 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def floor_by_plain_loop(k):
+    """(t0, eps0): powers of the kernel by ``m @ P`` until every entry is positive."""
+    m, t = k.matrix, 1
+    while not m.min() > 0.0:
+        m, t = m @ k.matrix, t + 1
+    return t, float((m / k.pi.probs).min())
+
+
+def t_mix_or_none(prof, eps):
+    try:
+        return prof.t_mix_of(eps)
+    except InsufficientDataError:
+        return None
+
+
+def assert_profile_close(prof, ref, target):
+    """Past one row block the left columns of each power come by detailed balance, so the
+    curve may move by ulps: same length and flag, TV within 1e-14, the same t_mix at every
+    eps >= target, and the floor of a plain loop, its eps0 within 1e-12 relative."""
+    assert len(prof.tv) == len(ref.tv) and prof.unreached == ref.unreached
+    assert np.abs(prof.tv - ref.tv).max() <= 1e-14
+    for eps in (0.5, 0.25, 0.125, 1e-2, 1e-4, 1e-8, 1e-10):
+        if eps >= target:
+            assert t_mix_or_none(prof, eps) == t_mix_or_none(ref, eps), eps
+    t0, eps0 = floor_by_plain_loop(prof.kernel)
+    assert prof.floor[0] == t0
+    assert abs(prof.floor[1] - eps0) <= 1e-12 * eps0
+
+
 def dense_base(node_count, edges, weights):
     """The dense base walk with each row divided by its edge-order weight total."""
     totals = v030.weight_totals(node_count, edges, weights)
@@ -527,11 +575,25 @@ class TestAgainstFrozenConstruction:
     def test_mixing_profile(self, make, target):
         k = lazy_kernel(make(), 0.5)
         prof, ref = mixing_profile(k, target=target), v030.mixing_profile(k, target=target)
-        assert same_bits(prof.tv, ref.tv)
-        assert prof.unreached == ref.unreached and prof.spectral_gap == ref.spectral_gap
-        for eps in (0.5, 0.25, 0.125, 1e-2, 1e-4, 1e-8, 1e-10):
-            if eps >= target:
-                assert prof.t_mix_of(eps) == ref.t_mix_of(eps)
+        if k.node_count <= ROW_BLOCK:
+            # one row block: every power is the full product 0.3.0 took
+            assert same_bits(prof.tv, ref.tv) and prof.floor == floor_by_plain_loop(k)
+        assert_profile_close(prof, ref, target)
+        assert prof.spectral_gap == ref.spectral_gap
+
+    @pytest.mark.parametrize("make,laziness,max_t", [
+        (lambda: erdos_renyi_graph(300, 0.03, seed=1), 0.5, 20000),
+        (lambda: Graph.build(*_weighted_er(200, 0.1, 3)), 0.2, 20000),
+        (lambda: Graph.build(*_weighted_er(200, 0.1, 3)), 0.9, 20000),
+        (lambda: star_graph(300), 0.5, 20000),
+        (lambda: path_graph(200), 0.5, 2000),  # cut off long before 1e-10; P^t > 0 from t = 199
+    ], ids=["er300", "weighted_er200-0.2", "weighted_er200-0.9", "star300", "path200"])
+    def test_mixing_profile_past_one_row_block(self, make, laziness, max_t):
+        k = lazy_kernel(make(), laziness)
+        assert k.node_count > ROW_BLOCK
+        target = 1e-10
+        assert_profile_close(mixing_profile(k, max_t=max_t, target=target),
+                             v030.mixing_profile(k, max_t=max_t, target=target), target)
 
     @pytest.mark.parametrize("make", [
         lambda: complete_graph(2),
@@ -548,6 +610,27 @@ class TestScale:
     """Graphs past the dense cap are built and walked in memory linear in n."""
 
     N = 100_000
+
+    def test_complete_graph_edges_are_triu_indices(self):
+        for n in (2, 3, 4, 7, 64, 301):
+            assert same_bits(complete_graph(n).edges, np.column_stack(np.triu_indices(n, 1)))
+
+    @pytest.mark.parametrize("make,read", [
+        (lambda: 6000, complete_graph),  # K(6000)'s edges: 288 MB
+        (lambda: lazy_kernel(star_graph(5000), 0.5), lambda k: k.neighbour_table()),  # 400 MB
+        # from K(400)'s base neighbour table, 2.5 MB, to its fork table, 513 MB
+        (lambda: lazy_kernel(complete_graph(400), 0.5).base_neighbour_table(), ForkTable),
+    ], ids=["complete_graph", "neighbour_table", "fork_table"])
+    def test_tables_past_the_byte_cap_raise_before_allocating(self, make, read):
+        made = make()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"past the cap of {TABLE_BYTE_CAP} bytes"):
+                read(made)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def runs_without_dense_arrays(self, make_graph):
         # the graph is built inside the traced window, so its validation counts too
