@@ -48,6 +48,17 @@ def _require(cond: bool, fieldpath: str, message: str):
         raise ConfigError(fieldpath, message)
 
 
+def _clip(text, limit: int = 40) -> str:
+    """``str(text)`` cut to ``limit`` characters, for input echoed into a field path."""
+    text = str(text)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _cannot_read(path, exc: OSError) -> str:
+    """An OSError's reason with a bounded copy of the path, not the whole file name."""
+    return f"cannot read {_clip(path, 200)}: {exc.strerror or type(exc).__name__}"
+
+
 def _convert(kind, val, label: str):
     """``kind(val)``, or a ConfigError naming ``label`` when ``val`` is not a number."""
     _require(not isinstance(val, bool), label, f"expected a number, got {reprlib.repr(val)}")
@@ -135,13 +146,17 @@ def _resolve_graph(cfg: dict) -> Graph:
         if "edges" in g:
             return graph_from_edge_entries(g["edges"], g.get("nodes") or None)
         path = g["path"]
-        fmt = g.get("format", "json" if str(path).endswith(".json") else "edgelist")
+        _require(isinstance(path, str), "graph.path",
+                 f"expected a file name, got {reprlib.repr(path)}")
+        fmt = g.get("format", "json" if path.endswith(".json") else "edgelist")
         with open(path) as fh:
             text = fh.read()
         return parse_graph_json(text) if fmt == "json" else parse_edge_list(text)
     except ConfigError:
         raise
-    except (SrrwError, OSError, ValueError) as exc:
+    except OSError as exc:
+        raise ConfigError("graph", _cannot_read(g["path"], exc)) from exc
+    except (SrrwError, ValueError) as exc:
         raise ConfigError("graph", str(exc)) from exc
 
 
@@ -154,7 +169,7 @@ def _resolve_traps(cfg: dict, n: int) -> tuple[TrapProfile, dict]:
     _require(zeta is not None, "traps.zeta", "required field missing")
     if isinstance(zeta, dict):
         for u, v in zeta.items():
-            label = f"traps.zeta.{u}"
+            label = f"traps.zeta.{_clip(u)}"
             _require(0 <= _convert(int, u, label) < n, label, f"node out of range for n={n}")
             _require(0.0 <= _convert(float, v, label) <= 1.0, label, "must lie in [0, 1]")
         profile = TrapProfile.from_map(n, zeta)
@@ -333,13 +348,15 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
 
 
 def load_config(path) -> dict:
+    """The JSON value in ``path``; any failure to read or parse it is a ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+        raise ConfigError("config", _cannot_read(path, exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, an integer literal over Python's digit limit, deep nesting
+        raise ConfigError("config", f"invalid JSON in {_clip(path, 200)}: {exc}") from exc
 
 
 def replica_seeds(seed: int, replicas: int) -> list[int]:

@@ -155,9 +155,11 @@ class AgeLaw:
     def from_header(meta: dict) -> "AgeLaw | None":
         """The law written by ``header_lines``, read from its key-value pairs;
         None when they hold no law. Raises ParameterError on lines that no
-        law writes: a non-integer, a node outside the ``max_over_cap`` list,
-        an age outside 0..cap + 1, a negative count or overflow maximum, or
-        an overflow maximum at or below the cap."""
+        law writes: a non-integer or one beyond int64, a cap outside
+        0..AGE_LAW_CAP (checked before the histogram is allocated), a node
+        outside the ``max_over_cap`` list, an age outside 0..cap + 1, a
+        negative count or overflow maximum, or an overflow maximum at or below
+        the cap."""
         if "age_law_cap" not in meta:
             return None
         prefix = "age_law_node_"
@@ -166,9 +168,11 @@ class AgeLaw:
             over = np.array(meta.get("age_law_max_over_cap", "").split(), dtype=np.int64)
             nodes = {int(key[len(prefix):]): np.array([c.split(":") for c in value.split()], dtype=np.int64)
                      for key, value in meta.items() if key.startswith(prefix)}
-        except ValueError as exc:
-            raise ParameterError(f"age law lines must hold integers: {exc}") from None
-        if cap < 0 or ((over != 0) & (over <= cap)).any():
+        except (ValueError, OverflowError) as exc:
+            raise ParameterError(f"age law lines must hold int64 integers: {exc}") from None
+        if not 0 <= cap <= AGE_LAW_CAP:
+            raise ParameterError(f"age law cap outside 0..{AGE_LAW_CAP}")
+        if ((over != 0) & (over <= cap)).any():
             raise ParameterError(f"age law cap {cap} with overflow maxima {over.tolist()}")
         law = AgeLaw(over.size, cap)
         law.max_over_cap[:] = over

@@ -38,6 +38,7 @@ exactly at every step.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,7 @@ from .graphs import ForkTable, StationaryDistribution, TransitionKernel
 from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
+CSV_CHUNK_ROWS = 4096  # trace rows formatted per write
 
 # the event columns leading every node row
 _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
@@ -157,6 +159,8 @@ class PopulationTrace:
         return int(self._unbalanced_steps().size)
 
     def to_csv(self, path, version: str = "") -> None:
+        """Write ``# key=value`` provenance lines, the column header and one
+        row per step; rows are formatted and written ``CSV_CHUNK_ROWS`` at a time."""
         lines = []
         if self.config_hash is not None:
             lines.append(f"# config_hash={self.config_hash}")
@@ -169,41 +173,57 @@ class PopulationTrace:
         if self.age_law is not None:
             lines += [f"# {line}" for line in self.age_law.header_lines()]
         lines.append("t,Z,forks,trap_dels,terms")
-        for t in range(len(self.z)):
-            lines.append(f"{t},{self.z[t]},{self.forks[t]},{self.trap_dels[t]},{self.terms[t]}")
+        cols = (self.z, self.forks, self.trap_dels, self.terms)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+            for lo in range(0, len(self.z), CSV_CHUNK_ROWS):
+                hi = lo + CSV_CHUNK_ROWS
+                rows = zip(range(lo, hi), *(col[lo:hi].tolist() for col in cols))
+                fh.write("".join(f"{t},{z},{f},{d},{m}\n" for t, z, f, d, m in rows))
 
     @staticmethod
     def from_csv(path) -> "PopulationTrace":
         """Read a trace written by ``to_csv``; files without the flag lines
         get ``capped=False``, extinction from the last count and the recorded
         length as the requested horizon, and files without age-law lines no
-        age law. Raises ParameterError on no data rows, a row without five
-        columns, a non-integer cell or flag value, a ``t`` column other than
-        0, 1, ..., T, a negative count, a step whose counts break
+        age law. Data rows go through numpy's C text parser without a Python
+        object per row or cell; it takes ASCII decimal integers with an
+        optional sign and surrounding blanks. Raises ParameterError on no data
+        rows, a row without five columns, a cell that is not such an int64 or
+        a non-integer flag value, a ``t`` column other than 0, 1, ..., T, a
+        negative count, a step whose counts break
         Z_t = Z_(t-1) + forks - trap_dels - terms, or flags that disagree
         with the counts: a flag other than 0 or 1, ``extinct`` unless the
         final Z is 0, both flags set, T past ``horizon_requested``, or T short
         of it with neither flag set."""
         meta = {}
-        rows = []
-        with open(path) as fh:
+
+        def data_lines(fh):
             for line in fh:
                 line = line.strip()
                 if line.startswith("# ") and "=" in line:
                     key, value = line[2:].split("=", 1)
                     meta[key] = value
                 elif line and not line.startswith("#") and not line.startswith("t,"):
-                    rows.append(line.split(","))
-        if not rows or any(len(row) != 5 for row in rows):
+                    yield line
+
+        with open(path) as fh:
+            lines = data_lines(fh)
+            first = next(lines, None)
+            if first is None:
+                raise ParameterError("trace needs at least one data row, each of five columns")
+            try:
+                arr = np.loadtxt(itertools.chain((first,), lines), dtype=np.int64,
+                                 delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ParameterError(f"trace rows must hold five integers each: {exc}") from None
+        if arr.shape[1] != 5:
             raise ParameterError("trace needs at least one data row, each of five columns")
         try:
-            arr = np.asarray(rows, dtype=np.int64)
             seed = int(meta.get("seed", 0))
             capped = int(meta.get("capped", 0))
             extinct = int(meta["extinct"]) if "extinct" in meta else int(arr[-1, 1] == 0)
-            horizon_requested = int(meta.get("horizon_requested", len(rows) - 1))
+            horizon_requested = int(meta.get("horizon_requested", len(arr) - 1))
         except ValueError as exc:
             raise ParameterError(f"trace values must be integers: {exc}") from None
         steps, final_z = len(arr) - 1, arr[-1, 1]

@@ -3,8 +3,9 @@
 Return times are i.i.d. samples of walks started at the target node (simple
 confidence intervals). The walkers never interact, so they move together as
 token counts per node, at O(occupied nodes x width) per step whatever the
-sample count, and come out sorted. The empirical mean obeys Kac's identity
-mean = 1/pi(u), which the tests use as an independent oracle.
+sample count. A sample is kept as its count of returns per age, one int per
+step the sampler took, not one per walker. The empirical mean obeys Kac's
+identity mean = 1/pi(u), which the tests use as an independent oracle.
 ``tail_curve`` is the one estimate of the tail Pr_u(T_u >= A) made from a
 sample, at every age up to the largest sampled return time; the envelope fit
 reads it.
@@ -12,8 +13,6 @@ A node's age in the engine is the time since its last visit; the node clock
 that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +22,43 @@ from .graphs import TransitionKernel
 DEFAULT_STEP_CAP = 10**9
 
 
-@dataclass
 class ReturnTimeSample:
-    """First-return times of a walk to ``node``; every sample is >= 1."""
+    """First-return times of a walk to ``node``, held as counts per age:
+    ``counts[a - 1]`` samples came back at age a. Every sample is >= 1 and the
+    last count is positive, so ``len(counts)`` is the largest sample."""
 
-    node: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.int64)
-        if self.samples.size and self.samples.min() < 1:
+    def __init__(self, node: int, samples):
+        samples = np.asarray(samples, dtype=np.int64)
+        if samples.size and samples.min() < 1:
             raise ValueError("return times are at least 1")
+        self.node = node
+        self.counts = np.bincount(samples - 1)
+
+    @classmethod
+    def from_counts(cls, node: int, counts) -> "ReturnTimeSample":
+        """The sample with ``counts[a - 1]`` returns at age a, as the sampler records them."""
+        sample = cls.__new__(cls)
+        sample.node = node
+        sample.counts = np.asarray(counts, dtype=np.int64)
+        if sample.counts.size and (sample.counts.min() < 0 or sample.counts[-1] == 0):
+            raise ValueError("counts must be nonnegative with a positive last entry")
+        return sample
+
+    @property
+    def samples(self) -> np.ndarray:
+        """All samples in ascending order, expanded from the counts on each read."""
+        return np.repeat(np.arange(1, self.counts.size + 1), self.counts)
 
     @property
     def count(self) -> int:
-        return int(self.samples.size)
+        return int(self.counts.sum())
 
     def mean(self) -> float:
-        return float(self.samples.mean())
+        return int(self.counts @ np.arange(1, self.counts.size + 1)) / self.count
 
     def std_error(self) -> float:
-        return float(self.samples.std(ddof=1) / np.sqrt(self.count))
+        sq_dev = self.counts @ (np.arange(1, self.counts.size + 1) - self.mean()) ** 2
+        return float(np.sqrt(sq_dev / (self.count - 1) / self.count))
 
 
 def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_seed: int,
@@ -52,8 +67,8 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
 
     All ``n_samples`` walkers start at ``u`` and move as counts per node; the
     count that lands on ``u`` at a step is that step's number of returns and
-    is then removed. Deterministic given the seed; samples come out in
-    ascending order.
+    is then removed; those counts are the sample. Deterministic given the
+    seed.
     """
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
@@ -71,14 +86,12 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
         returns.append(back)
         counts[u] = 0
         out -= back
-    return ReturnTimeSample(u, np.repeat(np.arange(1, len(returns) + 1), returns))
+    return ReturnTimeSample.from_counts(u, returns)
 
 
 def tail_curve(sample: ReturnTimeSample) -> tuple[np.ndarray, np.ndarray]:
     """Empirical tail Pr{return time >= A} at every age A = 1..max(sample);
     tail(1) = 1 by construction, and the tail is 0 past the largest sample."""
-    max_a = int(sample.samples.max())
-    ages = np.arange(1, max_a + 1)
-    sorted_samples = np.sort(sample.samples)
-    tails = (sample.count - np.searchsorted(sorted_samples, ages, side="left")) / sample.count
-    return ages, tails
+    ages = np.arange(1, sample.counts.size + 1)
+    at_least = np.cumsum(sample.counts[::-1])[::-1]  # samples >= each age
+    return ages, at_least / sample.count

@@ -127,6 +127,27 @@ class TestBoundedErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and len(err.encode()) < 300, err[:400]
 
+    @pytest.mark.parametrize("prefix,override", [
+        ("traps.zeta.xxx", lambda c: c["traps"].update(zeta={HUGE: 0.1})),  # key in the field path
+        ("graph: cannot read xxx", lambda c: c.update(graph={"path": HUGE})),  # name in the OSError
+    ])
+    def test_echoed_key_or_file_name_stays_short(self, tmp_path, capsys, prefix, override):
+        cfg = json.loads(write_config(tmp_path).read_text())
+        override(cfg)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["stationary", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {prefix}") and len(err.encode()) < 300, err[:400]
+
+    def test_integer_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # Python's json raises a plain ValueError for an int literal over 4300 digits
+        path = tmp_path / "long_int.json"
+        path.write_text('{"laziness": ' + "1" * 5000 + "}")
+        assert main(["stationary", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: invalid JSON") and len(err.encode()) < 600
+
 
 class TestEnvelopes:
     def test_fit_curves(self, tmp_path):
@@ -520,7 +541,8 @@ class TestCheck:
                  (node_line, f"{node_key}=258:1"),  # age past the overflow bucket
                  (node_line, f"{node_key}=1:-1"),  # negative count
                  (node_line, f"{node_key}=x:1"),  # not an integer
-                 (over_line, "# age_law_max_over_cap=0 0 0 0 0")]  # five nodes, not four
+                 (over_line, "# age_law_max_over_cap=0 0 0 0 0"),  # five nodes, not four
+                 ("# age_law_cap=256", "# age_law_cap=1000000000000000")]  # cap past AGE_LAW_CAP
         for i, (old, new) in enumerate(edits):
             with open(path, "w") as fh:
                 fh.write(text.replace(old, new))
@@ -570,6 +592,23 @@ class TestCheck:
                          "--traces", sim_run])
             assert code == 1, new
             assert "config error: traces: replica_000.csv" in capsys.readouterr().err, new
+
+    def test_traces_with_cell_beyond_int64_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
+                                                 "seed": 7})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        lines = open(path).read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("0,"))
+        lines[at] = "0,99999999999999999999999,0,0,0"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                     "--traces", sim_run])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: traces: replica_000.csv: ") and len(err) < 400
 
     @pytest.mark.parametrize("step,row,message", [
         (5, "5,-7,0,0,0", "step 5 has a negative count"),

@@ -6,13 +6,16 @@ installed and ``perfbench/`` is not modified.
 """
 import importlib.util
 import os
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import srrw.population
 from srrw.config import resolve_config
 from srrw.policy import PolicySpec
-from srrw.population import TrapProfile, run_population
+from srrw.population import PopulationTrace, TrapProfile, run_population
+from srrw.return_time import sample_return_times
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 CONFIG = {
@@ -58,3 +61,25 @@ def test_run_population_steps_through_the_module_global(monkeypatch):
     trace = run_population(kernel, PolicySpec.uniform(4, a_long=2.0**40, q_fork=0.0),
                            TrapProfile.none(4), z0=3, horizon=5, rng_seed=1)
     assert trace.horizon == len(calls) == 5
+
+
+def test_counters_read_real_results(tmp_path):
+    # the tracer counts from what sample_return_times and run_population return,
+    # and the corridor gate reads replica traces back with from_csv
+    tracing = load("tracing")
+    kernel = resolve_config(CONFIG).kernel
+    counts = defaultdict(int)
+    sample = sample_return_times(kernel, 0, 2000, rng_seed=3)
+    tracing._count_return_times(counts, sample)
+    walk_steps = int(np.repeat(np.arange(1, sample.counts.size + 1), sample.counts).sum())
+    assert counts["return_time.calls"] == 1 and counts["return_time.walk_steps"] == walk_steps
+    trace = run_population(kernel, PolicySpec.uniform(4, a_long=2.0, q_fork=0.2),
+                           TrapProfile.uniform(4, 0.1), z0=10, horizon=50, rng_seed=2)
+    path = tmp_path / "replica_000.csv"
+    trace.to_csv(path)
+    tracing._count_population(counts, PopulationTrace.from_csv(path))
+    assert counts["population.steps"] == trace.horizon > 0
+    assert counts["population.extinct"] == int(trace.extinct)
+    assert counts["population.token_steps"] == int(trace.z[:-1].sum())
+    assert counts["population.forks"] == int(trace.forks.sum())
+    assert counts["population.trap_dels"] == int(trace.trap_dels.sum())

@@ -121,6 +121,26 @@ class TestTails:
         assert all(0.0 <= p <= 1.0 for p in tails)
         assert all(a >= b for a, b in zip(tails, tails[1:]))
 
+    def test_sample_holds_one_count_per_age(self):
+        # 20k walkers at corridor node 0 come back within about 900 steps
+        s = sample_return_times(lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5), 0,
+                                20_000, rng_seed=1)
+        held = sum(v.nbytes for v in vars(s).values() if isinstance(v, np.ndarray))
+        assert s.count == 20_000
+        assert held == 8 * int(s.samples.max()) < 16_000  # 20k int64 samples took 160 kB
+
+    def test_samples_round_trip_through_counts(self):
+        values = np.array([3, 1, 7, 1, 3, 3])
+        s = ReturnTimeSample(4, values)
+        assert s.node == 4 and list(s.counts) == [2, 0, 3, 0, 0, 0, 1]
+        assert np.array_equal(s.samples, np.sort(values))
+        assert s.mean() == values.mean()
+        assert s.std_error() == pytest.approx(values.std(ddof=1) / np.sqrt(values.size), rel=1e-12)
+        assert np.array_equal(ReturnTimeSample.from_counts(4, s.counts).samples, s.samples)
+        for bad in ([1, -1], [1, 0]):
+            with pytest.raises(ValueError):
+                ReturnTimeSample.from_counts(0, bad)
+
     def test_tail_curve_matches_pointwise(self):
         s = ReturnTimeSample(0, np.array([1, 1, 2, 5]))
         ages, tails = tail_curve(s)
@@ -149,6 +169,19 @@ class TestAgainstFrozenSampler:
                 s = sample_return_times(k, u, 3000, rng_seed=seed)
                 ref = return_time_v030.sample_return_times(k, u, 3000, rng_seed=seed)
                 assert s.samples.dtype == ref.dtype and np.array_equal(s.samples, ref)
+
+    @pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+    def test_same_tail_as_sorted_samples(self, case):
+        # the tail as 0.3.0 computed it: count minus the samples below each age
+        k = lazy_kernel(FROZEN_CASES[case](), 0.5)
+        for u in sorted({0, k.node_count - 1}):
+            ref = return_time_v030.sample_return_times(k, u, 3000, rng_seed=11)
+            ref_ages = np.arange(1, int(ref.max()) + 1)
+            ref_tails = (ref.size - np.searchsorted(np.sort(ref), ref_ages, side="left")) / ref.size
+            ages, tails = tail_curve(sample_return_times(k, u, 3000, rng_seed=11))
+            assert np.array_equal(ages, ref_ages)
+            assert tails.dtype == ref_tails.dtype
+            assert np.array_equal(tails.view(np.int64), ref_tails.view(np.int64))
 
     def test_same_step_cap(self):
         k = lazy_kernel(cycle_graph(20), 0.5)
