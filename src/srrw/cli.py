@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_corridor_feasibility, check_feasibility, corridor_stats, lyapunov_drift
-from .config import (SWEEP_AXES, ResolvedConfig, load_config, replica_seeds, resolve_config,
-                     resolve_on_kernel)
+from .config import (SWEEP_AXES, ResolvedConfig, _cannot_read, _clip, load_config, replica_seeds,
+                     resolve_config, resolve_on_kernel)
 from .envelopes import (
     EnvelopeModel,
     MatchingAgeInterval,
@@ -37,8 +37,8 @@ from .envelopes import (
 )
 from .errors import ConfigError, InsufficientDataError, ParameterError, SrrwError
 from .graphs import mixing_profile
-from .policy import AGE_LAW_CAP, AgeLaw, RegimePolicy, mean_termination_rate
-from .population import BlockPlan, PopulationTrace, block_drift, run_population
+from .policy import AgeLaw, RegimePolicy, mean_termination_rate
+from .population import BlockPlan, DriftReport, PopulationTrace, block_drift, run_population
 from .return_time import sample_return_times
 
 TMIX_LADDER = (0.25, 0.125, 1e-2, 1e-3, 1e-4)
@@ -147,55 +147,45 @@ def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
         return list(pool.map(_pool_run, seeds))
 
 
-def _age_modes(policy) -> dict:
-    """(spec, how its effective age is found) by interval key: ``uniform_identity``
-    (the common trigger), ``no_forking`` (a spec that never forks, or any
-    non-forking high regime) or ``measured`` (the envelopes inverted at the
-    measured fork rate)."""
-    def mode(spec):
-        if spec.is_uniform:
-            return "uniform_identity"
-        return "measured" if spec.fork_cap > 0 else "no_forking"
-
-    if isinstance(policy, RegimePolicy):
-        high = policy.high
-        return {"low": (policy.low, mode(policy.low)),
-                "high": (high, mode(high) if high.fork_cap > 0 else "no_forking")}
-    return {"single": (policy, mode(policy))}
-
-
-def effective_age_interval(resolved: ResolvedConfig, model: EnvelopeModel | None,
-                           p_fork: float | None) -> dict:
-    """Effective-age interval and its mode, by interval key, for the configured policy.
-
-    Uniform specs use the exact identity (effective age equals the common
-    trigger); specs that never fork have no finite effective age; other
-    non-uniform specs invert ``model`` at the measured fork rate ``p_fork``.
-    """
-    out = {}
-    for key, (spec, mode) in _age_modes(resolved.policy).items():
-        if mode == "uniform_identity":
-            a = float(spec.a_long[0])
-            out[key] = MatchingAgeInterval(a, a), mode
-        elif mode == "no_forking":
-            out[key] = MatchingAgeInterval(math.inf, math.inf), mode
-        else:
-            out[key] = solve_matching_age(model, spec.fork_cap, min(p_fork, spec.fork_cap)), mode
-    return out
-
-
-def measured_rate(resolved: ResolvedConfig, traces: list[PopulationTrace], column: str) -> float:
-    """Events per token-step after the t_mix burn-in, from trace column ``forks`` or ``terms``."""
+def measured_rates(resolved: ResolvedConfig, traces: list[PopulationTrace]) -> tuple[float, float]:
+    """(forks, terminations) per token-step after the t_mix burn-in, in one pass over the traces."""
     burn_in = resolved.t_mix
-    events = steps = 0
+    forks = terms = steps = 0
     for tr in traces:
         if tr.horizon <= burn_in:
             continue
-        events += int(getattr(tr, column)[burn_in + 1:].sum())
+        forks += int(tr.forks[burn_in + 1:].sum())
+        terms += int(tr.terms[burn_in + 1:].sum())
         steps += tr.token_steps(burn_in + 1, tr.horizon)
     if steps == 0:
         raise InsufficientDataError("no token-steps beyond the mixing burn-in")
-    return events / steps
+    return forks / steps, terms / steps
+
+
+def effective_age_interval(resolved: ResolvedConfig, traces: list[PopulationTrace],
+                           model: EnvelopeModel | None = None,
+                           p_fork: float | None = None) -> dict:
+    """(effective-age interval, mode) by key, ``single`` or ``low`` and ``high``:
+    ``uniform_identity`` (the common trigger), ``no_forking`` ([inf, inf], for a
+    spec that never forks and any high regime that never forks) or ``measured``
+    (the envelope model inverted at the fork rate of ``traces``). The model and
+    the rate, unless given, are derived once and only for a measured spec."""
+    policy = resolved.policy
+    specs = ({"low": policy.low, "high": policy.high} if isinstance(policy, RegimePolicy)
+             else {"single": policy})
+    out = {}
+    for key, spec in specs.items():
+        if spec.is_uniform and (key != "high" or spec.fork_cap > 0):
+            a = float(spec.a_long[0])
+            out[key] = MatchingAgeInterval(a, a), "uniform_identity"
+        elif spec.fork_cap <= 0:
+            out[key] = MatchingAgeInterval(math.inf, math.inf), "no_forking"
+        else:
+            model = build_envelope_model(resolved) if model is None else model
+            p_fork = measured_rates(resolved, traces)[0] if p_fork is None else p_fork
+            iv = solve_matching_age(model, spec.fork_cap, min(p_fork, spec.fork_cap))
+            out[key] = iv, "measured"
+    return out
 
 
 def block_plan_for(resolved: ResolvedConfig, intervals: dict) -> BlockPlan:
@@ -241,6 +231,14 @@ def cmd_envelopes(resolved: ResolvedConfig, outdir: str) -> None:
     _write_csv(os.path.join(outdir, "envelope_curves.csv"), "A,L_plus,L_minus", rows, meta)
 
 
+def _drift_or_none(tr: PopulationTrace, plan: BlockPlan, lambda_del: float) -> DriftReport | None:
+    """``block_drift`` over the trace's whole blocks, or None when it has no usable block."""
+    try:
+        return block_drift(tr, plan, lambda_del, min_blocks=1)
+    except SrrwError:
+        return None
+
+
 def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: float) -> dict:
     out = {
         "seed": tr.seed,
@@ -251,15 +249,12 @@ def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: floa
         "horizon_requested": tr.horizon_requested,
     }
     if plan is not None:
-        try:
-            rep = block_drift(tr, plan, lambda_del, min_blocks=1)
-            out["block_table"] = [
-                {"k": k, "z_start": int(z), "drift_per_token": d, "predicted_per_token": p}
-                for k, (z, d, p) in enumerate(zip(rep.z_start, rep.drift_per_token,
-                                                  rep.predicted_per_token))
-            ]
-        except SrrwError:
-            out["block_table"] = None
+        rep = _drift_or_none(tr, plan, lambda_del)
+        out["block_table"] = None if rep is None else [
+            {"k": k, "z_start": int(z), "drift_per_token": d, "predicted_per_token": p}
+            for k, (z, d, p) in enumerate(zip(rep.z_start, rep.drift_per_token,
+                                              rep.predicted_per_token))
+        ]
     return out
 
 
@@ -267,11 +262,7 @@ def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
     traces = run_replicas(resolved)
     meta = _meta(resolved)
     try:
-        # the envelope model and the fork rate are read only to invert a measured spec
-        measured = any(mode == "measured" for _, mode in _age_modes(resolved.policy).values())
-        model = build_envelope_model(resolved) if measured else None
-        p_fork = measured_rate(resolved, traces, "forks") if measured else None
-        plan = block_plan_for(resolved, effective_age_interval(resolved, model, p_fork))
+        plan = block_plan_for(resolved, effective_age_interval(resolved, traces))
     except SrrwError:
         plan = None
     for i, tr in enumerate(traces):
@@ -288,28 +279,29 @@ def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
 
 
 def _load_traces(trace_dir: str, resolved: ResolvedConfig) -> list[PopulationTrace]:
-    names = sorted(f for f in os.listdir(trace_dir)
-                   if f.startswith("replica_") and f.endswith(".csv"))
+    try:
+        names = sorted(f for f in os.listdir(trace_dir)
+                       if f.startswith("replica_") and f.endswith(".csv"))
+    except OSError as exc:
+        raise ConfigError("traces", _cannot_read(trace_dir, exc)) from None
     if not names:
-        raise InsufficientDataError(f"no replica_*.csv traces under {trace_dir}")
+        raise InsufficientDataError(f"no replica_*.csv traces under {_clip(trace_dir, 200)}")
     traces = []
-    n = resolved.kernel.node_count
     for name in names:
         try:
-            tr = PopulationTrace.from_csv(os.path.join(trace_dir, name))
+            tr = PopulationTrace.from_csv(os.path.join(trace_dir, name),
+                                          node_count=resolved.kernel.node_count)
+        except OSError as exc:
+            raise ConfigError("traces", f"{name}: {exc.strerror or type(exc).__name__}") from None
         except ParameterError as exc:
             raise ConfigError("traces", f"{name}: {exc}") from None
         if tr.config_hash != resolved.hash:
-            raise ConfigError("traces", f"{name} was written for config {tr.config_hash}, "
+            raise ConfigError("traces", f"{name} was written for config {_clip(tr.config_hash)}, "
                                         f"not {resolved.hash}")
         z_cap = resolved.simulation["Z_cap"]
         if tr.capped != (tr.z[-1] >= z_cap):
             raise ConfigError("traces", f"{name}: capped={int(tr.capped)} disagrees with the "
                                         f"final Z={tr.z[-1]} and Z_cap={z_cap}")
-        law = tr.age_law
-        if law is not None and (law.counts.shape[0], law.age_cap) != (n, AGE_LAW_CAP):
-            raise ConfigError("traces", f"{name} holds an age law over {law.counts.shape[0]} nodes "
-                                        f"with cap {law.age_cap}, not {n} with cap {AGE_LAW_CAP}")
         traces.append(tr)
     return traces
 
@@ -319,17 +311,15 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     """Feasibility plus corridor statistics; the shared core of check and sweep."""
     if model is None:
         model = build_envelope_model(resolved)
-    p_fork = measured_rate(resolved, traces, "forks")
-    intervals = effective_age_interval(resolved, model, p_fork)
+    p_fork, k_term_measured = measured_rates(resolved, traces)
+    intervals = effective_age_interval(resolved, traces, model, p_fork)
     plan = block_plan_for(resolved, intervals)
-    k_term_measured = measured_rate(resolved, traces, "terms")
     k_term_plugin = None
-    law_traces = [tr for tr in traces if tr.age_law is not None]
-    if law_traces:
-        first = law_traces[0].age_law
-        law = AgeLaw(first.counts.shape[0], first.age_cap)
-        for tr in law_traces:
-            law.merge(tr.age_law)
+    laws = [tr.age_law for tr in traces if tr.age_law is not None]
+    if laws:
+        law = AgeLaw(resolved.kernel.node_count)
+        for other in laws:
+            law.merge(other)
         spec = resolved.policy.high if isinstance(resolved.policy, RegimePolicy) else resolved.policy
         try:
             k_term_plugin = mean_termination_rate(spec, resolved.kernel.pi, law)
@@ -453,14 +443,10 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
         traces = run_replicas(mod)
         payloads = check_payloads(mod, traces, model=shared_model)
         feas = payloads["feasibility"]
-        drift_mean = c1 = float("nan")
-        try:
-            rep = block_drift(traces[0], payloads["plan"],
-                              mod.traps.absorption_pressure(mod.kernel.pi), min_blocks=1)
-            drift_mean = float(np.mean(rep.drift_per_token))
-            c1 = rep.c1_proxy
-        except SrrwError:
-            pass
+        rep = _drift_or_none(traces[0], payloads["plan"],
+                             mod.traps.absorption_pressure(mod.kernel.pi))
+        drift_mean = float("nan") if rep is None else float(np.mean(rep.drift_per_token))
+        c1 = float("nan") if rep is None else rep.c1_proxy
         # a corridor's viability (and the block plan's interval) is the low
         # regime's, its safety the high regime's
         low, high = ((feas["low_regime"], feas["high_regime"]) if feas["kind"] == "corridor"

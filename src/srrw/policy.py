@@ -152,14 +152,15 @@ class AgeLaw:
         return lines
 
     @staticmethod
-    def from_header(meta: dict) -> "AgeLaw | None":
+    def from_header(meta: dict, node_count: int | None = None) -> "AgeLaw | None":
         """The law written by ``header_lines``, read from its key-value pairs;
         None when they hold no law. Raises ParameterError on lines that no
         law writes: a non-integer or one beyond int64, a cap outside
-        0..AGE_LAW_CAP (checked before the histogram is allocated), a node
-        outside the ``max_over_cap`` list, an age outside 0..cap + 1, a
-        negative count or overflow maximum, or an overflow maximum at or below
-        the cap."""
+        0..AGE_LAW_CAP (or, given ``node_count``, a law not over that many
+        nodes at cap AGE_LAW_CAP; both checked before the histogram is
+        allocated), a node outside the ``max_over_cap`` list, an age outside
+        0..cap + 1, a negative count or overflow maximum, or an overflow
+        maximum at or below the cap."""
         if "age_law_cap" not in meta:
             return None
         prefix = "age_law_node_"
@@ -172,6 +173,9 @@ class AgeLaw:
             raise ParameterError(f"age law lines must hold int64 integers: {exc}") from None
         if not 0 <= cap <= AGE_LAW_CAP:
             raise ParameterError(f"age law cap outside 0..{AGE_LAW_CAP}")
+        if node_count is not None and (over.size, cap) != (node_count, AGE_LAW_CAP):
+            raise ParameterError(f"age law over {over.size} nodes with cap {cap}, not "
+                                 f"{node_count} with cap {AGE_LAW_CAP}")
         if ((over != 0) & (over <= cap)).any():
             raise ParameterError(f"age law cap {cap} with overflow maxima {over.tolist()}")
         law = AgeLaw(over.size, cap)

@@ -182,20 +182,21 @@ class PopulationTrace:
                 fh.write("".join(f"{t},{z},{f},{d},{m}\n" for t, z, f, d, m in rows))
 
     @staticmethod
-    def from_csv(path) -> "PopulationTrace":
+    def from_csv(path, node_count: int | None = None) -> "PopulationTrace":
         """Read a trace written by ``to_csv``; files without the flag lines
         get ``capped=False``, extinction from the last count and the recorded
         length as the requested horizon, and files without age-law lines no
         age law. Data rows go through numpy's C text parser without a Python
         object per row or cell; it takes ASCII decimal integers with an
-        optional sign and surrounding blanks. Raises ParameterError on no data
-        rows, a row without five columns, a cell that is not such an int64 or
-        a non-integer flag value, a ``t`` column other than 0, 1, ..., T, a
-        negative count, a step whose counts break
-        Z_t = Z_(t-1) + forks - trap_dels - terms, or flags that disagree
-        with the counts: a flag other than 0 or 1, ``extinct`` unless the
-        final Z is 0, both flags set, T past ``horizon_requested``, or T short
-        of it with neither flag set."""
+        optional sign and surrounding blanks. Raises ParameterError on text
+        that is not UTF-8, an age law not of ``node_count`` nodes when that is
+        given (see ``AgeLaw.from_header``), no data rows, a row without five
+        columns, a cell that is not such an int64 or a non-integer flag value,
+        a ``t`` column other than 0, 1, ..., T, a negative count, a step whose
+        counts break Z_t = Z_(t-1) + forks - trap_dels - terms, or flags that
+        disagree with the counts: a flag other than 0 or 1, ``extinct`` unless
+        the final Z is 0, both flags set, T past ``horizon_requested``, or T
+        short of it with neither flag set."""
         meta = {}
 
         def data_lines(fh):
@@ -207,14 +208,16 @@ class PopulationTrace:
                 elif line and not line.startswith("#") and not line.startswith("t,"):
                     yield line
 
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = data_lines(fh)
-            first = next(lines, None)
-            if first is None:
-                raise ParameterError("trace needs at least one data row, each of five columns")
             try:
+                first = next(lines, None)
+                if first is None:
+                    raise ParameterError("trace needs at least one data row, each of five columns")
                 arr = np.loadtxt(itertools.chain((first,), lines), dtype=np.int64,
                                  delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError as exc:
+                raise ParameterError(f"trace is not UTF-8 text: {exc}") from None
             except ValueError as exc:
                 raise ParameterError(f"trace rows must hold five integers each: {exc}") from None
         if arr.shape[1] != 5:
@@ -247,7 +250,7 @@ class PopulationTrace:
             z=arr[:, 1], forks=arr[:, 2], trap_dels=arr[:, 3], terms=arr[:, 4],
             seed=seed, config_hash=meta.get("config_hash"),
             extinct=bool(extinct), capped=bool(capped), horizon_requested=horizon_requested,
-            age_law=AgeLaw.from_header(meta),
+            age_law=AgeLaw.from_header(meta, node_count),
         )
         unbalanced = trace._unbalanced_steps()
         if unbalanced.size:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ import srrw
 import srrw.cli
 import srrw.config
 import srrw.graphs
-from srrw.cli import _thread_cap, build_envelope_model, check_payloads, main, run_replicas
+from srrw.cli import (_thread_cap, build_envelope_model, check_payloads, main, measured_rates,
+                      run_replicas)
 from srrw.config import load_config, resolve_config
-from srrw.errors import ConfigError
+from srrw.errors import ConfigError, InsufficientDataError
+from srrw.population import PopulationTrace
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -330,6 +333,80 @@ class TestDerivedOnce:
         assert calls == {"resolve_config": 1, "lazy_kernel": 1, "mixing_profile": 1}
 
 
+BOTH_MEASURED = {"regime": {"Z_low": 10, "Z_high": 60,
+                            "low": {"A_l": [1, 1, 2, 2], "q_fork": 0.2},
+                            "high": {"A_l": [3, 3, 4, 4], "q_fork": 0.05,
+                                     "A_s": 1, "q_term": 0.2}}}
+
+
+class TestEnvelopeModelBuilds:
+    """``simulate`` builds the envelope model only to size a measured spec's
+    block table, once however many specs are measured; ``check`` and each
+    ``sweep`` run build it once, and ``check`` measures the rates once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = srrw.cli.build_envelope_model
+        monkeypatch.setattr(srrw.cli, "build_envelope_model",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    # TestSimulate covers a uniform and a measured flat policy
+    @pytest.mark.parametrize("policy,count", [
+        ({"A_l": [3, 4, 5, 6], "q_fork": 0}, 0),  # never forks
+        (BOTH_MEASURED, 1),
+    ])
+    def test_simulate(self, policy, count, builds, tmp_path):
+        cfg = write_config(tmp_path, policy=policy)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = json.load(open(os.path.join(only_run_dir(tmp_path / "out"), "summary.json")))
+        assert len(builds) == count and summary["block_length"] is not None
+
+    @pytest.mark.parametrize("policy", [{"A_l": 5, "q_fork": 0.3},
+                                        {"A_l": [5, 5, 6, 6], "q_fork": 0.3}, BOTH_MEASURED])
+    def test_check(self, policy, builds, tmp_path, monkeypatch):
+        # the rates are measured once too, not again for a measured spec
+        rates = []
+        real = srrw.cli.measured_rates
+        monkeypatch.setattr(srrw.cli, "measured_rates",
+                            lambda *a, **kw: rates.append(1) or real(*a, **kw))
+        cfg = write_config(tmp_path, policy=policy)
+        assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(builds) == 1 and len(rates) == 1
+
+    def test_sweep(self, builds, tmp_path):
+        cfg = write_config(tmp_path, policy={"A_l": [2, 2, 3, 3], "q_fork": 0.2},
+                           sweep={"q": [0.1, 0.2], "zeta_scale": [0.5, 2.0]})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(sweep_rows(only_run_dir(tmp_path / "out"))) == 4 and len(builds) == 1
+
+
+class TestMeasuredRates:
+    """Forks and terminations per token-step after the t_mix burn-in, counted by hand."""
+
+    @staticmethod
+    def trace(z, forks, terms, seed=0):
+        z, forks, terms = (np.array(c, dtype=np.int64) for c in (z, forks, terms))
+        return PopulationTrace(z=z, forks=forks, trap_dels=np.zeros_like(z), terms=terms,
+                               seed=seed, horizon_requested=len(z) - 1)
+
+    def test_burn_in_boundary(self, tmp_path):
+        resolved = resolve_config(load_config(str(write_config(tmp_path))))
+        t = resolved.t_mix
+        # as long as the burn-in: skipped, however many events it holds
+        skipped = self.trace([5] * (t + 1), [0] + [3] * t, [0] + [2] * t)
+        # steps t + 1 and t + 2 count, each handling Z of the step before;
+        # the events at step t fall in the burn-in
+        z = [5] * (t + 1) + [7, 6]
+        forks, terms = [0] * (t + 1) + [2, 1], [0] * (t + 1) + [0, 2]
+        forks[t], terms[t] = 4, 4
+        counted = self.trace(z, forks, terms)
+        assert measured_rates(resolved, [skipped, counted]) == (3 / 12, 2 / 12)
+        with pytest.raises(InsufficientDataError, match="beyond the mixing burn-in"):
+            measured_rates(resolved, [skipped])
+
+
 class TestSpectralGapOnRead:
     """The spectral gap's eigensolve runs only in the command that writes the gap."""
 
@@ -525,6 +602,21 @@ class TestCheck:
         assert code == 1
         assert "replica_000.csv" in capsys.readouterr().err
 
+    def test_traces_with_huge_config_hash_stay_short(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        text = open(path).read()
+        with open(path, "w") as fh:
+            fh.write(re.sub(r"# config_hash=\w+", "# config_hash=" + HUGE, text))
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                     "--traces", sim_run])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: traces: replica_000.csv was written for config xxx")
+        assert len(err) < 300
+
     def test_traces_with_malformed_age_law_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
                                                  "seed": 7, "collect_age_law": True})
@@ -550,6 +642,71 @@ class TestCheck:
                          "--traces", sim_run])
             assert code == 1, new
             assert "config error: traces: replica_000.csv" in capsys.readouterr().err, new
+
+    def test_age_law_over_too_many_nodes_rejected_before_allocating(self, tmp_path, capsys):
+        # a 200 kB header line listing 100k overflow maxima would make a
+        # (100000, 258) int64 histogram, about 200 MB, if it were allocated
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,
+                                                 "seed": 7, "collect_age_law": True})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        text = open(path).read()
+        over_line = next(line for line in text.splitlines()
+                         if line.startswith("# age_law_max_over_cap="))
+        with open(path, "w") as fh:
+            fh.write(text.replace(over_line, "# age_law_max_over_cap=" + " 0" * 100_000))
+        tracemalloc.start()
+        try:
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                         "--traces", sim_run])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 20 * 2**20, peak
+        assert capsys.readouterr().err.startswith(
+            "config error: traces: replica_000.csv: age law over 100000 nodes with cap 256, "
+            "not 4 with cap 256")
+
+    def test_missing_trace_directory_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                     "--traces", str(tmp_path / "nowhere")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: traces: cannot read ") and "nowhere" in err
+        assert err.rstrip().endswith(": No such file or directory")
+
+    def test_trace_entry_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        os.remove(os.path.join(sim_run, "replica_001.csv"))
+        os.mkdir(os.path.join(sim_run, "replica_001.csv"))
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "check"),
+                     "--traces", sim_run])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: traces: replica_001.csv: Is a directory\n"
+
+    def test_trace_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # the header is decoded before the rows reach numpy's parser, and a
+        # row past the first 8 KiB is decoded inside it
+        cfg = self.check_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        sim_run = only_run_dir(tmp_path / "sim")
+        path = os.path.join(sim_run, "replica_000.csv")
+        data = open(path, "rb").read()
+        assert len(data) > 2 * 8192
+        for i, edited in enumerate([data.replace(b"# seed=", b"# seed=\xff"),
+                                    data[:-2] + b"\xff\n"]):
+            with open(path, "wb") as fh:
+                fh.write(edited)
+            code = main(["check", "--config", str(cfg), "--out", str(tmp_path / f"check_{i}"),
+                         "--traces", sim_run])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: traces: replica_000.csv: trace is not UTF-8 "
+                                  "text: ") and len(err) < 300, err[:400]
 
     def test_traces_with_malformed_rows_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 300, "replicas": 1,

@@ -309,6 +309,25 @@ class TestEngine:
             else:
                 assert a == b, field.name
 
+    def test_csv_age_law_shape_checked_against_node_count(self, tmp_path):
+        law = AgeLaw(4, age_cap=10)
+        law.record(np.array([0, 1]), np.array([3, 12]))
+        trace = PopulationTrace(z=np.array([2]), forks=np.zeros(1, dtype=np.int64),
+                                trap_dels=np.zeros(1, dtype=np.int64),
+                                terms=np.zeros(1, dtype=np.int64), seed=1, age_law=law)
+        path = tmp_path / "law.csv"
+        trace.to_csv(path)
+        assert PopulationTrace.from_csv(path).age_law.counts.shape == (4, 12)
+        with pytest.raises(ParameterError, match=r"over 4 nodes with cap 10, not 4 with cap 256"):
+            PopulationTrace.from_csv(path, node_count=4)
+        law = AgeLaw(4)
+        law.record(np.array([0, 1]), np.array([3, 300]))
+        trace.age_law = law
+        trace.to_csv(path)
+        assert PopulationTrace.from_csv(path, node_count=4).age_law.counts.shape == (4, 258)
+        with pytest.raises(ParameterError, match=r"over 4 nodes with cap 256, not 5 with cap 256"):
+            PopulationTrace.from_csv(path, node_count=5)
+
     def test_csv_without_flag_lines(self, tmp_path):
         path = tmp_path / "old.csv"
         path.write_text("# seed=3\nt,Z,forks,trap_dels,terms\n0,2,0,0,0\n1,0,0,2,0\n")

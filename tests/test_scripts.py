@@ -52,3 +52,27 @@ def test_step_timing_imports():
 
 def test_every_exported_name_resolves():
     assert [name for name in srrw.__all__ if not hasattr(srrw, name)] == []
+
+
+def test_artifact_digests(capsys):
+    script = load("artifact_digests")
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert script.run(src) == 0
+    lines = capsys.readouterr().out.splitlines()
+    keys = [line.split(" ")[0].split("/") for line in lines]
+    assert all(len(key) == 3 for key in keys)
+    assert {name for name, _, file in keys if file != "exit_code"} == {
+        "stationary", "envelopes", "simulate", "check", "check-traces", "sweep"}
+    assert [line for line in lines if "/exit_code " in line and not line.endswith(" 0")] == []
+    assert len({line.split(" ")[0] for line in lines}) == len(lines)
+
+
+def test_artifact_digests_compare(capsys, monkeypatch):
+    script = load("artifact_digests")
+    monkeypatch.setattr(script, "digests", lambda root: {
+        "a": ["check/x/exit_code 0", "check/x/f.json 01"],
+        "b": ["check/x/exit_code 0", "check/x/f.json 02"]}[root])
+    assert script.run("a", "a") == 0
+    assert script.run("a", "b") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "2 lines, no difference", "- check/x/f.json 01", "+ check/x/f.json 02"]
