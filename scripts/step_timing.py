@@ -12,6 +12,8 @@ checkout of an earlier commit) is loaded as a second module and its ``step``
 and ``move`` are timed on the same states, alternating with this one call by
 call; the two take turns calling first, since a state's first call runs
 slower (about 10% on the corridor cases when both sides are this package).
+Each case then also prints the lowest and highest ratio of the two sides'
+medians over a single round, the round-to-round spread.
 
 The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
 20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
@@ -19,13 +21,26 @@ with the age law collected, and ER(1000, 0.01) at Z of about 10k, each in
 both event orders. The return-time case moves the walkers of the corridor
 graph's envelope fit: 20k walkers started at node 0, until all have returned.
 
-    PYTHONPATH=src python scripts/step_timing.py [--baseline SRC]
+In-process times miss what depends on the allocator's state: glibc raises
+its mmap and trim thresholds once a large block is freed, so the engine's
+per-step temporaries cost more in a process that never freed one. With
+``--fresh N`` the script instead times whole ``run_population`` runs of the
+er1000 case, each in a new interpreter, N per side, once straight after
+set-up and once after a ``mixing_profile`` of the graph (as the
+er1000_motion benchmark workload runs it). With ``--baseline`` the sides
+alternate run by run and take turns going first; each row prints the
+medians and the number of run pairs this package won.
+
+    PYTHONPATH=src python scripts/step_timing.py [--baseline SRC] [--fresh N]
 """
 from __future__ import annotations
 
 import argparse
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import time
 
@@ -64,6 +79,23 @@ ORDERS = ("trap_first", "policy_first")
 RETURN_TIME = ("corridor_er30", 0, 20_000)
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
+# the fresh-interpreter case and the mixing target of the er1000_motion workload
+FRESH = ("er1000", 0.125)
+# one whole run in a new interpreter; argv: the case config, the target or "none"
+FRESH_RUN = """\
+import json, sys, time
+import srrw.graphs, srrw.population
+from srrw.config import resolve_config
+resolved = resolve_config({"laziness": 0.5, **json.loads(sys.argv[1])})
+if sys.argv[2] != "none":
+    srrw.graphs.mixing_profile(resolved.kernel, target=float(sys.argv[2]))
+sim = resolved.simulation
+start = time.perf_counter()
+srrw.population.run_population(resolved.kernel, resolved.policy, resolved.traps,
+                               z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=sim["seed"],
+                               z_cap=sim["Z_cap"])
+print(time.perf_counter() - start)
+"""
 
 
 def load_package(src: str):
@@ -171,10 +203,49 @@ class MoveSide:
         self.times.append(clock() - start)
 
 
+def fresh_run(src: str, target: str) -> float:
+    """Seconds of one ``run_population`` of the fresh case in a new interpreter on ``src``."""
+    name, _ = FRESH
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", FRESH_RUN, json.dumps(CASES[name]), target],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return float(out)
+
+
+def time_fresh(runs: int, baseline: str | None) -> None:
+    srcs = [os.path.dirname(os.path.dirname(os.path.abspath(srrw.__file__)))]
+    if baseline is not None:
+        srcs.append(baseline)
+    name, target = FRESH
+    print(f"{name} run_population, ms; {runs} run(s) per side, each in a new interpreter")
+    header = f"{'prior profile':<15} {'p50':>8}"
+    if baseline is not None:
+        header += f" {'baseline p50':>13} {'ratio':>6} {'wins':>6}"
+    print(header)
+    for label, arg in (("none", "none"), (f"target {target}", str(target))):
+        times = [[] for _ in srcs]
+        for k in range(runs):
+            for i in range(len(srcs))[::-1] if k % 2 else range(len(srcs)):
+                times[i].append(fresh_run(srcs[i], arg))
+        p50 = [1e3 * float(np.median(t)) for t in times]
+        line = f"{label:<15} {p50[0]:>8.1f}"
+        if baseline is not None:
+            wins = sum(a < b for a, b in zip(*times))
+            line += f" {p50[1]:>13.1f} {p50[0] / p50[1]:>6.2f} {wins:>3}/{runs}"
+        print(line)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", help="src directory of another srrw to time alongside")
+    parser.add_argument("--fresh", type=int, metavar="N",
+                        help="time whole er1000 runs in N new interpreters per side instead")
     args = parser.parse_args(argv)
+    if args.fresh is not None:
+        if args.fresh < 1:
+            parser.error("--fresh needs N >= 1")
+        time_fresh(args.fresh, args.baseline)
+        return 0
     baseline = load_package(args.baseline) if args.baseline else None
 
     jobs = []
@@ -204,13 +275,17 @@ def main(argv=None) -> int:
 
     header = f"{'case':<14} {'order':<13} {'states':>6} {'us/step p50':>12}"
     if baseline is not None:
-        header += f" {'baseline p50':>13} {'ratio':>6}"
+        header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
     print(header)
     for name, order, states, sides in jobs:
         p50 = [1e6 * float(np.median(side.times)) for side in sides]
         line = f"{name:<14} {order:<13} {len(states):>6} {p50[0]:>12.1f}"
         if baseline is not None:
-            line += f" {p50[1]:>13.1f} {p50[0] / p50[1]:>6.2f}"
+            # the spread of the ratio between rounds, each round's medians apart
+            rounds = np.divide(*(np.median(np.reshape(side.times, (ROUNDS, -1)), axis=1)
+                                 for side in sides))
+            line += (f" {p50[1]:>13.1f} {p50[0] / p50[1]:>6.2f}"
+                     f" {rounds.min():>7.2f}-{rounds.max():.2f}")
         print(line)
     return 0
 

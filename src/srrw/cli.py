@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -142,6 +141,8 @@ def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
     burn_in = resolved.t_mix if sim["collect_age_law"] else 0
     if workers <= 1:
         return [_run_replica(resolved, burn_in, s) for s in seeds]
+    # imported here: the pool costs serial runs about 20 ms and 2 MB of RSS at import
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_pool,
                              initargs=(resolved, burn_in)) as pool:
         return list(pool.map(_pool_run, seeds))

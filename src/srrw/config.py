@@ -264,7 +264,7 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
         "Z_0": _get_number(sim, "Z_0", "simulation.Z_0", default=10, lo=1, integer=True),
         "horizon": _get_number(sim, "horizon", "simulation.horizon", default=1000, lo=1, integer=True),
         "replicas": _get_number(sim, "replicas", "simulation.replicas", default=1, lo=1, integer=True),
-        "seed": _get_number(sim, "seed", "simulation.seed", default=0, integer=True),
+        "seed": _get_number(sim, "seed", "simulation.seed", default=0, lo=0, integer=True),
         "Z_cap": _get_number(sim, "Z_cap", "simulation.Z_cap", default=DEFAULT_POPULATION_CAP, lo=1, integer=True),
         "placement": sim.get("placement", "pi"),
         "order": sim.get("order", "trap_first"),
@@ -291,7 +291,7 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
         "mode": env.get("mode", "fit"),
         "n_samples": _get_number(env, "n_samples", "envelope.n_samples", default=20000, lo=FIT_MIN_SAMPLES, integer=True),
         "delta_fit": _get_number(env, "delta_fit", "envelope.delta_fit", default=0.1, lo=0.0, hi=1.0),
-        "seed": _get_number(env, "seed", "envelope.seed", default=int(sim_raw["seed"]) + 1_000_003, integer=True),
+        "seed": _get_number(env, "seed", "envelope.seed", default=int(sim_raw["seed"]) + 1_000_003, lo=0, integer=True),
     }
     _require(env_raw["mode"] in ("doeblin", "fit"), "envelope.mode",
              'expected "doeblin" or "fit"')

@@ -403,7 +403,7 @@ class NeighbourTable:
 
 
 class ForkTable:
-    """Multinomial rows sending a fork's two tokens to distinct neighbours of a walk.
+    """Multinomial rows sending a fork's two tokens to distinct neighbours, and their draws.
 
     Built from the walk's ``NeighbourTable``. Columns run in reversed slot
     order, so each row's last column is slot 0, a real neighbour: numpy's
@@ -423,7 +423,8 @@ class ForkTable:
       when the first target is slot 0).
 
     Together the two stages draw the law of two independent neighbour draws
-    conditioned to differ. The three arrays take 8 x width x (2 n + 2|E| +
+    conditioned to differ; ``dispatch`` draws them and is the one reader of this
+    layout. The three arrays take 8 x width x (2 n + 2|E| +
     nodes of degree above 1) bytes, about 8 n^3 on K(n); past
     ``TABLE_BYTE_CAP`` the constructor raises ``ParameterError`` before
     allocating them.
@@ -460,6 +461,31 @@ class ForkTable:
         self.edge_dest = np.where(traded, traded_row[edge_node], edge_node)
         for arr in (first, second, dest, self.edge_end, self.edge_dest):
             arr.setflags(write=False)
+
+    def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None,
+                 rng) -> np.ndarray:
+        """Tokens landing on each node (as floats) from ``pairs[i]`` parent-and-copy
+        pairs and ``lone[i]`` copies of trapped parents (``None`` when there are
+        none) leaving ``nodes[i]``: one multinomial call for all first targets,
+        one for the pairs' second targets. A pair lands on two distinct
+        neighbours (the single edge twice at degree 1); a lone copy on a first
+        target, which has the same law as a second."""
+        m = nodes.size
+        if lone is not None:
+            nodes = np.concatenate((nodes, nodes))
+            pairs = np.concatenate((pairs, lone))
+        first = rng.multinomial(pairs, self.first.take(nodes, axis=0))
+        # every first target of a pair, as a flat index into ``first``
+        hit = first[:m].ravel().nonzero()[0]
+        i, a = np.divmod(hit, first.shape[1])
+        edge = self.edge_end.take(nodes.take(i)) - a
+        second = rng.multinomial(first.take(hit), self.second.take(edge, axis=0))
+        n = self.first.shape[0]
+        landed = np.bincount(self.dest.take(nodes, axis=0).ravel(), weights=first.ravel(),
+                             minlength=n)
+        landed += np.bincount(self.dest.take(self.edge_dest.take(edge), axis=0).ravel(),
+                              weights=second.ravel(), minlength=n)
+        return landed
 
 
 def _dense(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:

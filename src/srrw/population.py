@@ -24,13 +24,11 @@ kernel, trap profile and event order:
   conditioned to differ. A trapped parent's copy takes the same marginal.
 
 A step makes at most three ``Generator.multinomial`` calls: one over the
-occupied nodes' rows, and for forks one over their first targets and one
-over their second targets. Second-target rows depend only on the kernel, so
-its ``fork_table`` holds one per directed edge u -> a, built on first use:
-8 x 2|E| x width bytes (10.7 kB on ER(30, 0.15), 1.8 MB on ER(1000, 0.01),
-64 MB on star(2000)). A step costs O(occupied nodes x row width) whatever
-the population size; the row width is the largest degree + 1, so hub graphs
-pay O(n) per row.
+occupied nodes' rows, and for forks two in ``ForkTable.dispatch`` of the
+kernel's ``fork_table`` (first targets, then second targets), and it sums
+every landing into one per-node tally. A step costs O(occupied nodes x row
+width) whatever the population size; the row width is the largest degree +
+1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -45,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import ForkTable, StationaryDistribution, TransitionKernel
+from .graphs import StationaryDistribution, TransitionKernel
 from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
@@ -329,31 +327,6 @@ class StepRows:
         return self._nodes[key][1]
 
 
-def _dispatch_forks(table: ForkTable, nodes: np.ndarray, pairs: np.ndarray,
-                    lone: np.ndarray | None, rng) -> tuple[np.ndarray, ...]:
-    """Landing nodes and token counts of fork parents and copies after one step.
-
-    ``pairs[i]`` parent-and-copy pairs and ``lone[i]`` copies of trapped
-    parents (``None`` when there are none) leave ``nodes[i]``. Each pair
-    lands on two distinct neighbours (the single edge twice at degree 1); a
-    lone copy lands on a pair's first target, which has the same law as its
-    second. Returns flat destination and count arrays: first targets, then
-    second targets.
-    """
-    m = nodes.size
-    if lone is not None:
-        nodes = np.concatenate((nodes, nodes))
-        pairs = np.concatenate((pairs, lone))
-    first = rng.multinomial(pairs, table.first.take(nodes, axis=0))
-    # every first target of a pair, as a flat index into ``first``
-    hit = first[:m].ravel().nonzero()[0]
-    i, a = np.divmod(hit, first.shape[1])
-    edge = table.edge_end.take(nodes.take(i)) - a
-    second = rng.multinomial(first.take(hit), table.second.take(edge, axis=0))
-    return (table.dest.take(nodes, axis=0).ravel(), first.ravel(),
-            table.dest.take(table.edge_dest.take(edge), axis=0).ravel(), second.ravel())
-
-
 @dataclass
 class StepCounts:
     forks: int
@@ -418,19 +391,18 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     # parents whose copy still leaves
     trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
     pairs = draws[:, _ACTED] * (region == FORK)
-    dest = [rows.landing.take(occ, axis=0).ravel()]
-    moved = [draws.ravel()]
+    # one float tally of the landings per node (exact: no count nears 2^53);
+    # tokens that leave land on the extra node n
+    landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
+                         minlength=n + 1)[:n]
     n_pairs = 0
     f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
     if f.size:
         pairs = pairs.take(f)
         n_pairs = int(np.add.reduce(pairs))
         lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
-        forked = _dispatch_forks(rows.forks, occ.take(f), pairs, lone, rng)
-        dest += forked[0::2]
-        moved += forked[1::2]
-    counts = np.bincount(np.concatenate(dest), weights=np.concatenate(moved),
-                         minlength=n + 1)[:n].astype(np.int64)
+        landed += rows.forks.dispatch(occ.take(f), pairs, lone, rng)
+    counts = landed.astype(np.int64)
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()

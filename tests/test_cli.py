@@ -151,6 +151,23 @@ class TestBoundedErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: config: invalid JSON") and len(err.encode()) < 600
 
+    @pytest.mark.parametrize("command,field,args,override", [
+        ("simulate", "simulation.seed", [], lambda c: c["simulation"].update(seed=-3)),
+        ("envelopes", "envelope.seed", [], lambda c: c["envelope"].update(seed=-5)),
+        ("check", "simulation.seed", ["--seed", "-1"], lambda c: None),
+    ], ids=["simulation", "envelope", "check_flag"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, field, args,
+                                             override):
+        # numpy's SeedSequence takes no negative seed; it is refused before any run directory
+        cfg = json.loads(write_config(tmp_path).read_text())
+        override(cfg)
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)] + args) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}: must be >= 0")
+        assert not out.exists() or run_dirs(out) == []
+
 
 class TestEnvelopes:
     def test_fit_curves(self, tmp_path):
@@ -441,21 +458,35 @@ class TestSpectralGapOnRead:
             for eps in srrw.cli.TMIX_LADDER}
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # importing scipy.sparse alone costs about 0.2 s and 20 MB of RSS; graphs, kernels
-    # and a whole check or simulate run need none of scipy
-    cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 120, "replicas": 1, "seed": 7})
+def modules_loaded_through_runs(tmp_path, roots, replicas):
+    """The loaded modules of the packages ``roots``, printed by one new interpreter
+    after ``import srrw.cli`` and after each of a serial ``check`` and ``simulate``."""
+    cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 120, "replicas": replicas,
+                                             "seed": 7})
     code = ("import sys, srrw.cli\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})\n"
             "print(loaded())\n"
             "for cmd in ('check', 'simulate'):\n"
             f"    assert srrw.cli.main([cmd, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
             "    print(loaded())\n")
     src = os.path.dirname(os.path.dirname(srrw.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, SRRW_THREADS="1")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
-    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3
+    return [line for line in out.splitlines() if line.startswith("[")]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # importing scipy.sparse alone costs about 0.2 s and 20 MB of RSS; graphs, kernels
+    # and a whole check or simulate run need none of scipy
+    assert modules_loaded_through_runs(tmp_path, ("scipy",), replicas=1) == ["[]"] * 3
+
+
+def test_serial_runs_leave_the_process_pool_unloaded(tmp_path):
+    # concurrent.futures and multiprocessing cost about 20 ms and 2 MB of RSS at import;
+    # only a replica pool (SRRW_THREADS > 1) needs them
+    roots = ("concurrent", "multiprocessing")
+    assert modules_loaded_through_runs(tmp_path, roots, replicas=2) == ["[]"] * 3
 
 
 class TestVersion:

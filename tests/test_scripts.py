@@ -50,6 +50,15 @@ def test_step_timing_imports():
     assert callable(load("step_timing").main)
 
 
+def test_step_timing_fresh(capsys):
+    # one whole er1000 run per side and prior profile, each in a new interpreter
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert load("step_timing").main(["--fresh", "1", "--baseline", src]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["none", "target"]
+    assert all(float(row[-4]) > 0 and row[-1] in ("0/1", "1/1") for row in rows)
+
+
 def test_every_exported_name_resolves():
     assert [name for name in srrw.__all__ if not hasattr(srrw, name)] == []
 
