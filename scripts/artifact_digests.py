@@ -30,6 +30,8 @@ BASE = {
     "simulation": {"Z_0": 20, "horizon": 120, "replicas": 2, "seed": 7},
     "envelope": {"mode": "fit", "n_samples": 2000},
 }
+# a small weighted graph given inline, for the readers of node ids and per-node values
+INLINE = {"nodes": 5, "edges": [[0, 1, 2.0], [1, 2], [2, 3, 0.5], [3, 4], [0, 4, 1.5], [1, 3]]}
 HIGH_TERM = {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.15}
 CORRIDOR = {
     "traps": {"nodes": "all", "zeta": 0.05},
@@ -53,10 +55,21 @@ CONFIGS = {
         "high": {"A_l": [3, 3, 4, 4], "q_fork": 0.05, "A_s": 1, "q_term": 0.2}}}),
     "horizon_3": {"policy": {"A_l": [5, 5, 6, 6], "q_fork": 0.3},
                   "simulation": {"Z_0": 20, "horizon": 3, "replicas": 2, "seed": 7}},
+    "inline_trap_map": {
+        "graph": INLINE, "traps": {"zeta": {"0": 0.2, "3": 0.05}},
+        "policy": {"A_l": [3, 3, 4, 4, 5], "q_fork": 0.25, "A_s": 1, "q_term": 0.05},
+        "simulation": {"Z_0": 20, "horizon": 200, "replicas": 2, "seed": 11, "placement": 2,
+                       "order": "policy_first"},
+    },
     "sweep_flat": {"policy": {"A_l": 2, "q_fork": 0.2},
                    "sweep": {"q": [0.1, 0.2], "kappa": [4, 6]}},
     "sweep_measured": {"policy": {"A_l": [2, 2, 3, 3], "q_fork": 0.2},
                        "sweep": {"q": [0.1, 0.2], "zeta_scale": [0.5, 2.0]}},
+    "sweep_inline": {"graph": INLINE, "traps": {"nodes": [4, 1], "zeta": 0.1},
+                     "policy": {"A_l": 3, "q_fork": 0.2},
+                     "simulation": {"Z_0": 20, "horizon": 150, "replicas": 2, "seed": 13,
+                                    "placement": 0},
+                     "sweep": {"A_l": [2, 4]}},
     "sweep_regime": dict(CORRIDOR, policy={"regime": {
         "Z_low": 10, "Z_high": 60, "low": {"A_l": 1, "q_fork": 0.2}, "high": HIGH_TERM}},
         sweep={"zeta_scale": [0.5, 2.0], "kappa": [4, 6]}),
@@ -70,6 +83,7 @@ MATRIX = [
     *(("check", name) for name in CONFIGS if not name.startswith("sweep")),
     ("check-traces", "flat_measured"),
     ("check-traces", "regime_fit"),
+    ("check-traces", "inline_trap_map"),
     *(("sweep", name) for name in CONFIGS if name.startswith("sweep")),
 ]
 

@@ -2,8 +2,10 @@
 """Regime-switching corridor experiment on a 30-node random graph.
 
 Runs the hysteresis controller (aggressive forking below the corridor,
-termination-only above it), prints per-seed corridor statistics, and writes
-the full check artifacts (feasibility + corridor JSON, traces) via the CLI.
+termination-only above it) through ``srrw check``, which writes the
+feasibility and corridor JSON (per-replica corridor statistics included), the
+excursion table and the traces into a new run directory under --out, and
+prints that directory's path.
 """
 import argparse
 import json

@@ -7,8 +7,10 @@ reproduce identical outputs.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 
@@ -59,25 +61,19 @@ def _cannot_read(path, exc: OSError) -> str:
     return f"cannot read {_clip(path, 200)}: {exc.strerror or type(exc).__name__}"
 
 
-def _convert(kind, val, label: str):
-    """``kind(val)``, or a ConfigError naming ``label`` when ``val`` is not a number."""
-    _require(not isinstance(val, bool), label, f"expected a number, got {reprlib.repr(val)}")
-    try:
-        return kind(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(label, f"expected a number, got {reprlib.repr(val)}") from exc
-
-
-def _get_number(obj, key, label=None, default=None, lo=None, hi=None, integer=False,
-                lo_strict=False, hi_strict=False):
-    label = label or key
-    val = obj.get(key, default)
+def _number(val, label: str, lo=None, hi=None, integer=False, lo_strict=False, hi_strict=False):
+    """``val`` if it is a finite float or an int within int64 in bounds, else a ConfigError naming
+    ``label``; never a string or a bool. Under ``integer`` an integral float is read as an int."""
     _require(val is not None, label, "required field missing")
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool), label,
+    _require(isinstance(val, int) and not isinstance(val, bool)
+             or isinstance(val, float) and math.isfinite(val), label,
              f"expected a number, got {reprlib.repr(val)}")
     if integer:
-        _require(float(val).is_integer(), label, f"expected an integer, got {reprlib.repr(val)}")
+        _require(isinstance(val, int) or val.is_integer(), label,
+                 f"expected an integer, got {reprlib.repr(val)}")
         val = int(val)
+    _require(not isinstance(val, int) or -2**63 <= val < 2**63, label,
+             f"must lie within int64, got {reprlib.repr(val)}")
     if lo is not None:
         _require(val > lo if lo_strict else val >= lo, label,
                  f"must be {'>' if lo_strict else '>='} {lo}, got {reprlib.repr(val)}")
@@ -85,6 +81,21 @@ def _get_number(obj, key, label=None, default=None, lo=None, hi=None, integer=Fa
         _require(val < hi if hi_strict else val <= hi, label,
                  f"must be {'<' if hi_strict else '<='} {hi}, got {reprlib.repr(val)}")
     return val
+
+
+def _choice(val, choices, label: str):
+    """``val`` if it is one of the strings ``choices`` (by equality, so any JSON value is safe)."""
+    _require(isinstance(val, str) and val in choices, label,
+             f"expected {' or '.join(map(json.dumps, choices))}, got {reprlib.repr(val)}")
+    return val
+
+
+def _node_key(key, n: int, label: str) -> int:
+    """The node id a ``traps.zeta`` key spells in plain ASCII decimal, so "0" and "00" never alias."""
+    _require(isinstance(key, str) and key.isascii() and key.isdigit() and len(key) < 20
+             and key == str(int(key)), label,
+             f"expected a node id in decimal digits, got {reprlib.repr(key)}")
+    return _number(int(key), label, lo=0, hi=n - 1)
 
 
 @dataclass
@@ -95,7 +106,7 @@ class ResolvedConfig:
     traps: TrapProfile
     policy: PolicySpec | RegimePolicy
 
-    @property
+    @functools.cached_property
     def hash(self) -> str:
         return config_hash(self.raw)
 
@@ -134,21 +145,24 @@ def _resolve_graph(cfg: dict) -> Graph:
     try:
         if "generator" in g:
             spec = g["generator"]
-            kind = spec.get("kind")
-            _require(kind in GENERATORS, "graph.generator.kind",
-                     f"unknown generator {reprlib.repr(kind)}; choose from {sorted(GENERATORS)}")
-            n = _get_number(spec, "n", "graph.generator.n", lo=2, integer=True)
+            _require(isinstance(spec, dict), "graph.generator", "expected an object")
+            kind = _choice(spec.get("kind"), sorted(GENERATORS), "graph.generator.kind")
+            n = _number(spec.get("n"), "graph.generator.n", lo=2, integer=True)
             if kind == "erdos_renyi":
-                p = _get_number(spec, "p", "graph.generator.p", lo=0.0, hi=1.0, lo_strict=True)
-                seed = _get_number(spec, "seed", "graph.generator.seed", integer=True)
+                p = _number(spec.get("p"), "graph.generator.p", lo=0.0, hi=1.0, lo_strict=True)
+                seed = _number(spec.get("seed"), "graph.generator.seed", lo=0, integer=True)
                 return GENERATORS[kind](n, p, seed)
             return GENERATORS[kind](n)
         if "edges" in g:
-            return graph_from_edge_entries(g["edges"], g.get("nodes") or None)
+            nodes = g.get("nodes")
+            if nodes is not None:
+                nodes = _number(nodes, "graph.nodes", integer=True)
+            return graph_from_edge_entries(g["edges"], nodes)
         path = g["path"]
         _require(isinstance(path, str), "graph.path",
                  f"expected a file name, got {reprlib.repr(path)}")
-        fmt = g.get("format", "json" if path.endswith(".json") else "edgelist")
+        fmt = _choice(g.get("format", "json" if path.endswith(".json") else "edgelist"),
+                      ("json", "edgelist"), "graph.format")
         with open(path) as fh:
             text = fh.read()
         return parse_graph_json(text) if fmt == "json" else parse_edge_list(text)
@@ -166,25 +180,20 @@ def _resolve_traps(cfg: dict, n: int) -> tuple[TrapProfile, dict]:
         return TrapProfile.none(n), {"nodes": [], "zeta": 0.0}
     _require(isinstance(t, dict), "traps", "expected an object")
     zeta = t.get("zeta")
-    _require(zeta is not None, "traps.zeta", "required field missing")
     if isinstance(zeta, dict):
-        for u, v in zeta.items():
-            label = f"traps.zeta.{_clip(u)}"
-            _require(0 <= _convert(int, u, label) < n, label, f"node out of range for n={n}")
-            _require(0.0 <= _convert(float, v, label) <= 1.0, label, "must lie in [0, 1]")
-        profile = TrapProfile.from_map(n, zeta)
-        resolved = {"nodes": sorted(int(u) for u in zeta), "zeta": {str(u): float(v) for u, v in zeta.items()}}
-        return profile, resolved
-    value = _get_number(t, "zeta", "traps.zeta", lo=0.0, hi=1.0)
+        by_node = {}
+        for key, v in zeta.items():
+            label = f"traps.zeta.{_clip(key)}"
+            by_node[_node_key(key, n, label)] = float(_number(v, label, lo=0.0, hi=1.0))
+        resolved = {"nodes": sorted(by_node), "zeta": {str(u): v for u, v in by_node.items()}}
+        return TrapProfile.from_map(n, by_node), resolved
+    value = _number(zeta, "traps.zeta", lo=0.0, hi=1.0)
     nodes = t.get("nodes", "all")
     if nodes == "all":
         return TrapProfile.uniform(n, value), {"nodes": "all", "zeta": value}
     _require(isinstance(nodes, list), "traps.nodes", 'expected "all" or a list of node ids')
-    for u in nodes:
-        _require(0 <= _convert(int, u, "traps.nodes") < n, "traps.nodes",
-                 f"node {u} out of range for n={n}")
-    profile = TrapProfile.from_map(n, {int(u): value for u in nodes})
-    return profile, {"nodes": sorted(int(u) for u in nodes), "zeta": value}
+    ids = [_number(u, "traps.nodes", lo=0, hi=n - 1, integer=True) for u in nodes]
+    return TrapProfile.from_map(n, dict.fromkeys(ids, value)), {"nodes": sorted(ids), "zeta": value}
 
 
 def _spec_from_block(block: dict, n: int, fieldpath: str) -> tuple[PolicySpec, dict]:
@@ -192,23 +201,18 @@ def _spec_from_block(block: dict, n: int, fieldpath: str) -> tuple[PolicySpec, d
     out = {}
 
     def field(name, default, lo, hi):
+        label = f"{fieldpath}.{name}"
         val = block.get(name, default)
-        _require(val is not None, f"{fieldpath}.{name}", "required field missing")
         if isinstance(val, list):
-            _require(len(val) == n, f"{fieldpath}.{name}", f"per-node array must have length {n}")
-            vals = [_convert(float, x, f"{fieldpath}.{name}") for x in val]
+            _require(len(val) == n, label, f"per-node array must have length {n}")
+            vals = [float(_number(x, label, lo, hi)) for x in val]
         else:
-            _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                     f"{fieldpath}.{name}", f"expected number or array, got {reprlib.repr(val)}")
-            vals = float(val)
-        arr = np.asarray(vals if isinstance(vals, list) else [vals])
-        _require(bool(np.all(arr >= lo)) and bool(np.all(arr <= hi)),
-                 f"{fieldpath}.{name}", f"values must lie in [{lo}, {hi}]")
+            vals = float(_number(val, label, lo, hi))
         out[name] = vals
         return vals
 
-    a_l = field("A_l", None, 0.0, float("inf"))
-    a_s = field("A_s", 0.0, 0.0, float("inf"))
+    a_l = field("A_l", None, 0.0, None)
+    a_s = field("A_s", 0.0, 0.0, None)
     q_fork = field("q_fork", None, 0.0, 1.0)
     q_term = field("q_term", 0.0, 0.0, 1.0)
     try:
@@ -224,8 +228,8 @@ def _resolve_policy(cfg: dict, n: int):
     if "regime" in p:
         r = p["regime"]
         _require(isinstance(r, dict), "policy.regime", "expected an object")
-        z_low = _get_number(r, "Z_low", "policy.regime.Z_low", lo=1, integer=True)
-        z_high = _get_number(r, "Z_high", "policy.regime.Z_high", lo=1, integer=True)
+        z_low = _number(r.get("Z_low"), "policy.regime.Z_low", lo=1, integer=True)
+        z_high = _number(r.get("Z_high"), "policy.regime.Z_high", lo=1, integer=True)
         _require(z_low < z_high, "policy.regime", f"need Z_low < Z_high, got {z_low} >= {z_high}")
         low, low_raw = _spec_from_block(r.get("low"), n, "policy.regime.low")
         high, high_raw = _spec_from_block(r.get("high"), n, "policy.regime.high")
@@ -243,8 +247,7 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
              f"unsupported version {reprlib.repr(version)}, expected {SCHEMA_VERSION}")
 
     graph = _resolve_graph(cfg)
-    laziness = _get_number(cfg, "laziness", default=0.5, lo=0.0, hi=1.0,
-                           lo_strict=True, hi_strict=True)
+    laziness = _number(cfg.get("laziness", 0.5), "laziness", lo=0.0, hi=1.0, lo_strict=True, hi_strict=True)
     return resolve_on_kernel(cfg, lazy_kernel(graph, laziness))
 
 
@@ -260,55 +263,49 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
 
     sim = cfg.get("simulation", {})
     _require(isinstance(sim, dict), "simulation", "expected an object")
+    placement = sim.get("placement", "pi")
     sim_raw = {
-        "Z_0": _get_number(sim, "Z_0", "simulation.Z_0", default=10, lo=1, integer=True),
-        "horizon": _get_number(sim, "horizon", "simulation.horizon", default=1000, lo=1, integer=True),
-        "replicas": _get_number(sim, "replicas", "simulation.replicas", default=1, lo=1, integer=True),
-        "seed": _get_number(sim, "seed", "simulation.seed", default=0, lo=0, integer=True),
-        "Z_cap": _get_number(sim, "Z_cap", "simulation.Z_cap", default=DEFAULT_POPULATION_CAP, lo=1, integer=True),
-        "placement": sim.get("placement", "pi"),
-        "order": sim.get("order", "trap_first"),
+        "Z_0": _number(sim.get("Z_0", 10), "simulation.Z_0", lo=1, integer=True),
+        "horizon": _number(sim.get("horizon", 1000), "simulation.horizon", lo=1, integer=True),
+        "replicas": _number(sim.get("replicas", 1), "simulation.replicas", lo=1, integer=True),
+        "seed": _number(sim.get("seed", 0), "simulation.seed", lo=0, integer=True),
+        "Z_cap": _number(sim.get("Z_cap", DEFAULT_POPULATION_CAP), "simulation.Z_cap", lo=1, integer=True),
+        "placement": (_choice(placement, ("pi", "uniform"), "simulation.placement")
+                      if isinstance(placement, str) else  # a node id
+                      _number(placement, "simulation.placement", lo=0, hi=n - 1, integer=True)),
+        "order": _choice(sim.get("order", "trap_first"), ("trap_first", "policy_first"),
+                         "simulation.order"),
         "collect_age_law": sim.get("collect_age_law", False),
-        "age_convention": sim.get("age_convention", AGE_CONVENTION),
-        "boundary_priority": sim.get("boundary_priority", BOUNDARY_PRIORITY),
+        "age_convention": _choice(sim.get("age_convention", AGE_CONVENTION), (AGE_CONVENTION,),
+                                  "simulation.age_convention"),
+        "boundary_priority": _choice(sim.get("boundary_priority", BOUNDARY_PRIORITY),
+                                     (BOUNDARY_PRIORITY,), "simulation.boundary_priority"),
     }
-    _require(sim_raw["order"] in ("trap_first", "policy_first"), "simulation.order",
-             'expected "trap_first" or "policy_first"')
-    placement = sim_raw["placement"]
-    _require(placement in ("pi", "uniform") or (type(placement) is int and 0 <= placement < n),
-             "simulation.placement", f'expected "pi", "uniform", or a node id in 0..{n - 1}, '
-             f"got {reprlib.repr(placement)}")
     _require(isinstance(sim_raw["collect_age_law"], bool), "simulation.collect_age_law",
              f"expected true or false, got {reprlib.repr(sim_raw['collect_age_law'])}")
-    _require(sim_raw["age_convention"] == AGE_CONVENTION, "simulation.age_convention",
-             f"only {AGE_CONVENTION!r} is supported")
-    _require(sim_raw["boundary_priority"] == BOUNDARY_PRIORITY, "simulation.boundary_priority",
-             f"only {BOUNDARY_PRIORITY!r} is supported")
 
     env = cfg.get("envelope", {})
     _require(isinstance(env, dict), "envelope", "expected an object")
     env_raw = {
-        "mode": env.get("mode", "fit"),
-        "n_samples": _get_number(env, "n_samples", "envelope.n_samples", default=20000, lo=FIT_MIN_SAMPLES, integer=True),
-        "delta_fit": _get_number(env, "delta_fit", "envelope.delta_fit", default=0.1, lo=0.0, hi=1.0),
-        "seed": _get_number(env, "seed", "envelope.seed", default=int(sim_raw["seed"]) + 1_000_003, lo=0, integer=True),
+        "mode": _choice(env.get("mode", "fit"), ("doeblin", "fit"), "envelope.mode"),
+        "n_samples": _number(env.get("n_samples", 20000), "envelope.n_samples", lo=FIT_MIN_SAMPLES, integer=True),
+        "delta_fit": _number(env.get("delta_fit", 0.1), "envelope.delta_fit", lo=0.0, hi=1.0),
+        "seed": _number(env.get("seed", sim_raw["seed"] + 1_000_003), "envelope.seed", lo=0, integer=True),
     }
-    _require(env_raw["mode"] in ("doeblin", "fit"), "envelope.mode",
-             'expected "doeblin" or "fit"')
 
     plan = cfg.get("block_plan", {})
     _require(isinstance(plan, dict), "block_plan", "expected an object")
     plan_raw = {
-        "kappa": _get_number(plan, "kappa", "block_plan.kappa", default=4.0, lo=4.0),
-        "eps_mix": _get_number(plan, "eps_mix", "block_plan.eps_mix", default=0.125, lo=0.0, hi=0.125, lo_strict=True),
+        "kappa": _number(plan.get("kappa", 4.0), "block_plan.kappa", lo=4.0),
+        "eps_mix": _number(plan.get("eps_mix", 0.125), "block_plan.eps_mix", lo=0.0, hi=0.125, lo_strict=True),
     }
 
     corridor = cfg.get("corridor")
     corridor_raw = None
     if corridor is not None:
         _require(isinstance(corridor, dict), "corridor", "expected an object")
-        z_low = _get_number(corridor, "Z_low", "corridor.Z_low", lo=1, integer=True)
-        z_high = _get_number(corridor, "Z_high", "corridor.Z_high", lo=1, integer=True)
+        z_low = _number(corridor.get("Z_low"), "corridor.Z_low", lo=1, integer=True)
+        z_high = _number(corridor.get("Z_high"), "corridor.Z_high", lo=1, integer=True)
         _require(z_low < z_high, "corridor", f"need Z_low < Z_high, got {z_low} >= {z_high}")
         corridor_raw = {"Z_low": z_low, "Z_high": z_high}
 
@@ -321,7 +318,7 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
             if key in sweep:
                 vals = sweep[key]
                 _require(isinstance(vals, list) and vals, f"sweep.{key}", "expected a non-empty list")
-                sweep_raw[key] = [_convert(float, v, f"sweep.{key}") for v in vals]
+                sweep_raw[key] = [float(_number(v, f"sweep.{key}")) for v in vals]
         _require(bool(sweep_raw), "sweep", f"no recognized sweep axes ({', '.join(SWEEP_AXES)})")
 
     graph_raw = cfg["graph"]

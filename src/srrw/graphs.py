@@ -21,7 +21,8 @@ multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
 is computed when it is first read. The padded neighbour and fork tables, and
 the edges of ``complete_graph``, raise ``ParameterError`` past
-``TABLE_BYTE_CAP`` bytes before they are allocated.
+``TABLE_BYTE_CAP`` bytes before they are allocated, and a graph or generator
+of more than ``NODE_CAP`` nodes raises it before any per-node array exists.
 """
 from __future__ import annotations
 
@@ -43,6 +44,8 @@ from .errors import (
 DENSE_NODE_CAP = 2000
 TABLE_BYTE_CAP = 256 << 20  # bytes one padded row table, or a generated edge array, may take
 ROW_BLOCK = 128  # rows of the mixing profile's power advanced per product
+# the most nodes whose smallest lazy neighbour table (n rows x 2 slots x 16 bytes) fits the cap
+NODE_CAP = TABLE_BYTE_CAP // 32
 
 
 def _check_bytes(nbytes: int, what: str):
@@ -51,6 +54,21 @@ def _check_bytes(nbytes: int, what: str):
     if nbytes > TABLE_BYTE_CAP:
         raise ParameterError(f"{what} would take {nbytes} bytes, past the cap of "
                              f"{TABLE_BYTE_CAP} bytes")
+
+
+def _integral(x) -> bool:
+    """An integer or an integral float such as 2.0, numpy's included; never a bool."""
+    return not isinstance(x, bool) and (isinstance(x, (int, np.integer))
+                                        or (isinstance(x, float) and x.is_integer()))
+
+
+def _node_count(n) -> int:
+    """``n`` as an int; raises unless it is an integral number of at most ``NODE_CAP``."""
+    if not _integral(n):
+        raise GraphStructureError(f"node count must be an integer, got {reprlib.repr(n)}")
+    if n > NODE_CAP:
+        raise ParameterError(f"{reprlib.repr(n)} nodes is past the cap of {NODE_CAP} nodes")
+    return int(n)
 
 
 def _as_pairs(edges) -> np.ndarray:
@@ -106,7 +124,7 @@ class Graph:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.node_count
+        n = _node_count(self.node_count)
         if n < 2:
             raise GraphStructureError("graph needs at least 2 nodes (single-node graphs are degenerate)")
         ends = _as_pairs(self.edges)
@@ -147,6 +165,7 @@ class Graph:
             raise GraphStructureError(f"graph is disconnected into {roots.size} components; "
                                       f"the first: {shown}")
         ends.setflags(write=False)
+        object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", ends)
         object.__setattr__(self, "weights", weight)
 
@@ -166,7 +185,7 @@ class Graph:
             weights = np.asarray(weights, dtype=float)[order]
         if node_count is None:
             node_count = 1 + int(ends.max()) if len(ends) else 0
-        return Graph(int(node_count), ends[order], weights)
+        return Graph(node_count, ends[order], weights)
 
     @property
     def edge_count(self) -> int:
@@ -238,12 +257,8 @@ def parse_graph_json(obj) -> Graph:
 def _is_edge_entry(e) -> bool:
     """``[u, v]`` or ``[u, v, w]`` with integer u and v (an integral float such as 2.0 counts)
     and a number w."""
-    def number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    return (isinstance(e, (list, tuple)) and len(e) in (2, 3)
-            and all(number(x) and (isinstance(x, int) or x.is_integer()) for x in e[:2])
-            and (len(e) == 2 or number(e[2])))
+    return (isinstance(e, (list, tuple)) and len(e) in (2, 3) and _integral(e[0])
+            and _integral(e[1]) and (len(e) == 2 or isinstance(e[2], float) or _integral(e[2])))
 
 
 def graph_from_edge_entries(entries, node_count=None) -> Graph:
@@ -272,17 +287,20 @@ def _build_from_columns(u, v, n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    n = _node_count(n)
     u = np.arange(n - 1)
     return _build_from_columns(u, u + 1, n)
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _node_count(n)
     u = np.arange(n)
     return _build_from_columns(u, (u + 1) % n, n)
 
 
 def complete_graph(n: int) -> Graph:
     """K(n): the edges (u, v), u < v, row by row, built in O(|E|) memory."""
+    n = _node_count(n)
     _check_bytes(16 * (n * (n - 1) // 2), f"the edge array of the complete graph on {n} nodes")
     counts = np.arange(n - 1, -1, -1)  # node u has the n - 1 - u neighbours above it
     u = np.repeat(np.arange(n), counts)
@@ -293,6 +311,7 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """Star on n nodes: center 0, leaves 1..n-1."""
+    n = _node_count(n)
     leaves = np.arange(1, n)
     return _build_from_columns(np.zeros_like(leaves), leaves, n)
 
@@ -304,6 +323,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> Graph:
     ``rng.random((n, n))`` in O(n) memory; edge (u, v), u < v, is present
     when coin[u, v] < p.
     """
+    n = _node_count(n)
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"edge probability must be in (0, 1], got {p}")
     rng = np.random.default_rng(seed)

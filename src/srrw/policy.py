@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import StationaryDistribution
+from .graphs import StationaryDistribution, _check_bytes
 
 # age regions of a visit; a visit in the pass region never acts
 FORK, TERM, PASS = 0, 1, 2
@@ -122,11 +122,14 @@ class AgeLaw:
     ``counts[u, a]`` counts visits to node u at age a; ages above the cap
     land in the overflow bucket ``counts[u, -1]``. ``max_over_cap[u]`` is
     the largest of those overflow ages (0 when there are none), so with the
-    histogram the largest age seen at every node is known exactly.
+    histogram the largest age seen at every node is known exactly. A law
+    past ``graphs.TABLE_BYTE_CAP`` bytes (about 130k nodes at the default
+    cap) raises ParameterError before it is allocated.
     """
 
     def __init__(self, node_count: int, age_cap: int = AGE_LAW_CAP):
         self.age_cap = int(age_cap)
+        _check_bytes(8 * node_count * (self.age_cap + 2), f"an age law over {node_count} nodes")
         self.counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
         self.max_over_cap = np.zeros(node_count, dtype=np.int64)
 

@@ -100,6 +100,7 @@ class TestStationary:
 
 
 HUGE = "x" * 200_000
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 class TestBoundedErrors:
@@ -167,6 +168,49 @@ class TestBoundedErrors:
         assert main([command, "--config", str(path), "--out", str(out)] + args) == 1
         assert capsys.readouterr().err.startswith(f"config error: {field}: must be >= 0")
         assert not out.exists() or run_dirs(out) == []
+
+    @pytest.mark.parametrize("command,field,override", [
+        # 0.3.3 read a string item as a number, though it refused a string scalar
+        ("simulate", "policy.A_l", lambda c: c["policy"].update(A_l=["3", 3, 3, 3])),
+        ("simulate", "traps.nodes", lambda c: c["traps"].update(nodes=[1.7])),  # 0.3.3: node 1
+        ("simulate", "traps.nodes", lambda c: c["traps"].update(nodes=["2"])),
+        # 0.3.3 gave node 0 the later value of two keys that name it
+        ("simulate", "traps.zeta.00", lambda c: c["traps"].update(zeta={"0": 0.1, "00": 0.5})),
+        ("simulate", "traps.zeta. 1", lambda c: c["traps"].update(zeta={" 1": 0.2})),
+        ("sweep", "sweep.q", lambda c: c.update(sweep={"q": ["0.1"]})),
+        ("simulate", "graph.nodes", lambda c: c.update(
+            graph={"edges": K4_EDGES, "nodes": 4.9})),  # 0.3.3: 4 nodes
+        ("simulate", "graph.nodes", lambda c: c.update(
+            graph={"edges": K4_EDGES, "nodes": "4"})),
+        # integers past int64 ended in OverflowError tracebacks
+        ("simulate", "simulation.Z_0", lambda c: c["simulation"].update(Z_0=10**20)),
+        ("envelopes", "envelope.n_samples", lambda c: c["envelope"].update(n_samples=10**20)),
+        ("simulate", "simulation.horizon", lambda c: c["simulation"].update(horizon=10**400)),
+        ("simulate", "policy.A_l", lambda c: c["policy"].update(A_l=[10**400, 5, 5, 5])),
+        ("simulate", "graph.generator.kind",
+         lambda c: c["graph"]["generator"].update(kind=[1])),  # 0.3.3: TypeError
+        ("simulate", "graph.generator", lambda c: c["graph"].update(generator="path")),
+        # 0.3.3 parsed a file of any other format name as an edge list
+        ("simulate", "graph.format", lambda c: c.update(graph={"path": c["graph_file"],
+                                                                "format": "JSON"})),
+    ], ids=["string-A_l-item", "fractional-trap-node", "string-trap-node", "aliased-zeta-key",
+            "spaced-zeta-key", "string-sweep-value", "fractional-graph-nodes",
+            "string-graph-nodes", "huge-Z_0", "huge-n_samples", "401-digit-horizon",
+            "401-digit-A_l-item", "list-generator-kind", "string-generator", "format-JSON"])
+    def test_malformed_value_is_a_bounded_config_error(self, tmp_path, capsys, command, field,
+                                                        override):
+        graph_file = tmp_path / "k4.txt"
+        graph_file.write_text("".join(f"{u} {v}\n" for u, v in K4_EDGES))
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["graph_file"] = str(graph_file)
+        override(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and len(err.encode()) < 300, err[:400]
+        assert not out.exists()
 
 
 class TestEnvelopes:

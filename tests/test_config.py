@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import srrw.config
 from srrw.config import (
     config_hash,
     load_config,
@@ -181,6 +184,106 @@ class TestHashing:
         r = resolve_config(base_config())
         shuffled = json.loads(json.dumps(r.raw))
         assert config_hash(shuffled) == r.hash
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        r = resolve_config(base_config())
+        calls = []
+        monkeypatch.setattr(srrw.config, "config_hash",
+                            lambda raw: calls.append(raw) or config_hash(raw))
+        assert r.hash == r.hash == config_hash(r.raw)
+        assert len(calls) == 1
+
+
+# any JSON value: ints up to 400 digits, floats with the non-finite ones, short strings,
+# small lists and objects
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+# a size is small or refused without allocating: never an integer in 51 .. int64
+SIZES = JSON_VALUES.filter(lambda v: not ((type(v) is int or type(v) is float and v.is_integer())
+                                          and 50 < v < 2**63))
+K4_EDGES = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+
+def _put(path, value):
+    """A setter placing ``value`` at the dotted ``path`` of a config."""
+    *blocks, key = path.split(".")
+
+    def put(cfg):
+        for block in blocks:
+            cfg = cfg.setdefault(block, {})
+        cfg[key] = value
+    return put
+
+
+SCALAR_FIELDS = [
+    "schema_version", "laziness", "traps.zeta", "policy.A_l", "policy.A_s", "policy.q_fork",
+    "policy.q_term", "simulation.Z_0", "simulation.horizon", "simulation.replicas",
+    "simulation.seed", "simulation.Z_cap", "simulation.placement", "simulation.collect_age_law",
+    "envelope.n_samples", "envelope.delta_fit", "envelope.seed", "block_plan.kappa",
+    "block_plan.eps_mix", "corridor.Z_low", "corridor.Z_high", "graph.generator.kind",
+    "simulation.order", "envelope.mode", "simulation.age_convention",
+    "simulation.boundary_priority", "graph.generator",
+]
+
+
+def placements(v, graph_file):
+    """Every config place a value ``v`` can take, as (name, setter) pairs."""
+    out = [(f, _put(f, v)) for f in SCALAR_FIELDS]
+    out += [
+        ("A_l item", _put("policy.A_l", [5, v, 5, 5])),
+        ("q_fork item", _put("policy.q_fork", [0.1, 0.2, v, 0.3])),
+        ("trap id", _put("traps.nodes", [0, v])),
+        ("trap value", _put("traps.zeta", {"1": v})),
+        ("trap key", _put("traps.zeta", {str(v): 0.1})),
+        ("sweep value", _put("sweep", {"q": [0.1, v]})),
+        ("A_l sweep value", _put("sweep", {"A_l": [v]})),
+        ("graph.format", _put("graph", {"path": graph_file, "format": v})),
+    ]
+    return out
+
+
+def size_placements(v):
+    return [
+        ("generator n", _put("graph.generator", {"kind": "path", "n": v})),
+        ("graph.nodes", _put("graph", {"edges": K4_EDGES, "nodes": v})),
+        ("edge endpoint", _put("graph", {"edges": K4_EDGES + [[3, v]]})),
+    ]
+
+
+class TestAnyValue:
+    """Whatever JSON value a field holds, resolution returns or raises a short ConfigError."""
+
+    @pytest.fixture(scope="class")
+    def graph_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("graph") / "k4.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in K4_EDGES))
+        return str(path)
+
+    def resolves_or_refuses(self, place, setter):
+        cfg = base_config()
+        setter(cfg)
+        try:
+            r = resolve_config(cfg)
+        except ConfigError as exc:
+            assert len(f"config error: {exc}".encode()) < 300, (place, str(exc)[:400])
+        else:
+            assert len(r.hash) == 64, place  # the resolved config is canonical JSON
+
+    @given(value=JSON_VALUES, key=st.text(max_size=25))
+    @settings(max_examples=150, deadline=None)
+    def test_any_value_in_any_field(self, graph_file, value, key):
+        for place, setter in placements(value, graph_file):
+            self.resolves_or_refuses(place, setter)
+        self.resolves_or_refuses("any trap key", _put("traps.zeta", {key: 0.5}))
+
+    @given(value=SIZES)
+    @settings(max_examples=150, deadline=None)
+    def test_any_size(self, value):
+        for place, setter in size_placements(value):
+            self.resolves_or_refuses(place, setter)
 
 
 class TestReplicaSeeds:

@@ -17,6 +17,7 @@ from srrw.errors import (
 )
 from srrw.graphs import (
     DENSE_NODE_CAP,
+    NODE_CAP,
     ROW_BLOCK,
     TABLE_BYTE_CAP,
     ForkTable,
@@ -265,6 +266,14 @@ class TestParsers:
     def test_json_missing_keys(self):
         with pytest.raises(GraphStructureError):
             parse_graph_json({"edges": [[0, 1]]})
+
+    @pytest.mark.parametrize("nodes", [4.9, "3", True, float("nan")])
+    def test_json_node_count_must_be_an_integer(self, nodes):
+        # 0.3.3 built 4 nodes from 4.9 and took "3"
+        edges = [[0, 1], [1, 2]]
+        with pytest.raises(GraphStructureError, match="node count must be an integer"):
+            parse_graph_json({"nodes": nodes, "edges": edges})
+        assert parse_graph_json({"nodes": 3.0, "edges": edges}).node_count == 3
 
 
 class TestGenerators:
@@ -627,6 +636,29 @@ class TestScale:
         try:
             with pytest.raises(ParameterError, match=f"past the cap of {TABLE_BYTE_CAP} bytes"):
                 read(made)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("n", [NODE_CAP + 1, 10**12])
+    @pytest.mark.parametrize("build", [
+        path_graph, cycle_graph, complete_graph, star_graph,
+        lambda n: erdos_renyi_graph(n, 0.5, seed=0),
+        lambda n: Graph.build([[0, n - 1]]),  # inline edges
+        lambda n: Graph.build([[0, 1]], node_count=n),
+        lambda n: parse_graph_json({"nodes": n, "edges": [[0, 1]]}),  # a graph file
+        lambda n: Graph(n, np.array([[0, 1]])),
+    ], ids=["path", "cycle", "complete", "star", "erdos_renyi", "build_inferred", "build_given",
+            "json", "Graph"])
+    def test_node_count_past_the_cap_raises_before_allocating(self, build, n):
+        # NODE_CAP nodes is the largest graph whose smallest lazy neighbour table, n rows of
+        # two 16-byte slots, fits the byte cap
+        assert 32 * NODE_CAP == TABLE_BYTE_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"past the cap of {NODE_CAP} nodes"):
+                build(n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

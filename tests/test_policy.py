@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw.errors import InsufficientDataError, ParameterError
-from srrw.graphs import StationaryDistribution, complete_graph, lazy_kernel
+from srrw.graphs import (TABLE_BYTE_CAP, StationaryDistribution, complete_graph, cycle_graph,
+                         lazy_kernel)
 from srrw.policy import (
+    AGE_LAW_CAP,
     FORK,
     PASS,
     TERM,
@@ -14,7 +18,8 @@ from srrw.policy import (
     RegimePolicy,
     mean_termination_rate,
 )
-from srrw.population import PopulationState, StepRows, TrapProfile, step
+from srrw.population import (PopulationState, PopulationTrace, StepRows, TrapProfile,
+                             run_population, step)
 
 
 def spec(n=1, a_long=5.0, a_short=0.0, q_fork=1.0, q_term=1.0):
@@ -206,3 +211,29 @@ class TestAgeLaw:
         b.record(np.array([0, 1]), np.array([2, 3]))
         a.merge(b)
         assert a.counts.sum() == 3 and list(a.max_over_cap) == [7, 0]
+
+    # one int64 per node and bucket (ages 0..cap and the overflow): past the byte cap from
+    # about 130k nodes at the default cap
+    PAST_CAP = TABLE_BYTE_CAP // (8 * (AGE_LAW_CAP + 2)) + 1
+
+    def test_law_past_the_byte_cap_raises_before_allocating(self, tmp_path):
+        # a trace header listing 200k overflow maxima asked 0.3.3 for a 413 MB histogram
+        path = tmp_path / "replica_000.csv"
+        path.write_text(f"# age_law_cap={AGE_LAW_CAP}\n# age_law_max_over_cap="
+                        + " 0" * 200_000 + "\nt,Z,forks,trap_dels,terms\n0,5,0,0,0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"past the cap of {TABLE_BYTE_CAP} bytes"):
+                AgeLaw(self.PAST_CAP)
+            with pytest.raises(ParameterError, match="an age law over 200000 nodes"):
+                PopulationTrace.from_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
+    def test_collecting_on_a_graph_past_the_cap_raises(self):
+        k = lazy_kernel(cycle_graph(self.PAST_CAP), 0.5)
+        with pytest.raises(ParameterError, match=f"an age law over {self.PAST_CAP} nodes"):
+            run_population(k, PolicySpec.uniform(k.node_count, 5.0, 0.1), TrapProfile.none(
+                k.node_count), z0=10, horizon=5, rng_seed=0, collect_age_law=True)
