@@ -70,6 +70,11 @@ CONFIGS = {
                      "simulation": {"Z_0": 20, "horizon": 150, "replicas": 2, "seed": 13,
                                     "placement": 0},
                      "sweep": {"A_l": [2, 4]}},
+    # zeta_scale 2.0 clips node 3's trap at 1.0
+    "sweep_trap_map": {"graph": INLINE, "traps": {"zeta": {"0": 0.1, "3": 0.6}},
+                       "policy": {"A_l": [3, 3, 4, 4, 5], "q_fork": 0.25},
+                       "simulation": {"Z_0": 30, "horizon": 150, "replicas": 2, "seed": 17},
+                       "sweep": {"zeta_scale": [0.5, 2.0]}},
     "sweep_regime": dict(CORRIDOR, policy={"regime": {
         "Z_low": 10, "Z_high": 60, "low": {"A_l": 1, "q_fork": 0.2}, "high": HIGH_TERM}},
         sweep={"zeta_scale": [0.5, 2.0], "kappa": [4, 6]}),

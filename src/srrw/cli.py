@@ -12,7 +12,6 @@ error, 3 insufficient data.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -23,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import check_corridor_feasibility, check_feasibility, corridor_stats, lyapunov_drift
-from .config import (SWEEP_AXES, ResolvedConfig, _cannot_read, _clip, load_config, replica_seeds,
-                     resolve_config, resolve_on_kernel)
+from .config import ResolvedConfig, _cannot_read, _clip, load_config, replica_seeds, resolve_config
 from .envelopes import (
     EnvelopeModel,
     MatchingAgeInterval,
@@ -375,13 +373,15 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     }
 
 
-def cmd_check(resolved: ResolvedConfig, outdir: str, trace_dir: str | None = None) -> None:
-    traces = _load_traces(trace_dir, resolved) if trace_dir else run_replicas(resolved)
+def cmd_check(resolved: ResolvedConfig, outdir: str,
+              traces: list[PopulationTrace] | None = None) -> None:
+    """Check the traces of an earlier run, or fresh replicas that are written with the verdicts."""
+    fresh = [] if traces else run_replicas(resolved)
+    traces = traces or fresh
     meta = _meta(resolved)
     payloads = check_payloads(resolved, traces)
-    if trace_dir is None:
-        for i, tr in enumerate(traces):
-            tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
+    for i, tr in enumerate(fresh):
+        tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
     _write_json(os.path.join(outdir, "feasibility.json"), {
         "meta": meta,
         "block_length": payloads["plan"].block_length,
@@ -398,38 +398,10 @@ def cmd_check(resolved: ResolvedConfig, outdir: str, trace_dir: str | None = Non
                    "replica,excursion,return_time_blocks", payloads["excursion_rows"], meta)
 
 
-def _apply_sweep_point(raw: dict, point: dict) -> dict:
-    import copy
-    mod = copy.deepcopy(raw)
-    mod.pop("sweep", None)
-    if "q" in point or "A_l" in point:
-        if "regime" in mod["policy"]:
-            raise ConfigError("sweep", "q/A_l sweeps need a flat (non-regime) policy block")
-        if "q" in point:
-            mod["policy"]["q_fork"] = point["q"]
-        if "A_l" in point:
-            mod["policy"]["A_l"] = point["A_l"]
-    if "zeta_scale" in point:
-        traps = mod.get("traps")
-        if traps is None:
-            raise ConfigError("sweep", "zeta_scale sweep needs a traps block")
-        zeta = traps["zeta"]
-        if isinstance(zeta, dict):
-            traps["zeta"] = {k: min(1.0, float(v) * point["zeta_scale"]) for k, v in zeta.items()}
-        else:
-            traps["zeta"] = min(1.0, float(zeta) * point["zeta_scale"])
-    if "kappa" in point:
-        mod.setdefault("block_plan", {})["kappa"] = point["kappa"]
-    return mod
-
-
 def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
-    sweep = resolved.sweep
-    if not sweep:
-        raise ConfigError("sweep", "config has no sweep block")
-    axes = [(k, sweep[k]) for k in SWEEP_AXES if k in sweep]
+    axes = resolved.raw["sweep"]
     meta = _meta(resolved)
-    header = ",".join([k for k, _ in axes] + [
+    header = ",".join(list(axes) + [
         "lambda_del", "a_eff_lo", "a_eff_hi", "viability_lhs", "safety_lhs",
         "viability", "safety", "margin_in", "margin_out",
         "k_term_measured", "p_fork_measured", "mean_drift_per_token", "c1_proxy",
@@ -438,9 +410,7 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
     # no sweep axis touches the graph, the kernel or the envelope parameters,
     # so every grid point shares the base run's kernel and envelope model
     shared_model = build_envelope_model(resolved)
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = dict(zip((k for k, _ in axes), combo))
-        mod = resolve_on_kernel(_apply_sweep_point(resolved.raw, point), resolved.kernel)
+    for point, mod in resolved.points:
         traces = run_replicas(mod)
         payloads = check_payloads(mod, traces, model=shared_model)
         feas = payloads["feasibility"]
@@ -454,7 +424,7 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
                      else (feas, feas))
         iv = low["a_eff_interval"]
         rows.append(",".join(
-            [_fmt(point[k]) for k, _ in axes] + [
+            [_fmt(v) for v in point.values()] + [
                 _fmt(low["lambda_del"]), _fmt(iv[0]), _fmt(iv[1]),
                 _fmt(low["viability_lhs"]), _fmt(high["safety_lhs"]),
                 str(int(low["viability_holds"])), str(int(high["safety_holds"])),
@@ -464,7 +434,7 @@ def cmd_sweep(resolved: ResolvedConfig, outdir: str) -> None:
             ]))
     _write_csv(os.path.join(outdir, "sweep.csv"), header, rows, meta)
     _write_json(os.path.join(outdir, "sweep.json"), {
-        "meta": meta, "rows": len(rows), "axes": {k: v for k, v in axes},
+        "meta": meta, "rows": len(rows), "axes": axes,
         "config": resolved.raw,
     })
 
@@ -492,11 +462,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = load_config(args.config)
-        if args.seed is not None:
-            raw.setdefault("simulation", {})["seed"] = args.seed
-        if args.replicas is not None:
-            raw.setdefault("simulation", {})["replicas"] = args.replicas
+        overrides = {k: v for k, v in (("seed", args.seed), ("replicas", args.replicas))
+                     if v is not None}
+        sim = raw.get("simulation", {}) if isinstance(raw, dict) else None
+        if overrides and isinstance(sim, dict):  # else resolve_config names the bad block
+            raw = dict(raw, simulation=dict(sim, **overrides))
         resolved = resolve_config(raw)
+        # every input is checked before the run directory exists
+        _thread_cap()
+        traces = _load_traces(args.traces, resolved) if getattr(args, "traces", None) else None
+        if args.command == "sweep" and not resolved.points:
+            raise ConfigError("sweep", "config has no sweep block")
         outdir = _run_dir(args.out, resolved)
         if args.command == "stationary":
             cmd_stationary(resolved, outdir)
@@ -505,7 +481,7 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             cmd_simulate(resolved, outdir)
         elif args.command == "check":
-            cmd_check(resolved, outdir, trace_dir=args.traces)
+            cmd_check(resolved, outdir, traces)
         elif args.command == "sweep":
             cmd_sweep(resolved, outdir)
         print(outdir)

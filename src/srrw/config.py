@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import reprlib
@@ -28,7 +29,7 @@ from .graphs import (
     parse_graph_json,
 )
 from .policy import PolicySpec, RegimePolicy
-from .population import DEFAULT_POPULATION_CAP, TrapProfile
+from .population import DEFAULT_POPULATION_CAP, KAPPA_MAX, TrapProfile
 
 SCHEMA_VERSION = 1
 SWEEP_AXES = ("q", "A_l", "zeta_scale", "kappa")
@@ -105,6 +106,11 @@ class ResolvedConfig:
     kernel: TransitionKernel
     traps: TrapProfile
     policy: PolicySpec | RegimePolicy
+    points: tuple = ()  # (point, config) per sweep grid point, in row order
+
+    def __getstate__(self):
+        # a replica pool gets this config alone, never the sweep grid it heads
+        return dict(self.__dict__, points=())
 
     @functools.cached_property
     def hash(self) -> str:
@@ -130,10 +136,6 @@ class ResolvedConfig:
     @property
     def corridor(self) -> dict | None:
         return self.raw.get("corridor")
-
-    @property
-    def sweep(self) -> dict | None:
-        return self.raw.get("sweep")
 
 
 def _resolve_graph(cfg: dict) -> Graph:
@@ -174,8 +176,7 @@ def _resolve_graph(cfg: dict) -> Graph:
         raise ConfigError("graph", str(exc)) from exc
 
 
-def _resolve_traps(cfg: dict, n: int) -> tuple[TrapProfile, dict]:
-    t = cfg.get("traps")
+def _resolve_traps(t, n: int) -> tuple[TrapProfile, dict]:
     if t is None:
         return TrapProfile.none(n), {"nodes": [], "zeta": 0.0}
     _require(isinstance(t, dict), "traps", "expected an object")
@@ -222,8 +223,7 @@ def _spec_from_block(block: dict, n: int, fieldpath: str) -> tuple[PolicySpec, d
     return spec, out
 
 
-def _resolve_policy(cfg: dict, n: int):
-    p = cfg.get("policy")
+def _resolve_policy(p, n: int):
     _require(isinstance(p, dict), "policy", "required object missing")
     if "regime" in p:
         r = p["regime"]
@@ -239,6 +239,54 @@ def _resolve_policy(cfg: dict, n: int):
     return spec, raw
 
 
+def _resolve_block_plan(plan) -> dict:
+    _require(isinstance(plan, dict), "block_plan", "expected an object")
+    return {
+        "kappa": _number(plan.get("kappa", 4.0), "block_plan.kappa", lo=4.0, hi=KAPPA_MAX),
+        "eps_mix": _number(plan.get("eps_mix", 0.125), "block_plan.eps_mix", lo=0.0, hi=0.125, lo_strict=True),
+    }
+
+
+def _sweep_points(base: ResolvedConfig, sweep) -> tuple:
+    """Read the ``sweep`` block into ``base.raw`` and resolve its grid: (point, config) per grid
+    point, in row order. A point's config is the base's resolved sections with the swept fields
+    replaced and read by their own readers; it shares the base's graph entry and kernel, and
+    points with the same swept values share one policy or trap profile."""
+    _require(isinstance(sweep, dict), "sweep", "expected an object")
+    axes = {}
+    for key in SWEEP_AXES:
+        if key in sweep:
+            _require(isinstance(sweep[key], list) and sweep[key], f"sweep.{key}", "expected a non-empty list")
+            axes[key] = [float(_number(v, f"sweep.{key}")) for v in sweep[key]]
+    _require(bool(axes), "sweep", f"no recognized sweep axes ({', '.join(SWEEP_AXES)})")
+    raw, n = base.raw, base.graph.node_count
+    _require("regime" not in raw["policy"] or not {"q", "A_l"} & axes.keys(), "sweep",
+             "q/A_l sweeps need a flat (non-regime) policy block")
+    head, raw["sweep"] = dict(raw), axes
+    policies, profiles = {(): (base.policy, raw["policy"])}, {None: (base.traps, raw["traps"])}
+    points = []
+    for combo in itertools.product(*axes.values()):
+        point = dict(zip(axes, combo))
+        fields = {f: point[a] for a, f in (("q", "q_fork"), ("A_l", "A_l")) if a in point}
+        key, scale, zeta = tuple(fields.values()), point.get("zeta_scale"), raw["traps"]["zeta"]
+        try:
+            if key not in policies:
+                policies[key] = _resolve_policy(dict(raw["policy"], **fields), n)
+            if scale not in profiles:
+                zeta = ({u: min(1.0, v * scale) for u, v in zeta.items()} if isinstance(zeta, dict)
+                        else min(1.0, zeta * scale))
+                profiles[scale] = _resolve_traps(dict(raw["traps"], zeta=zeta), n)
+            plan = (_resolve_block_plan(dict(raw["block_plan"], kappa=point["kappa"]))
+                    if "kappa" in point else raw["block_plan"])
+        except ConfigError as exc:
+            raise ConfigError("sweep", ", ".join(f"{k}={v!r}" for k, v in point.items())
+                              + f": {exc}") from None
+        (policy, policy_raw), (traps, traps_raw) = policies[key], profiles[scale]
+        point_raw = dict(head, policy=policy_raw, traps=traps_raw, block_plan=plan)
+        points.append((point, ResolvedConfig(point_raw, base.graph, base.kernel, traps, policy)))
+    return tuple(points)
+
+
 def resolve_config(cfg: dict) -> ResolvedConfig:
     """Validate a raw config dict and build the concrete experiment objects."""
     _require(isinstance(cfg, dict), "config", "top-level JSON must be an object")
@@ -248,18 +296,10 @@ def resolve_config(cfg: dict) -> ResolvedConfig:
 
     graph = _resolve_graph(cfg)
     laziness = _number(cfg.get("laziness", 0.5), "laziness", lo=0.0, hi=1.0, lo_strict=True, hi_strict=True)
-    return resolve_on_kernel(cfg, lazy_kernel(graph, laziness))
-
-
-def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
-    """Resolve ``cfg`` on an already built kernel; its graph and laziness must be the kernel's.
-
-    A sweep resolves its grid points on the base run's kernel this way.
-    """
-    graph = kernel.graph
+    kernel = lazy_kernel(graph, laziness)
     n = graph.node_count
-    traps, traps_raw = _resolve_traps(cfg, n)
-    policy, policy_raw = _resolve_policy(cfg, n)
+    traps, traps_raw = _resolve_traps(cfg.get("traps"), n)
+    policy, policy_raw = _resolve_policy(cfg.get("policy"), n)
 
     sim = cfg.get("simulation", {})
     _require(isinstance(sim, dict), "simulation", "expected an object")
@@ -293,34 +333,6 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
         "seed": _number(env.get("seed", sim_raw["seed"] + 1_000_003), "envelope.seed", lo=0, integer=True),
     }
 
-    plan = cfg.get("block_plan", {})
-    _require(isinstance(plan, dict), "block_plan", "expected an object")
-    plan_raw = {
-        "kappa": _number(plan.get("kappa", 4.0), "block_plan.kappa", lo=4.0),
-        "eps_mix": _number(plan.get("eps_mix", 0.125), "block_plan.eps_mix", lo=0.0, hi=0.125, lo_strict=True),
-    }
-
-    corridor = cfg.get("corridor")
-    corridor_raw = None
-    if corridor is not None:
-        _require(isinstance(corridor, dict), "corridor", "expected an object")
-        z_low = _number(corridor.get("Z_low"), "corridor.Z_low", lo=1, integer=True)
-        z_high = _number(corridor.get("Z_high"), "corridor.Z_high", lo=1, integer=True)
-        _require(z_low < z_high, "corridor", f"need Z_low < Z_high, got {z_low} >= {z_high}")
-        corridor_raw = {"Z_low": z_low, "Z_high": z_high}
-
-    sweep = cfg.get("sweep")
-    sweep_raw = None
-    if sweep is not None:
-        _require(isinstance(sweep, dict), "sweep", "expected an object")
-        sweep_raw = {}
-        for key in SWEEP_AXES:
-            if key in sweep:
-                vals = sweep[key]
-                _require(isinstance(vals, list) and vals, f"sweep.{key}", "expected a non-empty list")
-                sweep_raw[key] = [float(_number(v, f"sweep.{key}")) for v in vals]
-        _require(bool(sweep_raw), "sweep", f"no recognized sweep axes ({', '.join(SWEEP_AXES)})")
-
     graph_raw = cfg["graph"]
     if "edges" in graph_raw:
         edges = graph.edges.tolist()
@@ -335,13 +347,20 @@ def resolve_on_kernel(cfg: dict, kernel: TransitionKernel) -> ResolvedConfig:
         "policy": policy_raw,
         "simulation": sim_raw,
         "envelope": env_raw,
-        "block_plan": plan_raw,
+        "block_plan": _resolve_block_plan(cfg.get("block_plan", {})),
     }
-    if corridor_raw is not None:
-        raw["corridor"] = corridor_raw
-    if sweep_raw is not None:
-        raw["sweep"] = sweep_raw
-    return ResolvedConfig(raw=raw, graph=graph, kernel=kernel, traps=traps, policy=policy)
+
+    corridor = cfg.get("corridor")
+    if corridor is not None:
+        _require(isinstance(corridor, dict), "corridor", "expected an object")
+        z_low = _number(corridor.get("Z_low"), "corridor.Z_low", lo=1, integer=True)
+        z_high = _number(corridor.get("Z_high"), "corridor.Z_high", lo=1, integer=True)
+        _require(z_low < z_high, "corridor", f"need Z_low < Z_high, got {z_low} >= {z_high}")
+        raw["corridor"] = {"Z_low": z_low, "Z_high": z_high}
+    resolved = ResolvedConfig(raw=raw, graph=graph, kernel=kernel, traps=traps, policy=policy)
+    if cfg.get("sweep") is not None:
+        resolved.points = _sweep_points(resolved, cfg["sweep"])
+    return resolved
 
 
 def load_config(path) -> dict:

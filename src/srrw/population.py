@@ -47,6 +47,9 @@ from .graphs import StationaryDistribution, TransitionKernel
 from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
+# largest block multiplier a config takes: kappa * a_eff stays finite for any
+# a_eff the matching-age bisection returns (it stops past 1e18)
+KAPPA_MAX = 1e6
 CSV_CHUNK_ROWS = 4096  # trace rows formatted per write
 
 # the event columns leading every node row
@@ -98,6 +101,8 @@ class BlockPlan:
             raise ParameterError(f"kappa must be at least 4, got {self.kappa}")
         if self.t_mix_part < 0 or self.a_eff < 0:
             raise ParameterError("t_mix_part and a_eff must be nonnegative")
+        if not math.isfinite(self.kappa * self.a_eff):
+            raise ParameterError(f"block length is not finite: kappa={self.kappa}, a_eff={self.a_eff}")
 
     @property
     def block_length(self) -> int:

@@ -2,6 +2,7 @@ import collections
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -190,13 +191,16 @@ class TestBoundedErrors:
         ("simulate", "graph.generator.kind",
          lambda c: c["graph"]["generator"].update(kind=[1])),  # 0.3.3: TypeError
         ("simulate", "graph.generator", lambda c: c["graph"].update(generator="path")),
+        # 0.3.3 ended in an OverflowError traceback after writing replica_000.csv
+        ("check", "block_plan.kappa", lambda c: c.update(block_plan={"kappa": 1e308})),
         # 0.3.3 parsed a file of any other format name as an edge list
         ("simulate", "graph.format", lambda c: c.update(graph={"path": c["graph_file"],
                                                                 "format": "JSON"})),
     ], ids=["string-A_l-item", "fractional-trap-node", "string-trap-node", "aliased-zeta-key",
             "spaced-zeta-key", "string-sweep-value", "fractional-graph-nodes",
             "string-graph-nodes", "huge-Z_0", "huge-n_samples", "401-digit-horizon",
-            "401-digit-A_l-item", "list-generator-kind", "string-generator", "format-JSON"])
+            "401-digit-A_l-item", "list-generator-kind", "string-generator", "huge-kappa",
+            "format-JSON"])
     def test_malformed_value_is_a_bounded_config_error(self, tmp_path, capsys, command, field,
                                                         override):
         graph_file = tmp_path / "k4.txt"
@@ -284,6 +288,20 @@ class TestSimulate:
         summary = json.load(open(os.path.join(only_run_dir(out), "summary.json")))
         assert summary["config"]["simulation"]["seed"] == 99
         assert len(summary["replicas"]) == 1
+
+    @pytest.mark.parametrize("config,field", [
+        ([1, 2], "config: top-level JSON must be an object"),
+        ({"graph": {"generator": {"kind": "complete", "n": 4}}, "policy": {"A_l": 5, "q_fork": 0.3},
+          "simulation": 5}, "simulation: expected an object"),
+    ], ids=["list-config", "int-simulation"])
+    @pytest.mark.parametrize("flag", ["--seed", "--replicas"])
+    def test_overrides_on_a_malformed_config(self, tmp_path, capsys, config, field, flag):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out), flag, "3"]) == 1
+        assert capsys.readouterr().err == f"config error: {field}\n"
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -554,7 +572,9 @@ class TestThreadCap:
         with pytest.raises(ConfigError, match="SRRW_THREADS"):
             _thread_cap()
         cfg = write_config(tmp_path)
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestCheck:
@@ -751,6 +771,7 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("config error: traces: cannot read ") and "nowhere" in err
         assert err.rstrip().endswith(": No such file or directory")
+        assert not (tmp_path / "check").exists()
 
     def test_trace_entry_that_is_a_directory_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -1044,3 +1065,76 @@ class TestSweep:
     def test_sweep_without_block_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestSweepPoints:
+    """Grid points are resolved with the config: the base's resolved sections with only the
+    swept fields replaced, checked before a run directory exists or a replica runs."""
+
+    BASE = {
+        "graph": {"generator": {"kind": "complete", "n": 4}},
+        "traps": {"zeta": {"1": 0.1, "3": 0.4}},
+        "policy": {"A_l": [2, 2, 3, 3], "q_fork": 0.2, "A_s": 1},
+        "simulation": {"Z_0": 20, "horizon": 100, "replicas": 1, "seed": 11},
+    }
+
+    @pytest.mark.parametrize("axis,value,edit", [
+        ("q", 0.35, lambda c: c["policy"].update(q_fork=0.35)),
+        ("A_l", 4.0, lambda c: c["policy"].update(A_l=4.0)),
+        # 0.4 x 3 clips at 1.0
+        ("zeta_scale", 3.0, lambda c: c["traps"].update(zeta={"1": 0.1 * 3.0, "3": 1.0})),
+        ("kappa", 7.5, lambda c: c.update(block_plan={"kappa": 7.5})),
+    ])
+    def test_point_equals_the_config_edited_by_hand(self, axis, value, edit):
+        base = resolve_config(dict(self.BASE, sweep={axis: [value]}))
+        (point, got), = base.points
+        assert point == {axis: value}
+        cfg = json.loads(json.dumps(self.BASE))
+        edit(cfg)
+        want = resolve_config(cfg)
+        for name in ("a_long", "a_short", "q_fork", "q_term"):
+            assert np.array_equal(getattr(got.policy, name), getattr(want.policy, name)), name
+        assert np.array_equal(got.traps.zeta, want.traps.zeta)
+        assert got.block_plan["kappa"] == want.block_plan["kappa"]
+        assert got.raw == want.raw and got.hash == want.hash
+        assert got.kernel is base.kernel and got.raw["graph"] is base.raw["graph"]
+
+    def test_inline_graph_entry_shared(self):
+        cfg = dict(self.BASE, graph={"edges": K4_EDGES}, sweep={"q": [0.1, 0.2]})
+        base = resolve_config(cfg)
+        assert all(p.raw["graph"] is base.raw["graph"] for _, p in base.points)
+
+    def test_unswept_objects_shared_and_swept_ones_per_value(self):
+        base = resolve_config(dict(self.BASE, sweep={"q": [0.1, 0.2], "kappa": [4, 5, 6]}))
+        configs = [p for _, p in base.points]
+        assert [pt for pt, _ in base.points] == [
+            {"q": q, "kappa": k} for q in (0.1, 0.2) for k in (4.0, 5.0, 6.0)]
+        assert all(p.traps is base.traps for p in configs)
+        assert len({id(p.policy) for p in configs}) == 2
+
+    def test_pool_pickles_one_config(self):
+        base = resolve_config(dict(self.BASE, sweep={"q": [0.1, 0.2]}))
+        assert base.points and pickle.loads(pickle.dumps(base)).points == ()
+        assert pickle.loads(pickle.dumps(base.points[0][1])).hash == base.points[0][1].hash
+
+    @pytest.mark.parametrize("sweep,policy,message", [
+        ({"q": [0.2, 1.5]}, None, "q=1.5: policy.q_fork: must be <= 1.0, got 1.5"),
+        ({"zeta_scale": [-1.0]}, None, "zeta_scale=-1.0: traps.zeta.1: must be >= 0.0"),
+        ({"kappa": [1e308]}, None, "kappa=1e+308: block_plan.kappa: must be <= 1000000.0"),
+        ({"A_l": [2, 3]}, {"regime": {"Z_low": 10, "Z_high": 60, "low": {"A_l": 1, "q_fork": 0.2},
+                                      "high": {"A_l": 3, "q_fork": 0.0}}},
+         "q/A_l sweeps need a flat (non-regime) policy block"),
+    ], ids=["q", "zeta_scale", "kappa", "A_l-on-regime"])
+    @pytest.mark.parametrize("command", ["sweep", "stationary"])
+    def test_bad_grid_fails_before_anything_runs(self, tmp_path, capsys, monkeypatch, sweep,
+                                                 policy, message, command):
+        runs = []
+        monkeypatch.setattr(srrw.cli, "run_population", lambda *a, **kw: runs.append(1))
+        cfg = dict(self.BASE, sweep=sweep, **({"policy": policy} if policy else {}))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sweep: {message}"), err
+        assert not out.exists() and runs == []

@@ -723,6 +723,11 @@ class TestBlockDrift:
         with pytest.raises(ParameterError):
             BlockPlan(t_mix_part=5, kappa=2.0, a_eff=1.0)
 
+    @pytest.mark.parametrize("kappa,a_eff", [(1e308, 10.0), (4.0, math.inf), (math.nan, 1.0)])
+    def test_block_length_must_be_finite(self, kappa, a_eff):
+        with pytest.raises(ParameterError, match="block length is not finite"):
+            BlockPlan(t_mix_part=5, kappa=kappa, a_eff=a_eff)
+
 
 class TestGwBaseline:
     def test_subcritical_goes_extinct(self):
