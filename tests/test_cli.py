@@ -191,7 +191,7 @@ class TestBoundedErrors:
         ("simulate", "graph.generator.kind",
          lambda c: c["graph"]["generator"].update(kind=[1])),  # 0.3.3: TypeError
         ("simulate", "graph.generator", lambda c: c["graph"].update(generator="path")),
-        # 0.3.3 ended in an OverflowError traceback after writing replica_000.csv
+        # an unbounded kappa ended in an OverflowError traceback after writing replica_000.csv
         ("check", "block_plan.kappa", lambda c: c.update(block_plan={"kappa": 1e308})),
         # 0.3.3 parsed a file of any other format name as an edge list
         ("simulate", "graph.format", lambda c: c.update(graph={"path": c["graph_file"],
@@ -289,18 +289,18 @@ class TestSimulate:
         assert summary["config"]["simulation"]["seed"] == 99
         assert len(summary["replicas"]) == 1
 
-    @pytest.mark.parametrize("config,field", [
+    @pytest.mark.parametrize("config,message", [
         ([1, 2], "config: top-level JSON must be an object"),
         ({"graph": {"generator": {"kind": "complete", "n": 4}}, "policy": {"A_l": 5, "q_fork": 0.3},
           "simulation": 5}, "simulation: expected an object"),
     ], ids=["list-config", "int-simulation"])
     @pytest.mark.parametrize("flag", ["--seed", "--replicas"])
-    def test_overrides_on_a_malformed_config(self, tmp_path, capsys, config, field, flag):
+    def test_overrides_on_a_malformed_config(self, tmp_path, capsys, config, message, flag):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out), flag, "3"]) == 1
-        assert capsys.readouterr().err == f"config error: {field}\n"
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
