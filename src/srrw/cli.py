@@ -146,29 +146,44 @@ def run_replicas(resolved: ResolvedConfig) -> list[PopulationTrace]:
         return list(pool.map(_pool_run, seeds))
 
 
-def measured_rates(resolved: ResolvedConfig, traces: list[PopulationTrace]) -> tuple[float, float]:
-    """(forks, terminations) per token-step after the t_mix burn-in, in one pass over the traces."""
+def measured_rates(resolved: ResolvedConfig,
+                   traces: list[PopulationTrace]) -> dict[str, tuple[float, float]]:
+    """(forks, terminations) per token-step after the t_mix burn-in, by spec key: ``single``,
+    or ``low`` and ``high``, each over the steps its regime ran, in one pass over the traces.
+    A step's regime is replayed from the trace's Z history as the engine set it:
+    ``RegimePolicy.next_regime`` from ``initial_regime(Z_0)``. A regime that ran no step after
+    the burn-in observed no event, and both its rates read 0."""
     burn_in = resolved.t_mix
-    forks = terms = steps = 0
+    policy = resolved.policy
+    keys = ("low", "high") if isinstance(policy, RegimePolicy) else ("single",)
+    counts = np.zeros((len(keys), 3), dtype=np.int64)  # forks, terminations, token-steps
     for tr in traces:
         if tr.horizon <= burn_in:
             continue
-        forks += int(tr.forks[burn_in + 1:].sum())
-        terms += int(tr.terms[burn_in + 1:].sum())
-        steps += tr.token_steps(burn_in + 1, tr.horizon)
-    if steps == 0:
+        # each step after the burn-in: its events and the tokens it handled
+        forks, terms, z = tr.forks[burn_in + 1:], tr.terms[burn_in + 1:], tr.z[burn_in:-1]
+        high = np.zeros(z.size, dtype=bool)
+        if len(keys) == 2:
+            regime, seen = policy.initial_regime(int(tr.z[0])), []
+            for zt in tr.z[:-1].tolist():
+                regime = policy.next_regime(regime, zt)
+                seen.append(regime == "high")
+            high = np.array(seen[burn_in:])
+        for k, mask in enumerate((~high, high)[:len(keys)]):
+            counts[k] += forks[mask].sum(), terms[mask].sum(), z[mask].sum()
+    if counts[:, 2].sum() == 0:
         raise InsufficientDataError("no token-steps beyond the mixing burn-in")
-    return forks / steps, terms / steps
+    return {k: (f / s, m / s) if s else (0.0, 0.0) for k, (f, m, s) in zip(keys, counts.tolist())}
 
 
 def effective_age_interval(resolved: ResolvedConfig, traces: list[PopulationTrace],
                            model: EnvelopeModel | None = None,
-                           p_fork: float | None = None) -> dict:
+                           rates: dict | None = None) -> dict:
     """(effective-age interval, mode) by key, ``single`` or ``low`` and ``high``:
     ``uniform_identity`` (the common trigger), ``no_forking`` ([inf, inf], for a
     spec that never forks and any high regime that never forks) or ``measured``
-    (the envelope model inverted at the fork rate of ``traces``). The model and
-    the rate, unless given, are derived once and only for a measured spec."""
+    (the envelope model inverted at the spec's own fork rate in ``measured_rates``).
+    The model and the rates, unless given, are derived once and only for a measured spec."""
     policy = resolved.policy
     specs = ({"low": policy.low, "high": policy.high} if isinstance(policy, RegimePolicy)
              else {"single": policy})
@@ -181,8 +196,8 @@ def effective_age_interval(resolved: ResolvedConfig, traces: list[PopulationTrac
             out[key] = MatchingAgeInterval(math.inf, math.inf), "no_forking"
         else:
             model = build_envelope_model(resolved) if model is None else model
-            p_fork = measured_rates(resolved, traces)[0] if p_fork is None else p_fork
-            iv = solve_matching_age(model, spec.fork_cap, min(p_fork, spec.fork_cap))
+            rates = measured_rates(resolved, traces) if rates is None else rates
+            iv = solve_matching_age(model, spec.fork_cap, min(rates[key][0], spec.fork_cap))
             out[key] = iv, "measured"
     return out
 
@@ -310,8 +325,8 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
     """Feasibility plus corridor statistics; the shared core of check and sweep."""
     if model is None:
         model = build_envelope_model(resolved)
-    p_fork, k_term_measured = measured_rates(resolved, traces)
-    intervals = effective_age_interval(resolved, traces, model, p_fork)
+    rates = measured_rates(resolved, traces)
+    intervals = effective_age_interval(resolved, traces, model, rates)
     plan = block_plan_for(resolved, intervals)
     k_term_plugin = None
     laws = [tr.age_law for tr in traces if tr.age_law is not None]
@@ -325,24 +340,29 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
         except SrrwError:
             k_term_plugin = None
 
+    # viability reads the low regime's interval (its p_hat when measured), safety the high
+    # regime's k_hat; a flat policy's one spec serves both
     if isinstance(resolved.policy, RegimePolicy):
+        viable, safe = "low", "high"
         bundle = check_corridor_feasibility(
             model, resolved.traps,
             low=(resolved.policy.low.fork_cap, intervals["low"][0]),
-            high=(resolved.policy.high.fork_cap, intervals["high"][0], k_term_measured),
+            high=(resolved.policy.high.fork_cap, intervals["high"][0], rates["high"][1]),
         )
         feasibility = bundle.to_json_dict()
         feasibility["kind"] = "corridor"
     else:
+        viable = safe = "single"
         iv = intervals["single"][0]
         rep = check_feasibility(model, resolved.policy.fork_cap, iv, resolved.traps,
-                                k_term_measured)
+                                rates["single"][1])
         feasibility = rep.to_json_dict()
         feasibility["kind"] = "single"
     feasibility["a_eff_mode"] = {k: v[1] for k, v in intervals.items()}
-    feasibility["k_term_measured"] = k_term_measured
+    feasibility["k_term_measured"] = rates[safe][1]
     feasibility["k_term_plugin"] = k_term_plugin
-    feasibility["p_fork_measured"] = p_fork
+    feasibility["p_fork_measured"] = rates[viable][0]
+    feasibility["measured_rates"] = {k: {"p_fork": p, "k_term": m} for k, (p, m) in rates.items()}
     feasibility["envelope_source"] = model.source
 
     corridor_payload = None

@@ -19,10 +19,12 @@ constants); past ``DENSE_NODE_CAP`` nodes reading them raises
 holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
 multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
-is computed when it is first read. The padded neighbour and fork tables, and
-the edges of ``complete_graph``, raise ``ParameterError`` past
-``TABLE_BYTE_CAP`` bytes before they are allocated, and a graph or generator
-of more than ``NODE_CAP`` nodes raises it before any per-node array exists.
+is computed when it is first read. ``AliasRows`` draws token counts over
+padded rows, by multinomial or per token from Vose alias tables. The padded
+neighbour, fork and alias tables, and the edges of ``complete_graph``, raise
+``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are allocated,
+and a graph or generator of more than ``NODE_CAP`` nodes raises it before
+any per-node array exists.
 """
 from __future__ import annotations
 
@@ -422,6 +424,127 @@ class NeighbourTable:
                            minlength=counts.size).astype(np.int64)
 
 
+def alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias tables ``(cut, alias)`` of the rows of ``probs``: float64 and int32 arrays of
+    its shape (R, W).
+
+    A token drawing column c uniformly keeps it when a uniform coin falls
+    below ``cut[r, c]`` and takes ``alias[r, c]`` otherwise, so column c is
+    drawn with probability (``cut[r, c]`` + the sum of 1 - ``cut[r, c']`` over
+    the columns c' aliased to c) / W, which is ``probs[r, c]`` up to rounding.
+    A zero-probability column gets cut 0 and a column of positive
+    probability as its alias.
+
+    Vose's sweep runs over all rows at once. A row's scaled weights W p split
+    into light columns (below 1) and heavy ones; each round, every unfinished
+    row either lets its current heavy column cover its next light column, or,
+    once that heavy's remaining weight is at most 1, makes the heavy a light
+    column covered by the next heavy. A round moves one of two pointers of
+    every row, so there are at most W rounds of O(R) work.
+    """
+    rows, w = probs.shape
+    s = probs * w
+    cut = np.ones((rows, w))
+    alias = np.tile(np.arange(w, dtype=np.int32), (rows, 1))
+    heavy = s >= 1.0
+    order = np.argsort(heavy, axis=1, kind="stable")  # each row's columns, light ones first
+    # per row: the places in ``order`` of the next light column and of the current heavy
+    # one, and that heavy's remaining weight
+    lights = w - np.count_nonzero(heavy, axis=1)
+    i, j = np.zeros(rows, dtype=np.intp), lights.copy()
+    every = np.arange(rows)
+    weight = s[every, order[every, np.minimum(j, w - 1)]]
+    live = every
+    while True:
+        # a row is done when its heavies run out, or its lights do while the current heavy
+        # weighs more than 1 (then 1 up to rounding; any leftover keeps cut 1)
+        live = live[(j[live] < w) & ((i[live] < lights[live]) | (weight[live] <= 1.0))]
+        if not live.size:
+            return cut, alias
+        cover = weight[live] > 1.0
+        r = live[cover]
+        light, h = order[r, i[r]], order[r, j[r]]
+        cut[r, light] = s[r, light]
+        alias[r, light] = h
+        weight[r] -= 1.0 - s[r, light]
+        i[r] += 1
+        r = live[~cover]
+        j[r] += 1
+        r = r[j[r] < w]
+        spent, h = order[r, j[r] - 1], order[r, j[r]]
+        cut[r, spent] = weight[r]
+        alias[r, spent] = h
+        weight[r] = s[r, h] - (1.0 - weight[r])
+
+
+class AliasRows:
+    """An (R, W) array ``probs`` of categorical rows and its two draws, both exact in law.
+
+    ``draw`` splits ``tokens[i]`` tokens over row ``index[i]`` into (rows x W)
+    int64 counts: by one ``Generator.multinomial`` call, a binomial per cell,
+    or, when ``sparse`` holds, per token, a uniform column and a uniform coin
+    against that cell of the row's alias table, O(tokens) instead of O(rows x
+    W). The tables are built ``block`` rows at a time, on the first sparse draw
+    from the block, past ``TABLE_BYTE_CAP`` raising before they are allocated,
+    and kept: 12 bytes per cell, a float64 cut and an int32 alias held as its
+    offset from its own column, so a draw selects by arithmetic instead of a
+    branch per token.
+    """
+
+    def __init__(self, probs: np.ndarray, block: int):
+        self.probs = probs
+        self.width = probs.shape[1]
+        self.block = block
+        self._table_row = np.full(probs.shape[0], -1)  # each row's row in the tables, -1 until built
+        self._cut = np.empty(0)
+        self._offset = np.empty(0, dtype=np.int32)
+
+    def sparse(self, tokens: np.ndarray) -> bool:
+        """The density rule: draw per token when the tokens number at most half the cells of
+        their rows, 2 x tokens <= rows x W."""
+        return 2 * np.add.reduce(tokens) <= tokens.size * self.width
+
+    def _table_rows(self, index: np.ndarray) -> np.ndarray:
+        """The tables' row of each row in ``index``, building the tables of unbuilt blocks."""
+        rows = self._table_row.take(index)
+        if rows.size and np.minimum.reduce(rows) < 0:
+            w, block = self.width, self.block
+            # the unbuilt blocks (np.bincount, not np.unique: its first call costs about 15 ms)
+            starts = np.flatnonzero(np.bincount(index[rows < 0] // block)) * block
+            built = self._cut.size // w
+            new = np.concatenate([np.arange(a, min(a + block, self.probs.shape[0]))
+                                  for a in starts])
+            _check_bytes(12 * (built + new.size) * w,
+                         f"alias tables of {built + new.size} rows by {w}")
+            cut, alias = alias_tables(self.probs[new])
+            alias -= np.arange(w, dtype=np.int32)
+            self._cut = np.concatenate((self._cut, cut.ravel()))
+            self._offset = np.concatenate((self._offset, alias.ravel()))
+            self._table_row[new] = built + np.arange(new.size)
+            rows = self._table_row.take(index)
+        return rows
+
+    def draw(self, tokens: np.ndarray, index: np.ndarray, rng, sparse: bool) -> np.ndarray:
+        """(rows x W) int64 counts of ``tokens[i]`` tokens drawn from row ``index[i]``: per token
+        when ``sparse``, else by one multinomial call."""
+        if not sparse:
+            return rng.multinomial(tokens, self.probs.take(index, axis=0))
+        w = self.width
+        first = np.arange(0, index.size * w, w)  # each gathered row's first cell
+        # each token's cell in the gathered rows and in the tables
+        cell = first.repeat(tokens)
+        table = (self._table_rows(index) * w - first).repeat(tokens)
+        u = rng.random(cell.size)
+        u *= w
+        cell += u.astype(np.intp)  # a uniform column: below w for every uniform below 1
+        table += cell
+        aliased = rng.random(out=u) >= self._cut.take(table)
+        offset = self._offset.take(table)
+        offset *= aliased
+        cell += offset
+        return np.bincount(cell, minlength=index.size * w).reshape(index.size, w)
+
+
 class ForkTable:
     """Multinomial rows sending a fork's two tokens to distinct neighbours, and their draws.
 
@@ -475,6 +598,7 @@ class ForkTable:
         # rows n, n + 1, ... of ``dest`` are the traded rows of the nodes of degree above 1
         traded_row = n + np.cumsum(~single) - 1
         self.first = first
+        self.first_rows = AliasRows(first, n)
         self.second = second
         self.dest = dest
         self.edge_end = np.cumsum(table.support) - table.support + width - 1
@@ -483,18 +607,19 @@ class ForkTable:
             arr.setflags(write=False)
 
     def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None,
-                 rng) -> np.ndarray:
+                 rng, sparse: bool) -> np.ndarray:
         """Tokens landing on each node (as floats) from ``pairs[i]`` parent-and-copy
         pairs and ``lone[i]`` copies of trapped parents (``None`` when there are
-        none) leaving ``nodes[i]``: one multinomial call for all first targets,
-        one for the pairs' second targets. A pair lands on two distinct
-        neighbours (the single edge twice at degree 1); a lone copy on a first
-        target, which has the same law as a second."""
+        none) leaving ``nodes[i]``: one draw of all first targets from
+        ``first_rows`` (per token when ``sparse``), then one multinomial call for
+        the pairs' second targets. A pair lands on two distinct neighbours (the
+        single edge twice at degree 1); a lone copy on a first target, which has
+        the same law as a second."""
         m = nodes.size
         if lone is not None:
             nodes = np.concatenate((nodes, nodes))
             pairs = np.concatenate((pairs, lone))
-        first = rng.multinomial(pairs, self.first.take(nodes, axis=0))
+        first = self.first_rows.draw(pairs, nodes, rng, sparse)
         # every first target of a pair, as a flat index into ``first``
         hit = first[:m].ravel().nonzero()[0]
         i, a = np.divmod(hit, first.shape[1])

@@ -23,12 +23,19 @@ kernel, trap profile and event order:
   probability ``p_b / (1 - p_a)``: the law of two independent draws
   conditioned to differ. A trapped parent's copy takes the same marginal.
 
-A step makes at most three ``Generator.multinomial`` calls: one over the
-occupied nodes' rows, and for forks two in ``ForkTable.dispatch`` of the
-kernel's ``fork_table`` (first targets, then second targets), and it sums
-every landing into one per-node tally. A step costs O(occupied nodes x row
-width) whatever the population size; the row width is the largest degree +
-1, so hub graphs pay O(n) per row.
+A step makes three draws: one over the occupied nodes' rows, and for forks
+two in ``ForkTable.dispatch`` of the kernel's ``fork_table`` (first targets,
+then second targets), and it sums every landing into one per-node tally.
+The first two go through ``graphs.AliasRows``, whose two draws are exact in
+law. A *sparse* step, whose Z tokens number at most half the cells of their
+gathered rows (2 Z <= rows x row width), draws each token from the row's
+Vose alias table in O(Z), its first fork targets too; any other step makes
+one ``Generator.multinomial`` call, a binomial per cell in O(rows x width),
+cheaper on a few crowded rows. Second targets are always a multinomial.
+Alias tables take 12 bytes per cell for each (spec, age region) a sparse
+step draws from, and per node row of the fork table's first targets. The
+tally costs O(occupied nodes x row width) whatever the population size; the
+row width is the largest degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import StationaryDistribution, TransitionKernel
+from .graphs import AliasRows, StationaryDistribution, TransitionKernel
 from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
@@ -288,7 +295,9 @@ class StepRows:
     run in reversed slot order, so each row's last column is slot 0, a real
     neighbour: numpy's multinomial gives any rounding remainder to the last
     column. Node rows are built per policy spec on first use and reused for
-    the whole run; fork rows are the kernel's ``fork_table``.
+    the whole run, as ``AliasRows`` whose alias tables are built per age
+    region (a block of n rows) on the first sparse step that draws from it;
+    fork rows are the kernel's ``fork_table``.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -308,7 +317,7 @@ class StepRows:
         self.forks = kernel.fork_table()
         self._nodes = {}
 
-    def node_rows(self, spec: PolicySpec) -> np.ndarray:
+    def node_rows(self, spec: PolicySpec) -> AliasRows:
         """Row ``region * n + node``: trapped, acted then trapped, acted, moves."""
         key = id(spec)
         if key not in self._nodes:
@@ -328,7 +337,8 @@ class StepRows:
                 rows[:, :, _ACTED] = q * (1.0 - zeta)
                 rows[TERM, :, _ACTED] = spec.q_term
             rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
-            self._nodes[key] = (spec, rows.reshape(3 * self.node_count, -1))
+            self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
+                                                self.node_count))
         return self._nodes[key][1]
 
 
@@ -384,7 +394,9 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     tokens = state.counts.take(occ)
     ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages)
-    draws = rng.multinomial(tokens, rows.node_rows(spec).take(region * n + occ, axis=0))
+    node_rows = rows.node_rows(spec)
+    sparse = node_rows.sparse(tokens)
+    draws = node_rows.draw(tokens, region * n + occ, rng, sparse)
 
     if age_law is not None:
         # trap_first: trapped tokens never reach the policy stage
@@ -406,7 +418,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         pairs = pairs.take(f)
         n_pairs = int(np.add.reduce(pairs))
         lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
-        landed += rows.forks.dispatch(occ.take(f), pairs, lone, rng)
+        landed += rows.forks.dispatch(occ.take(f), pairs, lone, rng, sparse)
     counts = landed.astype(np.int64)
 
     # node clocks update once per visited node per step

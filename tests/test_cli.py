@@ -17,7 +17,7 @@ import srrw.config
 import srrw.graphs
 from srrw.cli import (_thread_cap, build_envelope_model, check_payloads, main, measured_rates,
                       run_replicas)
-from srrw.config import load_config, resolve_config
+from srrw.config import config_hash, load_config, resolve_config
 from srrw.errors import ConfigError, InsufficientDataError
 from srrw.population import PopulationTrace
 
@@ -481,9 +481,47 @@ class TestMeasuredRates:
         forks, terms = [0] * (t + 1) + [2, 1], [0] * (t + 1) + [0, 2]
         forks[t], terms[t] = 4, 4
         counted = self.trace(z, forks, terms)
-        assert measured_rates(resolved, [skipped, counted]) == (3 / 12, 2 / 12)
+        assert measured_rates(resolved, [skipped, counted]) == {"single": (3 / 12, 2 / 12)}
         with pytest.raises(InsufficientDataError, match="beyond the mixing burn-in"):
             measured_rates(resolved, [skipped])
+
+    def test_regime_rates_match_a_hand_replay(self, tmp_path):
+        # the regime of step t follows Z_(t-1): high above Z_high = 60, low below Z_low = 10,
+        # else the last one, from low (Z_0 = 30 is not above 60)
+        resolved = resolve_config(load_config(str(corridor_config(tmp_path))))
+        traces = run_replicas(resolved)
+        burn_in = resolved.t_mix
+        sums = {"low": np.zeros(3), "high": np.zeros(3)}
+        for tr in traces:
+            regime = "low"
+            for t in range(1, tr.horizon + 1):
+                z = int(tr.z[t - 1])
+                regime = "high" if z > 60 else "low" if z < 10 else regime
+                if t > burn_in:
+                    sums[regime] += (tr.forks[t], tr.terms[t], z)
+        assert all(steps > 0 for _, _, steps in sums.values())
+        rates = measured_rates(resolved, traces)
+        assert rates.keys() == sums.keys()
+        for key, (forks, terms, steps) in sums.items():
+            assert rates[key] == pytest.approx((forks / steps, terms / steps), rel=1e-12)
+        # the high regime's own termination rate, not one pooled over both regimes
+        pooled = sum(s[1] for s in sums.values()) / sum(s[2] for s in sums.values())
+        assert rates["high"][1] > 1.5 * pooled
+        feas = check_payloads(resolved, traces)["feasibility"]
+        assert feas["high_regime"]["k_term"] == feas["k_term_measured"] == rates["high"][1]
+        assert feas["p_fork_measured"] == rates["low"][0]
+        assert feas["measured_rates"] == {k: {"p_fork": p, "k_term": m}
+                                          for k, (p, m) in rates.items()}
+
+    def test_regime_without_steps_reads_zero(self, tmp_path):
+        # Z_0 = 30 never leaves the low regime when nothing forks or terminates
+        cfg = corridor_config(tmp_path)
+        raw = load_config(str(cfg))
+        raw["policy"]["regime"]["low"]["q_fork"] = 0.0
+        raw["traps"]["zeta"] = 0.0
+        resolved = resolve_config(raw)
+        rates = measured_rates(resolved, run_replicas(resolved))
+        assert rates == {"low": (0.0, 0.0), "high": (0.0, 0.0)}
 
 
 class TestSpectralGapOnRead:
@@ -1111,6 +1149,16 @@ class TestSweepPoints:
             {"q": q, "kappa": k} for q in (0.1, 0.2) for k in (4.0, 5.0, 6.0)]
         assert all(p.traps is base.traps for p in configs)
         assert len({id(p.policy) for p in configs}) == 2
+
+    def test_every_hash_equals_the_hash_of_its_raw(self):
+        # spliced from the sections' JSON, each hash is that of the point's whole raw config
+        cfg = dict(self.BASE, graph={"edges": [[0, 1, 2.5], [1, 2], [0, 2], [2, 3, 0.5]]},
+                   sweep={"q": [0.1, 0.2], "A_l": [2, 3], "zeta_scale": [0.5, 3.0],
+                          "kappa": [4, 5]})
+        base = resolve_config(cfg)
+        assert len(base.points) == 16 and base.hash == config_hash(base.raw)
+        assert all(p.hash == config_hash(p.raw) for _, p in base.points)
+        assert len({p.hash for _, p in base.points} | {base.hash}) == 17
 
     def test_pool_pickles_one_config(self):
         base = resolve_config(dict(self.BASE, sweep={"q": [0.1, 0.2]}))

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import srrw.graphs
 import srrw.population
 from srrw.errors import InsufficientDataError, ParameterError
 from srrw.graphs import (
+    AliasRows,
     Graph,
+    alias_tables,
     complete_graph,
     erdos_renyi_graph,
     lazy_kernel,
@@ -153,9 +156,11 @@ class TestStepMemory:
         rows = StepRows(kernel, TrapProfile.uniform(n, 0.02), order)
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
         state = at_time(5, np.full(n, 10))
-        step(state, rows, spec, np.random.default_rng(0))  # builds the node and fork rows
-        # every node is occupied and in the fork region: one gathered row per node
-        gathered = rows.node_rows(spec)[:n].nbytes
+        step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
+        # every node is occupied and in the fork region: one gathered row per node, and
+        # 10 tokens per 26-column row make the step sparse
+        gathered = rows.node_rows(spec).probs[:n].nbytes
+        assert rows.node_rows(spec).sparse(state.counts)
         tracemalloc.start()
         try:
             nxt, counts = step(state, rows, spec, np.random.default_rng(1))
@@ -163,7 +168,8 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert counts.forks > 0 and nxt.alive == state.alive + counts.net
-        # measured 3.2x; with the landings joined by np.concatenate it was 7.1x
+        # measured 3.2x, per token (this step is sparse) as by multinomial; with the
+        # landings joined by np.concatenate it was 7.1x
         assert peak <= 4 * gathered, peak / gathered
 
 
@@ -583,6 +589,143 @@ class TestAgainstTokenEngine:
         assert min(p_values.values()) > 1e-3, p_values
 
 
+def weighted_er():
+    """ER(30, 0.2) with weights spread over three orders of magnitude."""
+    g = erdos_renyi_graph(30, 0.2, seed=3)
+    weights = np.random.default_rng(4).uniform(-1.5, 1.5, g.edge_count)
+    return Graph(g.node_count, g.edges, 10.0 ** weights)
+
+
+LAW_GRAPHS = {
+    "K4": lambda: complete_graph(4),
+    "er30": lambda: erdos_renyi_graph(30, 0.15, seed=1),
+    "weighted_er30": weighted_er,
+    "star40": lambda: star_graph(40),
+    "path6": lambda: path_graph(6),
+}
+
+
+def law_policy(kind, n):
+    """A spec whose nodes reach all three age regions, or the corridor's regime pair."""
+    if kind == "spec":
+        odd = np.arange(n) % 2 == 1
+        return PolicySpec(n, a_long=np.where(odd, 3.0, 2.0), a_short=np.where(odd, 1.0, 0.0),
+                          q_fork=0.3, q_term=0.4)
+    return RegimePolicy(PolicySpec.uniform(n, a_long=1.0, q_fork=0.15),
+                        PolicySpec.uniform(n, a_long=2.0**40, a_short=2.0**40 - 1,
+                                           q_fork=0.0, q_term=0.1), z_low=20, z_high=200)
+
+
+def law_traps(n):
+    return TrapProfile(np.random.default_rng(n).uniform(0.0, 0.3, n))
+
+
+class TestPerTokenDraw:
+    """The per-token draw of sparse steps: its alias tables and its law."""
+
+    @staticmethod
+    def table_law(cut, alias):
+        """Each row's law as its alias table draws it."""
+        rows, w = cut.shape
+        law = cut.copy()
+        np.add.at(law, (np.repeat(np.arange(rows), w), alias.ravel()), (1.0 - cut).ravel())
+        return law / w
+
+    @staticmethod
+    def all_rows(kernel, traps, policy, order):
+        """(AliasRows, every row index) of each node-row table of a run, then the fork rows."""
+        rows = StepRows(kernel, traps, order)
+        n = kernel.node_count
+        specs = [policy.low, policy.high] if isinstance(policy, RegimePolicy) else [policy]
+        return ([(rows.node_rows(spec), np.arange(3 * n)) for spec in specs]
+                + [(rows.forks.first_rows, np.arange(n))])
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("kind", ["spec", "regime"])
+    @pytest.mark.parametrize("name", sorted(LAW_GRAPHS))
+    def test_tables_reproduce_rows(self, name, kind, order):
+        k = lazy_kernel(LAW_GRAPHS[name](), 0.5)
+        n = k.node_count
+        for table, index in self.all_rows(k, law_traps(n), law_policy(kind, n), order):
+            probs = table.probs[index]
+            cut, alias = alias_tables(probs)
+            assert cut.dtype == np.float64 and alias.dtype == np.int32
+            assert np.abs(self.table_law(cut, alias) - probs).max() <= 1e-12
+            # zero columns (padding, trap_first's acted-then-trapped column) are never kept,
+            # and alias a column that can be drawn
+            zero = probs == 0.0
+            assert zero.any() or name == "K4"
+            assert np.all(cut[zero] == 0.0)
+            assert np.all(np.take_along_axis(probs, alias, axis=1)[zero] > 0.0)
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("name,kind", [("er30", "regime"), ("weighted_er30", "spec"),
+                                           ("star40", "spec"), ("star40", "regime")])
+    def test_draws_follow_rows(self, name, kind, order):
+        # random states: tokens on random nodes with random ages, so rows of every region
+        k = lazy_kernel(LAW_GRAPHS[name](), 0.5)
+        n = k.node_count
+        rng = np.random.default_rng(500)
+        for table, index in self.all_rows(k, law_traps(n), law_policy(kind, n), order):
+            # the per-token path, forced on many tokens per row for the test's power: a coin
+            # biased by 2% against the cuts fails here
+            gathered = rng.choice(index, size=min(12, index.size), replace=False)
+            tokens = rng.integers(10_000, 20_000, size=gathered.size)
+            reps = 10
+            counts = sum(table.draw(tokens, gathered, rng, True) for _ in range(reps))
+            assert np.array_equal(counts.sum(axis=1), reps * tokens)
+            expected = reps * tokens[:, None] * table.probs[gathered]
+            assert chi2_p(counts.ravel(), expected.ravel()) > 1e-3
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 14, 26, 303, 2003, 2**13 + 1])
+    def test_column_below_width_at_the_largest_uniform(self, width):
+        class LargestUniform:
+            """A generator whose every uniform is the largest double below 1."""
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, 1.0 - 2.0**-53)
+                out[...] = 1.0 - 2.0**-53
+                return out
+
+        probs = np.full((2, width), 1.0 / width)
+        counts = AliasRows(probs, 2).draw(np.array([3, 5]), np.array([1, 0]), LargestUniform(),
+                                          True)
+        assert counts.shape == (2, width)
+        cut, alias = alias_tables(probs[:1])
+        col = alias[0, -1] if cut[0, -1] <= 1.0 - 2.0**-53 else width - 1
+        assert counts[:, col].tolist() == [3, 5]
+
+    def test_density_rule(self):
+        table = AliasRows(np.full((4, 5), 0.2), 4)
+        assert table.sparse(np.array([2, 3]))       # 10 tokens on 10 cells: 2 x 5 <= 10
+        assert not table.sparse(np.array([3, 3]))   # 12 tokens: 2 x 6 > 10
+
+    def test_whole_runs_match_the_multinomial_path(self, monkeypatch):
+        # corridor-like: ER(30, 0.15), the corridor's regime pair, traps everywhere;
+        # every step of one side per token, every step of the other by multinomial
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        policy = RegimePolicy(PolicySpec.uniform(30, a_long=1.0, q_fork=0.15),
+                              PolicySpec.uniform(30, a_long=2.0**40, a_short=2.0**40 - 1,
+                                                 q_fork=0.0, q_term=0.10), z_low=20, z_high=60)
+        traps = TrapProfile.uniform(30, 0.05)
+        runs = {}
+        for path, rule in (("token", True), ("multinomial", False)):
+            with monkeypatch.context() as m:
+                m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: rule)
+                runs[path] = [run_population(k, policy, traps, z0=40, horizon=40,
+                                             rng_seed=700_000 + r, collect_age_law=True)
+                              for r in range(300)]
+        assert all(tr.conservation_violations() == 0 for trs in runs.values() for tr in trs)
+        p_values = {"Z_T": stats.ks_2samp(*[[int(tr.z[-1]) for tr in trs]
+                                            for trs in runs.values()]).pvalue}
+        for column in ("forks", "terms", "trap_dels"):
+            p_values[column] = stats.ks_2samp(*[[int(getattr(tr, column).sum()) for tr in trs]
+                                                for trs in runs.values()]).pvalue
+        p_values["age_law"] = permutation_chi2_p(*[[age_hist(tr) for tr in trs]
+                                                   for trs in runs.values()])
+        assert min(p_values.values()) > 1e-3, p_values
+
+
 def identity_policy(kind, n):
     if kind == "spec":
         # even nodes fork at every visit; odd nodes terminate at age 1 and fork from age 3
@@ -599,11 +742,15 @@ def identity_policy(kind, n):
 
 class TestAgainstFrozenStep:
     """Whole runs against the 0.2.0 step in ``step_v020``: the same draws in the
-    same order, so equal traces and age laws, not merely equal in law."""
+    same order, so equal traces and age laws, not merely equal in law. The
+    current engine is pinned to its multinomial draws, the path 0.2.0 had;
+    ``TestAgainstTokenEngine`` and ``TestPerTokenDraw`` cover the per-token one."""
 
     def pair(self, monkeypatch, kernel, **args):
         """(current, frozen) runs of ``run_population`` with the same arguments."""
-        current = run_population(kernel, **args)
+        with monkeypatch.context() as m:
+            m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: False)
+            current = run_population(kernel, **args)
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "step", step_v020.step)
             m.setattr(srrw.population, "StepRows", step_v020.StepRows)
