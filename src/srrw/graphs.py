@@ -496,6 +496,8 @@ class AliasRows:
         self.width = probs.shape[1]
         self.block = block
         self._table_row = np.full(probs.shape[0], -1)  # each row's row in the tables, -1 until built
+        # each block's first row in the tables, -1 until built (a block's rows are built together)
+        self._block_start = np.full(-(-probs.shape[0] // block), -1)
         self._cut = np.empty(0)
         self._offset = np.empty(0, dtype=np.int32)
 
@@ -504,8 +506,11 @@ class AliasRows:
         their rows, 2 x tokens <= rows x W."""
         return 2 * np.add.reduce(tokens) <= tokens.size * self.width
 
-    def _table_rows(self, index: np.ndarray) -> np.ndarray:
-        """The tables' row of each row in ``index``, building the tables of unbuilt blocks."""
+    def _table_rows(self, index: np.ndarray, block: int | None) -> np.ndarray:
+        """The tables' row of each row in ``index``, building the tables of unbuilt blocks; when
+        every row of ``index`` lies in ``block``, a built block's rows come by one offset."""
+        if block is not None and self._block_start[block] >= 0:
+            return index + (self._block_start[block] - block * self.block)
         rows = self._table_row.take(index)
         if rows.size and np.minimum.reduce(rows) < 0:
             w, block = self.width, self.block
@@ -521,28 +526,45 @@ class AliasRows:
             self._cut = np.concatenate((self._cut, cut.ravel()))
             self._offset = np.concatenate((self._offset, alias.ravel()))
             self._table_row[new] = built + np.arange(new.size)
+            self._block_start[starts // block] = self._table_row[starts]
             rows = self._table_row.take(index)
         return rows
 
-    def draw(self, tokens: np.ndarray, index: np.ndarray, rng, sparse: bool) -> np.ndarray:
-        """(rows x W) int64 counts of ``tokens[i]`` tokens drawn from row ``index[i]``: per token
-        when ``sparse``, else by one multinomial call."""
-        if not sparse:
-            return rng.multinomial(tokens, self.probs.take(index, axis=0))
+    def cells(self, tokens: np.ndarray, index: np.ndarray,
+              block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row in
+        the gathered (rows x W) rows flattened, and the offset from there to its row in the
+        tables. ``pick`` draws each token's cell from them. ``block`` is the one block of
+        ``index``'s rows, when there is one."""
         w = self.width
         first = np.arange(0, index.size * w, w)  # each gathered row's first cell
-        # each token's cell in the gathered rows and in the tables
-        cell = first.repeat(tokens)
-        table = (self._table_rows(index) * w - first).repeat(tokens)
-        u = rng.random(cell.size)
-        u *= w
-        cell += u.astype(np.intp)  # a uniform column: below w for every uniform below 1
+        return first.repeat(tokens), (self._table_rows(index, block) * w - first).repeat(tokens)
+
+    def pick(self, cell: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The drawn cell of each token of ``cells``, in the gathered rows flattened, from at
+        least 2 x tokens uniforms ``u``: the first half (overwritten) draws a uniform column,
+        the second half a coin against that cell's cut. ``cell`` and ``table`` are consumed."""
+        w, z = self.width, cell.size
+        col = u[:z]
+        col *= w
+        cell += col.astype(np.intp)  # a uniform column: below w for every uniform below 1
         table += cell
-        aliased = rng.random(out=u) >= self._cut.take(table)
+        aliased = u[z:2 * z] >= self._cut.take(table)
         offset = self._offset.take(table)
         offset *= aliased
         cell += offset
-        return np.bincount(cell, minlength=index.size * w).reshape(index.size, w)
+        return cell
+
+    def draw(self, tokens: np.ndarray, index: np.ndarray, rng, sparse: bool,
+             block: int | None = None) -> np.ndarray:
+        """(rows x W) int64 counts of ``tokens[i]`` tokens drawn from row ``index[i]``: per token
+        when ``sparse``, with all uniforms from one ``rng.random`` call, else by one multinomial
+        call. ``block`` is the one block of ``index``'s rows, when there is one."""
+        if not sparse:
+            return rng.multinomial(tokens, self.probs.take(index, axis=0))
+        cell, table = self.cells(tokens, index, block)
+        return np.bincount(self.pick(cell, table, rng.random(2 * cell.size)),
+                           minlength=index.size * self.width).reshape(index.size, self.width)
 
 
 class ForkTable:
@@ -619,7 +641,7 @@ class ForkTable:
         if lone is not None:
             nodes = np.concatenate((nodes, nodes))
             pairs = np.concatenate((pairs, lone))
-        first = self.first_rows.draw(pairs, nodes, rng, sparse)
+        first = self.first_rows.draw(pairs, nodes, rng, sparse, 0)
         # every first target of a pair, as a flat index into ``first``
         hit = first[:m].ravel().nonzero()[0]
         i, a = np.divmod(hit, first.shape[1])

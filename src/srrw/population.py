@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .graphs import AliasRows, StationaryDistribution, TransitionKernel
-from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
+from .policy import FORK, PASS, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
 # largest block multiplier a config takes: kappa * a_eff stays finite for any
@@ -337,9 +337,23 @@ class StepRows:
                 rows[:, :, _ACTED] = q * (1.0 - zeta)
                 rows[TERM, :, _ACTED] = spec.q_term
             rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
+            triggers = (spec.a_long.max(), spec.a_long.min(), spec.a_short.min(),
+                        spec.a_short.max())
             self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
-                                                self.node_count))
+                                                self.node_count), triggers)
         return self._nodes[key][1]
+
+    def uniform_region(self, spec: PolicySpec, t: int) -> int | None:
+        """The age region of every visit at step ``t`` when the triggers of ``spec`` put every
+        age 1..t at every node in one region, else None; ``node_rows(spec)`` comes first."""
+        long_max, long_min, short_min, short_max = self._nodes[id(spec)][2]
+        if long_max <= 1:
+            return FORK
+        if long_min > t and short_min >= t:
+            return TERM
+        if long_min > t and short_max < 1:
+            return PASS
+        return None
 
 
 @dataclass
@@ -392,11 +406,14 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     n = rows.node_count
     occ = state.counts.nonzero()[0]
     tokens = state.counts.take(occ)
-    ages = t - state.last_visit.take(occ)
-    region = spec.region(occ, ages)
     node_rows = rows.node_rows(spec)
+    # ages run 1..t, so triggers that put them all in one region need no per-node rule
+    block = rows.uniform_region(spec, t)
+    if block is None or age_law is not None:
+        ages = t - state.last_visit.take(occ)
+    region = spec.region(occ, ages) if block is None else block
     sparse = node_rows.sparse(tokens)
-    draws = node_rows.draw(tokens, region * n + occ, rng, sparse)
+    draws = node_rows.draw(tokens, region * n + occ, rng, sparse, block)
 
     if age_law is not None:
         # trap_first: trapped tokens never reach the policy stage
