@@ -17,11 +17,13 @@ medians over a single round, the round-to-round spread.
 
 The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
 20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
-with the age law collected, ER(1000, 0.01) at Z of about 10k, and a hub:
-star(300) at about 10 tokens per node, whose rows are as wide as the graph;
-each in both event orders. Each engine case also prints the share of its
-run's steps that the engine drew per token (``AliasRows.sparse``) rather
-than by multinomial. The return-time case moves the walkers of the corridor
+with the age law collected, ER(1000, 0.01) at Z of about 10k, a hub:
+star(300) at about 10 tokens per node, whose rows are as wide as the graph,
+and the dense K(150) at 10 tokens per node; each in both event orders. Each
+engine case also prints the share of its run's steps that the engine drew
+per token (``AliasRows.sparse``) rather than by multinomial, and the share
+of its fork draws made per token (``ForkTable.dense`` false) rather than by
+one multinomial over the pair rows. The return-time case moves the walkers of the corridor
 graph's envelope fit: 20k walkers started at node 0, until all have returned.
 
 In-process times miss what depends on the allocator's state: glibc raises
@@ -49,6 +51,7 @@ import time
 
 import numpy as np
 
+import srrw.graphs
 import srrw.population
 import srrw.return_time
 from srrw.config import resolve_config
@@ -81,6 +84,12 @@ CASES = {
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.02},
         "simulation": {"Z_0": 3_000, "horizon": 100, "seed": 1},
+    },
+    "k150": {
+        "graph": {"generator": {"kind": "complete", "n": 150}},
+        "traps": {"nodes": "all", "zeta": 0.02},
+        "policy": {"A_l": 1, "q_fork": 0.02},
+        "simulation": {"Z_0": 1_500, "horizon": 100, "seed": 1},
     },
 }
 ORDERS = ("trap_first", "policy_first")
@@ -121,30 +130,41 @@ def specs_of(policy) -> list:
     return [policy.low, policy.high] if hasattr(policy, "low") else [policy]
 
 
-def record_states(config: dict, order: str, limit: int) -> tuple[list[tuple], float]:
-    """(state, index of the spec) of up to ``limit`` steps spread over one run, and the share
-    of the run's steps drawn per token."""
+def record_states(config: dict, order: str,
+                  limit: int) -> tuple[list[tuple], float, float]:
+    """(state, index of the spec) of up to ``limit`` steps spread over one run, the share of
+    the run's steps drawn per token, and the share of its fork draws made per token (nan
+    without forks)."""
     resolved = resolve_config({"laziness": 0.5, **config})
     sim = resolved.simulation
     specs = specs_of(resolved.policy)
     seen = []
     per_token = []
-    real = srrw.population.step
+    fork_per_token = []
+    real, real_dense = srrw.population.step, srrw.graphs.ForkTable.dense
 
     def recording(state, rows, spec, rng, age_law=None):
         seen.append((state, next(i for i, s in enumerate(specs) if s is spec)))
         per_token.append(rows.node_rows(spec).sparse(state.counts[state.counts.nonzero()]))
         return real(state, rows, spec, rng, age_law)
 
+    def recording_dense(self, tokens, rows):
+        dense = real_dense(self, tokens, rows)
+        fork_per_token.append(not dense)
+        return dense
+
     srrw.population.step = recording
+    srrw.graphs.ForkTable.dense = recording_dense
     try:
         srrw.population.run_population(resolved.kernel, resolved.policy, resolved.traps,
                                        z0=sim["Z_0"], horizon=sim["horizon"],
                                        rng_seed=sim["seed"], z_cap=sim["Z_cap"], order=order)
     finally:
         srrw.population.step = real
+        srrw.graphs.ForkTable.dense = real_dense
     picks = np.unique(np.linspace(0, len(seen) - 1, min(limit, len(seen))).astype(int))
-    return [seen[i] for i in picks], float(np.mean(per_token))
+    fork_share = float(np.mean(fork_per_token)) if fork_per_token else float("nan")
+    return [seen[i] for i in picks], float(np.mean(per_token)), fork_share
 
 
 def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
@@ -264,35 +284,38 @@ def main(argv=None) -> int:
     jobs = []
     for name, config in CASES.items():
         for order in ORDERS:
-            states, per_token = record_states(config, order, STATES)
+            states, per_token, fork_per_token = record_states(config, order, STATES)
             sides = [Side(srrw, config, order)]
             if baseline is not None:
                 sides.append(Side(baseline, config, order))
-            jobs.append((name, order, states, f"{per_token:.2f}", sides))
+            jobs.append((name, order, states, f"{per_token:.2f}", f"{fork_per_token:.2f}",
+                         sides))
     name, u, walkers = RETURN_TIME
     config = CASES[name]
     sides = [MoveSide(srrw, config)]
     if baseline is not None:
         sides.append(MoveSide(baseline, config))
-    jobs.append(("return_time", "-", record_moves(config, u, walkers, STATES), "-", sides))
+    jobs.append(("return_time", "-", record_moves(config, u, walkers, STATES), "-", "-", sides))
     # build each side's tables and node rows before timing
-    for _, _, states, _, sides in jobs:
+    for *_, states, _, _, sides in jobs:
         for side in sides:
             side.warm_up(states)
     for _ in range(ROUNDS):
-        for _, _, states, _, sides in jobs:
+        for *_, states, _, _, sides in jobs:
             for k, args in enumerate(states):
                 # the first call on a state runs slower, so the sides take turns going first
                 for side in sides[::-1] if k % 2 else sides:
                     side.time_step(*args)
 
-    header = f"{'case':<14} {'order':<13} {'states':>6} {'per-token':>9} {'us/step p50':>12}"
+    header = (f"{'case':<14} {'order':<13} {'states':>6} {'per-token':>9} {'fork per-token':>14}"
+              f" {'us/step p50':>12}")
     if baseline is not None:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
     print(header)
-    for name, order, states, per_token, sides in jobs:
+    for name, order, states, per_token, fork_per_token, sides in jobs:
         p50 = [1e6 * float(np.median(side.times)) for side in sides]
-        line = f"{name:<14} {order:<13} {len(states):>6} {per_token:>9} {p50[0]:>12.1f}"
+        line = (f"{name:<14} {order:<13} {len(states):>6} {per_token:>9} {fork_per_token:>14}"
+                f" {p50[0]:>12.1f}")
         if baseline is not None:
             # the spread of the ratio between rounds, each round's medians apart
             rounds = np.divide(*(np.median(np.reshape(side.times, (ROUNDS, -1)), axis=1)

@@ -20,8 +20,10 @@ holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
 multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
 is computed when it is first read. ``AliasRows`` draws token counts over
-padded rows, by multinomial or per token from Vose alias tables. The padded
-neighbour, fork and alias tables, and the edges of ``complete_graph``, raise
+padded rows, by multinomial or per token from Vose alias tables, and
+``ForkTable`` draws each fork's pair of distinct targets in one draw, by
+multinomial over ordered-pair rows or per token. The padded neighbour,
+fork, pair and alias tables, and the edges of ``complete_graph``, raise
 ``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are allocated,
 and a graph or generator of more than ``NODE_CAP`` nodes raises it before
 any per-node array exists.
@@ -530,14 +532,15 @@ class AliasRows:
             rows = self._table_row.take(index)
         return rows
 
-    def cells(self, tokens: np.ndarray, index: np.ndarray,
-              block: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row in
-        the gathered (rows x W) rows flattened, and the offset from there to its row in the
-        tables. ``pick`` draws each token's cell from them. ``block`` is the one block of
-        ``index``'s rows, when there is one."""
+    def cells(self, tokens: np.ndarray, index: np.ndarray, block: int | None = None,
+              first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row,
+        ``first[i]`` (by default its row's in the gathered (rows x W) rows flattened), and the
+        offset from there to its row in the tables. ``pick`` draws each token's cell from them.
+        ``block`` is the one block of ``index``'s rows, when there is one."""
         w = self.width
-        first = np.arange(0, index.size * w, w)  # each gathered row's first cell
+        if first is None:
+            first = np.arange(0, index.size * w, w)
         return first.repeat(tokens), (self._table_rows(index, block) * w - first).repeat(tokens)
 
     def pick(self, cell: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -568,91 +571,147 @@ class AliasRows:
 
 
 class ForkTable:
-    """Multinomial rows sending a fork's two tokens to distinct neighbours, and their draws.
+    """The fork draw: a parent and its copy sent to two distinct neighbours, in one draw.
 
-    Built from the walk's ``NeighbourTable``. Columns run in reversed slot
-    order, so each row's last column is slot 0, a real neighbour: numpy's
-    multinomial gives any rounding remainder to the last column.
+    Built from the base walk's ``NeighbourTable``, whose columns run in
+    reversed slot order, so each row's last column is slot 0, a real
+    neighbour. A pair leaving u lands on the ordered pair (a, b), a != b,
+    with probability ``p_a p_b / (1 - sum p^2)``, the law of two independent
+    neighbour draws conditioned to differ; at degree 1 it takes the single
+    edge twice. The draw is either of two, both exact in law:
 
-    - ``first[u]``: the first target a of a pair leaving u, with probability
-      ``p_a (1 - p_a) / (1 - sum p^2)`` (the single edge at degree 1).
-    - ``second[e]``: the second target b of the pair whose first target is
-      the directed edge e = u -> a, with probability ``p_b / (1 - p_a)`` over
-      b != a (the single edge again at degree 1). When a is slot 0, slot 1
-      trades places with it so that the last column stays a real neighbour.
-      Edges are numbered node by node in slot order, so the edge of u's
-      column c is ``edge_end[u] - c``. 2|E| rows of the table width:
-      ``16 |E| x width`` bytes.
-    - ``dest``: the node of every column; row u for the rows of ``first``,
-      row ``edge_dest[e]`` for those of ``second`` (past row n, a traded row
-      when the first target is slot 0).
+    - *dense*: one ``Generator.multinomial`` call over the pair rows of
+      ``pair_rows``, one (n, W^2) array whose cell a W + b holds the pair
+      (a, b), except that the last two cells trade places so that the last,
+      where numpy's rounding remainder lands, is (slot 0, slot 1), a real
+      pair at degree 2 and above; ``pair_a`` and ``pair_b`` name each cell's
+      two columns. The rows take 8 n W^2 bytes, are built on the first dense
+      draw and kept, and past ``TABLE_BYTE_CAP`` they are never built: every
+      draw then goes per token;
+    - *per token*: the first target a from the alias tables of
+      ``first_rows``, whose rows ``first`` are the first-target marginals
+      ``p_a (1 - p_a) / (1 - sum p^2)``; then the second b by a bisection of
+      ceil(log2 W) rounds in row u of ``cum`` (``cum[u, c]`` = p_0 + ... +
+      p_(c-1)), for a uniform on [0, 1 - p_a) that skips the interval of a:
+      the law ``p_b / (1 - p_a)`` over b != a.
 
-    Together the two stages draw the law of two independent neighbour draws
-    conditioned to differ; ``dispatch`` draws them and is the one reader of this
-    layout. The three arrays take 8 x width x (2 n + 2|E| +
-    nodes of degree above 1) bytes, about 8 n^3 on K(n); past
-    ``TABLE_BYTE_CAP`` the constructor raises ``ParameterError`` before
-    allocating them.
+    A lone copy of a trapped parent lands on the first target of a pair,
+    which has the same law as the second. ``dest`` is the node of every
+    column; at degree 1 the padding column next to slot 0 also names the
+    single neighbour, so the second target needs no case of its own.
+    ``first``, ``cum`` and ``dest`` take 24 n W bytes, and the alias tables 12
+    n W once built; past ``TABLE_BYTE_CAP`` the constructor raises
+    ``ParameterError`` before allocating them.
     """
 
     def __init__(self, table: NeighbourTable):
         n, width = table.nbr.shape
-        single = table.support == 1
-        rows = 2 * n + int(table.support.sum()) + int(np.count_nonzero(~single))
-        _check_bytes(8 * width * rows, f"a fork table of {rows} rows by {width}")
+        _check_bytes(24 * n * width, f"a fork table of {n} rows by {width}")
         prob = table.prob[:, ::-1]
+        single = table.support == 1
         first = prob * (1.0 - prob)
         with np.errstate(invalid="ignore"):
             first /= first.sum(axis=1, keepdims=True)
         first[single] = prob[single]
-        edge_node, slot = np.nonzero(np.arange(width) < table.support[:, None])
-        col = width - 1 - slot
-        # the first target's column is cleared (kept at degree 1); a slot-0
-        # first target trades places with slot 1
-        second = prob[edge_node]
-        second[np.arange(edge_node.size), col] = single[edge_node].astype(float)
-        traded = (col == width - 1) & ~single[edge_node]
-        second[traded, -2:] = second[traded, :-3:-1]
-        second /= second.sum(axis=1, keepdims=True)
-        nbr = table.nbr[:, ::-1]
-        dest = np.vstack([nbr, nbr[~single]])
-        dest[n:, -2:] = dest[n:, :-3:-1]
-        # rows n, n + 1, ... of ``dest`` are the traded rows of the nodes of degree above 1
-        traded_row = n + np.cumsum(~single) - 1
+        cum = np.zeros((n, width))
+        np.cumsum(prob[:, :-1], axis=1, out=cum[:, 1:])
+        dest = table.nbr[:, ::-1].copy()
+        if width > 1:
+            dest[single, -2] = dest[single, -1]
+        self.prob = prob
         self.first = first
         self.first_rows = AliasRows(first, n)
-        self.second = second
+        self.cum = cum
         self.dest = dest
-        self.edge_end = np.cumsum(table.support) - table.support + width - 1
-        self.edge_dest = np.where(traded, traded_row[edge_node], edge_node)
-        for arr in (first, second, dest, self.edge_end, self.edge_dest):
+        self._single = single
+        self._pairs = None
+        self.pair_a = self.pair_b = None  # each pair cell's two columns, built with the rows
+        for arr in (first, cum, dest, single):
             arr.setflags(write=False)
 
-    def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None,
-                 rng, sparse: bool) -> np.ndarray:
-        """Tokens landing on each node (as floats) from ``pairs[i]`` parent-and-copy
-        pairs and ``lone[i]`` copies of trapped parents (``None`` when there are
-        none) leaving ``nodes[i]``: one draw of all first targets from
-        ``first_rows`` (per token when ``sparse``), then one multinomial call for
-        the pairs' second targets. A pair lands on two distinct neighbours (the
-        single edge twice at degree 1); a lone copy on a first target, which has
-        the same law as a second."""
+    def pair_rows(self) -> np.ndarray:
+        """The (n, W^2) ordered-pair rows of the dense draw, built on first use; past
+        ``TABLE_BYTE_CAP`` raises ``ParameterError`` before allocating them."""
+        if self._pairs is None:
+            n, w = self.first.shape
+            _check_bytes(8 * n * w * w, f"fork pair rows of {n} rows by {w * w}")
+            pairs = np.empty((n, w * w))
+            cube = pairs.reshape(n, w, w)
+            np.multiply(self.prob[:, :, None], self.prob[:, None, :], out=cube)
+            cube[:, np.arange(w), np.arange(w)] = 0.0
+            cube[self._single, -1, -1] = 1.0
+            pairs[:, -2:] = pairs[:, :-3:-1].copy()
+            pairs /= pairs.sum(axis=1, keepdims=True)
+            a, b = np.divmod(np.arange(w * w), w)
+            if w > 1:
+                b[-2:] = w - 1, w - 2
+            for arr in (pairs, a, b):
+                arr.setflags(write=False)
+            self._pairs, self.pair_a, self.pair_b = pairs, a, b
+        return self._pairs
+
+    def dense(self, tokens: int, rows: int) -> bool:
+        """The density rule of the fork draw, on its own cells: one multinomial over the pair
+        rows when the tokens number more than half their cells, 2 x tokens > rows x W^2, and
+        the rows fit ``TABLE_BYTE_CAP``; per token otherwise."""
+        n, w = self.first.shape
+        return 2 * tokens > rows * w * w and 8 * n * w * w <= TABLE_BYTE_CAP
+
+    def second_cells(self, cell: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The cell, in the (n, W) tables flattened, of the second target of each pair whose
+        first target is in ``cell``, from one uniform of ``u`` (overwritten) each: column b
+        when u (1 - p_a), moved past a's interval when it reaches a's start, falls in b's.
+        At degree 1 that is the padding column next to slot 0, whose ``dest`` is the single
+        neighbour."""
+        w = self.first.shape[1]
+        if w == 1:
+            return cell
+        cum = self.cum.ravel()
+        p_a = self.prob.ravel().take(cell)
+        x = u
+        x *= 1.0 - p_a
+        x += p_a * (x >= cum.take(cell))
+        # b is the number of columns c < W - 1 whose interval ends at or below x, found in
+        # ceil(log2 W) rounds; column c of row r ends at cum[r W + c + 1], so with q = r W + b
+        # reached so far, cum[q + step] is where column b + step - 1 ends. The first round
+        # takes the odd part of the range (Shar's bisection), every later one halves it
+        q = cell - cell % w
+        step = 1 << (w - 1).bit_length() - 1
+        np.add(q, w - step, out=q, where=cum[step:].take(q) <= x)
+        while step > 1:
+            step >>= 1
+            np.add(q, step, out=q, where=cum[step:].take(q) <= x)
+        # b = a only when a is the last column: at degree 1, or from a rounding remainder
+        # past the row's end, where slot 1 is the real neighbour next to it
+        q -= q == cell
+        return q
+
+    def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None, rng,
+                 n_pairs: int, n_lone: int) -> np.ndarray:
+        """Tokens landing on each node from ``pairs[i]`` parent-and-copy pairs and ``lone[i]``
+        copies of trapped parents (``None`` when there are none) leaving ``nodes[i]``,
+        ``n_pairs`` and ``n_lone`` in all, in one draw: by one multinomial over the pair rows
+        when ``dense`` holds, else per token with every uniform from one ``rng.random``
+        call."""
+        n, w = self.first.shape
         m = nodes.size
         if lone is not None:
             nodes = np.concatenate((nodes, nodes))
             pairs = np.concatenate((pairs, lone))
-        first = self.first_rows.draw(pairs, nodes, rng, sparse, 0)
-        # every first target of a pair, as a flat index into ``first``
-        hit = first[:m].ravel().nonzero()[0]
-        i, a = np.divmod(hit, first.shape[1])
-        edge = self.edge_end.take(nodes.take(i)) - a
-        second = rng.multinomial(first.take(hit), self.second.take(edge, axis=0))
-        n = self.first.shape[0]
-        landed = np.bincount(self.dest.take(nodes, axis=0).ravel(), weights=first.ravel(),
-                             minlength=n)
-        landed += np.bincount(self.dest.take(self.edge_dest.take(edge), axis=0).ravel(),
-                              weights=second.ravel(), minlength=n)
-        return landed
+        if self.dense(n_pairs + n_lone, nodes.size):
+            draws = rng.multinomial(pairs, self.pair_rows().take(nodes, axis=0))
+            dest = self.dest.take(nodes, axis=0)
+            landed = np.bincount(dest.take(self.pair_a, axis=1).ravel(), weights=draws.ravel(),
+                                 minlength=n)
+            landed += np.bincount(dest[:m].take(self.pair_b, axis=1).ravel(),
+                                  weights=draws[:m].ravel(), minlength=n)
+            return landed
+        # first targets as cells of the (n, W) tables; the pairs' tokens come first
+        cell, table = self.first_rows.cells(pairs, nodes, 0, nodes * w)
+        u = rng.random(2 * cell.size + n_pairs)
+        cell = self.first_rows.pick(cell, table, u)
+        second = self.second_cells(cell[:n_pairs], u[2 * cell.size:])
+        return np.bincount(self.dest.ravel().take(np.concatenate((cell, second))), minlength=n)
 
 
 def _dense(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -18,24 +18,34 @@ kernel, trap profile and event order:
 - each occupied node splits its tokens into trapped, acted (fork or
   terminate, by the age region), acted-then-trapped (``policy_first`` fork
   parents) and moved to each lazy neighbour;
-- the fork pairs of a node draw their first target ``a`` with probability
-  ``p_a (1 - p_a) / (1 - sum p^2)``, then the second ``b != a`` with
-  probability ``p_b / (1 - p_a)``: the law of two independent draws
-  conditioned to differ. A trapped parent's copy takes the same marginal.
+- the fork pairs of a node land on an ordered pair (a, b) of distinct
+  neighbours with probability ``p_a p_b / (1 - sum p^2)``: the law of two
+  independent draws conditioned to differ. A trapped parent's copy lands on
+  the pair's first target, which has the same law as the second.
 
-A step makes three draws: one over the occupied nodes' rows, and for forks
-two in ``ForkTable.dispatch`` of the kernel's ``fork_table`` (first targets,
-then second targets), and it sums every landing into one per-node tally.
-The first two go through ``graphs.AliasRows``, whose two draws are exact in
-law. A *sparse* step, whose Z tokens number at most half the cells of their
-gathered rows (2 Z <= rows x row width), draws each token from the row's
-Vose alias table in O(Z), its first fork targets too; any other step makes
-one ``Generator.multinomial`` call, a binomial per cell in O(rows x width),
-cheaper on a few crowded rows. Second targets are always a multinomial.
-Alias tables take 12 bytes per cell for each (spec, age region) a sparse
-step draws from, and per node row of the fork table's first targets. The
-tally costs O(occupied nodes x row width) whatever the population size; the
-row width is the largest degree + 1, so hub graphs pay O(n) per row.
+A step makes at most two draws: one over the occupied nodes' rows, and for
+forks one in ``ForkTable.dispatch`` of the kernel's ``fork_table``, and it
+sums every landing into one per-node tally. Each draw chooses by its own
+density rule between one ``Generator.multinomial`` call, a binomial per
+cell in O(rows x cells), cheaper on a few crowded rows, and a draw per
+token, O(tokens), cheaper when tokens are few:
+
+- the node draw (``graphs.AliasRows``) goes per token when its Z tokens
+  number at most half the cells of their gathered rows (2 Z <= rows x row
+  width): a uniform column and a coin against the row's Vose alias table;
+- the fork draw goes by multinomial over the nodes' ordered-pair rows (W^2
+  cells a row) when its tokens number more than half those cells, and per
+  token otherwise: the first target from alias tables, the second by a
+  bisection of ceil(log2 W) rounds in the node's cumulative row.
+
+Both are exact in law. When the triggers put every age 1..t in one region
+(every A_l <= 1, say), the step reads that region without the per-node
+rule. Alias tables take 12 bytes per cell for each (spec, age region) a
+sparse step draws from, and per node row of the fork table's first targets;
+the pair rows take 8 n W^2 bytes once a dense fork draw builds them, and
+past ``graphs.TABLE_BYTE_CAP`` every fork draw goes per token. The tally
+costs O(occupied nodes x row width) whatever the population size; the row
+width is the largest degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -424,18 +434,20 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     # (the pass region never acts); acted-then-trapped tokens are fork
     # parents whose copy still leaves
     trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
-    pairs = draws[:, _ACTED] * (region == FORK)
+    if block == FORK:  # every acted token forks
+        pairs, n_pairs = draws[:, _ACTED], acted
+    else:  # per node, or none in a uniform term or pass region
+        pairs = draws[:, _ACTED] * (region == FORK)
+        n_pairs = 0 if block is not None else int(np.add.reduce(pairs))
     # one float tally of the landings per node (exact: no count nears 2^53);
     # tokens that leave land on the extra node n
     landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
                          minlength=n + 1)[:n]
-    n_pairs = 0
-    f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
-    if f.size:
-        pairs = pairs.take(f)
-        n_pairs = int(np.add.reduce(pairs))
+    if n_pairs or acted_trapped:
+        f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
         lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
-        landed += rows.forks.dispatch(occ.take(f), pairs, lone, rng, sparse)
+        landed += rows.forks.dispatch(occ.take(f), pairs.take(f), lone, rng, n_pairs,
+                                      acted_trapped)
     counts = landed.astype(np.int64)
 
     # node clocks update once per visited node per step

@@ -338,62 +338,73 @@ class TestMove:
 
 
 class TestForkTable:
-    """Second-target rows, one per directed edge u -> a of the base walk."""
+    """The fork draw's tables: first-target rows, destinations, cumulative rows and the
+    ordered-pair rows of the dense draw."""
 
-    def edges(self, k):
-        """(u, column of a, a, edge row) for every directed edge."""
-        table = k.fork_table()
-        dest = table.dest
-        width = dest.shape[1]
-        for u in range(k.node_count):
-            for c in range(width - k.base_neighbour_table().support[u], width):
-                yield u, c, int(dest[u, c]), int(table.edge_end[u] - c)
+    @staticmethod
+    def pair_law(k, u):
+        """The exact law p_a p_b / (1 - sum p^2), a != b, of the ordered pair a pair leaving
+        u lands on, as an n x n array (the single edge twice at degree 1)."""
+        p = k.base[u]
+        if np.count_nonzero(p) == 1:
+            return np.outer(p, p)
+        law = np.outer(p, p) / (1.0 - np.sum(p**2))
+        np.fill_diagonal(law, 0.0)
+        return law
 
     @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
     def test_shape_is_directed_edges_by_width(self, name):
         g = FORK_GRAPHS[name]()
         k = lazy_kernel(g, 0.5)
         table = k.fork_table()
-        assert table.second.shape == (2 * g.edge_count, k.base_neighbour_table().nbr.shape[1])
-        assert sorted(e for *_, e in self.edges(k)) == list(range(2 * g.edge_count))
-        assert k.fork_table() is table
+        n, w = table.first.shape
+        assert (n, w) == k.base_neighbour_table().nbr.shape
+        # the first targets' positive cells are the directed edges, each once
+        u, c = np.nonzero(table.first)
+        directed = sorted(map(tuple, np.vstack([g.edges, g.edges[:, ::-1]]).tolist()))
+        assert sorted(zip(u.tolist(), table.dest[u, c].tolist())) == directed
+        assert table.cum.shape == table.dest.shape == (n, w)
+        assert table.pair_rows().shape == (n, w * w)
+        assert table.pair_rows() is table.pair_rows() and k.fork_table() is table
 
     @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
     def test_rows(self, name):
         k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
         table = k.fork_table()
+        pairs = table.pair_rows()  # builds ``pair_a`` and ``pair_b`` too
         degree = k.base_neighbour_table().support
-        for u, c, a, e in self.edges(k):
-            row, dest = table.second[e], table.dest[table.edge_dest[e]]
-            assert k.base[u, a] > 0
-            assert row.sum() == pytest.approx(1.0, abs=1e-12)
-            # the last column carries mass and is a real neighbour
-            assert row[-1] > 0 and k.base[u, dest[-1]] > 0
+        for u in range(k.node_count):
+            row = pairs[u]
+            a, b = table.dest[u, table.pair_a], table.dest[u, table.pair_b]
+            law = np.zeros((k.node_count, k.node_count))
+            np.add.at(law, (a, b), row)
+            assert np.abs(law - self.pair_law(k, u)).max() <= 1e-12
+            # every positive cell is a real ordered pair
+            hit = row > 0
+            assert np.all(k.base[u, a[hit]] > 0) and np.all(k.base[u, b[hit]] > 0)
             if degree[u] == 1:
-                assert row[-1] == 1.0 and dest[-1] == a
+                assert row.max() == 1.0
                 continue
-            assert row[dest == a].sum() == 0.0 and dest[-1] != a
-            for b in np.flatnonzero(k.base[u]):
-                assert row[(dest == b) & (row > 0)].sum() == pytest.approx(
-                    0.0 if b == a else k.base[u, b] / (1.0 - k.base[u, a]), rel=1e-12)
+            assert np.all(a[hit] != b[hit])
+            # numpy's rounding remainder lands in the last column: it carries mass
+            assert row[-1] > 0
 
     @pytest.mark.parametrize("name", sorted(FORK_GRAPHS))
     def test_two_stages_give_distinct_pair_law(self, name):
+        # the per-token draw: first targets from ``first``, then second targets from
+        # ``second_cells``, read at 2^14 evenly spaced uniforms for each first target; each
+        # second target's share of the uniforms is its share p_b / (1 - p_a) within 1/2^14
         k = lazy_kernel(FORK_GRAPHS[name](), 0.5)
         table = k.fork_table()
-        for u in range(k.node_count):
-            p = k.base[u]
-            pair = np.zeros((k.node_count, k.node_count))
+        n, w = table.first.shape
+        grid = (np.arange(2**14) + 0.5) / 2**14
+        for u in range(n):
+            pair = np.zeros((n, n))
             for c in np.flatnonzero(table.first[u]):
-                e = table.edge_end[u] - c
-                np.add.at(pair[table.dest[u, c]], table.dest[table.edge_dest[e]],
-                          table.first[u, c] * table.second[e])
-            if np.count_nonzero(p) == 1:
-                expected = np.outer(p, p)
-            else:
-                expected = np.outer(p, p) / (1.0 - np.sum(p**2))
-                np.fill_diagonal(expected, 0.0)
-            assert np.abs(pair - expected).max() <= 1e-12
+                cells = table.second_cells(np.full(grid.size, u * w + c), grid.copy())
+                second = np.bincount(table.dest.ravel()[cells], minlength=n) / grid.size
+                pair[table.dest[u, c]] += table.first[u, c] * second
+            assert np.abs(pair - self.pair_law(k, u)).max() <= 2.0 / grid.size
 
 
 def _weighted_er(n, p, seed):
@@ -503,7 +514,8 @@ def assert_matches_frozen(g, node_count, edges, weights, laziness):
         for name in ("nbr", "prob", "support"):
             assert same_bits(getattr(table, name), getattr(ref, name)), name
     forks, ref = k.fork_table(), ForkTable(v030.NeighbourTable(base))
-    for name in ("first", "second", "dest", "edge_end", "edge_dest"):
+    assert same_bits(forks.pair_rows(), ref.pair_rows())
+    for name in ("first", "cum", "dest", "pair_a", "pair_b"):
         assert same_bits(getattr(forks, name), getattr(ref, name)), name
 
 
@@ -627,8 +639,8 @@ class TestScale:
     @pytest.mark.parametrize("make,read", [
         (lambda: 6000, complete_graph),  # K(6000)'s edges: 288 MB
         (lambda: lazy_kernel(star_graph(5000), 0.5), lambda k: k.neighbour_table()),  # 400 MB
-        # from K(400)'s base neighbour table, 2.5 MB, to its fork table, 513 MB
-        (lambda: lazy_kernel(complete_graph(400), 0.5).base_neighbour_table(), ForkTable),
+        # from K(400)'s fork table, 3.8 MB, to its pair rows, 509 MB
+        (lambda: lazy_kernel(complete_graph(400), 0.5).fork_table(), ForkTable.pair_rows),
     ], ids=["complete_graph", "neighbour_table", "fork_table"])
     def test_tables_past_the_byte_cap_raise_before_allocating(self, make, read):
         made = make()

@@ -11,7 +11,9 @@ import srrw.population
 from srrw.errors import InsufficientDataError, ParameterError
 from srrw.graphs import (
     AliasRows,
+    ForkTable,
     Graph,
+    NeighbourTable,
     alias_tables,
     complete_graph,
     erdos_renyi_graph,
@@ -740,16 +742,37 @@ def identity_policy(kind, n):
                                            q_fork=0.0, q_term=0.2), z_low=10, z_high=80)
 
 
+def two_stage_dispatch(kernel):
+    """A ``ForkTable.dispatch`` drawing fork targets as srrw 0.2.0 to 0.4.0 did, by
+    ``step_v020``'s two multinomials: all first targets, then the pairs' second targets over
+    rows p_b / (1 - p_a)."""
+    n = kernel.node_count
+    rows = step_v020.StepRows(kernel, TrapProfile.none(n))  # only its fork rows are read
+
+    def dispatch(self, nodes, pairs, lone, rng, *totals):
+        lone = np.zeros_like(pairs) if lone is None else lone
+        dest, first, second_dest, second = step_v020._dispatch_forks(rows, nodes, pairs, lone,
+                                                                     rng)
+        return (np.bincount(dest.ravel(), weights=first.ravel(), minlength=n)
+                + np.bincount(second_dest.ravel(), weights=second.ravel(), minlength=n))
+
+    return dispatch
+
+
 class TestAgainstFrozenStep:
     """Whole runs against the 0.2.0 step in ``step_v020``: the same draws in the
     same order, so equal traces and age laws, not merely equal in law. The
-    current engine is pinned to its multinomial draws, the path 0.2.0 had;
-    ``TestAgainstTokenEngine`` and ``TestPerTokenDraw`` cover the per-token one."""
+    current engine is pinned to its multinomial node draws, the path 0.2.0 had,
+    and to the two-stage fork draw of 0.2.0 to 0.4.0 (``two_stage_dispatch``), so
+    everything around the fork-target draw is compared draw for draw;
+    ``TestAgainstTokenEngine``, ``TestPerTokenDraw`` and ``TestForkDraw`` cover the
+    per-token node draw and the one-draw fork targets in law."""
 
     def pair(self, monkeypatch, kernel, **args):
         """(current, frozen) runs of ``run_population`` with the same arguments."""
         with monkeypatch.context() as m:
             m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: False)
+            m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(kernel))
             current = run_population(kernel, **args)
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "step", step_v020.step)
@@ -792,6 +815,188 @@ class TestAgainstFrozenStep:
                           traps=TrapProfile.uniform(4, 0.02), z0=20, horizon=10_000,
                           rng_seed=8, z_cap=100_000)
         assert trace.capped
+
+
+FORK_DRAW_CASES = {
+    # (graph, the forking node)
+    "K4": (lambda: complete_graph(4), 0),
+    "er30": (lambda: erdos_renyi_graph(30, 0.15, seed=1), 9),
+    "star9_hub": (lambda: star_graph(9), 0),
+    "star9_leaf": (lambda: star_graph(9), 4),
+    "path_end": (lambda: path_graph(6), 5),
+    "weighted": (ORACLE_GRAPHS["weighted"], 2),
+}
+
+
+def pair_law(kernel, node):
+    """The law p_a p_b / (1 - sum p^2), a != b, of the ordered pair of targets of a pair
+    leaving ``node``, n x n (the single edge twice at degree 1)."""
+    p = kernel.base[node]
+    if np.count_nonzero(p) == 1:
+        return np.outer(p, p)
+    law = np.outer(p, p) / (1.0 - np.sum(p * p))
+    np.fill_diagonal(law, 0.0)
+    return law
+
+
+def law_p(observed, expected):
+    """``chi2_p``, or 1.0 when all the law's mass is on one cell and every draw took it."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    if np.count_nonzero(expected) == 1:
+        assert np.array_equal(observed > 0, expected > 0)
+        return 1.0
+    return chi2_p(observed, expected)
+
+
+class TestForkDraw:
+    """The fork draw of ``ForkTable``, dense and per token, against the exact pair law."""
+
+    @pytest.mark.parametrize("path", ["dense", "per_token"])
+    @pytest.mark.parametrize("name", sorted(FORK_DRAW_CASES))
+    def test_ordered_pairs_follow_the_law(self, name, path):
+        make, node = FORK_DRAW_CASES[name]
+        k = lazy_kernel(make(), 0.5)
+        table = k.fork_table()
+        n, w = table.first.shape
+        draws = 200_000
+        rng = np.random.default_rng(600)
+        if path == "dense":
+            counts = rng.multinomial(draws, table.pair_rows()[node])
+            a, b = table.dest[node, table.pair_a], table.dest[node, table.pair_b]
+        else:
+            cell, offset = table.first_rows.cells(np.array([draws]), np.array([node]), 0,
+                                                  np.array([node * w]))
+            u = rng.random(3 * draws)
+            cell = table.first_rows.pick(cell, offset, u)
+            second = table.second_cells(cell.copy(), u[2 * draws:])
+            a, b = table.dest.ravel()[cell], table.dest.ravel()[second]
+            counts = np.ones(draws)
+        observed = np.zeros((n, n))
+        np.add.at(observed, (a, b), counts)
+        assert law_p(observed.ravel(), draws * pair_law(k, node).ravel()) > 1e-3
+
+    @pytest.mark.parametrize("path", ["dense", "per_token"])
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("name", sorted(FORK_DRAW_CASES))
+    def test_engine_step_follows_the_law(self, monkeypatch, name, order, path):
+        # one forking token per step with a trap at its node: under policy_first a trapped
+        # parent's copy lands alone, on the first-target marginal
+        make, node = FORK_DRAW_CASES[name]
+        k = lazy_kernel(make(), 0.5)
+        n = k.node_count
+        monkeypatch.setattr(srrw.graphs.ForkTable, "dense",
+                            lambda self, tokens, rows: path == "dense")
+        reps = 3000
+        pairs, lone = np.zeros((n, n)), np.zeros(n)
+        for counts, forks, dels, _ in one_step_counts(
+                k, TrapProfile.from_map(n, {node: 0.3}), PolicySpec.uniform(n, **FORK_ALWAYS),
+                node, 1, reps, seed=601, order=order):
+            if counts.sum() == 2:
+                a, b = np.repeat(np.arange(n), counts)
+                pairs[a, b] += 1
+            elif counts.sum() == 1:
+                assert (order, forks, dels) == ("policy_first", 1, 1)
+                lone += counts
+        law = pair_law(k, node)
+        unordered = np.triu(law + law.T) - np.diag(np.diag(law))
+        assert law_p(pairs.ravel(), pairs.sum() * unordered.ravel()) > 1e-3
+        if order == "policy_first":
+            assert lone.sum() > 0
+            assert law_p(lone, lone.sum() * law.sum(axis=1)) > 1e-3
+        else:
+            assert lone.sum() == 0
+
+    @pytest.mark.parametrize("name", sorted(FORK_DRAW_CASES))
+    def test_second_target_differs_from_first(self, name):
+        make, _ = FORK_DRAW_CASES[name]
+        k = lazy_kernel(make(), 0.5)
+        table = k.fork_table()
+        n, w = table.first.shape
+        degree = k.base_neighbour_table().support
+        # uniforms at both ends of [0, 1) and between, for every first target of every node
+        grid = np.concatenate(([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53],
+                               np.random.default_rng(602).random(200)))
+        for u, c in zip(*np.nonzero(table.first)):
+            second = table.second_cells(np.full(grid.size, u * w + c), grid.copy())
+            b = table.dest.ravel()[second]
+            assert np.all(k.base[u, b] > 0)
+            if degree[u] == 1:
+                assert np.all(b == table.dest[u, c])
+            else:
+                assert not np.any(b == table.dest[u, c])
+
+    def test_rounding_remainder_past_the_last_column(self):
+        # node 0's row sums to 0.9, as a row whose cumulative sums round low would: with the
+        # first target in the last column (slot 0, node 1) the largest uniform reaches past
+        # the row's end, and the second target must be slot 1 (node 2), not slot 0 again
+        table = ForkTable(NeighbourTable(np.array([0, 3, 4, 5, 6]), np.array([1, 2, 3, 0, 0, 0]),
+                                         np.array([0.2, 0.3, 0.4, 1.0, 1.0, 1.0])))
+        w = table.first.shape[1]
+        assert table.dest[0, w - 1] == 1 and table.dest[0, w - 2] == 2
+        second = table.second_cells(np.array([w - 1, w - 1]), np.array([1.0 - 2.0**-53, 0.99]))
+        assert table.dest.ravel()[second].tolist() == [2, 2]
+
+    @pytest.mark.parametrize("z0", [1, 20])
+    def test_explosion_matches_the_two_stage_draw(self, monkeypatch, z0):
+        # acceptance 08's K4 explosion (from z0 = 1 as well, where some runs die out): the
+        # mean steps to the cap and the share of runs capped, against 0.4.0's fork draw
+        spec = PolicySpec.uniform(4, a_long=1.0, q_fork=0.15)
+        traps = TrapProfile.uniform(4, 0.02)
+        stats_of = {}
+        for engine in ("one_draw", "two_stage"):
+            with monkeypatch.context() as m:
+                if engine == "two_stage":
+                    m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(K4))
+                runs = [run_population(K4, spec, traps, z0=z0, horizon=10_000,
+                                       rng_seed=900_000 + r, z_cap=100_000) for r in range(300)]
+            capped = np.array([tr.capped for tr in runs])
+            steps = np.array([tr.horizon for tr in runs if tr.capped])
+            stats_of[engine] = (capped.mean(), np.sqrt(capped.var() / capped.size),
+                                steps.mean(), steps.std() / np.sqrt(steps.size))
+        (f1, sf1, s1, ss1), (f2, sf2, s2, ss2) = stats_of.values()
+        assert abs(f1 - f2) <= 3 * np.hypot(sf1, sf2), stats_of
+        assert abs(s1 - s2) <= 3 * np.hypot(ss1, ss2), stats_of
+        assert f1 < 1.0 if z0 == 1 else f1 == 1.0
+
+
+class TestForkMemory:
+    """Fork draws on dense graphs cost no per-edge table."""
+
+    def test_complete_400_runs(self):
+        # K(400)'s pair rows would take 509 MB, past the byte cap, so every fork draw goes
+        # per token; the graph, its kernel and every table are built inside the traced window
+        tracemalloc.start()
+        try:
+            k = lazy_kernel(complete_graph(400), 0.5)
+            trace = run_population(k, PolicySpec.uniform(400, a_long=1.0, q_fork=0.05),
+                                   TrapProfile.uniform(400, 0.02), z0=2000, horizon=5,
+                                   rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.horizon == 5 and trace.forks.sum() > 0
+        assert trace.conservation_violations() == 0
+        assert k.fork_table()._pairs is None
+        # measured 29.1 MB, most of it while the graph and its tables are built; the per-edge
+        # second-target rows of 0.4.0 alone would take 489 MiB
+        assert peak < 40 << 20, peak
+
+    def test_complete_150_table_under_a_megabyte_until_a_dense_draw(self):
+        k = lazy_kernel(complete_graph(150), 0.5)
+        table = k.fork_table()
+        run_population(k, PolicySpec.uniform(150, a_long=1.0, q_fork=0.05),
+                       TrapProfile.uniform(150, 0.02), z0=1500, horizon=5, rng_seed=4)
+        rows = table.first_rows
+        held = (table.first, table.cum, table.dest, rows._cut, rows._offset, rows._table_row,
+                rows._block_start)
+        assert rows._cut.size == 150 * 149 and table._pairs is None
+        assert sum(arr.nbytes for arr in held) < 1 << 20
+        # a dense draw builds the pair rows: 150 x 149^2 x 8 bytes
+        nodes = np.arange(150)
+        landed = table.dispatch(nodes, np.full(150, 10**5), None, np.random.default_rng(5),
+                                150 * 10**5, 0)
+        assert landed.sum() == 2 * 150 * 10**5
+        assert table.pair_rows().nbytes == 150 * 149**2 * 8
 
 
 class TestTokenSteps:
