@@ -33,7 +33,7 @@ from .envelopes import (
     solve_matching_age,
 )
 from .errors import ConfigError, InsufficientDataError, ParameterError, SrrwError
-from .graphs import mixing_profile
+from .graphs import DENSE_NODE_CAP, mixing_profile
 from .policy import AgeLaw, RegimePolicy, mean_termination_rate
 from .population import BlockPlan, DriftReport, PopulationTrace, block_drift, run_population
 from .return_time import sample_return_times
@@ -272,13 +272,26 @@ def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: floa
     return out
 
 
+def _check_dense_analysis(resolved: ResolvedConfig, command: str) -> None:
+    """ConfigError when the command needs the dense t_mix past ``DENSE_NODE_CAP``: ``check``
+    and ``sweep`` always, ``simulate`` for the age law's burn-in. Raised before any replica
+    runs or the run directory exists."""
+    n = resolved.kernel.node_count
+    needs = command in ("check", "sweep") or (command == "simulate"
+                                              and resolved.simulation["collect_age_law"])
+    if needs and n > DENSE_NODE_CAP:
+        raise ConfigError("graph", f"{command} needs t_mix from the dense n x n kernel, which is "
+                                   f"capped at {DENSE_NODE_CAP} nodes, got {n}; simulate "
+                                   "without collect_age_law runs without it")
+
+
 def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
     traces = run_replicas(resolved)
     meta = _meta(resolved)
     try:
-        plan = block_plan_for(resolved, effective_age_interval(resolved, traces))
-    except SrrwError:
-        plan = None
+        plan, missing = block_plan_for(resolved, effective_age_interval(resolved, traces)), None
+    except SrrwError as exc:
+        plan, missing = None, str(exc)
     for i, tr in enumerate(traces):
         tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
     lam = resolved.traps.absorption_pressure(resolved.kernel.pi)
@@ -288,6 +301,7 @@ def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:
         "extinction_fraction": float(np.mean([tr.extinct for tr in traces])),
         "cap_fraction": float(np.mean([tr.capped for tr in traces])),
         "block_length": None if plan is None else plan.block_length,
+        "block_plan_missing": missing,
         "config": resolved.raw,
     })
 
@@ -493,6 +507,7 @@ def main(argv=None) -> int:
         traces = _load_traces(args.traces, resolved) if getattr(args, "traces", None) else None
         if args.command == "sweep" and not resolved.points:
             raise ConfigError("sweep", "config has no sweep block")
+        _check_dense_analysis(resolved, args.command)
         outdir = _run_dir(args.out, resolved)
         if args.command == "stationary":
             cmd_stationary(resolved, outdir)

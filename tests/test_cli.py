@@ -339,6 +339,45 @@ class TestSimulate:
         assert len(traces) == 3 and len(calls) == 1
 
 
+class TestDenseCap:
+    """Past ``DENSE_NODE_CAP`` nodes, where t_mix cannot be computed, the commands that read
+    it fail before they work, and ``simulate`` says why it has no block plan."""
+
+    def config(self, tmp_path, **simulation):
+        # cycle(2100) with Doeblin envelopes and 2 replicas
+        return write_config(tmp_path, graph={"generator": {"kind": "cycle", "n": 2100}},
+                            envelope={"mode": "doeblin"}, policy={"A_l": 1, "q_fork": 0.02},
+                            traps={"nodes": "all", "zeta": 0.02}, sweep={"q": [0.01, 0.02]},
+                            simulation={"Z_0": 50, "horizon": 20, "replicas": 2, "seed": 1,
+                                        **simulation})
+
+    @pytest.mark.parametrize("command,simulation", [
+        ("check", {}), ("sweep", {}), ("simulate", {"collect_age_law": True})])
+    def test_refused_before_any_replica_runs(self, tmp_path, capsys, monkeypatch, command,
+                                             simulation):
+        runs = []
+        monkeypatch.setattr(srrw.cli, "run_population", lambda *a, **kw: runs.append(1))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(self.config(tmp_path, **simulation)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: graph: ") and len(err) < 300
+        assert "capped at 2000 nodes, got 2100" in err
+        assert not out.exists() and runs == []
+
+    def test_simulate_says_why_there_is_no_block_plan(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(self.config(tmp_path)), "--out", str(out)]) == 0
+        summary = json.load(open(os.path.join(only_run_dir(out), "summary.json")))
+        assert summary["block_length"] is None
+        assert "capped at 2000 nodes, got 2100" in summary["block_plan_missing"]
+        # with a plan there is nothing to explain
+        cfg = write_config(tmp_path, name="k4.json")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "k4")]) == 0
+        summary = json.load(open(os.path.join(only_run_dir(tmp_path / "k4"), "summary.json")))
+        assert summary["block_length"] is not None and summary["block_plan_missing"] is None
+
+
 def corridor_config(tmp_path, **kw):
     return write_config(
         tmp_path,

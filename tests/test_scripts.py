@@ -5,6 +5,7 @@ that removes a name one of them uses fails here. Each script's ``run`` is
 called at a small size and must return 0.
 """
 import importlib.util
+import json
 import os
 import tempfile
 
@@ -57,6 +58,28 @@ def test_step_timing_fresh(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [row[0] for row in rows] == ["none", "target"]
     assert all(float(row[-4]) > 0 and row[-1] in ("0/1", "1/1") for row in rows)
+
+
+def test_bench_record(tmp_path):
+    # one tiny explode_k4 run per side, this checkout against itself as the baseline
+    root = os.path.dirname(SCRIPTS)
+    assert load("bench_record").main(["--label", "t", "--baseline", root, "--runs", "1",
+                                      "--seconds", "1", "--size", "tiny", "--workload",
+                                      "explode_k4", "--out", str(tmp_path)]) == 0
+    record = json.load(open(tmp_path / "BENCH_t.json"))
+    assert set(record["sides"]) == {"change", "parent"}
+    assert record["sides"]["change"]["sha"] == record["sides"]["parent"]["sha"]
+    assert record["machine"]["numpy"] and record["machine"]["python"]
+    entry = record["workloads"]["explode_k4"]
+    metrics = {"wall_s", "setup_s", "token_steps_per_s", "peak_rss_mb"}
+    for side in ("change", "parent"):
+        assert entry[side]["failed"] == entry[side]["runs_without_result"] == 0
+        assert entry[side]["attempted"] >= 3
+        assert set(entry[side]["metrics"]) == metrics
+        for row in entry[side]["metrics"].values():
+            assert row["n"] == 1 and row["q1"] == row["median"] == row["q3"] > 0
+    assert set(entry["change_won"]) == metrics
+    assert all(won in ("0/1", "1/1") for won in entry["change_won"].values())
 
 
 def test_every_exported_name_resolves():
