@@ -273,16 +273,17 @@ def _trace_summary(tr: PopulationTrace, plan: BlockPlan | None, lambda_del: floa
 
 
 def _check_dense_analysis(resolved: ResolvedConfig, command: str) -> None:
-    """ConfigError when the command needs the dense t_mix past ``DENSE_NODE_CAP``: ``check``
-    and ``sweep`` always, ``simulate`` for the age law's burn-in. Raised before any replica
-    runs or the run directory exists."""
+    """ConfigError when the command reads the dense kernel past ``DENSE_NODE_CAP``: its mixing
+    profile in ``stationary``, ``check`` and ``sweep`` (t_mix), ``envelopes`` in Doeblin mode
+    and ``simulate`` with the age law (its t_mix burn-in). Raised before any replica runs or
+    the run directory exists."""
     n = resolved.kernel.node_count
-    needs = command in ("check", "sweep") or (command == "simulate"
-                                              and resolved.simulation["collect_age_law"])
+    needs = {"envelopes": resolved.envelope["mode"] == "doeblin",
+             "simulate": resolved.simulation["collect_age_law"]}.get(command, True)
     if needs and n > DENSE_NODE_CAP:
-        raise ConfigError("graph", f"{command} needs t_mix from the dense n x n kernel, which is "
-                                   f"capped at {DENSE_NODE_CAP} nodes, got {n}; simulate "
-                                   "without collect_age_law runs without it")
+        raise ConfigError("graph", f"{command} reads the mixing profile of the dense n x n "
+                                   f"kernel, which is capped at {DENSE_NODE_CAP} nodes, got {n}; "
+                                   "simulate without collect_age_law runs without it")
 
 
 def cmd_simulate(resolved: ResolvedConfig, outdir: str) -> None:

@@ -585,9 +585,11 @@ class ForkTable:
       (a, b), except that the last two cells trade places so that the last,
       where numpy's rounding remainder lands, is (slot 0, slot 1), a real
       pair at degree 2 and above; ``pair_a`` and ``pair_b`` name each cell's
-      two columns. The rows take 8 n W^2 bytes, are built on the first dense
-      draw and kept, and past ``TABLE_BYTE_CAP`` they are never built: every
-      draw then goes per token;
+      two columns, and a (W^2, W) matrix counts each cell's tokens landing in
+      each column, so one product tallies a draw. The rows and the matrix
+      take 8 (n + W) W^2 bytes, are built on the first dense draw and kept,
+      and past ``TABLE_BYTE_CAP`` they are never built: every draw then goes
+      per token;
     - *per token*: the first target a from the alias tables of
       ``first_rows``, whose rows ``first`` are the first-target marginals
       ``p_a (1 - p_a) / (1 - sum p^2)``; then the second b by a bisection of
@@ -634,7 +636,7 @@ class ForkTable:
         ``TABLE_BYTE_CAP`` raises ``ParameterError`` before allocating them."""
         if self._pairs is None:
             n, w = self.first.shape
-            _check_bytes(8 * n * w * w, f"fork pair rows of {n} rows by {w * w}")
+            _check_bytes(8 * (n + w) * w * w, f"fork pair rows of {n} rows by {w * w}")
             pairs = np.empty((n, w * w))
             cube = pairs.reshape(n, w, w)
             np.multiply(self.prob[:, :, None], self.prob[:, None, :], out=cube)
@@ -645,9 +647,13 @@ class ForkTable:
             a, b = np.divmod(np.arange(w * w), w)
             if w > 1:
                 b[-2:] = w - 1, w - 2
-            for arr in (pairs, a, b):
+            # how many of a pair cell's two tokens land in each column
+            landing = np.zeros((w * w, w), dtype=np.int64)
+            np.add.at(landing, (np.arange(w * w), a), 1)
+            np.add.at(landing, (np.arange(w * w), b), 1)
+            for arr in (pairs, a, b, landing):
                 arr.setflags(write=False)
-            self._pairs, self.pair_a, self.pair_b = pairs, a, b
+            self._pairs, self.pair_a, self.pair_b, self._pair_landing = pairs, a, b, landing
         return self._pairs
 
     def dense(self, tokens: int, rows: int) -> bool:
@@ -655,7 +661,7 @@ class ForkTable:
         rows when the tokens number more than half their cells, 2 x tokens > rows x W^2, and
         the rows fit ``TABLE_BYTE_CAP``; per token otherwise."""
         n, w = self.first.shape
-        return 2 * tokens > rows * w * w and 8 * n * w * w <= TABLE_BYTE_CAP
+        return 2 * tokens > rows * w * w and 8 * (n + w) * w * w <= TABLE_BYTE_CAP
 
     def second_cells(self, cell: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The cell, in the (n, W) tables flattened, of the second target of each pair whose
@@ -700,12 +706,11 @@ class ForkTable:
             pairs = np.concatenate((pairs, lone))
         if self.dense(n_pairs + n_lone, nodes.size):
             draws = rng.multinomial(pairs, self.pair_rows().take(nodes, axis=0))
-            dest = self.dest.take(nodes, axis=0)
-            landed = np.bincount(dest.take(self.pair_a, axis=1).ravel(), weights=draws.ravel(),
-                                 minlength=n)
-            landed += np.bincount(dest[:m].take(self.pair_b, axis=1).ravel(),
-                                  weights=draws[:m].ravel(), minlength=n)
-            return landed
+            landed = draws.dot(self._pair_landing)  # each column's tokens, per row
+            if lone is not None:  # a lone copy lands on its first target only
+                landed[m:] = draws[m:].reshape(-1, w, w).sum(axis=2)
+            return np.bincount(self.dest.take(nodes, axis=0).ravel(), weights=landed.ravel(),
+                               minlength=n)
         # first targets as cells of the (n, W) tables; the pairs' tokens come first
         cell, table = self.first_rows.cells(pairs, nodes, 0, nodes * w)
         u = rng.random(2 * cell.size + n_pairs)

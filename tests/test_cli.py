@@ -340,8 +340,8 @@ class TestSimulate:
 
 
 class TestDenseCap:
-    """Past ``DENSE_NODE_CAP`` nodes, where t_mix cannot be computed, the commands that read
-    it fail before they work, and ``simulate`` says why it has no block plan."""
+    """Past ``DENSE_NODE_CAP`` nodes, where no mixing profile is computed, the commands that
+    read one fail before they work, and ``simulate`` says why it has no block plan."""
 
     def config(self, tmp_path, **simulation):
         # cycle(2100) with Doeblin envelopes and 2 replicas
@@ -352,7 +352,8 @@ class TestDenseCap:
                                         **simulation})
 
     @pytest.mark.parametrize("command,simulation", [
-        ("check", {}), ("sweep", {}), ("simulate", {"collect_age_law": True})])
+        ("check", {}), ("sweep", {}), ("simulate", {"collect_age_law": True}),
+        ("stationary", {}), ("envelopes", {})])
     def test_refused_before_any_replica_runs(self, tmp_path, capsys, monkeypatch, command,
                                              simulation):
         runs = []

@@ -639,7 +639,7 @@ class TestScale:
     @pytest.mark.parametrize("make,read", [
         (lambda: 6000, complete_graph),  # K(6000)'s edges: 288 MB
         (lambda: lazy_kernel(star_graph(5000), 0.5), lambda k: k.neighbour_table()),  # 400 MB
-        # from K(400)'s fork table, 3.8 MB, to its pair rows, 509 MB
+        # from K(400)'s fork table, 3.8 MB, to its pair rows and landing matrix, 1.0 GB
         (lambda: lazy_kernel(complete_graph(400), 0.5).fork_table(), ForkTable.pair_rows),
     ], ids=["complete_graph", "neighbour_table", "fork_table"])
     def test_tables_past_the_byte_cap_raise_before_allocating(self, make, read):

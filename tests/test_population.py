@@ -963,8 +963,9 @@ class TestForkMemory:
     """Fork draws on dense graphs cost no per-edge table."""
 
     def test_complete_400_runs(self):
-        # K(400)'s pair rows would take 509 MB, past the byte cap, so every fork draw goes
-        # per token; the graph, its kernel and every table are built inside the traced window
+        # K(400)'s pair rows would take 1.0 GB with their landing matrix, past the byte cap, so
+        # every fork draw goes per token; the graph, its kernel and every table are built
+        # inside the traced window
         tracemalloc.start()
         try:
             k = lazy_kernel(complete_graph(400), 0.5)
