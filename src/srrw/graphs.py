@@ -632,8 +632,9 @@ class ForkTable:
             arr.setflags(write=False)
 
     def pair_rows(self) -> np.ndarray:
-        """The (n, W^2) ordered-pair rows of the dense draw, built on first use; past
-        ``TABLE_BYTE_CAP`` raises ``ParameterError`` before allocating them."""
+        """The (n, W^2) ordered-pair rows of the dense draw, built on first use with
+        ``pair_a``, ``pair_b`` and the landing matrix; past ``TABLE_BYTE_CAP`` raises
+        ``ParameterError`` before allocating them."""
         if self._pairs is None:
             n, w = self.first.shape
             _check_bytes(8 * (n + w) * w * w, f"fork pair rows of {n} rows by {w * w}")

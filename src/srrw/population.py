@@ -42,10 +42,11 @@ Both are exact in law. When the triggers put every age 1..t in one region
 (every A_l <= 1, say), the step reads that region without the per-node
 rule. Alias tables take 12 bytes per cell for each (spec, age region) a
 sparse step draws from, and per node row of the fork table's first targets;
-the pair rows take 8 n W^2 bytes once a dense fork draw builds them, and
-past ``graphs.TABLE_BYTE_CAP`` every fork draw goes per token. The tally
-costs O(occupied nodes x row width) whatever the population size; the row
-width is the largest degree + 1, so hub graphs pay O(n) per row.
+the pair rows and their landing matrix take 8 (n + W) W^2 bytes once a
+dense fork draw builds them, and past ``graphs.TABLE_BYTE_CAP`` every fork
+draw goes per token. The tally costs O(occupied nodes x row width) whatever
+the population size; the row width is the largest degree + 1, so hub graphs
+pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -418,12 +419,12 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     tokens = state.counts.take(occ)
     node_rows = rows.node_rows(spec)
     # ages run 1..t, so triggers that put them all in one region need no per-node rule
-    block = rows.uniform_region(spec, t)
-    if block is None or age_law is not None:
+    uniform = rows.uniform_region(spec, t)
+    if uniform is None or age_law is not None:
         ages = t - state.last_visit.take(occ)
-    region = spec.region(occ, ages) if block is None else block
+    region = spec.region(occ, ages) if uniform is None else uniform
     sparse = node_rows.sparse(tokens)
-    draws = node_rows.draw(tokens, region * n + occ, rng, sparse, block)
+    draws = node_rows.draw(tokens, region * n + occ, rng, sparse, uniform)
 
     if age_law is not None:
         # trap_first: trapped tokens never reach the policy stage
@@ -434,11 +435,11 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     # (the pass region never acts); acted-then-trapped tokens are fork
     # parents whose copy still leaves
     trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
-    if block == FORK:  # every acted token forks
+    if uniform == FORK:  # every acted token forks
         pairs, n_pairs = draws[:, _ACTED], acted
     else:  # per node, or none in a uniform term or pass region
         pairs = draws[:, _ACTED] * (region == FORK)
-        n_pairs = 0 if block is not None else int(np.add.reduce(pairs))
+        n_pairs = 0 if uniform is not None else int(np.add.reduce(pairs))
     # one float tally of the landings per node (exact: no count nears 2^53);
     # tokens that leave land on the extra node n
     landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
