@@ -8,8 +8,8 @@ Runs ``perfbench/run.py --trace 0`` of this checkout ``--runs`` times on each
 workload of ``BENCHMARK.json`` (or on each ``--workload`` given). With
 ``--baseline DIR``, DIR is the root of a second checkout, for example one
 made by ``git worktree add DIR <parent>``: its own ``perfbench/run.py`` then
-runs on the same seeds, alternating with this checkout run by run, and the
-two take turns going first. Each run of ``run.py`` prints one median per
+runs on the same seeds (run k has seed 1 + k), alternating with this
+checkout run by run, and the two take turns going first. Each run of ``run.py`` prints one median per
 end-to-end metric over its repetitions; the file holds, per workload and
 side, every run's median, their median, quartiles and count, and the
 repetitions attempted and failed. With a baseline it also counts, per metric,
@@ -96,7 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=15.0, help="run.py --seconds")
     parser.add_argument("--workload", action="append", help="a workload (default: all)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first run")
     parser.add_argument("--out", default=ROOT, help="directory of the BENCH file")
     args = parser.parse_args(argv)
     if args.runs < 1:
@@ -123,7 +122,7 @@ def main(argv=None) -> int:
         for k in range(args.runs):
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             for name in order:
-                result = run_once(sides[name], workload, args.seed + k, args.seconds, args.size)
+                result = run_once(sides[name], workload, 1 + k, args.seconds, args.size)
                 machine = machine or result["machine"]
                 runs[name].append(result)
                 print(f"{workload} run {k} {name}: "
