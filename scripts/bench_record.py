@@ -38,8 +38,7 @@ def git_state(root: str) -> dict:
 
     sha = git("rev-parse", "HEAD")
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"root": os.path.abspath(root), "sha": sha,
-            "dirty": None if status is None else bool(status)}
+    return {"sha": sha, "dirty": None if status is None else bool(status)}
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float, size: str) -> dict:
