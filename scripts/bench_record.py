@@ -3,6 +3,7 @@
 
     python scripts/bench_record.py --label L [--baseline DIR] [--runs N] [--seconds S]
                                    [--workload W ...] [--size full|tiny] [--out DIR]
+                                   [--step-timing [CASE ...]]
 
 Runs ``perfbench/run.py --trace 0`` of this checkout ``--runs`` times on each
 workload of ``BENCHMARK.json`` (or on each ``--workload`` given). With
@@ -16,6 +17,13 @@ repetitions attempted and failed. With a baseline it also counts, per metric,
 the pairs of runs the change won, by the direction ``BENCHMARK.json`` gives.
 The git SHA of each side (and whether its tree had uncommitted changes) and
 the machine fingerprint that ``run.py`` prints are recorded with them.
+
+With ``--step-timing [CASE ...]`` it also runs ``scripts/step_timing.py``
+(``--baseline DIR/src`` when a baseline is given) on the named cases, or on
+all, and stores its rows as the file's per-layer rows, under
+``per_layer.step_timing``: per case and event order, the median
+microseconds per step of each side, the median of the per-round ratios and
+their lowest and highest, the round-to-round spread.
 """
 from __future__ import annotations
 
@@ -25,6 +33,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MACHINE = "# machine: "
@@ -87,6 +96,23 @@ def wins(change: list[dict], parent: list[dict], better: dict) -> dict:
     return out
 
 
+def step_timing(root: str, baseline: str | None, cases: list[str]) -> dict:
+    """The rows of ``scripts/step_timing.py`` run on this checkout's ``src`` (against
+    ``baseline/src`` when given), with the command that made them."""
+    args = [*(["--baseline", os.path.join(baseline, "src")] if baseline else []),
+            *(arg for case in cases for arg in ("--case", case))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.json")
+        subprocess.run([sys.executable, os.path.join(root, "scripts", "step_timing.py"), *args,
+                        "--json", path], env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+                       check=True)
+        with open(path) as fh:
+            rows = json.load(fh)
+    command = " ".join(["scripts/step_timing.py", *(["--baseline", "<parent>/src"] if baseline
+                                                     else []), *args[2 if baseline else 0:]])
+    return {"command": command, "rows": rows}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
@@ -96,6 +122,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="a workload (default: all)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--out", default=ROOT, help="directory of the BENCH file")
+    parser.add_argument("--step-timing", nargs="*", metavar="CASE",
+                        help="also store scripts/step_timing.py rows of these cases (default: "
+                             "all) as per-layer rows")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs needs N >= 1")
@@ -131,6 +160,8 @@ def main(argv=None) -> int:
             entry["change_won"] = wins(runs["change"], runs["parent"], better)
         record["workloads"][workload] = entry
     record["machine"] = machine
+    if args.step_timing is not None:
+        record["per_layer"] = {"step_timing": step_timing(ROOT, args.baseline, args.step_timing)}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -12,8 +12,10 @@ checkout of an earlier commit) is loaded as a second module and its ``step``
 and ``move`` are timed on the same states, alternating with this one call by
 call; the two take turns calling first, since a state's first call runs
 slower (about 10% on the corridor cases when both sides are this package).
-Each case then also prints the lowest and highest ratio of the two sides'
-medians over a single round, the round-to-round spread.
+Each case then prints the ratio of the two sides' medians within each
+round: their median (``ratio``), and their lowest and highest, the
+round-to-round spread. Only calls made close in time are paired, so a phase
+change of the machine between rounds does not move the ratio.
 
 The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
 20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
@@ -22,9 +24,13 @@ star(300) at about 10 tokens per node, whose rows are as wide as the graph,
 and the dense K(150) at 10 tokens per node; each in both event orders. Each
 engine case also prints the share of its run's steps that the engine drew
 per token (``AliasRows.sparse``) rather than by multinomial, and the share
-of its fork draws made per token (``ForkTable.dense`` false) rather than by
-one multinomial over the pair rows. The return-time case moves the walkers of the corridor
-graph's envelope fit: 20k walkers started at node 0, until all have returned.
+drawn folded (``StepRows.folded``: fork pairs in the node draw) rather than
+in two stages. ``--fold-bytes B`` sets this package's fold budget
+(``population.FOLD_BYTES``) to B for the whole script; run against this same
+``src`` as the baseline, it times folded steps against two-stage ones on the
+same states, which is how the budget is set. The return-time case moves the
+walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
+until all have returned.
 
 In-process times miss what depends on the allocator's state: glibc raises
 its mmap and trim thresholds once a large block is freed, so the engine's
@@ -37,6 +43,12 @@ alternate run by run and take turns going first; each row prints the
 medians and the number of run pairs this package won.
 
     PYTHONPATH=src python scripts/step_timing.py [--baseline SRC] [--fresh N]
+                                                 [--fold-bytes B] [--case NAME ...]
+                                                 [--json PATH]
+
+``--case`` times only the named cases; ``--json`` also writes the printed
+rows to a file as a JSON list, one object per row (``scripts/bench_record.py
+--step-timing`` stores them in a BENCH file).
 """
 from __future__ import annotations
 
@@ -132,39 +144,31 @@ def specs_of(policy) -> list:
 
 def record_states(config: dict, order: str,
                   limit: int) -> tuple[list[tuple], float, float]:
-    """(state, index of the spec) of up to ``limit`` steps spread over one run, the share of
-    the run's steps drawn per token, and the share of its fork draws made per token (nan
-    without forks)."""
+    """(state, index of the spec) of up to ``limit`` steps spread over one run, and the
+    shares of the run's steps drawn per token and drawn folded."""
     resolved = resolve_config({"laziness": 0.5, **config})
     sim = resolved.simulation
     specs = specs_of(resolved.policy)
     seen = []
     per_token = []
-    fork_per_token = []
-    real, real_dense = srrw.population.step, srrw.graphs.ForkTable.dense
+    folded = []
+    real = srrw.population.step
 
     def recording(state, rows, spec, rng, age_law=None):
         seen.append((state, next(i for i, s in enumerate(specs) if s is spec)))
         per_token.append(rows.node_rows(spec).sparse(state.counts[state.counts.nonzero()]))
+        folded.append(rows.folded)
         return real(state, rows, spec, rng, age_law)
 
-    def recording_dense(self, tokens, rows):
-        dense = real_dense(self, tokens, rows)
-        fork_per_token.append(not dense)
-        return dense
-
     srrw.population.step = recording
-    srrw.graphs.ForkTable.dense = recording_dense
     try:
         srrw.population.run_population(resolved.kernel, resolved.policy, resolved.traps,
                                        z0=sim["Z_0"], horizon=sim["horizon"],
                                        rng_seed=sim["seed"], z_cap=sim["Z_cap"], order=order)
     finally:
         srrw.population.step = real
-        srrw.graphs.ForkTable.dense = real_dense
     picks = np.unique(np.linspace(0, len(seen) - 1, min(limit, len(seen))).astype(int))
-    fork_share = float(np.mean(fork_per_token)) if fork_per_token else float("nan")
-    return [seen[i] for i in picks], float(np.mean(per_token)), fork_share
+    return [seen[i] for i in picks], float(np.mean(per_token)), float(np.mean(folded))
 
 
 def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
@@ -273,56 +277,76 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", help="src directory of another srrw to time alongside")
     parser.add_argument("--fresh", type=int, metavar="N",
                         help="time whole er1000 runs in N new interpreters per side instead")
+    parser.add_argument("--fold-bytes", type=int, metavar="B",
+                        help="this package's fold budget, population.FOLD_BYTES")
+    parser.add_argument("--case", action="append", choices=[*CASES, "return_time"],
+                        help="time only this case (repeatable; default: all)")
+    parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
+    if args.fold_bytes is not None:
+        srrw.population.FOLD_BYTES = args.fold_bytes
     if args.fresh is not None:
         if args.fresh < 1:
             parser.error("--fresh needs N >= 1")
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
+    cases = args.case or [*CASES, "return_time"]
 
     jobs = []
     for name, config in CASES.items():
-        for order in ORDERS:
-            states, per_token, fork_per_token = record_states(config, order, STATES)
+        for order in ORDERS if name in cases else ():
+            states, per_token, folded = record_states(config, order, STATES)
             sides = [Side(srrw, config, order)]
             if baseline is not None:
                 sides.append(Side(baseline, config, order))
-            jobs.append((name, order, states, f"{per_token:.2f}", f"{fork_per_token:.2f}",
-                         sides))
-    name, u, walkers = RETURN_TIME
-    config = CASES[name]
-    sides = [MoveSide(srrw, config)]
-    if baseline is not None:
-        sides.append(MoveSide(baseline, config))
-    jobs.append(("return_time", "-", record_moves(config, u, walkers, STATES), "-", "-", sides))
+            jobs.append((name, order, states, per_token, folded, sides))
+    if "return_time" in cases:
+        name, u, walkers = RETURN_TIME
+        config = CASES[name]
+        sides = [MoveSide(srrw, config)]
+        if baseline is not None:
+            sides.append(MoveSide(baseline, config))
+        jobs.append(("return_time", None, record_moves(config, u, walkers, STATES), None, None,
+                     sides))
     # build each side's tables and node rows before timing
     for *_, states, _, _, sides in jobs:
         for side in sides:
             side.warm_up(states)
     for _ in range(ROUNDS):
         for *_, states, _, _, sides in jobs:
-            for k, args in enumerate(states):
+            for k, call in enumerate(states):
                 # the first call on a state runs slower, so the sides take turns going first
                 for side in sides[::-1] if k % 2 else sides:
-                    side.time_step(*args)
+                    side.time_step(*call)
 
-    header = (f"{'case':<14} {'order':<13} {'states':>6} {'per-token':>9} {'fork per-token':>14}"
+    header = (f"{'case':<14} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
               f" {'us/step p50':>12}")
     if baseline is not None:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
     print(header)
-    for name, order, states, per_token, fork_per_token, sides in jobs:
+    rows = []
+    for name, order, states, per_token, folded, sides in jobs:
         p50 = [1e6 * float(np.median(side.times)) for side in sides]
-        line = (f"{name:<14} {order:<13} {len(states):>6} {per_token:>9} {fork_per_token:>14}"
-                f" {p50[0]:>12.1f}")
+        row = {"case": name, "order": order, "states": len(states), "per_token": per_token,
+               "folded": folded, "us_per_step_p50": p50[0]}
+        line = (f"{name:<14} {order or '-':<13} {len(states):>6}"
+                + "".join(f" {'-' if v is None else f'{v:.2f}':>{width}}"
+                          for v, width in ((per_token, 9), (folded, 6)))
+                + f" {p50[0]:>12.1f}")
         if baseline is not None:
-            # the spread of the ratio between rounds, each round's medians apart
+            # the ratio of the sides' medians within each round, and its spread over rounds
             rounds = np.divide(*(np.median(np.reshape(side.times, (ROUNDS, -1)), axis=1)
                                  for side in sides))
-            line += (f" {p50[1]:>13.1f} {p50[0] / p50[1]:>6.2f}"
+            row.update(baseline_us_per_step_p50=p50[1], ratio=float(np.median(rounds)),
+                       round_ratio_min=float(rounds.min()), round_ratio_max=float(rounds.max()))
+            line += (f" {p50[1]:>13.1f} {row['ratio']:>6.2f}"
                      f" {rounds.min():>7.2f}-{rounds.max():.2f}")
+        rows.append(row)
         print(line)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(rows, fh, indent=1)
     return 0
 
 

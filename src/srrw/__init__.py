@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .analysis import (
     CorridorStats,

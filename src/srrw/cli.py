@@ -410,13 +410,14 @@ def check_payloads(resolved: ResolvedConfig, traces: list[PopulationTrace],
 
 def cmd_check(resolved: ResolvedConfig, outdir: str,
               traces: list[PopulationTrace] | None = None) -> None:
-    """Check the traces of an earlier run, or fresh replicas that are written with the verdicts."""
+    """Check the traces of an earlier run, or fresh replicas, which are written before the
+    analysis so that an analysis error leaves them in the run directory."""
     fresh = [] if traces else run_replicas(resolved)
+    for i, tr in enumerate(fresh):
+        tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
     traces = traces or fresh
     meta = _meta(resolved)
     payloads = check_payloads(resolved, traces)
-    for i, tr in enumerate(fresh):
-        tr.to_csv(os.path.join(outdir, f"replica_{i:03d}.csv"), version=__version__)
     _write_json(os.path.join(outdir, "feasibility.json"), {
         "meta": meta,
         "block_length": payloads["plan"].block_length,

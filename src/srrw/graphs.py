@@ -21,12 +21,12 @@ multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
 is computed when it is first read. ``AliasRows`` draws token counts over
 padded rows, by multinomial or per token from Vose alias tables, and
-``ForkTable`` draws each fork's pair of distinct targets in one draw, by
-multinomial over ordered-pair rows or per token. The padded neighbour,
-fork, pair and alias tables, and the edges of ``complete_graph``, raise
-``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are allocated,
-and a graph or generator of more than ``NODE_CAP`` nodes raises it before
-any per-node array exists.
+``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
+as rows to fold into a step's node draw and as a per-token draw. The padded
+neighbour, fork, pair and alias tables, and the edges of ``complete_graph``,
+raise ``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are
+allocated, and a graph or generator of more than ``NODE_CAP`` nodes raises
+it before any per-node array exists.
 """
 from __future__ import annotations
 
@@ -558,44 +558,49 @@ class AliasRows:
         cell += offset
         return cell
 
+    def token_cells(self, tokens: np.ndarray, index: np.ndarray, rng, block: int | None = None,
+                    first: np.ndarray | None = None) -> np.ndarray:
+        """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, per token with
+        all uniforms from one ``rng.random`` call; ``block`` and ``first`` as in ``cells``."""
+        cell, table = self.cells(tokens, index, block, first)
+        return self.pick(cell, table, rng.random(2 * cell.size))
+
     def draw(self, tokens: np.ndarray, index: np.ndarray, rng, sparse: bool,
              block: int | None = None) -> np.ndarray:
         """(rows x W) int64 counts of ``tokens[i]`` tokens drawn from row ``index[i]``: per token
-        when ``sparse``, with all uniforms from one ``rng.random`` call, else by one multinomial
-        call. ``block`` is the one block of ``index``'s rows, when there is one."""
+        when ``sparse`` (``token_cells``), else by one multinomial call. ``block`` is the one
+        block of ``index``'s rows, when there is one."""
         if not sparse:
             return rng.multinomial(tokens, self.probs.take(index, axis=0))
-        cell, table = self.cells(tokens, index, block)
-        return np.bincount(self.pick(cell, table, rng.random(2 * cell.size)),
+        return np.bincount(self.token_cells(tokens, index, rng, block),
                            minlength=index.size * self.width).reshape(index.size, self.width)
 
 
 class ForkTable:
-    """The fork draw: a parent and its copy sent to two distinct neighbours, in one draw.
+    """The fork draw: a parent and its copy sent to two distinct neighbours.
 
     Built from the base walk's ``NeighbourTable``, whose columns run in
     reversed slot order, so each row's last column is slot 0, a real
     neighbour. A pair leaving u lands on the ordered pair (a, b), a != b,
     with probability ``p_a p_b / (1 - sum p^2)``, the law of two independent
     neighbour draws conditioned to differ; at degree 1 it takes the single
-    edge twice. The draw is either of two, both exact in law:
+    edge twice. Two forms of that law:
 
-    - *dense*: one ``Generator.multinomial`` call over the pair rows of
-      ``pair_rows``, one (n, W^2) array whose cell a W + b holds the pair
-      (a, b), except that the last two cells trade places so that the last,
-      where numpy's rounding remainder lands, is (slot 0, slot 1), a real
-      pair at degree 2 and above; ``pair_a`` and ``pair_b`` name each cell's
-      two columns, and a (W^2, W) matrix counts each cell's tokens landing in
-      each column, so one product tallies a draw. The rows and the matrix
-      take 8 (n + W) W^2 bytes, are built on the first dense draw and kept,
-      and past ``TABLE_BYTE_CAP`` they are never built: every draw then goes
-      per token;
-    - *per token*: the first target a from the alias tables of
-      ``first_rows``, whose rows ``first`` are the first-target marginals
-      ``p_a (1 - p_a) / (1 - sum p^2)``; then the second b by a bisection of
-      ceil(log2 W) rounds in row u of ``cum`` (``cum[u, c]`` = p_0 + ... +
-      p_(c-1)), for a uniform on [0, 1 - p_a) that skips the interval of a:
-      the law ``p_b / (1 - p_a)`` over b != a.
+    - ``pair_rows``: one (n, W^2) array whose cell a W + b holds the pair
+      (a, b), except that the last two cells trade places so that the last
+      is (slot 0, slot 1), a real pair at degree 2 and above; ``pair_a`` and
+      ``pair_b`` name each cell's two columns. ``StepRows`` folds these
+      cells into the node rows of narrow graphs, so that one draw settles a
+      whole step. They take 8 n W^2 bytes, are built on first use and kept,
+      and past ``TABLE_BYTE_CAP`` raise ``ParameterError`` before they are
+      allocated;
+    - ``dispatch``, the draw of a step that does not fold, per token: the
+      first target a from the alias tables of ``first_rows``, whose rows
+      ``first`` are the first-target marginals ``p_a (1 - p_a) / (1 - sum
+      p^2)``; then the second b by a bisection of ceil(log2 W) rounds in row
+      u of ``cum`` (``cum[u, c]`` = p_0 + ... + p_(c-1)), for a uniform on
+      [0, 1 - p_a) that skips the interval of a: the law ``p_b / (1 - p_a)``
+      over b != a.
 
     A lone copy of a trapped parent lands on the first target of a pair,
     which has the same law as the second. ``dest`` is the node of every
@@ -632,12 +637,11 @@ class ForkTable:
             arr.setflags(write=False)
 
     def pair_rows(self) -> np.ndarray:
-        """The (n, W^2) ordered-pair rows of the dense draw, built on first use with
-        ``pair_a``, ``pair_b`` and the landing matrix; past ``TABLE_BYTE_CAP`` raises
-        ``ParameterError`` before allocating them."""
+        """The (n, W^2) ordered-pair rows, built on first use with ``pair_a`` and ``pair_b``;
+        past ``TABLE_BYTE_CAP`` raises ``ParameterError`` before allocating them."""
         if self._pairs is None:
             n, w = self.first.shape
-            _check_bytes(8 * (n + w) * w * w, f"fork pair rows of {n} rows by {w * w}")
+            _check_bytes(8 * n * w * w, f"fork pair rows of {n} rows by {w * w}")
             pairs = np.empty((n, w * w))
             cube = pairs.reshape(n, w, w)
             np.multiply(self.prob[:, :, None], self.prob[:, None, :], out=cube)
@@ -648,21 +652,10 @@ class ForkTable:
             a, b = np.divmod(np.arange(w * w), w)
             if w > 1:
                 b[-2:] = w - 1, w - 2
-            # how many of a pair cell's two tokens land in each column
-            landing = np.zeros((w * w, w), dtype=np.int64)
-            np.add.at(landing, (np.arange(w * w), a), 1)
-            np.add.at(landing, (np.arange(w * w), b), 1)
-            for arr in (pairs, a, b, landing):
+            for arr in (pairs, a, b):
                 arr.setflags(write=False)
-            self._pairs, self.pair_a, self.pair_b, self._pair_landing = pairs, a, b, landing
+            self._pairs, self.pair_a, self.pair_b = pairs, a, b
         return self._pairs
-
-    def dense(self, tokens: int, rows: int) -> bool:
-        """The density rule of the fork draw, on its own cells: one multinomial over the pair
-        rows when the tokens number more than half their cells, 2 x tokens > rows x W^2, and
-        the rows fit ``TABLE_BYTE_CAP``; per token otherwise."""
-        n, w = self.first.shape
-        return 2 * tokens > rows * w * w and 8 * (n + w) * w * w <= TABLE_BYTE_CAP
 
     def second_cells(self, cell: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The cell, in the (n, W) tables flattened, of the second target of each pair whose
@@ -694,24 +687,15 @@ class ForkTable:
         return q
 
     def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None, rng,
-                 n_pairs: int, n_lone: int) -> np.ndarray:
+                 n_pairs: int) -> np.ndarray:
         """Tokens landing on each node from ``pairs[i]`` parent-and-copy pairs and ``lone[i]``
         copies of trapped parents (``None`` when there are none) leaving ``nodes[i]``,
-        ``n_pairs`` and ``n_lone`` in all, in one draw: by one multinomial over the pair rows
-        when ``dense`` holds, else per token with every uniform from one ``rng.random``
+        ``n_pairs`` pairs in all, drawn per token with every uniform from one ``rng.random``
         call."""
         n, w = self.first.shape
-        m = nodes.size
         if lone is not None:
             nodes = np.concatenate((nodes, nodes))
             pairs = np.concatenate((pairs, lone))
-        if self.dense(n_pairs + n_lone, nodes.size):
-            draws = rng.multinomial(pairs, self.pair_rows().take(nodes, axis=0))
-            landed = draws.dot(self._pair_landing)  # each column's tokens, per row
-            if lone is not None:  # a lone copy lands on its first target only
-                landed[m:] = draws[m:].reshape(-1, w, w).sum(axis=2)
-            return np.bincount(self.dest.take(nodes, axis=0).ravel(), weights=landed.ravel(),
-                               minlength=n)
         # first targets as cells of the (n, W) tables; the pairs' tokens come first
         cell, table = self.first_rows.cells(pairs, nodes, 0, nodes * w)
         u = rng.random(2 * cell.size + n_pairs)

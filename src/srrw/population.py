@@ -23,30 +23,26 @@ kernel, trap profile and event order:
   independent draws conditioned to differ. A trapped parent's copy lands on
   the pair's first target, which has the same law as the second.
 
-A step makes at most two draws: one over the occupied nodes' rows, and for
-forks one in ``ForkTable.dispatch`` of the kernel's ``fork_table``, and it
-sums every landing into one per-node tally. Each draw chooses by its own
-density rule between one ``Generator.multinomial`` call, a binomial per
-cell in O(rows x cells), cheaper on a few crowded rows, and a draw per
-token, O(tokens), cheaper when tokens are few:
-
-- the node draw (``graphs.AliasRows``) goes per token when its Z tokens
-  number at most half the cells of their gathered rows (2 Z <= rows x row
-  width): a uniform column and a coin against the row's Vose alias table;
-- the fork draw goes by multinomial over the nodes' ordered-pair rows (W^2
-  cells a row) when its tokens number more than half those cells, and per
-  token otherwise: the first target from alias tables, the second by a
-  bisection of ceil(log2 W) rounds in the node's cumulative row.
-
-Both are exact in law. When the triggers put every age 1..t in one region
-(every A_l <= 1, say), the step reads that region without the per-node
-rule. Alias tables take 12 bytes per cell for each (spec, age region) a
-sparse step draws from, and per node row of the fork table's first targets;
-the pair rows and their landing matrix take 8 (n + W) W^2 bytes once a
-dense fork draw builds them, and past ``graphs.TABLE_BYTE_CAP`` every fork
-draw goes per token. The tally costs O(occupied nodes x row width) whatever
-the population size; the row width is the largest degree + 1, so hub graphs
-pay O(n) per row.
+On a narrow graph a step makes one draw: ``StepRows`` folds the fork
+pairs into the node rows (one cell per ordered pair, and per lone copy),
+when one age region of the folded rows fits ``FOLD_BYTES`` with its alias
+tables. Otherwise it makes two: one over the node rows, then the forks'
+targets in ``ForkTable.dispatch`` of the kernel's ``fork_table``, per
+token: the first target from alias tables, the second by a bisection of
+ceil(log2 W) rounds in the node's cumulative row. Either way every landing
+goes into one per-node tally. The node draw chooses by its density rule
+(``graphs.AliasRows``) between one ``Generator.multinomial`` call, a
+binomial per cell in O(rows x cells), cheaper on a few crowded rows, and a
+draw per token, O(tokens), when its Z tokens number at most half the cells
+of their gathered rows (2 Z <= rows x row width): a uniform column and a
+coin against the row's Vose alias table. Both are exact in law. When the
+triggers put every age 1..t in one region (every A_l <= 1, say), the step
+reads that region without the per-node rule. Alias tables take 12 bytes
+per cell for each (spec, age region) a sparse step draws from, and per node
+row of the fork table's first targets. A folded step tallies a per-token
+draw from its tokens' cells, O(Z); any other step costs O(occupied nodes x
+row width) whatever the population size, and the row width is the largest
+degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -69,6 +65,9 @@ DEFAULT_POPULATION_CAP = 10**6
 # a_eff the matching-age bisection returns (it stops past 1e18)
 KAPPA_MAX = 1e6
 CSV_CHUNK_ROWS = 4096  # trace rows formatted per write
+# bytes that one age region's folded node rows may take with their alias tables, 20 bytes a
+# cell (``StepRows``); set with scripts/step_timing.py (see the README's "Cost of a walk step")
+FOLD_BYTES = 2 << 20
 
 # the event columns leading every node row
 _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
@@ -302,13 +301,25 @@ def _initial_counts(kernel: TransitionKernel, z0: int, placement, rng) -> np.nda
 class StepRows:
     """Probability rows of the count engine for one kernel, trap profile and order.
 
-    The one holder of a run's kernel, traps and event order. Node-row columns
-    run in reversed slot order, so each row's last column is slot 0, a real
-    neighbour: numpy's multinomial gives any rounding remainder to the last
-    column. Node rows are built per policy spec on first use and reused for
-    the whole run, as ``AliasRows`` whose alias tables are built per age
-    region (a block of n rows) on the first sparse step that draws from it;
-    fork rows are the kernel's ``fork_table``.
+    The one holder of a run's kernel, traps and event order. A node row splits
+    a node's tokens over the event columns (trapped, acted then trapped,
+    acted) and then the lazy moves in reversed slot order, so each row's last
+    column is slot 0, a real neighbour: numpy's multinomial gives any rounding
+    remainder to the last column. A graph whose rows of one age region take
+    at most ``FOLD_BYTES`` with their alias tables (20 bytes a cell) is
+    *folded* (``folded``): in the fork region, the acted column becomes one
+    cell per ordered pair of the kernel's ``fork_table().pair_rows()``, and
+    the acted-then-trapped column (``policy_first`` fork parents) one
+    lone-copy cell per neighbour on the first-target marginal, placed before
+    the moves, so one draw settles the whole step. ``landing`` gives each
+    column its landing node (n for tokens that leave); when folded it gives
+    each cell its first and second landing node, and ``bounds`` the first
+    column of each class of cells: trapped, acted then trapped, acted, lone
+    copies, pairs and moves. Node rows are built per policy spec on first use
+    and reused for the whole run, as ``AliasRows`` whose alias tables are
+    built per age region (a block of n rows) on the first sparse step that
+    draws from it; a step that does not fold draws its forks from the
+    kernel's ``fork_table``.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -319,25 +330,36 @@ class StepRows:
         lazy = kernel.neighbour_table()
         self.order = order
         self.zeta = traps.zeta
-        self.node_count = kernel.node_count
+        self.node_count = n = kernel.node_count
         self.motion = lazy.prob[:, ::-1]
-        # the node each node-row column's tokens land on; tokens that leave
-        # (trapped or acted) land in the extra node n
-        self.landing = np.hstack([np.full((self.node_count, _EVENTS), self.node_count),
-                                  lazy.nbr[:, ::-1]])
         self.forks = kernel.fork_table()
+        moves = lazy.nbr[:, ::-1]
+        w = self.forks.first.shape[1]
+        self.bounds = np.array([0, 1, 2, _EVENTS, _EVENTS + w, _EVENTS + w + w * w])
+        self.folded = 20 * n * (self.bounds[-1] + moves.shape[1]) <= FOLD_BYTES
+        if self.folded:
+            dest, pairs = self.forks.dest, slice(self.bounds[4], self.bounds[5])
+            self.forks.pair_rows()  # builds ``pair_a`` and ``pair_b``
+            landing = np.full((n, self.bounds[-1] + moves.shape[1], 2), n)
+            landing[:, _EVENTS:self.bounds[4], 0] = dest
+            landing[:, pairs, 0] = dest.take(self.forks.pair_a, axis=1)
+            landing[:, pairs, 1] = dest.take(self.forks.pair_b, axis=1)
+            landing[:, self.bounds[5]:, 0] = moves
+            self.landing = landing
+        else:
+            self.landing = np.hstack([np.full((n, _EVENTS), n), moves])
         self._nodes = {}
 
     def node_rows(self, spec: PolicySpec) -> AliasRows:
-        """Row ``region * n + node``: trapped, acted then trapped, acted, moves."""
+        """Row ``region * n + node``: trapped, acted then trapped, acted, (when folded) lone
+        copies and ordered pairs, then moves."""
         key = id(spec)
         if key not in self._nodes:
             zeta = self.zeta[None, :]
             q = np.stack([spec.q_fork, spec.q_term, np.zeros(self.node_count)])
-            rows = np.empty((3, self.node_count, _EVENTS + self.motion.shape[1]))
+            rows = np.zeros((3, self.node_count, self.landing.shape[1]))
             if self.order == "trap_first":
                 rows[:, :, _TRAPPED] = zeta
-                rows[:, :, _ACTED_TRAPPED] = 0.0
                 rows[:, :, _ACTED] = (1.0 - zeta) * q
             else:
                 # terminating tokens leave before the trap roll; passers and
@@ -347,7 +369,13 @@ class StepRows:
                 rows[TERM, :, _ACTED_TRAPPED] = 0.0
                 rows[:, :, _ACTED] = q * (1.0 - zeta)
                 rows[TERM, :, _ACTED] = spec.q_term
-            rows[:, :, _EVENTS:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
+            moves = self.motion.shape[1]
+            rows[:, :, -moves:] = ((1.0 - q) * (1.0 - zeta))[:, :, None] * self.motion[None]
+            if self.folded:
+                fork, (lone, pairs, end) = rows[FORK], self.bounds[3:]
+                fork[:, lone:pairs] = fork[:, _ACTED_TRAPPED, None] * self.forks.first
+                fork[:, pairs:end] = fork[:, _ACTED, None] * self.forks.pair_rows()
+                fork[:, _ACTED_TRAPPED:_EVENTS] = 0.0
             triggers = (spec.a_long.max(), spec.a_long.min(), spec.a_short.min(),
                         spec.a_short.max())
             self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
@@ -423,39 +451,58 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     if uniform is None or age_law is not None:
         ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages) if uniform is None else uniform
+    index = region * n + occ
     sparse = node_rows.sparse(tokens)
-    draws = node_rows.draw(tokens, region * n + occ, rng, sparse, uniform)
+    # trap_first: trapped tokens never reach the policy stage
+    law_trapped = age_law is not None and rows.order == "trap_first"
 
+    if rows.folded:
+        # one draw settles the step; each cell names its event class and landing nodes
+        w = node_rows.width
+        if sparse:
+            cell = node_rows.token_cells(tokens, index, rng, uniform, occ * w)
+            landed = np.bincount(rows.landing.reshape(-1, 2).take(cell, axis=0).ravel(),
+                                 minlength=n + 1)
+            cell %= w  # each token's column
+            per_column = np.bincount(cell, minlength=w)
+            if law_trapped:
+                trapped = np.add.reduceat(cell == _TRAPPED, np.cumsum(tokens) - tokens)
+        else:
+            draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
+            landed = np.bincount(rows.landing.reshape(n, -1).take(occ, axis=0).ravel(),
+                                 weights=draws.ravel().repeat(2), minlength=n + 1)
+            per_column = np.add.reduce(draws)
+            trapped = draws[:, _TRAPPED]
+        n_trapped, _, terms, lone, n_pairs, _ = np.add.reduceat(per_column, rows.bounds).tolist()
+        counts = StepCounts(n_pairs + lone, n_trapped + lone, terms)
+    else:
+        draws = node_rows.draw(tokens, index, rng, sparse, uniform)
+        trapped = draws[:, _TRAPPED]
+        # acted tokens fork in the fork region and terminate in the term region
+        # (the pass region never acts); acted-then-trapped tokens are fork
+        # parents whose copy still leaves
+        n_trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
+        if uniform == FORK:  # every acted token forks
+            pairs, n_pairs = draws[:, _ACTED], acted
+        else:  # per node, or none in a uniform term or pass region
+            pairs = draws[:, _ACTED] * (region == FORK)
+            n_pairs = 0 if uniform is not None else int(np.add.reduce(pairs))
+        # one float tally of the landings per node (exact: no count nears 2^53);
+        # tokens that leave land on the extra node n
+        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
+                             minlength=n + 1)[:n]
+        if n_pairs or acted_trapped:
+            f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
+            lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
+            landed += rows.forks.dispatch(occ.take(f), pairs.take(f), lone, rng, n_pairs)
+        counts = StepCounts(n_pairs + acted_trapped, n_trapped + acted_trapped, acted - n_pairs)
     if age_law is not None:
-        # trap_first: trapped tokens never reach the policy stage
-        trap_first = rows.order == "trap_first"
-        age_law.record(occ, ages, tokens - draws[:, _TRAPPED] if trap_first else tokens)
-
-    # acted tokens fork in the fork region and terminate in the term region
-    # (the pass region never acts); acted-then-trapped tokens are fork
-    # parents whose copy still leaves
-    trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
-    if uniform == FORK:  # every acted token forks
-        pairs, n_pairs = draws[:, _ACTED], acted
-    else:  # per node, or none in a uniform term or pass region
-        pairs = draws[:, _ACTED] * (region == FORK)
-        n_pairs = 0 if uniform is not None else int(np.add.reduce(pairs))
-    # one float tally of the landings per node (exact: no count nears 2^53);
-    # tokens that leave land on the extra node n
-    landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
-                         minlength=n + 1)[:n]
-    if n_pairs or acted_trapped:
-        f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
-        lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
-        landed += rows.forks.dispatch(occ.take(f), pairs.take(f), lone, rng, n_pairs,
-                                      acted_trapped)
-    counts = landed.astype(np.int64)
+        age_law.record(occ, ages, tokens - trapped if law_trapped else tokens)
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()
     last_visit[occ] = t
-    return (PopulationState(t, counts, last_visit),
-            StepCounts(n_pairs + acted_trapped, trapped + acted_trapped, acted - n_pairs))
+    return PopulationState(t, landed[:n].astype(np.int64), last_visit), counts
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,

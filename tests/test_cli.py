@@ -683,6 +683,22 @@ class TestCheck:
         assert corridor["mean_inside_fraction"] > 0.5
         assert os.path.exists(os.path.join(run, "excursions.csv"))
 
+    def test_failed_analysis_keeps_the_replicas(self, tmp_path, capsys):
+        # a horizon within the mixing burn-in leaves no step to measure rates on, so the
+        # analysis fails after the replicas ran; they stay in the run directory
+        cfg = write_config(tmp_path, simulation={"Z_0": 20, "horizon": 2, "replicas": 2,
+                                                 "seed": 7})
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "beyond the mixing burn-in" in capsys.readouterr().err
+        run = only_run_dir(out)
+        names = ["replica_000.csv", "replica_001.csv"]
+        assert [name for name in sorted(os.listdir(run)) if name.endswith(".csv")] == names
+        kept = [PopulationTrace.from_csv(os.path.join(run, name)) for name in names]
+        fresh = run_replicas(resolve_config(load_config(str(cfg))))
+        for a, b in zip(kept, fresh):
+            assert a.horizon == b.horizon == 2 and np.array_equal(a.z, b.z)
+
     def test_check_on_referenced_traces(self, tmp_path):
         cfg = self.check_config(tmp_path)
         out = tmp_path / "out"

@@ -82,6 +82,23 @@ def test_bench_record(tmp_path):
     assert all(won in ("0/1", "1/1") for won in entry["change_won"].values())
 
 
+def test_bench_record_step_timing_rows(tmp_path):
+    # the explode_k4 step timing of this checkout against itself, stored as per-layer rows
+    root = os.path.dirname(SCRIPTS)
+    assert load("bench_record").main(["--label", "t", "--baseline", root, "--runs", "1",
+                                      "--seconds", "1", "--size", "tiny", "--workload",
+                                      "explode_k4", "--out", str(tmp_path),
+                                      "--step-timing", "explode_k4"]) == 0
+    layer = json.load(open(tmp_path / "BENCH_t.json"))["per_layer"]["step_timing"]
+    assert layer["command"] == ("scripts/step_timing.py --baseline <parent>/src "
+                                "--case explode_k4")
+    assert [(row["case"], row["order"]) for row in layer["rows"]] == [
+        ("explode_k4", "trap_first"), ("explode_k4", "policy_first")]
+    for row in layer["rows"]:
+        assert row["folded"] == 1.0 and row["us_per_step_p50"] > 0
+        assert row["round_ratio_min"] <= row["ratio"] <= row["round_ratio_max"]
+
+
 def test_every_exported_name_resolves():
     assert [name for name in srrw.__all__ if not hasattr(srrw, name)] == []
 
