@@ -21,11 +21,13 @@ The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
 20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
 with the age law collected, ER(1000, 0.01) at Z of about 10k, a hub:
 star(300) at about 10 tokens per node, whose rows are as wide as the graph,
-and the dense K(150) at 10 tokens per node; each in both event orders. Each
-engine case also prints the share of its run's steps that the engine drew
-per token (``AliasRows.sparse``) rather than by multinomial, and the share
-drawn folded (``StepRows.folded``: fork pairs in the node draw) rather than
-in two stages. ``--fold-bytes B`` sets this package's fold budget
+the same star with mixed triggers (forks from age 4, terminations up to age
+2, so each step reads every node's age region) near its steady Z of about
+450, and the dense K(150) at 10 tokens per node; each in both event orders.
+Each engine case also prints the share of its run's steps that the engine
+drew per token (``AliasRows.sparse``) rather than by multinomial, and the
+share drawn folded (``StepRows.folded``: fork pairs in the node draw) rather
+than in two stages. ``--fold-bytes B`` sets this package's fold budget
 (``population.FOLD_BYTES``) to B for the whole script; run against this same
 ``src`` as the baseline, it times folded steps against two-stage ones on the
 same states, which is how the budget is set. The return-time case moves the
@@ -96,6 +98,12 @@ CASES = {
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.02},
         "simulation": {"Z_0": 3_000, "horizon": 100, "seed": 1},
+    },
+    "mixed_star300": {
+        "graph": {"generator": {"kind": "star", "n": 300}},
+        "traps": {"nodes": "all", "zeta": 0.02},
+        "policy": {"A_l": 4, "A_s": 2, "q_fork": 0.5, "q_term": 0.01},
+        "simulation": {"Z_0": 450, "horizon": 100, "seed": 1},
     },
     "k150": {
         "graph": {"generator": {"kind": "complete", "n": 150}},

@@ -19,10 +19,10 @@ constants); past ``DENSE_NODE_CAP`` nodes reading them raises
 holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
 multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
-is computed when it is first read. ``AliasRows`` draws token counts over
-padded rows, by multinomial or per token from Vose alias tables, and
-``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
-as rows to fold into a step's node draw and as a per-token draw. The padded
+is computed when it is first read. ``AliasRows`` draws tokens over padded
+rows per token from Vose alias tables, and ``ForkTable`` holds each fork's
+law over ordered pairs of distinct targets, as rows to fold into a step's
+node draw and as a per-token draw. The padded
 neighbour, fork, pair and alias tables, and the edges of ``complete_graph``,
 raise ``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are
 allocated, and a graph or generator of more than ``NODE_CAP`` nodes raises
@@ -480,17 +480,18 @@ def alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class AliasRows:
-    """An (R, W) array ``probs`` of categorical rows and its two draws, both exact in law.
+    """An (R, W) array ``probs`` of categorical rows and their per-token draw, exact in law.
 
-    ``draw`` splits ``tokens[i]`` tokens over row ``index[i]`` into (rows x W)
-    int64 counts: by one ``Generator.multinomial`` call, a binomial per cell,
-    or, when ``sparse`` holds, per token, a uniform column and a uniform coin
-    against that cell of the row's alias table, O(tokens) instead of O(rows x
-    W). The tables are built ``block`` rows at a time, on the first sparse draw
-    from the block, past ``TABLE_BYTE_CAP`` raising before they are allocated,
-    and kept: 12 bytes per cell, a float64 cut and an int32 alias held as its
-    offset from its own column, so a draw selects by arithmetic instead of a
-    branch per token.
+    ``token_cells`` draws each of ``tokens[i]`` tokens from row ``index[i]``
+    by a uniform column and a uniform coin against that cell of the row's
+    alias table, O(tokens); ``sparse`` is the density rule under which that
+    beats one ``Generator.multinomial`` call over the gathered rows of
+    ``probs``, a binomial per cell, O(rows x W). The tables are built
+    ``block`` rows at a time, on the first per-token draw from the block,
+    past ``TABLE_BYTE_CAP`` raising before they are allocated, and kept: 12
+    bytes per cell, a float64 cut and an int32 alias held as its offset from
+    its own column, so a draw selects by arithmetic instead of a branch per
+    token.
     """
 
     def __init__(self, probs: np.ndarray, block: int):
@@ -565,16 +566,6 @@ class AliasRows:
         cell, table = self.cells(tokens, index, block, first)
         return self.pick(cell, table, rng.random(2 * cell.size))
 
-    def draw(self, tokens: np.ndarray, index: np.ndarray, rng, sparse: bool,
-             block: int | None = None) -> np.ndarray:
-        """(rows x W) int64 counts of ``tokens[i]`` tokens drawn from row ``index[i]``: per token
-        when ``sparse`` (``token_cells``), else by one multinomial call. ``block`` is the one
-        block of ``index``'s rows, when there is one."""
-        if not sparse:
-            return rng.multinomial(tokens, self.probs.take(index, axis=0))
-        return np.bincount(self.token_cells(tokens, index, rng, block),
-                           minlength=index.size * self.width).reshape(index.size, self.width)
-
 
 class ForkTable:
     """The fork draw: a parent and its copy sent to two distinct neighbours.
@@ -594,8 +585,9 @@ class ForkTable:
       whole step. They take 8 n W^2 bytes, are built on first use and kept,
       and past ``TABLE_BYTE_CAP`` raise ``ParameterError`` before they are
       allocated;
-    - ``dispatch``, the draw of a step that does not fold, per token: the
-      first target a from the alias tables of ``first_rows``, whose rows
+    - ``dispatch``, the draw of a step that does not fold, per token from
+      the origin node of each pair and lone copy: the first target a from
+      the alias tables of ``first_rows``, whose rows
       ``first`` are the first-target marginals ``p_a (1 - p_a) / (1 - sum
       p^2)``; then the second b by a bisection of ceil(log2 W) rounds in row
       u of ``cum`` (``cum[u, c]`` = p_0 + ... + p_(c-1)), for a uniform on
@@ -686,18 +678,13 @@ class ForkTable:
         q -= q == cell
         return q
 
-    def dispatch(self, nodes: np.ndarray, pairs: np.ndarray, lone: np.ndarray | None, rng,
-                 n_pairs: int) -> np.ndarray:
-        """Tokens landing on each node from ``pairs[i]`` parent-and-copy pairs and ``lone[i]``
-        copies of trapped parents (``None`` when there are none) leaving ``nodes[i]``,
-        ``n_pairs`` pairs in all, drawn per token with every uniform from one ``rng.random``
-        call."""
+    def dispatch(self, nodes: np.ndarray, rng, n_pairs: int) -> np.ndarray:
+        """Tokens landing on each node from one fork token leaving each of ``nodes``: the first
+        ``n_pairs`` are parent-and-copy pairs, the rest lone copies of trapped parents. Drawn
+        per token with every uniform from one ``rng.random`` call."""
         n, w = self.first.shape
-        if lone is not None:
-            nodes = np.concatenate((nodes, nodes))
-            pairs = np.concatenate((pairs, lone))
-        # first targets as cells of the (n, W) tables; the pairs' tokens come first
-        cell, table = self.first_rows.cells(pairs, nodes, 0, nodes * w)
+        # first targets as cells of the (n, W) tables
+        cell, table = self.first_rows.cells(1, nodes, 0, nodes * w)
         u = rng.random(2 * cell.size + n_pairs)
         cell = self.first_rows.pick(cell, table, u)
         second = self.second_cells(cell[:n_pairs], u[2 * cell.size:])

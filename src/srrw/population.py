@@ -23,14 +23,17 @@ kernel, trap profile and event order:
   independent draws conditioned to differ. A trapped parent's copy lands on
   the pair's first target, which has the same law as the second.
 
-On a narrow graph a step makes one draw: ``StepRows`` folds the fork
-pairs into the node rows (one cell per ordered pair, and per lone copy),
-when one age region of the folded rows fits ``FOLD_BYTES`` with its alias
-tables. Otherwise it makes two: one over the node rows, then the forks'
-targets in ``ForkTable.dispatch`` of the kernel's ``fork_table``, per
-token: the first target from alias tables, the second by a bisection of
-ceil(log2 W) rounds in the node's cumulative row. Either way every landing
-goes into one per-node tally. The node draw chooses by its density rule
+On a narrow graph a step makes one draw: ``StepRows`` folds the fork pairs
+into the node rows (one cell per ordered pair, and per lone copy), when one
+age region of the folded rows fits ``FOLD_BYTES`` with its alias tables.
+Otherwise it makes two: one over the node rows, then the targets of the
+acted column's forks and of the lone copies in ``ForkTable.dispatch`` of
+the kernel's ``fork_table``, per token: the first target from alias tables,
+the second by a bisection of ceil(log2 W) rounds in the node's cumulative
+row. ``step`` itself is the same for both: each cell of the rows names its
+landing nodes and its class of event, and the only two-stage work left is
+to split the acted column into forks and terminations by age region and
+send the forks off. The node draw chooses by its density rule
 (``graphs.AliasRows``) between one ``Generator.multinomial`` call, a
 binomial per cell in O(rows x cells), cheaper on a few crowded rows, and a
 draw per token, O(tokens), when its Z tokens number at most half the cells
@@ -39,10 +42,10 @@ coin against the row's Vose alias table. Both are exact in law. When the
 triggers put every age 1..t in one region (every A_l <= 1, say), the step
 reads that region without the per-node rule. Alias tables take 12 bytes
 per cell for each (spec, age region) a sparse step draws from, and per node
-row of the fork table's first targets. A folded step tallies a per-token
-draw from its tokens' cells, O(Z); any other step costs O(occupied nodes x
-row width) whatever the population size, and the row width is the largest
-degree + 1, so hub graphs pay O(n) per row.
+row of the fork table's first targets. A per-token step tallies its
+landings and events from its tokens' cells, O(Z); a multinomial step costs
+O(occupied nodes x row width) whatever the population size, and the row
+width is the largest degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -311,15 +314,17 @@ class StepRows:
     cell per ordered pair of the kernel's ``fork_table().pair_rows()``, and
     the acted-then-trapped column (``policy_first`` fork parents) one
     lone-copy cell per neighbour on the first-target marginal, placed before
-    the moves, so one draw settles the whole step. ``landing`` gives each
-    column its landing node (n for tokens that leave); when folded it gives
-    each cell its first and second landing node, and ``bounds`` the first
-    column of each class of cells: trapped, acted then trapped, acted, lone
-    copies, pairs and moves. Node rows are built per policy spec on first use
-    and reused for the whole run, as ``AliasRows`` whose alias tables are
-    built per age region (a block of n rows) on the first sparse step that
-    draws from it; a step that does not fold draws its forks from the
-    kernel's ``fork_table``.
+    the moves, so one draw settles the whole step. ``bounds`` gives the
+    first column of each class of the folded layout: trapped, acted then
+    trapped, acted, lone copies, pairs and moves; ``classes`` gives those of
+    these rows, whose lone-copy and pair classes exist only when folded.
+    ``landing`` (n, columns, 1), or (n, columns, 2) when folded, gives each
+    cell its landing nodes, n for tokens that leave (the event columns of
+    rows that do not fold, whose forks ``step`` sends through the kernel's
+    ``fork_table``), and ``cell_landing`` the same by cell of the rows
+    flattened. Node rows are built per policy spec on first use and reused
+    for the whole run, as ``AliasRows`` whose alias tables are built per age
+    region (a block of n rows) on the first sparse step that draws from it.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -337,17 +342,18 @@ class StepRows:
         w = self.forks.first.shape[1]
         self.bounds = np.array([0, 1, 2, _EVENTS, _EVENTS + w, _EVENTS + w + w * w])
         self.folded = 20 * n * (self.bounds[-1] + moves.shape[1]) <= FOLD_BYTES
+        # rows that do not fold have no lone-copy or pair cells
+        self.classes = self.bounds if self.folded else self.bounds[:4]
+        landing = np.full((n, self.classes[-1] + moves.shape[1], 2 if self.folded else 1), n)
+        landing[:, self.classes[-1]:, 0] = moves
         if self.folded:
             dest, pairs = self.forks.dest, slice(self.bounds[4], self.bounds[5])
             self.forks.pair_rows()  # builds ``pair_a`` and ``pair_b``
-            landing = np.full((n, self.bounds[-1] + moves.shape[1], 2), n)
             landing[:, _EVENTS:self.bounds[4], 0] = dest
             landing[:, pairs, 0] = dest.take(self.forks.pair_a, axis=1)
             landing[:, pairs, 1] = dest.take(self.forks.pair_b, axis=1)
-            landing[:, self.bounds[5]:, 0] = moves
-            self.landing = landing
-        else:
-            self.landing = np.hstack([np.full((n, _EVENTS), n), moves])
+        self.landing = landing
+        self.cell_landing = landing.reshape(-1, landing.shape[2])
         self._nodes = {}
 
     def node_rows(self, spec: PolicySpec) -> AliasRows:
@@ -456,46 +462,48 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     # trap_first: trapped tokens never reach the policy stage
     law_trapped = age_law is not None and rows.order == "trap_first"
 
-    if rows.folded:
-        # one draw settles the step; each cell names its event class and landing nodes
-        w = node_rows.width
-        if sparse:
-            cell = node_rows.token_cells(tokens, index, rng, uniform, occ * w)
-            landed = np.bincount(rows.landing.reshape(-1, 2).take(cell, axis=0).ravel(),
-                                 minlength=n + 1)
-            cell %= w  # each token's column
-            per_column = np.bincount(cell, minlength=w)
-            if law_trapped:
-                trapped = np.add.reduceat(cell == _TRAPPED, np.cumsum(tokens) - tokens)
-        else:
-            draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
-            landed = np.bincount(rows.landing.reshape(n, -1).take(occ, axis=0).ravel(),
-                                 weights=draws.ravel().repeat(2), minlength=n + 1)
-            per_column = np.add.reduce(draws)
-            trapped = draws[:, _TRAPPED]
-        n_trapped, _, terms, lone, n_pairs, _ = np.add.reduceat(per_column, rows.bounds).tolist()
-        counts = StepCounts(n_pairs + lone, n_trapped + lone, terms)
+    # one node draw; each cell names its landing nodes (n for tokens that leave)
+    w = node_rows.width
+    if sparse:
+        # each token's cell in the (n, w) rows flattened: its node times w plus its column
+        cell = node_rows.token_cells(tokens, index, rng, uniform, occ * w)
+        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(), minlength=n + 1)
+        col = cell % w
+        per_column = np.bincount(col, minlength=w)
+        if law_trapped:
+            trapped = np.add.reduceat(col == _TRAPPED, np.cumsum(tokens) - tokens)
     else:
-        draws = node_rows.draw(tokens, index, rng, sparse, uniform)
+        draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
+        # one float tally (exact: no count nears 2^53)
+        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(),
+                             weights=draws.ravel().repeat(rows.landing.shape[2]), minlength=n + 1)
+        per_column = np.add.reduce(draws)
         trapped = draws[:, _TRAPPED]
-        # acted tokens fork in the fork region and terminate in the term region
-        # (the pass region never acts); acted-then-trapped tokens are fork
-        # parents whose copy still leaves
-        n_trapped, acted_trapped, acted = np.add.reduce(draws[:, :_EVENTS]).tolist()
-        if uniform == FORK:  # every acted token forks
-            pairs, n_pairs = draws[:, _ACTED], acted
-        else:  # per node, or none in a uniform term or pass region
-            pairs = draws[:, _ACTED] * (region == FORK)
-            n_pairs = 0 if uniform is not None else int(np.add.reduce(pairs))
-        # one float tally of the landings per node (exact: no count nears 2^53);
-        # tokens that leave land on the extra node n
-        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=draws.ravel(),
-                             minlength=n + 1)[:n]
-        if n_pairs or acted_trapped:
-            f = (pairs + draws[:, _ACTED_TRAPPED] if acted_trapped else pairs).nonzero()[0]
-            lone = draws[:, _ACTED_TRAPPED].take(f) if acted_trapped else None
-            landed += rows.forks.dispatch(occ.take(f), pairs.take(f), lone, rng, n_pairs)
-        counts = StepCounts(n_pairs + acted_trapped, n_trapped + acted_trapped, acted - n_pairs)
+    # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
+    n_trapped, acted_trapped, acted, *fold, _ = np.add.reduceat(per_column, rows.classes).tolist()
+    lone, pairs = fold or (0, 0)
+    # rows that do not fold leave forks to the fork table: acted tokens fork in the fork region
+    # and terminate in the term region (the pass region never acts), and acted-then-trapped
+    # tokens are fork parents whose copy still leaves
+    acted_forks = 0
+    if acted_trapped or (acted and uniform != TERM):
+        # the node of each pair and of each lone copy, each group in node order
+        if sparse:
+            forking = col == _ACTED
+            if uniform is None:
+                forking &= np.repeat(region == FORK, tokens)
+            pairs_from, copies_from = cell[forking] // w, cell[col == _ACTED_TRAPPED] // w
+        else:
+            pairs_from = occ.repeat(draws[:, _ACTED] * (region == FORK))
+            copies_from = occ.repeat(draws[:, _ACTED_TRAPPED])
+        acted_forks = pairs_from.size
+        if acted_forks or acted_trapped:
+            landed[:n] += rows.forks.dispatch(np.concatenate((pairs_from, copies_from)), rng,
+                                              acted_forks)
+    # a lone copy, drawn as a cell or left by an acted-then-trapped parent, is a fork and a
+    # deletion
+    lone += acted_trapped
+    counts = StepCounts(pairs + acted_forks + lone, n_trapped + lone, acted - acted_forks)
     if age_law is not None:
         age_law.record(occ, ages, tokens - trapped if law_trapped else tokens)
 
