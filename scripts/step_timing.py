@@ -18,9 +18,11 @@ round-to-round spread. Only calls made close in time are paired, so a phase
 change of the machine between rounds does not move the ratio.
 
 The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
-20 to the 100k cap), the corridor experiment's ER(30, 0.15) regime config
-with the age law collected, ER(1000, 0.01) at Z of about 10k, a hub:
-star(300) at about 10 tokens per node, whose rows are as wide as the graph,
+20 to the 100k cap), K4 with mixed triggers (two nodes fork at every visit,
+two terminate at age 1 and fork from age 3) at Z of about 10 to 30, the
+corridor experiment's ER(30, 0.15) regime config with the age law
+collected, ER(1000, 0.01) at Z of about 10k, a hub: star(300) at about 10
+tokens per node, whose rows are as wide as the graph,
 the same star with mixed triggers (forks from age 4, terminations up to age
 2, so each step reads every node's age region) near its steady Z of about
 450, and the dense K(150) at 10 tokens per node; each in both event orders.
@@ -76,6 +78,12 @@ CASES = {
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.15},
         "simulation": {"Z_0": 20, "horizon": 10_000, "Z_cap": 100_000, "seed": 1},
+    },
+    "mixed_k4": {
+        "graph": {"generator": {"kind": "complete", "n": 4}},
+        "traps": {"nodes": "all", "zeta": 0.02},
+        "policy": {"A_l": [1, 1, 3, 3], "A_s": 1, "q_fork": 0.15, "q_term": 0.1},
+        "simulation": {"Z_0": 20, "horizon": 300, "seed": 1},
     },
     "corridor_er30": {
         "graph": {"generator": {"kind": "erdos_renyi", "n": 30, "p": 0.15, "seed": 1}},

@@ -482,11 +482,11 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
     n_trapped, acted_trapped, acted, *fold, _ = np.add.reduceat(per_column, rows.classes).tolist()
     lone, pairs = fold or (0, 0)
-    # rows that do not fold leave forks to the fork table: acted tokens fork in the fork region
-    # and terminate in the term region (the pass region never acts), and acted-then-trapped
-    # tokens are fork parents whose copy still leaves
+    # rows without pair cells leave forks to the fork table: acted tokens fork in the fork
+    # region and terminate in the term region (the pass region never acts), and
+    # acted-then-trapped tokens are fork parents whose copy still leaves
     acted_forks = 0
-    if acted_trapped or (acted and uniform != TERM):
+    if acted_trapped or (acted and uniform != TERM and not fold):
         # the node of each pair and of each lone copy, each group in node order
         if sparse:
             forking = col == _ACTED
