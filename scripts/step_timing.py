@@ -36,6 +36,15 @@ same states, which is how the budget is set. The return-time case moves the
 walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
 until all have returned.
 
+Recorded states cannot see what a run pays before its first step. The
+replica case (``explode_k4_replica``) times whole ``run_population`` runs of
+the explode_k4 case, one per seed of ``REPLICAS``, on one resolved kernel per
+side and event order, as the explode_k4 benchmark workload and the replicas
+of ``srrw check`` run them: milliseconds per run, run start (the engine's
+rows and their alias tables) included. Its warm-up makes one untimed run per
+seed, so what a side keeps on its kernel between runs is built before the
+timed rounds, and those time replica after replica of one ensemble.
+
 In-process times miss what depends on the allocator's state: glibc raises
 its mmap and trim thresholds once a large block is freed, so the engine's
 per-step temporaries cost more in a process that never freed one. With
@@ -125,6 +134,8 @@ ORDERS = ("trap_first", "policy_first")
 RETURN_TIME = ("corridor_er30", 0, 20_000)
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
+# the replica case: the case whose whole runs it times, and its replica count
+REPLICAS = ("explode_k4", 40)
 # the fresh-interpreter case and the mixing target of the er1000_motion workload
 FRESH = ("er1000", 0.125)
 # one whole run in a new interpreter; argv: the case config, the target or "none"
@@ -210,6 +221,8 @@ def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
 class Side:
     """One package's step with its own rows, specs, age law and generator."""
 
+    UNIT = ("us/step", 1e6, "us_per_step_p50")  # the printed unit, its scale and JSON key
+
     def __init__(self, package, config: dict, order: str):
         config_module, policy, self.population = (
             importlib.import_module(f"{package.__name__}.{name}")
@@ -236,8 +249,37 @@ class Side:
         self.times.append(clock() - start)
 
 
+class ReplicaSide:
+    """One package's whole runs of a case, one per seed, on one resolved kernel."""
+
+    UNIT = ("ms/run", 1e3, "ms_per_replica_p50")
+
+    def __init__(self, package, config: dict, order: str):
+        config_module, self.population = (importlib.import_module(f"{package.__name__}.{name}")
+                                          for name in ("config", "population"))
+        self.resolved = config_module.resolve_config({"laziness": 0.5, **config})
+        self.order = order
+        self.times = []
+
+    def warm_up(self, seeds: list[tuple]) -> None:
+        """One untimed run per seed: the kernel's tables, and what it keeps between runs."""
+        for call in seeds:
+            self.time_step(*call)
+        self.times.clear()
+
+    def time_step(self, seed: int) -> None:
+        r, sim = self.resolved, self.resolved.simulation
+        run, clock = self.population.run_population, time.perf_counter
+        start = clock()
+        run(r.kernel, r.policy, r.traps, z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed,
+            z_cap=sim["Z_cap"], order=self.order)
+        self.times.append(clock() - start)
+
+
 class MoveSide:
     """One package's walk step with its own neighbour table and generator."""
+
+    UNIT = Side.UNIT
 
     def __init__(self, package, config: dict):
         config_module = importlib.import_module(f"{package.__name__}.config")
@@ -295,7 +337,8 @@ def main(argv=None) -> int:
                         help="time whole er1000 runs in N new interpreters per side instead")
     parser.add_argument("--fold-bytes", type=int, metavar="B",
                         help="this package's fold budget, population.FOLD_BYTES")
-    parser.add_argument("--case", action="append", choices=[*CASES, "return_time"],
+    parser.add_argument("--case", action="append",
+                        choices=[*CASES, "return_time", "explode_k4_replica"],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -307,7 +350,7 @@ def main(argv=None) -> int:
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time"]
+    cases = args.case or [*CASES, "return_time", "explode_k4_replica"]
 
     jobs = []
     for name, config in CASES.items():
@@ -325,6 +368,14 @@ def main(argv=None) -> int:
             sides.append(MoveSide(baseline, config))
         jobs.append(("return_time", None, record_moves(config, u, walkers, STATES), None, None,
                      sides))
+    for order in ORDERS if "explode_k4_replica" in cases else ():
+        name, replicas = REPLICAS
+        config = CASES[name]
+        seeds = [(config["simulation"]["seed"] + r,) for r in range(replicas)]
+        sides = [ReplicaSide(srrw, config, order)]
+        if baseline is not None:
+            sides.append(ReplicaSide(baseline, config, order))
+        jobs.append(("explode_k4_replica", order, seeds, None, None, sides))
     # build each side's tables and node rows before timing
     for *_, states, _, _, sides in jobs:
         for side in sides:
@@ -336,25 +387,26 @@ def main(argv=None) -> int:
                 for side in sides[::-1] if k % 2 else sides:
                     side.time_step(*call)
 
-    header = (f"{'case':<14} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
-              f" {'us/step p50':>12}")
+    header = (f"{'case':<18} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
+              f" {'unit':>8} {'p50':>9}")
     if baseline is not None:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
     print(header)
     rows = []
     for name, order, states, per_token, folded, sides in jobs:
-        p50 = [1e6 * float(np.median(side.times)) for side in sides]
+        unit, scale, key = sides[0].UNIT
+        p50 = [scale * float(np.median(side.times)) for side in sides]
         row = {"case": name, "order": order, "states": len(states), "per_token": per_token,
-               "folded": folded, "us_per_step_p50": p50[0]}
-        line = (f"{name:<14} {order or '-':<13} {len(states):>6}"
+               "folded": folded, key: p50[0]}
+        line = (f"{name:<18} {order or '-':<13} {len(states):>6}"
                 + "".join(f" {'-' if v is None else f'{v:.2f}':>{width}}"
                           for v, width in ((per_token, 9), (folded, 6)))
-                + f" {p50[0]:>12.1f}")
+                + f" {unit:>8} {p50[0]:>9.1f}")
         if baseline is not None:
             # the ratio of the sides' medians within each round, and its spread over rounds
             rounds = np.divide(*(np.median(np.reshape(side.times, (ROUNDS, -1)), axis=1)
                                  for side in sides))
-            row.update(baseline_us_per_step_p50=p50[1], ratio=float(np.median(rounds)),
+            row.update({f"baseline_{key}": p50[1]}, ratio=float(np.median(rounds)),
                        round_ratio_min=float(rounds.min()), round_ratio_max=float(rounds.max()))
             line += (f" {p50[1]:>13.1f} {row['ratio']:>6.2f}"
                      f" {rounds.min():>7.2f}-{rounds.max():.2f}")

@@ -41,6 +41,7 @@ from .population import (
     occupancy_check,
     run_population,
     step,
+    step_rows,
 )
 from .return_time import ReturnTimeSample, sample_return_times
 
@@ -83,4 +84,5 @@ __all__ = [
     "solve_matching_age",
     "stationary_distribution",
     "step",
+    "step_rows",
 ]

@@ -713,7 +713,8 @@ class TransitionKernel:
     the stationary law is built from). Walk steps are drawn from the
     neighbour tables, fork targets from the fork table, and mixing times and
     Doeblin constants read from the one kept mixing profile; these and the
-    dense ``matrix``, ``base`` and cumulative rows are built on first use.
+    dense ``matrix``, ``base`` and cumulative rows are built on first use. The
+    engine keeps its last run's rows here too (``population.step_rows``).
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -741,6 +742,8 @@ class TransitionKernel:
         self._base_table = None
         self._fork_table = None
         self._profile = None
+        # the engine's rows of the last run and the key of their inputs (``population.step_rows``)
+        self.engine_rows = None
 
     @property
     def matrix(self) -> np.ndarray:

@@ -42,7 +42,9 @@ coin against the row's Vose alias table. Both are exact in law. When the
 triggers put every age 1..t in one region (every A_l <= 1, say), the step
 reads that region without the per-node rule. Alias tables take 12 bytes
 per cell for each (spec, age region) a sparse step draws from, and per node
-row of the fork table's first targets. A per-token step tallies its
+row of the fork table's first targets. The kernel keeps the rows of its last
+run (``step_rows``), so replicas of one graph, traps and order build their
+node rows and alias tables once, not once per run. A per-token step tallies its
 landings and events from its tokens' cells, O(Z); a multinomial step costs
 O(occupied nodes x row width) whatever the population size, and the row
 width is the largest degree + 1, so hub graphs pay O(n) per row.
@@ -322,9 +324,11 @@ class StepRows:
     cell its landing nodes, n for tokens that leave (the event columns of
     rows that do not fold, whose forks ``step`` sends through the kernel's
     ``fork_table``), and ``cell_landing`` the same by cell of the rows
-    flattened. Node rows are built per policy spec on first use and reused
-    for the whole run, as ``AliasRows`` whose alias tables are built per age
-    region (a block of n rows) on the first sparse step that draws from it.
+    flattened. Node rows are built per policy spec on first use, as
+    ``AliasRows`` whose alias tables are built per age region (a block of n
+    rows) on the first sparse step that draws from it, and reused for the
+    whole run and, through ``step_rows``, by later runs on the same kernel
+    while ``retain`` keeps them.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -385,8 +389,18 @@ class StepRows:
             triggers = (spec.a_long.max(), spec.a_long.min(), spec.a_short.min(),
                         spec.a_short.max())
             self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
-                                                self.node_count), triggers)
+                                                self.node_count), triggers, _spec_values(spec))
         return self._nodes[key][1]
+
+    def retain(self, specs) -> None:
+        """Keep the node rows of ``specs`` alone, and of each only while the spec holds the
+        values the rows were built from (``PolicySpec`` arrays can change in place)."""
+        kept = {}
+        for spec in specs:
+            entry = self._nodes.get(id(spec))
+            if entry is not None and np.array_equal(entry[3], _spec_values(spec)):
+                kept[id(spec)] = entry
+        self._nodes = kept
 
     def uniform_region(self, spec: PolicySpec, t: int) -> int | None:
         """The age region of every visit at step ``t`` when the triggers of ``spec`` put every
@@ -399,6 +413,31 @@ class StepRows:
         if long_min > t and short_max < 1:
             return PASS
         return None
+
+
+def _spec_values(spec: PolicySpec) -> np.ndarray:
+    """A copy of every value of ``spec`` that its node rows are built from."""
+    return np.stack((spec.a_long, spec.a_short, spec.q_fork, spec.q_term))
+
+
+def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first",
+              specs=None) -> StepRows:
+    """The ``StepRows`` of ``kernel``, ``traps`` and ``order``, kept on the kernel.
+
+    The kernel keeps one set of rows. They are reused, with their node rows and alias
+    tables, when they were built by the ``StepRows`` this module names now, for the same
+    order and zeta values (compared by value) and under the current ``FOLD_BYTES``;
+    otherwise new rows are built and kept in their place. Given ``specs``, the rows keep the
+    node rows of those specs alone (``StepRows.retain``), so what is kept stays one run's worth.
+    """
+    key = (StepRows, order, FOLD_BYTES, traps.zeta.tobytes())
+    kept = kernel.engine_rows
+    if kept is not None and kept[0] == key:
+        if specs is not None:
+            kept[1].retain(specs)
+        return kept[1]
+    kernel.engine_rows = (key, StepRows(kernel, traps, order))
+    return kernel.engine_rows[1]
 
 
 @dataclass
@@ -474,9 +513,13 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
             trapped = np.add.reduceat(col == _TRAPPED, np.cumsum(tokens) - tokens)
     else:
         draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
-        # one float tally (exact: no count nears 2^53)
-        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(),
-                             weights=draws.ravel().repeat(rows.landing.shape[2]), minlength=n + 1)
+        # one float tally (exact: no count nears 2^53), each count weighing every landing
+        # node of its cell: one on two-stage rows, two when folded
+        weights = draws.ravel()
+        if rows.landing.shape[2] > 1:
+            weights = weights.repeat(rows.landing.shape[2])
+        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=weights,
+                             minlength=n + 1)
         per_column = np.add.reduce(draws)
         trapped = draws[:, _TRAPPED]
     # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
@@ -522,14 +565,16 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
 
     ``policy`` is a PolicySpec or a RegimePolicy; ``order`` chooses whether the
     trap roll precedes the policy action (default) or follows it. Deterministic
-    given the seed.
+    given the seed. The rows come from ``step_rows``, so runs on one kernel with
+    the same traps and order share their node rows and alias tables.
     """
     if horizon < 1 or z0 < 1:
         raise ParameterError("need horizon >= 1 and at least one initial token")
-    rows = StepRows(kernel, traps, order)
     regime_policy = policy if isinstance(policy, RegimePolicy) else None
     if regime_policy is None and not isinstance(policy, PolicySpec):
         raise ParameterError("policy must be a PolicySpec or RegimePolicy")
+    rows = step_rows(kernel, traps, order,
+                     (policy.low, policy.high) if regime_policy else (policy,))
 
     rng = np.random.default_rng(rng_seed)
     state = PopulationState.initial(kernel, z0, placement, rng)

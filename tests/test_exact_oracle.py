@@ -28,7 +28,7 @@ import pytest
 import srrw.population
 from srrw.graphs import complete_graph, lazy_kernel, path_graph
 from srrw.policy import PolicySpec
-from srrw.population import PopulationState, StepRows, TrapProfile, step
+from srrw.population import PopulationState, TrapProfile, step, step_rows
 
 REPLICAS = 2000
 # per-node fork and trap probabilities, so that where tokens land moves Z
@@ -101,9 +101,10 @@ def exact(kernel, q, zeta, cap, order, start):
 
 
 def engine(kernel, spec, traps, order, start, cap, replicas, seed):
-    """Steps to absorption and whether the cap was reached, per replica."""
+    """Steps to absorption and whether the cap was reached, per replica, on the kernel's kept
+    rows (``step_rows``)."""
     rng = np.random.default_rng(seed)
-    rows = StepRows(kernel, traps, order)
+    rows = step_rows(kernel, traps, order)
     steps, capped = np.zeros(replicas), np.zeros(replicas)
     for r in range(replicas):
         state = PopulationState(0, np.array(start), np.zeros(kernel.node_count, dtype=np.int64))
@@ -126,8 +127,8 @@ def test_absorption_matches_the_exact_chain(monkeypatch, name, order):
     traps = TrapProfile(ZETA)
     for fold_bytes in (srrw.population.FOLD_BYTES, 0):
         monkeypatch.setattr(srrw.population, "FOLD_BYTES", fold_bytes)
-        assert StepRows(kernel, traps, order).folded == (fold_bytes > 0)
         steps, capped = engine(kernel, spec, traps, order, start, cap, REPLICAS, seed=4000)
+        assert step_rows(kernel, traps, order).folded == (fold_bytes > 0)
         se_tau = steps.std() / np.sqrt(REPLICAS)
         se_cap = np.sqrt(p_cap * (1 - p_cap) / REPLICAS)
         assert abs(steps.mean() - mean_tau) <= 3 * se_tau, (fold_bytes, steps.mean(), mean_tau)

@@ -35,6 +35,7 @@ from srrw.population import (
     occupancy_check,
     run_population,
     step,
+    step_rows,
 )
 import step_v020
 from token_engine import run_tokens
@@ -151,18 +152,19 @@ class TestStep:
 class TestStepMemory:
     """One step's temporaries stay within a few copies of its gathered node rows."""
 
-    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
-    def test_peak_of_one_step_on_er1000(self, order):
+    @staticmethod
+    def peak_over_gathered(order, tokens, sparse):
+        """One ER(1000, 0.01) step's ``tracemalloc`` peak over its gathered node rows, with
+        ``tokens`` tokens at every node, which draw per token exactly when ``sparse``."""
         kernel = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
         n = kernel.node_count
         rows = StepRows(kernel, TrapProfile.uniform(n, 0.02), order)
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
-        state = at_time(5, np.full(n, 10))
+        state = at_time(5, np.full(n, tokens))
         step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
-        # every node is occupied and in the fork region: one gathered row per node, and
-        # 10 tokens per 26-column row make the step sparse
+        # every node is occupied and in the fork region: one gathered row per node
         gathered = rows.node_rows(spec).probs[:n].nbytes
-        assert rows.node_rows(spec).sparse(state.counts)
+        assert rows.node_rows(spec).sparse(state.counts) == sparse
         tracemalloc.start()
         try:
             nxt, counts = step(state, rows, spec, np.random.default_rng(1))
@@ -170,10 +172,22 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert counts.forks > 0 and nxt.alive == state.alive + counts.net
-        # measured 2.3x per token (this step is sparse), and 3.2x while a per-token step
-        # counted its cells back into (rows x width) counts; with the landings joined by
-        # np.concatenate it was 7.1x
-        assert peak <= 4 * gathered, peak / gathered
+        return peak / gathered
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_peak_of_one_step_on_er1000(self, order):
+        # 10 tokens per 26-column row make the step sparse. Measured 2.3x per token, and
+        # 3.2x while a per-token step counted its cells back into (rows x width) counts;
+        # with the landings joined by np.concatenate it was 7.1x
+        ratio = self.peak_over_gathered(order, 10, sparse=True)
+        assert ratio <= 4, ratio
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_peak_of_one_multinomial_step_on_er1000(self, order):
+        # 40 tokens per 26-column row make the step a multinomial one, on two-stage rows.
+        # Measured 3.2x; 4.2x while the landing weights were repeated once per landing node
+        ratio = self.peak_over_gathered(order, 40, sparse=False)
+        assert ratio <= 3.5, ratio
 
 
 class TestEngine:
@@ -422,9 +436,10 @@ class TestTraceCsvCost:
 
 def one_step_counts(kernel, traps, spec, node, tokens, reps, seed, order="trap_first"):
     """Node counts, forks, deletions and terminations after one step from
-    ``tokens`` tokens at ``node``, for ``reps`` independent steps."""
+    ``tokens`` tokens at ``node``, for ``reps`` independent steps, on the kernel's kept rows
+    (``step_rows``)."""
     rng = np.random.default_rng(seed)
-    rows = StepRows(kernel, traps, order)
+    rows = step_rows(kernel, traps, order)
     counts = np.zeros(kernel.node_count, dtype=np.int64)
     counts[node] = tokens
     start = at_time(0, counts)
@@ -783,15 +798,19 @@ class TestAgainstFrozenStep:
 
     def pair(self, monkeypatch, kernel, **args):
         """(current, frozen) runs of ``run_population`` with the same arguments."""
+        used = (kernel, args["traps"], args.get("order", "trap_first"))
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "FOLD_BYTES", 0)
             m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: False)
             m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(kernel))
             current = run_population(kernel, **args)
+            assert type(step_rows(*used)) is StepRows and not step_rows(*used).folded
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "step", step_v020.step)
             m.setattr(srrw.population, "StepRows", step_v020.StepRows)
             frozen = run_population(kernel, **args)
+            # the frozen engine drew on rows of its own
+            assert type(step_rows(*used)) is step_v020.StepRows
         for column in ("z", "forks", "trap_dels", "terms"):
             assert np.array_equal(getattr(current, column), getattr(frozen, column)), column
         assert (current.capped, current.extinct) == (frozen.capped, frozen.extinct)
@@ -903,19 +922,21 @@ class TestForkDraw:
         n = k.node_count
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
                             lambda self, tokens: path == "per_token")
+        traps = TrapProfile.from_map(n, {node: 0.3})
         for fold_bytes in (srrw.population.FOLD_BYTES, 0):
             monkeypatch.setattr(srrw.population, "FOLD_BYTES", fold_bytes)
             reps = 3000
             pairs, lone = np.zeros((n, n)), np.zeros(n)
             for counts, forks, dels, _ in one_step_counts(
-                    k, TrapProfile.from_map(n, {node: 0.3}),
-                    PolicySpec.uniform(n, **FORK_ALWAYS), node, 1, reps, seed=601, order=order):
+                    k, traps, PolicySpec.uniform(n, **FORK_ALWAYS), node, 1, reps, seed=601,
+                    order=order):
                 if counts.sum() == 2:
                     a, b = np.repeat(np.arange(n), counts)
                     pairs[a, b] += 1
                 elif counts.sum() == 1:
                     assert (order, forks, dels) == ("policy_first", 1, 1)
                     lone += counts
+            assert step_rows(k, traps, order).folded == (fold_bytes > 0)
             law = pair_law(k, node)
             unordered = np.triu(law + law.T) - np.diag(np.diag(law))
             assert law_p(pairs.ravel(), pairs.sum() * unordered.ravel()) > 1e-3
@@ -1111,6 +1132,7 @@ class TestFold:
                     m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(K4))
                 runs = [run_population(K4, spec, traps, z0=z0, horizon=10_000,
                                        rng_seed=910_000 + r, z_cap=100_000) for r in range(300)]
+                assert step_rows(K4, traps).folded == (engine == "folded")
             capped = np.array([tr.capped for tr in runs])
             steps = np.array([tr.horizon for tr in runs if tr.capped])
             stats_of[engine] = (capped.mean(), np.sqrt(capped.var() / capped.size),
@@ -1132,10 +1154,10 @@ class TestFold:
         for engine, fold_bytes in (("folded", srrw.population.FOLD_BYTES), ("two_stage", 0)):
             with monkeypatch.context() as m:
                 m.setattr(srrw.population, "FOLD_BYTES", fold_bytes)
-                assert StepRows(k, traps).folded == (engine == "folded")
                 runs[engine] = [run_population(k, policy, traps, z0=40, horizon=40,
                                                rng_seed=710_000 + r, collect_age_law=True)
                                 for r in range(300)]
+                assert step_rows(k, traps).folded == (engine == "folded")
         assert all(tr.conservation_violations() == 0 for trs in runs.values() for tr in trs)
         p_values = {"Z_T": stats.ks_2samp(*[[int(tr.z[-1]) for tr in trs]
                                             for trs in runs.values()]).pvalue}
@@ -1157,7 +1179,7 @@ class TestTwoStageTally:
         monkeypatch.setattr(srrw.population, "FOLD_BYTES", 0)
         k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
         n = k.node_count
-        rows = StepRows(k, law_traps(n), order)
+        rows = step_rows(k, law_traps(n), order)
         assert not rows.folded
         # forks from age 4, terminations up to age 2, passes at age 3
         spec = PolicySpec.uniform(n, a_long=4.0, a_short=2.0, q_fork=0.4, q_term=0.4)
@@ -1215,6 +1237,100 @@ class TestTwoStageTally:
             both += bool(pairs.sum() and terms.sum())
             lone += bool(copies.sum())
         assert both >= 30 and (lone > 0) == (order == "policy_first")
+
+
+class SubclassedRows(StepRows):
+    """Rows of a class other than the ``StepRows`` that ``srrw.population`` names."""
+
+
+class TestKeptRows:
+    """Runs on one kernel share the rows it keeps (``step_rows``): each run's trace is the one
+    a fresh kernel gives, whatever changed since the last run, and what is kept is one run's."""
+
+    CHANGES = ("none", "same inputs", "traps", "equal traps", "order", "fold off", "fold on",
+               "class", "class back", "q_fork in place", "zeta in place", "spec")
+    # the changes after which the last run's rows are kept, with their node rows
+    REUSED = {"same inputs", "equal traps", "q_fork in place", "spec"}
+
+    def test_consecutive_runs_match_fresh_kernels(self, monkeypatch):
+        # the corridor's ER(30) and regime pair, folded, then each change in turn; the runs
+        # draw per token, so their alias tables are read
+        graph = erdos_renyi_graph(30, 0.15, seed=1)
+        kernel = lazy_kernel(graph, 0.5)
+        policy, traps, order = law_policy("regime", 30), law_traps(30), "trap_first"
+        fold_bytes = srrw.population.FOLD_BYTES
+        rows = None
+        for seed, change in enumerate(self.CHANGES):
+            if change == "traps":
+                traps = TrapProfile(traps.zeta / 2)
+            elif change == "equal traps":
+                traps = TrapProfile(traps.zeta.copy())
+            elif change == "order":
+                order = "policy_first"
+            elif change in ("fold off", "fold on"):
+                monkeypatch.setattr(srrw.population, "FOLD_BYTES",
+                                    0 if change == "fold off" else fold_bytes)
+            elif change in ("class", "class back"):
+                # rows of another class, as a frozen engine's rows are, are never taken over
+                monkeypatch.setattr(srrw.population, "StepRows",
+                                    SubclassedRows if change == "class" else StepRows)
+            elif change == "q_fork in place":
+                policy.low.q_fork[:] = 0.3
+            elif change == "zeta in place":
+                traps.zeta[:] = 0.1
+            elif change == "spec":
+                policy = law_policy("spec", 30)
+            args = dict(z0=40, horizon=60, rng_seed=720_000 + seed, order=order,
+                        collect_age_law=True)
+            kept = run_population(kernel, policy, traps, **args)
+            fresh = run_population(lazy_kernel(graph, 0.5), policy, traps, **args)
+            for column in ("z", "forks", "trap_dels", "terms"):
+                assert np.array_equal(getattr(kept, column), getattr(fresh, column)), change
+            assert np.array_equal(kept.age_law.counts, fresh.age_law.counts), change
+            assert kept.forks.sum() > 0
+            used = step_rows(kernel, traps, order)
+            assert type(used) is srrw.population.StepRows
+            assert (used is rows) == (change in self.REUSED), change
+            assert used.folded == (change != "fold off")
+            rows = used
+
+    def test_alias_tables_built_once_per_spec_and_region(self, monkeypatch):
+        # acceptance 08's explosion, 40 replicas as the explode_k4 benchmark runs them: the
+        # spec forks at every age, so every per-token step draws from one region of K4's
+        # folded rows, whose alias tables are built once on the kernel, not once per replica
+        kernel = lazy_kernel(complete_graph(4), 0.5)
+        spec = PolicySpec.uniform(4, a_long=1.0, q_fork=0.15)
+        traps = TrapProfile.uniform(4, 0.02)
+        built, per_token = [], set()
+        tables, token_cells = srrw.graphs.alias_tables, AliasRows.token_cells
+
+        def counting_tables(probs):
+            built.append(probs.shape)
+            return tables(probs)
+
+        def recording_cells(self, *args):
+            per_token.add(replica)
+            return token_cells(self, *args)
+
+        monkeypatch.setattr(srrw.graphs, "alias_tables", counting_tables)
+        monkeypatch.setattr(AliasRows, "token_cells", recording_cells)
+        for replica in range(40):
+            trace = run_population(kernel, spec, traps, z0=20, horizon=10_000,
+                                   rng_seed=730_000 + replica, z_cap=100_000)
+            assert trace.capped
+        assert len(per_token) >= 20  # a build per run would have made one per such replica
+        assert len(built) == 1 and built[0][0] == 4, built
+
+    def test_kept_node_rows_are_the_last_runs(self):
+        # a sweep over q on one kernel: the kernel keeps the node rows of the last run's spec
+        # alone, so the memory kept does not grow with the sweep
+        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
+        traps = TrapProfile.uniform(30, 0.05)
+        for i, q in enumerate(np.linspace(0.05, 0.5, 10)):
+            spec = PolicySpec.uniform(30, a_long=1.0, q_fork=q)
+            run_population(k, spec, traps, z0=40, horizon=30, rng_seed=740_000 + i)
+            kept = [entry[0] for entry in step_rows(k, traps)._nodes.values()]
+            assert len(kept) == 1 and kept[0] is spec
 
 
 class TestForkMemory:
