@@ -338,7 +338,8 @@ class StepRows:
             raise ParameterError("trap profile does not match the graph")
         lazy = kernel.neighbour_table()
         self.order = order
-        self.zeta = traps.zeta
+        # a copy, so the kept rows read the values ``step_rows`` keys them by
+        self.zeta = traps.zeta.copy()
         self.node_count = n = kernel.node_count
         self.motion = lazy.prob[:, ::-1]
         self.forks = kernel.fork_table()
@@ -420,24 +421,19 @@ def _spec_values(spec: PolicySpec) -> np.ndarray:
     return np.stack((spec.a_long, spec.a_short, spec.q_fork, spec.q_term))
 
 
-def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first",
-              specs=None) -> StepRows:
+def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first") -> StepRows:
     """The ``StepRows`` of ``kernel``, ``traps`` and ``order``, kept on the kernel.
 
     The kernel keeps one set of rows. They are reused, with their node rows and alias
     tables, when they were built by the ``StepRows`` this module names now, for the same
     order and zeta values (compared by value) and under the current ``FOLD_BYTES``;
-    otherwise new rows are built and kept in their place. Given ``specs``, the rows keep the
-    node rows of those specs alone (``StepRows.retain``), so what is kept stays one run's worth.
+    otherwise new rows are built and kept in their place.
     """
     key = (StepRows, order, FOLD_BYTES, traps.zeta.tobytes())
     kept = kernel.engine_rows
-    if kept is not None and kept[0] == key:
-        if specs is not None:
-            kept[1].retain(specs)
-        return kept[1]
-    kernel.engine_rows = (key, StepRows(kernel, traps, order))
-    return kernel.engine_rows[1]
+    if kept is None or kept[0] != key:
+        kernel.engine_rows = kept = (key, StepRows(kernel, traps, order))
+    return kept[1]
 
 
 @dataclass
@@ -573,8 +569,9 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
     regime_policy = policy if isinstance(policy, RegimePolicy) else None
     if regime_policy is None and not isinstance(policy, PolicySpec):
         raise ParameterError("policy must be a PolicySpec or RegimePolicy")
-    rows = step_rows(kernel, traps, order,
-                     (policy.low, policy.high) if regime_policy else (policy,))
+    rows = step_rows(kernel, traps, order)
+    # the kept node rows are this run's specs' alone, each rebuilt if it changed in place
+    rows.retain((policy.low, policy.high) if regime_policy else (policy,))
 
     rng = np.random.default_rng(rng_seed)
     state = PopulationState.initial(kernel, z0, placement, rng)

@@ -786,6 +786,15 @@ def two_stage_dispatch(kernel):
     return dispatch
 
 
+class FrozenRows(step_v020.StepRows):
+    """``step_v020.StepRows`` with the one call ``run_population`` makes at run start that the
+    frozen rows lack: they are new for each frozen run (their class keys them apart from the
+    current rows), so they hold no node rows to drop."""
+
+    def retain(self, specs):
+        assert not self._nodes
+
+
 class TestAgainstFrozenStep:
     """Whole runs against the 0.2.0 step in ``step_v020``: the same draws in the
     same order, so equal traces and age laws, not merely equal in law. The
@@ -807,10 +816,10 @@ class TestAgainstFrozenStep:
             assert type(step_rows(*used)) is StepRows and not step_rows(*used).folded
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "step", step_v020.step)
-            m.setattr(srrw.population, "StepRows", step_v020.StepRows)
+            m.setattr(srrw.population, "StepRows", FrozenRows)
             frozen = run_population(kernel, **args)
             # the frozen engine drew on rows of its own
-            assert type(step_rows(*used)) is step_v020.StepRows
+            assert type(step_rows(*used)) is FrozenRows
         for column in ("z", "forks", "trap_dels", "terms"):
             assert np.array_equal(getattr(current, column), getattr(frozen, column)), column
         assert (current.capped, current.extinct) == (frozen.capped, frozen.extinct)
@@ -1248,9 +1257,10 @@ class TestKeptRows:
     a fresh kernel gives, whatever changed since the last run, and what is kept is one run's."""
 
     CHANGES = ("none", "same inputs", "traps", "equal traps", "order", "fold off", "fold on",
-               "class", "class back", "q_fork in place", "zeta in place", "spec")
+               "class", "class back", "q_fork in place", "zeta in place", "spec",
+               "built-from zeta in place")
     # the changes after which the last run's rows are kept, with their node rows
-    REUSED = {"same inputs", "equal traps", "q_fork in place", "spec"}
+    REUSED = {"same inputs", "equal traps", "q_fork in place", "spec", "built-from zeta in place"}
 
     def test_consecutive_runs_match_fresh_kernels(self, monkeypatch):
         # the corridor's ER(30) and regime pair, folded, then each change in turn; the runs
@@ -1280,6 +1290,12 @@ class TestKeptRows:
                 traps.zeta[:] = 0.1
             elif change == "spec":
                 policy = law_policy("spec", 30)
+            elif change == "built-from zeta in place":
+                # an equal copy keeps the rows; the profile they were built from then changes
+                # in place, and the new specs' node rows must still read the copy's values
+                built, traps = traps, TrapProfile(traps.zeta.copy())
+                built.zeta[:] = 0.5
+                policy = law_policy("regime", 30)
             args = dict(z0=40, horizon=60, rng_seed=720_000 + seed, order=order,
                         collect_age_law=True)
             kept = run_population(kernel, policy, traps, **args)
