@@ -504,16 +504,15 @@ class AliasRows:
         self._cut = np.empty(0)
         self._offset = np.empty(0, dtype=np.int32)
 
-    def sparse(self, tokens: np.ndarray) -> bool:
+    def sparse(self, tokens: np.ndarray, total: int | None = None) -> bool:
         """The density rule: draw per token when the tokens number at most half the cells of
-        their rows, 2 x tokens <= rows x W."""
-        return 2 * np.add.reduce(tokens) <= tokens.size * self.width
+        their rows, 2 x tokens <= rows x W; ``total`` is their number, when the caller knows it."""
+        if total is None:
+            total = np.add.reduce(tokens)
+        return 2 * total <= tokens.size * self.width
 
-    def _table_rows(self, index: np.ndarray, block: int | None) -> np.ndarray:
-        """The tables' row of each row in ``index``, building the tables of unbuilt blocks; when
-        every row of ``index`` lies in ``block``, a built block's rows come by one offset."""
-        if block is not None and self._block_start[block] >= 0:
-            return index + (self._block_start[block] - block * self.block)
+    def _table_rows(self, index: np.ndarray) -> np.ndarray:
+        """The tables' row of each row in ``index``, building the tables of unbuilt blocks."""
         rows = self._table_row.take(index)
         if rows.size and np.minimum.reduce(rows) < 0:
             w, block = self.width, self.block
@@ -534,20 +533,30 @@ class AliasRows:
         return rows
 
     def cells(self, tokens: np.ndarray, index: np.ndarray, block: int | None = None,
-              first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+              first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | int]:
         """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row,
-        ``first[i]`` (by default its row's in the gathered (rows x W) rows flattened), and the
-        offset from there to its row in the tables. ``pick`` draws each token's cell from them.
-        ``block`` is the one block of ``index``'s rows, when there is one."""
+        ``first[i]``, and the offset from there to its row in the tables. ``pick`` draws each
+        token's cell from them. ``first`` is by default each row's first cell in the gathered
+        (rows x W) rows flattened. With ``block``, the one block of ``index``'s rows, it is
+        each row's in that block's (``self.block`` x W) rows flattened, (index[i] - block x
+        ``self.block``) x W, and the offset is one int for every token: the block's first
+        cell in the tables."""
         w = self.width
+        if block is not None:
+            if first is None:
+                first = (index - block * self.block) * w
+            if self._block_start[block] < 0:
+                self._table_rows(index)
+            return first.repeat(tokens), int(self._block_start[block]) * w
         if first is None:
             first = np.arange(0, index.size * w, w)
-        return first.repeat(tokens), (self._table_rows(index, block) * w - first).repeat(tokens)
+        return first.repeat(tokens), (self._table_rows(index) * w - first).repeat(tokens)
 
-    def pick(self, cell: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The drawn cell of each token of ``cells``, in the gathered rows flattened, from at
+    def pick(self, cell: np.ndarray, table: np.ndarray | int, u: np.ndarray) -> np.ndarray:
+        """The drawn cell of each token of ``cells``, in the layout of its ``first``, from at
         least 2 x tokens uniforms ``u``: the first half (overwritten) draws a uniform column,
-        the second half a coin against that cell's cut. ``cell`` and ``table`` are consumed."""
+        the second half a coin against that cell's cut. ``cell`` and an array ``table`` are
+        consumed."""
         w, z = self.width, cell.size
         col = u[:z]
         col *= w

@@ -27,7 +27,7 @@ def _as_node_array(value, n: int, name: str, lo: float, hi: float) -> np.ndarray
     arr = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ParameterError(f"{name}: expected scalar or length-{n} array")
-    if np.any(arr < lo) or np.any(arr > hi):
+    if not np.all((arr >= lo) & (arr <= hi)):  # false for NaN, as the range check must be
         raise ParameterError(f"{name}: values must lie in [{lo}, {hi}]")
     return arr
 
@@ -125,22 +125,78 @@ class AgeLaw:
     histogram the largest age seen at every node is known exactly. A law
     past ``graphs.TABLE_BYTE_CAP`` bytes (about 130k nodes at the default
     cap) raises ParameterError before it is allocated.
+
+    ``record`` adds visits at once. The engine ``queue``s each step's visits
+    instead, and ``flush`` adds the queue in one ``record`` call: when it holds
+    ``PENDING_CAP`` values (three per node, one per token column), so its
+    memory is bounded by tokens, not steps; when ``counts`` or
+    ``max_over_cap`` is read; and at the end of a run.
     """
+
+    PENDING_CAP = 1 << 12  # about 30 steps of the corridor experiment (Z = 20-200, 30 nodes)
 
     def __init__(self, node_count: int, age_cap: int = AGE_LAW_CAP):
         self.age_cap = int(age_cap)
         _check_bytes(8 * node_count * (self.age_cap + 2), f"an age law over {node_count} nodes")
-        self.counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
-        self.max_over_cap = np.zeros(node_count, dtype=np.int64)
+        self._counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
+        self._max_over_cap = np.zeros(node_count, dtype=np.int64)
+        # queued (nodes, ages, visits): of steps with token columns, and of steps without
+        self._columned, self._columns, self._plain = [], [], []
+        self._columned_nodes = self._pending_size = 0
+
+    @property
+    def counts(self) -> np.ndarray:
+        self.flush()
+        return self._counts
+
+    @property
+    def max_over_cap(self) -> np.ndarray:
+        self.flush()
+        return self._max_over_cap
 
     def record(self, nodes: np.ndarray, ages: np.ndarray, weights=None) -> None:
         """Add ``weights[i]`` visits (one each when omitted) at age ``ages[i]`` to ``nodes[i]``."""
         if weights is None:
             weights = np.ones_like(nodes)
-        np.add.at(self.counts, (nodes, np.minimum(ages, self.age_cap + 1)), weights)
+        width = self.age_cap + 2
+        # one flat index: np.add.at takes a 1-d index in about a third of the time of a pair
+        np.add.at(self._counts.reshape(-1), nodes * width + np.minimum(ages, width - 1), weights)
         if ages.size and ages.max() > self.age_cap:
             over = (ages > self.age_cap) & (weights > 0)
-            np.maximum.at(self.max_over_cap, nodes[over], ages[over])
+            np.maximum.at(self._max_over_cap, nodes[over], ages[over])
+
+    def queue(self, nodes: np.ndarray, ages: np.ndarray, visits: np.ndarray,
+              columns: np.ndarray | None = None) -> None:
+        """Queue ``visits[i]`` visits at age ``ages[i]`` to ``nodes[i]``, less, when ``columns``
+        is given, the tokens whose column is 0: ``columns`` then holds one entry per token,
+        ``visits[0]`` of them for ``nodes[0]`` first. The arrays are held, not copied, until
+        the queue is flushed."""
+        if columns is None:
+            self._plain.append((nodes, ages, visits))
+        else:
+            self._columned.append((nodes, ages, visits))
+            self._columns.append(columns)
+            self._columned_nodes += nodes.size
+            self._pending_size += columns.size
+        self._pending_size += 3 * nodes.size
+        if self._pending_size >= self.PENDING_CAP:
+            self.flush()
+
+    def flush(self) -> None:
+        """Add the queued visits in one ``record`` call."""
+        if not (self._columned or self._plain):
+            return
+        nodes, ages, visits = (np.concatenate(part) for part in zip(*self._columned, *self._plain))
+        if self._columns:
+            # the visits of steps with columns lead; each trapped token is one of the visits
+            # of the node whose tokens end first past its place
+            tokens = visits[:self._columned_nodes]
+            trapped = np.flatnonzero(np.concatenate(self._columns) == 0)
+            tokens -= np.bincount(np.cumsum(tokens).searchsorted(trapped, "right"),
+                                  minlength=tokens.size)
+        self._columned, self._columns, self._plain = [], [], []
+        self._columned_nodes = self._pending_size = 0
+        self.record(nodes, ages, visits)
 
     def header_lines(self) -> list[str]:
         """The law as ``key=value`` lines: the cap, the overflow maxima and one
@@ -197,8 +253,8 @@ class AgeLaw:
 
     def merge(self, other: "AgeLaw") -> None:
         """Add another law's visits over the same nodes and cap into this one."""
-        self.counts += other.counts
-        np.maximum(self.max_over_cap, other.max_over_cap, out=self.max_over_cap)
+        np.add(self.counts, other.counts, out=self._counts)
+        np.maximum(self.max_over_cap, other.max_over_cap, out=self._max_over_cap)
 
 
 def mean_termination_rate(spec: PolicySpec, pi: StationaryDistribution, age_law: AgeLaw) -> float:

@@ -87,7 +87,7 @@ class TrapProfile:
 
     def __post_init__(self):
         self.zeta = np.asarray(self.zeta, dtype=float)
-        if np.any(self.zeta < 0.0) or np.any(self.zeta > 1.0):
+        if not np.all((self.zeta >= 0.0) & (self.zeta <= 1.0)):  # NaN fails too
             raise ParameterError("deletion probabilities must lie in [0, 1]")
 
     @staticmethod
@@ -471,7 +471,8 @@ class PopulationState:
 
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None,
+         z: int | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
@@ -480,7 +481,10 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     neighbors of the non-lazy walk. With ``order="policy_first"`` rows the
     trap roll instead follows the action and spares copies made this step.
     Drawn per occupied node from the token counts with the kernel, traps and
-    order of ``rows``. The input state is not modified.
+    order of ``rows``. The visits that reach the policy stage are queued on
+    ``age_law`` (``AgeLaw.queue``); ``z``, the tokens of ``state`` when the
+    caller knows their number, spares the step their sum. The input state is
+    not modified.
     """
     t = state.time + 1
     n = rows.node_count
@@ -493,9 +497,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages) if uniform is None else uniform
     index = region * n + occ
-    sparse = node_rows.sparse(tokens)
-    # trap_first: trapped tokens never reach the policy stage
-    law_trapped = age_law is not None and rows.order == "trap_first"
+    sparse = node_rows.sparse(tokens) if z is None else node_rows.sparse(tokens, z)
 
     # one node draw; each cell names its landing nodes (n for tokens that leave)
     w = node_rows.width
@@ -505,8 +507,6 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(), minlength=n + 1)
         col = cell % w
         per_column = np.bincount(col, minlength=w)
-        if law_trapped:
-            trapped = np.add.reduceat(col == _TRAPPED, np.cumsum(tokens) - tokens)
     else:
         draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
         # one float tally (exact: no count nears 2^53), each count weighing every landing
@@ -517,7 +517,6 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=weights,
                              minlength=n + 1)
         per_column = np.add.reduce(draws)
-        trapped = draws[:, _TRAPPED]
     # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
     n_trapped, acted_trapped, acted, *fold, _ = np.add.reduceat(per_column, rows.classes).tolist()
     lone, pairs = fold or (0, 0)
@@ -544,12 +543,21 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     lone += acted_trapped
     counts = StepCounts(pairs + acted_forks + lone, n_trapped + lone, acted - acted_forks)
     if age_law is not None:
-        age_law.record(occ, ages, tokens - trapped if law_trapped else tokens)
+        # trap_first: trapped tokens never reach the policy stage; a per-token step's trapped
+        # tokens are those of column _TRAPPED, 0, which the law reads as trapped
+        if rows.order == "policy_first":
+            age_law.queue(occ, ages, tokens)
+        elif sparse:
+            age_law.queue(occ, ages, tokens, col)
+        else:
+            age_law.queue(occ, ages, tokens - draws[:, _TRAPPED])
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()
     last_visit[occ] = t
-    return PopulationState(t, landed[:n].astype(np.int64), last_visit), counts
+    # a per-token tally is already int64; a multinomial one is float
+    return PopulationState(t, landed[:n] if sparse else landed[:n].astype(np.int64),
+                           last_visit), counts
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,
@@ -593,7 +601,7 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
         else:
             spec = policy
         state, counts = step(state, rows, spec, rng,
-                             age_law=law if t > age_law_burn_in else None)
+                             age_law=law if t > age_law_burn_in else None, z=z)
         z = state.alive
 
         z_hist.append(z)
@@ -607,6 +615,8 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
         if z >= z_cap:
             capped = True
             break
+    if law is not None:
+        law.flush()
 
     return PopulationTrace(
         z=np.asarray(z_hist, dtype=np.int64),

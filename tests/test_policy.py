@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestPolicySpec:
     def test_probability_range_enforced(self):
         with pytest.raises(ParameterError):
             PolicySpec(2, 3.0, 0.0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("field", ["a_long", "q_fork", "q_term"])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_nan_rejected(self, field, per_node):
+        # NaN compares false both ways, so a range check must accept values, not reject them
+        values = dict(a_long=3.0, a_short=0.0, q_fork=0.5, q_term=0.1)
+        values[field] = [values[field], math.nan] if per_node else math.nan
+        with pytest.raises(ParameterError, match=field):
+            PolicySpec(2, **values)
 
     def test_uniform_flag(self):
         assert PolicySpec.uniform(4, 5.0, 0.3).is_uniform

@@ -22,7 +22,7 @@ from srrw.graphs import (
     path_graph,
     star_graph,
 )
-from srrw.policy import FORK, PASS, TERM, AgeLaw, PolicySpec, RegimePolicy
+from srrw.policy import AGE_LAW_CAP, FORK, PASS, TERM, AgeLaw, PolicySpec, RegimePolicy
 from srrw.population import (
     BlockPlan,
     PopulationState,
@@ -80,6 +80,13 @@ class TestTrapProfile:
     def test_range_check(self):
         with pytest.raises(ParameterError):
             TrapProfile(np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("zeta", [[0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_rejected(self, zeta):
+        with pytest.raises(ParameterError, match="deletion probabilities"):
+            TrapProfile(np.array(zeta))
+        with pytest.raises(ParameterError, match="deletion probabilities"):
+            TrapProfile.from_map(2, {1: math.nan})
 
 
 def at_time(time, counts, last_visit=None):
@@ -188,6 +195,108 @@ class TestStepMemory:
         # Measured 3.2x; 4.2x while the landing weights were repeated once per landing node
         ratio = self.peak_over_gathered(order, 40, sparse=False)
         assert ratio <= 3.5, ratio
+
+    @staticmethod
+    def peak_of_steps(collect, order, steps=8):
+        """The ``tracemalloc`` peak of ``steps`` engine steps of ER(1000, 0.01) from Z = 10k,
+        queueing their visits on an age law when ``collect`` (the law allocated beforehand)."""
+        kernel = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+        n = kernel.node_count
+        rows = step_rows(kernel, TrapProfile.uniform(n, 0.02), order)
+        spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
+        rng = np.random.default_rng(2)
+        state = PopulationState.initial(kernel, 10_000, "pi", rng)
+        step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
+        law = AgeLaw(n) if collect else None
+        tracemalloc.start()
+        try:
+            for _ in range(steps):
+                state, _ = step(state, rows, spec, rng, law, state.alive)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_queued_age_law_is_bounded_by_tokens(self, order):
+        # a step of 10k tokens on 1000 nodes queues 13k values under trap_first (3 per node,
+        # 1 per token column) and 3k under policy_first, so the queue is added every step or
+        # two, past AgeLaw.PENDING_CAP: measured 2% and 7% above the steps without the law. A
+        # queue held over the 8 steps would add about 0.8 MB to their 0.5
+        without, with_law = (self.peak_of_steps(collect, order) for collect in (False, True))
+        assert with_law <= 1.1 * without, (with_law, without)
+
+
+class TestBatchedAgeLaw:
+    """The engine queues each step's visits on the age law and adds them in batches: the
+    law equals one ``AgeLaw.record`` per step of the same visits, less the trapped ones."""
+
+    # (kernel, policy, traps, run arguments, how the run ends, whether the rows fold)
+    CASES = {
+        "corridor_er30": (lambda: lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5),
+                          lambda n: identity_policy("regime", n), 0.05,
+                          dict(z0=60, horizon=1500), "horizon", True),
+        "explode_k4": (lambda: K4, lambda n: PolicySpec.uniform(n, a_long=1.0, q_fork=0.15),
+                       0.02, dict(z0=20, horizon=10_000, z_cap=3000), "capped", True),
+        "mixed_star300": (lambda: lazy_kernel(star_graph(300), 0.5),
+                          lambda n: PolicySpec.uniform(n, a_long=4.0, a_short=2.0, q_fork=0.5,
+                                                       q_term=0.01),
+                          0.02, dict(z0=450, horizon=60), "horizon", False),
+        "trapped_er30": (lambda: lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5), passive,
+                         0.05, dict(z0=60, horizon=2000), "extinct", True),
+        # two tokens on 30 nodes: visits at ages past AGE_LAW_CAP
+        "sparse_er30": (lambda: lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5),
+                        passive, 0.0, dict(z0=2, horizon=1500), "horizon", True),
+    }
+
+    @pytest.mark.parametrize("pending_cap", [64, AgeLaw.PENDING_CAP])
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_a_record_per_step(self, monkeypatch, name, order, pending_cap):
+        make, policy, zeta, run, end, folded = self.CASES[name]
+        kernel = make()
+        n = kernel.node_count
+        traps = TrapProfile.uniform(n, zeta)
+        steps, flushes, kinds = [], [], set()
+        queue, record = AgeLaw.queue, AgeLaw.record
+
+        def recording_queue(self, nodes, ages, visits, columns=None):
+            # what the engine before batching recorded: the visits less the trapped tokens,
+            # counted per node from the tokens' columns
+            kept = visits if columns is None else visits - np.add.reduceat(
+                columns == 0, np.cumsum(visits) - visits)
+            steps.append((nodes.copy(), ages.copy(), kept))
+            kinds.add("plain" if columns is None else "columns")
+            queue(self, nodes, ages, visits, columns)
+
+        def recording_record(self, nodes, ages, weights=None):
+            flushes.append(nodes.size)
+            record(self, nodes, ages, weights)
+
+        monkeypatch.setattr(AgeLaw, "PENDING_CAP", pending_cap)
+        monkeypatch.setattr(AgeLaw, "queue", recording_queue)
+        monkeypatch.setattr(AgeLaw, "record", recording_record)
+        trace = run_population(kernel, policy(n), traps, rng_seed=5, order=order,
+                               collect_age_law=True, age_law_burn_in=5, **run)
+        monkeypatch.undo()
+        assert step_rows(kernel, traps, order).folded == folded
+        assert {"capped": trace.capped, "extinct": trace.extinct,
+                "horizon": trace.horizon == run["horizon"]}[end]
+        assert len(steps) == trace.horizon - 5
+        # the run's visits went in over several flushes, the last at its end
+        assert len(flushes) >= (3 if pending_cap == 64 else 1) and sum(flushes) == sum(
+            nodes.size for nodes, _, _ in steps)
+        # trap_first per-token steps queue token columns, multinomial ones and every
+        # policy_first step none; explode_k4 turns multinomial as Z grows
+        assert kinds == ({"plain"} if order == "policy_first" else
+                         {"columns", "plain"} if name == "explode_k4" else {"columns"})
+        reference = AgeLaw(n)
+        for nodes, ages, kept in steps:
+            reference.record(nodes, ages, kept)
+        assert np.array_equal(trace.age_law.counts, reference.counts)
+        assert np.array_equal(trace.age_law.max_over_cap, reference.max_over_cap)
+        if name == "sparse_er30":
+            assert reference.max_over_cap.max() > AGE_LAW_CAP
 
 
 class TestEngine:
@@ -736,7 +845,7 @@ class TestPerTokenDraw:
         runs = {}
         for path, rule in (("token", True), ("multinomial", False)):
             with monkeypatch.context() as m:
-                m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: rule)
+                m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, total=None: rule)
                 runs[path] = [run_population(k, policy, traps, z0=40, horizon=40,
                                              rng_seed=700_000 + r, collect_age_law=True)
                               for r in range(300)]
@@ -810,7 +919,7 @@ class TestAgainstFrozenStep:
         used = (kernel, args["traps"], args.get("order", "trap_first"))
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "FOLD_BYTES", 0)
-            m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: False)
+            m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, total=None: False)
             m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(kernel))
             current = run_population(kernel, **args)
             assert type(step_rows(*used)) is StepRows and not step_rows(*used).folded
