@@ -36,14 +36,20 @@ same states, which is how the budget is set. The return-time case moves the
 walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
 until all have returned.
 
-Recorded states cannot see what a run pays before its first step. The
-replica case (``explode_k4_replica``) times whole ``run_population`` runs of
-the explode_k4 case, one per seed of ``REPLICAS``, on one resolved kernel per
-side and event order, as the explode_k4 benchmark workload and the replicas
-of ``srrw check`` run them: milliseconds per run, run start (the engine's
-rows and their alias tables) included. Its warm-up makes one untimed run per
-seed, so what a side keeps on its kernel between runs is built before the
-timed rounds, and those time replica after replica of one ensemble.
+Recorded states cannot see what a run pays before its first step, nor what
+a median step leaves out: the age law's queued visits are added to its
+histogram once per ``AgeLaw.PENDING_CAP`` queued entries, in the step that
+fills the queue, and once at the end of the run. The replica cases time
+whole ``run_population`` runs, one per seed of ``REPLICAS``, on one resolved
+kernel per side and event order, as the benchmark workloads and the
+replicas of ``srrw check`` run them: milliseconds per run, run start (the
+engine's rows and their alias tables) and every flush of the law included.
+``explode_k4_replica`` runs the explode_k4 case, ``corridor_er30_replica``
+the corridor_er30 case with the age law collected after a burn-in of the
+kernel's mixing time, as ``srrw check`` on the corridor config collects it.
+Their warm-up makes one untimed run per seed, so what a side keeps on its
+kernel between runs is built before the timed rounds, and those time replica
+after replica of one ensemble.
 
 In-process times miss what depends on the allocator's state: glibc raises
 its mmap and trim thresholds once a large block is freed, so the engine's
@@ -68,6 +74,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -134,8 +141,9 @@ ORDERS = ("trap_first", "policy_first")
 RETURN_TIME = ("corridor_er30", 0, 20_000)
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
-# the replica case: the case whose whole runs it times, and its replica count
-REPLICAS = ("explode_k4", 40)
+# the replica cases: the case whose whole runs each times, and its replica count
+REPLICAS = {"explode_k4_replica": ("explode_k4", 40),
+            "corridor_er30_replica": ("corridor_er30", 8)}
 # the fresh-interpreter case and the mixing target of the er1000_motion workload
 FRESH = ("er1000", 0.125)
 # one whole run in a new interpreter; argv: the case config, the target or "none"
@@ -181,11 +189,11 @@ def record_states(config: dict, order: str,
     folded = []
     real = srrw.population.step
 
-    def recording(state, rows, spec, rng, age_law=None):
+    def recording(state, rows, spec, rng, age_law=None, z=None):
         seen.append((state, next(i for i, s in enumerate(specs) if s is spec)))
         per_token.append(rows.node_rows(spec).sparse(state.counts[state.counts.nonzero()]))
         folded.append(rows.folded)
-        return real(state, rows, spec, rng, age_law)
+        return real(state, rows, spec, rng, age_law, z)
 
     srrw.population.step = recording
     try:
@@ -219,7 +227,8 @@ def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
 
 
 class Side:
-    """One package's step with its own rows, specs, age law and generator."""
+    """One package's step with its own rows, specs, age law and generator; given the state's
+    token count, as ``run_population`` gives it, when the package's ``step`` takes one."""
 
     UNIT = ("us/step", 1e6, "us_per_step_p50")  # the printed unit, its scale and JSON key
 
@@ -233,6 +242,7 @@ class Side:
         collect = config["simulation"].get("collect_age_law", False)
         self.law = policy.AgeLaw(resolved.kernel.node_count) if collect else None
         self.rng = np.random.default_rng(0)
+        self.takes_z = "z" in inspect.signature(self.population.step).parameters
         self.times = []
 
     def warm_up(self, states: list[tuple]) -> None:
@@ -244,13 +254,15 @@ class Side:
 
     def time_step(self, state, spec_index: int) -> None:
         step, clock = self.population.step, time.perf_counter
+        z = {"z": state.alive} if self.takes_z else {}
         start = clock()
-        step(state, self.rows, self.specs[spec_index], self.rng, self.law)
+        step(state, self.rows, self.specs[spec_index], self.rng, self.law, **z)
         self.times.append(clock() - start)
 
 
 class ReplicaSide:
-    """One package's whole runs of a case, one per seed, on one resolved kernel."""
+    """One package's whole runs of a case, one per seed, on one resolved kernel; with the age
+    law collected after a burn-in of the kernel's mixing time when the case collects it."""
 
     UNIT = ("ms/run", 1e3, "ms_per_replica_p50")
 
@@ -259,6 +271,9 @@ class ReplicaSide:
                                           for name in ("config", "population"))
         self.resolved = config_module.resolve_config({"laziness": 0.5, **config})
         self.order = order
+        collect = self.resolved.simulation["collect_age_law"]
+        self.law = {"collect_age_law": collect,
+                    "age_law_burn_in": self.resolved.t_mix if collect else 0}
         self.times = []
 
     def warm_up(self, seeds: list[tuple]) -> None:
@@ -272,7 +287,7 @@ class ReplicaSide:
         run, clock = self.population.run_population, time.perf_counter
         start = clock()
         run(r.kernel, r.policy, r.traps, z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed,
-            z_cap=sim["Z_cap"], order=self.order)
+            z_cap=sim["Z_cap"], order=self.order, **self.law)
         self.times.append(clock() - start)
 
 
@@ -338,7 +353,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fold-bytes", type=int, metavar="B",
                         help="this package's fold budget, population.FOLD_BYTES")
     parser.add_argument("--case", action="append",
-                        choices=[*CASES, "return_time", "explode_k4_replica"],
+                        choices=[*CASES, "return_time", *REPLICAS],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -350,7 +365,7 @@ def main(argv=None) -> int:
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time", "explode_k4_replica"]
+    cases = args.case or [*CASES, "return_time", *REPLICAS]
 
     jobs = []
     for name, config in CASES.items():
@@ -368,14 +383,14 @@ def main(argv=None) -> int:
             sides.append(MoveSide(baseline, config))
         jobs.append(("return_time", None, record_moves(config, u, walkers, STATES), None, None,
                      sides))
-    for order in ORDERS if "explode_k4_replica" in cases else ():
-        name, replicas = REPLICAS
-        config = CASES[name]
-        seeds = [(config["simulation"]["seed"] + r,) for r in range(replicas)]
-        sides = [ReplicaSide(srrw, config, order)]
-        if baseline is not None:
-            sides.append(ReplicaSide(baseline, config, order))
-        jobs.append(("explode_k4_replica", order, seeds, None, None, sides))
+    for label, (name, replicas) in REPLICAS.items():
+        for order in ORDERS if label in cases else ():
+            config = CASES[name]
+            seeds = [(config["simulation"]["seed"] + r,) for r in range(replicas)]
+            sides = [ReplicaSide(srrw, config, order)]
+            if baseline is not None:
+                sides.append(ReplicaSide(baseline, config, order))
+            jobs.append((label, order, seeds, None, None, sides))
     # build each side's tables and node rows before timing
     for *_, states, _, _, sides in jobs:
         for side in sides:
@@ -387,7 +402,7 @@ def main(argv=None) -> int:
                 for side in sides[::-1] if k % 2 else sides:
                     side.time_step(*call)
 
-    header = (f"{'case':<18} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
+    header = (f"{'case':<21} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
               f" {'unit':>8} {'p50':>9}")
     if baseline is not None:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
@@ -398,7 +413,7 @@ def main(argv=None) -> int:
         p50 = [scale * float(np.median(side.times)) for side in sides]
         row = {"case": name, "order": order, "states": len(states), "per_token": per_token,
                "folded": folded, key: p50[0]}
-        line = (f"{name:<18} {order or '-':<13} {len(states):>6}"
+        line = (f"{name:<21} {order or '-':<13} {len(states):>6}"
                 + "".join(f" {'-' if v is None else f'{v:.2f}':>{width}}"
                           for v, width in ((per_token, 9), (folded, 6)))
                 + f" {unit:>8} {p50[0]:>9.1f}")
