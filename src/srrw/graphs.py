@@ -537,14 +537,12 @@ class AliasRows:
         """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row,
         ``first[i]``, and the offset from there to its row in the tables. ``pick`` draws each
         token's cell from them. ``first`` is by default each row's first cell in the gathered
-        (rows x W) rows flattened. With ``block``, the one block of ``index``'s rows, it is
-        each row's in that block's (``self.block`` x W) rows flattened, (index[i] - block x
-        ``self.block``) x W, and the offset is one int for every token: the block's first
-        cell in the tables."""
+        (rows x W) rows flattened. Given ``block``, the one block of ``index``'s rows, ``first``
+        must be each row's first cell in that block's (``self.block`` x W) rows flattened,
+        (index[i] - block x ``self.block``) x W; the offset is then one int for every token,
+        the block's first cell in the tables."""
         w = self.width
         if block is not None:
-            if first is None:
-                first = (index - block * self.block) * w
             if self._block_start[block] < 0:
                 self._table_rows(index)
             return first.repeat(tokens), int(self._block_start[block]) * w
