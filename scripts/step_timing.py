@@ -38,7 +38,7 @@ until all have returned.
 
 Recorded states cannot see what a run pays before its first step, nor what
 a median step leaves out: the age law's queued visits are added to its
-histogram once per ``AgeLaw.PENDING_CAP`` queued entries, in the step that
+histogram once per ``AgeLaw.PENDING_CAP`` queued values, in the step that
 fills the queue, and once at the end of the run. The replica cases time
 whole ``run_population`` runs, one per seed of ``REPLICAS``, on one resolved
 kernel per side and event order, as the benchmark workloads and the
@@ -272,8 +272,8 @@ class ReplicaSide:
         self.resolved = config_module.resolve_config({"laziness": 0.5, **config})
         self.order = order
         collect = self.resolved.simulation["collect_age_law"]
-        self.law = {"collect_age_law": collect,
-                    "age_law_burn_in": self.resolved.t_mix if collect else 0}
+        self.law_args = {"collect_age_law": collect,
+                         "age_law_burn_in": self.resolved.t_mix if collect else 0}
         self.times = []
 
     def warm_up(self, seeds: list[tuple]) -> None:
@@ -287,7 +287,7 @@ class ReplicaSide:
         run, clock = self.population.run_population, time.perf_counter
         start = clock()
         run(r.kernel, r.policy, r.traps, z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed,
-            z_cap=sim["Z_cap"], order=self.order, **self.law)
+            z_cap=sim["Z_cap"], order=self.order, **self.law_args)
         self.times.append(clock() - start)
 
 

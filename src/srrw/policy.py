@@ -27,7 +27,7 @@ def _as_node_array(value, n: int, name: str, lo: float, hi: float) -> np.ndarray
     arr = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ParameterError(f"{name}: expected scalar or length-{n} array")
-    if not np.all((arr >= lo) & (arr <= hi)):  # false for NaN, as the range check must be
+    if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails both comparisons
         raise ParameterError(f"{name}: values must lie in [{lo}, {hi}]")
     return arr
 

@@ -136,7 +136,8 @@ def _dispatch_forks(rows: StepRows, nodes: np.ndarray, pairs: np.ndarray,
 
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None, z: int | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None,
+         z: int | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
