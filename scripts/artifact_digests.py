@@ -70,6 +70,16 @@ CONFIGS = {
         "simulation": {"Z_0": 40, "horizon": 150, "replicas": 2, "seed": 19,
                        "order": "policy_first"},
     },
+    # the same two-stage rows under trap_first with the age law, which takes each node's
+    # trapped tokens from the step's landing tally; from 4000 tokens the first steps draw by
+    # multinomial, and per token once terminations have thinned them
+    "two_stage_star_law": {
+        "graph": {"generator": {"kind": "star", "n": 60}},
+        "traps": {"nodes": "all", "zeta": 0.02},
+        "policy": {"A_l": 3, "A_s": 1, "q_fork": 0.3, "q_term": 0.05},
+        "simulation": {"Z_0": 4000, "horizon": 150, "replicas": 2, "seed": 23,
+                       "collect_age_law": True},
+    },
     "sweep_flat": {"policy": {"A_l": 2, "q_fork": 0.2},
                    "sweep": {"q": [0.1, 0.2], "kappa": [4, 6]}},
     "sweep_measured": {"policy": {"A_l": [2, 2, 3, 3], "q_fork": 0.2},

@@ -532,22 +532,19 @@ class AliasRows:
             rows = self._table_row.take(index)
         return rows
 
-    def cells(self, tokens: np.ndarray, index: np.ndarray, block: int | None = None,
-              first: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | int]:
+    def cells(self, tokens: np.ndarray, index: np.ndarray, block: int | None,
+              first: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
         """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row,
-        ``first[i]``, and the offset from there to its row in the tables. ``pick`` draws each
-        token's cell from them. ``first`` is by default each row's first cell in the gathered
-        (rows x W) rows flattened. Given ``block``, the one block of ``index``'s rows, ``first``
-        must be each row's first cell in that block's (``self.block`` x W) rows flattened,
-        (index[i] - block x ``self.block``) x W; the offset is then one int for every token,
-        the block's first cell in the tables."""
+        ``first[i]``, in the caller's layout of cells, and the offset from there to its row in
+        the tables. ``pick`` draws each token's cell from them. Given ``block``, the one block
+        of ``index``'s rows, ``first`` must be each row's first cell in that block's
+        (``self.block`` x W) rows flattened, (index[i] - block x ``self.block``) x W; the
+        offset is then one int for every token, the block's first cell in the tables."""
         w = self.width
         if block is not None:
             if self._block_start[block] < 0:
                 self._table_rows(index)
             return first.repeat(tokens), int(self._block_start[block]) * w
-        if first is None:
-            first = np.arange(0, index.size * w, w)
         return first.repeat(tokens), (self._table_rows(index) * w - first).repeat(tokens)
 
     def pick(self, cell: np.ndarray, table: np.ndarray | int, u: np.ndarray) -> np.ndarray:
@@ -566,8 +563,8 @@ class AliasRows:
         cell += offset
         return cell
 
-    def token_cells(self, tokens: np.ndarray, index: np.ndarray, rng, block: int | None = None,
-                    first: np.ndarray | None = None) -> np.ndarray:
+    def token_cells(self, tokens: np.ndarray, index: np.ndarray, rng, block: int | None,
+                    first: np.ndarray) -> np.ndarray:
         """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, per token with
         all uniforms from one ``rng.random`` call; ``block`` and ``first`` as in ``cells``."""
         cell, table = self.cells(tokens, index, block, first)

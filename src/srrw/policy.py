@@ -24,17 +24,20 @@ AGE_LAW_CAP = 256
 
 
 def _as_node_array(value, n: int, name: str, lo: float, hi: float) -> np.ndarray:
-    arr = np.full(n, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
+    """A read-only copy of ``value`` as n floats."""
+    arr = np.full(n, float(value)) if np.isscalar(value) else np.array(value, dtype=float)
     if arr.shape != (n,):
         raise ParameterError(f"{name}: expected scalar or length-{n} array")
     if not np.all((arr >= lo) & (arr <= hi)):  # NaN fails both comparisons
         raise ParameterError(f"{name}: values must lie in [{lo}, {hi}]")
+    arr.setflags(write=False)
     return arr
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PolicySpec:
-    """Per-node triggers and probabilities; scalars broadcast to all nodes."""
+    """Per-node triggers and probabilities; scalars broadcast to all nodes. The arrays
+    are read-only copies of those given, so a spec never changes; specs compare by identity."""
 
     node_count: int
     a_long: np.ndarray
@@ -44,10 +47,8 @@ class PolicySpec:
 
     def __post_init__(self):
         n = self.node_count
-        self.a_long = _as_node_array(self.a_long, n, "a_long", 0.0, np.inf)
-        self.a_short = _as_node_array(self.a_short, n, "a_short", 0.0, np.inf)
-        self.q_fork = _as_node_array(self.q_fork, n, "q_fork", 0.0, 1.0)
-        self.q_term = _as_node_array(self.q_term, n, "q_term", 0.0, 1.0)
+        for name, hi in (("a_long", np.inf), ("a_short", np.inf), ("q_fork", 1.0), ("q_term", 1.0)):
+            object.__setattr__(self, name, _as_node_array(getattr(self, name), n, name, 0.0, hi))
         if np.any(self.a_short > self.a_long):
             raise ParameterError("a_short must not exceed a_long at any node")
 
@@ -77,7 +78,7 @@ class PolicySpec:
         return np.where(ages >= self.a_long[nodes], FORK, PASS - (ages <= self.a_short[nodes]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RegimePolicy:
     """Population-gated pair of specs with hysteresis.
 
@@ -128,21 +129,19 @@ class AgeLaw:
 
     ``record`` adds visits at once. The engine ``queue``s each step's visits
     instead, and ``flush`` adds the queue in one ``record`` call: when it holds
-    ``PENDING_CAP`` values (three per node, one per token column), so its
-    memory is bounded by tokens, not steps; when ``counts`` or
-    ``max_over_cap`` is read; and at the end of a run.
+    ``PENDING_CAP`` values (three per occupied node of a step), so its memory
+    does not grow with the steps; when ``counts`` or ``max_over_cap`` is read;
+    and at the end of a run.
     """
 
-    PENDING_CAP = 1 << 12  # about 30 steps of the corridor experiment (Z = 20-200, 30 nodes)
+    PENDING_CAP = 1 << 12  # about 60 steps of the corridor experiment (Z = 20-200, 30 nodes)
 
     def __init__(self, node_count: int, age_cap: int = AGE_LAW_CAP):
         self.age_cap = int(age_cap)
         _check_bytes(8 * node_count * (self.age_cap + 2), f"an age law over {node_count} nodes")
         self._counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
         self._max_over_cap = np.zeros(node_count, dtype=np.int64)
-        # queued (nodes, ages, visits): of steps with token columns, and of steps without
-        self._columned, self._columns, self._plain = [], [], []
-        self._columned_nodes = self._pending_size = 0
+        self._pending, self._pending_size = [], 0  # queued (nodes, ages, visits)
 
     @property
     def counts(self) -> np.ndarray:
@@ -165,38 +164,20 @@ class AgeLaw:
             over = (ages > self.age_cap) & (weights > 0)
             np.maximum.at(self._max_over_cap, nodes[over], ages[over])
 
-    def queue(self, nodes: np.ndarray, ages: np.ndarray, visits: np.ndarray,
-              columns: np.ndarray | None = None) -> None:
-        """Queue ``visits[i]`` visits at age ``ages[i]`` to ``nodes[i]``, less, when ``columns``
-        is given, the tokens whose column is 0: ``columns`` then holds one entry per token,
-        ``visits[0]`` of them for ``nodes[0]`` first. The arrays are held, not copied, until
-        the queue is flushed."""
-        if columns is None:
-            self._plain.append((nodes, ages, visits))
-        else:
-            self._columned.append((nodes, ages, visits))
-            self._columns.append(columns)
-            self._columned_nodes += nodes.size
-            self._pending_size += columns.size
+    def queue(self, nodes: np.ndarray, ages: np.ndarray, visits: np.ndarray) -> None:
+        """Queue ``visits[i]`` visits at age ``ages[i]`` to ``nodes[i]``; the arrays are held,
+        not copied, until the queue is flushed."""
+        self._pending.append((nodes, ages, visits))
         self._pending_size += 3 * nodes.size
         if self._pending_size >= self.PENDING_CAP:
             self.flush()
 
     def flush(self) -> None:
         """Add the queued visits in one ``record`` call."""
-        if not (self._columned or self._plain):
-            return
-        nodes, ages, visits = (np.concatenate(part) for part in zip(*self._columned, *self._plain))
-        if self._columns:
-            # the visits of steps with columns lead; each trapped token is one of the visits
-            # of the node whose tokens end first past its place
-            tokens = visits[:self._columned_nodes]
-            trapped = np.flatnonzero(np.concatenate(self._columns) == 0)
-            tokens -= np.bincount(np.cumsum(tokens).searchsorted(trapped, "right"),
-                                  minlength=tokens.size)
-        self._columned, self._columns, self._plain = [], [], []
-        self._columned_nodes = self._pending_size = 0
-        self.record(nodes, ages, visits)
+        if self._pending:
+            nodes, ages, visits = (np.concatenate(part) for part in zip(*self._pending))
+            self._pending, self._pending_size = [], 0
+            self.record(nodes, ages, visits)
 
     def header_lines(self) -> list[str]:
         """The law as ``key=value`` lines: the cap, the overflow maxima and one

@@ -79,16 +79,19 @@ _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
 _EVENTS = 3
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrapProfile:
-    """Per-node exogenous deletion probabilities; absent nodes delete nothing."""
+    """Per-node exogenous deletion probabilities; absent nodes delete nothing. ``zeta`` is a
+    read-only copy of the one given, so a profile never changes; profiles compare by identity."""
 
     zeta: np.ndarray
 
     def __post_init__(self):
-        self.zeta = np.asarray(self.zeta, dtype=float)
-        if not np.all((self.zeta >= 0.0) & (self.zeta <= 1.0)):  # NaN fails too
+        zeta = np.array(self.zeta, dtype=float)
+        if not np.all((zeta >= 0.0) & (zeta <= 1.0)):  # NaN fails too
             raise ParameterError("deletion probabilities must lie in [0, 1]")
+        zeta.setflags(write=False)
+        object.__setattr__(self, "zeta", zeta)
 
     @staticmethod
     def none(node_count: int) -> "TrapProfile":
@@ -323,12 +326,14 @@ class StepRows:
     ``landing`` (n, columns, 1), or (n, columns, 2) when folded, gives each
     cell its landing nodes, n for tokens that leave (the event columns of
     rows that do not fold, whose forks ``step`` sends through the kernel's
-    ``fork_table``), and ``cell_landing`` the same by cell of the rows
-    flattened. Node rows are built per policy spec on first use, as
-    ``AliasRows`` whose alias tables are built per age region (a block of n
-    rows) on the first sparse step that draws from it, and reused for the
-    whole run and, through ``step_rows``, by later runs on the same kernel
-    while ``retain`` keeps them.
+    ``fork_table``) and n + 1 + u for the trapped column of node u's rows, so
+    a step's landing tally also counts the tokens trapped at each node; and
+    ``cell_landing`` the same by cell of the rows flattened. Node rows are
+    built per policy spec on first use, as ``AliasRows`` whose alias tables
+    are built per age region (a block of n rows) on the first sparse step
+    that draws from it, and reused for the whole run and, through
+    ``step_rows``, by later runs on the same kernel while ``retain`` keeps
+    them.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -338,8 +343,7 @@ class StepRows:
             raise ParameterError("trap profile does not match the graph")
         lazy = kernel.neighbour_table()
         self.order = order
-        # a copy, so the kept rows read the values ``step_rows`` keys them by
-        self.zeta = traps.zeta.copy()
+        self.zeta = traps.zeta
         self.node_count = n = kernel.node_count
         self.motion = lazy.prob[:, ::-1]
         self.forks = kernel.fork_table()
@@ -350,6 +354,7 @@ class StepRows:
         # rows that do not fold have no lone-copy or pair cells
         self.classes = self.bounds if self.folded else self.bounds[:4]
         landing = np.full((n, self.classes[-1] + moves.shape[1], 2 if self.folded else 1), n)
+        landing[:, _TRAPPED, 0] += 1 + np.arange(n)
         landing[:, self.classes[-1]:, 0] = moves
         if self.folded:
             dest, pairs = self.forks.dest, slice(self.bounds[4], self.bounds[5])
@@ -390,18 +395,12 @@ class StepRows:
             triggers = (spec.a_long.max(), spec.a_long.min(), spec.a_short.min(),
                         spec.a_short.max())
             self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
-                                                self.node_count), triggers, _spec_values(spec))
+                                                self.node_count), triggers)
         return self._nodes[key][1]
 
     def retain(self, specs) -> None:
-        """Keep the node rows of ``specs`` alone, and of each only while the spec holds the
-        values the rows were built from (``PolicySpec`` arrays can change in place)."""
-        kept = {}
-        for spec in specs:
-            entry = self._nodes.get(id(spec))
-            if entry is not None and np.array_equal(entry[3], _spec_values(spec)):
-                kept[id(spec)] = entry
-        self._nodes = kept
+        """Keep the node rows of ``specs`` alone."""
+        self._nodes = {id(s): self._nodes[id(s)] for s in specs if id(s) in self._nodes}
 
     def uniform_region(self, spec: PolicySpec, t: int) -> int | None:
         """The age region of every visit at step ``t`` when the triggers of ``spec`` put every
@@ -414,11 +413,6 @@ class StepRows:
         if long_min > t and short_max < 1:
             return PASS
         return None
-
-
-def _spec_values(spec: PolicySpec) -> np.ndarray:
-    """A copy of every value of ``spec`` that its node rows are built from."""
-    return np.stack((spec.a_long, spec.a_short, spec.q_fork, spec.q_term))
 
 
 def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first") -> StepRows:
@@ -504,7 +498,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     if sparse:
         # each token's cell in the (n, w) rows flattened: its node times w plus its column
         cell = node_rows.token_cells(tokens, index, rng, uniform, occ * w)
-        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(), minlength=n + 1)
+        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(), minlength=2 * n + 1)
         col = cell % w
         per_column = np.bincount(col, minlength=w)
     else:
@@ -515,7 +509,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         if rows.landing.shape[2] > 1:
             weights = weights.repeat(rows.landing.shape[2])
         landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=weights,
-                             minlength=n + 1)
+                             minlength=2 * n + 1).astype(np.int64)
         per_column = np.add.reduce(draws)
     # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
     n_trapped, acted_trapped, acted, *fold, _ = np.add.reduceat(per_column, rows.classes).tolist()
@@ -543,21 +537,14 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     lone += acted_trapped
     counts = StepCounts(pairs + acted_forks + lone, n_trapped + lone, acted - acted_forks)
     if age_law is not None:
-        # trap_first: trapped tokens never reach the policy stage; a per-token step's trapped
-        # tokens are those of column _TRAPPED, 0, which the law reads as trapped
-        if rows.order == "policy_first":
-            age_law.queue(occ, ages, tokens)
-        elif sparse:
-            age_law.queue(occ, ages, tokens, col)
-        else:
-            age_law.queue(occ, ages, tokens - draws[:, _TRAPPED])
+        # trap_first: trapped tokens, tallied per node past n, never reach the policy stage
+        age_law.queue(occ, ages, tokens if rows.order == "policy_first"
+                      else tokens - landed[n + 1:].take(occ))
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()
     last_visit[occ] = t
-    # a per-token tally is already int64; a multinomial one is float
-    return PopulationState(t, landed[:n] if sparse else landed[:n].astype(np.int64),
-                           last_visit), counts
+    return PopulationState(t, landed[:n], last_visit), counts
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,
@@ -578,7 +565,7 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
     if regime_policy is None and not isinstance(policy, PolicySpec):
         raise ParameterError("policy must be a PolicySpec or RegimePolicy")
     rows = step_rows(kernel, traps, order)
-    # the kept node rows are this run's specs' alone, each rebuilt if it changed in place
+    # the kept node rows are this run's specs' alone
     rows.retain((policy.low, policy.high) if regime_policy else (policy,))
 
     rng = np.random.default_rng(rng_seed)

@@ -219,17 +219,18 @@ class TestStepMemory:
 
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
     def test_queued_age_law_is_bounded_by_tokens(self, order):
-        # a step of 10k tokens on 1000 nodes queues 13k values under trap_first (3 per node,
-        # 1 per token column) and 3k under policy_first, so the queue is added every step or
-        # two, past AgeLaw.PENDING_CAP: measured 2% and 7% above the steps without the law. A
-        # queue held over the 8 steps would add about 0.8 MB to their 0.5
+        # a step of 10k tokens on 1000 nodes queues 3k values in either order (3 per occupied
+        # node), so the queue is added every second step, past AgeLaw.PENDING_CAP: measured
+        # 7% above the steps without the law in both orders. A queue held over the 8 steps
+        # measured 1.36x
         without, with_law = (self.peak_of_steps(collect, order) for collect in (False, True))
         assert with_law <= 1.1 * without, (with_law, without)
 
 
 class TestBatchedAgeLaw:
     """The engine queues each step's visits on the age law and adds them in batches: the
-    law equals one ``AgeLaw.record`` per step of the same visits, less the trapped ones."""
+    law equals one ``AgeLaw.record`` per step of the same visits. Which visits a step queues
+    is checked by ``TestFold::test_age_law_counts_the_visits_that_reach_the_policy``."""
 
     # (kernel, policy, traps, run arguments, how the run ends, whether the rows fold)
     CASES = {
@@ -258,24 +259,25 @@ class TestBatchedAgeLaw:
         n = kernel.node_count
         traps = TrapProfile.uniform(n, zeta)
         steps, flushes, kinds = [], [], set()
-        queue, record = AgeLaw.queue, AgeLaw.record
+        queue, record, sparse = AgeLaw.queue, AgeLaw.record, AliasRows.sparse
 
-        def recording_queue(self, nodes, ages, visits, columns=None):
-            # what the engine before batching recorded: the visits less the trapped tokens,
-            # counted per node from the tokens' columns
-            kept = visits if columns is None else visits - np.add.reduceat(
-                columns == 0, np.cumsum(visits) - visits)
-            steps.append((nodes.copy(), ages.copy(), kept))
-            kinds.add("plain" if columns is None else "columns")
-            queue(self, nodes, ages, visits, columns)
+        def recording_queue(self, nodes, ages, visits):
+            steps.append((nodes.copy(), ages.copy(), visits.copy()))
+            queue(self, nodes, ages, visits)
 
         def recording_record(self, nodes, ages, weights=None):
             flushes.append(nodes.size)
             record(self, nodes, ages, weights)
 
+        def recording_sparse(self, tokens, total=None):
+            per_token = sparse(self, tokens, total)
+            kinds.add("per_token" if per_token else "multinomial")
+            return per_token
+
         monkeypatch.setattr(AgeLaw, "PENDING_CAP", pending_cap)
         monkeypatch.setattr(AgeLaw, "queue", recording_queue)
         monkeypatch.setattr(AgeLaw, "record", recording_record)
+        monkeypatch.setattr(AliasRows, "sparse", recording_sparse)
         trace = run_population(kernel, policy(n), traps, rng_seed=5, order=order,
                                collect_age_law=True, age_law_burn_in=5, **run)
         monkeypatch.undo()
@@ -286,13 +288,12 @@ class TestBatchedAgeLaw:
         # the run's visits went in over several flushes, the last at its end
         assert len(flushes) >= (3 if pending_cap == 64 else 1) and sum(flushes) == sum(
             nodes.size for nodes, _, _ in steps)
-        # trap_first per-token steps queue token columns, multinomial ones and every
-        # policy_first step none; explode_k4 turns multinomial as Z grows
-        assert kinds == ({"plain"} if order == "policy_first" else
-                         {"columns", "plain"} if name == "explode_k4" else {"columns"})
+        # explode_k4 draws per token, then by multinomial as Z grows
+        if name == "explode_k4":
+            assert kinds == {"per_token", "multinomial"}
         reference = AgeLaw(n)
-        for nodes, ages, kept in steps:
-            reference.record(nodes, ages, kept)
+        for nodes, ages, visits in steps:
+            reference.record(nodes, ages, visits)
         assert np.array_equal(trace.age_law.counts, reference.counts)
         assert np.array_equal(trace.age_law.max_over_cap, reference.max_over_cap)
         if name == "sparse_er30":
@@ -750,7 +751,8 @@ def law_traps(n):
 def token_counts(table, tokens, index, rng):
     """(rows x W) counts of ``tokens[i]`` tokens drawn per token from row ``index[i]`` of
     ``table`` (``AliasRows.token_cells``)."""
-    cell = table.token_cells(tokens, index, rng)
+    cell = table.token_cells(tokens, index, rng, None, np.arange(0, index.size * table.width,
+                                                                 table.width))
     return np.bincount(cell, minlength=index.size * table.width).reshape(index.size, -1)
 
 
@@ -1194,15 +1196,19 @@ class TestFold:
         assert law_p([observed.get(key, 0) for key in keys],
                      3000 * np.array([law[key] for key in keys])) > 1e-3
 
+    @pytest.mark.parametrize("fold", ["folded", "two_stage"])
     @pytest.mark.parametrize("path", ["multinomial", "per_token"])
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
-    def test_age_law_counts_the_visits_that_reach_the_policy(self, monkeypatch, order, path):
+    def test_age_law_counts_the_visits_that_reach_the_policy(self, monkeypatch, order, path,
+                                                             fold):
         # certain traps at even nodes, none at odd ones: under trap_first the age law sees
         # exactly the odd nodes' tokens, under policy_first every token; ages span regions
         k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
         even = np.arange(30) % 2 == 0
+        if fold == "two_stage":
+            monkeypatch.setattr(srrw.population, "FOLD_BYTES", 0)
         rows = StepRows(k, TrapProfile(np.where(even, 1.0, 0.0)), order)
-        assert rows.folded
+        assert rows.folded == (fold == "folded")
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
                             lambda self, tokens: path == "per_token")
         rng = np.random.default_rng(613)
@@ -1366,10 +1372,9 @@ class TestKeptRows:
     a fresh kernel gives, whatever changed since the last run, and what is kept is one run's."""
 
     CHANGES = ("none", "same inputs", "traps", "equal traps", "order", "fold off", "fold on",
-               "class", "class back", "q_fork in place", "zeta in place", "spec",
-               "built-from zeta in place")
+               "class", "class back", "spec")
     # the changes after which the last run's rows are kept, with their node rows
-    REUSED = {"same inputs", "equal traps", "q_fork in place", "spec", "built-from zeta in place"}
+    REUSED = {"same inputs", "equal traps", "spec"}
 
     def test_consecutive_runs_match_fresh_kernels(self, monkeypatch):
         # the corridor's ER(30) and regime pair, folded, then each change in turn; the runs
@@ -1393,18 +1398,8 @@ class TestKeptRows:
                 # rows of another class, as a frozen engine's rows are, are never taken over
                 monkeypatch.setattr(srrw.population, "StepRows",
                                     SubclassedRows if change == "class" else StepRows)
-            elif change == "q_fork in place":
-                policy.low.q_fork[:] = 0.3
-            elif change == "zeta in place":
-                traps.zeta[:] = 0.1
             elif change == "spec":
                 policy = law_policy("spec", 30)
-            elif change == "built-from zeta in place":
-                # an equal copy keeps the rows; the profile they were built from then changes
-                # in place, and the new specs' node rows must still read the copy's values
-                built, traps = traps, TrapProfile(traps.zeta.copy())
-                built.zeta[:] = 0.5
-                policy = law_policy("regime", 30)
             args = dict(z0=40, horizon=60, rng_seed=720_000 + seed, order=order,
                         collect_age_law=True)
             kept = run_population(kernel, policy, traps, **args)
@@ -1418,6 +1413,34 @@ class TestKeptRows:
             assert (used is rows) == (change in self.REUSED), change
             assert used.folded == (change != "fold off")
             rows = used
+
+    def test_specs_and_profiles_are_read_only_copies(self):
+        # kept rows are found by the spec itself and by the profile's zeta values, so neither
+        # may change after the rows are built: an edit in place raises, and the caller's
+        # arrays are copied, staying writable and unchanged
+        given = {"a_long": np.array([3.0, 3.0, 4.0, 4.0]),
+                 "a_short": np.array([1.0, 0.0, 1.0, 2.0]),
+                 "q_fork": np.array([0.1, 0.2, 0.3, 0.4]),
+                 "q_term": np.array([0.0, 0.1, 0.0, 0.1]),
+                 "zeta": np.array([0.0, 0.05, 0.1, 0.2])}
+        before = {name: arr.copy() for name, arr in given.items()}
+        spec = PolicySpec(4, *(given[name] for name in ("a_long", "a_short", "q_fork", "q_term")))
+        traps = TrapProfile(given["zeta"])
+        held = {name: getattr(traps if name == "zeta" else spec, name) for name in given}
+        defaults = (PolicySpec.uniform(4, a_long=2.0, q_fork=0.1), TrapProfile.none(4),
+                    TrapProfile.uniform(4, 0.1), TrapProfile.from_map(4, {1: 0.2}))
+        arrays = [*held.values(), defaults[0].q_term, *(t.zeta for t in defaults[1:])]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+        for name, arr in given.items():
+            assert arr.flags.writeable and np.array_equal(arr, before[name]), name
+            arr[:] = 0.5
+            assert np.array_equal(held[name], before[name]), name
+        regime = RegimePolicy(spec, defaults[0], z_low=10, z_high=20)
+        for obj, name in ((spec, "q_fork"), (traps, "zeta"), (regime, "low")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
 
     def test_alias_tables_built_once_per_spec_and_region(self, monkeypatch):
         # acceptance 08's explosion, 40 replicas as the explode_k4 benchmark runs them: the
