@@ -1427,9 +1427,10 @@ class TestKeptRows:
         spec = PolicySpec(4, *(given[name] for name in ("a_long", "a_short", "q_fork", "q_term")))
         traps = TrapProfile(given["zeta"])
         held = {name: getattr(traps if name == "zeta" else spec, name) for name in given}
-        defaults = (PolicySpec.uniform(4, a_long=2.0, q_fork=0.1), TrapProfile.none(4),
-                    TrapProfile.uniform(4, 0.1), TrapProfile.from_map(4, {1: 0.2}))
-        arrays = [*held.values(), defaults[0].q_term, *(t.zeta for t in defaults[1:])]
+        # and the arrays the other constructors fill
+        built = (PolicySpec.uniform(4, a_long=2.0, q_fork=0.1), TrapProfile.none(4),
+                 TrapProfile.uniform(4, 0.1), TrapProfile.from_map(4, {1: 0.2}))
+        arrays = [*held.values(), built[0].q_term, *(t.zeta for t in built[1:])]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
@@ -1437,7 +1438,7 @@ class TestKeptRows:
             assert arr.flags.writeable and np.array_equal(arr, before[name]), name
             arr[:] = 0.5
             assert np.array_equal(held[name], before[name]), name
-        regime = RegimePolicy(spec, defaults[0], z_low=10, z_high=20)
+        regime = RegimePolicy(spec, built[0], z_low=10, z_high=20)
         for obj, name in ((spec, "q_fork"), (traps, "zeta"), (regime, "low")):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(obj, name, None)
