@@ -493,7 +493,8 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     index = region * n + occ
     sparse = node_rows.sparse(tokens) if z is None else node_rows.sparse(tokens, z)
 
-    # one node draw; each cell names its landing nodes (n for tokens that leave)
+    # one node draw; each cell names its landing nodes (n for tokens that leave, n + 1 + u for
+    # tokens trapped at u)
     w = node_rows.width
     if sparse:
         # each token's cell in the (n, w) rows flattened: its node times w plus its column
