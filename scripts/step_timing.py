@@ -36,6 +36,13 @@ same states, which is how the budget is set. The return-time case moves the
 walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
 until all have returned.
 
+A recorded-state case times ``step`` alone, and that includes the sum of
+the tokens of the state it returns (``PopulationState.alive``, summed when a
+state is built). Earlier packages made that sum in ``run_population`` and
+passed it to ``step`` as ``z``; against such a baseline (``Side.takes_z``) a
+recorded-state case charges the sum to this package alone, and the replica
+cases, which time whole runs, compare like with like.
+
 Recorded states cannot see what a run pays before its first step, nor what
 a median step leaves out: the age law's queued visits are added to its
 histogram once per ``AgeLaw.PENDING_CAP`` queued values, in the step that
@@ -189,11 +196,11 @@ def record_states(config: dict, order: str,
     folded = []
     real = srrw.population.step
 
-    def recording(state, rows, spec, rng, age_law=None, z=None):
+    def recording(state, rows, spec, rng, age_law=None):
         seen.append((state, next(i for i, s in enumerate(specs) if s is spec)))
-        per_token.append(rows.node_rows(spec).sparse(state.counts[state.counts.nonzero()]))
+        per_token.append(rows.node_rows(spec).sparse(state.alive, np.count_nonzero(state.counts)))
         folded.append(rows.folded)
-        return real(state, rows, spec, rng, age_law, z)
+        return real(state, rows, spec, rng, age_law)
 
     srrw.population.step = recording
     try:

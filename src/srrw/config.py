@@ -42,17 +42,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def config_hash(resolved: dict, sections: dict | None = None) -> str:
-    """sha256 of ``canonical_json(resolved)``. ``sections`` maps some top-level keys to the
-    canonical JSON of their values in ``resolved``, spliced in instead of serialised again:
-    the object's text is its sorted keys' ``"key":value`` items joined by commas."""
-    if sections is None:
-        text = canonical_json(resolved)
-    else:
-        items = (f"{json.dumps(k)}:{sections[k] if k in sections else canonical_json(v)}"
-                 for k, v in sorted(resolved.items()))
-        text = "{" + ",".join(items) + "}"
-    return hashlib.sha256(text.encode()).hexdigest()
+def config_hash(resolved: dict) -> str:
+    """sha256 of ``canonical_json(resolved)``."""
+    return hashlib.sha256(canonical_json(resolved).encode()).hexdigest()
 
 
 def _require(cond: bool, fieldpath: str, message: str):
@@ -260,9 +252,7 @@ def _sweep_points(base: ResolvedConfig, sweep) -> tuple:
     """Read the ``sweep`` block into ``base.raw`` and resolve its grid: (point, config) per grid
     point, in row order. A point's config is the base's resolved sections with the swept fields
     replaced and read by their own readers; it shares the base's graph entry and kernel, and
-    points with the same swept values share one policy or trap profile. Every hash is spliced
-    from the canonical JSON of the sections, so the graph and the other shared sections are
-    serialised once for the whole grid."""
+    points with the same swept values share one policy or trap profile."""
     _require(isinstance(sweep, dict), "sweep", "expected an object")
     axes = {}
     for key in SWEEP_AXES:
@@ -274,8 +264,6 @@ def _sweep_points(base: ResolvedConfig, sweep) -> tuple:
     _require("regime" not in raw["policy"] or not {"q", "A_l"} & axes.keys(), "sweep",
              "q/A_l sweeps need a flat (non-regime) policy block")
     head, raw["sweep"] = dict(raw), axes
-    sections = {k: canonical_json(v) for k, v in raw.items()}
-    base.__dict__["hash"] = config_hash(raw, sections)
     policies, profiles = {(): (base.policy, raw["policy"])}, {None: (base.traps, raw["traps"])}
     points = []
     for combo in itertools.product(*axes.values()):
@@ -296,11 +284,7 @@ def _sweep_points(base: ResolvedConfig, sweep) -> tuple:
                               + f": {exc}") from None
         (policy, policy_raw), (traps, traps_raw) = policies[key], profiles[scale]
         point_raw = dict(head, policy=policy_raw, traps=traps_raw, block_plan=plan)
-        config = ResolvedConfig(point_raw, base.graph, base.kernel, traps, policy)
-        # the cached hash, spliced from the sections this point shares with the base
-        config.__dict__["hash"] = config_hash(
-            point_raw, {k: text for k, text in sections.items() if point_raw.get(k) is raw[k]})
-        points.append((point, config))
+        points.append((point, ResolvedConfig(point_raw, base.graph, base.kernel, traps, policy)))
     return tuple(points)
 
 

@@ -20,9 +20,9 @@ holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
 multiplies the upper block triangle of the power, about half an n^3 product,
 filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
 is computed when it is first read. ``AliasRows`` draws tokens over padded
-rows per token from Vose alias tables, and ``ForkTable`` holds each fork's
-law over ordered pairs of distinct targets, as rows to fold into a step's
-node draw and as a per-token draw. The padded
+rows per token from Vose alias tables laid out as the rows, and
+``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
+as rows to fold into a step's node draw and as a per-token draw. The padded
 neighbour, fork, pair and alias tables, and the edges of ``complete_graph``,
 raise ``ParameterError`` past ``TABLE_BYTE_CAP`` bytes before they are
 allocated, and a graph or generator of more than ``NODE_CAP`` nodes raises
@@ -482,93 +482,68 @@ def alias_tables(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AliasRows:
     """An (R, W) array ``probs`` of categorical rows and their per-token draw, exact in law.
 
-    ``token_cells`` draws each of ``tokens[i]`` tokens from row ``index[i]``
-    by a uniform column and a uniform coin against that cell of the row's
-    alias table, O(tokens); ``sparse`` is the density rule under which that
-    beats one ``Generator.multinomial`` call over the gathered rows of
-    ``probs``, a binomial per cell, O(rows x W). The tables are built
-    ``block`` rows at a time, on the first per-token draw from the block,
-    past ``TABLE_BYTE_CAP`` raising before they are allocated, and kept: 12
-    bytes per cell, a float64 cut and an int32 alias held as its offset from
-    its own column, so a draw selects by arithmetic instead of a branch per
-    token.
+    ``draw`` draws each of ``tokens[i]`` tokens from row ``index[i]`` by a
+    uniform column and a uniform coin against that cell of the row's alias
+    table, O(tokens); ``sparse`` is the density rule under which that beats
+    one ``Generator.multinomial`` call over the gathered rows of ``probs``, a
+    binomial per cell, O(rows x W). The tables are laid out as ``probs``, a
+    cell of the tables being the same cell of the rows, and built ``block``
+    rows at a time on the first draw from the block; they grow only to the
+    last block built, past ``TABLE_BYTE_CAP`` raising before they are
+    allocated, and are kept: 12 bytes per cell, a float64 cut and an int32
+    alias held as its offset from its own column, so a draw selects by
+    arithmetic instead of a branch per token.
     """
 
     def __init__(self, probs: np.ndarray, block: int):
         self.probs = probs
         self.width = probs.shape[1]
         self.block = block
-        self._table_row = np.full(probs.shape[0], -1)  # each row's row in the tables, -1 until built
-        # each block's first row in the tables, -1 until built (a block's rows are built together)
-        self._block_start = np.full(-(-probs.shape[0] // block), -1)
-        self._cut = np.empty(0)
-        self._offset = np.empty(0, dtype=np.int32)
+        self._built = np.zeros(-(-probs.shape[0] // block), dtype=bool)  # per block
+        self._cut, self._offset = np.empty((0, self.width)), np.empty((0, self.width), np.int32)
 
-    def sparse(self, tokens: np.ndarray, total: int | None = None) -> bool:
-        """The density rule: draw per token when the tokens number at most half the cells of
-        their rows, 2 x tokens <= rows x W; ``total`` is their number, when the caller knows it."""
-        if total is None:
-            total = np.add.reduce(tokens)
-        return 2 * total <= tokens.size * self.width
+    def sparse(self, tokens: int, rows: int) -> bool:
+        """The density rule: draw per token when ``tokens`` tokens number at most half the
+        cells of their ``rows`` rows, 2 x tokens <= rows x W."""
+        return 2 * tokens <= rows * self.width
 
-    def _table_rows(self, index: np.ndarray) -> np.ndarray:
-        """The tables' row of each row in ``index``, building the tables of unbuilt blocks."""
-        rows = self._table_row.take(index)
-        if rows.size and np.minimum.reduce(rows) < 0:
-            w, block = self.width, self.block
-            # the unbuilt blocks (np.bincount, not np.unique: its first call costs about 15 ms)
-            starts = np.flatnonzero(np.bincount(index[rows < 0] // block)) * block
-            built = self._cut.size // w
-            new = np.concatenate([np.arange(a, min(a + block, self.probs.shape[0]))
-                                  for a in starts])
-            _check_bytes(12 * (built + new.size) * w,
-                         f"alias tables of {built + new.size} rows by {w}")
-            cut, alias = alias_tables(self.probs[new])
-            alias -= np.arange(w, dtype=np.int32)
-            self._cut = np.concatenate((self._cut, cut.ravel()))
-            self._offset = np.concatenate((self._offset, alias.ravel()))
-            self._table_row[new] = built + np.arange(new.size)
-            self._block_start[starts // block] = self._table_row[starts]
-            rows = self._table_row.take(index)
-        return rows
-
-    def cells(self, tokens: np.ndarray, index: np.ndarray, block: int | None,
-              first: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
-        """Per token of ``tokens[i]`` tokens from row ``index[i]``: the first cell of its row,
-        ``first[i]``, in the caller's layout of cells, and the offset from there to its row in
-        the tables. ``pick`` draws each token's cell from them. Given ``block``, the one block
-        of ``index``'s rows, ``first`` must be each row's first cell in that block's
-        (``self.block`` x W) rows flattened, (index[i] - block x ``self.block``) x W; the
-        offset is then one int for every token, the block's first cell in the tables."""
+    def _build(self, blocks) -> None:
+        """Build the tables of the unbuilt ones of ``blocks``, growing them to the last."""
         w = self.width
-        if block is not None:
-            if self._block_start[block] < 0:
-                self._table_rows(index)
-            return first.repeat(tokens), int(self._block_start[block]) * w
-        return first.repeat(tokens), (self._table_rows(index) * w - first).repeat(tokens)
+        for b in blocks:
+            if self._built[b]:
+                continue
+            lo, hi = b * self.block, min((b + 1) * self.block, len(self.probs))
+            if hi > len(self._cut):
+                _check_bytes(12 * hi * w, f"alias tables of {hi} rows by {w}")
+                self._cut, self._offset = (np.concatenate((t, np.zeros((hi - len(t), w), t.dtype)))
+                                           for t in (self._cut, self._offset))
+            self._cut[lo:hi], self._offset[lo:hi] = alias_tables(self.probs[lo:hi])
+            self._offset[lo:hi] -= np.arange(w, dtype=np.int32)
+            self._built[b] = True
 
-    def pick(self, cell: np.ndarray, table: np.ndarray | int, u: np.ndarray) -> np.ndarray:
-        """The drawn cell of each token of ``cells``, in the layout of its ``first``, from at
-        least 2 x tokens uniforms ``u``: the first half (overwritten) draws a uniform column,
-        the second half a coin against that cell's cut. ``cell`` and an array ``table`` are
-        consumed."""
-        w, z = self.width, cell.size
-        col = u[:z]
-        col *= w
+    def draw(self, tokens: np.ndarray | int, index: np.ndarray, u: np.ndarray,
+             block: int | None = None) -> np.ndarray:
+        """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, in ``probs``
+        flattened, from at least 2 x tokens uniforms ``u``: the first half (overwritten) draws
+        a uniform column, the second half a coin against that cell's cut. ``block``, when
+        given, is the one block of every row in ``index``."""
+        if block is None:
+            if not self._built.all():
+                # np.bincount, not np.unique: the first call of np.unique costs about 15 ms
+                self._build(np.flatnonzero(np.bincount(index // self.block)))
+        elif not self._built[block]:
+            self._build((block,))
+        w = self.width
+        cell = (index * w).repeat(tokens)
+        z = cell.size
+        col = np.multiply(u[:z], w, out=u[:z])
         cell += col.astype(np.intp)  # a uniform column: below w for every uniform below 1
-        table += cell
-        aliased = u[z:2 * z] >= self._cut.take(table)
-        offset = self._offset.take(table)
+        aliased = u[z:2 * z] >= self._cut.take(cell)
+        offset = self._offset.take(cell)
         offset *= aliased
         cell += offset
         return cell
-
-    def token_cells(self, tokens: np.ndarray, index: np.ndarray, rng, block: int | None,
-                    first: np.ndarray) -> np.ndarray:
-        """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, per token with
-        all uniforms from one ``rng.random`` call; ``block`` and ``first`` as in ``cells``."""
-        cell, table = self.cells(tokens, index, block, first)
-        return self.pick(cell, table, rng.random(2 * cell.size))
 
 
 class ForkTable:
@@ -686,12 +661,10 @@ class ForkTable:
         """Tokens landing on each node from one fork token leaving each of ``nodes``: the first
         ``n_pairs`` are parent-and-copy pairs, the rest lone copies of trapped parents. Drawn
         per token with every uniform from one ``rng.random`` call."""
-        n, w = self.first.shape
-        # first targets as cells of the (n, W) tables
-        cell, table = self.first_rows.cells(1, nodes, 0, nodes * w)
-        u = rng.random(2 * cell.size + n_pairs)
-        cell = self.first_rows.pick(cell, table, u)
-        second = self.second_cells(cell[:n_pairs], u[2 * cell.size:])
+        n = self.first.shape[0]
+        u = rng.random(2 * nodes.size + n_pairs)
+        cell = self.first_rows.draw(1, nodes, u, 0)  # first targets as cells of the (n, W) tables
+        second = self.second_cells(cell[:n_pairs], u[2 * nodes.size:])
         return np.bincount(self.dest.ravel().take(np.concatenate((cell, second))), minlength=n)
 
 

@@ -10,6 +10,7 @@ rule; the engine and the termination plug-in both use it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,24 @@ class PolicySpec:
     @staticmethod
     def uniform(node_count: int, a_long, q_fork, a_short=0.0, q_term=0.0) -> "PolicySpec":
         return PolicySpec(node_count, a_long, a_short, q_fork, q_term)
+
+    @functools.cached_property
+    def _trigger_extremes(self) -> tuple[float, float, float, float]:
+        """The largest and least long trigger, the least and largest short one."""
+        return (float(self.a_long.max()), float(self.a_long.min()), float(self.a_short.min()),
+                float(self.a_short.max()))
+
+    def uniform_region(self, t: int) -> int | None:
+        """The age region of every visit at step ``t`` when the triggers put every age 1..t at
+        every node in one region, else None."""
+        long_max, long_min, short_min, short_max = self._trigger_extremes
+        if long_max <= 1:
+            return FORK
+        if long_min > t and short_min >= t:
+            return TERM
+        if long_min > t and short_max < 1:
+            return PASS
+        return None
 
     def region(self, nodes, ages) -> np.ndarray:
         """Age region (FORK, TERM or PASS) of visits at ``nodes`` with pre-visit ``ages``.

@@ -41,11 +41,12 @@ of their gathered rows (2 Z <= rows x row width): a uniform column and a
 coin against the row's Vose alias table. Both are exact in law. When the
 triggers put every age 1..t in one region (every A_l <= 1, say), the step
 reads that region without the per-node rule. Alias tables take 12 bytes
-per cell for each (spec, age region) a sparse step draws from, and per node
-row of the fork table's first targets. The kernel keeps the rows of its last
-run (``step_rows``), so replicas of one graph, traps and order build their
-node rows and alias tables once, not once per run. A per-token step tallies its
-landings and events from its tokens' cells, O(Z); a multinomial step costs
+per cell, laid out as the node rows and grown to the last age region a
+sparse step of the spec drew from, and per node row of the fork table's
+first targets. The kernel keeps the rows of its last run (``step_rows``),
+so replicas of one graph, traps and order build their node rows and alias
+tables once, not once per run. A per-token step tallies its landings and
+events from its tokens' cells, O(Z); a multinomial step costs
 O(occupied nodes x row width) whatever the population size, and the row
 width is the largest degree + 1, so hub graphs pay O(n) per row.
 
@@ -57,13 +58,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .graphs import AliasRows, StationaryDistribution, TransitionKernel
-from .policy import FORK, PASS, TERM, AgeLaw, PolicySpec, RegimePolicy
+from .graphs import AliasRows, StationaryDistribution, TransitionKernel, _integral
+from .policy import FORK, TERM, AgeLaw, PolicySpec, RegimePolicy
 
 DEFAULT_POPULATION_CAP = 10**6
 # largest block multiplier a config takes: kappa * a_eff stays finite for any
@@ -82,12 +84,15 @@ _EVENTS = 3
 @dataclass(frozen=True, eq=False)
 class TrapProfile:
     """Per-node exogenous deletion probabilities; absent nodes delete nothing. ``zeta`` is a
-    read-only copy of the one given, so a profile never changes; profiles compare by identity."""
+    read-only copy of the one given, a 1-d array, so a profile never changes; profiles compare
+    by identity."""
 
     zeta: np.ndarray
 
     def __post_init__(self):
         zeta = np.array(self.zeta, dtype=float)
+        if zeta.ndim != 1:
+            raise ParameterError(f"need one deletion probability per node, got shape {zeta.shape}")
         if not np.all((zeta >= 0.0) & (zeta <= 1.0)):  # NaN fails too
             raise ParameterError("deletion probabilities must lie in [0, 1]")
         zeta.setflags(write=False)
@@ -105,6 +110,9 @@ class TrapProfile:
     def from_map(node_count: int, zeta_by_node: dict) -> "TrapProfile":
         z = np.zeros(node_count)
         for u, v in zeta_by_node.items():
+            if not (_integral(u) and 0 <= u < node_count):
+                raise ParameterError(f"trap node {reprlib.repr(u)} is not a node id in "
+                                     f"0..{node_count - 1}")
             z[int(u)] = float(v)
         return TrapProfile(z)
 
@@ -328,12 +336,12 @@ class StepRows:
     rows that do not fold, whose forks ``step`` sends through the kernel's
     ``fork_table``) and n + 1 + u for the trapped column of node u's rows, so
     a step's landing tally also counts the tokens trapped at each node; and
-    ``cell_landing`` the same by cell of the rows flattened. Node rows are
-    built per policy spec on first use, as ``AliasRows`` whose alias tables
-    are built per age region (a block of n rows) on the first sparse step
-    that draws from it, and reused for the whole run and, through
-    ``step_rows``, by later runs on the same kernel while ``retain`` keeps
-    them.
+    ``cell_landing`` the same by cell of a node's rows flattened. Node rows
+    are built per policy spec on first use, keyed by the spec itself (frozen,
+    so it hashes by identity), as ``AliasRows`` whose alias tables are built
+    per age region (a block of n rows) on the first sparse step that draws
+    from it, and reused for the whole run and, through ``step_rows``, by
+    later runs on the same kernel while ``retain`` keeps them.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -369,8 +377,8 @@ class StepRows:
     def node_rows(self, spec: PolicySpec) -> AliasRows:
         """Row ``region * n + node``: trapped, acted then trapped, acted, (when folded) lone
         copies and ordered pairs, then moves."""
-        key = id(spec)
-        if key not in self._nodes:
+        node_rows = self._nodes.get(spec)
+        if node_rows is None:
             zeta = self.zeta[None, :]
             q = np.stack([spec.q_fork, spec.q_term, np.zeros(self.node_count)])
             rows = np.zeros((3, self.node_count, self.landing.shape[1]))
@@ -392,27 +400,13 @@ class StepRows:
                 fork[:, lone:pairs] = fork[:, _ACTED_TRAPPED, None] * self.forks.first
                 fork[:, pairs:end] = fork[:, _ACTED, None] * self.forks.pair_rows()
                 fork[:, _ACTED_TRAPPED:_EVENTS] = 0.0
-            triggers = (spec.a_long.max(), spec.a_long.min(), spec.a_short.min(),
-                        spec.a_short.max())
-            self._nodes[key] = (spec, AliasRows(rows.reshape(3 * self.node_count, -1),
-                                                self.node_count), triggers)
-        return self._nodes[key][1]
+            node_rows = self._nodes[spec] = AliasRows(rows.reshape(3 * self.node_count, -1),
+                                                      self.node_count)
+        return node_rows
 
     def retain(self, specs) -> None:
         """Keep the node rows of ``specs`` alone."""
-        self._nodes = {id(s): self._nodes[id(s)] for s in specs if id(s) in self._nodes}
-
-    def uniform_region(self, spec: PolicySpec, t: int) -> int | None:
-        """The age region of every visit at step ``t`` when the triggers of ``spec`` put every
-        age 1..t at every node in one region, else None; ``node_rows(spec)`` comes first."""
-        long_max, long_min, short_min, short_max = self._nodes[id(spec)][2]
-        if long_max <= 1:
-            return FORK
-        if long_min > t and short_min >= t:
-            return TERM
-        if long_min > t and short_max < 1:
-            return PASS
-        return None
+        self._nodes = {s: self._nodes[s] for s in specs if s in self._nodes}
 
 
 def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first") -> StepRows:
@@ -447,16 +441,17 @@ class PopulationState:
 
     ``last_visit[u]`` is the last time any token visited node u. Last-visit
     times start at 0, so a never-visited node has age equal to the current
-    time; this convention makes early policy triggers possible.
+    time; this convention makes early policy triggers possible. ``alive``, the
+    number of tokens, is summed from ``counts`` when the state is built.
     """
 
     time: int
     counts: np.ndarray
     last_visit: np.ndarray
+    alive: int = field(init=False)
 
-    @property
-    def alive(self) -> int:
-        return int(self.counts.sum())
+    def __post_init__(self):
+        self.alive = int(np.add.reduce(self.counts))
 
     @staticmethod
     def initial(kernel: TransitionKernel, z0: int, placement, rng) -> "PopulationState":
@@ -465,8 +460,7 @@ class PopulationState:
 
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None,
-         z: int | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
@@ -476,9 +470,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     trap roll instead follows the action and spares copies made this step.
     Drawn per occupied node from the token counts with the kernel, traps and
     order of ``rows``. The visits that reach the policy stage are queued on
-    ``age_law`` (``AgeLaw.queue``); ``z``, the tokens of ``state`` when the
-    caller knows their number, spares the step their sum. The input state is
-    not modified.
+    ``age_law`` (``AgeLaw.queue``). The input state is not modified.
     """
     t = state.time + 1
     n = rows.node_count
@@ -486,20 +478,27 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     tokens = state.counts.take(occ)
     node_rows = rows.node_rows(spec)
     # ages run 1..t, so triggers that put them all in one region need no per-node rule
-    uniform = rows.uniform_region(spec, t)
+    uniform = spec.uniform_region(t)
     if uniform is None or age_law is not None:
         ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages) if uniform is None else uniform
     index = region * n + occ
-    sparse = node_rows.sparse(tokens) if z is None else node_rows.sparse(tokens, z)
+    sparse = node_rows.sparse(state.alive, occ.size)
 
     # one node draw; each cell names its landing nodes (n for tokens that leave, n + 1 + u for
     # tokens trapped at u)
     w = node_rows.width
     if sparse:
-        # each token's cell in the (n, w) rows flattened: its node times w plus its column
-        cell = node_rows.token_cells(tokens, index, rng, uniform, occ * w)
-        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(), minlength=2 * n + 1)
+        # each token's cell in the node rows flattened, and (``local``) in its node's rows;
+        # an age region's rows take ``span`` cells, the fork region's first
+        span = n * w
+        cell = node_rows.draw(tokens, index, rng.random(2 * state.alive), uniform)
+        local = cell
+        if uniform is None:
+            local = cell % span
+        elif uniform:
+            local = cell - uniform * span
+        landed = np.bincount(rows.cell_landing.take(local, axis=0).ravel(), minlength=2 * n + 1)
         col = cell % w
         per_column = np.bincount(col, minlength=w)
     else:
@@ -522,9 +521,10 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     if acted_trapped or (acted and uniform != TERM and not fold):
         # the node of each pair and of each lone copy, each group in node order
         if sparse:
+            # pairs and lone copies leave the fork region only, whose cells are node w + column
             forking = col == _ACTED
             if uniform is None:
-                forking &= np.repeat(region == FORK, tokens)
+                forking &= cell < span
             pairs_from, copies_from = cell[forking] // w, cell[col == _ACTED_TRAPPED] // w
         else:
             pairs_from = occ.repeat(draws[:, _ACTED] * (region == FORK))
@@ -581,15 +581,13 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
     extinct = False
     capped = False
 
-    z = z0
     for t in range(1, horizon + 1):
         if regime_policy is not None:
-            regime = regime_policy.next_regime(regime, z)
+            regime = regime_policy.next_regime(regime, state.alive)
             spec = regime_policy.spec_for(regime)
         else:
             spec = policy
-        state, counts = step(state, rows, spec, rng,
-                             age_law=law if t > age_law_burn_in else None, z=z)
+        state, counts = step(state, rows, spec, rng, law if t > age_law_burn_in else None)
         z = state.alive
 
         z_hist.append(z)

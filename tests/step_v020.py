@@ -136,8 +136,7 @@ def _dispatch_forks(rows: StepRows, nodes: np.ndarray, pairs: np.ndarray,
 
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None,
-         z: int | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
@@ -146,8 +145,7 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     neighbors of the non-lazy walk. With ``order="policy_first"`` rows the
     trap roll instead follows the action and spares copies made this step.
     Drawn per occupied node from the token counts with the kernel, traps and
-    order of ``rows``. The input state is not modified. ``z``, the token count
-    that ``run_population`` passes, is not read.
+    order of ``rows``. The input state is not modified.
     """
     t = state.time + 1
     n = rows.node_count

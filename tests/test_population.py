@@ -81,6 +81,22 @@ class TestTrapProfile:
         with pytest.raises(ParameterError):
             TrapProfile(np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("zeta", [np.full((4, 4), 0.1), np.float64(0.1), [[0.1, 0.2]]])
+    def test_one_probability_per_node(self, zeta):
+        # a 2-d profile on K4 read as an absorption pressure of 0.4, then failed in the engine
+        with pytest.raises(ParameterError, match="one deletion probability per node"):
+            TrapProfile(zeta)
+
+    @pytest.mark.parametrize("node", [-1, 1.5, 4, 7, True, "1"])
+    def test_from_map_takes_node_ids_alone(self, node):
+        # -1 set node 3, 1.5 node 1, and 7 raised IndexError
+        with pytest.raises(ParameterError, match="not a node id in 0..3"):
+            TrapProfile.from_map(4, {node: 0.5})
+
+    def test_from_map_takes_integral_ids(self):
+        assert TrapProfile.from_map(4, {np.int64(1): 0.5, 3.0: 0.2}).zeta.tolist() == [
+            0.0, 0.5, 0.0, 0.2]
+
     @pytest.mark.parametrize("zeta", [[0.5, math.nan], [math.nan, math.nan]])
     def test_nan_rejected(self, zeta):
         with pytest.raises(ParameterError, match="deletion probabilities"):
@@ -171,7 +187,7 @@ class TestStepMemory:
         step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
         # every node is occupied and in the fork region: one gathered row per node
         gathered = rows.node_rows(spec).probs[:n].nbytes
-        assert rows.node_rows(spec).sparse(state.counts) == sparse
+        assert rows.node_rows(spec).sparse(state.alive, n) == sparse
         tracemalloc.start()
         try:
             nxt, counts = step(state, rows, spec, np.random.default_rng(1))
@@ -211,7 +227,7 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             for _ in range(steps):
-                state, _ = step(state, rows, spec, rng, law, state.alive)
+                state, _ = step(state, rows, spec, rng, law)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,8 +285,8 @@ class TestBatchedAgeLaw:
             flushes.append(nodes.size)
             record(self, nodes, ages, weights)
 
-        def recording_sparse(self, tokens, total=None):
-            per_token = sparse(self, tokens, total)
+        def recording_sparse(self, tokens, rows):
+            per_token = sparse(self, tokens, rows)
             kinds.add("per_token" if per_token else "multinomial")
             return per_token
 
@@ -750,10 +766,9 @@ def law_traps(n):
 
 def token_counts(table, tokens, index, rng):
     """(rows x W) counts of ``tokens[i]`` tokens drawn per token from row ``index[i]`` of
-    ``table`` (``AliasRows.token_cells``)."""
-    cell = table.token_cells(tokens, index, rng, None, np.arange(0, index.size * table.width,
-                                                                 table.width))
-    return np.bincount(cell, minlength=index.size * table.width).reshape(index.size, -1)
+    ``table`` (``AliasRows.draw``); the rows of ``index`` are distinct."""
+    cell = table.draw(tokens, index, rng.random(2 * int(np.sum(tokens))))
+    return np.bincount(cell, minlength=table.probs.size).reshape(table.probs.shape)[index]
 
 
 class TestPerTokenDraw:
@@ -831,10 +846,42 @@ class TestPerTokenDraw:
         col = alias[0, -1] if cut[0, -1] <= 1.0 - 2.0**-53 else width - 1
         assert counts[:, col].tolist() == [3, 5]
 
+    @staticmethod
+    def assert_rows_tabled_alone(table, rows):
+        """Each of ``rows`` of ``table`` holds the alias table of that row on its own."""
+        for r in rows:
+            cut, alias = alias_tables(table.probs[r:r + 1])
+            assert np.array_equal(table._cut[r], cut[0]), r
+            assert np.array_equal(table._offset[r] + np.arange(table.width), alias[0]), r
+
+    def test_tables_are_laid_out_as_the_rows(self):
+        # blocks of 2 rows, built on their first draw; the tables grow to the last block built
+        table = AliasRows(np.random.default_rng(3).dirichlet(np.ones(4), size=6), 2)
+        table.draw(np.array([5]), np.array([5]), np.random.default_rng(4).random(10))
+        assert table._built.tolist() == [False, False, True] and table._cut.shape == (6, 4)
+        self.assert_rows_tabled_alone(table, [4, 5])
+        table.draw(3, np.array([1, 0]), np.random.default_rng(5).random(12), 0)
+        assert table._built.tolist() == [True, False, True] and table._cut.shape == (6, 4)
+        self.assert_rows_tabled_alone(table, [0, 1, 4, 5])
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_uniform_region_run_builds_its_block_alone(self, order):
+        # star(300) with A_l = 1 forks at every visit: its sparse steps draw from the fork
+        # region's block of n node rows, and no other block's tables are allocated
+        k = lazy_kernel(star_graph(300), 0.5)
+        n = k.node_count
+        traps = TrapProfile.uniform(n, 0.02)
+        spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
+        run_population(k, spec, traps, z0=600, horizon=20, rng_seed=5, order=order)
+        table = step_rows(k, traps, order).node_rows(spec)
+        assert table._built.tolist() == [True, False, False]
+        assert table._cut.shape == table._offset.shape == (n, table.width)
+        self.assert_rows_tabled_alone(table, [*range(0, n, 10), n - 1])
+
     def test_density_rule(self):
         table = AliasRows(np.full((4, 5), 0.2), 4)
-        assert table.sparse(np.array([2, 3]))       # 10 tokens on 10 cells: 2 x 5 <= 10
-        assert not table.sparse(np.array([3, 3]))   # 12 tokens: 2 x 6 > 10
+        assert table.sparse(5, 2)       # 10 tokens on 10 cells: 2 x 5 <= 10
+        assert not table.sparse(6, 2)   # 12 tokens: 2 x 6 > 10
 
     def test_whole_runs_match_the_multinomial_path(self, monkeypatch):
         # corridor-like: ER(30, 0.15), the corridor's regime pair, traps everywhere;
@@ -847,7 +894,7 @@ class TestPerTokenDraw:
         runs = {}
         for path, rule in (("token", True), ("multinomial", False)):
             with monkeypatch.context() as m:
-                m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, total=None: rule)
+                m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, rows: rule)
                 runs[path] = [run_population(k, policy, traps, z0=40, horizon=40,
                                              rng_seed=700_000 + r, collect_age_law=True)
                               for r in range(300)]
@@ -921,7 +968,7 @@ class TestAgainstFrozenStep:
         used = (kernel, args["traps"], args.get("order", "trap_first"))
         with monkeypatch.context() as m:
             m.setattr(srrw.population, "FOLD_BYTES", 0)
-            m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, total=None: False)
+            m.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, rows: False)
             m.setattr(srrw.graphs.ForkTable, "dispatch", two_stage_dispatch(kernel))
             current = run_population(kernel, **args)
             assert type(step_rows(*used)) is StepRows and not step_rows(*used).folded
@@ -1011,17 +1058,15 @@ class TestForkDraw:
         make, node = FORK_DRAW_CASES[name]
         k = lazy_kernel(make(), 0.5)
         table = k.fork_table()
-        n, w = table.first.shape
+        n = table.first.shape[0]
         draws = 200_000
         rng = np.random.default_rng(600)
         if path == "dense":
             counts = rng.multinomial(draws, table.pair_rows()[node])
             a, b = table.dest[node, table.pair_a], table.dest[node, table.pair_b]
         else:
-            cell, offset = table.first_rows.cells(np.array([draws]), np.array([node]), 0,
-                                                  np.array([node * w]))
             u = rng.random(3 * draws)
-            cell = table.first_rows.pick(cell, offset, u)
+            cell = table.first_rows.draw(np.array([draws]), np.array([node]), u, 0)
             second = table.second_cells(cell.copy(), u[2 * draws:])
             a, b = table.dest.ravel()[cell], table.dest.ravel()[second]
             counts = np.ones(draws)
@@ -1041,7 +1086,7 @@ class TestForkDraw:
         k = lazy_kernel(make(), 0.5)
         n = k.node_count
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
-                            lambda self, tokens: path == "per_token")
+                            lambda self, tokens, rows: path == "per_token")
         traps = TrapProfile.from_map(n, {node: 0.3})
         for fold_bytes in (srrw.population.FOLD_BYTES, 0):
             monkeypatch.setattr(srrw.population, "FOLD_BYTES", fold_bytes)
@@ -1177,7 +1222,7 @@ class TestFold:
         n = k.node_count
         q, zeta = (0.3, 0.0), 0.2
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
-                            lambda self, tokens: path == "per_token")
+                            lambda self, tokens, rows: path == "per_token")
         observed = {}
         for counts, forks, dels, terms in one_step_counts(
                 k, TrapProfile.from_map(n, {node: zeta}),
@@ -1210,7 +1255,7 @@ class TestFold:
         rows = StepRows(k, TrapProfile(np.where(even, 1.0, 0.0)), order)
         assert rows.folded == (fold == "folded")
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
-                            lambda self, tokens: path == "per_token")
+                            lambda self, tokens, rows: path == "per_token")
         rng = np.random.default_rng(613)
         state = at_time(9, rng.integers(0, 8, 30), rng.integers(0, 9, 30))
         spec = PolicySpec.uniform(30, a_long=4.0, a_short=2.0, q_fork=0.3, q_term=0.4)
@@ -1234,7 +1279,7 @@ class TestFold:
         assert np.all(rows.landing[:, -1, 0] < 30) and np.all(rows.landing[:, -1, 1] == 30)
         state = at_time(0, np.full(30, 2000))
         for sparse in (True, False):
-            monkeypatch.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens: sparse)
+            monkeypatch.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, rows: sparse)
             nxt, counts = step(state, rows, spec, np.random.default_rng(612))
             # every token forks, unless trap_first traps it first
             trapped_first = counts.trap_deletions if order == "trap_first" else 0
@@ -1309,17 +1354,17 @@ class TestTwoStageTally:
         spec = PolicySpec.uniform(n, a_long=4.0, a_short=2.0, q_fork=0.4, q_term=0.4)
         w = rows.landing.shape[1]
         drawn, dispatched = [], []
-        token_cells, dispatch = AliasRows.token_cells, ForkTable.dispatch
+        draw, dispatch = AliasRows.draw, ForkTable.dispatch
 
-        def recording_cells(self, *args):
-            drawn.append(token_cells(self, *args))
+        def recording_draw(self, *args):
+            drawn.append(draw(self, *args))
             return drawn[-1].copy()
 
         def recording_dispatch(self, nodes, rng, n_pairs):
             dispatched.append((nodes.copy(), n_pairs, dispatch(self, nodes, rng, n_pairs)))
             return dispatched[-1][2].copy()
 
-        monkeypatch.setattr(AliasRows, "token_cells", recording_cells)
+        monkeypatch.setattr(AliasRows, "draw", recording_draw)
         monkeypatch.setattr(ForkTable, "dispatch", recording_dispatch)
         rng = np.random.default_rng(620)
         both = lone = 0  # steps with pairs and terminations, and steps with lone copies
@@ -1329,14 +1374,17 @@ class TestTwoStageTally:
             drawn.clear(), dispatched.clear()
             law = AgeLaw(n)
             nxt, counts = step(state, rows, spec, rng, age_law=law)
-            assert len(drawn) == 1  # a per-token step
-            # the dense re-tally: each node's tokens per column, and its age region
-            dense = np.bincount(drawn[0], minlength=n * w).reshape(n, w)
+            # a per-token step: its node draw, then the fork table's draw of first targets
+            assert len(drawn) == 1 + len(dispatched)
+            # the dense re-tally: each node's tokens per column, drawn from its age region's rows
+            by_region = np.bincount(drawn[0], minlength=3 * n * w).reshape(3, n, w)
+            dense = by_region.sum(axis=0)
             assert np.array_equal(dense.sum(axis=1), state.counts)
             occ = state.counts.nonzero()[0]
             ages = 10 - state.last_visit[occ]
             region = np.full(n, PASS)
             region[occ] = spec.region(occ, ages)
+            assert np.array_equal(by_region.sum(axis=2)[region, np.arange(n)], state.counts)
             trapped, copies, acted = dense[:, 0], dense[:, 1], dense[:, 2]
             pairs, terms = acted * (region == FORK), acted * (region == TERM)
             assert not np.any(acted * (region == PASS)) and not np.any(copies * (region != FORK))
@@ -1451,18 +1499,18 @@ class TestKeptRows:
         spec = PolicySpec.uniform(4, a_long=1.0, q_fork=0.15)
         traps = TrapProfile.uniform(4, 0.02)
         built, per_token = [], set()
-        tables, token_cells = srrw.graphs.alias_tables, AliasRows.token_cells
+        tables, draw = srrw.graphs.alias_tables, AliasRows.draw
 
         def counting_tables(probs):
             built.append(probs.shape)
             return tables(probs)
 
-        def recording_cells(self, *args):
+        def recording_draw(self, *args):
             per_token.add(replica)
-            return token_cells(self, *args)
+            return draw(self, *args)
 
         monkeypatch.setattr(srrw.graphs, "alias_tables", counting_tables)
-        monkeypatch.setattr(AliasRows, "token_cells", recording_cells)
+        monkeypatch.setattr(AliasRows, "draw", recording_draw)
         for replica in range(40):
             trace = run_population(kernel, spec, traps, z0=20, horizon=10_000,
                                    rng_seed=730_000 + replica, z_cap=100_000)
@@ -1478,7 +1526,7 @@ class TestKeptRows:
         for i, q in enumerate(np.linspace(0.05, 0.5, 10)):
             spec = PolicySpec.uniform(30, a_long=1.0, q_fork=q)
             run_population(k, spec, traps, z0=40, horizon=30, rng_seed=740_000 + i)
-            kept = [entry[0] for entry in step_rows(k, traps)._nodes.values()]
+            kept = list(step_rows(k, traps)._nodes)
             assert len(kept) == 1 and kept[0] is spec
 
 
@@ -1535,9 +1583,8 @@ class TestForkMemory:
         run_population(k, PolicySpec.uniform(150, a_long=1.0, q_fork=0.05),
                        TrapProfile.uniform(150, 0.02), z0=1500, horizon=5, rng_seed=4)
         rows = table.first_rows
-        held = (table.first, table.cum, table.dest, rows._cut, rows._offset, rows._table_row,
-                rows._block_start)
-        assert rows._cut.size == 150 * 149 and table._pairs is None
+        held = (table.first, table.cum, table.dest, rows._cut, rows._offset, rows._built)
+        assert rows._cut.shape == (150, 149) and table._pairs is None
         assert sum(arr.nbytes for arr in held) < 1 << 20
 
 
