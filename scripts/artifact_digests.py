@@ -80,6 +80,19 @@ CONFIGS = {
         "simulation": {"Z_0": 4000, "horizon": 150, "replicas": 2, "seed": 23,
                        "collect_age_law": True},
     },
+    # star(60)'s two-stage rows under policy_first with a regime pair: from 4000 tokens, above
+    # Z_high, the high regime's uniform term region runs first, then the low one forks at every
+    # visit, so lone copies leave trapped parents on multinomial and on per-token steps; of
+    # the two replicas' 150 steps, 79 and 84 draw by multinomial and the rest per token
+    "two_stage_star_regime": {
+        "graph": {"generator": {"kind": "star", "n": 60}},
+        "traps": {"nodes": "all", "zeta": 0.02},
+        "policy": {"regime": {"Z_low": 1500, "Z_high": 2500, "low": {"A_l": 1, "q_fork": 0.2},
+                              "high": HIGH_TERM}},
+        "corridor": {"Z_low": 1500, "Z_high": 2500},
+        "simulation": {"Z_0": 4000, "horizon": 150, "replicas": 2, "seed": 29,
+                       "order": "policy_first"},
+    },
     "sweep_flat": {"policy": {"A_l": 2, "q_fork": 0.2},
                    "sweep": {"q": [0.1, 0.2], "kappa": [4, 6]}},
     "sweep_measured": {"policy": {"A_l": [2, 2, 3, 3], "q_fork": 0.2},

@@ -65,8 +65,8 @@ def check_feasibility(model: EnvelopeModel, q: float, interval: MatchingAgeInter
     """
     if not (0.0 <= q <= 1.0):
         raise ParameterError(f"fork cap must lie in [0, 1], got {q}")
-    if k_term < 0.0:
-        raise ParameterError("termination rate must be nonnegative")
+    if not k_term >= 0.0:  # NaN fails too
+        raise ParameterError(f"termination rate must be nonnegative, got {k_term}")
     if interval.lo > interval.hi:
         raise InfeasibleInputError(f"empty effective-age interval [{interval.lo}, {interval.hi}]")
     lam = traps.absorption_pressure(model.pi)

@@ -44,7 +44,9 @@ class EnvelopeModel:
     ``c_minus[u]`` gives the upper tail bound exp(-c_minus[u] * A * pi[u]) and
     ``c_plus[u]`` the lower bound exp(-c_plus[u] * A * pi[u]); c_minus <= c_plus
     per node. ``meta`` records construction parameters (minorization step/floor
-    for the theoretical route, fit diagnostics for the empirical one).
+    for the theoretical route, fit diagnostics for the empirical one). Raises
+    ParameterError unless both constants give one finite positive value per
+    node of ``pi``.
     """
 
     c_minus: np.ndarray
@@ -58,8 +60,13 @@ class EnvelopeModel:
         self.c_plus = np.asarray(self.c_plus, dtype=float)
         if self.source not in ("doeblin_theoretical", "empirical_fit"):
             raise ParameterError(f"unknown envelope source {self.source!r}")
-        if np.any(self.c_minus <= 0.0) or np.any(self.c_plus <= 0.0):
-            raise ParameterError("tail constants must be strictly positive")
+        shape = self.pi.probs.shape
+        if self.c_minus.shape != shape or self.c_plus.shape != shape:
+            raise ParameterError(f"need one tail constant of each sign per node of {shape[0]}, "
+                                 f"got shapes {self.c_minus.shape} and {self.c_plus.shape}")
+        constants = np.concatenate((self.c_minus, self.c_plus))
+        if not np.all((constants > 0.0) & (constants < np.inf)):  # NaN fails too
+            raise ParameterError("tail constants must be strictly positive and finite")
         if np.any(self.c_minus > self.c_plus * (1 + 1e-12)):
             raise ParameterError("c_minus must not exceed c_plus")
 
@@ -257,7 +264,7 @@ def solve_matching_age(model: EnvelopeModel, q: float, p_fork: float) -> Matchin
     """
     if not (0.0 < q <= 1.0):
         raise ParameterError(f"fork cap must be in (0, 1], got {q}")
-    if p_fork < 0.0 or p_fork > q:
+    if not 0.0 <= p_fork <= q:  # NaN fails too
         raise InfeasibleInputError(f"fork rate {p_fork} outside [0, q={q}]")
     if p_fork == 0.0:
         return MatchingAgeInterval(math.inf, math.inf)

@@ -31,9 +31,10 @@ acted column's forks and of the lone copies in ``ForkTable.dispatch`` of
 the kernel's ``fork_table``, per token: the first target from alias tables,
 the second by a bisection of ceil(log2 W) rounds in the node's cumulative
 row. ``step`` itself is the same for both: each cell of the rows names its
-landing nodes and its class of event, and the only two-stage work left is
-to split the acted column into forks and terminations by age region and
-send the forks off. The node draw chooses by its density rule
+landing nodes and its event by a code past the n nodes, so one tally of a
+step counts its landings and all of its events, and the only two-stage work
+left is to split each node's acted tokens into forks and terminations by
+age region and send the forks off. The node draw chooses by its density rule
 (``graphs.AliasRows``) between one ``Generator.multinomial`` call, a
 binomial per cell in O(rows x cells), cheaper on a few crowded rows, and a
 draw per token, O(tokens), when its Z tokens number at most half the cells
@@ -45,10 +46,10 @@ per cell, laid out as the node rows and grown to the last age region a
 sparse step of the spec drew from, and per node row of the fork table's
 first targets. The kernel keeps the rows of its last run (``step_rows``),
 so replicas of one graph, traps and order build their node rows and alias
-tables once, not once per run. A per-token step tallies its landings and
-events from its tokens' cells, O(Z); a multinomial step costs
-O(occupied nodes x row width) whatever the population size, and the row
-width is the largest degree + 1, so hub graphs pay O(n) per row.
+tables once, not once per run. The two draws differ in nothing else: a
+per-token step tallies its tokens' cells, O(Z); a multinomial step tallies
+its counts, O(occupied nodes x row width) whatever the population size, and
+the row width is the largest degree + 1, so hub graphs pay O(n) per row.
 
 Population counts are recorded after all events of a step resolve, and the
 realized counts satisfy Z_t = Z_{t-1} + forks - deletions - terminations
@@ -329,19 +330,22 @@ class StepRows:
     lone-copy cell per neighbour on the first-target marginal, placed before
     the moves, so one draw settles the whole step. ``bounds`` gives the
     first column of each class of the folded layout: trapped, acted then
-    trapped, acted, lone copies, pairs and moves; ``classes`` gives those of
-    these rows, whose lone-copy and pair classes exist only when folded.
-    ``landing`` (n, columns, 1), or (n, columns, 2) when folded, gives each
-    cell its landing nodes, n for tokens that leave (the event columns of
-    rows that do not fold, whose forks ``step`` sends through the kernel's
-    ``fork_table``) and n + 1 + u for the trapped column of node u's rows, so
-    a step's landing tally also counts the tokens trapped at each node; and
-    ``cell_landing`` the same by cell of a node's rows flattened. Node rows
-    are built per policy spec on first use, keyed by the spec itself (frozen,
-    so it hashes by identity), as ``AliasRows`` whose alias tables are built
-    per age region (a block of n rows) on the first sparse step that draws
-    from it, and reused for the whole run and, through ``step_rows``, by
-    later runs on the same kernel while ``retain`` keeps them.
+    trapped, acted, lone copies, pairs and moves; rows that do not fold have
+    no lone-copy or pair cells. ``landing`` (n, columns, 1), or
+    (n, columns, 3) when folded, gives each cell of node u's rows its codes:
+    landing nodes 0..n-1; n + 1 + u, 2n + 1 + u and 3n + 1 + u for the
+    trapped, acted-then-trapped and acted columns; on folded rows the landing
+    node and 2n + 1 + u for a lone-copy cell, and the two landing nodes and
+    the pair code 4n + 1 for a pair cell; n, which counts nothing, fills the
+    other slots. So one ``np.bincount`` of a step's cells counts its landings
+    and, summed from each of ``codes`` (n + 1, 2n + 1, 3n + 1, 4n + 1), its
+    events. ``cell_landing`` is ``landing`` by cell of a node's rows
+    flattened. Node rows are built per policy spec on first use, keyed by
+    the spec itself (frozen, so it hashes by identity), as ``AliasRows``
+    whose alias tables are built per age region (a block of n rows) on the
+    first sparse step that draws from it, and reused for the whole run and,
+    through ``step_rows``, by later runs on the same kernel while ``retain``
+    keeps them.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -359,17 +363,21 @@ class StepRows:
         w = self.forks.first.shape[1]
         self.bounds = np.array([0, 1, 2, _EVENTS, _EVENTS + w, _EVENTS + w + w * w])
         self.folded = 20 * n * (self.bounds[-1] + moves.shape[1]) <= FOLD_BYTES
+        # the code of node 0's trapped, acted-then-trapped and acted tokens, and the pair code
+        self.codes = n + 1 + n * np.arange(4)
         # rows that do not fold have no lone-copy or pair cells
-        self.classes = self.bounds if self.folded else self.bounds[:4]
-        landing = np.full((n, self.classes[-1] + moves.shape[1], 2 if self.folded else 1), n)
-        landing[:, _TRAPPED, 0] += 1 + np.arange(n)
-        landing[:, self.classes[-1]:, 0] = moves
+        first_move = self.bounds[-1] if self.folded else _EVENTS
+        landing = np.full((n, first_move + moves.shape[1], 3 if self.folded else 1), n)
+        landing[:, :_EVENTS, 0] = self.codes[:_EVENTS] + np.arange(n)[:, None]
+        landing[:, first_move:, 0] = moves
         if self.folded:
-            dest, pairs = self.forks.dest, slice(self.bounds[4], self.bounds[5])
+            dest, lone, pairs = self.forks.dest, slice(*self.bounds[3:5]), slice(*self.bounds[4:])
             self.forks.pair_rows()  # builds ``pair_a`` and ``pair_b``
-            landing[:, _EVENTS:self.bounds[4], 0] = dest
+            landing[:, lone, 0] = dest
+            landing[:, lone, 1] = landing[:, _ACTED_TRAPPED, :1]  # the acted-then-trapped code
             landing[:, pairs, 0] = dest.take(self.forks.pair_a, axis=1)
             landing[:, pairs, 1] = dest.take(self.forks.pair_b, axis=1)
+            landing[:, pairs, 2] = self.codes[-1]
         self.landing = landing
         self.cell_landing = landing.reshape(-1, landing.shape[2])
         self._nodes = {}
@@ -483,64 +491,48 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         ages = t - state.last_visit.take(occ)
     region = spec.region(occ, ages) if uniform is None else uniform
     index = region * n + occ
-    sparse = node_rows.sparse(state.alive, occ.size)
 
-    # one node draw; each cell names its landing nodes (n for tokens that leave, n + 1 + u for
-    # tokens trapped at u)
-    w = node_rows.width
-    if sparse:
-        # each token's cell in the node rows flattened, and (``local``) in its node's rows;
-        # an age region's rows take ``span`` cells, the fork region's first
-        span = n * w
+    # one node draw, tallied once by the codes of its cells (``StepRows.landing``)
+    if node_rows.sparse(state.alive, occ.size):
         cell = node_rows.draw(tokens, index, rng.random(2 * state.alive), uniform)
-        local = cell
+        # each token's cell in its node's rows: an age region's rows take n x width cells
         if uniform is None:
-            local = cell % span
+            cell %= n * node_rows.width
         elif uniform:
-            local = cell - uniform * span
-        landed = np.bincount(rows.cell_landing.take(local, axis=0).ravel(), minlength=2 * n + 1)
-        col = cell % w
-        per_column = np.bincount(col, minlength=w)
+            cell -= uniform * n * node_rows.width
+        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(),
+                             minlength=rows.codes[-1] + 1)
     else:
         draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
-        # one float tally (exact: no count nears 2^53), each count weighing every landing
-        # node of its cell: one on two-stage rows, two when folded
+        # one float tally (exact: no count nears 2^53), each count weighing every slot of
+        # its cell
         weights = draws.ravel()
         if rows.landing.shape[2] > 1:
             weights = weights.repeat(rows.landing.shape[2])
         landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=weights,
-                             minlength=2 * n + 1).astype(np.int64)
-        per_column = np.add.reduce(draws)
-    # tokens per class: trapped, acted then trapped, acted, (when folded) lone copies and pairs
-    n_trapped, acted_trapped, acted, *fold, _ = np.add.reduceat(per_column, rows.classes).tolist()
-    lone, pairs = fold or (0, 0)
+                             minlength=rows.codes[-1] + 1).astype(np.int64)
+    # tokens per class: trapped, acted then trapped, acted, and (when folded) pairs
+    n_trapped, acted_trapped, acted, pairs = np.add.reduceat(landed, rows.codes).tolist()
     # rows without pair cells leave forks to the fork table: acted tokens fork in the fork
     # region and terminate in the term region (the pass region never acts), and
     # acted-then-trapped tokens are fork parents whose copy still leaves
     acted_forks = 0
-    if acted_trapped or (acted and uniform != TERM and not fold):
-        # the node of each pair and of each lone copy, each group in node order
-        if sparse:
-            # pairs and lone copies leave the fork region only, whose cells are node w + column
-            forking = col == _ACTED
-            if uniform is None:
-                forking &= cell < span
-            pairs_from, copies_from = cell[forking] // w, cell[col == _ACTED_TRAPPED] // w
-        else:
-            pairs_from = occ.repeat(draws[:, _ACTED] * (region == FORK))
-            copies_from = occ.repeat(draws[:, _ACTED_TRAPPED])
+    if not rows.folded and (acted_trapped or (acted and uniform != TERM)):
+        copies, acting = landed.take(occ + rows.codes[1:3, None])
+        # the node of each pair, then of each lone copy, in node order
+        pairs_from = occ.repeat(acting * (region == FORK))
         acted_forks = pairs_from.size
         if acted_forks or acted_trapped:
-            landed[:n] += rows.forks.dispatch(np.concatenate((pairs_from, copies_from)), rng,
-                                              acted_forks)
+            landed[:n] += rows.forks.dispatch(np.concatenate((pairs_from, occ.repeat(copies))),
+                                              rng, acted_forks)
     # a lone copy, drawn as a cell or left by an acted-then-trapped parent, is a fork and a
     # deletion
-    lone += acted_trapped
-    counts = StepCounts(pairs + acted_forks + lone, n_trapped + lone, acted - acted_forks)
+    counts = StepCounts(pairs + acted_forks + acted_trapped, n_trapped + acted_trapped,
+                        acted - acted_forks)
     if age_law is not None:
-        # trap_first: trapped tokens, tallied per node past n, never reach the policy stage
+        # trap_first: trapped tokens, tallied by their codes, never reach the policy stage
         age_law.queue(occ, ages, tokens if rows.order == "policy_first"
-                      else tokens - landed[n + 1:].take(occ))
+                      else tokens - landed.take(occ + rows.codes[0]))
 
     # node clocks update once per visited node per step
     last_visit = state.last_visit.copy()

@@ -14,10 +14,12 @@ that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
-from .errors import InsufficientDataError, StepCapError
-from .graphs import TransitionKernel
+from .errors import InsufficientDataError, ParameterError, StepCapError
+from .graphs import TransitionKernel, _integral
 
 DEFAULT_STEP_CAP = 10**9
 
@@ -25,12 +27,13 @@ DEFAULT_STEP_CAP = 10**9
 class ReturnTimeSample:
     """First-return times of a walk to ``node``, held as counts per age:
     ``counts[a - 1]`` samples came back at age a. Every sample is >= 1 and the
-    last count is positive, so ``len(counts)`` is the largest sample."""
+    last count is positive, so ``len(counts)`` is the largest sample; other
+    input raises ParameterError."""
 
     def __init__(self, node: int, samples):
         samples = np.asarray(samples, dtype=np.int64)
         if samples.size and samples.min() < 1:
-            raise ValueError("return times are at least 1")
+            raise ParameterError("return times are at least 1")
         self.node = node
         self.counts = np.bincount(samples - 1)
 
@@ -41,7 +44,7 @@ class ReturnTimeSample:
         sample.node = node
         sample.counts = np.asarray(counts, dtype=np.int64)
         if sample.counts.size and (sample.counts.min() < 0 or sample.counts[-1] == 0):
-            raise ValueError("counts must be nonnegative with a positive last entry")
+            raise ParameterError("counts must be nonnegative with a positive last entry")
         return sample
 
     @property
@@ -68,8 +71,12 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
     All ``n_samples`` walkers start at ``u`` and move as counts per node; the
     count that lands on ``u`` at a step is that step's number of returns and
     is then removed; those counts are the sample. Deterministic given the
-    seed.
+    seed. Raises ParameterError, before any walk, when ``u`` is not a node id
+    in 0..n-1.
     """
+    if not (_integral(u) and 0 <= u < kernel.node_count):
+        raise ParameterError(f"node {reprlib.repr(u)} is not a node id in "
+                             f"0..{kernel.node_count - 1}")
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
     rng = np.random.default_rng(rng_seed)

@@ -72,6 +72,12 @@ class TestFeasibility:
         assert not rep.viability_holds
         assert rep.safety_holds
 
+    @pytest.mark.parametrize("k_term", [math.nan, -0.1])
+    def test_bad_termination_rate_rejected(self, k_term):
+        # a NaN rate once gave NaN left-hand sides and false verdicts
+        with pytest.raises(ParameterError, match="termination rate"):
+            check_feasibility(MODEL, 0.5, interval(2.0), TrapProfile.uniform(4, 0.1), k_term)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(InfeasibleInputError):
             check_feasibility(MODEL, 0.5, MatchingAgeInterval(3.0, 1.0),

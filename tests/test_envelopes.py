@@ -301,6 +301,12 @@ class TestMatchingAge:
         with pytest.raises(InfeasibleInputError):
             solve_matching_age(doeblin_constants(K2), 0.5, 0.6)
 
+    def test_nan_rate_rejected(self):
+        # it once gave an effective age of 0
+        model = doeblin_constants(lazy_kernel(complete_graph(4), 0.5))
+        with pytest.raises(InfeasibleInputError, match="outside"):
+            solve_matching_age(model, 0.5, math.nan)
+
     def test_round_trip_inversion(self):
         m = doeblin_constants(K2)
         q = 0.8
@@ -382,3 +388,24 @@ class TestModelExport:
             EnvelopeModel(np.array([1.0, 1.0]), np.array([0.5, 0.5]), "empirical_fit", pi)
         with pytest.raises(ParameterError):
             EnvelopeModel(np.array([0.0, 1.0]), np.array([1.0, 1.0]), "empirical_fit", pi)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("sign", ["minus", "plus"])
+    def test_nan_and_infinite_constants_rejected(self, sign, bad):
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        c = {"minus": np.full(4, 0.5), "plus": np.full(4, 2.0)}
+        c[sign][1] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            EnvelopeModel(c["minus"], c["plus"], "empirical_fit", k4.pi)
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_constants_not_one_per_node_rejected(self, count):
+        # a single constant would broadcast to every node of K4's pi
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        for c_minus, c_plus in ((np.full(count, 0.5), np.full(4, 2.0)),
+                                (np.full(4, 0.5), np.full(count, 2.0)),
+                                (np.full(count, 0.5), np.full(count, 2.0))):
+            with pytest.raises(ParameterError, match="per node"):
+                EnvelopeModel(c_minus, c_plus, "empirical_fit", k4.pi)
+        with pytest.raises(ParameterError, match="per node"):
+            EnvelopeModel(np.full((1, 4), 0.5), np.full((1, 4), 2.0), "empirical_fit", k4.pi)

@@ -1189,6 +1189,10 @@ class TestFold:
         assert rows.folded
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=q[0], q_term=q[1])
         table = rows.node_rows(spec)
+        # slot 2 holds the pair code on pair cells, and on no other cell
+        cols = np.arange(rows.landing.shape[1])
+        assert np.array_equal(rows.landing[node, :, 2] == 4 * n + 1,
+                              (cols >= rows.bounds[4]) & (cols < rows.bounds[5]))
         rng = np.random.default_rng(610)
         tokens = 200_000
         for region in (FORK, TERM, PASS):
@@ -1201,7 +1205,7 @@ class TestFold:
             observed = {}
             for col in np.flatnonzero(counts):
                 kind = self.CLASSES[np.searchsorted(rows.bounds, col, side="right") - 1]
-                first, second = rows.landing[node, col]
+                first, second, _ = rows.landing[node, col]
                 key = {"trapped": (kind,), "term": (kind,), "lone": (kind, first),
                        "pair": (kind, first, second), "move": (kind, first)}[kind]
                 observed[key] = observed.get(key, 0) + counts[col]
@@ -1338,21 +1342,44 @@ class TestFold:
         assert min(p_values.values()) > 1e-3, p_values
 
 
-class TestTwoStageTally:
-    """Per-token steps on two-stage rows (the fold rule off) tally landings, event counts and
-    the age law from their drawn cells; checked exactly against a dense re-tally of the
-    same cells, with forks, terminations and passes in one step."""
+class RecordingRng:
+    """A generator that keeps each ``multinomial`` draw it makes."""
 
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def multinomial(self, n, pvals):
+        self.drawn.append(self.rng.multinomial(n, pvals))
+        return self.drawn[-1].copy()
+
+
+class TestStepTally:
+    """Steps tally landings, event counts and the age law from their drawn cells, folded or in
+    two stages, per token or by multinomial; checked exactly against a dense re-tally of the
+    same cells by the classes of ``StepRows.bounds``, with forks, terminations and passes in
+    one step."""
+
+    @pytest.mark.parametrize("path", ["per_token", "multinomial"])
+    @pytest.mark.parametrize("fold", ["folded", "two_stage"])
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
-    def test_tally_matches_a_dense_retally(self, monkeypatch, order):
-        monkeypatch.setattr(srrw.population, "FOLD_BYTES", 0)
+    def test_tally_matches_a_dense_retally(self, monkeypatch, order, fold, path):
+        if fold == "two_stage":
+            monkeypatch.setattr(srrw.population, "FOLD_BYTES", 0)
         k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
         n = k.node_count
         rows = step_rows(k, law_traps(n), order)
-        assert not rows.folded
+        assert rows.folded == (fold == "folded")
+        monkeypatch.setattr(AliasRows, "sparse",
+                            lambda self, tokens, rows: path == "per_token")
         # forks from age 4, terminations up to age 2, passes at age 3
         spec = PolicySpec.uniform(n, a_long=4.0, a_short=2.0, q_fork=0.4, q_term=0.4)
         w = rows.landing.shape[1]
+        moves_to = k.neighbour_table().nbr[:, ::-1]
+        lone_cells, pair_cells = slice(*rows.bounds[3:5]), slice(*rows.bounds[4:])
         drawn, dispatched = [], []
         draw, dispatch = AliasRows.draw, ForkTable.dispatch
 
@@ -1366,40 +1393,58 @@ class TestTwoStageTally:
 
         monkeypatch.setattr(AliasRows, "draw", recording_draw)
         monkeypatch.setattr(ForkTable, "dispatch", recording_dispatch)
-        rng = np.random.default_rng(620)
+        rng = RecordingRng(620)
         both = lone = 0  # steps with pairs and terminations, and steps with lone copies
         for _ in range(40):
             # ages 1..9 at step 10, so every node draws from its own age region
-            state = at_time(9, rng.integers(0, 6, n), rng.integers(1, 10, n))
-            drawn.clear(), dispatched.clear()
+            state = at_time(9, rng.rng.integers(0, 6, n), rng.rng.integers(1, 10, n))
+            drawn.clear(), dispatched.clear(), rng.drawn.clear()
             law = AgeLaw(n)
             nxt, counts = step(state, rows, spec, rng, age_law=law)
-            # a per-token step: its node draw, then the fork table's draw of first targets
-            assert len(drawn) == 1 + len(dispatched)
-            # the dense re-tally: each node's tokens per column, drawn from its age region's rows
-            by_region = np.bincount(drawn[0], minlength=3 * n * w).reshape(3, n, w)
-            dense = by_region.sum(axis=0)
-            assert np.array_equal(dense.sum(axis=1), state.counts)
             occ = state.counts.nonzero()[0]
             ages = 10 - state.last_visit[occ]
             region = np.full(n, PASS)
             region[occ] = spec.region(occ, ages)
+            # the dense re-tally: each node's tokens per column, drawn from its age region's rows
+            if path == "per_token":
+                # its node draw, then the fork table's draw of first targets
+                assert len(drawn) == 1 + len(dispatched) and rng.drawn == []
+                by_region = np.bincount(drawn[0], minlength=3 * n * w).reshape(3, n, w)
+            else:
+                (draws,) = rng.drawn
+                assert len(drawn) == len(dispatched)
+                by_region = np.zeros((3, n, w), dtype=np.int64)
+                by_region[region[occ], occ] = draws
+            dense = by_region.sum(axis=0)
+            assert np.array_equal(dense.sum(axis=1), state.counts)
             assert np.array_equal(by_region.sum(axis=2)[region, np.arange(n)], state.counts)
             trapped, copies, acted = dense[:, 0], dense[:, 1], dense[:, 2]
-            pairs, terms = acted * (region == FORK), acted * (region == TERM)
             assert not np.any(acted * (region == PASS)) and not np.any(copies * (region != FORK))
+            if rows.folded:
+                # forks are cells: acted tokens terminate, and fork parents' lone copies land
+                assert not np.any(acted * (region == FORK)) and not copies.any()
+                copies, pairs = (dense[:, cells].sum(axis=1) for cells in (lone_cells, pair_cells))
+            else:
+                pairs = acted * (region == FORK)
+            terms = acted * (region == TERM)
             assert (counts.forks, counts.trap_deletions, counts.terminations) == (
                 pairs.sum() + copies.sum(), trapped.sum() + copies.sum(), terms.sum())
-            # the fork table gets each pair's node, then each lone copy's, in node order
+            # two-stage rows send the fork table each pair's node, then each lone copy's, in
+            # node order
             nodes = np.repeat(np.tile(np.arange(n), 2), np.concatenate((pairs, copies)))
-            if nodes.size:
+            if nodes.size and not rows.folded:
                 (sent, n_pairs, fork_landed), = dispatched
                 assert np.array_equal(sent, nodes) and n_pairs == pairs.sum()
             else:
                 assert dispatched == []
                 fork_landed = 0
-            moved = np.bincount(rows.landing[:, :, 0].ravel(), weights=dense.ravel(),
-                                minlength=n + 1)[:n]
+            moved = np.bincount(moves_to.ravel(), weights=dense[:, -moves_to.shape[1]:].ravel(),
+                                minlength=n)
+            if rows.folded:
+                dest, forks = rows.forks.dest, rows.forks
+                for to, cells in ((dest, lone_cells), (dest[:, forks.pair_a], pair_cells),
+                                  (dest[:, forks.pair_b], pair_cells)):
+                    moved += np.bincount(to.ravel(), weights=dense[:, cells].ravel(), minlength=n)
             assert np.array_equal(nxt.counts, moved + fork_landed)
             assert nxt.alive == state.alive + counts.net
             seen = state.counts[occ] - (trapped[occ] if order == "trap_first" else 0)

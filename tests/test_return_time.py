@@ -3,7 +3,7 @@ import pytest
 import return_time_v030
 from scipy import stats
 
-from srrw.errors import InsufficientDataError, StepCapError
+from srrw.errors import InsufficientDataError, ParameterError, StepCapError, SrrwError
 from srrw.graphs import (
     Graph,
     complete_graph,
@@ -112,6 +112,13 @@ class TestSampling:
         with pytest.raises(InsufficientDataError):
             sample_return_times(K2, 0, 0, rng_seed=1)
 
+    @pytest.mark.parametrize("u", [-1, 4, 2.5, True, "0"])
+    def test_node_outside_the_graph_rejected(self, u):
+        # u = -1 once sampled node 3 of K4 under the label -1, and u = 4 raised IndexError
+        k4 = lazy_kernel(complete_graph(4), 0.5)
+        with pytest.raises(ParameterError, match="node id"):
+            sample_return_times(k4, u, 100, rng_seed=1)
+
 
 class TestTails:
     def test_monotone_and_bounded(self):
@@ -138,8 +145,10 @@ class TestTails:
         assert s.std_error() == pytest.approx(values.std(ddof=1) / np.sqrt(values.size), rel=1e-12)
         assert np.array_equal(ReturnTimeSample.from_counts(4, s.counts).samples, s.samples)
         for bad in ([1, -1], [1, 0]):
-            with pytest.raises(ValueError):
+            with pytest.raises(ParameterError):
                 ReturnTimeSample.from_counts(0, bad)
+        with pytest.raises(SrrwError):
+            ReturnTimeSample(0, np.array([2, 0]))
 
     def test_tail_curve_matches_pointwise(self):
         s = ReturnTimeSample(0, np.array([1, 1, 2, 5]))
