@@ -40,6 +40,8 @@ CORRIDOR = {
 }
 CONFIGS = {
     "flat_uniform": {"policy": {"A_l": 5, "q_fork": 0.3}},
+    # laziness below 1/2: the fit walks (sample_return_times) instead of drawing exactly
+    "flat_walk_fit": {"laziness": 0.3, "policy": {"A_l": 5, "q_fork": 0.3}},
     "flat_measured": {
         "policy": {"A_l": [5, 5, 6, 6], "q_fork": 0.3, "A_s": 2, "q_term": 0.1},
         "simulation": {"Z_0": 30, "horizon": 300, "replicas": 2, "seed": 5,
@@ -115,6 +117,7 @@ CONFIGS = {
 MATRIX = [
     ("stationary", "flat_uniform"),
     ("envelopes", "flat_uniform"),
+    ("envelopes", "flat_walk_fit"),
     ("envelopes", "regime_low_measured_doeblin"),
     *(("simulate", name) for name in CONFIGS if not name.startswith("sweep")),
     *(("check", name) for name in CONFIGS

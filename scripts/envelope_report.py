@@ -1,30 +1,35 @@
 #!/usr/bin/env python3
 """Compare theoretical and fitted return-tail envelopes on a chosen graph.
 
-Prints the per-node constants side by side, confirms the looseness ordering
-(the theoretical construction is never tighter), and writes both envelope
-curve CSVs for plotting.
+Prints the per-node constants side by side and confirms the looseness
+ordering (the theoretical construction is never tighter). The fitted
+constants come from the return times ``srrw envelopes`` would use for the
+same kernel with ``envelope.seed`` = ``--seed``: exact draws with laziness at
+least 1/2, the walk otherwise (``srrw.cli.return_time_samples``).
 """
 import argparse
 
+from srrw.cli import return_time_samples
 from srrw.envelopes import doeblin_constants, fit_constants, laplace
 from srrw.graphs import GENERATORS, lazy_kernel
-from srrw.return_time import sample_return_times
+
+
+def models(kind: str, n: int, laziness: float, n_samples: int, seed: int):
+    """(kernel, Doeblin model, fitted model) of the chosen graph."""
+    graph = GENERATORS[kind](n) if kind != "erdos_renyi" else GENERATORS[kind](n, 0.3, seed)
+    kernel = lazy_kernel(graph, laziness)
+    fitted = fit_constants(return_time_samples(kernel, n_samples, seed), kernel.pi)
+    return kernel, doeblin_constants(kernel), fitted
 
 
 def run(kind: str, n: int, laziness: float, n_samples: int, seed: int) -> int:
-    graph = GENERATORS[kind](n) if kind != "erdos_renyi" else GENERATORS[kind](n, 0.3, seed)
-    kernel = lazy_kernel(graph, laziness)
-    theoretical = doeblin_constants(kernel)
-    samples = [sample_return_times(kernel, u, n_samples, rng_seed=seed + u)
-               for u in range(graph.node_count)]
-    fitted = fit_constants(samples, kernel.pi)
+    kernel, theoretical, fitted = models(kind, n, laziness, n_samples, seed)
 
     print(f"graph={kind} n={n} laziness={laziness}")
     print(f"minorization: t0={theoretical.meta['t0']} eps0={theoretical.meta['eps0']:.4g}")
     print(f"{'node':>4} {'pi':>8} {'c- theo':>9} {'c- fit':>9} {'c+ fit':>9} {'c+ theo':>9}")
     ordered = True
-    for u in range(graph.node_count):
+    for u in range(kernel.node_count):
         print(f"{u:>4} {kernel.pi[u]:>8.4f} {theoretical.c_minus[u]:>9.4f} "
               f"{fitted.c_minus[u]:>9.4f} {fitted.c_plus[u]:>9.4f} {theoretical.c_plus[u]:>9.4f}")
         ordered = ordered and (theoretical.c_minus[u] <= fitted.c_minus[u]

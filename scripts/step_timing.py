@@ -34,7 +34,13 @@ than in two stages. ``--fold-bytes B`` sets this package's fold budget
 ``src`` as the baseline, it times folded steps against two-stage ones on the
 same states, which is how the budget is set. The return-time case moves the
 walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
-until all have returned.
+until all have returned. The ``tail_draw`` case times the whole sampling of
+that fit, one call per seed in ``TAIL_DRAW``: 20k return times at each of the
+30 nodes through ``cli.return_time_samples``, which computes every node's
+taboo spectrum and draws from the exact law (milliseconds per call). A
+baseline package without ``return_time_samples`` instead walks each node with
+``sample_return_times``, as its ``srrw check`` does, so the ratio compares
+the fit's sampling before and after the exact draw.
 
 A recorded-state case times ``step`` alone, and that includes the sum of
 the tokens of the state it returns (``PopulationState.alive``, summed when a
@@ -146,6 +152,8 @@ CASES = {
 ORDERS = ("trap_first", "policy_first")
 # the return-time case: the graph of a case, the start node and the walker count
 RETURN_TIME = ("corridor_er30", 0, 20_000)
+# the tail-draw case: the graph of a case, the return times per node and the seeds of its calls
+TAIL_DRAW = ("corridor_er30", 20_000, (1_000_003, 2_000_003, 3_000_003))
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
 # the replica cases: the case whose whole runs each times, and its replica count
@@ -320,6 +328,34 @@ class MoveSide:
         self.times.append(clock() - start)
 
 
+class FitSampleSide:
+    """One package's return times at every node for the envelope fit, as its ``srrw check``
+    takes them: ``cli.return_time_samples``, or ``sample_return_times`` node by node in a
+    package without it."""
+
+    UNIT = ("ms/call", 1e3, "ms_per_call_p50")
+
+    def __init__(self, package, config: dict, n_samples: int):
+        config_module, cli, return_time = (importlib.import_module(f"{package.__name__}.{name}")
+                                           for name in ("config", "cli", "return_time"))
+        self.kernel = config_module.resolve_config({"laziness": 0.5, **config}).kernel
+        self.n_samples = n_samples
+        walk = return_time.sample_return_times
+        self.sample = getattr(cli, "return_time_samples", None) or (
+            lambda kernel, n_samples, seed: [walk(kernel, u, n_samples, rng_seed=seed + u)
+                                             for u in range(kernel.node_count)])
+        self.times = []
+
+    def warm_up(self, seeds: list[tuple]) -> None:
+        self.kernel.matrix  # the dense kernel is built once per resolved config, as in check
+
+    def time_step(self, seed: int) -> None:
+        clock = time.perf_counter
+        start = clock()
+        self.sample(self.kernel, self.n_samples, seed)
+        self.times.append(clock() - start)
+
+
 def fresh_run(src: str, target: str) -> float:
     """Seconds of one ``run_population`` of the fresh case in a new interpreter on ``src``."""
     name, _ = FRESH
@@ -360,7 +396,7 @@ def main(argv=None) -> int:
     parser.add_argument("--fold-bytes", type=int, metavar="B",
                         help="this package's fold budget, population.FOLD_BYTES")
     parser.add_argument("--case", action="append",
-                        choices=[*CASES, "return_time", *REPLICAS],
+                        choices=[*CASES, "return_time", "tail_draw", *REPLICAS],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -372,7 +408,7 @@ def main(argv=None) -> int:
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time", *REPLICAS]
+    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS]
 
     jobs = []
     for name, config in CASES.items():
@@ -390,6 +426,12 @@ def main(argv=None) -> int:
             sides.append(MoveSide(baseline, config))
         jobs.append(("return_time", None, record_moves(config, u, walkers, STATES), None, None,
                      sides))
+    if "tail_draw" in cases:
+        name, n_samples, seeds = TAIL_DRAW
+        sides = [FitSampleSide(srrw, CASES[name], n_samples)]
+        if baseline is not None:
+            sides.append(FitSampleSide(baseline, CASES[name], n_samples))
+        jobs.append(("tail_draw", None, [(seed,) for seed in seeds], None, None, sides))
     for label, (name, replicas) in REPLICAS.items():
         for order in ORDERS if label in cases else ():
             config = CASES[name]

@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .analysis import (
     CorridorStats,
@@ -44,6 +44,7 @@ from .population import (
     step_rows,
 )
 from .return_time import ReturnTimeSample, sample_return_times
+from .tails import TailSpectrum
 
 __all__ = [
     "AgeLaw",
@@ -62,6 +63,7 @@ __all__ = [
     "StationaryDistribution",
     "StepCounts",
     "StepRows",
+    "TailSpectrum",
     "TransitionKernel",
     "TrapProfile",
     "__version__",

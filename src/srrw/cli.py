@@ -12,6 +12,7 @@ error, 3 insufficient data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,10 +34,11 @@ from .envelopes import (
     solve_matching_age,
 )
 from .errors import ConfigError, InsufficientDataError, ParameterError, SrrwError
-from .graphs import DENSE_NODE_CAP, mixing_profile
+from .graphs import DENSE_NODE_CAP, TransitionKernel, mixing_profile
 from .policy import AgeLaw, RegimePolicy, mean_termination_rate
 from .population import BlockPlan, DriftReport, PopulationTrace, block_drift, run_population
-from .return_time import sample_return_times
+from .return_time import ReturnTimeSample, sample_return_times
+from .tails import TailSpectrum
 
 TMIX_LADDER = (0.25, 0.125, 1e-2, 1e-3, 1e-4)
 
@@ -97,14 +99,23 @@ def _thread_cap() -> int:
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
+def return_time_samples(kernel: TransitionKernel, n_samples: int,
+                        seed: int) -> list[ReturnTimeSample]:
+    """``n_samples`` return times to each node u, with the generator seeded ``seed`` + u. With
+    laziness at least 1/2, up to ``DENSE_NODE_CAP`` nodes, they are drawn from the exact law
+    (``TailSpectrum.draw``); otherwise the walk ``sample_return_times`` samples them."""
+    if kernel.laziness >= 0.5 and kernel.node_count <= DENSE_NODE_CAP:
+        draw = TailSpectrum(kernel).draw
+    else:
+        draw = functools.partial(sample_return_times, kernel)
+    return [draw(u, n_samples, rng_seed=seed + u) for u in range(kernel.node_count)]
+
+
 def build_envelope_model(resolved: ResolvedConfig) -> EnvelopeModel:
     env = resolved.envelope
     if env["mode"] == "doeblin":
         return doeblin_constants(resolved.kernel)
-    samples = [
-        sample_return_times(resolved.kernel, u, env["n_samples"], rng_seed=env["seed"] + u)
-        for u in range(resolved.graph.node_count)
-    ]
+    samples = return_time_samples(resolved.kernel, env["n_samples"], env["seed"])
     return fit_constants(samples, resolved.kernel.pi, delta_fit=env["delta_fit"])
 
 

@@ -8,7 +8,9 @@ step the sampler took, not one per walker. The empirical mean obeys Kac's
 identity mean = 1/pi(u), which the tests use as an independent oracle.
 ``tail_curve`` is the one estimate of the tail Pr_u(T_u >= A) made from a
 sample, at every age up to the largest sampled return time; the envelope fit
-reads it.
+reads it. The fit walks only where the exact draw of ``srrw.tails`` does not
+apply (``cli.return_time_samples``); the walk is also the tests' independent
+reference for that draw.
 A node's age in the engine is the time since its last visit; the node clock
 that tracks it is ``PopulationState.last_visit`` in ``srrw.population``.
 """
@@ -64,6 +66,13 @@ class ReturnTimeSample:
         return float(np.sqrt(sq_dev / (self.count - 1) / self.count))
 
 
+def check_node(kernel: TransitionKernel, u) -> None:
+    """ParameterError unless ``u`` is an integral node id in 0..n-1 of ``kernel``."""
+    if not (_integral(u) and 0 <= u < kernel.node_count):
+        raise ParameterError(f"node {reprlib.repr(u)} is not a node id in "
+                             f"0..{kernel.node_count - 1}")
+
+
 def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_seed: int,
                         max_steps: int = DEFAULT_STEP_CAP) -> ReturnTimeSample:
     """Sample first-return times to ``u`` for the given lazy kernel.
@@ -74,9 +83,7 @@ def sample_return_times(kernel: TransitionKernel, u: int, n_samples: int, rng_se
     seed. Raises ParameterError, before any walk, when ``u`` is not a node id
     in 0..n-1.
     """
-    if not (_integral(u) and 0 <= u < kernel.node_count):
-        raise ParameterError(f"node {reprlib.repr(u)} is not a node id in "
-                             f"0..{kernel.node_count - 1}")
+    check_node(kernel, u)
     if n_samples < 1:
         raise InsufficientDataError("need at least one sample")
     rng = np.random.default_rng(rng_seed)

@@ -9,9 +9,12 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 import srrw
+from srrw.cli import build_envelope_model
+from srrw.config import resolve_config
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -27,6 +30,18 @@ def load(name):
 def test_envelope_report(capsys):
     assert load("envelope_report").run("complete", 4, 0.5, 2000, 7) == 0
     assert "looseness ordering holds: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("laziness", [0.5, 0.3])
+def test_envelope_report_fits_as_the_cli_does(laziness):
+    # the exact draw at laziness 1/2, the walk at 0.3; the report used to walk at both
+    kernel, _, fitted = load("envelope_report").models("cycle", 6, laziness, 2000, 7)
+    cli_model = build_envelope_model(resolve_config({
+        "graph": {"generator": {"kind": "cycle", "n": 6}}, "laziness": laziness,
+        "policy": {"A_l": 3, "q_fork": 0.3},
+        "envelope": {"mode": "fit", "n_samples": 2000, "seed": 7}}))
+    assert np.array_equal(fitted.c_minus, cli_model.c_minus)
+    assert np.array_equal(fitted.c_plus, cli_model.c_plus)
 
 
 @pytest.fixture
@@ -49,6 +64,15 @@ def test_corridor_experiment(scratch_tempdir):
 
 def test_step_timing_imports():
     assert callable(load("step_timing").main)
+
+
+def test_step_timing_tail_draw(capsys):
+    # the fit's sampling of the corridor graph, this package on both sides
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert load("step_timing").main(["--case", "tail_draw", "--baseline", src]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:4] for row in rows] == [["tail_draw", "-", "3", "-"]]
+    assert rows[0][5] == "ms/call" and float(rows[0][6]) > 0
 
 
 def test_step_timing_fresh(capsys):
