@@ -86,7 +86,7 @@ class TailSpectrum:
         hold = float(self.kernel.matrix[u, u])
         at_one = int(rng.binomial(n_samples, hold))
         per_component = rng.multinomial(n_samples - at_one, w / w.sum())
-        later = 1 + rng.geometric(np.repeat(1.0 - lam, per_component))
-        counts = np.bincount(later - 1, minlength=1)
+        # T - 1 of each later return; counts[a - 1] holds the returns at age a
+        counts = np.bincount(rng.geometric(np.repeat(1.0 - lam, per_component)), minlength=1)
         counts[0] = at_one
         return ReturnTimeSample.from_counts(u, counts)
