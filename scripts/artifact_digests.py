@@ -95,6 +95,9 @@ CONFIGS = {
         "simulation": {"Z_0": 4000, "horizon": 150, "replicas": 2, "seed": 29,
                        "order": "policy_first"},
     },
+    # star(300): past one row block and sparse, so its mixing profile gathers columns
+    "gather_star": {"graph": {"generator": {"kind": "star", "n": 300}},
+                    "envelope": {"mode": "doeblin"}, "policy": {"A_l": 5, "q_fork": 0.3}},
     "sweep_flat": {"policy": {"A_l": 2, "q_fork": 0.2},
                    "sweep": {"q": [0.1, 0.2], "kappa": [4, 6]}},
     "sweep_measured": {"policy": {"A_l": [2, 2, 3, 3], "q_fork": 0.2},
@@ -119,13 +122,15 @@ MATRIX = [
     ("envelopes", "flat_uniform"),
     ("envelopes", "flat_walk_fit"),
     ("envelopes", "regime_low_measured_doeblin"),
-    *(("simulate", name) for name in CONFIGS if not name.startswith("sweep")),
+    *(("simulate", name) for name in CONFIGS if not name.startswith(("sweep", "gather"))),
     *(("check", name) for name in CONFIGS
-      if not name.startswith("sweep") and name != "two_stage_star"),
+      if not name.startswith(("sweep", "gather")) and name != "two_stage_star"),
     ("check-traces", "flat_measured"),
     ("check-traces", "regime_fit"),
     ("check-traces", "inline_trap_map"),
     *(("sweep", name) for name in CONFIGS if name.startswith("sweep")),
+    ("stationary", "gather_star"),
+    ("envelopes", "gather_star"),
 ]
 
 

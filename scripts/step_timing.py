@@ -10,8 +10,9 @@ the machine's fast and slow phases fall on all of them alike. With
 ``--baseline SRC`` the srrw package under SRC (for example ``src`` of a
 checkout of an earlier commit) is loaded as a second module and its ``step``
 and ``move`` are timed on the same states, alternating with this one call by
-call; the two take turns calling first, since a state's first call runs
-slower (about 10% on the corridor cases when both sides are this package).
+call; the two take turns calling first, state by state and round by round,
+since a state's first call runs slower (about 10% on the corridor cases when
+both sides are this package).
 Each case then prints the ratio of the two sides' medians within each
 round: their median (``ratio``), and their lowest and highest, the
 round-to-round spread. Only calls made close in time are paired, so a phase
@@ -41,6 +42,13 @@ taboo spectrum and draws from the exact law (milliseconds per call). A
 baseline package without ``return_time_samples`` instead walks each node with
 ``sample_return_times``, as its ``srrw check`` does, so the ratio compares
 the fit's sampling before and after the exact draw.
+
+The ``mixing_profile`` case times whole ``graphs.mixing_profile`` calls,
+milliseconds per profile, on one kernel per side and graph of ``PROFILES``
+(its dense kernel built before the timed rounds): ER(30, 0.15) and star(300)
+to the default target 1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and
+K(400) to 1e-10, the last a dense kernel with as many nodes as the sparse
+ones. ``--case profile_<graph>`` times one of them.
 
 A recorded-state case times ``step`` alone, and that includes the sum of
 the tokens of the state it returns (``PopulationState.alive``, summed when a
@@ -159,6 +167,14 @@ ROUNDS = 5  # timed calls per recorded state
 # the replica cases: the case whose whole runs each times, and its replica count
 REPLICAS = {"explode_k4_replica": ("explode_k4", 40),
             "corridor_er30_replica": ("corridor_er30", 8)}
+# the mixing_profile case: per row, the graph's generator and the profile's target
+PROFILES = {
+    "profile_er30": (CASES["corridor_er30"]["graph"]["generator"], 1e-10),
+    "profile_er1000": (CASES["er1000"]["graph"]["generator"], 0.125),
+    "profile_star300": (CASES["star300"]["graph"]["generator"], 1e-10),
+    "profile_k400": ({"kind": "complete", "n": 400}, 1e-10),
+    "profile_cycle300": ({"kind": "cycle", "n": 300}, 0.125),
+}
 # the fresh-interpreter case and the mixing target of the er1000_motion workload
 FRESH = ("er1000", 0.125)
 # one whole run in a new interpreter; argv: the case config, the target or "none"
@@ -356,6 +372,29 @@ class FitSampleSide:
         self.times.append(clock() - start)
 
 
+class ProfileSide:
+    """One package's mixing profiles of one graph's lazy kernel."""
+
+    UNIT = ("ms/prof", 1e3, "ms_per_profile_p50")
+
+    def __init__(self, package, generator: dict, target: float):
+        self.graphs = importlib.import_module(f"{package.__name__}.graphs")
+        make = self.graphs.GENERATORS[generator["kind"]]
+        graph = make(*(generator[key] for key in ("n", "p", "seed") if key in generator))
+        self.kernel = self.graphs.lazy_kernel(graph, 0.5)
+        self.target = target
+        self.times = []
+
+    def warm_up(self, calls: list[tuple]) -> None:
+        self.kernel.matrix  # the dense kernel is built once, as a resolved config builds it
+
+    def time_step(self) -> None:
+        clock = time.perf_counter
+        start = clock()
+        self.graphs.mixing_profile(self.kernel, target=self.target)
+        self.times.append(clock() - start)
+
+
 def fresh_run(src: str, target: str) -> float:
     """Seconds of one ``run_population`` of the fresh case in a new interpreter on ``src``."""
     name, _ = FRESH
@@ -396,7 +435,8 @@ def main(argv=None) -> int:
     parser.add_argument("--fold-bytes", type=int, metavar="B",
                         help="this package's fold budget, population.FOLD_BYTES")
     parser.add_argument("--case", action="append",
-                        choices=[*CASES, "return_time", "tail_draw", *REPLICAS],
+                        choices=[*CASES, "return_time", "tail_draw", *REPLICAS,
+                                 "mixing_profile", *PROFILES],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -408,7 +448,9 @@ def main(argv=None) -> int:
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS]
+    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS, "mixing_profile"]
+    if "mixing_profile" in cases:
+        cases += PROFILES
 
     jobs = []
     for name, config in CASES.items():
@@ -440,13 +482,19 @@ def main(argv=None) -> int:
             if baseline is not None:
                 sides.append(ReplicaSide(baseline, config, order))
             jobs.append((label, order, seeds, None, None, sides))
+    for label, (generator, target) in PROFILES.items():
+        if label in cases:
+            sides = [ProfileSide(srrw, generator, target)]
+            if baseline is not None:
+                sides.append(ProfileSide(baseline, generator, target))
+            jobs.append((label, None, [()], None, None, sides))
     # build each side's tables and node rows before timing
     for *_, states, _, _, sides in jobs:
         for side in sides:
             side.warm_up(states)
-    for _ in range(ROUNDS):
+    for r in range(ROUNDS):
         for *_, states, _, _, sides in jobs:
-            for k, call in enumerate(states):
+            for k, call in enumerate(states, start=r):
                 # the first call on a state runs slower, so the sides take turns going first
                 for side in sides[::-1] if k % 2 else sides:
                     side.time_step(*call)

@@ -1,6 +1,6 @@
 """Self-regulating random walk (SRRW) simulation and analysis toolkit."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .analysis import (
     CorridorStats,

@@ -17,10 +17,11 @@ first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
 constants); past ``DENSE_NODE_CAP`` nodes reading them raises
 ``ParameterError`` instead of allocating 8 n^2 bytes each. A mixing profile
 holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
-multiplies the upper block triangle of the power, about half an n^3 product,
-filling the rest by detailed balance; its spectral gap, an n x n eigensolve,
-is computed when it is first read. ``AliasRows`` draws tokens over padded
-rows per token from Vose alias tables laid out as the rows, and
+advances the upper block triangle of the power, by about half an n^3 BLAS
+product on dense kernels and by column gathers over the nonzeros on sparse
+ones, filling the rest by detailed balance; its spectral gap, an n x n
+eigensolve, is computed when it is first read. ``AliasRows`` draws tokens
+over padded rows per token from Vose alias tables laid out as the rows, and
 ``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
 as rows to fold into a step's node draw and as a per-token draw. The padded
 neighbour, fork, pair and alias tables, and the edges of ``complete_graph``,
@@ -48,6 +49,10 @@ from .errors import (
 DENSE_NODE_CAP = 2000
 TABLE_BYTE_CAP = 256 << 20  # bytes one padded row table, or a generated edge array, may take
 ROW_BLOCK = 128  # rows of the mixing profile's power advanced per product
+# a mixing profile gathers columns when the lazy kernel's nonzeros x GATHER_DENSITY <= n^2
+# (measured break-even: ER(300, 0.03), 9.9 nonzeros a row); dense kernels keep BLAS
+GATHER_DENSITY = 30
+GATHER_ROWS = 256  # rows of the old block one column gather reads
 # the most nodes whose smallest lazy neighbour table (n rows x 2 slots x 16 bytes) fits the cap
 NODE_CAP = TABLE_BYTE_CAP // 32
 
@@ -816,8 +821,9 @@ class MixingProfile:
 
     ``tv[t]`` is the worst-start TV distance at time t, from t = 0; past
     ``ROW_BLOCK`` nodes the powers' columns left of each row block come by
-    detailed balance, so the curve and ``eps0`` may differ from those of a
-    plain ``m @ P`` loop by ulps (same bits up to ``ROW_BLOCK`` nodes).
+    detailed balance, and on sparse kernels every column by a gather, so the
+    curve and ``eps0`` may differ from those of a plain ``m @ P`` loop by ulps
+    (same bits on dense kernels up to ``ROW_BLOCK`` nodes).
     ``unreached`` flags a curve that was cut off at ``max_t`` before hitting
     the construction target. ``floor`` is ``(t0, eps0)`` for the least t0 on
     the curve with P^t0 positive everywhere, eps0 = min P^t0(x, y)/pi(y), or
@@ -857,6 +863,27 @@ class MixingProfile:
         return int(math.ceil(math.log(1.0 / (eps * self.pi_min)) / self.spectral_gap))
 
 
+def _column_gathers(kernel: TransitionKernel, starts) -> list[list[tuple]]:
+    """Per row block first row a in ``starts``, the chunks ``(ys - a, idx, w)`` of the lazy
+    kernel's columns y >= a: ``idx`` (c, d) holds the rows k with P(k, y) > 0, ascending, and
+    ``w`` (c, 1, d) those P(k, y), for c columns of one nonzero count d, with c d at most
+    ``GATHER_ROWS`` (or c = 1)."""
+    indptr, cols, vals = kernel._lazy_rows
+    n = kernel.node_count
+    # the columns as CSR rows of the transpose: rows of each column ascending
+    colptr, rows, weights = _csr(n, cols, np.repeat(np.arange(n), np.diff(indptr)), vals)
+    count = np.diff(colptr)
+    groups = []
+    for d in np.flatnonzero(np.bincount(count)):
+        ys = np.flatnonzero(count == d)
+        cells = colptr[ys, None] + np.arange(d)
+        groups.append((ys, rows[cells], weights[cells][:, None, :], max(1, GATHER_ROWS // d)))
+    return [[(ys[s:s + c] - a, idx[s:s + c], w[s:s + c])
+             for ys, idx, w, c in groups
+             for s in range(int(np.searchsorted(ys, a)), ys.size, c)]
+            for a in starts]
+
+
 def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
                    target: float = 1e-10) -> MixingProfile:
     """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``,
@@ -867,27 +894,49 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     row block I of P^t times P, so the update runs in place. Only the columns
     from the block's first row a on are multiplied; the walk is reversible,
     pi_x P^t(x, y) = pi_y P^t(y, x), so columns left of a are filled from the
-    rows already done. That makes each step about half an n^3 product, and
-    the TV and the floor are read block by block from the same scratch. For
-    n <= ``ROW_BLOCK`` there is one block, and every power is one full product.
+    rows already done, and the TV and the floor are read block by block from
+    the same scratch. The columns from a on come by one of two products:
+
+    - dense kernels take a BLAS product of the block with the kernel's columns
+      from a on, about half an n^3 product per step; for n <= ``ROW_BLOCK``
+      there is one block, and every power is one full product;
+    - sparse kernels, with nonzeros x ``GATHER_DENSITY`` <= n^2, gather: the
+      old block is copied, transposed, into the scratch, and each new column
+      y, the sum over the rows k with P(k, y) > 0 of P(k, y) times old column
+      k, is written into the block's own rows (free once copied), then moved
+      back through the scratch; columns of one nonzero count are gathered
+      together (``_column_gathers``), about n^2 m multiply-adds per step for
+      mean row support m.
     """
     matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
     n = kernel.node_count
     pi = kernel.pi.probs
     power = np.array(matrix)  # the first power is the kernel itself, bitwise eye(n) @ matrix
     rows = np.empty((min(ROW_BLOCK, n), n))
-    # per block: first row a, its power and scratch rows, and the kernel's and the
-    # scratch's columns from a on
-    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], matrix[:, a:], rows[:n - a, a:])
-              for a in range(0, n, ROW_BLOCK)]
+    starts = range(0, n, ROW_BLOCK)
+    gathers = (_column_gathers(kernel, starts)
+               if kernel._lazy_rows[1].size * GATHER_DENSITY <= n * n else [None] * len(starts))
+    # per block: first row a, its power and scratch rows, the kernel's and the scratch's
+    # columns from a on, and its column gathers (None on the dense product)
+    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], matrix[:, a:], rows[:n - a, a:], g)
+              for a, g in zip(starts, gathers)]
     tv = [float(1.0 - pi.min())]
     unreached = True
     floor = None
     for t in range(1, max_t + 1):
         d, positive, ratio = 0.0, floor is None, math.inf
-        for a, new, block, right, upper in blocks:
+        for a, new, block, right, upper, gather in blocks:
             if t > 1:
-                np.matmul(new, right, out=upper)
+                if gather is None:
+                    np.matmul(new, right, out=upper)
+                else:
+                    m = len(block)
+                    old = block.reshape(n, m)
+                    old[...] = new.T
+                    out = new.reshape(-1)[:(n - a) * m].reshape(n - a, m)
+                    for ys, idx, w in gather:
+                        out[ys] = np.matmul(w, old[idx])[:, 0]
+                    upper[...] = out.T
                 if a:  # columns left of the block by detailed balance from the rows above
                     b = a + len(block)
                     np.multiply(power[:a, a:b].T, pi[:a], out=block[:, :a])

@@ -155,17 +155,24 @@ class TestMixingProfile:
                 assert prof.t_mix_of(eps) <= prof.spectral_bound(eps)
 
     def test_t_mix_reads_a_kept_profile_that_reaches_eps(self, monkeypatch):
-        k = lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5)
-        fresh = {eps: mixing_profile(k, target=eps).t_mix_of(eps) for eps in (1e-2, 1e-4, 1e-6)}
-        calls = []
         real = graphs_module.mixing_profile
-        monkeypatch.setattr(graphs_module, "mixing_profile",
-                            lambda *a, **kw: calls.append(kw["target"]) or real(*a, **kw))
-        assert k.t_mix(1e-4) == fresh[1e-4]
-        assert k.t_mix(1e-2) == fresh[1e-2]
-        assert k.t_mix(1e-6) == fresh[1e-6]
-        assert k.t_mix(1e-4) == fresh[1e-4]
-        assert calls == [1e-4, 1e-6]
+        # ER(30) takes the dense product, star(300) the column gathers
+        for g in (erdos_renyi_graph(30, 0.15, seed=1), star_graph(300)):
+            k = lazy_kernel(g, 0.5)
+            profiles = {eps: real(k, target=eps) for eps in (1e-2, 1e-4, 1e-6)}
+            fresh = {eps: prof.t_mix_of(eps) for eps, prof in profiles.items()}
+            # a curve's prefix is the same bits whatever its target
+            curves = [profiles[eps].tv for eps in (1e-2, 1e-4, 1e-6)]
+            for short, long in zip(curves, curves[1:]):
+                assert same_bits(long[:len(short)], short)
+            calls = []
+            monkeypatch.setattr(graphs_module, "mixing_profile",
+                                lambda *a, **kw: calls.append(kw["target"]) or real(*a, **kw))
+            assert k.t_mix(1e-4) == fresh[1e-4]
+            assert k.t_mix(1e-2) == fresh[1e-2]
+            assert k.t_mix(1e-6) == fresh[1e-6]
+            assert k.t_mix(1e-4) == fresh[1e-4]
+            assert calls == [1e-4, 1e-6]
 
     def test_t_mix_keeps_a_curve_cut_off_at_max_t(self, monkeypatch):
         # rounding keeps path(5)'s worst-start TV near 2e-16, so 1e-300 is never reached
@@ -211,7 +218,7 @@ class TestMixingProfile:
             prof.t_mix_of(1e-9)
 
     def test_holds_one_power_and_a_row_block(self):
-        k = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+        k = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)  # a gather-path kernel
         k.matrix  # the kernel's own array is not the profile's
         tracemalloc.start()
         try:
@@ -219,8 +226,39 @@ class TestMixingProfile:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 8 MB power and a 1 MB scratch of ROW_BLOCK rows
+        # the 8 MB power, a 1 MB scratch of ROW_BLOCK rows, and the column gathers' indices,
+        # weights and one gather (about 0.6 MB)
         assert peak < 10_000_000, peak
+
+    @pytest.mark.parametrize("make,gathers", [
+        (lambda: complete_graph(4), False),
+        (lambda: erdos_renyi_graph(30, 0.15, seed=1), False),
+        (lambda: star_graph(60), False),
+        (lambda: complete_graph(400), False),
+        (lambda: star_graph(300), True),
+        (lambda: cycle_graph(300), True),
+        (lambda: erdos_renyi_graph(1000, 0.01, seed=0), True),
+    ], ids=["K4", "er30", "star60", "K400", "star300", "cycle300", "er1000"])
+    def test_dense_kernels_multiply_and_sparse_ones_gather(self, monkeypatch, make, gathers):
+        # the dense product is one 2-d matmul per block; a gather stacks (c, 1, d) @ (c, d, m)
+        k = lazy_kernel(make(), 0.5)
+        k.matrix
+        shapes = []
+        real = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, **kw: shapes.append((a.ndim, b.ndim)) or real(a, b, **kw))
+        mixing_profile(k, max_t=3)
+        assert shapes and set(shapes) == ({(3, 3)} if gathers else {(2, 2)})
+        nonzeros = k.neighbour_table().support.sum()
+        assert (nonzeros * graphs_module.GATHER_DENSITY <= k.node_count ** 2) == gathers
+
+    def test_long_double_curve_in_closed_form(self):
+        # lazy C4's kernel and law are exact in binary, and its worst-start TV is 2^-(t+1)
+        tv = long_double_curve(lazy_kernel(cycle_graph(4), 0.5))
+        assert same_bits(tv, np.concatenate(([0.75], 0.5 ** np.arange(2, len(tv) + 1))))
+        # lazy K4's is 3/4 3^-t; its kernel holds 1/6 rounded, which moves the powers by ulps
+        tv = long_double_curve(lazy_kernel(complete_graph(4), 0.5))
+        np.testing.assert_allclose(tv, 0.75 * 3.0 ** -np.arange(len(tv)), rtol=0, atol=1e-15)
 
     @given(connected_graphs())
     @settings(max_examples=15, deadline=None)
@@ -461,12 +499,44 @@ def t_mix_or_none(prof, eps):
         return None
 
 
-def assert_profile_close(prof, ref, target):
-    """Past one row block the left columns of each power come by detailed balance, so the
-    curve may move by ulps: same length and flag, TV within 1e-14, the same t_mix at every
+def long_double_curve(k, max_t=20000, target=1e-10):
+    """The worst-start TV curve of a plain ``m @ P`` loop in ``np.longdouble``, the curve
+    ``mixing_profile`` approximates, as float64 with its stop and running minimum. The power
+    is held transposed, and each product sums the kernel's nonzeros of every column, c
+    columns of d nonzeros at a time."""
+    assert np.finfo(np.longdouble).eps < 1e-18, "the oracle needs extended precision"
+    pi = k.pi.probs.astype(np.longdouble)
+    cols = k.matrix.T
+    count = np.count_nonzero(cols, axis=1)
+    chunks = []
+    for d in np.flatnonzero(np.bincount(count)):
+        ys = np.flatnonzero(count == d)
+        idx = np.array([np.flatnonzero(cols[y]) for y in ys]).reshape(ys.size, d)
+        w = np.take_along_axis(cols[ys], idx, axis=1).astype(np.longdouble)
+        c = max(1, 1024 // d)
+        chunks += [(ys[s:s + c], idx[s:s + c], w[s:s + c]) for s in range(0, ys.size, c)]
+    power = cols.astype(np.longdouble)  # power[y, x] = P^t(x, y)
+    tv = [1.0 - float(pi.min())]
+    for t in range(1, max_t + 1):
+        if t > 1:
+            nxt = np.empty_like(power)
+            for ys, idx, w in chunks:
+                nxt[ys] = np.einsum("cd,cdx->cx", w, power[idx])
+            power = nxt
+        tv.append(float(0.5 * np.abs(power - pi[:, None]).sum(axis=0).max()))
+        if tv[-1] <= target:
+            break
+    return np.minimum.accumulate(np.asarray(tv))
+
+
+def assert_profile_close(prof, ref, target, max_t=20000):
+    """Past one row block the left columns of each power come by detailed balance, and on
+    sparse kernels by column gathers, so the curve may move by ulps: same length and flag as
+    0.3.0's ``ref``, TV within 1e-14 of a long double loop, the same t_mix as ``ref`` at every
     eps >= target, and the floor of a plain loop, its eps0 within 1e-12 relative."""
     assert len(prof.tv) == len(ref.tv) and prof.unreached == ref.unreached
-    assert np.abs(prof.tv - ref.tv).max() <= 1e-14
+    exact = long_double_curve(prof.kernel, max_t, target)
+    assert len(exact) == len(prof.tv) and np.abs(prof.tv - exact).max() <= 1e-14
     for eps in (0.5, 0.25, 0.125, 1e-2, 1e-4, 1e-8, 1e-10):
         if eps >= target:
             assert t_mix_or_none(prof, eps) == t_mix_or_none(ref, eps), eps
@@ -614,7 +684,7 @@ class TestAgainstFrozenConstruction:
         assert k.node_count > ROW_BLOCK
         target = 1e-10
         assert_profile_close(mixing_profile(k, max_t=max_t, target=target),
-                             v030.mixing_profile(k, max_t=max_t, target=target), target)
+                             v030.mixing_profile(k, max_t=max_t, target=target), target, max_t)
 
     @pytest.mark.parametrize("make", [
         lambda: complete_graph(2),

@@ -75,6 +75,15 @@ def test_step_timing_tail_draw(capsys):
     assert rows[0][5] == "ms/call" and float(rows[0][6]) > 0
 
 
+def test_step_timing_mixing_profile(capsys):
+    # ER(30)'s profile, this package on both sides
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert load("step_timing").main(["--case", "profile_er30", "--baseline", src]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:4] for row in rows] == [["profile_er30", "-", "1", "-"]]
+    assert rows[0][5] == "ms/prof" and float(rows[0][6]) > 0
+
+
 def test_step_timing_fresh(capsys):
     # one whole er1000 run per side and prior profile, each in a new interpreter
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
