@@ -47,8 +47,8 @@ The ``mixing_profile`` case times whole ``graphs.mixing_profile`` calls,
 milliseconds per profile, on one kernel per side and graph of ``PROFILES``
 (its dense kernel built before the timed rounds): ER(30, 0.15) and star(300)
 to the default target 1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and
-K(400) to 1e-10, the last a dense kernel with as many nodes as the sparse
-ones. ``--case profile_<graph>`` times one of them.
+K(400), a dense kernel past one row block, to 1e-10. ``--case
+profile_<graph>`` times one of them.
 
 A recorded-state case times ``step`` alone, and that includes the sum of
 the tokens of the state it returns (``PopulationState.alive``, summed when a

@@ -892,7 +892,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     One n x n array holds the power, advanced a block of ``ROW_BLOCK`` rows at
     a time through a (``ROW_BLOCK`` x n) scratch: row block I of P^(t+1) is
     row block I of P^t times P, so the update runs in place. Only the columns
-    from the block's first row a on are multiplied; the walk is reversible,
+    from the block's first row a on are computed; the walk is reversible,
     pi_x P^t(x, y) = pi_y P^t(y, x), so columns left of a are filled from the
     rows already done, and the TV and the floor are read block by block from
     the same scratch. The columns from a on come by one of two products:
@@ -905,8 +905,8 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
       y, the sum over the rows k with P(k, y) > 0 of P(k, y) times old column
       k, is written into the block's own rows (free once copied), then moved
       back through the scratch; columns of one nonzero count are gathered
-      together (``_column_gathers``), about n^2 m multiply-adds per step for
-      mean row support m.
+      together (``_column_gathers``), about n^2 s / 2 multiply-adds per step
+      for mean row support s.
     """
     matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
     n = kernel.node_count

@@ -677,8 +677,12 @@ class TestAgainstFrozenConstruction:
         (lambda: Graph.build(*_weighted_er(200, 0.1, 3)), 0.2, 20000),
         (lambda: Graph.build(*_weighted_er(200, 0.1, 3)), 0.9, 20000),
         (lambda: star_graph(300), 0.5, 20000),
+        # a weighted star gathers, and its kernel's columns are not its rows
+        (lambda: Graph.build([(0, v) for v in range(1, 300)], np.linspace(0.1, 3.0, 299)), 0.3,
+         20000),
         (lambda: path_graph(200), 0.5, 2000),  # cut off long before 1e-10; P^t > 0 from t = 199
-    ], ids=["er300", "weighted_er200-0.2", "weighted_er200-0.9", "star300", "path200"])
+    ], ids=["er300", "weighted_er200-0.2", "weighted_er200-0.9", "star300", "weighted_star300-0.3",
+            "path200"])
     def test_mixing_profile_past_one_row_block(self, make, laziness, max_t):
         k = lazy_kernel(make(), laziness)
         assert k.node_count > ROW_BLOCK
