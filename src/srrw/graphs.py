@@ -864,8 +864,8 @@ class MixingProfile:
 
 
 def _column_gathers(kernel: TransitionKernel, starts) -> list[list[tuple]]:
-    """Per row block first row a in ``starts``, the chunks ``(ys - a, idx, w)`` of the lazy
-    kernel's columns y >= a: ``idx`` (c, d) holds the rows k with P(k, y) > 0, ascending, and
+    """For each row block's first row a in ``starts``, the chunks ``(ys - a, idx, w)`` of the
+    lazy kernel's columns y >= a: ``idx`` (c, d) holds the rows k with P(k, y) > 0, ascending, and
     ``w`` (c, 1, d) those P(k, y), for c columns of one nonzero count d, with c d at most
     ``GATHER_ROWS`` (or c = 1)."""
     indptr, cols, vals = kernel._lazy_rows
