@@ -1,9 +1,10 @@
 """Time one engine step, and one return-time walk step, on recorded states:
 median microseconds per step.
 
-Each engine case runs the engine once, records up to ``STATES`` input states
-of ``population.step`` spread evenly over the run, then times ``step`` on them
-``ROUNDS`` times in process. The return-time case does the same for
+Each engine case runs the engine once, records copies of up to ``STATES``
+input states of ``population.step`` spread evenly over the run, then times
+``step`` on them ``ROUNDS`` times in process, each call on a fresh copy made
+outside the timed call (``step`` advances its state in place). The return-time case does the same for
 ``NeighbourTable.move`` over one ``sample_return_times`` call. Calls are
 interleaved: every round steps each recorded state of every case once, so
 the machine's fast and slow phases fall on all of them alike. With
@@ -21,8 +22,8 @@ change of the machine between rounds does not move the ratio.
 The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
 20 to the 100k cap), K4 with mixed triggers (two nodes fork at every visit,
 two terminate at age 1 and fork from age 3) at Z of about 10 to 30, the
-corridor experiment's ER(30, 0.15) regime config with the age law
-collected, ER(1000, 0.01) at Z of about 10k, a hub: star(300) at about 10
+corridor experiment's ER(30, 0.15) regime config, ER(1000, 0.01) at Z of
+about 10k, a hub: star(300) at about 10
 tokens per node, whose rows are as wide as the graph,
 the same star with mixed triggers (forks from age 4, terminations up to age
 2, so each step reads every node's age region) near its steady Z of about
@@ -50,24 +51,27 @@ to the default target 1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and
 K(400), a dense kernel past one row block, to 1e-10. ``--case
 profile_<graph>`` times one of them.
 
-A recorded-state case times ``step`` alone, and that includes the sum of
-the tokens of the state it returns (``PopulationState.alive``, summed when a
-state is built). Earlier packages made that sum in ``run_population`` and
+A recorded-state case times ``step`` alone, without the age law, and that
+includes the sum of the tokens of the state it leaves
+(``PopulationState.alive``). Earlier packages made that sum in ``run_population`` and
 passed it to ``step`` as ``z``; against such a baseline (``Side.takes_z``) a
 recorded-state case charges the sum to this package alone, and the replica
 cases, which time whole runs, compare like with like.
 
 Recorded states cannot see what a run pays before its first step, nor what
-a median step leaves out: the age law's queued visits are added to its
-histogram once per ``AgeLaw.PENDING_CAP`` queued values, in the step that
-fills the queue, and once at the end of the run. The replica cases time
-whole ``run_population`` runs, one per seed of ``REPLICAS``, on one resolved
-kernel per side and event order, as the benchmark workloads and the
-replicas of ``srrw check`` run them: milliseconds per run, run start (the
-engine's rows and their alias tables) and every flush of the law included.
-``explode_k4_replica`` runs the explode_k4 case, ``corridor_er30_replica``
-the corridor_er30 case with the age law collected after a burn-in of the
-kernel's mixing time, as ``srrw check`` on the corridor config collects it.
+a median step leaves out, nor the age law: its rows are fed step by step
+and added to its histogram once per ``AgeLaw.BUFFER_CELLS`` buffered cells,
+in the step that fills the buffer, and once at the end of the run. The
+replica cases time whole ``run_population`` runs, one per seed of
+``REPLICAS``, on one resolved kernel per side and event order, as the
+benchmark workloads and the replicas of ``srrw check`` run them:
+milliseconds per run, run start (the engine's rows and their alias tables)
+and every flush of the law included. ``explode_k4_replica`` runs the
+explode_k4 case, ``corridor_er30_replica`` the corridor_er30 case with the
+age law collected after a burn-in of the kernel's mixing time, as ``srrw
+check`` on the corridor config collects it, and
+``corridor_er30_nolaw_replica`` the same runs without the law, so the two
+give the engine's share of a corridor run and the law's.
 Their warm-up makes one untimed run per seed, so what a side keeps on its
 kernel between runs is built before the timed rounds, and those time replica
 after replica of one ensemble.
@@ -164,9 +168,11 @@ RETURN_TIME = ("corridor_er30", 0, 20_000)
 TAIL_DRAW = ("corridor_er30", 20_000, (1_000_003, 2_000_003, 3_000_003))
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
-# the replica cases: the case whose whole runs each times, and its replica count
-REPLICAS = {"explode_k4_replica": ("explode_k4", 40),
-            "corridor_er30_replica": ("corridor_er30", 8)}
+# the replica cases: the case whose whole runs each times, its replica count and whether the
+# runs collect the age law
+REPLICAS = {"explode_k4_replica": ("explode_k4", 40, False),
+            "corridor_er30_replica": ("corridor_er30", 8, True),
+            "corridor_er30_nolaw_replica": ("corridor_er30", 8, False)}
 # the mixing_profile case: per row, the graph's generator and the profile's target
 PROFILES = {
     "profile_er30": (CASES["corridor_er30"]["graph"]["generator"], 1e-10),
@@ -221,7 +227,7 @@ def record_states(config: dict, order: str,
     real = srrw.population.step
 
     def recording(state, rows, spec, rng, age_law=None):
-        seen.append((state, next(i for i, s in enumerate(specs) if s is spec)))
+        seen.append((state.copy(), next(i for i, s in enumerate(specs) if s is spec)))
         per_token.append(rows.node_rows(spec).sparse(state.alive, np.count_nonzero(state.counts)))
         folded.append(rows.folded)
         return real(state, rows, spec, rng, age_law)
@@ -258,20 +264,17 @@ def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
 
 
 class Side:
-    """One package's step with its own rows, specs, age law and generator; given the state's
-    token count, as ``run_population`` gives it, when the package's ``step`` takes one."""
+    """One package's step with its own rows, specs and generator; given the state's token
+    count, as ``run_population`` gives it, when the package's ``step`` takes one."""
 
     UNIT = ("us/step", 1e6, "us_per_step_p50")  # the printed unit, its scale and JSON key
 
     def __init__(self, package, config: dict, order: str):
-        config_module, policy, self.population = (
-            importlib.import_module(f"{package.__name__}.{name}")
-            for name in ("config", "policy", "population"))
+        config_module, self.population = (importlib.import_module(f"{package.__name__}.{name}")
+                                          for name in ("config", "population"))
         resolved = config_module.resolve_config({"laziness": 0.5, **config})
         self.rows = self.population.StepRows(resolved.kernel, resolved.traps, order)
         self.specs = specs_of(resolved.policy)
-        collect = config["simulation"].get("collect_age_law", False)
-        self.law = policy.AgeLaw(resolved.kernel.node_count) if collect else None
         self.rng = np.random.default_rng(0)
         self.takes_z = "z" in inspect.signature(self.population.step).parameters
         self.times = []
@@ -286,23 +289,23 @@ class Side:
     def time_step(self, state, spec_index: int) -> None:
         step, clock = self.population.step, time.perf_counter
         z = {"z": state.alive} if self.takes_z else {}
+        state = state.copy()
         start = clock()
-        step(state, self.rows, self.specs[spec_index], self.rng, self.law, **z)
+        step(state, self.rows, self.specs[spec_index], self.rng, **z)
         self.times.append(clock() - start)
 
 
 class ReplicaSide:
     """One package's whole runs of a case, one per seed, on one resolved kernel; with the age
-    law collected after a burn-in of the kernel's mixing time when the case collects it."""
+    law collected after a burn-in of the kernel's mixing time when ``collect``."""
 
     UNIT = ("ms/run", 1e3, "ms_per_replica_p50")
 
-    def __init__(self, package, config: dict, order: str):
+    def __init__(self, package, config: dict, order: str, collect: bool):
         config_module, self.population = (importlib.import_module(f"{package.__name__}.{name}")
                                           for name in ("config", "population"))
         self.resolved = config_module.resolve_config({"laziness": 0.5, **config})
         self.order = order
-        collect = self.resolved.simulation["collect_age_law"]
         self.law_args = {"collect_age_law": collect,
                          "age_law_burn_in": self.resolved.t_mix if collect else 0}
         self.times = []
@@ -474,13 +477,13 @@ def main(argv=None) -> int:
         if baseline is not None:
             sides.append(FitSampleSide(baseline, CASES[name], n_samples))
         jobs.append(("tail_draw", None, [(seed,) for seed in seeds], None, None, sides))
-    for label, (name, replicas) in REPLICAS.items():
+    for label, (name, replicas, collect) in REPLICAS.items():
         for order in ORDERS if label in cases else ():
             config = CASES[name]
             seeds = [(config["simulation"]["seed"] + r,) for r in range(replicas)]
-            sides = [ReplicaSide(srrw, config, order)]
+            sides = [ReplicaSide(srrw, config, order, collect)]
             if baseline is not None:
-                sides.append(ReplicaSide(baseline, config, order))
+                sides.append(ReplicaSide(baseline, config, order, collect))
             jobs.append((label, order, seeds, None, None, sides))
     for label, (generator, target) in PROFILES.items():
         if label in cases:
@@ -499,7 +502,7 @@ def main(argv=None) -> int:
                 for side in sides[::-1] if k % 2 else sides:
                     side.time_step(*call)
 
-    header = (f"{'case':<21} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
+    header = (f"{'case':<27} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
               f" {'unit':>8} {'p50':>9}")
     if baseline is not None:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
@@ -510,7 +513,7 @@ def main(argv=None) -> int:
         p50 = [scale * float(np.median(side.times)) for side in sides]
         row = {"case": name, "order": order, "states": len(states), "per_token": per_token,
                "folded": folded, key: p50[0]}
-        line = (f"{name:<21} {order or '-':<13} {len(states):>6}"
+        line = (f"{name:<27} {order or '-':<13} {len(states):>6}"
                 + "".join(f" {'-' if v is None else f'{v:.2f}':>{width}}"
                           for v, width in ((per_token, 9), (folded, 6)))
                 + f" {unit:>8} {p50[0]:>9.1f}")

@@ -33,7 +33,6 @@ from .population import (
     BlockPlan,
     PopulationState,
     PopulationTrace,
-    StepCounts,
     StepRows,
     TrapProfile,
     block_drift,
@@ -61,7 +60,6 @@ __all__ = [
     "RegimePolicy",
     "ReturnTimeSample",
     "StationaryDistribution",
-    "StepCounts",
     "StepRows",
     "TailSpectrum",
     "TransitionKernel",

@@ -74,11 +74,6 @@ class EnvelopeModel:
     def node_count(self) -> int:
         return len(self.c_minus)
 
-    def tail_bounds(self, u: int, age) -> tuple[float, float]:
-        """(lower, upper) envelope values for the tail of node u at an age."""
-        x = float(age) * self.pi[u]
-        return math.exp(-self.c_plus[u] * x), math.exp(-self.c_minus[u] * x)
-
     def to_json_dict(self) -> dict:
         per_node = [
             {"u": u, "pi": self.pi[u], "c_minus": float(self.c_minus[u]),

@@ -2,7 +2,7 @@
 
 Supports undirected, optionally edge-weighted, finite connected graphs.
 Kernels are lazy reversible walks; stationary laws come from the closed-form
-degree/weight formula, with power iteration available as a cross-check.
+degree/weight formula.
 
 A graph holds its edges once, as a read-only (m, 2) int array with an
 optional parallel weight array, and everything about it is built from them
@@ -491,21 +491,31 @@ class AliasRows:
     uniform column and a uniform coin against that cell of the row's alias
     table, O(tokens); ``sparse`` is the density rule under which that beats
     one ``Generator.multinomial`` call over the gathered rows of ``probs``, a
-    binomial per cell, O(rows x W). The tables are laid out as ``probs``, a
-    cell of the tables being the same cell of the rows, and built ``block``
-    rows at a time on the first draw from the block; they grow only to the
-    last block built, past ``TABLE_BYTE_CAP`` raising before they are
+    binomial per cell, O(rows x W). The rows come in blocks of ``block``
+    rows (``blocks``: a view of each block's rows). The tables are laid out
+    as ``probs``, a cell of the tables being the same cell of the rows, and
+    built a block at a time on the first draw from the block; they grow only
+    to the last block built, past ``TABLE_BYTE_CAP`` raising before they are
     allocated, and are kept: 12 bytes per cell, a float64 cut and an int32
-    alias held as its offset from its own column, so a draw selects by
-    arithmetic instead of a branch per token.
+    alias held as the cell it names in its block's rows flattened, so a draw
+    from one block reads views of that block's tables and picks each token's
+    cell or its alias by one ``np.where`` (by arithmetic past
+    ``WHERE_TOKENS`` tokens, where a branch per token costs more).
     """
+
+    # np.where branches per token: on random coins it took 1.7 us against 3.4 us for the
+    # arithmetic at 77 tokens, and 53 us against 25 us at 10k
+    WHERE_TOKENS = 1024
 
     def __init__(self, probs: np.ndarray, block: int):
         self.probs = probs
         self.width = probs.shape[1]
         self.block = block
-        self._built = np.zeros(-(-probs.shape[0] // block), dtype=bool)  # per block
-        self._cut, self._offset = np.empty((0, self.width)), np.empty((0, self.width), np.int32)
+        self.blocks = [probs[lo:lo + block] for lo in range(0, probs.shape[0], block)]
+        self._built = np.zeros(len(self.blocks), dtype=bool)
+        self._starts = self.width * np.arange(block)  # the first cell of each row of a block
+        self._cut, self._alias = np.empty((0, self.width)), np.empty((0, self.width), np.int32)
+        self._views = {}  # per block drawn from: its flattened cut and alias tables
 
     def sparse(self, tokens: int, rows: int) -> bool:
         """The density rule: draw per token when ``tokens`` tokens number at most half the
@@ -521,33 +531,48 @@ class AliasRows:
             lo, hi = b * self.block, min((b + 1) * self.block, len(self.probs))
             if hi > len(self._cut):
                 _check_bytes(12 * hi * w, f"alias tables of {hi} rows by {w}")
-                self._cut, self._offset = (np.concatenate((t, np.zeros((hi - len(t), w), t.dtype)))
-                                           for t in (self._cut, self._offset))
-            self._cut[lo:hi], self._offset[lo:hi] = alias_tables(self.probs[lo:hi])
-            self._offset[lo:hi] -= np.arange(w, dtype=np.int32)
+                self._cut, self._alias = (np.concatenate((t, np.zeros((hi - len(t), w), t.dtype)))
+                                          for t in (self._cut, self._alias))
+                self._views.clear()
+            self._cut[lo:hi], alias = alias_tables(self.probs[lo:hi])
+            self._alias[lo:hi] = alias + w * np.arange(hi - lo, dtype=np.int32)[:, None]
             self._built[b] = True
 
     def draw(self, tokens: np.ndarray | int, index: np.ndarray, u: np.ndarray,
              block: int | None = None) -> np.ndarray:
-        """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, in ``probs``
-        flattened, from at least 2 x tokens uniforms ``u``: the first half (overwritten) draws
-        a uniform column, the second half a coin against that cell's cut. ``block``, when
-        given, is the one block of every row in ``index``."""
+        """The drawn cell of each of ``tokens[i]`` tokens from row ``index[i]``, as a cell of
+        its block's rows flattened, (row mod ``block``) x W + column, from at least 2 x tokens
+        uniforms ``u``: the first half (overwritten) draws a uniform column, the second half a
+        coin against that cell's cut. ``block``, when given, is the one block of every row,
+        and ``index`` then counts rows from that block's first, or is None when ``tokens``
+        gives every row of the block its tokens."""
+        w = self.width
         if block is None:
             if not self._built.all():
                 # np.bincount, not np.unique: the first call of np.unique costs about 15 ms
                 self._build(np.flatnonzero(np.bincount(index // self.block)))
-        elif not self._built[block]:
-            self._build((block,))
-        w = self.width
-        cell = (index * w).repeat(tokens)
+            cut, alias = self._cut.ravel(), self._alias.ravel()
+        else:
+            views = self._views.get(block)
+            if views is None:
+                self._build((block,))
+                rows = slice(block * self.block, (block + 1) * self.block)
+                views = self._views[block] = (self._cut[rows].ravel(), self._alias[rows].ravel())
+            cut, alias = views
+        cell = (self._starts if index is None else index * w).repeat(tokens)
         z = cell.size
-        col = np.multiply(u[:z], w, out=u[:z])
+        col = u[:z]
+        col *= w
         cell += col.astype(np.intp)  # a uniform column: below w for every uniform below 1
-        aliased = u[z:2 * z] >= self._cut.take(cell)
-        offset = self._offset.take(cell)
-        offset *= aliased
-        cell += offset
+        aliased = u[z:2 * z] >= cut.take(cell)
+        picked = alias.take(cell)
+        if block is None:
+            cell %= self.block * w
+        if z <= self.WHERE_TOKENS:
+            return np.where(aliased, picked, cell)
+        picked -= cell
+        picked *= aliased
+        cell += picked
         return cell
 
 
@@ -961,16 +986,3 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     if np.max(np.asarray(tv) - tv_arr) > 1e-12:
         raise ParameterError("TV curve increased beyond numerical tolerance")
     return MixingProfile(kernel, tv_arr, unreached, floor)
-
-
-def stationary_by_iteration(kernel: TransitionKernel, tol: float = 1e-13,
-                            max_iter: int = 10_000_000) -> np.ndarray:
-    """Independent oracle for the stationary law: iterate until the update stalls."""
-    n = kernel.node_count
-    v = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = v @ kernel.matrix
-        if np.abs(nxt - v).max() < tol:
-            return nxt
-        v = nxt
-    raise InsufficientDataError("power iteration did not converge")

@@ -146,21 +146,34 @@ class AgeLaw:
     past ``graphs.TABLE_BYTE_CAP`` bytes (about 130k nodes at the default
     cap) raises ParameterError before it is allocated.
 
-    ``record`` adds visits at once. The engine ``queue``s each step's visits
-    instead, and ``flush`` adds the queue in one ``record`` call: when it holds
-    ``PENDING_CAP`` values (three per occupied node of a step), so its memory
-    does not grow with the steps; when ``counts`` or ``max_over_cap`` is read;
-    and at the end of a run.
+    ``record`` adds visits at once. The engine instead ``feed``s the law
+    each step's rows: the tokens per node before the step and, under
+    ``trap_first``, the tokens trapped there before the policy stage. Both
+    rows are copied into a buffer of ``BUFFER_CELLS`` cells (one step's rows
+    at least), allocated with the law, and ``flush`` adds its steps in one
+    ``record`` call, deriving their ages from the token rows: a node's clock
+    before a step is the latest earlier step that found it occupied, one
+    running maximum over the buffer seeded with the clocks before the first
+    step fed (the state after a burn-in, say) and carried from buffer to
+    buffer. It flushes when the buffer is full, when ``counts`` or
+    ``max_over_cap`` is read, and at the end of a run.
     """
 
-    PENDING_CAP = 1 << 12  # about 60 steps of the corridor experiment (Z = 20-200, 30 nodes)
+    BUFFER_CELLS = 1 << 12  # 68 steps of the corridor experiment's 30 nodes
 
     def __init__(self, node_count: int, age_cap: int = AGE_LAW_CAP):
         self.age_cap = int(age_cap)
         _check_bytes(8 * node_count * (self.age_cap + 2), f"an age law over {node_count} nodes")
         self._counts = np.zeros((node_count, self.age_cap + 2), dtype=np.int64)
         self._max_over_cap = np.zeros(node_count, dtype=np.int64)
-        self._pending, self._pending_size = [], 0  # queued (nodes, ages, visits)
+        # the buffer of token and trapped rows and the node of each of its cells; the steps
+        # held, the step of its first row, the next step that continues it, and the node
+        # clocks before its first row
+        steps = max(1, self.BUFFER_CELLS // (2 * node_count))
+        self._rows = np.empty((2, steps, node_count), dtype=np.int64)
+        self._nodes = np.tile(np.arange(node_count), steps)
+        self._held = self._first = 0
+        self._next = self._clock = None
 
     @property
     def counts(self) -> np.ndarray:
@@ -177,26 +190,42 @@ class AgeLaw:
         if weights is None:
             weights = np.ones_like(nodes)
         width = self.age_cap + 2
-        # one flat index: np.add.at takes a 1-d index in about a third of the time of a pair
+        # one flat index: np.add.at takes a 1-d index in about a third of the time of a pair.
+        # np.bincount into the whole histogram measured slower (20 us against 7 us on a
+        # buffer of the corridor's 30 nodes, 3.5 ms against 9 us on 1000 nodes)
         np.add.at(self._counts.reshape(-1), nodes * width + np.minimum(ages, width - 1), weights)
         if ages.size and ages.max() > self.age_cap:
             over = (ages > self.age_cap) & (weights > 0)
             np.maximum.at(self._max_over_cap, nodes[over], ages[over])
 
-    def queue(self, nodes: np.ndarray, ages: np.ndarray, visits: np.ndarray) -> None:
-        """Queue ``visits[i]`` visits at age ``ages[i]`` to ``nodes[i]``; the arrays are held,
-        not copied, until the queue is flushed."""
-        self._pending.append((nodes, ages, visits))
-        self._pending_size += 3 * nodes.size
-        if self._pending_size >= self.PENDING_CAP:
+    def feed(self, time: int, counts: np.ndarray, trapped: np.ndarray | None,
+             last_visit: np.ndarray) -> None:
+        """Hold step ``time``'s visits: ``counts[u]`` tokens at node u, less ``trapped[u]``
+        (none when None) that never reach the policy stage. ``last_visit``, the node clocks
+        before the step, is read only when the step does not follow the last one fed: the
+        buffer is flushed and the running maximum starts again from a copy of them."""
+        if time != self._next:
+            self.flush()
+            self._first, self._clock = time, np.array(last_visit, dtype=np.int64)
+        rows, held = self._rows, self._held
+        rows[0, held] = counts
+        rows[1, held] = 0 if trapped is None else trapped
+        self._held, self._next = held + 1, time + 1
+        if held + 1 == rows.shape[1]:
             self.flush()
 
     def flush(self) -> None:
-        """Add the queued visits in one ``record`` call."""
-        if self._pending:
-            nodes, ages, visits = (np.concatenate(part) for part in zip(*self._pending))
-            self._pending, self._pending_size = [], 0
-            self.record(nodes, ages, visits)
+        """Add the held steps' visits in one ``record`` call."""
+        held = self._held
+        if not held:
+            return
+        tokens, trapped = self._rows[:, :held]
+        steps = np.arange(self._first, self._first + held)[:, None]
+        # each node's clock before each held step, and after the last
+        clock = np.maximum.accumulate(np.vstack((self._clock, np.where(tokens > 0, steps, 0))))
+        self._held, self._first, self._clock = 0, self._first + held, clock[-1].copy()
+        self.record(self._nodes[:tokens.size], (steps - clock[:-1]).ravel(),
+                    (tokens - trapped).ravel())
 
     def header_lines(self) -> list[str]:
         """The law as ``key=value`` lines: the cap, the overflow maxima and one

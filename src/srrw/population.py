@@ -41,7 +41,8 @@ draw per token, O(tokens), when its Z tokens number at most half the cells
 of their gathered rows (2 Z <= rows x row width): a uniform column and a
 coin against the row's Vose alias table. Both are exact in law. When the
 triggers put every age 1..t in one region (every A_l <= 1, say), the step
-reads that region without the per-node rule. Alias tables take 12 bytes
+reads views of that region's rows and alias tables without the per-node
+rule. Alias tables take 12 bytes
 per cell, laid out as the node rows and grown to the last age region a
 sparse step of the spec drew from, and per node row of the fork table's
 first targets. The kernel keeps the rows of its last run (``step_rows``),
@@ -331,21 +332,25 @@ class StepRows:
     the moves, so one draw settles the whole step. ``bounds`` gives the
     first column of each class of the folded layout: trapped, acted then
     trapped, acted, lone copies, pairs and moves; rows that do not fold have
-    no lone-copy or pair cells. ``landing`` (n, columns, 1), or
-    (n, columns, 3) when folded, gives each cell of node u's rows its codes:
-    landing nodes 0..n-1; n + 1 + u, 2n + 1 + u and 3n + 1 + u for the
-    trapped, acted-then-trapped and acted columns; on folded rows the landing
-    node and 2n + 1 + u for a lone-copy cell, and the two landing nodes and
-    the pair code 4n + 1 for a pair cell; n, which counts nothing, fills the
-    other slots. So one ``np.bincount`` of a step's cells counts its landings
-    and, summed from each of ``codes`` (n + 1, 2n + 1, 3n + 1, 4n + 1), its
-    events. ``cell_landing`` is ``landing`` by cell of a node's rows
-    flattened. Node rows are built per policy spec on first use, keyed by
-    the spec itself (frozen, so it hashes by identity), as ``AliasRows``
-    whose alias tables are built per age region (a block of n rows) on the
-    first sparse step that draws from it, and reused for the whole run and,
-    through ``step_rows``, by later runs on the same kernel while ``retain``
-    keeps them.
+    no lone-copy or pair cells. ``landing`` (1, n, columns), or
+    (2, n, columns) when folded, gives each cell of node u's rows its codes,
+    one per slot: landing nodes 0..n-1; n + 1 + u, 2n + 1 + u and 3n + 1 + u
+    for the trapped, acted-then-trapped and acted columns; on folded rows the
+    landing node and 2n + 1 + u for a lone-copy cell, and for a pair cell on
+    (a, b) the landing node a and the pair code 4n + 1 + b, which names the
+    second landing node; n, which counts nothing, fills the other slots. So
+    one ``np.bincount`` of a step's cells in ``tally_size`` bins, with the
+    pair codes' bins (``pair_codes``) added to the landing nodes', counts its
+    landings and, summed from each of ``codes`` (n + 1, 2n + 1, 3n + 1,
+    4n + 1), its events; ``segments`` cuts the tally into the landings, the
+    code n and those four sums, and ``trapped_codes`` are the bins of each
+    node's trapped tokens. ``cell_landing`` is ``landing`` by cell of a
+    node's rows flattened. Node rows are built per policy spec on first use,
+    keyed by the spec itself (frozen, so it hashes by identity), as
+    ``AliasRows`` whose alias tables are built per age region (a block of n
+    rows) on the first sparse step that draws from it, and reused for the
+    whole run and, through ``step_rows``, by later runs on the same kernel
+    while ``retain`` keeps them.
     """
 
     def __init__(self, kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_first"):
@@ -363,23 +368,27 @@ class StepRows:
         w = self.forks.first.shape[1]
         self.bounds = np.array([0, 1, 2, _EVENTS, _EVENTS + w, _EVENTS + w + w * w])
         self.folded = 20 * n * (self.bounds[-1] + moves.shape[1]) <= FOLD_BYTES
-        # the code of node 0's trapped, acted-then-trapped and acted tokens, and the pair code
+        # the code of node 0's trapped, acted-then-trapped and acted tokens, and of a pair whose
+        # second landing node is node 0
         self.codes = n + 1 + n * np.arange(4)
+        self.segments = np.concatenate(([0, n], self.codes))
+        self.tally_size = 5 * n + 1
+        self.trapped_codes, self.pair_codes = slice(n + 1, 2 * n + 1), slice(4 * n + 1, None)
         # rows that do not fold have no lone-copy or pair cells
         first_move = self.bounds[-1] if self.folded else _EVENTS
-        landing = np.full((n, first_move + moves.shape[1], 3 if self.folded else 1), n)
-        landing[:, :_EVENTS, 0] = self.codes[:_EVENTS] + np.arange(n)[:, None]
-        landing[:, first_move:, 0] = moves
+        landing = np.full((2 if self.folded else 1, n, first_move + moves.shape[1]), n)
+        landing[0, :, :_EVENTS] = self.codes[:_EVENTS] + np.arange(n)[:, None]
+        landing[0, :, first_move:] = moves
         if self.folded:
             dest, lone, pairs = self.forks.dest, slice(*self.bounds[3:5]), slice(*self.bounds[4:])
             self.forks.pair_rows()  # builds ``pair_a`` and ``pair_b``
-            landing[:, lone, 0] = dest
-            landing[:, lone, 1] = landing[:, _ACTED_TRAPPED, :1]  # the acted-then-trapped code
-            landing[:, pairs, 0] = dest.take(self.forks.pair_a, axis=1)
-            landing[:, pairs, 1] = dest.take(self.forks.pair_b, axis=1)
-            landing[:, pairs, 2] = self.codes[-1]
+            landing[0, :, lone] = dest
+            # a lone copy's second code is its parent's acted-then-trapped code
+            landing[1, :, lone] = landing[0, :, _ACTED_TRAPPED, None]
+            landing[0, :, pairs] = dest.take(self.forks.pair_a, axis=1)
+            landing[1, :, pairs] = self.codes[-1] + dest.take(self.forks.pair_b, axis=1)
         self.landing = landing
-        self.cell_landing = landing.reshape(-1, landing.shape[2])
+        self.cell_landing = landing.reshape(len(landing), -1)
         self._nodes = {}
 
     def node_rows(self, spec: PolicySpec) -> AliasRows:
@@ -389,7 +398,7 @@ class StepRows:
         if node_rows is None:
             zeta = self.zeta[None, :]
             q = np.stack([spec.q_fork, spec.q_term, np.zeros(self.node_count)])
-            rows = np.zeros((3, self.node_count, self.landing.shape[1]))
+            rows = np.zeros((3, self.node_count, self.landing.shape[2]))
             if self.order == "trap_first":
                 rows[:, :, _TRAPPED] = zeta
                 rows[:, :, _ACTED] = (1.0 - zeta) * q
@@ -433,24 +442,15 @@ def step_rows(kernel: TransitionKernel, traps: TrapProfile, order: str = "trap_f
 
 
 @dataclass
-class StepCounts:
-    forks: int
-    trap_deletions: int
-    terminations: int
-
-    @property
-    def net(self) -> int:
-        return self.forks - self.trap_deletions - self.terminations
-
-
-@dataclass
 class PopulationState:
     """One engine tick: the time, the token count per node, and the node clock.
 
     ``last_visit[u]`` is the last time any token visited node u. Last-visit
     times start at 0, so a never-visited node has age equal to the current
     time; this convention makes early policy triggers possible. ``alive``, the
-    number of tokens, is summed from ``counts`` when the state is built.
+    number of tokens, is summed from ``counts`` when the state is built and
+    by each ``step``, which advances the state in place: it replaces
+    ``counts`` and updates ``last_visit`` where it stands.
     """
 
     time: int
@@ -466,10 +466,15 @@ class PopulationState:
         counts = _initial_counts(kernel, z0, placement, rng)
         return PopulationState(0, counts, np.zeros(kernel.node_count, dtype=np.int64))
 
+    def copy(self) -> "PopulationState":
+        """A state of the same tick that a step of this one leaves unchanged."""
+        return PopulationState(self.time, self.counts.copy(), self.last_visit.copy())
+
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
-    """One transition of the multi-token dynamics.
+         age_law: AgeLaw | None = None) -> tuple[int, int, int]:
+    """One transition of the multi-token dynamics; advances ``state`` in place and returns the
+    step's (forks, trap deletions, terminations).
 
     Arrival, trap roll, one policy action per surviving token from the node's
     pre-update age, a single clock update per visited node, then dispatch:
@@ -477,42 +482,48 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     neighbors of the non-lazy walk. With ``order="policy_first"`` rows the
     trap roll instead follows the action and spares copies made this step.
     Drawn per occupied node from the token counts with the kernel, traps and
-    order of ``rows``. The visits that reach the policy stage are queued on
-    ``age_law`` (``AgeLaw.queue``). The input state is not modified.
+    order of ``rows``. The step's token counts, and under ``trap_first`` its
+    trapped tokens per node, are fed to ``age_law`` (``AgeLaw.feed``).
     """
     t = state.time + 1
     n = rows.node_count
-    occ = state.counts.nonzero()[0]
-    tokens = state.counts.take(occ)
+    counts = state.counts
+    occ = counts.nonzero()[0]
     node_rows = rows.node_rows(spec)
-    # ages run 1..t, so triggers that put them all in one region need no per-node rule
+    # ages run 1..t, so triggers that put them all in one region need no per-node rule, and
+    # the step draws from that region's block of node rows
     uniform = spec.uniform_region(t)
-    if uniform is None or age_law is not None:
-        ages = t - state.last_visit.take(occ)
-    region = spec.region(occ, ages) if uniform is None else uniform
-    index = region * n + occ
+    if uniform is None:
+        region = spec.region(occ, t - state.last_visit.take(occ))
+        index = region * n + occ
+    else:
+        region, index = uniform, occ
 
     # one node draw, tallied once by the codes of its cells (``StepRows.landing``)
     if node_rows.sparse(state.alive, occ.size):
+        # each token's cell in its node's rows; a uniform step repeats its region's rows by
+        # every node's count
+        tokens, index = (counts.take(occ), index) if uniform is None else (counts, None)
         cell = node_rows.draw(tokens, index, rng.random(2 * state.alive), uniform)
-        # each token's cell in its node's rows: an age region's rows take n x width cells
-        if uniform is None:
-            cell %= n * node_rows.width
-        elif uniform:
-            cell -= uniform * n * node_rows.width
-        landed = np.bincount(rows.cell_landing.take(cell, axis=0).ravel(),
-                             minlength=rows.codes[-1] + 1)
+        landed = np.bincount(rows.cell_landing.take(cell, axis=1).ravel(),
+                             minlength=rows.tally_size)
     else:
-        draws = rng.multinomial(tokens, node_rows.probs.take(index, axis=0))
-        # one float tally (exact: no count nears 2^53), each count weighing every slot of
-        # its cell
-        weights = draws.ravel()
-        if rows.landing.shape[2] > 1:
-            weights = weights.repeat(rows.landing.shape[2])
-        landed = np.bincount(rows.landing.take(occ, axis=0).ravel(), weights=weights,
-                             minlength=rows.codes[-1] + 1).astype(np.int64)
-    # tokens per class: trapped, acted then trapped, acted, and (when folded) pairs
-    n_trapped, acted_trapped, acted, pairs = np.add.reduceat(landed, rows.codes).tolist()
+        probs = node_rows.probs if uniform is None else node_rows.blocks[uniform]
+        # one float tally per landing slot (exact: no count nears 2^53), the counts converted
+        # once, and their int copy dropped
+        draws = rng.multinomial(counts.take(occ), probs.take(index, axis=0))
+        weights = draws.ravel().astype(float)
+        del draws
+        landed = np.bincount(rows.landing[0].take(occ, axis=0).ravel(), weights, rows.tally_size)
+        if rows.folded:
+            landed += np.bincount(rows.landing[1].take(occ, axis=0).ravel(), weights,
+                                  rows.tally_size)
+        landed = landed.astype(np.int64)
+    if rows.folded:
+        landed[:n] += landed[rows.pair_codes]  # each pair's second landing node
+    # the new population, then tokens per class: trapped, acted then trapped, acted, and (when
+    # folded) pairs
+    z, _, n_trapped, acted_trapped, acted, pairs = np.add.reduceat(landed, rows.segments).tolist()
     # rows without pair cells leave forks to the fork table: acted tokens fork in the fork
     # region and terminate in the term region (the pass region never acts), and
     # acted-then-trapped tokens are fork parents whose copy still leaves
@@ -525,19 +536,18 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         if acted_forks or acted_trapped:
             landed[:n] += rows.forks.dispatch(np.concatenate((pairs_from, occ.repeat(copies))),
                                               rng, acted_forks)
-    # a lone copy, drawn as a cell or left by an acted-then-trapped parent, is a fork and a
-    # deletion
-    counts = StepCounts(pairs + acted_forks + acted_trapped, n_trapped + acted_trapped,
-                        acted - acted_forks)
+            z = int(np.add.reduce(landed[:n]))
     if age_law is not None:
         # trap_first: trapped tokens, tallied by their codes, never reach the policy stage
-        age_law.queue(occ, ages, tokens if rows.order == "policy_first"
-                      else tokens - landed.take(occ + rows.codes[0]))
+        age_law.feed(t, counts, None if rows.order == "policy_first"
+                     else landed[rows.trapped_codes], state.last_visit)
 
     # node clocks update once per visited node per step
-    last_visit = state.last_visit.copy()
-    last_visit[occ] = t
-    return PopulationState(t, landed[:n], last_visit), counts
+    state.last_visit[occ] = t
+    state.time, state.counts, state.alive = t, landed[:n], z
+    # a lone copy, drawn as a cell or left by an acted-then-trapped parent, is a fork and a
+    # deletion
+    return pairs + acted_forks + acted_trapped, n_trapped + acted_trapped, acted - acted_forks
 
 
 def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int,
@@ -579,13 +589,13 @@ def run_population(kernel: TransitionKernel, policy, traps: TrapProfile, z0: int
             spec = regime_policy.spec_for(regime)
         else:
             spec = policy
-        state, counts = step(state, rows, spec, rng, law if t > age_law_burn_in else None)
+        forks, dels, terms = step(state, rows, spec, rng, law if t > age_law_burn_in else None)
         z = state.alive
 
         z_hist.append(z)
-        fork_hist.append(counts.forks)
-        del_hist.append(counts.trap_deletions)
-        term_hist.append(counts.terminations)
+        fork_hist.append(forks)
+        del_hist.append(dels)
+        term_hist.append(terms)
 
         if z == 0:
             extinct = True
@@ -633,14 +643,6 @@ class DriftReport:
     def c1_proxy(self) -> float:
         """Mean per-token absolute residual: the flat coupling-error estimate."""
         return float(np.mean(np.abs(self.residual_abs) / self.z_start))
-
-    def sign_agreement(self, min_z: int = 1, factor: float = 2.0) -> tuple[int, int]:
-        """(matched, considered) over blocks where the predicted rate clears
-        ``factor * c1_proxy / B`` and the block started with at least min_z tokens."""
-        rate = self.predicted_per_token / self.block_length
-        strong = (np.abs(rate) > factor * self.c1_proxy / self.block_length) & (self.z_start >= min_z)
-        matched = np.sign(self.drift_per_token[strong]) == np.sign(self.predicted_per_token[strong])
-        return int(matched.sum()), int(strong.sum())
 
 
 def block_drift(trace: PopulationTrace, plan: BlockPlan, lambda_del: float,
@@ -702,14 +704,6 @@ def gw_baseline(mean_offspring: float, generations: int, replicas: int, seed: in
         z_max = np.maximum(z_max, z)
     extinct = float(np.mean(z == 0))
     return GwReport(extinct, 1.0 - extinct, z.copy(), z_max)
-
-
-def gw_extinction_probability(mean_offspring: float, iters: int = 500) -> float:
-    """Fixed point of the Poisson offspring generating function, iterated from 0."""
-    s = 0.0
-    for _ in range(iters):
-        s = math.exp(mean_offspring * (s - 1.0))
-    return s
 
 
 def _merge_small_cells(counts: np.ndarray, expected: np.ndarray,

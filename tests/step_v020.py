@@ -5,15 +5,17 @@ the fork dispatch read its second-target rows from the kernel's per-edge
 ``ForkTable``, with the age-region rule and the age-law update of that
 version. The engine must make the same draws in the same order, so a run
 with these in place of ``srrw.population.step`` and ``StepRows`` has to give
-the very same trace and age law. Kept as it was; engine changes go to
-``srrw.population`` only.
+the very same trace and age law. Kept as it was, but for the calling
+convention of the current ``step``: it advances the state in place and
+returns the step's (forks, trap deletions, terminations). Engine changes go
+to ``srrw.population`` only.
 """
 import numpy as np
 
 from srrw.errors import ParameterError
 from srrw.graphs import TransitionKernel
 from srrw.policy import FORK, PASS, TERM, AgeLaw, PolicySpec
-from srrw.population import PopulationState, StepCounts, TrapProfile
+from srrw.population import PopulationState, TrapProfile
 
 # the event columns leading every node row
 _TRAPPED, _ACTED_TRAPPED, _ACTED = 0, 1, 2
@@ -136,7 +138,7 @@ def _dispatch_forks(rows: StepRows, nodes: np.ndarray, pairs: np.ndarray,
 
 
 def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
-         age_law: AgeLaw | None = None) -> tuple[PopulationState, StepCounts]:
+         age_law: AgeLaw | None = None) -> tuple[int, int, int]:
     """One transition of the multi-token dynamics.
 
     Arrival, trap roll, one policy action per surviving token from the node's
@@ -145,7 +147,8 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     neighbors of the non-lazy walk. With ``order="policy_first"`` rows the
     trap roll instead follows the action and spares copies made this step.
     Drawn per occupied node from the token counts with the kernel, traps and
-    order of ``rows``. The input state is not modified.
+    order of ``rows``. Advances ``state`` in place and returns the step's (forks,
+    trap deletions, terminations).
     """
     t = state.time + 1
     n = rows.node_count
@@ -176,6 +179,6 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
     n_del = int(tally[n + _TRAPPED]) + acted_trapped_total
 
     # node clocks update once per visited node per step
-    last_visit = state.last_visit.copy()
-    last_visit[occ] = t
-    return PopulationState(t, tally[:n], last_visit), StepCounts(n_fork, n_del, n_term)
+    state.last_visit[occ] = t
+    state.time, state.counts, state.alive = t, tally[:n], int(tally[:n].sum())
+    return n_fork, n_del, n_term

@@ -25,7 +25,6 @@ from srrw.graphs import (
     erdos_renyi_graph,
     lazy_kernel,
     mixing_profile,
-    stationary_by_iteration,
 )
 from srrw.policy import PolicySpec, RegimePolicy
 from srrw.population import (
@@ -33,11 +32,12 @@ from srrw.population import (
     TrapProfile,
     block_drift,
     gw_baseline,
-    gw_extinction_probability,
     occupancy_check,
     run_population,
 )
 from srrw.return_time import sample_return_times, tail_curve
+
+from oracles import gw_extinction_probability, sign_agreement, stationary_by_iteration
 
 
 def report(num, name, ok, detail=""):
@@ -321,7 +321,7 @@ def test_criterion_10_block_drift_agreement(corridor_runs):
         rep = block_drift(tr, plan, corridor_runs["traps"].absorption_pressure(
             corridor_runs["kernel"].pi))
         eligible_blocks += int((rep.z_start >= 20).sum())
-        m, c = rep.sign_agreement(min_z=20, factor=2.0)
+        m, c = sign_agreement(rep, min_z=20, factor=2.0)
         matched += m
         considered += c
     ok = eligible_blocks >= 100 and considered > 0 and matched >= 0.90 * considered

@@ -109,7 +109,7 @@ def engine(kernel, spec, traps, order, start, cap, replicas, seed):
     for r in range(replicas):
         state = PopulationState(0, np.array(start), np.zeros(kernel.node_count, dtype=np.int64))
         while 0 < state.alive < cap:
-            state, _ = step(state, rows, spec, rng)
+            step(state, rows, spec, rng)
         steps[r], capped[r] = state.time, state.alive >= cap
     return steps, capped
 

@@ -32,11 +32,12 @@ from srrw.graphs import (
     path_graph,
     spectral_gap,
     star_graph,
-    stationary_by_iteration,
     stationary_distribution,
 )
 from srrw.policy import PolicySpec
 from srrw.population import TrapProfile, run_population
+
+from oracles import stationary_by_iteration
 
 
 @st.composite

@@ -16,6 +16,7 @@ from srrw.graphs import (
     NeighbourTable,
     alias_tables,
     complete_graph,
+    cycle_graph,
     erdos_renyi_graph,
     lazy_kernel,
     mixing_profile,
@@ -31,13 +32,13 @@ from srrw.population import (
     TrapProfile,
     block_drift,
     gw_baseline,
-    gw_extinction_probability,
     occupancy_check,
     run_population,
     step,
     step_rows,
 )
 import step_v020
+from oracles import gw_extinction_probability, sign_agreement
 from token_engine import run_tokens
 
 K4 = lazy_kernel(complete_graph(4), 0.5)
@@ -116,16 +117,16 @@ class TestStep:
     def test_single_token_certain_trap(self):
         rng = np.random.default_rng(0)
         state = PopulationState.initial(K4, 1, "pi", rng)
-        nxt, counts = step(state, StepRows(K4, TrapProfile.uniform(4, 1.0)), passive(4), rng)
-        assert nxt.alive == 0 and counts.trap_deletions == 1
-        assert nxt.time == 1
+        forks, dels, terms = step(state, StepRows(K4, TrapProfile.uniform(4, 1.0)), passive(4), rng)
+        assert state.alive == 0 and (forks, dels, terms) == (0, 1, 0)
+        assert state.time == 1
 
     def test_certain_fork_duplicates(self):
         rng = np.random.default_rng(1)
         spec = PolicySpec.uniform(4, a_long=0.0, q_fork=1.0)
         state = PopulationState.initial(K4, 3, "pi", rng)
-        nxt, counts = step(state, StepRows(K4, TrapProfile.none(4)), spec, rng)
-        assert nxt.alive == 6 and counts.forks == 3
+        forks, _, _ = step(state, StepRows(K4, TrapProfile.none(4)), spec, rng)
+        assert state.alive == 6 and forks == 3
 
     def test_conservation_per_step(self):
         rng = np.random.default_rng(2)
@@ -135,35 +136,40 @@ class TestStep:
         for _ in range(200):
             if state.alive == 0:
                 break
-            nxt, counts = step(state, rows, spec, rng)
-            assert nxt.alive == state.alive + counts.net
-            state = nxt
+            before = state.alive
+            forks, dels, terms = step(state, rows, spec, rng)
+            assert state.alive == before + forks - dels - terms == state.counts.sum()
 
-    def test_input_state_not_modified(self):
+    def test_step_advances_the_state_in_place(self):
+        # the state's counts are replaced and its clocks updated where they stand; a copy
+        # keeps the tick it was taken at
         rng = np.random.default_rng(3)
         state = PopulationState.initial(K4, 5, "pi", rng)
-        counts_before = state.counts.copy()
-        visits_before = state.last_visit.copy()
+        counts, clocks = state.counts, state.last_visit
+        before = state.copy()
         step(state, StepRows(K4, TrapProfile.none(4)), passive(4), rng)
-        assert np.array_equal(state.counts, counts_before)
-        assert np.array_equal(state.last_visit, visits_before)
-        assert state.time == 0
+        assert state.time == 1 and state.last_visit is clocks and state.counts is not counts
+        assert np.array_equal(state.last_visit, (before.counts > 0).astype(int))
+        assert state.alive == state.counts.sum() == 5
+        assert before.time == 0 and np.array_equal(before.counts, counts)
+        assert not before.last_visit.any() and before.counts is not counts
 
     def test_clock_updates_visited_nodes_only(self):
         rng = np.random.default_rng(4)
         state = at_time(0, [0, 0, 2, 0])
-        nxt, _ = step(state, StepRows(K4, TrapProfile.none(4)), passive(4), rng)
-        assert nxt.last_visit[2] == 1
-        assert all(nxt.last_visit[u] == 0 for u in (0, 1, 3))
+        step(state, StepRows(K4, TrapProfile.none(4)), passive(4), rng)
+        assert state.last_visit[2] == 1
+        assert all(state.last_visit[u] == 0 for u in (0, 1, 3))
 
     @staticmethod
     def visit_age(state):
         """The age the one occupied node of ``state`` is visited at in the next step."""
         law = AgeLaw(4)
+        occupied, alive = state.counts > 0, state.alive
         step(state, StepRows(K4, TrapProfile.none(4)), passive(4), np.random.default_rng(5),
              age_law=law)
-        assert law.counts.sum() == state.alive
-        return int(np.flatnonzero(law.counts[state.counts > 0][0])[0])
+        assert law.counts.sum() == alive
+        return int(np.flatnonzero(law.counts[occupied][0])[0])
 
     def test_never_visited_age_is_elapsed_time(self):
         assert self.visit_age(at_time(6, [0, 1, 0, 0])) == 7
@@ -176,58 +182,72 @@ class TestStepMemory:
     """One step's temporaries stay within a few copies of its gathered node rows."""
 
     @staticmethod
-    def peak_over_gathered(order, tokens, sparse):
-        """One ER(1000, 0.01) step's ``tracemalloc`` peak over its gathered node rows, with
-        ``tokens`` tokens at every node, which draw per token exactly when ``sparse``."""
-        kernel = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+    def peak_over_gathered(order, tokens, sparse, graph=None):
+        """One step's ``tracemalloc`` peak over its gathered node rows, on ``graph`` (default
+        ER(1000, 0.01)) with ``tokens`` tokens at every node, which draw per token exactly when
+        ``sparse``."""
+        graph = erdos_renyi_graph(1000, 0.01, seed=0) if graph is None else graph
+        kernel = lazy_kernel(graph, 0.5)
         n = kernel.node_count
         rows = StepRows(kernel, TrapProfile.uniform(n, 0.02), order)
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
         state = at_time(5, np.full(n, tokens))
-        step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
+        # builds the rows and alias tables
+        step(state.copy(), rows, spec, np.random.default_rng(0))
         # every node is occupied and in the fork region: one gathered row per node
         gathered = rows.node_rows(spec).probs[:n].nbytes
         assert rows.node_rows(spec).sparse(state.alive, n) == sparse
+        before = state.alive
         tracemalloc.start()
         try:
-            nxt, counts = step(state, rows, spec, np.random.default_rng(1))
+            forks, dels, terms = step(state, rows, spec, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts.forks > 0 and nxt.alive == state.alive + counts.net
-        return peak / gathered
+        assert forks > 0 and state.alive == before + forks - dels - terms
+        return peak / gathered, rows.folded
 
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
     def test_peak_of_one_step_on_er1000(self, order):
         # 10 tokens per 26-column row make the step sparse. Measured 2.3x per token, and
         # 3.2x while a per-token step counted its cells back into (rows x width) counts;
         # with the landings joined by np.concatenate it was 7.1x
-        ratio = self.peak_over_gathered(order, 10, sparse=True)
+        ratio, _ = self.peak_over_gathered(order, 10, sparse=True)
         assert ratio <= 4, ratio
 
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
     def test_peak_of_one_multinomial_step_on_er1000(self, order):
         # 40 tokens per 26-column row make the step a multinomial one, on two-stage rows.
-        # Measured 3.2x; 4.2x while the landing weights were repeated once per landing node
-        ratio = self.peak_over_gathered(order, 40, sparse=False)
-        assert ratio <= 3.5, ratio
+        # Measured 2.2x with the counts converted to float weights once; 3.2x while the tally
+        # converted them, and 4.2x while they were repeated once per landing node
+        ratio, folded = self.peak_over_gathered(order, 40, sparse=False)
+        assert ratio <= 3.5 and not folded, ratio
+
+    @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
+    def test_peak_of_one_folded_multinomial_step_on_cycle2000(self, order):
+        # cycle(2000)'s rows fold (18 columns), and 20 tokens per row draw by multinomial: one
+        # weighted tally per landing slot, with no copy of the counts per slot. Measured
+        # 2.9x; 10.6x while the counts were repeated once per slot of a three-slot layout
+        ratio, folded = self.peak_over_gathered(order, 20, sparse=False, graph=cycle_graph(2000))
+        assert ratio <= 3.5 and folded, ratio
 
     @staticmethod
     def peak_of_steps(collect, order, steps=8):
         """The ``tracemalloc`` peak of ``steps`` engine steps of ER(1000, 0.01) from Z = 10k,
-        queueing their visits on an age law when ``collect`` (the law allocated beforehand)."""
+        feeding their rows to an age law when ``collect`` (the law allocated beforehand)."""
         kernel = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
         n = kernel.node_count
         rows = step_rows(kernel, TrapProfile.uniform(n, 0.02), order)
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=0.02)
         rng = np.random.default_rng(2)
         state = PopulationState.initial(kernel, 10_000, "pi", rng)
-        step(state, rows, spec, np.random.default_rng(0))  # builds the rows and alias tables
+        # builds the rows and alias tables
+        step(state.copy(), rows, spec, np.random.default_rng(0))
         law = AgeLaw(n) if collect else None
         tracemalloc.start()
         try:
             for _ in range(steps):
-                state, _ = step(state, rows, spec, rng, law)
+                step(state, rows, spec, rng, law)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,18 +255,21 @@ class TestStepMemory:
 
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
     def test_queued_age_law_is_bounded_by_tokens(self, order):
-        # a step of 10k tokens on 1000 nodes queues 3k values in either order (3 per occupied
-        # node), so the queue is added every second step, past AgeLaw.PENDING_CAP: measured
-        # 7% above the steps without the law in both orders. A queue held over the 8 steps
-        # measured 1.36x
+        # a step on 1000 nodes feeds the law two rows of 1000 cells, so its buffer of
+        # AgeLaw.BUFFER_CELLS cells is added every second step. Rows queued per step as
+        # (nodes, ages, visits) measured 7% above the steps without the law; a queue held
+        # over the 8 steps measured 1.36x
         without, with_law = (self.peak_of_steps(collect, order) for collect in (False, True))
         assert with_law <= 1.1 * without, (with_law, without)
 
 
 class TestBatchedAgeLaw:
-    """The engine queues each step's visits on the age law and adds them in batches: the
-    law equals one ``AgeLaw.record`` per step of the same visits. Which visits a step queues
-    is checked by ``TestFold::test_age_law_counts_the_visits_that_reach_the_policy``."""
+    """The engine feeds the age law each step's token and trapped rows, and the law adds a
+    buffer of them at a time, their ages derived at the flush from the token rows by one
+    running maximum: the law equals one ``AgeLaw.record(occ, t - last_visit[occ], visits)`` per
+    step, its ages read from the state's own clocks before the step. Which visits a step feeds
+    is checked by ``TestFold::test_age_law_counts_the_visits_that_reach_the_policy`` and
+    ``TestStepTally``."""
 
     # (kernel, policy, traps, run arguments, how the run ends, whether the rows fold)
     CASES = {
@@ -264,22 +287,37 @@ class TestBatchedAgeLaw:
         # two tokens on 30 nodes: visits at ages past AGE_LAW_CAP
         "sparse_er30": (lambda: lazy_kernel(erdos_renyi_graph(30, 0.15, seed=1), 0.5),
                         passive, 0.0, dict(z0=2, horizon=1500), "horizon", True),
+        # 2 x 2500 cells a step, past AgeLaw.BUFFER_CELLS: the buffer holds one step; forks
+        # from age 3 and terminations at age 1
+        "cycle2500": (lambda: lazy_kernel(cycle_graph(2500), 0.5),
+                      lambda n: PolicySpec.uniform(n, a_long=3.0, a_short=1.0, q_fork=0.3,
+                                                   q_term=0.3),
+                      0.05, dict(z0=2500, horizon=40), "horizon", True),
     }
 
-    @pytest.mark.parametrize("pending_cap", [64, AgeLaw.PENDING_CAP])
+    @pytest.mark.parametrize("buffer_cells", [64, AgeLaw.BUFFER_CELLS])
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_equals_a_record_per_step(self, monkeypatch, name, order, pending_cap):
+    def test_equals_a_record_per_step(self, monkeypatch, name, order, buffer_cells):
         make, policy, zeta, run, end, folded = self.CASES[name]
         kernel = make()
         n = kernel.node_count
         traps = TrapProfile.uniform(n, zeta)
         steps, flushes, kinds = [], [], set()
-        queue, record, sparse = AgeLaw.queue, AgeLaw.record, AliasRows.sparse
+        real_step, feed, record, sparse = srrw.population.step, AgeLaw.feed, AgeLaw.record, \
+            AliasRows.sparse
 
-        def recording_queue(self, nodes, ages, visits):
-            steps.append((nodes.copy(), ages.copy(), visits.copy()))
-            queue(self, nodes, ages, visits)
+        def recording_step(state, rows, spec, rng, age_law=None):
+            # the visited nodes and their ages, from the state's own clocks before the step
+            if age_law is not None:
+                occ = state.counts.nonzero()[0]
+                steps.append([occ, state.time + 1 - state.last_visit[occ]])
+            return real_step(state, rows, spec, rng, age_law)
+
+        def recording_feed(self, time, counts, trapped, last_visit):
+            occ = steps[-1][0]
+            steps[-1].append(counts[occ] - (0 if trapped is None else trapped[occ]))
+            feed(self, time, counts, trapped, last_visit)
 
         def recording_record(self, nodes, ages, weights=None):
             flushes.append(nodes.size)
@@ -290,8 +328,9 @@ class TestBatchedAgeLaw:
             kinds.add("per_token" if per_token else "multinomial")
             return per_token
 
-        monkeypatch.setattr(AgeLaw, "PENDING_CAP", pending_cap)
-        monkeypatch.setattr(AgeLaw, "queue", recording_queue)
+        monkeypatch.setattr(AgeLaw, "BUFFER_CELLS", buffer_cells)
+        monkeypatch.setattr(srrw.population, "step", recording_step)
+        monkeypatch.setattr(AgeLaw, "feed", recording_feed)
         monkeypatch.setattr(AgeLaw, "record", recording_record)
         monkeypatch.setattr(AliasRows, "sparse", recording_sparse)
         trace = run_population(kernel, policy(n), traps, rng_seed=5, order=order,
@@ -301,9 +340,15 @@ class TestBatchedAgeLaw:
         assert {"capped": trace.capped, "extinct": trace.extinct,
                 "horizon": trace.horizon == run["horizon"]}[end]
         assert len(steps) == trace.horizon - 5
-        # the run's visits went in over several flushes, the last at its end
-        assert len(flushes) >= (3 if pending_cap == 64 else 1) and sum(flushes) == sum(
-            nodes.size for nodes, _, _ in steps)
+        # the steps went in a buffer at a time, the last at the run's end: partway through a
+        # buffer when a run ends early at the default size
+        per_buffer = max(1, buffer_cells // (2 * n))
+        assert len(flushes) == -(-len(steps) // per_buffer)
+        assert sum(flushes) == len(steps) * n
+        if end != "horizon" and buffer_cells == AgeLaw.BUFFER_CELLS:
+            assert len(steps) % per_buffer
+        assert len(flushes) >= (3 if buffer_cells == 64 else 1)
+        assert per_buffer == 1 if name == "cycle2500" else per_buffer > 1 or buffer_cells == 64
         # explode_k4 draws per token, then by multinomial as Z grows
         if name == "explode_k4":
             assert kinds == {"per_token", "multinomial"}
@@ -312,8 +357,19 @@ class TestBatchedAgeLaw:
             reference.record(nodes, ages, visits)
         assert np.array_equal(trace.age_law.counts, reference.counts)
         assert np.array_equal(trace.age_law.max_over_cap, reference.max_over_cap)
+        assert reference.counts.sum() > 0
         if name == "sparse_er30":
             assert reference.max_over_cap.max() > AGE_LAW_CAP
+
+    def test_a_step_that_does_not_follow_restarts_the_clocks(self):
+        # a law fed two unrelated steps reads the second's clocks from its state, not from
+        # the rows of the first
+        law, reference = AgeLaw(4), AgeLaw(4)
+        law.feed(8, np.array([3, 0, 0, 1]), None, np.array([5, 0, 0, 7]))
+        reference.record(np.array([0, 3]), np.array([3, 1]), np.array([3, 1]))
+        law.feed(3, np.array([0, 2, 0, 0]), np.array([0, 1, 0, 0]), np.array([0, 1, 0, 0]))
+        reference.record(np.array([1]), np.array([2]), np.array([1]))
+        assert np.array_equal(law.counts, reference.counts)
 
 
 class TestEngine:
@@ -571,9 +627,10 @@ def one_step_counts(kernel, traps, spec, node, tokens, reps, seed, order="trap_f
     start = at_time(0, counts)
     out = []
     for _ in range(reps):
-        nxt, c = step(start, rows, spec, rng)
-        assert nxt.alive == tokens + c.net
-        out.append((nxt.counts, c.forks, c.trap_deletions, c.terminations))
+        state = start.copy()
+        forks, dels, terms = step(state, rows, spec, rng)
+        assert state.alive == tokens + forks - dels - terms
+        out.append((state.counts, forks, dels, terms))
     return out
 
 
@@ -766,8 +823,10 @@ def law_traps(n):
 
 def token_counts(table, tokens, index, rng):
     """(rows x W) counts of ``tokens[i]`` tokens drawn per token from row ``index[i]`` of
-    ``table`` (``AliasRows.draw``); the rows of ``index`` are distinct."""
+    ``table`` (``AliasRows.draw``, whose cells count from the first of each row's block); the
+    rows of ``index`` are distinct."""
     cell = table.draw(tokens, index, rng.random(2 * int(np.sum(tokens))))
+    cell += np.repeat(index - index % table.block, tokens) * table.width
     return np.bincount(cell, minlength=table.probs.size).reshape(table.probs.shape)[index]
 
 
@@ -848,11 +907,12 @@ class TestPerTokenDraw:
 
     @staticmethod
     def assert_rows_tabled_alone(table, rows):
-        """Each of ``rows`` of ``table`` holds the alias table of that row on its own."""
+        """Each of ``rows`` of ``table`` holds the alias table of that row on its own, its
+        aliases as cells of the row's block."""
         for r in rows:
             cut, alias = alias_tables(table.probs[r:r + 1])
             assert np.array_equal(table._cut[r], cut[0]), r
-            assert np.array_equal(table._offset[r] + np.arange(table.width), alias[0]), r
+            assert np.array_equal(table._alias[r], alias[0] + r % table.block * table.width), r
 
     def test_tables_are_laid_out_as_the_rows(self):
         # blocks of 2 rows, built on their first draw; the tables grow to the last block built
@@ -875,7 +935,7 @@ class TestPerTokenDraw:
         run_population(k, spec, traps, z0=600, horizon=20, rng_seed=5, order=order)
         table = step_rows(k, traps, order).node_rows(spec)
         assert table._built.tolist() == [True, False, False]
-        assert table._cut.shape == table._offset.shape == (n, table.width)
+        assert table._cut.shape == table._alias.shape == (n, table.width)
         self.assert_rows_tabled_alone(table, [*range(0, n, 10), n - 1])
 
     def test_density_rule(self):
@@ -1189,9 +1249,9 @@ class TestFold:
         assert rows.folded
         spec = PolicySpec.uniform(n, a_long=1.0, q_fork=q[0], q_term=q[1])
         table = rows.node_rows(spec)
-        # slot 2 holds the pair code on pair cells, and on no other cell
-        cols = np.arange(rows.landing.shape[1])
-        assert np.array_equal(rows.landing[node, :, 2] == 4 * n + 1,
+        # slot 1 holds a pair code 4n + 1 + b on pair cells, and on no other cell
+        cols = np.arange(rows.landing.shape[2])
+        assert np.array_equal(rows.landing[1, node] > 4 * n,
                               (cols >= rows.bounds[4]) & (cols < rows.bounds[5]))
         rng = np.random.default_rng(610)
         tokens = 200_000
@@ -1205,7 +1265,7 @@ class TestFold:
             observed = {}
             for col in np.flatnonzero(counts):
                 kind = self.CLASSES[np.searchsorted(rows.bounds, col, side="right") - 1]
-                first, second, _ = rows.landing[node, col]
+                first, second = rows.landing[:, node, col] - [0, 4 * n + 1]
                 key = {"trapped": (kind,), "term": (kind,), "lone": (kind, first),
                        "pair": (kind, first, second), "move": (kind, first)}[kind]
                 observed[key] = observed.get(key, 0) + counts[col]
@@ -1264,10 +1324,11 @@ class TestFold:
         state = at_time(9, rng.integers(0, 8, 30), rng.integers(0, 9, 30))
         spec = PolicySpec.uniform(30, a_long=4.0, a_short=2.0, q_fork=0.3, q_term=0.4)
         law = AgeLaw(30)
-        nxt, counts = step(state, rows, spec, rng, age_law=law)
-        seen = state.counts * ~even if order == "trap_first" else state.counts
+        before = state.copy()
+        forks, dels, terms = step(state, rows, spec, rng, age_law=law)
+        seen = before.counts * ~even if order == "trap_first" else before.counts
         assert np.array_equal(law.counts.sum(axis=1), seen)
-        assert nxt.alive == state.alive + counts.net
+        assert state.alive == before.alive + forks - dels - terms
 
     @pytest.mark.parametrize("zeta", [0.0, 0.3])
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
@@ -1280,16 +1341,16 @@ class TestFold:
         spec = PolicySpec.uniform(30, a_long=1.0, q_fork=1.0)
         probs = rows.node_rows(spec).probs
         assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(rows.landing[:, -1, 0] < 30) and np.all(rows.landing[:, -1, 1] == 30)
-        state = at_time(0, np.full(30, 2000))
+        assert np.all(rows.landing[0, :, -1] < 30) and np.all(rows.landing[1, :, -1] == 30)
         for sparse in (True, False):
             monkeypatch.setattr(srrw.graphs.AliasRows, "sparse", lambda self, tokens, rows: sparse)
-            nxt, counts = step(state, rows, spec, np.random.default_rng(612))
+            state = at_time(0, np.full(30, 2000))
+            forks, dels, terms = step(state, rows, spec, np.random.default_rng(612))
             # every token forks, unless trap_first traps it first
-            trapped_first = counts.trap_deletions if order == "trap_first" else 0
-            assert counts.forks + trapped_first == 60_000
-            assert counts.terminations == 0 and nxt.alive == 60_000 + counts.net
-            assert (counts.trap_deletions == 0) == (zeta == 0.0)
+            trapped_first = dels if order == "trap_first" else 0
+            assert forks + trapped_first == 60_000
+            assert terms == 0 and state.alive == 60_000 + forks - dels
+            assert (dels == 0) == (zeta == 0.0)
 
     @pytest.mark.parametrize("z0", [1, 20])
     def test_explosion_matches_the_two_stage_draw(self, monkeypatch, z0):
@@ -1377,15 +1438,18 @@ class TestStepTally:
                             lambda self, tokens, rows: path == "per_token")
         # forks from age 4, terminations up to age 2, passes at age 3
         spec = PolicySpec.uniform(n, a_long=4.0, a_short=2.0, q_fork=0.4, q_term=0.4)
-        w = rows.landing.shape[1]
+        w = rows.landing.shape[2]
         moves_to = k.neighbour_table().nbr[:, ::-1]
         lone_cells, pair_cells = slice(*rows.bounds[3:5]), slice(*rows.bounds[4:])
         drawn, dispatched = [], []
         draw, dispatch = AliasRows.draw, ForkTable.dispatch
 
-        def recording_draw(self, *args):
-            drawn.append(draw(self, *args))
-            return drawn[-1].copy()
+        def recording_draw(self, tokens, index, u, block=None):
+            # each token's block (its age region, for node rows), then its cell in the block
+            blocks = (np.repeat(index // self.block, tokens) if block is None
+                      else np.full(np.sum(tokens), block))
+            drawn.append((blocks, draw(self, tokens, index, u, block)))
+            return drawn[-1][1].copy()
 
         def recording_dispatch(self, nodes, rng, n_pairs):
             dispatched.append((nodes.copy(), n_pairs, dispatch(self, nodes, rng, n_pairs)))
@@ -1400,24 +1464,26 @@ class TestStepTally:
             state = at_time(9, rng.rng.integers(0, 6, n), rng.rng.integers(1, 10, n))
             drawn.clear(), dispatched.clear(), rng.drawn.clear()
             law = AgeLaw(n)
-            nxt, counts = step(state, rows, spec, rng, age_law=law)
             occ = state.counts.nonzero()[0]
             ages = 10 - state.last_visit[occ]
+            before = state.copy()
+            counts = step(state, rows, spec, rng, age_law=law)
             region = np.full(n, PASS)
             region[occ] = spec.region(occ, ages)
             # the dense re-tally: each node's tokens per column, drawn from its age region's rows
             if path == "per_token":
                 # its node draw, then the fork table's draw of first targets
                 assert len(drawn) == 1 + len(dispatched) and rng.drawn == []
-                by_region = np.bincount(drawn[0], minlength=3 * n * w).reshape(3, n, w)
+                by_region = np.bincount(drawn[0][0] * n * w + drawn[0][1],
+                                        minlength=3 * n * w).reshape(3, n, w)
             else:
                 (draws,) = rng.drawn
                 assert len(drawn) == len(dispatched)
                 by_region = np.zeros((3, n, w), dtype=np.int64)
                 by_region[region[occ], occ] = draws
             dense = by_region.sum(axis=0)
-            assert np.array_equal(dense.sum(axis=1), state.counts)
-            assert np.array_equal(by_region.sum(axis=2)[region, np.arange(n)], state.counts)
+            assert np.array_equal(dense.sum(axis=1), before.counts)
+            assert np.array_equal(by_region.sum(axis=2)[region, np.arange(n)], before.counts)
             trapped, copies, acted = dense[:, 0], dense[:, 1], dense[:, 2]
             assert not np.any(acted * (region == PASS)) and not np.any(copies * (region != FORK))
             if rows.folded:
@@ -1427,8 +1493,8 @@ class TestStepTally:
             else:
                 pairs = acted * (region == FORK)
             terms = acted * (region == TERM)
-            assert (counts.forks, counts.trap_deletions, counts.terminations) == (
-                pairs.sum() + copies.sum(), trapped.sum() + copies.sum(), terms.sum())
+            assert counts == (pairs.sum() + copies.sum(), trapped.sum() + copies.sum(),
+                              terms.sum())
             # two-stage rows send the fork table each pair's node, then each lone copy's, in
             # node order
             nodes = np.repeat(np.tile(np.arange(n), 2), np.concatenate((pairs, copies)))
@@ -1445,9 +1511,9 @@ class TestStepTally:
                 for to, cells in ((dest, lone_cells), (dest[:, forks.pair_a], pair_cells),
                                   (dest[:, forks.pair_b], pair_cells)):
                     moved += np.bincount(to.ravel(), weights=dense[:, cells].ravel(), minlength=n)
-            assert np.array_equal(nxt.counts, moved + fork_landed)
-            assert nxt.alive == state.alive + counts.net
-            seen = state.counts[occ] - (trapped[occ] if order == "trap_first" else 0)
+            assert np.array_equal(state.counts, moved + fork_landed)
+            assert state.alive == before.alive + counts[0] - counts[1] - counts[2]
+            seen = before.counts[occ] - (trapped[occ] if order == "trap_first" else 0)
             expected = AgeLaw(n)
             expected.record(occ, ages, seen)
             assert np.array_equal(law.counts, expected.counts)
@@ -1590,12 +1656,13 @@ class TestForkMemory:
         tracemalloc.start()
         try:
             rows = StepRows(k, TrapProfile.uniform(n, 0.02), "policy_first")
-            nxt, counts = step(at_time(5, np.full(n, 3)), rows, spec, np.random.default_rng(7))
+            state = at_time(5, np.full(n, 3))
+            forks, dels, terms = step(state, rows, spec, np.random.default_rng(7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert not rows.folded and k.fork_table()._pairs is None
-        assert counts.forks > 0 and nxt.alive == 3 * n + counts.net
+        assert forks > 0 and state.alive == 3 * n + forks - dels - terms
         # one age region's folded rows and alias tables: 10.6 MB on ER(1000), 67.5 MB on
         # K(150), 540 MB on star(300)
         folded = 20 * n * (rows.bounds[-1] + rows.motion.shape[1])
@@ -1628,7 +1695,7 @@ class TestForkMemory:
         run_population(k, PolicySpec.uniform(150, a_long=1.0, q_fork=0.05),
                        TrapProfile.uniform(150, 0.02), z0=1500, horizon=5, rng_seed=4)
         rows = table.first_rows
-        held = (table.first, table.cum, table.dest, rows._cut, rows._offset, rows._built)
+        held = (table.first, table.cum, table.dest, rows._cut, rows._alias, rows._built)
         assert rows._cut.shape == (150, 149) and table._pairs is None
         assert sum(arr.nbytes for arr in held) < 1 << 20
 
@@ -1673,7 +1740,7 @@ class TestBlockDrift:
             trace = run_population(K4, passive(4), traps, z0=1000, horizon=240, rng_seed=30 + seed)
             rep = block_drift(trace, BlockPlan(t_mix_part=4, kappa=4.0, a_eff=2.0),
                               traps.absorption_pressure(K4.pi))
-            m, c = rep.sign_agreement(min_z=20)
+            m, c = sign_agreement(rep, min_z=20)
             matched += m
             considered += c
         assert considered > 50
