@@ -134,7 +134,7 @@ CASES = {
             "low": {"A_l": 1, "q_fork": 0.15},
             "high": {"A_l": 2**40, "A_s": 2**40 - 1, "q_fork": 0.0, "q_term": 0.10},
         }},
-        "simulation": {"Z_0": 60, "horizon": 5_000, "seed": 1, "collect_age_law": True},
+        "simulation": {"Z_0": 60, "horizon": 5_000, "seed": 1},
     },
     "er1000": {
         "graph": {"generator": {"kind": "erdos_renyi", "n": 1000, "p": 0.01, "seed": 0}},

@@ -511,9 +511,8 @@ def step(state: PopulationState, rows: StepRows, spec: PolicySpec, rng,
         probs = node_rows.probs if uniform is None else node_rows.blocks[uniform]
         # one float tally per landing slot (exact: no count nears 2^53), the counts converted
         # once, and their int copy dropped
-        draws = rng.multinomial(counts.take(occ), probs.take(index, axis=0))
-        weights = draws.ravel().astype(float)
-        del draws
+        weights = rng.multinomial(counts.take(occ),
+                                  probs.take(index, axis=0)).ravel().astype(float)
         landed = np.bincount(rows.landing[0].take(occ, axis=0).ravel(), weights, rows.tally_size)
         if rows.folded:
             landed += np.bincount(rows.landing[1].take(occ, axis=0).ravel(), weights,
