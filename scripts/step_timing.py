@@ -46,10 +46,18 @@ the fit's sampling before and after the exact draw.
 
 The ``mixing_profile`` case times whole ``graphs.mixing_profile`` calls,
 milliseconds per profile, on one kernel per side and graph of ``PROFILES``
-(its dense kernel built before the timed rounds): ER(30, 0.15) and star(300)
-to the default target 1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and
-K(400), a dense kernel past one row block, to 1e-10. ``--case
-profile_<graph>`` times one of them.
+(after one untimed profile, so what a side keeps on its kernel is built
+before the timed rounds): ER(30, 0.15) and star(300) to the default target
+1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and K(400), a dense kernel
+past one row block, to 1e-10. ``--case profile_<graph>`` times one of them.
+
+The ``memory`` case reports megabytes instead of times: the ``tracemalloc``
+peak of a mixing profile to TV 1/8 on a fresh ER(1000, 0.01) kernel, alone
+(``memory_er1000_profile``) and after the set-up reads of the er1000_motion
+benchmark workload, both cumulative row sets (``memory_perfbench_setup``),
+one fresh kernel per call, ``ROUNDS`` calls per side. A package that keeps
+its dense arrays on the kernel shows them here, which the benchmark's
+``graphs.kernel_bytes`` (the bytes of the arrays it requests) cannot.
 
 A recorded-state case times ``step`` alone, without the age law, and that
 includes the sum of the tokens of the state it leaves
@@ -105,6 +113,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -181,6 +190,10 @@ PROFILES = {
     "profile_k400": ({"kind": "complete", "n": 400}, 1e-10),
     "profile_cycle300": ({"kind": "cycle", "n": 300}, 0.125),
 }
+# the memory case: per row, the kernel methods read on a fresh ER(1000) kernel before its
+# profile to TV 1/8
+MEMORY = {"memory_er1000_profile": (),
+          "memory_perfbench_setup": ("cumulative_rows", "base_cumulative_rows")}
 # the fresh-interpreter case and the mixing target of the er1000_motion workload
 FRESH = ("er1000", 0.125)
 # one whole run in a new interpreter; argv: the case config, the target or "none"
@@ -366,13 +379,24 @@ class FitSampleSide:
         self.times = []
 
     def warm_up(self, seeds: list[tuple]) -> None:
-        self.kernel.matrix  # the dense kernel is built once per resolved config, as in check
+        """One untimed call: what a side keeps on its kernel between calls is built before
+        the timed rounds."""
+        self.time_step(*seeds[0])
+        self.times.clear()
 
     def time_step(self, seed: int) -> None:
         clock = time.perf_counter
         start = clock()
         self.sample(self.kernel, self.n_samples, seed)
         self.times.append(clock() - start)
+
+
+def fresh_kernel(graphs, generator: dict):
+    """A new lazy kernel, laziness 1/2, of the graph ``generator`` names, from the module
+    ``graphs`` of one package."""
+    make = graphs.GENERATORS[generator["kind"]]
+    return graphs.lazy_kernel(make(*(generator[key] for key in ("n", "p", "seed")
+                                     if key in generator)), 0.5)
 
 
 class ProfileSide:
@@ -382,20 +406,47 @@ class ProfileSide:
 
     def __init__(self, package, generator: dict, target: float):
         self.graphs = importlib.import_module(f"{package.__name__}.graphs")
-        make = self.graphs.GENERATORS[generator["kind"]]
-        graph = make(*(generator[key] for key in ("n", "p", "seed") if key in generator))
-        self.kernel = self.graphs.lazy_kernel(graph, 0.5)
+        self.kernel = fresh_kernel(self.graphs, generator)
         self.target = target
         self.times = []
 
     def warm_up(self, calls: list[tuple]) -> None:
-        self.kernel.matrix  # the dense kernel is built once, as a resolved config builds it
+        """One untimed profile: what a side keeps on its kernel is built before timing."""
+        self.time_step()
+        self.times.clear()
 
     def time_step(self) -> None:
         clock = time.perf_counter
         start = clock()
         self.graphs.mixing_profile(self.kernel, target=self.target)
         self.times.append(clock() - start)
+
+
+class MemorySide:
+    """One package's ``tracemalloc`` peak of the kernel reads ``reads`` and then a profile to
+    TV 1/8, on a fresh ER(1000, 0.01) kernel per call. ``times`` holds the peaks in bytes,
+    where the timed sides hold seconds."""
+
+    UNIT = ("MB", 2.0**-20, "peak_mb_p50")
+
+    def __init__(self, package, reads: tuple[str, ...]):
+        self.graphs = importlib.import_module(f"{package.__name__}.graphs")
+        self.reads = reads
+        self.times = []
+
+    def warm_up(self, calls: list[tuple]) -> None:
+        pass  # every call builds its own kernel
+
+    def time_step(self) -> None:
+        kernel = fresh_kernel(self.graphs, CASES["er1000"]["graph"]["generator"])
+        tracemalloc.start()
+        try:
+            for read in self.reads:
+                getattr(kernel, read)()
+            self.graphs.mixing_profile(kernel, target=0.125)
+            self.times.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
 
 def fresh_run(src: str, target: str) -> float:
@@ -439,7 +490,7 @@ def main(argv=None) -> int:
                         help="this package's fold budget, population.FOLD_BYTES")
     parser.add_argument("--case", action="append",
                         choices=[*CASES, "return_time", "tail_draw", *REPLICAS,
-                                 "mixing_profile", *PROFILES],
+                                 "mixing_profile", *PROFILES, "memory", *MEMORY],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -451,9 +502,12 @@ def main(argv=None) -> int:
         time_fresh(args.fresh, args.baseline)
         return 0
     baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS, "mixing_profile"]
+    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS, "mixing_profile",
+                          "memory"]
     if "mixing_profile" in cases:
         cases += PROFILES
+    if "memory" in cases:
+        cases += MEMORY
 
     jobs = []
     for name, config in CASES.items():
@@ -490,6 +544,12 @@ def main(argv=None) -> int:
             sides = [ProfileSide(srrw, generator, target)]
             if baseline is not None:
                 sides.append(ProfileSide(baseline, generator, target))
+            jobs.append((label, None, [()], None, None, sides))
+    for label, reads in MEMORY.items():
+        if label in cases:
+            sides = [MemorySide(srrw, reads)]
+            if baseline is not None:
+                sides.append(MemorySide(baseline, reads))
             jobs.append((label, None, [()], None, None, sides))
     # build each side's tables and node rows before timing
     for *_, states, _, _, sides in jobs:

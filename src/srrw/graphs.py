@@ -11,11 +11,12 @@ duplicates, weights, connectivity), degrees and weight totals, and the
 kernel's rows in CSR form (``indptr``, neighbour columns, probabilities)
 from which the neighbour and fork tables are padded. A row's probabilities
 are its edge weights divided by ``Graph.weight_totals()``, the totals the
-stationary law is built from. The dense n x n kernel arrays
-(``TransitionKernel.matrix``, ``.base`` and the cumulative rows) are built on
-first read, for the exact analysis (mixing profiles, spectral gap, Doeblin
-constants); past ``DENSE_NODE_CAP`` nodes reading them raises
-``ParameterError`` instead of allocating 8 n^2 bytes each. A mixing profile
+stationary law is built from. The kernel holds no dense n x n array: its
+``matrix``, ``base``, cumulative rows and symmetrised form, and the power of
+a mixing profile, are built from the CSR rows by the call that asks for them,
+for the exact analysis (mixing profiles, spectral gap, Doeblin constants,
+return-time tails); past ``DENSE_NODE_CAP`` nodes each raises
+``ParameterError`` instead of allocating 8 n^2 bytes. A mixing profile
 holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
 advances the upper block triangle of the power, by about half an n^3 BLAS
 product on dense kernels and by column gathers over the nonzeros on sparse
@@ -698,15 +699,21 @@ class ForkTable:
         return np.bincount(self.dest.ravel().take(np.concatenate((cell, second))), minlength=n)
 
 
-def _dense(indptr: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The read-only n x n matrix with these CSR rows; ParameterError past ``DENSE_NODE_CAP``."""
+def _dense(rows: tuple, cumulative: bool = False, writable: bool = False) -> np.ndarray:
+    """A new n x n array with the CSR rows ``(indptr, cols, vals)``, or with their row-wise
+    cumulative sums (summed in place, the last column pinned to 1), read-only unless
+    ``writable``; ParameterError past ``DENSE_NODE_CAP`` before anything is allocated."""
+    indptr, cols, vals = rows
     n = indptr.size - 1
     if n > DENSE_NODE_CAP:
         raise ParameterError(f"dense n x n kernel arrays are capped at {DENSE_NODE_CAP} nodes, "
                              f"got {n}")
     out = np.zeros((n, n))
     out[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
-    out.setflags(write=False)
+    if cumulative:
+        np.cumsum(out, axis=1, out=out)
+        out[:, -1] = 1.0
+    out.setflags(write=writable)
     return out
 
 
@@ -719,9 +726,11 @@ class TransitionKernel:
     edge weights over the node's ``Graph.weight_totals()`` entry (the totals
     the stationary law is built from). Walk steps are drawn from the
     neighbour tables, fork targets from the fork table, and mixing times and
-    Doeblin constants read from the one kept mixing profile; these and the
-    dense ``matrix``, ``base`` and cumulative rows are built on first use. The
-    engine keeps its last run's rows here too (``population.step_rows``).
+    Doeblin constants read from the one kept mixing profile; these are built
+    on first use and kept. The dense ``matrix``, ``base``, cumulative rows and
+    ``symmetrised`` kernel are not: each read builds a new n x n array from
+    the CSR rows, which the caller owns. The engine keeps its last run's rows
+    here too (``population.step_rows``).
     """
 
     def __init__(self, graph: Graph, laziness: float = 0.5):
@@ -741,10 +750,6 @@ class TransitionKernel:
                                np.concatenate(((1.0 - self.laziness) * prob,
                                                np.full(n, self.laziness))))
         self.pi = stationary_distribution(graph)
-        self._matrix = None
-        self._base = None
-        self._cum = None
-        self._base_cum = None
         self._table = None
         self._base_table = None
         self._fork_table = None
@@ -754,40 +759,35 @@ class TransitionKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense lazy kernel, n x n."""
-        if self._matrix is None:
-            self._matrix = _dense(*self._lazy_rows)
-        return self._matrix
+        """The dense lazy kernel, n x n, read-only; built anew on every read."""
+        return _dense(self._lazy_rows)
 
     @property
     def base(self) -> np.ndarray:
-        """The dense non-lazy base walk, n x n, zero diagonal."""
-        if self._base is None:
-            self._base = _dense(*self._base_rows)
-        return self._base
+        """The dense non-lazy base walk, n x n, zero diagonal, read-only; built anew too."""
+        return _dense(self._base_rows)
 
     @property
     def node_count(self) -> int:
         return self.graph.node_count
 
     def cumulative_rows(self) -> np.ndarray:
-        """Row-wise cumulative sums of the lazy kernel, last column pinned to 1;
+        """Row-wise cumulative sums of the lazy kernel, last column pinned to 1, built anew;
         walkers move by ``NeighbourTable.move``, so only perfbench and tests read them."""
-        if self._cum is None:
-            cum = np.cumsum(self.matrix, axis=1)
-            cum[:, -1] = 1.0
-            cum.setflags(write=False)
-            self._cum = cum
-        return self._cum
+        return _dense(self._lazy_rows, cumulative=True)
 
     def base_cumulative_rows(self) -> np.ndarray:
-        """Row-wise cumulative sums of the non-lazy base walk."""
-        if self._base_cum is None:
-            cum = np.cumsum(self.base, axis=1)
-            cum[:, -1] = 1.0
-            cum.setflags(write=False)
-            self._base_cum = cum
-        return self._base_cum
+        """Row-wise cumulative sums of the non-lazy base walk, as ``cumulative_rows``."""
+        return _dense(self._base_rows, cumulative=True)
+
+    def symmetrised(self) -> np.ndarray:
+        """D P D^-1 with D = diag(sqrt(pi)): the lazy kernel P symmetrised, as its
+        reversibility allows, in one new writable n x n array."""
+        root_pi = np.sqrt(self.pi.probs)
+        sym = _dense(self._lazy_rows, writable=True)
+        sym *= root_pi[:, None]
+        sym /= root_pi[None, :]
+        return sym
 
     def neighbour_table(self) -> NeighbourTable:
         """Neighbour table of the lazy kernel; its rows include the diagonal."""
@@ -831,11 +831,7 @@ def spectral_gap(kernel: TransitionKernel) -> float:
     Computed on the symmetrized lazy kernel, valid because the chain is
     reversible with respect to its stationary law.
     """
-    matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
-    d = np.sqrt(kernel.pi.probs)
-    sym = d[:, None] * matrix
-    sym /= d[None, :]
-    ev = np.linalg.eigvalsh(sym)
+    ev = np.linalg.eigvalsh(kernel.symmetrised())  # raises past DENSE_NODE_CAP
     slem = max(abs(ev[0]), abs(ev[-2])) if len(ev) > 1 else 0.0
     return float(1.0 - slem)
 
@@ -923,28 +919,31 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     the same scratch. The columns from a on come by one of two products:
 
     - dense kernels take a BLAS product of the block with the kernel's columns
-      from a on, about half an n^3 product per step; for n <= ``ROW_BLOCK``
-      there is one block, and every power is one full product;
+      from a on, about half an n^3 product per step, from a second n x n array,
+      a copy of the first power freed on return; for n <= ``ROW_BLOCK`` there
+      is one block, and every power is one full product;
     - sparse kernels, with nonzeros x ``GATHER_DENSITY`` <= n^2, gather: the
       old block is copied, transposed, into the scratch, and each new column
       y, the sum over the rows k with P(k, y) > 0 of P(k, y) times old column
       k, is written into the block's own rows (free once copied), then moved
       back through the scratch; columns of one nonzero count are gathered
       together (``_column_gathers``), about n^2 s / 2 multiply-adds per step
-      for mean row support s.
+      for mean row support s; the power is their only n x n array.
     """
-    matrix = kernel.matrix  # raises past DENSE_NODE_CAP before anything is allocated
+    # the first power is the kernel itself, bitwise eye(n) @ P, built from its CSR rows;
+    # raises past DENSE_NODE_CAP before anything is allocated
+    power = _dense(kernel._lazy_rows, writable=True)
     n = kernel.node_count
     pi = kernel.pi.probs
-    power = np.array(matrix)  # the first power is the kernel itself, bitwise eye(n) @ matrix
     rows = np.empty((min(ROW_BLOCK, n), n))
     starts = range(0, n, ROW_BLOCK)
-    gathers = (_column_gathers(kernel, starts)
-               if kernel._lazy_rows[1].size * GATHER_DENSITY <= n * n else [None] * len(starts))
-    # per block: first row a, its power and scratch rows, the kernel's and the scratch's
-    # columns from a on, and its column gathers (None on the dense product)
-    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], matrix[:, a:], rows[:n - a, a:], g)
-              for a, g in zip(starts, gathers)]
+    sparse = kernel._lazy_rows[1].size * GATHER_DENSITY <= n * n
+    gathers = _column_gathers(kernel, starts) if sparse else [None] * len(starts)
+    matrix = None if sparse else power.copy()  # the kernel, for the dense path's BLAS products
+    # per block: first row a, its power and scratch rows, the kernel's columns from a on (None
+    # when gathering), the scratch's columns from a on, and its column gathers
+    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], None if sparse else matrix[:, a:],
+               rows[:n - a, a:], g) for a, g in zip(starts, gathers)]
     tv = [float(1.0 - pi.min())]
     unreached = True
     floor = None

@@ -31,8 +31,8 @@ EIGEN_ROUNDING = 1e-12
 class TailSpectrum:
     """Each node's taboo spectrum (lam, w) of ``kernel``, computed on first use and kept.
 
-    Needs the dense kernel, so past ``DENSE_NODE_CAP`` nodes the constructor
-    raises ParameterError. A node whose taboo eigenvalues are not all in
+    Holds one n x n array, the symmetrised kernel, so past ``DENSE_NODE_CAP``
+    nodes the constructor raises ParameterError. A node whose taboo eigenvalues are not all in
     [0, 1) (up to ``EIGEN_ROUNDING``), or whose weights are not all finite,
     raises ParameterError when its spectrum is first read, before any tail
     value or draw.
@@ -45,8 +45,7 @@ class TailSpectrum:
                                  f"capped at {DENSE_NODE_CAP} nodes, got {n}")
         self.kernel = kernel
         self._root_pi = np.sqrt(kernel.pi.probs)
-        # the symmetrised lazy kernel D P D^-1 over all nodes; S_u drops row and column u
-        self._sym = kernel.matrix * self._root_pi[:, None] / self._root_pi[None, :]
+        self._sym = kernel.symmetrised()  # D P D^-1 over all nodes; S_u drops row and column u
         self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def spectrum(self, u: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,8 +82,7 @@ class TailSpectrum:
         if n_samples < 1:
             raise InsufficientDataError("need at least one sample")
         rng = np.random.default_rng(rng_seed)
-        hold = float(self.kernel.matrix[u, u])
-        at_one = int(rng.binomial(n_samples, hold))
+        at_one = int(rng.binomial(n_samples, self.kernel.laziness))  # h_u = P(u, u)
         per_component = rng.multinomial(n_samples - at_one, w / w.sum())
         # T - 1 of each later return; counts[a - 1] holds the returns at age a
         counts = np.bincount(rng.geometric(np.repeat(1.0 - lam, per_component)), minlength=1)

@@ -12,8 +12,9 @@ def stationary_by_iteration(kernel, tol: float = 1e-13, max_iter: int = 10_000_0
     """Independent oracle for the stationary law: iterate until the update stalls."""
     n = kernel.node_count
     v = np.full(n, 1.0 / n)
+    matrix = kernel.matrix  # each read builds a new n x n array
     for _ in range(max_iter):
-        nxt = v @ kernel.matrix
+        nxt = v @ matrix
         if np.abs(nxt - v).max() < tol:
             return nxt
         v = nxt

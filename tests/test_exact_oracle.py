@@ -41,11 +41,10 @@ CASES = {
 }
 
 
-def token_law(kernel, u: int, q: float, zeta: float, order: str) -> dict:
-    """One token's outcome at node ``u`` with fork probability ``q`` and trap probability
-    ``zeta`` there: {landing nodes: probability}."""
-    n = kernel.node_count
-    p = kernel.base[u]
+def token_law(p: np.ndarray, lazy: np.ndarray, q: float, zeta: float, order: str) -> dict:
+    """One token's outcome at a node with base row ``p`` and lazy row ``lazy``, fork
+    probability ``q`` and trap probability ``zeta``: {landing nodes: probability}."""
+    n = p.size
     if np.count_nonzero(p) == 1:
         pair = np.outer(p, p)
     else:
@@ -64,7 +63,7 @@ def token_law(kernel, u: int, q: float, zeta: float, order: str) -> dict:
         add((a, b), fork_kept * pair[a, b])
         add((a,), fork_trapped * pair[a, b])
     for v in range(n):
-        add((v,), move * kernel.matrix[u, v])
+        add((v,), move * lazy[v])
     return law
 
 
@@ -74,9 +73,10 @@ def exact(kernel, q, zeta, cap, order, start):
     n = kernel.node_count
     side = 2 * (cap - 1) + 1  # a step at most doubles Z < cap, so no coordinate wraps
     spectra = []
+    base, matrix = kernel.base, kernel.matrix
     for u in range(n):
         grid = np.zeros((side,) * n)
-        for nodes, mass in token_law(kernel, u, q[u], zeta[u], order).items():
+        for nodes, mass in token_law(base[u], matrix[u], q[u], zeta[u], order).items():
             cell = [0] * n
             for v in nodes:
                 cell[v] += 1

@@ -206,7 +206,8 @@ class TestMixingProfile:
     def test_floor_at_the_first_positive_power(self, make, laziness):
         k = lazy_kernel(make(), laziness)
         t0, eps0 = mixing_profile(k, target=k.pi.pi_min / 2.0).floor
-        positive = [np.linalg.matrix_power(k.matrix, t).min() > 0.0 for t in range(1, t0 + 1)]
+        matrix = k.matrix
+        positive = [np.linalg.matrix_power(matrix, t).min() > 0.0 for t in range(1, t0 + 1)]
         assert positive == [False] * (t0 - 1) + [True]
         assert eps0 > 0.0
 
@@ -230,6 +231,33 @@ class TestMixingProfile:
         # the 8 MB power, a 1 MB scratch of ROW_BLOCK rows, and the column gathers' indices,
         # weights and one gather (about 0.6 MB)
         assert peak < 10_000_000, peak
+
+    def test_profile_of_a_fresh_kernel_builds_only_its_power(self):
+        # the gather path builds its first power from the CSR rows: no dense kernel is read,
+        # kept or copied (a kept kernel and its copy would peak at about 17.6 MB)
+        k = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+        tracemalloc.start()
+        try:
+            mixing_profile(k, target=0.125)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, peak
+
+    def test_kernel_keeps_no_dense_array(self):
+        k = lazy_kernel(erdos_renyi_graph(1000, 0.01, seed=0), 0.5)
+        tracemalloc.start()
+        try:
+            views = [lambda: k.matrix, lambda: k.base, k.cumulative_rows,
+                     k.base_cumulative_rows, k.symmetrised]
+            assert [view().shape for view in views] == [(1000, 1000)] * 5
+            k.profile(0.125)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each view is the caller's, and the kept profile holds its curve only
+        assert retained < 1 << 20, retained
+        assert k.matrix is not k.matrix and not k.matrix.flags.writeable
 
     @pytest.mark.parametrize("make,gathers", [
         (lambda: complete_graph(4), False),
@@ -268,9 +296,10 @@ class TestMixingProfile:
         prof = mixing_profile(k, target=1e-9, max_t=50000)
         t = 4 * prof.t_mix_of(1e-9)
         rng = np.random.default_rng(0)
+        power = np.linalg.matrix_power(k.matrix, t)
         for _ in range(10):
             alpha = rng.dirichlet(np.ones(g.node_count))
-            out = alpha @ np.linalg.matrix_power(k.matrix, t)
+            out = alpha @ power
             assert np.abs(out - k.pi.probs).max() <= 1e-8
 
     def test_iteration_oracle_matches_closed_form(self):
@@ -371,8 +400,9 @@ class TestMove:
         counts = np.zeros(k.node_count, dtype=np.int64)
         counts[node] = tokens
         out = k.neighbour_table().move(counts, np.random.default_rng(11))
-        support = k.matrix[node] > 0.0
-        _, p = stats.chisquare(out[support], tokens * k.matrix[node, support])
+        row = k.matrix[node]
+        support = row > 0.0
+        _, p = stats.chisquare(out[support], tokens * row[support])
         assert p > 1e-3
 
 
@@ -381,10 +411,10 @@ class TestForkTable:
     ordered-pair rows of the dense draw."""
 
     @staticmethod
-    def pair_law(k, u):
+    def pair_law(p):
         """The exact law p_a p_b / (1 - sum p^2), a != b, of the ordered pair a pair leaving
-        u lands on, as an n x n array (the single edge twice at degree 1)."""
-        p = k.base[u]
+        a node with base row ``p`` lands on, as an n x n array (the single edge twice at
+        degree 1)."""
         if np.count_nonzero(p) == 1:
             return np.outer(p, p)
         law = np.outer(p, p) / (1.0 - np.sum(p**2))
@@ -412,15 +442,16 @@ class TestForkTable:
         table = k.fork_table()
         pairs = table.pair_rows()  # builds ``pair_a`` and ``pair_b`` too
         degree = k.base_neighbour_table().support
+        base = k.base
         for u in range(k.node_count):
             row = pairs[u]
             a, b = table.dest[u, table.pair_a], table.dest[u, table.pair_b]
             law = np.zeros((k.node_count, k.node_count))
             np.add.at(law, (a, b), row)
-            assert np.abs(law - self.pair_law(k, u)).max() <= 1e-12
+            assert np.abs(law - self.pair_law(base[u])).max() <= 1e-12
             # every positive cell is a real ordered pair
             hit = row > 0
-            assert np.all(k.base[u, a[hit]] > 0) and np.all(k.base[u, b[hit]] > 0)
+            assert np.all(base[u, a[hit]] > 0) and np.all(base[u, b[hit]] > 0)
             if degree[u] == 1:
                 assert row.max() == 1.0
                 continue
@@ -437,13 +468,14 @@ class TestForkTable:
         table = k.fork_table()
         n, w = table.first.shape
         grid = (np.arange(2**14) + 0.5) / 2**14
+        base = k.base
         for u in range(n):
             pair = np.zeros((n, n))
             for c in np.flatnonzero(table.first[u]):
                 cells = table.second_cells(np.full(grid.size, u * w + c), grid.copy())
                 second = np.bincount(table.dest.ravel()[cells], minlength=n) / grid.size
                 pair[table.dest[u, c]] += table.first[u, c] * second
-            assert np.abs(pair - self.pair_law(k, u)).max() <= 2.0 / grid.size
+            assert np.abs(pair - self.pair_law(base[u])).max() <= 2.0 / grid.size
 
 
 def _weighted_er(n, p, seed):
@@ -487,9 +519,10 @@ def same_bits(a, b):
 
 def floor_by_plain_loop(k):
     """(t0, eps0): powers of the kernel by ``m @ P`` until every entry is positive."""
-    m, t = k.matrix, 1
+    p = k.matrix
+    m, t = p, 1
     while not m.min() > 0.0:
-        m, t = m @ k.matrix, t + 1
+        m, t = m @ p, t + 1
     return t, float((m / k.pi.probs).min())
 
 

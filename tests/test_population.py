@@ -700,10 +700,11 @@ class TestOneStepLaw:
         [(counts, forks, dels, terms)] = one_step_counts(k, traps, spec, node, tokens, 1,
                                                          seed=203, order=order)
         assert forks == 0
+        row = k.matrix[node]
         if order == "trap_first":
-            law = [zeta, (1 - zeta) * q, *((1 - zeta) * (1 - q) * k.matrix[node])]
+            law = [zeta, (1 - zeta) * q, *((1 - zeta) * (1 - q) * row)]
         else:
-            law = [(1 - q) * zeta, q, *((1 - q) * (1 - zeta) * k.matrix[node])]
+            law = [(1 - q) * zeta, q, *((1 - q) * (1 - zeta) * row)]
         assert chi2_p([dels, terms, *counts], tokens * np.asarray(law)) > 1e-3
 
 
@@ -1088,10 +1089,9 @@ FORK_DRAW_CASES = {
 }
 
 
-def pair_law(kernel, node):
+def pair_law(p):
     """The law p_a p_b / (1 - sum p^2), a != b, of the ordered pair of targets of a pair
-    leaving ``node``, n x n (the single edge twice at degree 1)."""
-    p = kernel.base[node]
+    leaving a node with base row ``p``, n x n (the single edge twice at degree 1)."""
     if np.count_nonzero(p) == 1:
         return np.outer(p, p)
     law = np.outer(p, p) / (1.0 - np.sum(p * p))
@@ -1132,7 +1132,7 @@ class TestForkDraw:
             counts = np.ones(draws)
         observed = np.zeros((n, n))
         np.add.at(observed, (a, b), counts)
-        assert law_p(observed.ravel(), draws * pair_law(k, node).ravel()) > 1e-3
+        assert law_p(observed.ravel(), draws * pair_law(k.base[node]).ravel()) > 1e-3
 
     @pytest.mark.parametrize("path", ["dense", "per_token"])
     @pytest.mark.parametrize("order", ["trap_first", "policy_first"])
@@ -1148,6 +1148,7 @@ class TestForkDraw:
         monkeypatch.setattr(srrw.graphs.AliasRows, "sparse",
                             lambda self, tokens, rows: path == "per_token")
         traps = TrapProfile.from_map(n, {node: 0.3})
+        law = pair_law(k.base[node])
         for fold_bytes in (srrw.population.FOLD_BYTES, 0):
             monkeypatch.setattr(srrw.population, "FOLD_BYTES", fold_bytes)
             reps = 3000
@@ -1162,7 +1163,6 @@ class TestForkDraw:
                     assert (order, forks, dels) == ("policy_first", 1, 1)
                     lone += counts
             assert step_rows(k, traps, order).folded == (fold_bytes > 0)
-            law = pair_law(k, node)
             unordered = np.triu(law + law.T) - np.diag(np.diag(law))
             assert law_p(pairs.ravel(), pairs.sum() * unordered.ravel()) > 1e-3
             if order == "policy_first":
@@ -1181,10 +1181,11 @@ class TestForkDraw:
         # uniforms at both ends of [0, 1) and between, for every first target of every node
         grid = np.concatenate(([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53],
                                np.random.default_rng(602).random(200)))
+        base = k.base
         for u, c in zip(*np.nonzero(table.first)):
             second = table.second_cells(np.full(grid.size, u * w + c), grid.copy())
             b = table.dest.ravel()[second]
-            assert np.all(k.base[u, b] > 0)
+            assert np.all(base[u, b] > 0)
             if degree[u] == 1:
                 assert np.all(b == table.dest[u, c])
             else:
@@ -1211,11 +1212,12 @@ FOLD_CASES = {
 }
 
 
-def fold_law(kernel, node, q, zeta, order, region):
-    """{outcome: probability} of one token leaving ``node`` in an age region, with fork
-    probability ``q[0]``, termination probability ``q[1]`` and trap probability ``zeta``
-    there. Outcomes: ("trapped",), ("term",), ("lone", a), ("pair", a, b) and ("move", v)."""
-    pair = pair_law(kernel, node)
+def fold_law(p, lazy, q, zeta, order, region):
+    """{outcome: probability} of one token leaving a node with base row ``p`` and lazy row
+    ``lazy`` in an age region, with fork probability ``q[0]``, termination probability
+    ``q[1]`` and trap probability ``zeta`` there. Outcomes: ("trapped",), ("term",),
+    ("lone", a), ("pair", a, b) and ("move", v)."""
+    pair = pair_law(p)
     q_act = (q[0], q[1], 0.0)[region]
     law = {("trapped",): zeta if order == "trap_first" else (1 - q_act) * zeta}
     if region == TERM:
@@ -1226,8 +1228,8 @@ def fold_law(kernel, node, q, zeta, order, region):
         if order == "policy_first":
             for a in np.flatnonzero(pair.sum(axis=1)):
                 law[("lone", a)] = q_act * zeta * pair[a].sum()
-    for v in np.flatnonzero(kernel.matrix[node]):
-        law[("move", v)] = (1 - q_act) * (1 - zeta) * kernel.matrix[node, v]
+    for v in np.flatnonzero(lazy):
+        law[("move", v)] = (1 - q_act) * (1 - zeta) * lazy[v]
     return law
 
 
@@ -1255,6 +1257,7 @@ class TestFold:
                               (cols >= rows.bounds[4]) & (cols < rows.bounds[5]))
         rng = np.random.default_rng(610)
         tokens = 200_000
+        base, lazy = k.base[node], k.matrix[node]
         for region in (FORK, TERM, PASS):
             index = np.array([region * n + node])
             if path == "per_token":
@@ -1269,7 +1272,7 @@ class TestFold:
                 key = {"trapped": (kind,), "term": (kind,), "lone": (kind, first),
                        "pair": (kind, first, second), "move": (kind, first)}[kind]
                 observed[key] = observed.get(key, 0) + counts[col]
-            law = fold_law(k, node, q, zeta, order, region)
+            law = fold_law(base, lazy, q, zeta, order, region)
             assert set(observed) <= {key for key, p in law.items() if p > 0}
             keys = sorted(law, key=str)
             assert sum(law.values()) == pytest.approx(1.0)
@@ -1297,7 +1300,7 @@ class TestFold:
                     (0, 0, 1): "move"}[forks, dels, len(landed)]
             observed[(kind, *landed)] = observed.get((kind, *landed), 0) + 1
         law = {}
-        for key, p in fold_law(k, node, q, zeta, order, FORK).items():
+        for key, p in fold_law(k.base[node], k.matrix[node], q, zeta, order, FORK).items():
             key = key[:1] + tuple(sorted(key[1:]))  # the engine sees pairs unordered
             law[key] = law.get(key, 0.0) + p
         assert set(observed) <= {key for key, p in law.items() if p > 0}

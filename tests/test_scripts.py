@@ -84,6 +84,16 @@ def test_step_timing_mixing_profile(capsys):
     assert rows[0][5] == "ms/prof" and float(rows[0][6]) > 0
 
 
+def test_step_timing_memory(capsys):
+    # the traced peak of a fresh ER(1000) kernel's profile, this package on both sides: its
+    # 8 MB power and a scratch, and no dense kernel
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    assert load("step_timing").main(["--case", "memory_er1000_profile", "--baseline", src]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:4] for row in rows] == [["memory_er1000_profile", "-", "1", "-"]]
+    assert rows[0][5] == "MB" and 8.0 < float(rows[0][6]) < 10.0
+
+
 def test_step_timing_fresh(capsys):
     # one whole er1000 run per side and prior profile, each in a new interpreter
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
