@@ -1,6 +1,8 @@
 """Reference computations that only the tests use: independent oracles for the
 stationary law and the Galton-Watson extinction probability, the drift report's
-sign agreement and an envelope model's tail bounds."""
+sign agreement and an envelope model's tail bounds, and a kernel whose dense views
+are held for the frozen reference engines."""
+import functools
 import math
 
 import numpy as np
@@ -19,6 +21,32 @@ def stationary_by_iteration(kernel, tol: float = 1e-13, max_iter: int = 10_000_0
             return nxt
         v = nxt
     raise InsufficientDataError("power iteration did not converge")
+
+
+class HeldDense:
+    """``kernel`` with its dense views held once read, for the frozen reference engines, which
+    read them every step or product: a ``TransitionKernel`` builds a new n x n array on every
+    read. Every other attribute is the kernel's."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    @functools.cached_property
+    def matrix(self):
+        return self.kernel.matrix
+
+    @functools.cached_property
+    def _cumulative(self):
+        return self.kernel.cumulative_rows(), self.kernel.base_cumulative_rows()
+
+    def cumulative_rows(self):
+        return self._cumulative[0]
+
+    def base_cumulative_rows(self):
+        return self._cumulative[1]
 
 
 def gw_extinction_probability(mean_offspring: float, iters: int = 500) -> float:

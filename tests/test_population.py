@@ -38,7 +38,7 @@ from srrw.population import (
     step_rows,
 )
 import step_v020
-from oracles import gw_extinction_probability, sign_agreement
+from oracles import HeldDense, gw_extinction_probability, sign_agreement
 from token_engine import run_tokens
 
 K4 = lazy_kernel(complete_graph(4), 0.5)
@@ -769,8 +769,9 @@ class TestAgainstTokenEngine:
         n = k.node_count
         traps, policy = make_traps(n), two_sample_policy(kind, n, z0)
         runs = {}
-        for engine, run in (("count", run_population), ("token", run_tokens)):
-            runs[engine] = [run(k, policy, traps, z0=z0, horizon=self.HORIZON,
+        for engine, run, kernel in (("count", run_population, k),
+                                    ("token", run_tokens, HeldDense(k))):
+            runs[engine] = [run(kernel, policy, traps, z0=z0, horizon=self.HORIZON,
                                 rng_seed=300_000 + r, order=order, collect_age_law=True)
                             for r in range(self.REPLICAS)]
         assert all(tr.conservation_violations() == 0 for tr in runs["count"])
