@@ -49,7 +49,10 @@ milliseconds per profile, on one kernel per side and graph of ``PROFILES``
 (after one untimed profile, so what a side keeps on its kernel is built
 before the timed rounds): ER(30, 0.15) and star(300) to the default target
 1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and K(400), a dense kernel
-past one row block, to 1e-10. ``--case profile_<graph>`` times one of them.
+past one row block, to 1e-10. ``profile_er1000_deep`` takes ER(1000, 0.01)
+on to TV 1e-6, reached at t = 64 against t = 14 for 1/8: the difference of
+the two rows is the cost of 50 steps, apart from the profile's set-up (its
+column gathers and first power). ``--case profile_<graph>`` times one of them.
 
 The ``memory`` case reports megabytes instead of times: the ``tracemalloc``
 peak of a mixing profile to TV 1/8 on a fresh ER(1000, 0.01) kernel, alone
@@ -186,6 +189,7 @@ REPLICAS = {"explode_k4_replica": ("explode_k4", 40, False),
 PROFILES = {
     "profile_er30": (CASES["corridor_er30"]["graph"]["generator"], 1e-10),
     "profile_er1000": (CASES["er1000"]["graph"]["generator"], 0.125),
+    "profile_er1000_deep": (CASES["er1000"]["graph"]["generator"], 1e-6),
     "profile_star300": (CASES["star300"]["graph"]["generator"], 1e-10),
     "profile_k400": ({"kind": "complete", "n": 400}, 1e-10),
     "profile_cycle300": ({"kind": "cycle", "n": 300}, 0.125),

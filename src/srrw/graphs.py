@@ -17,10 +17,10 @@ a mixing profile, are built from the CSR rows by the call that asks for them,
 for the exact analysis (mixing profiles, spectral gap, Doeblin constants,
 return-time tails); past ``DENSE_NODE_CAP`` nodes each raises
 ``ParameterError`` instead of allocating 8 n^2 bytes. A mixing profile
-holds one n x n power and a scratch of ``ROW_BLOCK`` rows, and each TV step
-advances the upper block triangle of the power, by about half an n^3 BLAS
-product on dense kernels and by column gathers over the nonzeros on sparse
-ones, filling the rest by detailed balance; its spectral gap, an n x n
+holds its power as blocks of ``ROW_BLOCK`` rows and one spare block, and
+each TV step advances the upper block triangle of the power, by about half
+an n^3 BLAS product on dense kernels and by column gathers over the nonzeros
+on sparse ones, filling the rest by detailed balance; its spectral gap, an n x n
 eigensolve, is computed when it is first read. ``AliasRows`` draws tokens
 over padded rows per token from Vose alias tables laid out as the rows, and
 ``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
@@ -699,15 +699,20 @@ class ForkTable:
         return np.bincount(self.dest.ravel().take(np.concatenate((cell, second))), minlength=n)
 
 
+def _check_dense(n: int):
+    """ParameterError when n nodes are past ``DENSE_NODE_CAP``."""
+    if n > DENSE_NODE_CAP:
+        raise ParameterError(f"dense n x n kernel arrays are capped at {DENSE_NODE_CAP} nodes, "
+                             f"got {n}")
+
+
 def _dense(rows: tuple, cumulative: bool = False, writable: bool = False) -> np.ndarray:
     """A new n x n array with the CSR rows ``(indptr, cols, vals)``, or with their row-wise
     cumulative sums (summed in place, the last column pinned to 1), read-only unless
     ``writable``; ParameterError past ``DENSE_NODE_CAP`` before anything is allocated."""
     indptr, cols, vals = rows
     n = indptr.size - 1
-    if n > DENSE_NODE_CAP:
-        raise ParameterError(f"dense n x n kernel arrays are capped at {DENSE_NODE_CAP} nodes, "
-                             f"got {n}")
+    _check_dense(n)
     out = np.zeros((n, n))
     out[np.repeat(np.arange(n), np.diff(indptr)), cols] = vals
     if cumulative:
@@ -885,10 +890,10 @@ class MixingProfile:
 
 
 def _column_gathers(kernel: TransitionKernel, starts) -> list[list[tuple]]:
-    """For each row block's first row a in ``starts``, the chunks ``(ys - a, idx, w)`` of the
-    lazy kernel's columns y >= a: ``idx`` (c, d) holds the rows k with P(k, y) > 0, ascending, and
-    ``w`` (c, 1, d) those P(k, y), for c columns of one nonzero count d, with c d at most
-    ``GATHER_ROWS`` (or c = 1)."""
+    """For each row block's first row a in ``starts``, the chunks ``(ys, idx, w)`` of the lazy
+    kernel's columns y >= a, each y the index of a row of the spare: ``idx`` (c, d) holds the rows
+    k with P(k, y) > 0, ascending, and ``w`` (c, 1, d) those P(k, y), for c columns of one nonzero
+    count d, with c d at most ``GATHER_ROWS`` (or c = 1)."""
     indptr, cols, vals = kernel._lazy_rows
     n = kernel.node_count
     # the columns as CSR rows of the transpose: rows of each column ascending
@@ -899,7 +904,7 @@ def _column_gathers(kernel: TransitionKernel, starts) -> list[list[tuple]]:
         ys = np.flatnonzero(count == d)
         cells = colptr[ys, None] + np.arange(d)
         groups.append((ys, rows[cells], weights[cells][:, None, :], max(1, GATHER_ROWS // d)))
-    return [[(ys[s:s + c] - a, idx[s:s + c], w[s:s + c])
+    return [[(ys[s:s + c], idx[s:s + c], w[s:s + c])
              for ys, idx, w, c in groups
              for s in range(int(np.searchsorted(ys, a)), ys.size, c)]
             for a in starts]
@@ -910,68 +915,83 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     """Compute the exact TV curve by matrix powers until ``target`` or ``max_t``,
     and the minorization floor at the first positive power.
 
-    One n x n array holds the power, advanced a block of ``ROW_BLOCK`` rows at
-    a time through a (``ROW_BLOCK`` x n) scratch: row block I of P^(t+1) is
-    row block I of P^t times P, so the update runs in place. Only the columns
-    from the block's first row a on are computed; the walk is reversible,
-    pi_x P^t(x, y) = pi_y P^t(y, x), so columns left of a are filled from the
-    rows already done, and the TV and the floor are read block by block from
-    the same scratch. The columns from a on come by one of two products:
+    The power is held as its blocks of ``ROW_BLOCK`` rows, each in a buffer of
+    ``ROW_BLOCK`` n cells, plus one spare buffer (about n^2 + ``ROW_BLOCK`` n
+    cells). Row block I of P^(t+1), first row a, is row block I of P^t times P.
+    Only its columns from a on are computed, into the spare; the walk is
+    reversible, pi_x P^t(x, y) = pi_y P^t(y, x), so its columns k < a are
+    filled from the blocks done. The spare then holds block I, and I's old
+    buffer is the spare, through which the TV reads the block's rows: no block
+    is copied back. The columns from a on come by one of two products:
 
-    - dense kernels take a BLAS product of the block with the kernel's columns
-      from a on, about half an n^3 product per step, from a second n x n array,
-      a copy of the first power freed on return; for n <= ``ROW_BLOCK`` there
-      is one block, and every power is one full product;
-    - sparse kernels, with nonzeros x ``GATHER_DENSITY`` <= n^2, gather: the
-      old block is copied, transposed, into the scratch, and each new column
-      y, the sum over the rows k with P(k, y) > 0 of P(k, y) times old column
-      k, is written into the block's own rows (free once copied), then moved
-      back through the scratch; columns of one nonzero count are gathered
+    - dense kernels hold each block as its rows and take a BLAS product of it
+      with the kernel's columns from a on (about half an n^3 product per step,
+      from an n x n copy of the kernel freed on return; one full product for
+      n <= ``ROW_BLOCK``), laid out as a row-major product, whose bits it
+      keeps: with transposed operands BLAS differs by ulps at some n;
+    - sparse kernels, with nonzeros x ``GATHER_DENSITY`` <= n^2, hold each
+      block transposed, row a + j as column j, and gather: new column y, the
+      sum over the rows k with P(k, y) > 0 of P(k, y) times the old block's
+      row k, is written into row y of the spare, columns of one nonzero count
       together (``_column_gathers``), about n^2 s / 2 multiply-adds per step
-      for mean row support s; the power is their only n x n array.
+      for mean row support s; the TV reads one transposed copy of the block,
+      so its row sums run over contiguous rows.
     """
-    # the first power is the kernel itself, bitwise eye(n) @ P, built from its CSR rows;
-    # raises past DENSE_NODE_CAP before anything is allocated
-    power = _dense(kernel._lazy_rows, writable=True)
+    indptr, cols, vals = kernel._lazy_rows
     n = kernel.node_count
+    _check_dense(n)  # before anything is allocated
     pi = kernel.pi.probs
-    rows = np.empty((min(ROW_BLOCK, n), n))
-    starts = range(0, n, ROW_BLOCK)
-    sparse = kernel._lazy_rows[1].size * GATHER_DENSITY <= n * n
+    width = min(ROW_BLOCK, n)
+    starts = range(0, n, width)
+    sparse = cols.size * GATHER_DENSITY <= n * n
     gathers = _column_gathers(kernel, starts) if sparse else [None] * len(starts)
-    matrix = None if sparse else power.copy()  # the kernel, for the dense path's BLAS products
-    # per block: first row a, its power and scratch rows, the kernel's columns from a on (None
-    # when gathering), the scratch's columns from a on, and its column gathers
-    blocks = [(a, power[a:a + ROW_BLOCK], rows[:n - a], None if sparse else matrix[:, a:],
-               rows[:n - a, a:], g) for a, g in zip(starts, gathers)]
+    matrix = None if sparse else _dense(kernel._lazy_rows)  # the dense path's BLAS operand
+    # per block: first row a, row count, the kernel's columns from a on if dense, gathers
+    blocks = [(a, min(width, n - a), None if sparse else matrix[:, a:], g)
+              for a, g in zip(starts, gathers)]
+    # a block of m rows fills m n cells of a buffer, as rows if dense and else transposed;
+    # ``views`` gives a buffer in that layout, as the block's rows, and as contiguous rows
+    def views(buf, m):
+        rows = buf[:m * n].reshape(m, n)
+        if not sparse:
+            return rows, rows, rows
+        own = buf[:n * m].reshape(n, m)
+        return own, own.T, rows
+    *store, spare = [{m: views(buf, m) for m in {width, n - starts[-1]}}
+                     for buf in np.zeros((len(starts) + 1, width * n))]
+    for (a, m, _, _), buf in zip(blocks, store):  # P^1 from the CSR rows
+        cells = slice(indptr[a], indptr[a + m])
+        rows = np.repeat(np.arange(m), np.diff(indptr[a:a + m + 1]))
+        buf[m][1][rows, cols[cells]] = vals[cells]
     tv = [float(1.0 - pi.min())]
     unreached = True
     floor = None
     for t in range(1, max_t + 1):
         d, positive, ratio = 0.0, floor is None, math.inf
-        for a, new, block, right, upper, gather in blocks:
+        for i, (a, m, right, gather) in enumerate(blocks):
             if t > 1:
+                (old, _, _), (out, new, _) = store[i][m], spare[m]
                 if gather is None:
-                    np.matmul(new, right, out=upper)
+                    np.matmul(old, right, out=out[:, a:])
                 else:
-                    m = len(block)
-                    old = block.reshape(n, m)
-                    old[...] = new.T
-                    out = new.reshape(-1)[:(n - a) * m].reshape(n - a, m)
                     for ys, idx, w in gather:
-                        out[ys] = np.matmul(w, old[idx])[:, 0]
-                    upper[...] = out.T
-                if a:  # columns left of the block by detailed balance from the rows above
-                    b = a + len(block)
-                    np.multiply(power[:a, a:b].T, pi[:a], out=block[:, :a])
-                    np.divide(block[:, :a], pi[a:b, None], out=block[:, :a])
-                new[...] = block
+                        out[ys] = np.matmul(w, old.take(idx, axis=0))[:, 0]
+                if a:  # columns k < a, P^t(k, x) pi_k / pi_x, from the blocks done (all full)
+                    for c, done in zip(starts, store[:i]):
+                        np.multiply(done[width][1][:, a:a + m], pi[c:c + width, None],
+                                    out=new[:, c:c + width].T)
+                    np.divide(new[:, :a], pi[a:a + m, None], out=new[:, :a])
+                store[i], spare = spare, store[i]  # the old block's buffer is the spare
+            block, diff = store[i][m][1], spare[m][2]
             if positive:
-                positive = new.min() > 0.0
-                if positive:
-                    ratio = min(ratio, np.divide(new, pi, out=block).min())
-            np.abs(np.subtract(new, pi, out=block), out=block)
-            worst = block.sum(axis=1).max()
+                positive = block.min() > 0.0
+                if positive:  # rounding is monotone: a column's least entry has its least ratio
+                    ratio = min(ratio, np.divide(block.min(axis=0), pi).min())
+            if sparse:  # one transposed copy, so the row sums run over contiguous rows
+                np.copyto(diff, block)
+                block = diff
+            np.abs(np.subtract(block, pi, out=diff), out=diff)
+            worst = diff.sum(axis=1).max()
             if worst > d:
                 d = worst
         if positive:

@@ -266,8 +266,11 @@ class TestMixingProfile:
         (lambda: complete_graph(400), False),
         (lambda: star_graph(300), True),
         (lambda: cycle_graph(300), True),
+        (lambda: cycle_graph(129), True),
+        (lambda: cycle_graph(256), True),
         (lambda: erdos_renyi_graph(1000, 0.01, seed=0), True),
-    ], ids=["K4", "er30", "star60", "K400", "star300", "cycle300", "er1000"])
+    ], ids=["K4", "er30", "star60", "K400", "star300", "cycle300", "cycle129", "cycle256",
+            "er1000"])
     def test_dense_kernels_multiply_and_sparse_ones_gather(self, monkeypatch, make, gathers):
         # the dense product is one 2-d matmul per block; a gather stacks (c, 1, d) @ (c, d, m)
         k = lazy_kernel(make(), 0.5)
@@ -716,8 +719,13 @@ class TestAgainstFrozenConstruction:
         (lambda: Graph.build([(0, v) for v in range(1, 300)], np.linspace(0.1, 3.0, 299)), 0.3,
          20000),
         (lambda: path_graph(200), 0.5, 2000),  # cut off long before 1e-10; P^t > 0 from t = 199
+        # the blocks' edge cases: a last block of one row, gathered and dense, and no partial
+        # block; the cycles are cut off long before 1e-10, with P^t > 0 from t = 64 and 128
+        (lambda: cycle_graph(129), 0.5, 200),
+        (lambda: complete_graph(129), 0.5, 300),
+        (lambda: cycle_graph(256), 0.5, 200),
     ], ids=["er300", "weighted_er200-0.2", "weighted_er200-0.9", "star300", "weighted_star300-0.3",
-            "path200"])
+            "path200", "cycle129", "K129", "cycle256"])
     def test_mixing_profile_past_one_row_block(self, make, laziness, max_t):
         k = lazy_kernel(make(), laziness)
         assert k.node_count > ROW_BLOCK
