@@ -924,11 +924,10 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     buffer is the spare, through which the TV reads the block's rows: no block
     is copied back. The columns from a on come by one of two products:
 
-    - dense kernels hold each block as its rows and take a BLAS product of it
-      with the kernel's columns from a on (about half an n^3 product per step,
-      from an n x n copy of the kernel freed on return; one full product for
-      n <= ``ROW_BLOCK``), laid out as a row-major product, whose bits it
-      keeps: with transposed operands BLAS differs by ulps at some n;
+    - dense kernels hold each block as its rows and take a row-major BLAS
+      product of it with the kernel's columns from a on, whose bits transposed
+      operands would move at some n (about half an n^3 product per step, from
+      an n x n copy of the kernel freed on return; one for n <= ``ROW_BLOCK``);
     - sparse kernels, with nonzeros x ``GATHER_DENSITY`` <= n^2, hold each
       block transposed, row a + j as column j, and gather: new column y, the
       sum over the rows k with P(k, y) > 0 of P(k, y) times the old block's
@@ -950,7 +949,8 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
     blocks = [(a, min(width, n - a), None if sparse else matrix[:, a:], g)
               for a, g in zip(starts, gathers)]
     # a block of m rows fills m n cells of a buffer, as rows if dense and else transposed;
-    # ``views`` gives a buffer in that layout, as the block's rows, and as contiguous rows
+    # ``views`` gives a buffer in that layout, as the block's rows, and as contiguous rows.
+    # Each buffer is its own allocation, which the memory of a freed n x n array can hold
     def views(buf, m):
         rows = buf[:m * n].reshape(m, n)
         if not sparse:
@@ -958,7 +958,7 @@ def mixing_profile(kernel: TransitionKernel, max_t: int = 20000,
         own = buf[:n * m].reshape(n, m)
         return own, own.T, rows
     *store, spare = [{m: views(buf, m) for m in {width, n - starts[-1]}}
-                     for buf in np.zeros((len(starts) + 1, width * n))]
+                     for buf in [np.zeros(width * n) for _ in range(len(starts) + 1)]]
     for (a, m, _, _), buf in zip(blocks, store):  # P^1 from the CSR rows
         cells = slice(indptr[a], indptr[a + m])
         rows = np.repeat(np.arange(m), np.diff(indptr[a:a + m + 1]))
