@@ -19,9 +19,9 @@ return-time tails); past ``DENSE_NODE_CAP`` nodes each raises
 ``ParameterError`` instead of allocating 8 n^2 bytes. A mixing profile
 holds its power as blocks of ``ROW_BLOCK`` rows and one spare block, and
 each TV step advances the upper block triangle of the power, by about half
-an n^3 BLAS product on dense kernels and by column gathers over the nonzeros
-on sparse ones, filling the rest by detailed balance; its spectral gap, an n x n
-eigensolve, is computed when it is first read. ``AliasRows`` draws tokens
+an n^3 BLAS product on dense kernels and by column gathers over the
+nonzeros on sparse ones, filling the rest by detailed balance; its spectral
+gap, an n x n eigensolve, is computed when it is first read. ``AliasRows`` draws tokens
 over padded rows per token from Vose alias tables laid out as the rows, and
 ``ForkTable`` holds each fork's law over ordered pairs of distinct targets,
 as rows to fold into a step's node draw and as a per-token draw. The padded
