@@ -94,6 +94,54 @@ def test_step_timing_memory(capsys):
     assert rows[0][5] == "MB" and 8.0 < float(rows[0][6]) < 10.0
 
 
+HEADER = ["case", "order", "states", "per-token", "folded", "unit", "p50", "baseline", "p50",
+          "ratio", "round", "ratios"]
+
+
+def check_timing_rows(rows: list, key: str) -> None:
+    """Each JSON row of a timed case against a baseline: its unit key, the baseline's twin
+    and the ratio inside its round-to-round spread."""
+    for row in rows:
+        assert set(row) == {"case", "order", "states", "per_token", "folded", key,
+                            f"baseline_{key}", "ratio", "round_ratio_min", "round_ratio_max"}
+        assert row["per_token"] is None and row["folded"] is None
+        assert row[key] > 0 and row[f"baseline_{key}"] > 0
+        assert row["round_ratio_min"] <= row["ratio"] <= row["round_ratio_max"]
+
+
+def test_step_timing_return_time(capsys, tmp_path):
+    # the walk steps of the corridor graph's return-time sample, this package on both sides
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    out = str(tmp_path / "rows.json")
+    assert load("step_timing").main(["--case", "return_time", "--baseline", src,
+                                     "--json", out]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0] == HEADER
+    assert [line[:6] for line in lines[1:]] == [["return_time", "-", "300", "-", "-",
+                                                 "us/step"]]
+    rows = json.load(open(out))
+    assert [(row["case"], row["order"], row["states"]) for row in rows] == [
+        ("return_time", None, 300)]
+    check_timing_rows(rows, "us_per_step_p50")
+
+
+def test_step_timing_replica(capsys, tmp_path):
+    # whole explode_k4 runs, one per seed, in both event orders, this package on both sides
+    src = os.path.join(os.path.dirname(SCRIPTS), "src")
+    out = str(tmp_path / "rows.json")
+    assert load("step_timing").main(["--case", "explode_k4_replica", "--baseline", src,
+                                     "--json", out]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0] == HEADER
+    assert [line[:6] for line in lines[1:]] == [
+        ["explode_k4_replica", order, "40", "-", "-", "ms/run"]
+        for order in ("trap_first", "policy_first")]
+    rows = json.load(open(out))
+    assert [(row["case"], row["order"], row["states"]) for row in rows] == [
+        ("explode_k4_replica", "trap_first", 40), ("explode_k4_replica", "policy_first", 40)]
+    check_timing_rows(rows, "ms_per_replica_p50")
+
+
 def test_step_timing_fresh(capsys):
     # one whole er1000 run per side and prior profile, each in a new interpreter
     src = os.path.join(os.path.dirname(SCRIPTS), "src")
