@@ -21,9 +21,11 @@ the machine fingerprint that ``run.py`` prints are recorded with them.
 With ``--step-timing [CASE ...]`` it also runs ``scripts/step_timing.py``
 (``--baseline DIR/src`` when a baseline is given) on the named cases, or on
 all, and stores its rows as the file's per-layer rows, under
-``per_layer.step_timing``: per case and event order, the median
-microseconds per step of each side, the median of the per-round ratios and
-their lowest and highest, the round-to-round spread.
+``per_layer.step_timing``: per case and event order, the median of each
+side in the case's own unit, under the row's unit key (``us_per_step_p50``,
+``ms_per_replica_p50``, ``peak_mb_p50``, ...; the baseline's with the prefix
+``baseline_``), the median of the per-round ratios and their lowest and
+highest, the round-to-round spread.
 """
 from __future__ import annotations
 

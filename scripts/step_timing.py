@@ -1,101 +1,60 @@
-"""Time one engine step, and one return-time walk step, on recorded states:
-median microseconds per step.
+"""Time srrw's costly layers one at a time, in process: the median cost of one call per case.
 
-Each engine case runs the engine once, records copies of up to ``STATES``
-input states of ``population.step`` spread evenly over the run, then times
-``step`` on them ``ROUNDS`` times in process, each call on a fresh copy made
-outside the timed call (``step`` advances its state in place). The return-time case does the same for
-``NeighbourTable.move`` over one ``sample_return_times`` call. Calls are
-interleaved: every round steps each recorded state of every case once, so
-the machine's fast and slow phases fall on all of them alike. With
-``--baseline SRC`` the srrw package under SRC (for example ``src`` of a
-checkout of an earlier commit) is loaded as a second module and its ``step``
-and ``move`` are timed on the same states, alternating with this one call by
-call; the two take turns calling first, state by state and round by round,
-since a state's first call runs slower (about 10% on the corridor cases when
-both sides are this package).
-Each case then prints the ratio of the two sides' medians within each
-round: their median (``ratio``), and their lowest and highest, the
-round-to-round spread. Only calls made close in time are paired, so a phase
-change of the machine between rounds does not move the ratio.
+Each case measures one kind of call, made by a factory that, given a
+package, returns the measured call and its unit (``TABLE`` lists them):
 
-The engine cases are the explosion of acceptance criterion 08 on K4 (Z from
-20 to the 100k cap), K4 with mixed triggers (two nodes fork at every visit,
-two terminate at age 1 and fork from age 3) at Z of about 10 to 30, the
-corridor experiment's ER(30, 0.15) regime config, ER(1000, 0.01) at Z of
-about 10k, a hub: star(300) at about 10
-tokens per node, whose rows are as wide as the graph,
-the same star with mixed triggers (forks from age 4, terminations up to age
-2, so each step reads every node's age region) near its steady Z of about
-450, and the dense K(150) at 10 tokens per node; each in both event orders.
-Each engine case also prints the share of its run's steps that the engine
-drew per token (``AliasRows.sparse``) rather than by multinomial, and the
-share drawn folded (``StepRows.folded``: fork pairs in the node draw) rather
-than in two stages. ``--fold-bytes B`` sets this package's fold budget
-(``population.FOLD_BYTES``) to B for the whole script; run against this same
+- the engine cases (``CASES``), in both event orders, time one
+  ``population.step`` (microseconds per step), without the age law, on a
+  fresh copy, made outside the clock, of each of up to ``STATES`` states
+  recorded over one run of the case and spread evenly over it; the step
+  includes the sum of the tokens of the state it leaves (``alive``);
+- ``return_time`` does the same for ``NeighbourTable.move`` over one
+  ``sample_return_times`` call: the 20k walkers of the corridor graph's
+  envelope fit, started at node 0, until all have returned;
+- ``tail_draw`` times the whole sampling of that fit, one call per seed:
+  20k return times at each of the 30 nodes through
+  ``cli.return_time_samples``, which computes every node's taboo spectrum
+  and draws from the exact law (milliseconds per call);
+- the replica cases time whole ``run_population`` runs (milliseconds per
+  run), one per seed, on one resolved kernel per side and event order, as
+  the benchmark workloads and ``srrw check`` run them: what recorded states
+  cannot see, run start and the age law, is in them;
+- the profile cases (all of them: ``--case mixing_profile``) time one
+  ``graphs.mixing_profile`` on one kernel per side (milliseconds per profile);
+- the memory cases (both: ``--case memory``) report the ``tracemalloc``
+  peak, in megabytes, of a profile to TV 1/8 on a fresh ER(1000, 0.01)
+  kernel per call, alone and after the set-up reads of the er1000_motion
+  benchmark workload. A package that keeps dense arrays on the kernel shows
+  them here, which the benchmark's ``graphs.kernel_bytes`` cannot.
+
+An engine case also prints the shares of its run's steps drawn per token
+(``AliasRows.sparse``), not by multinomial, and folded (``StepRows.folded``:
+fork pairs in the node draw), not in two stages. ``--fold-bytes B`` sets
+this package's fold budget ``population.FOLD_BYTES`` to B; against this same
 ``src`` as the baseline, it times folded steps against two-stage ones on the
-same states, which is how the budget is set. The return-time case moves the
-walkers of the corridor graph's envelope fit: 20k walkers started at node 0,
-until all have returned. The ``tail_draw`` case times the whole sampling of
-that fit, one call per seed in ``TAIL_DRAW``: 20k return times at each of the
-30 nodes through ``cli.return_time_samples``, which computes every node's
-taboo spectrum and draws from the exact law (milliseconds per call). A
-baseline package without ``return_time_samples`` instead walks each node with
-``sample_return_times``, as its ``srrw check`` does, so the ratio compares
-the fit's sampling before and after the exact draw.
+same states, which is how the budget is set.
 
-The ``mixing_profile`` case times whole ``graphs.mixing_profile`` calls,
-milliseconds per profile, on one kernel per side and graph of ``PROFILES``
-(after one untimed profile, so what a side keeps on its kernel is built
-before the timed rounds): ER(30, 0.15) and star(300) to the default target
-1e-10, ER(1000, 0.01) and cycle(300) to TV 1/8, and K(400), a dense kernel
-past one row block, to 1e-10. ``profile_er1000_deep`` takes ER(1000, 0.01)
-on to TV 1e-6, reached at t = 64 against t = 14 for 1/8: the difference of
-the two rows is the cost of 50 steps, apart from the profile's set-up (its
-column gathers and first power). ``--case profile_<graph>`` times one of them.
-
-The ``memory`` case reports megabytes instead of times: the ``tracemalloc``
-peak of a mixing profile to TV 1/8 on a fresh ER(1000, 0.01) kernel, alone
-(``memory_er1000_profile``) and after the set-up reads of the er1000_motion
-benchmark workload, both cumulative row sets (``memory_perfbench_setup``),
-one fresh kernel per call, ``ROUNDS`` calls per side. A package that keeps
-its dense arrays on the kernel shows them here, which the benchmark's
-``graphs.kernel_bytes`` (the bytes of the arrays it requests) cannot.
-
-A recorded-state case times ``step`` alone, without the age law, and that
-includes the sum of the tokens of the state it leaves
-(``PopulationState.alive``). Earlier packages made that sum in ``run_population`` and
-passed it to ``step`` as ``z``; against such a baseline (``Side.takes_z``) a
-recorded-state case charges the sum to this package alone, and the replica
-cases, which time whole runs, compare like with like.
-
-Recorded states cannot see what a run pays before its first step, nor what
-a median step leaves out, nor the age law: its rows are fed step by step
-and added to its histogram once per ``AgeLaw.BUFFER_CELLS`` buffered cells,
-in the step that fills the buffer, and once at the end of the run. The
-replica cases time whole ``run_population`` runs, one per seed of
-``REPLICAS``, on one resolved kernel per side and event order, as the
-benchmark workloads and the replicas of ``srrw check`` run them:
-milliseconds per run, run start (the engine's rows and their alias tables)
-and every flush of the law included. ``explode_k4_replica`` runs the
-explode_k4 case, ``corridor_er30_replica`` the corridor_er30 case with the
-age law collected after a burn-in of the kernel's mixing time, as ``srrw
-check`` on the corridor config collects it, and
-``corridor_er30_nolaw_replica`` the same runs without the law, so the two
-give the engine's share of a corridor run and the law's.
-Their warm-up makes one untimed run per seed, so what a side keeps on its
-kernel between runs is built before the timed rounds, and those time replica
-after replica of one ensemble.
+Each side first makes its case's warm-up calls untimed (``Case.warm_up``),
+so what it keeps on its kernel is built before the rounds; each of the
+``ROUNDS`` rounds then makes each call of every case once, so the machine's
+fast and slow phases fall on all of them alike. With ``--baseline SRC`` the
+srrw package under SRC (the ``src`` of srrw 0.8.0, 48db4ec, or later) is
+loaded as a second module and measured on the same calls, alternating with
+this one call by call and taking turns to go first, call by call and round
+by round, since a state's first call runs slower. Each case then prints the
+median of the per-round ratios of the two sides' medians (``ratio``), and
+their lowest and highest, the round-to-round spread. Only calls made close
+in time are paired, so a phase change of the machine between rounds does
+not move the ratio.
 
 In-process times miss what depends on the allocator's state: glibc raises
 its mmap and trim thresholds once a large block is freed, so the engine's
-per-step temporaries cost more in a process that never freed one. With
-``--fresh N`` the script instead times whole ``run_population`` runs of the
-er1000 case, each in a new interpreter, N per side, once straight after
-set-up and once after a ``mixing_profile`` of the graph (as the
-er1000_motion benchmark workload runs it). With ``--baseline`` the sides
-alternate run by run and take turns going first; each row prints the
-medians and the number of run pairs this package won.
+per-step temporaries cost more in a process that never freed one.
+``--fresh N`` instead times N whole ``run_population`` runs of the er1000
+case per side, each in a new interpreter, once straight after set-up and
+once after a ``mixing_profile`` of the graph, as the er1000_motion workload
+runs it; with ``--baseline`` the sides alternate and take turns going
+first, and each row prints the medians and the run pairs this package won.
 
     PYTHONPATH=src python scripts/step_timing.py [--baseline SRC] [--fresh N]
                                                  [--fold-bytes B] [--case NAME ...]
@@ -103,41 +62,44 @@ medians and the number of run pairs this package won.
 
 ``--case`` times only the named cases; ``--json`` also writes the printed
 rows to a file as a JSON list, one object per row (``scripts/bench_record.py
---step-timing`` stores them in a BENCH file).
+--step-timing`` stores them in a BENCH file). A new case is one ``TABLE``
+entry, and a new kind of case one factory more.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 
-import srrw.graphs
 import srrw.population
 import srrw.return_time
-from srrw.config import resolve_config
 
 CASES = {
+    # acceptance criterion 08's explosion on K4: Z from 20 to the 100k cap
     "explode_k4": {
         "graph": {"generator": {"kind": "complete", "n": 4}},
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.15},
         "simulation": {"Z_0": 20, "horizon": 10_000, "Z_cap": 100_000, "seed": 1},
     },
+    # mixed triggers: two nodes fork at every visit, two terminate at age 1 and fork from age 3
     "mixed_k4": {
         "graph": {"generator": {"kind": "complete", "n": 4}},
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": [1, 1, 3, 3], "A_s": 1, "q_fork": 0.15, "q_term": 0.1},
         "simulation": {"Z_0": 20, "horizon": 300, "seed": 1},
     },
+    # the corridor experiment's regime config
     "corridor_er30": {
         "graph": {"generator": {"kind": "erdos_renyi", "n": 30, "p": 0.15, "seed": 1}},
         "traps": {"nodes": "all", "zeta": 0.05},
@@ -148,24 +110,28 @@ CASES = {
         }},
         "simulation": {"Z_0": 60, "horizon": 5_000, "seed": 1},
     },
+    # Z of about 10k on ER(1000, 0.01)
     "er1000": {
         "graph": {"generator": {"kind": "erdos_renyi", "n": 1000, "p": 0.01, "seed": 0}},
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.02},
         "simulation": {"Z_0": 10_000, "horizon": 100, "seed": 1},
     },
+    # a hub at 10 tokens per node: rows as wide as the graph
     "star300": {
         "graph": {"generator": {"kind": "star", "n": 300}},
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 1, "q_fork": 0.02},
         "simulation": {"Z_0": 3_000, "horizon": 100, "seed": 1},
     },
+    # forks from age 4, terminations up to age 2: each step reads every node's age region
     "mixed_star300": {
         "graph": {"generator": {"kind": "star", "n": 300}},
         "traps": {"nodes": "all", "zeta": 0.02},
         "policy": {"A_l": 4, "A_s": 2, "q_fork": 0.5, "q_term": 0.01},
         "simulation": {"Z_0": 450, "horizon": 100, "seed": 1},
     },
+    # dense, at 10 tokens per node
     "k150": {
         "graph": {"generator": {"kind": "complete", "n": 150}},
         "traps": {"nodes": "all", "zeta": 0.02},
@@ -174,30 +140,8 @@ CASES = {
     },
 }
 ORDERS = ("trap_first", "policy_first")
-# the return-time case: the graph of a case, the start node and the walker count
-RETURN_TIME = ("corridor_er30", 0, 20_000)
-# the tail-draw case: the graph of a case, the return times per node and the seeds of its calls
-TAIL_DRAW = ("corridor_er30", 20_000, (1_000_003, 2_000_003, 3_000_003))
 STATES = 300  # recorded states per case and order
 ROUNDS = 5  # timed calls per recorded state
-# the replica cases: the case whose whole runs each times, its replica count and whether the
-# runs collect the age law
-REPLICAS = {"explode_k4_replica": ("explode_k4", 40, False),
-            "corridor_er30_replica": ("corridor_er30", 8, True),
-            "corridor_er30_nolaw_replica": ("corridor_er30", 8, False)}
-# the mixing_profile case: per row, the graph's generator and the profile's target
-PROFILES = {
-    "profile_er30": (CASES["corridor_er30"]["graph"]["generator"], 1e-10),
-    "profile_er1000": (CASES["er1000"]["graph"]["generator"], 0.125),
-    "profile_er1000_deep": (CASES["er1000"]["graph"]["generator"], 1e-6),
-    "profile_star300": (CASES["star300"]["graph"]["generator"], 1e-10),
-    "profile_k400": ({"kind": "complete", "n": 400}, 1e-10),
-    "profile_cycle300": ({"kind": "cycle", "n": 300}, 0.125),
-}
-# the memory case: per row, the kernel methods read on a fresh ER(1000) kernel before its
-# profile to TV 1/8
-MEMORY = {"memory_er1000_profile": (),
-          "memory_perfbench_setup": ("cumulative_rows", "base_cumulative_rows")}
 # the fresh-interpreter case and the mixing target of the er1000_motion workload
 FRESH = ("er1000", 0.125)
 # one whole run in a new interpreter; argv: the case config, the target or "none"
@@ -227,230 +171,204 @@ def load_package(src: str):
     return module
 
 
+def submodule(package, name: str):
+    return importlib.import_module(f"{package.__name__}.{name}")
+
+
+def resolved_by(package, config: dict):
+    """``config`` at laziness 1/2, resolved by ``package``."""
+    return submodule(package, "config").resolve_config({"laziness": 0.5, **config})
+
+
 def specs_of(policy) -> list:
     return [policy.low, policy.high] if hasattr(policy, "low") else [policy]
 
 
-def record_states(config: dict, order: str,
-                  limit: int) -> tuple[list[tuple], float, float]:
-    """(state, index of the spec) of up to ``limit`` steps spread over one run, and the
-    shares of the run's steps drawn per token and drawn folded."""
-    resolved = resolve_config({"laziness": 0.5, **config})
-    sim = resolved.simulation
-    specs = specs_of(resolved.policy)
-    seen = []
-    per_token = []
-    folded = []
-    real = srrw.population.step
+def record(owner, name: str, run, keep) -> tuple:
+    """Run ``run()`` with ``owner.<name>`` patched to keep ``keep(*args)``, a (call, shares)
+    pair, of each call it gets: the calls of up to ``STATES`` of them spread evenly over the
+    run, and the mean of each of the two shares over all of them (None without shares)."""
+    real, kept = getattr(owner, name), []
 
-    def recording(state, rows, spec, rng, age_law=None):
-        seen.append((state.copy(), next(i for i, s in enumerate(specs) if s is spec)))
-        per_token.append(rows.node_rows(spec).sparse(state.alive, np.count_nonzero(state.counts)))
-        folded.append(rows.folded)
-        return real(state, rows, spec, rng, age_law)
+    def recording(*args):
+        kept.append(keep(*args))
+        return real(*args)
 
-    srrw.population.step = recording
+    setattr(owner, name, recording)
     try:
+        run()
+    finally:
+        setattr(owner, name, real)
+    picks = np.unique(np.linspace(0, len(kept) - 1, min(STATES, len(kept))).astype(int))
+    shares = [float(np.mean(share)) for share in zip(*(shares for _, shares in kept))]
+    return [kept[i][0] for i in picks], *(shares or (None, None))
+
+
+def record_states(config: dict, order: str) -> tuple[list[tuple], float, float]:
+    """(state, index of the spec) of steps spread over one run, and the shares of the run's
+    steps drawn per token and drawn folded."""
+    resolved = resolved_by(srrw, config)
+    sim, specs = resolved.simulation, specs_of(resolved.policy)
+
+    def keep(state, rows, spec, rng, age_law):
+        return ((state.copy(), next(i for i, s in enumerate(specs) if s is spec)),
+                (rows.node_rows(spec).sparse(state.alive, np.count_nonzero(state.counts)),
+                 rows.folded))
+
+    return record(srrw.population, "step", lambda: (
         srrw.population.run_population(resolved.kernel, resolved.policy, resolved.traps,
                                        z0=sim["Z_0"], horizon=sim["horizon"],
-                                       rng_seed=sim["seed"], z_cap=sim["Z_cap"], order=order)
-    finally:
-        srrw.population.step = real
-    picks = np.unique(np.linspace(0, len(seen) - 1, min(limit, len(seen))).astype(int))
-    return [seen[i] for i in picks], float(np.mean(per_token)), float(np.mean(folded))
+                                       rng_seed=sim["seed"], z_cap=sim["Z_cap"], order=order)),
+        keep)
 
 
-def record_moves(config: dict, u: int, walkers: int, limit: int) -> list[tuple]:
-    """(counts,) of up to ``limit`` walk steps spread over one return-time sample."""
-    kernel = resolve_config({"laziness": 0.5, **config}).kernel
-    table = kernel.neighbour_table()
-    seen = []
-    real = table.move
-
-    def recording(counts, rng):
-        seen.append((counts.copy(),))
-        return real(counts, rng)
-
-    table.move = recording
-    try:
-        srrw.return_time.sample_return_times(kernel, u, walkers, rng_seed=1)
-    finally:
-        del table.move
-    picks = np.unique(np.linspace(0, len(seen) - 1, min(limit, len(seen))).astype(int))
-    return [seen[i] for i in picks]
+def record_moves(config: dict, u: int, walkers: int) -> tuple[list[tuple], None, None]:
+    """(counts,) of walk steps spread over one return-time sample of ``walkers`` from ``u``."""
+    kernel = resolved_by(srrw, config).kernel
+    return record(kernel.neighbour_table(), "move", lambda: (
+        srrw.return_time.sample_return_times(kernel, u, walkers, rng_seed=1)),
+        lambda counts, rng: ((counts.copy(),), ()))
 
 
-class Side:
-    """One package's step with its own rows, specs and generator; given the state's token
-    count, as ``run_population`` gives it, when the package's ``step`` takes one."""
+def clocked(call):
+    """``call`` as a measured call: it returns the seconds ``call`` took."""
+    clock = time.perf_counter
 
-    UNIT = ("us/step", 1e6, "us_per_step_p50")  # the printed unit, its scale and JSON key
-
-    def __init__(self, package, config: dict, order: str):
-        config_module, self.population = (importlib.import_module(f"{package.__name__}.{name}")
-                                          for name in ("config", "population"))
-        resolved = config_module.resolve_config({"laziness": 0.5, **config})
-        self.rows = self.population.StepRows(resolved.kernel, resolved.traps, order)
-        self.specs = specs_of(resolved.policy)
-        self.rng = np.random.default_rng(0)
-        self.takes_z = "z" in inspect.signature(self.population.step).parameters
-        self.times = []
-
-    def warm_up(self, states: list[tuple]) -> None:
-        """Build the node rows of every spec, and the alias tables of every age region, that
-        the states use: one untimed step on each state."""
-        for state, spec_index in states:
-            self.time_step(state, spec_index)
-        self.times.clear()
-
-    def time_step(self, state, spec_index: int) -> None:
-        step, clock = self.population.step, time.perf_counter
-        z = {"z": state.alive} if self.takes_z else {}
-        state = state.copy()
+    def measure(*args):
         start = clock()
-        step(state, self.rows, self.specs[spec_index], self.rng, **z)
-        self.times.append(clock() - start)
+        call(*args)
+        return clock() - start
+    return measure
 
 
-class ReplicaSide:
-    """One package's whole runs of a case, one per seed, on one resolved kernel; with the age
-    law collected after a burn-in of the kernel's mixing time when ``collect``."""
+# The factories of TABLE: each returns the measured call and its unit (label, scale, JSON key).
 
-    UNIT = ("ms/run", 1e3, "ms_per_replica_p50")
+def step_call(package, order: str, config: dict):
+    """One ``step`` with the package's own rows, specs and generator, on a fresh copy of a
+    recorded state made outside the clock."""
+    resolved, population = resolved_by(package, config), submodule(package, "population")
+    rows = population.StepRows(resolved.kernel, resolved.traps, order)
+    specs, rng, step, clock = (specs_of(resolved.policy), np.random.default_rng(0),
+                               population.step, time.perf_counter)
 
-    def __init__(self, package, config: dict, order: str, collect: bool):
-        config_module, self.population = (importlib.import_module(f"{package.__name__}.{name}")
-                                          for name in ("config", "population"))
-        self.resolved = config_module.resolve_config({"laziness": 0.5, **config})
-        self.order = order
-        self.law_args = {"collect_age_law": collect,
-                         "age_law_burn_in": self.resolved.t_mix if collect else 0}
-        self.times = []
-
-    def warm_up(self, seeds: list[tuple]) -> None:
-        """One untimed run per seed: the kernel's tables, and what it keeps between runs."""
-        for call in seeds:
-            self.time_step(*call)
-        self.times.clear()
-
-    def time_step(self, seed: int) -> None:
-        r, sim = self.resolved, self.resolved.simulation
-        run, clock = self.population.run_population, time.perf_counter
+    def measure(state, spec_index: int) -> float:
+        state, spec = state.copy(), specs[spec_index]
         start = clock()
-        run(r.kernel, r.policy, r.traps, z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed,
-            z_cap=sim["Z_cap"], order=self.order, **self.law_args)
-        self.times.append(clock() - start)
+        step(state, rows, spec, rng)
+        return clock() - start
+    return measure, ("us/step", 1e6, "us_per_step_p50")
 
 
-class MoveSide:
-    """One package's walk step with its own neighbour table and generator."""
-
-    UNIT = Side.UNIT
-
-    def __init__(self, package, config: dict):
-        config_module = importlib.import_module(f"{package.__name__}.config")
-        resolved = config_module.resolve_config({"laziness": 0.5, **config})
-        self.table = resolved.kernel.neighbour_table()
-        self.rng = np.random.default_rng(0)
-        self.times = []
-
-    def warm_up(self, states: list[tuple]) -> None:
-        pass  # the table is built in __init__
-
-    def time_step(self, counts) -> None:
-        move, clock = self.table.move, time.perf_counter
-        start = clock()
-        move(counts, self.rng)
-        self.times.append(clock() - start)
+def replica_call(package, order: str, config: dict, collect: bool):
+    """One whole ``run_population`` of the case on one resolved kernel, given the seed; with
+    the age law collected after a burn-in of the kernel's mixing time when ``collect``."""
+    r, run = resolved_by(package, config), submodule(package, "population").run_population
+    sim, burn_in = r.simulation, r.t_mix if collect else 0
+    return clocked(lambda seed: run(
+        r.kernel, r.policy, r.traps, z0=sim["Z_0"], horizon=sim["horizon"], rng_seed=seed,
+        z_cap=sim["Z_cap"], order=order, collect_age_law=collect, age_law_burn_in=burn_in)), (
+        "ms/run", 1e3, "ms_per_replica_p50")
 
 
-class FitSampleSide:
-    """One package's return times at every node for the envelope fit, as its ``srrw check``
-    takes them: ``cli.return_time_samples``, or ``sample_return_times`` node by node in a
-    package without it."""
+def move_call(package, order: None, config: dict):
+    """One walk step with the package's own neighbour table and generator."""
+    table, rng = resolved_by(package, config).kernel.neighbour_table(), np.random.default_rng(0)
+    return clocked(lambda counts: table.move(counts, rng)), ("us/step", 1e6, "us_per_step_p50")
 
-    UNIT = ("ms/call", 1e3, "ms_per_call_p50")
 
-    def __init__(self, package, config: dict, n_samples: int):
-        config_module, cli, return_time = (importlib.import_module(f"{package.__name__}.{name}")
-                                           for name in ("config", "cli", "return_time"))
-        self.kernel = config_module.resolve_config({"laziness": 0.5, **config}).kernel
-        self.n_samples = n_samples
-        walk = return_time.sample_return_times
-        self.sample = getattr(cli, "return_time_samples", None) or (
-            lambda kernel, n_samples, seed: [walk(kernel, u, n_samples, rng_seed=seed + u)
-                                             for u in range(kernel.node_count)])
-        self.times = []
-
-    def warm_up(self, seeds: list[tuple]) -> None:
-        """One untimed call: what a side keeps on its kernel between calls is built before
-        the timed rounds."""
-        self.time_step(*seeds[0])
-        self.times.clear()
-
-    def time_step(self, seed: int) -> None:
-        clock = time.perf_counter
-        start = clock()
-        self.sample(self.kernel, self.n_samples, seed)
-        self.times.append(clock() - start)
+def fit_call(package, order: None, config: dict, n_samples: int):
+    """One ``cli.return_time_samples``, given the seed: the envelope fit's return times at
+    every node, as the package's ``srrw check`` takes them."""
+    kernel = resolved_by(package, config).kernel
+    sample = submodule(package, "cli").return_time_samples
+    return clocked(lambda seed: sample(kernel, n_samples, seed)), (
+        "ms/call", 1e3, "ms_per_call_p50")
 
 
 def fresh_kernel(graphs, generator: dict):
-    """A new lazy kernel, laziness 1/2, of the graph ``generator`` names, from the module
-    ``graphs`` of one package."""
+    """A new lazy kernel, laziness 1/2, of the graph ``generator`` names, by module ``graphs``."""
     make = graphs.GENERATORS[generator["kind"]]
     return graphs.lazy_kernel(make(*(generator[key] for key in ("n", "p", "seed")
                                      if key in generator)), 0.5)
 
 
-class ProfileSide:
-    """One package's mixing profiles of one graph's lazy kernel."""
-
-    UNIT = ("ms/prof", 1e3, "ms_per_profile_p50")
-
-    def __init__(self, package, generator: dict, target: float):
-        self.graphs = importlib.import_module(f"{package.__name__}.graphs")
-        self.kernel = fresh_kernel(self.graphs, generator)
-        self.target = target
-        self.times = []
-
-    def warm_up(self, calls: list[tuple]) -> None:
-        """One untimed profile: what a side keeps on its kernel is built before timing."""
-        self.time_step()
-        self.times.clear()
-
-    def time_step(self) -> None:
-        clock = time.perf_counter
-        start = clock()
-        self.graphs.mixing_profile(self.kernel, target=self.target)
-        self.times.append(clock() - start)
+def profile_call(package, order: None, generator: dict, target: float):
+    """One ``graphs.mixing_profile`` to ``target`` of one lazy kernel of the graph."""
+    graphs = submodule(package, "graphs")
+    kernel = fresh_kernel(graphs, generator)
+    return clocked(lambda: graphs.mixing_profile(kernel, target=target)), (
+        "ms/prof", 1e3, "ms_per_profile_p50")
 
 
-class MemorySide:
-    """One package's ``tracemalloc`` peak of the kernel reads ``reads`` and then a profile to
-    TV 1/8, on a fresh ER(1000, 0.01) kernel per call. ``times`` holds the peaks in bytes,
-    where the timed sides hold seconds."""
+def memory_call(package, order: None, reads: tuple[str, ...]):
+    """The ``tracemalloc`` peak, in bytes, of the kernel methods ``reads`` and then a profile
+    to TV 1/8, on a fresh ER(1000, 0.01) kernel per call."""
+    graphs = submodule(package, "graphs")
 
-    UNIT = ("MB", 2.0**-20, "peak_mb_p50")
-
-    def __init__(self, package, reads: tuple[str, ...]):
-        self.graphs = importlib.import_module(f"{package.__name__}.graphs")
-        self.reads = reads
-        self.times = []
-
-    def warm_up(self, calls: list[tuple]) -> None:
-        pass  # every call builds its own kernel
-
-    def time_step(self) -> None:
-        kernel = fresh_kernel(self.graphs, CASES["er1000"]["graph"]["generator"])
+    def measure() -> int:
+        kernel = fresh_kernel(graphs, CASES["er1000"]["graph"]["generator"])
         tracemalloc.start()
         try:
-            for read in self.reads:
+            for read in reads:
                 getattr(kernel, read)()
-            self.graphs.mixing_profile(kernel, target=0.125)
-            self.times.append(tracemalloc.get_traced_memory()[1])
+            graphs.mixing_profile(kernel, target=0.125)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return measure, ("MB", 2.0**-20, "peak_mb_p50")
+
+
+# One case: its factory and the factory's arguments after the package and the order; its event
+# orders ((None,): one row without one); its calls, or a function of the order that records them
+# and gives the shares drawn per token and folded; the calls each warm-up makes (None: all).
+Case = namedtuple("Case", "factory args orders calls warm_up", defaults=((None,), ((),), 1))
+
+
+def replicas(name: str, count: int, collect: bool) -> Case:
+    """Whole runs of the engine case ``name``, ``count`` of them, from its seed on."""
+    config = CASES[name]
+    return Case(replica_call, (config, collect), ORDERS,
+                [(config["simulation"]["seed"] + k,) for k in range(count)], None)
+
+
+# every case, in the order of its rows
+TABLE = {
+    **{name: Case(step_call, (config,), ORDERS, functools.partial(record_states, config), None)
+       for name, config in CASES.items()},
+    "return_time": Case(move_call, (CASES["corridor_er30"],), warm_up=0,
+                        calls=lambda order: record_moves(CASES["corridor_er30"], 0, 20_000)),
+    "tail_draw": Case(fit_call, (CASES["corridor_er30"], 20_000),
+                      calls=[(seed,) for seed in (1_000_003, 2_000_003, 3_000_003)]),
+    "explode_k4_replica": replicas("explode_k4", 40, False),
+    "corridor_er30_replica": replicas("corridor_er30", 8, True),
+    "corridor_er30_nolaw_replica": replicas("corridor_er30", 8, False),
+    "profile_er30": Case(profile_call, (CASES["corridor_er30"]["graph"]["generator"], 1e-10)),
+    "profile_er1000": Case(profile_call, (CASES["er1000"]["graph"]["generator"], 0.125)),
+    "profile_er1000_deep": Case(profile_call, (CASES["er1000"]["graph"]["generator"], 1e-6)),
+    "profile_star300": Case(profile_call, (CASES["star300"]["graph"]["generator"], 1e-10)),
+    "profile_k400": Case(profile_call, ({"kind": "complete", "n": 400}, 1e-10)),
+    "profile_cycle300": Case(profile_call, ({"kind": "cycle", "n": 300}, 0.125)),
+    "memory_er1000_profile": Case(memory_call, ((),), warm_up=0),
+    "memory_perfbench_setup": Case(
+        memory_call, (("cumulative_rows", "base_cumulative_rows"),), warm_up=0),
+}
+# the names that time every case whose name starts with the prefix
+GROUPS = {"mixing_profile": "profile_", "memory": "memory_"}
+
+
+class Side:
+    """One package's measured call of one case, its warm-up calls and its measurements:
+    seconds, or bytes in the memory cases."""
+
+    def __init__(self, made: tuple, warm_calls):
+        (self.measure, self.unit), self.warm_calls, self.times = made, warm_calls, []
+
+    def warm_up(self) -> None:
+        for call in self.warm_calls:
+            self.measure(*call)
+
+    def run(self, call: tuple) -> None:
+        self.times.append(self.measure(*call))
 
 
 def fresh_run(src: str, target: str) -> float:
@@ -463,9 +381,8 @@ def fresh_run(src: str, target: str) -> float:
 
 
 def time_fresh(runs: int, baseline: str | None) -> None:
-    srcs = [os.path.dirname(os.path.dirname(os.path.abspath(srrw.__file__)))]
-    if baseline is not None:
-        srcs.append(baseline)
+    srcs = [os.path.dirname(os.path.dirname(os.path.abspath(srrw.__file__))),
+            *([baseline] if baseline is not None else [])]
     name, target = FRESH
     print(f"{name} run_population, ms; {runs} run(s) per side, each in a new interpreter")
     header = f"{'prior profile':<15} {'p50':>8}"
@@ -492,9 +409,7 @@ def main(argv=None) -> int:
                         help="time whole er1000 runs in N new interpreters per side instead")
     parser.add_argument("--fold-bytes", type=int, metavar="B",
                         help="this package's fold budget, population.FOLD_BYTES")
-    parser.add_argument("--case", action="append",
-                        choices=[*CASES, "return_time", "tail_draw", *REPLICAS,
-                                 "mixing_profile", *PROFILES, "memory", *MEMORY],
+    parser.add_argument("--case", action="append", choices=[*TABLE, *GROUPS],
                         help="time only this case (repeatable; default: all)")
     parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
     args = parser.parse_args(argv)
@@ -505,83 +420,45 @@ def main(argv=None) -> int:
             parser.error("--fresh needs N >= 1")
         time_fresh(args.fresh, args.baseline)
         return 0
-    baseline = load_package(args.baseline) if args.baseline else None
-    cases = args.case or [*CASES, "return_time", "tail_draw", *REPLICAS, "mixing_profile",
-                          "memory"]
-    if "mixing_profile" in cases:
-        cases += PROFILES
-    if "memory" in cases:
-        cases += MEMORY
+    packages = [srrw] + ([load_package(args.baseline)] if args.baseline else [])
+    picked = args.case or [*TABLE]
+    prefixes = tuple(GROUPS[name] for name in picked if name in GROUPS)
 
     jobs = []
-    for name, config in CASES.items():
-        for order in ORDERS if name in cases else ():
-            states, per_token, folded = record_states(config, order, STATES)
-            sides = [Side(srrw, config, order)]
-            if baseline is not None:
-                sides.append(Side(baseline, config, order))
-            jobs.append((name, order, states, per_token, folded, sides))
-    if "return_time" in cases:
-        name, u, walkers = RETURN_TIME
-        config = CASES[name]
-        sides = [MoveSide(srrw, config)]
-        if baseline is not None:
-            sides.append(MoveSide(baseline, config))
-        jobs.append(("return_time", None, record_moves(config, u, walkers, STATES), None, None,
-                     sides))
-    if "tail_draw" in cases:
-        name, n_samples, seeds = TAIL_DRAW
-        sides = [FitSampleSide(srrw, CASES[name], n_samples)]
-        if baseline is not None:
-            sides.append(FitSampleSide(baseline, CASES[name], n_samples))
-        jobs.append(("tail_draw", None, [(seed,) for seed in seeds], None, None, sides))
-    for label, (name, replicas, collect) in REPLICAS.items():
-        for order in ORDERS if label in cases else ():
-            config = CASES[name]
-            seeds = [(config["simulation"]["seed"] + r,) for r in range(replicas)]
-            sides = [ReplicaSide(srrw, config, order, collect)]
-            if baseline is not None:
-                sides.append(ReplicaSide(baseline, config, order, collect))
-            jobs.append((label, order, seeds, None, None, sides))
-    for label, (generator, target) in PROFILES.items():
-        if label in cases:
-            sides = [ProfileSide(srrw, generator, target)]
-            if baseline is not None:
-                sides.append(ProfileSide(baseline, generator, target))
-            jobs.append((label, None, [()], None, None, sides))
-    for label, reads in MEMORY.items():
-        if label in cases:
-            sides = [MemorySide(srrw, reads)]
-            if baseline is not None:
-                sides.append(MemorySide(baseline, reads))
-            jobs.append((label, None, [()], None, None, sides))
-    # build each side's tables and node rows before timing
-    for *_, states, _, _, sides in jobs:
+    for name, case in TABLE.items():
+        for order in case.orders if name in picked or name.startswith(prefixes) else ():
+            calls, per_token, folded = (case.calls(order) if callable(case.calls)
+                                        else (case.calls, None, None))
+            sides = [Side(case.factory(package, order, *case.args), calls[:case.warm_up])
+                     for package in packages]
+            jobs.append((name, order, calls, per_token, folded, sides))
+    # build what each side keeps on its kernel before timing
+    for *_, sides in jobs:
         for side in sides:
-            side.warm_up(states)
+            side.warm_up()
     for r in range(ROUNDS):
-        for *_, states, _, _, sides in jobs:
-            for k, call in enumerate(states, start=r):
+        for *_, calls, _, _, sides in jobs:
+            for k, call in enumerate(calls, start=r):
                 # the first call on a state runs slower, so the sides take turns going first
                 for side in sides[::-1] if k % 2 else sides:
-                    side.time_step(*call)
+                    side.run(call)
 
     header = (f"{'case':<27} {'order':<13} {'states':>6} {'per-token':>9} {'folded':>6}"
               f" {'unit':>8} {'p50':>9}")
-    if baseline is not None:
+    if len(packages) > 1:
         header += f" {'baseline p50':>13} {'ratio':>6} {'round ratios':>12}"
     print(header)
     rows = []
-    for name, order, states, per_token, folded, sides in jobs:
-        unit, scale, key = sides[0].UNIT
+    for name, order, calls, per_token, folded, sides in jobs:
+        unit, scale, key = sides[0].unit
         p50 = [scale * float(np.median(side.times)) for side in sides]
-        row = {"case": name, "order": order, "states": len(states), "per_token": per_token,
+        row = {"case": name, "order": order, "states": len(calls), "per_token": per_token,
                "folded": folded, key: p50[0]}
-        line = (f"{name:<27} {order or '-':<13} {len(states):>6}"
+        line = (f"{name:<27} {order or '-':<13} {len(calls):>6}"
                 + "".join(f" {'-' if v is None else f'{v:.2f}':>{width}}"
                           for v, width in ((per_token, 9), (folded, 6)))
                 + f" {unit:>8} {p50[0]:>9.1f}")
-        if baseline is not None:
+        if len(sides) > 1:
             # the ratio of the sides' medians within each round, and its spread over rounds
             rounds = np.divide(*(np.median(np.reshape(side.times, (ROUNDS, -1)), axis=1)
                                  for side in sides))
