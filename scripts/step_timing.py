@@ -286,7 +286,7 @@ def fit_call(package, order: None, config: dict, n_samples: int):
 
 
 def fresh_kernel(graphs, generator: dict):
-    """A new lazy kernel, laziness 1/2, of the graph ``generator`` names, by module ``graphs``."""
+    """A new lazy kernel, laziness 1/2, of the graph ``generator`` names, made by ``graphs``."""
     make = graphs.GENERATORS[generator["kind"]]
     return graphs.lazy_kernel(make(*(generator[key] for key in ("n", "p", "seed")
                                      if key in generator)), 0.5)
